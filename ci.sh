@@ -18,9 +18,13 @@
 #     of +-35-50% between windows is routine on shared-VM runners
 #     (measured across 13 windows in EXPERIMENTS.md A8), so a tighter
 #     band flakes on noise while 50% still catches any real kernel
-#     regression of the 2x class the gates exist for. A run that trips
-#     a gate is retried once: noise spikes clear on the second attempt,
-#     real regressions fail both.
+#     regression of the 2x class the gates exist for. When the report's
+#     "threads" (the par_msbfs splitter width) is 2 or more, the
+#     par_msbfs median on the scaled instance must also be >= 1.3x
+#     faster than the msbfs median (a ratio within one run, so it needs
+#     no baseline). A run that trips any of these is retried once:
+#     noise spikes clear on the second attempt, real regressions fail
+#     both.
 #   * bench/serve-baseline.json stores the loadgen p99 ceiling: the
 #     steady-state p99 (400 requests, concurrency 4, warmed cache) is
 #     measured three times and the WORST pass is stored x3 for runner
@@ -151,7 +155,7 @@ run_bench() {
         exit 1
     fi
 
-    echo "==> hg bench --kernels (MS-BFS + kcore wall-time gates)"
+    echo "==> hg bench --kernels (MS-BFS + kcore wall-time gates, par_msbfs speedup floor)"
     # One retry on gate failure: a noise spike on a shared runner clears
     # on the second attempt, a real kernel regression fails both.
     ATTEMPT=1
@@ -171,11 +175,27 @@ run_bench() {
                 OVER="$OVER $GATE=${KUS}us(>${KLIMIT}us)"
             fi
         done
+        THREADS=$(sed -n 's/.*"threads":\([0-9]*\).*/\1/p' BENCH_kernels.json)
+        SCALED=$(sed 's/.*"name":"hypergen-u[0-9]*"//' BENCH_kernels.json)
+        MS_MED=$(printf '%s\n' "$SCALED" | sed -n 's/.*"engine":"msbfs","best_us":[0-9]*,"median_us":\([0-9]*\).*/\1/p')
+        PAR_MED=$(printf '%s\n' "$SCALED" | sed -n 's/.*"engine":"par_msbfs","best_us":[0-9]*,"median_us":\([0-9]*\).*/\1/p')
+        if [ -z "$THREADS" ] || [ -z "$MS_MED" ] || [ -z "$PAR_MED" ]; then
+            echo "cannot extract the par_msbfs speedup inputs (threads='$THREADS' msbfs='$MS_MED' par_msbfs='$PAR_MED')" >&2
+            exit 1
+        fi
+        if [ "$THREADS" -ge 2 ]; then
+            echo "bench: par_msbfs median ${PAR_MED}us vs msbfs ${MS_MED}us on $THREADS threads (floor 1.3x)"
+            if [ $((PAR_MED * 13)) -gt $((MS_MED * 10)) ]; then
+                OVER="$OVER par_msbfs_speedup<1.3x(par_msbfs=${PAR_MED}us,msbfs=${MS_MED}us)"
+            fi
+        else
+            echo "bench: threads=1, skipping the par_msbfs speedup floor"
+        fi
         if [ -z "$OVER" ]; then
             break
         fi
         if [ "$ATTEMPT" -ge 2 ]; then
-            echo "BENCH FAIL: over limit on both attempts:$OVER (baseline +50%)" >&2
+            echo "BENCH FAIL: kernel gates failed on both attempts:$OVER" >&2
             exit 1
         fi
         echo "bench: over limit:$OVER — retrying once for runner noise"

@@ -103,6 +103,9 @@ impl DatasetResult {
 /// Full report of one benchmark run.
 pub struct KernelBenchReport {
     pub reps: usize,
+    /// Workers the `par_msbfs` engine splits batches over
+    /// ([`parcore::split_width`]); its speedup over `msbfs` needs two.
+    pub threads: usize,
     /// Whether datasets were BFS-relabeled before timing.
     pub relabel: bool,
     pub datasets: Vec<DatasetResult>,
@@ -121,6 +124,7 @@ impl KernelBenchReport {
         w.begin_object();
         w.key("schema").string("hg-kernels/1");
         w.key("reps").uint(self.reps as u64);
+        w.key("threads").uint(self.threads as u64);
         w.key("relabel")
             .raw(if self.relabel { "true" } else { "false" });
         w.key("gate_msbfs_us").uint(self.gate_msbfs_us);
@@ -169,7 +173,7 @@ impl KernelBenchReport {
 
     /// Human-readable summary table.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = format!("threads: {} (par_msbfs workers)\n", self.threads);
         for d in &self.datasets {
             out.push_str(&format!(
                 "{} ({} vertices, {} hyperedges): diameter {}, apl {:.3}\n",
@@ -316,6 +320,7 @@ pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport, String> {
         .ok_or("scaled dataset missing kcore_decompose timing")?;
     Ok(KernelBenchReport {
         reps: cfg.reps,
+        threads: parcore::split_width(),
         relabel: cfg.relabel,
         datasets,
         gate_msbfs_us,
@@ -364,6 +369,7 @@ mod tests {
         for (key, want) in [
             ("\"gate_msbfs_us\":", report.gate_msbfs_us),
             ("\"gate_kcore_us\":", report.gate_kcore_us),
+            ("\"threads\":", report.threads as u64),
         ] {
             let gate: u64 = json
                 .split(key)
@@ -375,6 +381,16 @@ mod tests {
                 .parse()
                 .unwrap();
             assert_eq!(gate, want, "{key}");
+        }
+        // The speedup floor reads the scaled dataset's engine medians
+        // from objects of exactly this shape.
+        let scaled = json.rsplit("\"name\":\"hypergen-u").next().unwrap();
+        for e in &report.datasets[1].engines {
+            let obj = format!(
+                "\"engine\":\"{}\",\"best_us\":{},\"median_us\":{}",
+                e.engine, e.best_us, e.median_us
+            );
+            assert!(scaled.contains(&obj), "{obj} in {scaled}");
         }
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! Clones share one flag. The first observer whose clock check trips the
 //! budget *latches* the cancel flag, so sibling workers in a rayon pool
-//! or crossbeam scope notice via a single relaxed atomic load on their
-//! next check without ever reading the clock themselves. [`Deadline::cancel`]
-//! latches the same flag manually (e.g. from a shutdown path).
+//! or a `std::thread::scope` notice via a single relaxed atomic load on
+//! their next check without ever reading the clock themselves.
+//! [`Deadline::cancel`] latches the same flag manually (e.g. from a
+//! shutdown path).
 //!
 //! # Example
 //!

@@ -66,10 +66,10 @@ pub struct ExecOpts {
     /// Cooperative deadline checked inside every heavy loop; the
     /// default (unlimited) never fires.
     pub deadline: Deadline,
-    /// Route the heavy endpoints (diameter, kcore) through the
-    /// `parcore` parallel kernels. The server enables this for large
-    /// datasets so a deadline-bounded sweep still makes maximal
-    /// progress before the budget runs out.
+    /// Route diameter and `kcore?k=` through the `parcore` kernels: the
+    /// diameter sweep then runs on every core. The server enables this
+    /// for large datasets, where a sweep is long enough to pay for its
+    /// helper threads.
     pub parallel: bool,
     /// Request-scoped trace context. [`Query::run_opts`] attaches it to
     /// the deadline it hands the kernels, so every instrumented phase
@@ -289,14 +289,11 @@ fn run_kcore(
     w: &mut JsonWriter,
 ) -> Result<(), QueryError> {
     let core = match (k, opts.parallel) {
-        // Single-k: the CSR peeler sequentially, the level-synchronous
-        // engine when parallel routing is on.
         (Some(k), false) => Some(hypergraph::csr_kcore_with(h, k, &opts.deadline)?),
+        // Serial, yet ~2x the CSR peeler on large datasets: subset probes skip the overlap build.
         (Some(k), true) => Some(parcore::par_hypergraph_kcore_with(h, k, &opts.deadline)?),
-        // Maximum core: one incremental decomposition sweep; parallel
-        // routing moves the dominant overlap build onto rayon.
-        (None, false) => hypergraph::max_core_with(h, &opts.deadline)?,
-        (None, true) => parcore::par_decompose_with(h, &opts.deadline)?.max_core,
+        // Maximum core: one incremental decomposition sweep.
+        (None, _) => hypergraph::max_core_with(h, &opts.deadline)?,
     };
     match core {
         Some(c) if !c.is_empty() => {
@@ -350,8 +347,9 @@ fn run_distance(
 }
 
 fn run_diameter(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
-    // Both arms run the batched MS-BFS engine; the parallel arm shards
-    // batches over workers for datasets above the routing threshold.
+    // Both arms run the batched MS-BFS engine; the parallel arm splits
+    // batches over one worker per core for datasets above the routing
+    // threshold.
     let s = if opts.parallel {
         parcore::par_msbfs_distance_stats_with(h, &opts.deadline)?
     } else {
@@ -559,7 +557,11 @@ mod tests {
             parallel: true,
             ..ExecOpts::default()
         };
-        for q in [Query::Diameter, Query::KCore { k: Some(1) }] {
+        for q in [
+            Query::Diameter,
+            Query::KCore { k: Some(1) },
+            Query::KCore { k: None },
+        ] {
             assert_eq!(q.run(&h).unwrap(), q.run_opts(&h, &par).unwrap(), "{q:?}");
         }
     }

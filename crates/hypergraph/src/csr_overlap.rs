@@ -73,14 +73,19 @@ impl CsrOverlap {
         hgobs::counter!("overlap.csr.pairs", generated);
         tp.add_work(generated);
         pairs.sort_unstable();
-        // Run-length encode (f, g) repetitions into overlap counts.
-        let mut triples: Vec<(u32, u32, u32)> = Vec::new();
+        // Run-length encode (f, g) repetitions into overlap counts, into
+        // a vector of exactly the distinct count, and free the pairs
+        // before assembly: this build sets a max-core request's peak
+        // memory.
+        let distinct = pairs.len() - pairs.windows(2).filter(|w| w[0] == w[1]).count();
+        let mut triples: Vec<(u32, u32, u32)> = Vec::with_capacity(distinct);
         for &(f, g) in &pairs {
             match triples.last_mut() {
                 Some((lf, lg, c)) if *lf == f && *lg == g => *c += 1,
                 _ => triples.push((f, g, 1)),
             }
         }
+        drop(pairs);
         Ok(Self::from_triples(h.num_edges(), &triples))
     }
 

@@ -16,13 +16,21 @@
 //! * [`par_distance`] — embarrassingly parallel per-source BFS for the
 //!   hypergraph distance statistics of §2.
 //! * [`par_msbfs`] — the batched multi-source bitset BFS engine
-//!   (64 sources per u64-mask batch) distributed over workers with
-//!   private scratch; the default heavy-path engine for hgserve.
+//!   (256 sources per batch) split over one scoped thread per core,
+//!   each with private scratch; hgserve's diameter engine for large
+//!   datasets.
 //! * [`par_overlap`] — parallel construction of the pairwise hyperedge
 //!   overlap table.
 //! * [`par_csr_overlap()`] — sharded parallel assembly of the flat CSR
 //!   overlap engine, feeding the sequential incremental decomposition
 //!   ([`par_decompose`]).
+//! * [`scoped`] — the `std::thread::scope` work splitter.
+//!
+//! Only [`par_msbfs`] and [`scoped`] run on more than one core. The
+//! other kernels are written against rayon's API, but the vendored
+//! rayon executes serially: their level-synchronous rounds and
+//! per-source phases are too short to pay for a thread spawn per phase
+//! (EXPERIMENTS A10 has the numbers).
 //!
 //! Memory-ordering notes: degree counters use `fetch_sub(Relaxed)` — the
 //! value is only *read* after the round's barrier (rayon's fork-join
@@ -54,4 +62,6 @@ pub use par_msbfs::{
     par_msbfs_distance_stats_with, par_small_world_report, par_small_world_report_with,
 };
 pub use par_overlap::{par_overlap_table, par_overlap_table_with};
-pub use scoped::{scoped_hyper_distance_stats, scoped_hyper_distance_stats_with, scoped_run};
+pub use scoped::{
+    scoped_hyper_distance_stats, scoped_hyper_distance_stats_with, scoped_run, split_width,
+};

@@ -1,23 +1,40 @@
-//! Hand-rolled scoped-thread parallelism (crossbeam) as a counterpoint
-//! to the rayon work-stealing implementations: static chunking of BFS
-//! sources over OS threads with explicit result reduction.
+//! Scoped-thread parallelism on `std::thread::scope`: the one substrate
+//! in this crate that runs on more than one core (the vendored `rayon`
+//! executes serially). Three entry points share one fan-out:
 //!
-//! Exists for the A4-style comparison: rayon's dynamic scheduling wins
-//! when per-source costs are skewed (power-law components); static
-//! chunking wins marginally when costs are uniform and the task count is
-//! small. Results are identical either way, which the tests pin down.
+//! * [`scoped_run`] — a fixed number of workers, one result each;
+//! * `split` — one worker per core, claiming item indices from a
+//!   shared cursor, so uneven items balance themselves; the engine
+//!   behind [`par_msbfs`](crate::par_msbfs);
+//! * [`scoped_hyper_distance_stats`] — static chunking of BFS sources
+//!   over a caller-chosen thread count, the counterpoint to dynamic
+//!   claiming. Results are identical either way, which the tests pin
+//!   down.
+//!
+//! Helper threads are spawned per call and joined before it returns;
+//! there is no persistent pool. The calling thread is always worker 0,
+//! so a single worker spawns nothing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use hgobs::{Deadline, DeadlineExceeded};
 use hypergraph::path::UNREACHABLE;
 use hypergraph::{HyperDistanceStats, Hypergraph, VertexId};
 
-/// Fan `f` out over `threads` scoped OS threads and collect one result
-/// per thread, in thread-index order. The closure receives its thread
-/// index so callers can do static partitioning (`sources[i::threads]`)
-/// or per-thread seeding. Used by the hgserve cache concurrency tests
-/// and anywhere a fixed-width scoped fan-out beats spinning up rayon.
+/// How many workers `split` runs when it has enough items:
+/// `std::thread::available_parallelism()`, read once per process (1
+/// when the platform cannot tell).
+pub fn split_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Fan `f` out over `threads` workers and collect one result per
+/// worker, in worker-index order. The closure receives its worker index
+/// so callers can do static partitioning (`sources[i::threads]`) or
+/// per-thread seeding. Worker 0 is the calling thread; the other
+/// `threads - 1` are scoped OS threads spawned for this call.
 ///
 /// # Panics
 /// If `threads == 0` or any worker panics.
@@ -27,19 +44,63 @@ where
     F: Fn(usize) -> R + Sync,
 {
     assert!(threads > 0, "need at least one thread");
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
             .map(|i| {
                 let f = &f;
-                scope.spawn(move |_| f(i))
+                scope.spawn(move || f(i))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+        let mut out = Vec::with_capacity(threads);
+        out.push(f(0));
+        out.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked")),
+        );
+        out
     })
-    .expect("scope")
+}
+
+/// The item indices one [`split`] worker claims: each `next` takes the
+/// lowest index no worker has taken yet, until none are left.
+pub(crate) struct Claims<'a> {
+    cursor: &'a AtomicUsize,
+    items: usize,
+}
+
+impl Iterator for Claims<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        // Relaxed: `fetch_add` alone hands each index out exactly once,
+        // and the cursor publishes no other data; results travel back
+        // through the scope's join.
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.items).then_some(i)
+    }
+}
+
+/// Run `work(worker, claims)` on `min(width, items)` workers (at least
+/// one) that claim the indices `0..items` from one shared cursor, so
+/// every index goes to exactly one worker; returns one result per
+/// worker, in worker order. Production callers pass [`split_width`];
+/// tests force the widths a host may lack.
+pub(crate) fn split<R, F>(width: usize, items: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, Claims<'_>) -> R + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    scoped_run(width.min(items).max(1), |worker| {
+        work(
+            worker,
+            Claims {
+                cursor: &cursor,
+                items,
+            },
+        )
+    })
 }
 
 /// Distance statistics via `threads` scoped OS threads, each sweeping a
@@ -77,44 +138,31 @@ pub fn scoped_hyper_distance_stats_with(
             reachable_pairs: 0,
         });
     }
-    let chunk = sources.len().div_ceil(threads);
+    let chunks: Vec<&[VertexId]> = sources.chunks(sources.len().div_ceil(threads)).collect();
     let completed = AtomicU64::new(0);
 
-    let partials: Vec<Option<(u32, u128, u64)>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = sources
-            .chunks(chunk)
-            .map(|chunk_sources| {
-                let completed = &completed;
-                scope.spawn(move |_| {
-                    let mut diameter = 0u32;
-                    let mut total = 0u128;
-                    let mut pairs = 0u64;
-                    for &s in chunk_sources {
-                        if deadline.cancelled() {
-                            return None;
-                        }
-                        let Ok(dist) = hypergraph::hyper_distances_with(h, s, deadline) else {
-                            return None;
-                        };
-                        for (v, &d) in dist.iter().enumerate() {
-                            if d != UNREACHABLE && v != s.index() {
-                                diameter = diameter.max(d);
-                                total += d as u128;
-                                pairs += 1;
-                            }
-                        }
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some((diameter, total, pairs))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope");
+    let partials: Vec<Option<(u32, u128, u64)>> = scoped_run(chunks.len(), |i| {
+        let mut diameter = 0u32;
+        let mut total = 0u128;
+        let mut pairs = 0u64;
+        for &s in chunks[i] {
+            if deadline.cancelled() {
+                return None;
+            }
+            let Ok(dist) = hypergraph::hyper_distances_with(h, s, deadline) else {
+                return None;
+            };
+            for (v, &d) in dist.iter().enumerate() {
+                if d != UNREACHABLE && v != s.index() {
+                    diameter = diameter.max(d);
+                    total += d as u128;
+                    pairs += 1;
+                }
+            }
+            completed.fetch_add(1, Ordering::Relaxed);
+        }
+        Some((diameter, total, pairs))
+    });
 
     let mut acc = (0u32, 0u128, 0u64);
     for partial in partials {
@@ -187,6 +235,34 @@ mod tests {
         let total = AtomicUsize::new(0);
         scoped_run(4, |i| total.fetch_add(i + 1, Ordering::Relaxed));
         assert_eq!(total.load(Ordering::Relaxed), 1 + 2 + 3 + 4);
+    }
+
+    #[test]
+    fn split_claims_every_item_once_in_worker_order() {
+        let caller = std::thread::current().id();
+        for width in [1, 2, 3, 8] {
+            for items in [0, 1, 2, 5, 64] {
+                let out = split(width, items, |worker, claims| {
+                    (
+                        worker,
+                        std::thread::current().id(),
+                        claims.collect::<Vec<_>>(),
+                    )
+                });
+                // Capped at the item count, never below one worker.
+                assert_eq!(out.len(), width.min(items).max(1), "{width}/{items}");
+                for (i, (worker, _, _)) in out.iter().enumerate() {
+                    assert_eq!(*worker, i, "{width}/{items}");
+                }
+                // Worker 0 runs on the calling thread; helpers do not.
+                assert_eq!(out[0].1, caller, "{width}/{items}");
+                assert!(out[1..].iter().all(|w| w.1 != caller), "{width}/{items}");
+                let mut claimed: Vec<usize> =
+                    out.iter().flat_map(|w| w.2.iter().copied()).collect();
+                claimed.sort_unstable();
+                assert_eq!(claimed, (0..items).collect::<Vec<_>>(), "{width}/{items}");
+            }
+        }
     }
 
     #[test]

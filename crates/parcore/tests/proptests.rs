@@ -69,7 +69,8 @@ proptest! {
         prop_assert_eq!(seq, par_hyper_distance_stats(&h));
     }
 
-    /// Scoped (crossbeam) distance stats == sequential, any thread count.
+    /// Scoped-thread (`std::thread::scope`) distance stats == sequential,
+    /// any thread count.
     #[test]
     fn scoped_distances_equivalent(
         h in arb_hypergraph(14, 10, 5),
