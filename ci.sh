@@ -308,6 +308,12 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> hgperf build + unit tests"
+# The benchmark is a workspace of its own that calls the kernels by
+# name; building it here catches a renamed or deleted entry point
+# before the benchmark runs. Its Cargo.lock and target/ are ignored.
+cargo test --offline -q --manifest-path hgperf/Cargo.toml
+
 echo "==> hgserve e2e + robustness (release)"
 cargo test -p hgserve --release --test e2e -q
 cargo test -p hgserve --release --test robustness -q

@@ -1,12 +1,12 @@
-//! A4 — the paper's future work: sequential overlap-counting k-core vs
-//! the level-synchronous parallel k-core, over mesh sizes and thread
+//! A4 — the paper's future work: the sequential CSR overlap-counting
+//! k-core vs the level-synchronous parallel k-core, over mesh sizes and thread
 //! counts (thread scaling is only visible on multi-core hosts).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use hypergraph::hypergraph_kcore;
+use hypergraph::csr_kcore;
 use matrixmarket::{row_net, stiffness_3d};
 use parcore::par_hypergraph_kcore;
 
@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
     for n in [10usize, 14, 18] {
         let h = row_net(&stiffness_3d(n, n, n));
         g.bench_with_input(BenchmarkId::new("sequential", n), &h, |b, h| {
-            b.iter(|| hypergraph_kcore(black_box(h), k))
+            b.iter(|| csr_kcore(black_box(h), k))
         });
         g.bench_with_input(BenchmarkId::new("parallel", n), &h, |b, h| {
             b.iter(|| par_hypergraph_kcore(black_box(h), k))

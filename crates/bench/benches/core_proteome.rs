@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hypergraph::{hypergraph_kcore, max_core};
+use hypergraph::{csr_kcore, max_core};
 use proteome::annotations::{annotate, core_summary};
 use proteome::cellzome::{cellzome_like, CELLZOME_SEED};
 use proteome::enrichment::hypergeometric_tail;
@@ -16,9 +16,9 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("core_proteome");
     g.bench_function("kcore_at_6", |b| {
-        b.iter(|| hypergraph_kcore(black_box(&ds.hypergraph), 6))
+        b.iter(|| csr_kcore(black_box(&ds.hypergraph), 6))
     });
-    g.bench_function("max_core_binary_search", |b| {
+    g.bench_function("max_core_decompose", |b| {
         b.iter(|| max_core(black_box(&ds.hypergraph)).unwrap())
     });
     g.bench_function("annotate", |b| {

@@ -1,12 +1,11 @@
 //! E6 / §3 — plain-graph core decomposition on the DIP-calibrated PPI
-//! networks (yeast: 4746 proteins; drosophila: 7048 proteins), sequential
-//! linear-time peeling vs the parallel level-synchronous variant.
+//! networks (yeast: 4746 proteins; drosophila: 7048 proteins), by
+//! linear-time bucket peeling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use graphcore::core_decomposition;
-use parcore::par_core_decomposition;
 use proteome::{dip_fly_like, dip_yeast_like};
 
 fn bench(c: &mut Criterion) {
@@ -17,14 +16,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("yeast_sequential", |b| {
         b.iter(|| core_decomposition(black_box(&yeast)))
     });
-    g.bench_function("yeast_parallel", |b| {
-        b.iter(|| par_core_decomposition(black_box(&yeast)))
-    });
     g.bench_function("fly_sequential", |b| {
         b.iter(|| core_decomposition(black_box(&fly)))
-    });
-    g.bench_function("fly_parallel", |b| {
-        b.iter(|| par_core_decomposition(black_box(&fly)))
     });
     g.finish();
 }

@@ -7,7 +7,6 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use hypergraph::{hyper_distance_stats, hypergraph_components};
-use parcore::par_hyper_distance_stats;
 use proteome::cellzome::{cellzome_like, CELLZOME_SEED};
 
 fn bench(c: &mut Criterion) {
@@ -26,9 +25,6 @@ fn bench(c: &mut Criterion) {
     g.sample_size(20).measurement_time(Duration::from_secs(8));
     g.bench_function("distance_stats_exact", |b| {
         b.iter(|| hyper_distance_stats(black_box(&giant)))
-    });
-    g.bench_function("distance_stats_parallel", |b| {
-        b.iter(|| par_hyper_distance_stats(black_box(&giant)))
     });
     g.finish();
 }

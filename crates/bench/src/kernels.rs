@@ -1,8 +1,7 @@
 //! Deterministic kernel benchmark: scalar per-source BFS vs batched
 //! MS-BFS vs parallel MS-BFS on the all-pairs distance sweep, and the
-//! per-k hash-map k-core drivers vs the one-pass incremental CSR
-//! decomposition, run from `hg bench --kernels` and gated by
-//! `ci.sh --bench`.
+//! one-pass incremental CSR k-core decomposition, run from
+//! `hg bench --kernels` and gated by `ci.sh --bench`.
 //!
 //! Unlike the Criterion targets under `benches/`, this harness is a
 //! plain library so the CLI can invoke it and CI can diff its JSON
@@ -10,7 +9,8 @@
 //! report best-of-`reps` wall time — the minimum is the standard
 //! low-noise estimator for a deterministic kernel — and every engine's
 //! [`HyperDistanceStats`] must be bit-identical before any timing is
-//! trusted; a mismatch is an error, not a footnote.
+//! trusted, as must the decomposition's outputs and the level-synchronous
+//! parallel k-core's; a mismatch is an error, not a footnote.
 
 use std::time::Instant;
 
@@ -59,9 +59,9 @@ pub struct DatasetResult {
     pub edges: usize,
     pub stats: HyperDistanceStats,
     pub engines: Vec<EngineResult>,
-    /// k-core decomposition drivers (`max_core` + `core_profile` +
-    /// `core_numbers`): per-k hash-map oracle vs one incremental CSR
-    /// sweep, results cross-validated before timings are trusted.
+    /// The k-core decomposition (`max_core` + `core_profile` +
+    /// `core_numbers` from one incremental CSR sweep), cross-validated
+    /// before its timing is trusted.
     pub kcore_engines: Vec<EngineResult>,
     /// Depth of the maximum core (engine-agreed).
     pub k_max: u32,
@@ -82,18 +82,6 @@ impl DatasetResult {
     /// Wall-clock speedup of `engine` over the scalar oracle.
     pub fn speedup_over_scalar(&self, engine: &str) -> f64 {
         match (self.best("scalar"), self.best(engine)) {
-            (Some(s), Some(e)) if e > 0 => s as f64 / e as f64,
-            _ => 0.0,
-        }
-    }
-
-    /// Wall-clock speedup of the incremental kcore sweep over the per-k
-    /// hash-map drivers.
-    pub fn speedup_kcore(&self) -> f64 {
-        match (
-            best_of(&self.kcore_engines, "kcore_per_k"),
-            best_of(&self.kcore_engines, "kcore_decompose"),
-        ) {
             (Some(s), Some(e)) if e > 0 => s as f64 / e as f64,
             _ => 0.0,
         }
@@ -161,7 +149,6 @@ impl KernelBenchReport {
                 w.end_object();
             }
             w.end_array();
-            w.key("speedup_kcore").float(d.speedup_kcore());
             w.end_object();
         }
         w.end_array();
@@ -191,15 +178,8 @@ impl KernelBenchReport {
             out.push_str(&format!("  k-core decomposition (k_max {}):\n", d.k_max));
             for e in &d.kcore_engines {
                 out.push_str(&format!(
-                    "  {:<16} best {:>9} us  median {:>9} us  speedup {:.2}x\n",
-                    e.engine,
-                    e.best_us,
-                    e.median_us,
-                    if e.engine == "kcore_decompose" {
-                        d.speedup_kcore()
-                    } else {
-                        1.0
-                    }
+                    "  {:<16} best {:>9} us  median {:>9} us\n",
+                    e.engine, e.best_us, e.median_us
                 ));
             }
         }
@@ -228,7 +208,7 @@ fn time_engine<T>(engine: &'static str, reps: usize, run: impl Fn() -> T) -> (En
     )
 }
 
-/// The three kcore driver outputs an engine must agree on before its
+/// The three kcore driver outputs the engines must agree on before the
 /// timing counts: max core (k, vertex ids, edge ids), level profile,
 /// per-vertex core numbers.
 type KcoreOutputs = (
@@ -236,6 +216,26 @@ type KcoreOutputs = (
     Vec<(u32, usize, usize)>,
     Vec<u32>,
 );
+
+/// [`KcoreOutputs`] from [`parcore::par_hypergraph_kcore`] at
+/// `k = 1..=k_max + 1`, stopping at the first empty core.
+fn par_kcore_outputs(h: &Hypergraph) -> KcoreOutputs {
+    let mut max_core = None;
+    let mut profile = Vec::new();
+    let mut core_numbers = vec![0u32; h.num_vertices()];
+    for k in 1u32.. {
+        let core = parcore::par_hypergraph_kcore(h, k);
+        if core.is_empty() {
+            break;
+        }
+        profile.push((k, core.vertices.len(), core.edges.len()));
+        for v in &core.vertices {
+            core_numbers[v.index()] = k;
+        }
+        max_core = Some((k, core.vertices, core.edges));
+    }
+    (max_core, profile, core_numbers)
+}
 
 fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResult, String> {
     let (scalar, s_stats) = time_engine("scalar", reps, || {
@@ -250,16 +250,10 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         ));
     }
 
-    // k-core drivers: the pre-incremental path runs an independent
-    // hash-map peel per probed k for each of the three outputs; the
-    // incremental path gets all three from one decomposition sweep.
-    let (per_k, o_out): (EngineResult, KcoreOutputs) = time_engine("kcore_per_k", reps, || {
-        (
-            hypergraph::max_core_bsearch(h).map(|c| (c.k, c.vertices, c.edges)),
-            hypergraph::core_profile_per_k(h),
-            hypergraph::core_numbers_per_k(h),
-        )
-    });
+    // The decomposition gets all three outputs from one sweep; the
+    // level-synchronous parallel engine (snapshot subset probes, no
+    // overlap table) checks them one level at a time first.
+    let o_out = par_kcore_outputs(h);
     let (decomp, d_out): (EngineResult, KcoreOutputs) =
         time_engine("kcore_decompose", reps, || {
             let d = hypergraph::decompose(h);
@@ -271,7 +265,7 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         });
     if o_out != d_out {
         return Err(format!(
-            "kcore engine disagreement on {name}: per-k (k_max {:?}) vs decompose (k_max {:?})",
+            "kcore engine disagreement on {name}: par_kcore (k_max {:?}) vs decompose (k_max {:?})",
             o_out.0.as_ref().map(|c| c.0),
             d_out.0.as_ref().map(|c| c.0)
         ));
@@ -284,7 +278,7 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         edges: h.num_edges(),
         stats: s_stats,
         engines: vec![scalar, msbfs, par],
-        kcore_engines: vec![per_k, decomp],
+        kcore_engines: vec![decomp],
         k_max,
     })
 }
@@ -349,7 +343,7 @@ mod tests {
             let names: Vec<_> = d.engines.iter().map(|e| e.engine).collect();
             assert_eq!(names, vec!["scalar", "msbfs", "par_msbfs"], "{}", d.name);
             let knames: Vec<_> = d.kcore_engines.iter().map(|e| e.engine).collect();
-            assert_eq!(knames, vec!["kcore_per_k", "kcore_decompose"], "{}", d.name);
+            assert_eq!(knames, vec!["kcore_decompose"], "{}", d.name);
         }
         // Cellzome fallback twin reproduces the paper's diameter and
         // max-core depth (Table 1: the 6-core).
@@ -364,7 +358,6 @@ mod tests {
         assert!(json.contains("\"schema\":\"hg-kernels/1\""), "{json}");
         assert!(json.contains("\"gate_msbfs_us\":"), "{json}");
         assert!(json.contains("\"speedup_msbfs\":"), "{json}");
-        assert!(json.contains("\"speedup_kcore\":"), "{json}");
         // The exact patterns ci.sh extracts with sed.
         for (key, want) in [
             ("\"gate_msbfs_us\":", report.gate_msbfs_us),

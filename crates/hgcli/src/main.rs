@@ -160,7 +160,7 @@ fn cmd_stats(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or_else(usage)?;
     let h = load(path)?;
     let cc = hypergraph::hypergraph_components(&h);
-    let ov = hypergraph::OverlapTable::build(&h);
+    let ov = hypergraph::CsrOverlap::build(&h);
     let mut t = Table::new(&["statistic", "value"]);
     t.row(cells!["vertices |V|", h.num_vertices()]);
     t.row(cells!["hyperedges |F|", h.num_edges()]);

@@ -129,8 +129,7 @@ pub fn e4_table1() -> String {
     ]);
 
     let mut add_row = |name: &str, h: &hypergraph::Hypergraph| {
-        let ov = hypergraph::OverlapTable::build(h);
-        let d2f = ov.max_d2_edge();
+        let d2f = hypergraph::CsrOverlap::build(h).max_d2_edge();
         let (core, secs) = timed(|| max_core(h));
         let (k, cv, ce) = core
             .map(|c| (c.k, c.vertices.len(), c.edges.len()))
@@ -526,13 +525,13 @@ pub fn a4_parallel() -> String {
         row_net(&m)
     };
     let k = 8u32;
-    let (seq, t_seq) = timed(|| hypergraph::hypergraph_kcore(&h, k));
+    let (seq, t_seq) = timed(|| hypergraph::csr_kcore(&h, k));
     let (par, t_par) = timed(|| parcore::par_hypergraph_kcore(&h, k));
     let threads = rayon::current_num_threads();
 
     let mut t = Table::new(&["algorithm", "threads", "core |V|", "core |F|", "time"]);
     t.row(cells![
-        "sequential (Fig. 4 + overlaps)",
+        "sequential (Fig. 4, CSR overlaps)",
         1,
         seq.vertices.len(),
         seq.edges.len(),

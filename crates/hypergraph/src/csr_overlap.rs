@@ -1,14 +1,20 @@
-//! Flat CSR storage for pairwise hyperedge overlaps.
+//! Pairwise hyperedge overlaps and degree-2 quantities in flat CSR form.
 //!
-//! [`crate::OverlapTable`] keeps one hash map per hyperedge, which is
-//! convenient but cache-hostile: the k-core peel spends most of its time
-//! probing those maps. [`CsrOverlap`] stores the same symmetric relation
-//! as three flat arrays — `offsets` (CSR row starts), `neighbors` (the
-//! overlapping hyperedge ids, **sorted** within each row) and `counts`
-//! (`|f ∩ g|`) — plus a `mirror` array holding, for every entry `(f, g)`,
-//! the flat index of its twin `(g, f)`. A symmetric decrement is then one
-//! binary search on the `f` row followed by two O(1) array writes; the
-//! peel loop never hashes.
+//! The paper's k-core algorithm avoids comparing vertex sets by keeping,
+//! for every hyperedge, its *overlaps* — the number of vertices it shares
+//! with each intersecting hyperedge. A hyperedge `f` is contained in `g`
+//! exactly when its current degree equals its current overlap with `g`.
+//! The *degree-2* of a hyperedge `f`, `d₂(f)`, is the number of
+//! hyperedges with which it shares a vertex; `Δ₂,F` is the maximum over
+//! all hyperedges, and drives the bound `O(|E|(Δ₂,F + Δ_V ln Δ₂,F))`.
+//!
+//! [`CsrOverlap`] stores this symmetric relation as three flat arrays —
+//! `offsets` (CSR row starts), `neighbors` (the overlapping hyperedge
+//! ids, **sorted** within each row) and `counts` (`|f ∩ g|`) — plus a
+//! `mirror` array holding, for every entry `(f, g)`, the flat index of
+//! its twin `(g, f)`. A symmetric decrement is then one binary search on
+//! the `f` row followed by two O(1) array writes; the peel loop never
+//! hashes.
 //!
 //! Rows are never physically shrunk during peeling. Instead, deleting a
 //! hyperedge zeroes the counts of all its entries *and their mirrors*,
@@ -37,8 +43,7 @@ pub struct CsrOverlap {
 }
 
 impl CsrOverlap {
-    /// Build from `h` sequentially. Equivalent to
-    /// [`OverlapTable::build`](crate::OverlapTable::build) but hash-free.
+    /// Build from `h` sequentially.
     pub fn build(h: &Hypergraph) -> Self {
         match Self::build_with(h, &Deadline::none()) {
             Ok(ov) => ov,
@@ -229,7 +234,7 @@ impl CsrOverlap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HypergraphBuilder, OverlapTable};
+    use crate::HypergraphBuilder;
 
     fn toy() -> Hypergraph {
         // e0={0,1,2}, e1={1,2,3}, e2={3,4}, e3={5}
@@ -242,17 +247,25 @@ mod tests {
     }
 
     #[test]
-    fn matches_hash_table_on_toy() {
+    fn matches_brute_force_on_toy() {
         let h = toy();
         let csr = CsrOverlap::build(&h);
-        let hash = OverlapTable::build(&h);
+        let shared = |f: EdgeId, g: EdgeId| {
+            let pg = h.pins(g);
+            h.pins(f).iter().filter(|v| pg.contains(v)).count() as u32
+        };
+        let mut max_d2 = 0;
         for f in h.edges() {
-            for g in h.edges() {
-                assert_eq!(csr.overlap(f, g), hash.overlap(f, g), "({f:?}, {g:?})");
+            let mut d2 = 0;
+            for g in h.edges().filter(|&g| g != f) {
+                assert_eq!(csr.overlap(f, g), shared(f, g), "({f:?}, {g:?})");
+                d2 += usize::from(shared(f, g) > 0);
             }
-            assert_eq!(csr.d2_edge(f), hash.d2_edge(f), "{f:?}");
+            assert_eq!(csr.overlap(f, f), 0, "{f:?}");
+            assert_eq!(csr.d2_edge(f), d2, "{f:?}");
+            max_d2 = max_d2.max(d2);
         }
-        assert_eq!(csr.max_d2_edge(), hash.max_d2_edge());
+        assert_eq!(csr.max_d2_edge(), max_d2);
     }
 
     #[test]

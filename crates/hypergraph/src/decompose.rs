@@ -1,22 +1,21 @@
-//! One-pass incremental k-core decomposition over the CSR overlap engine.
+//! The paper's k-core algorithm (Fig. 4) over the CSR overlap engine:
+//! [`csr_kcore`] for one `k`, and [`decompose`] for every `k` in one pass.
 //!
 //! Hypergraph k-cores are nested (property-tested in this crate): the
 //! (k+1)-core is a sub-hypergraph of the k-core, and peeling is
 //! confluent — any order of deleting sub-threshold vertices reaches the
 //! same fixpoint. So the peeler state that survives the k-peel is a
 //! valid starting point for k+1: instead of rebuilding the `O(Σ_v d(v)²)`
-//! overlap table for every `k` (what the per-k drivers in
-//! [`crate::kcore`] do), [`decompose`] builds it **once**, runs the
-//! reduce sweep once, and then sweeps `k = 1, 2, …` re-seeding the queue
-//! from the survivors, recording each level's sizes and stamping core
-//! numbers as it goes. `core_profile`, `core_numbers` and `max_core` all
-//! fall out of the single sweep.
+//! overlap table for every `k`, [`decompose`] builds it **once**, runs
+//! the reduce sweep once, and then sweeps `k = 1, 2, …` re-seeding the
+//! queue from the survivors, recording each level's sizes and stamping
+//! core numbers as it goes. `core_profile`, `core_numbers` and `max_core`
+//! in [`crate::kcore`] all fall out of the single sweep.
 //!
-//! The peeling rules are identical to the hash-map [`crate::kcore`]
-//! peeler (the property-test oracle): a hyperedge dies as soon as it is
-//! contained in an alive hyperedge of higher id-breaking rank, and ties
-//! between identical hyperedges keep the lowest id. The surviving
-//! vertex/edge id sets match the oracle's for every `k`.
+//! A hyperedge dies as soon as it is contained in an alive hyperedge of
+//! higher id-breaking rank, and ties between identical hyperedges keep
+//! the lowest id. The surviving vertex/edge id sets match the
+//! [`naive_kcore`](crate::naive::naive_kcore) oracle's for every `k`.
 
 use hgobs::{Deadline, DeadlineExceeded};
 
@@ -343,8 +342,13 @@ pub fn decompose_from_overlap(
     })
 }
 
-/// Single-`k` core via the CSR engine — same result as
-/// [`crate::hypergraph_kcore`] (the hash-map oracle), minus the hashing.
+/// The k-core for one `k` (paper Fig. 4) via the CSR engine.
+///
+/// The input need not be reduced: an initial sweep removes non-maximal
+/// hyperedges (keeping the lowest id among identical copies) so the
+/// output always satisfies the definition. `k = 0` therefore returns the
+/// reduced hypergraph itself, isolated vertices included (degree-0
+/// vertices trivially satisfy `d(v) ≥ 0`).
 pub fn csr_kcore(h: &Hypergraph, k: u32) -> KCore {
     match csr_kcore_with(h, k, &Deadline::none()) {
         Ok(core) => core,
@@ -391,7 +395,7 @@ pub fn csr_kcore_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kcore::{core_numbers_per_k, core_profile_per_k, hypergraph_kcore, max_core_linear};
+    use crate::naive::{edge_contents, naive_cores};
     use crate::HypergraphBuilder;
 
     fn triangle_like() -> Hypergraph {
@@ -404,26 +408,25 @@ mod tests {
 
     fn assert_matches_oracle(h: &Hypergraph) {
         let d = decompose(h);
-        assert_eq!(d.profile, core_profile_per_k(h), "profile");
-        assert_eq!(d.core_numbers, core_numbers_per_k(h), "core numbers");
-        match (d.max_core, max_core_linear(h)) {
-            (Some(a), Some(b)) => {
-                assert_eq!(a.k, b.k);
-                assert_eq!(a.vertices, b.vertices);
-                assert_eq!(a.edges, b.edges);
-            }
-            (None, None) => {}
-            (a, b) => panic!(
-                "max_core disagreement: incremental {:?}, oracle {:?}",
-                a.map(|c| c.k),
-                b.map(|c| c.k)
-            ),
-        }
-        for k in 0..=4u32 {
-            let a = csr_kcore(h, k);
-            let b = hypergraph_kcore(h, k);
-            assert_eq!(a.vertices, b.vertices, "k = {k}");
-            assert_eq!(a.edges, b.edges, "k = {k}");
+        let oracle = naive_cores(h);
+        assert_eq!(d.profile, oracle.profile, "profile");
+        assert_eq!(d.core_numbers, oracle.core_numbers, "core numbers");
+        assert_eq!(
+            d.max_core
+                .map(|c| (c.k, edge_contents(h, &c.edges, &c.vertices), c.vertices)),
+            oracle
+                .max_core()
+                .map(|(k, vs, es)| (k, edge_contents(h, es, vs), vs.to_vec())),
+            "max core"
+        );
+        for (k, (vs, es)) in oracle.levels.iter().enumerate() {
+            let a = csr_kcore(h, k as u32);
+            assert_eq!(&a.vertices, vs, "k = {k}");
+            assert_eq!(
+                edge_contents(h, &a.edges, &a.vertices),
+                edge_contents(h, es, vs),
+                "k = {k}"
+            );
         }
     }
 

@@ -9,11 +9,11 @@
 //! and instead removing *non-maximal* ones. Both collapse to the graph
 //! k-core on 2-uniform hypergraphs (for `s = 2`).
 //!
-//! Implemented on [`crate::mutable::MutableHypergraph`], demonstrating
-//! the mutable structure as the substrate for peeling variants.
+//! Peeled with alive flags and degree counters over the immutable
+//! [`Hypergraph`]; the survivors are cut out with
+//! [`Hypergraph::sub_hypergraph`]. `hg ks-core` is the one caller.
 
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
-use crate::mutable::MutableHypergraph;
 
 /// Result of a (k, s)-core computation.
 #[derive(Clone, Debug)]
@@ -37,32 +37,47 @@ impl KsCore {
     }
 }
 
-/// Compute the (k, s)-core by alternating peels: drop hyperedges smaller
-/// than `s`, then vertices with fewer than `k` surviving hyperedges,
-/// until stable. O(|E| log) overall — every incidence is deleted at most
-/// once.
+/// Compute the (k, s)-core by alternating peels: drop hyperedges with
+/// fewer than `s` surviving members, then vertices in fewer than `k`
+/// surviving hyperedges, until stable. Each round scans every vertex and
+/// hyperedge once; every incidence is decremented at most once overall.
 pub fn ks_core(h: &Hypergraph, k: u32, s: u32) -> KsCore {
-    let mut m = MutableHypergraph::from_hypergraph(h);
+    let mut alive_v = vec![true; h.num_vertices()];
+    let mut alive_e = vec![true; h.num_edges()];
+    let mut deg_v: Vec<u32> = h.vertices().map(|v| h.vertex_degree(v) as u32).collect();
+    let mut deg_e: Vec<u32> = h.edges().map(|f| h.edge_degree(f) as u32).collect();
     loop {
-        let small: Vec<EdgeId> = m
+        let small: Vec<EdgeId> = h
             .edges()
-            .filter(|&f| (m.edge_degree(f) as u32) < s)
+            .filter(|f| alive_e[f.index()] && deg_e[f.index()] < s)
             .collect();
-        for f in &small {
-            m.delete_edge(*f);
+        for &f in &small {
+            alive_e[f.index()] = false;
+            for &v in h.pins(f) {
+                if alive_v[v.index()] {
+                    deg_v[v.index()] -= 1;
+                }
+            }
         }
-        let doomed: Vec<VertexId> = m
+        let doomed: Vec<VertexId> = h
             .vertices()
-            .filter(|&v| (m.vertex_degree(v) as u32) < k)
+            .filter(|v| alive_v[v.index()] && deg_v[v.index()] < k)
             .collect();
         if small.is_empty() && doomed.is_empty() {
             break;
         }
-        for v in doomed {
-            m.delete_vertex(v);
+        for &v in &doomed {
+            alive_v[v.index()] = false;
+            for &f in h.edges_of(v) {
+                if alive_e[f.index()] {
+                    deg_e[f.index()] -= 1;
+                }
+            }
         }
     }
-    let (sub, vertices, edges) = m.freeze();
+    // Keep emptied edges: at `s = 0` an edge with no surviving member
+    // still belongs to the core.
+    let (sub, vertices, edges) = h.sub_hypergraph(&alive_v, &alive_e, true);
     KsCore {
         k,
         s,
@@ -201,7 +216,7 @@ mod tests {
         // general — but on instances with no singleton-surviving edges
         // they often agree. Check both are valid on the toy.
         let h = toy();
-        let paper = crate::hypergraph_kcore(&h, 2);
+        let paper = crate::csr_kcore(&h, 2);
         let ks = ks_core(&h, 2, 1);
         assert!(crate::validate::check_kcore_invariant(&paper.sub, 2).is_ok());
         assert!(ks.sub.vertices().all(|v| ks.sub.vertex_degree(v) >= 2));

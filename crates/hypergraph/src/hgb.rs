@@ -112,8 +112,7 @@ impl std::fmt::Display for HgbError {
 
 impl std::error::Error for HgbError {}
 
-/// FNV-1a over a byte slice (same constants as [`crate::hash::Fnv1a`];
-/// restated here so the format spec is self-contained).
+/// 64-bit FNV-1a over a byte slice: the header and section checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -738,6 +737,12 @@ mod tests {
         for v in a.vertices() {
             assert_eq!(a.edges_of(v), b.edges_of(v));
         }
+    }
+
+    #[test]
+    fn fnv_known_vector() {
+        // FNV-1a("a") = 0xaf63dc4c8601ec8c
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

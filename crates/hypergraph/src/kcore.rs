@@ -6,26 +6,25 @@
 //! belonged to is deleted as soon as it stops being maximal — including
 //! the special case of becoming empty.
 //!
-//! The implementation follows the paper's algorithm: peel vertices of
+//! The paper's algorithm lives in [`mod@crate::decompose`]: peel vertices of
 //! degree < k; detect non-maximal hyperedges *without comparing vertex
 //! sets* by maintaining current degrees and pairwise overlaps
-//! ([`crate::OverlapTable`]): `f ⊆ g` exactly when
+//! ([`crate::CsrOverlap`]): `f ⊆ g` exactly when
 //! `overlap(f, g) == degree(f)`. Only hyperedges whose degree was just
 //! decremented can newly become non-maximal, giving the paper's
-//! `O(|E|(Δ₂,F + Δ_V ln Δ₂,F))` bound (we use hash maps instead of
-//! balanced trees, trading the log for expected O(1)).
+//! `O(|E|(Δ₂,F + Δ_V ln Δ₂,F))` bound. [`csr_kcore`](crate::csr_kcore)
+//! computes one k-core; the drivers here read every level from one
+//! [`decompose`](crate::decompose()) sweep. The oracle is
+//! [`naive_kcore`](crate::naive::naive_kcore), and the tests below pin
+//! the semantics on `csr_kcore`.
 //!
 //! Ties between *identical* hyperedges are broken by id: the lowest id
 //! survives. This makes the computation deterministic and keeps exactly
 //! one copy, as the reduced-hypergraph definition requires.
 
-use std::cell::Cell;
-
 use hgobs::{Deadline, DeadlineExceeded};
 
-use crate::hash::DetMap;
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
-use crate::overlap::OverlapTable;
 
 /// A computed k-core.
 #[derive(Clone, Debug)]
@@ -48,255 +47,13 @@ impl KCore {
     }
 }
 
-/// Mutable peeling state shared by the k-core drivers.
-struct Peeler {
-    alive_v: Vec<bool>,
-    alive_e: Vec<bool>,
-    deg_v: Vec<u32>,
-    deg_e: Vec<u32>,
-    /// `ov[f]` maps raw edge id `g` to `|f ∩ g|` counted over *alive*
-    /// vertices, kept symmetric, entries to dead edges removed eagerly.
-    ov: Vec<DetMap<u32, u32>>,
-    /// Vertices awaiting deletion (deg < k), with an in-queue flag to
-    /// avoid duplicates.
-    queue: Vec<u32>,
-    queued: Vec<bool>,
-    k: u32,
-    /// Metric accumulators, flushed once per peel (plain locals keep the
-    /// hot loops free of sink calls; `Cell` because maximality checks
-    /// run under `&self`).
-    vertices_peeled: u64,
-    edges_deleted: u64,
-    nonmax_checks: Cell<u64>,
-    overlap_probes: Cell<u64>,
-}
-
-impl Peeler {
-    fn new(h: &Hypergraph, k: u32, deadline: &Deadline) -> Result<Self, DeadlineExceeded> {
-        Ok(Peeler {
-            alive_v: vec![true; h.num_vertices()],
-            alive_e: vec![true; h.num_edges()],
-            deg_v: h.vertices().map(|v| h.vertex_degree(v) as u32).collect(),
-            deg_e: h.edges().map(|f| h.edge_degree(f) as u32).collect(),
-            ov: OverlapTable::build_with(h, deadline)?.into_maps(),
-            queue: Vec::new(),
-            queued: vec![false; h.num_vertices()],
-            k,
-            vertices_peeled: 0,
-            edges_deleted: 0,
-            nonmax_checks: Cell::new(0),
-            overlap_probes: Cell::new(0),
-        })
-    }
-
-    /// `true` iff alive `f` is currently contained in some alive `g ≠ f`
-    /// (identical sets: the higher id is the contained one), or is empty.
-    fn is_non_maximal(&self, f: usize) -> bool {
-        self.nonmax_checks.set(self.nonmax_checks.get() + 1);
-        let df = self.deg_e[f];
-        if df == 0 {
-            return true;
-        }
-        self.ov[f].iter().any(|(&g, &c)| {
-            self.overlap_probes.set(self.overlap_probes.get() + 1);
-            c == df && {
-                let dg = self.deg_e[g as usize];
-                dg > df || (dg == df && (g as usize) < f)
-            }
-        })
-    }
-
-    /// Delete hyperedge `f`: clean its overlap entries, decrement member
-    /// vertex degrees, queue vertices that fall below `k`.
-    fn delete_edge(&mut self, h: &Hypergraph, f: usize) {
-        debug_assert!(self.alive_e[f]);
-        self.alive_e[f] = false;
-        self.edges_deleted += 1;
-        let entries = std::mem::take(&mut self.ov[f]);
-        for (&g, _) in entries.iter() {
-            self.ov[g as usize].remove(&(f as u32));
-        }
-        for &w in h.pins(EdgeId(f as u32)) {
-            let w = w.index();
-            if self.alive_v[w] {
-                self.deg_v[w] -= 1;
-                if self.deg_v[w] < self.k && !self.queued[w] {
-                    self.queued[w] = true;
-                    self.queue.push(w as u32);
-                }
-            }
-        }
-    }
-
-    /// Delete vertex `v` from every alive hyperedge containing it,
-    /// updating overlaps, then delete hyperedges that stop being maximal.
-    fn delete_vertex(&mut self, h: &Hypergraph, v: usize) {
-        debug_assert!(self.alive_v[v]);
-        self.alive_v[v] = false;
-        self.vertices_peeled += 1;
-
-        let alive_edges: Vec<u32> = h
-            .edges_of(VertexId(v as u32))
-            .iter()
-            .map(|f| f.0)
-            .filter(|&f| self.alive_e[f as usize])
-            .collect();
-
-        // All pairs of alive edges through v lose one shared vertex.
-        for (i, &f) in alive_edges.iter().enumerate() {
-            for &g in &alive_edges[i + 1..] {
-                decrement_overlap(&mut self.ov, f as usize, g as usize);
-            }
-        }
-        // Each alive edge containing v loses one member.
-        for &f in &alive_edges {
-            self.deg_e[f as usize] -= 1;
-        }
-        // Only these degree-decremented edges can newly be non-maximal.
-        for &f in &alive_edges {
-            let f = f as usize;
-            if self.alive_e[f] && self.is_non_maximal(f) {
-                self.delete_edge(h, f);
-            }
-        }
-    }
-
-    /// Initial sweep: make the hypergraph reduced before peeling, so the
-    /// result satisfies the definition even for inputs with nested or
-    /// duplicate hyperedges.
-    /// The per-edge work (one maximality check, possibly a deletion) is
-    /// bounded, so a plain [`Deadline::expired`] check per edge keeps
-    /// overshoot to one edge's worth of work.
-    fn reduce_sweep(
-        &mut self,
-        h: &Hypergraph,
-        deadline: &Deadline,
-    ) -> Result<(), DeadlineExceeded> {
-        for f in 0..h.num_edges() {
-            if deadline.expired() {
-                return Err(deadline.exceeded("kcore.reduce", self.edges_deleted));
-            }
-            if self.alive_e[f] && self.is_non_maximal(f) {
-                self.delete_edge(h, f);
-            }
-        }
-        Ok(())
-    }
-
-    /// Queue every alive vertex currently below the threshold.
-    fn seed_queue(&mut self) {
-        for v in 0..self.alive_v.len() {
-            if self.alive_v[v] && self.deg_v[v] < self.k && !self.queued[v] {
-                self.queued[v] = true;
-                self.queue.push(v as u32);
-            }
-        }
-    }
-
-    /// Run peeling to fixpoint. On expiry the error's `work_done` is the
-    /// number of vertices peeled before the check fired.
-    fn run(&mut self, h: &Hypergraph, deadline: &Deadline) -> Result<(), DeadlineExceeded> {
-        while let Some(v) = self.queue.pop() {
-            if deadline.expired() {
-                return Err(deadline.exceeded("kcore.peel", self.vertices_peeled));
-            }
-            let v = v as usize;
-            self.queued[v] = false;
-            if self.alive_v[v] {
-                self.delete_vertex(h, v);
-            }
-        }
-        Ok(())
-    }
-
-    /// Flush the accumulated counters to the sink (no-op when disabled).
-    fn flush_metrics(&self) {
-        hgobs::counter!("kcore.vertices_peeled", self.vertices_peeled);
-        hgobs::counter!("kcore.edges_deleted", self.edges_deleted);
-        hgobs::counter!("kcore.nonmax_checks", self.nonmax_checks.get());
-        hgobs::counter!("kcore.overlap_probes", self.overlap_probes.get());
-    }
-
-    fn extract(&self, h: &Hypergraph, k: u32) -> KCore {
-        let (sub, vmap, emap) = h.sub_hypergraph(&self.alive_v, &self.alive_e, false);
-        KCore {
-            k,
-            vertices: vmap,
-            edges: emap,
-            sub,
-        }
-    }
-}
-
-fn decrement_overlap(ov: &mut [DetMap<u32, u32>], f: usize, g: usize) {
-    for (a, b) in [(f, g), (g, f)] {
-        if let Some(c) = ov[a].get_mut(&(b as u32)) {
-            *c -= 1;
-            if *c == 0 {
-                ov[a].remove(&(b as u32));
-            }
-        }
-    }
-}
-
-/// Compute the k-core of `h` for a given `k` (paper Fig. 4).
-///
-/// The input need not be reduced: an initial sweep removes non-maximal
-/// hyperedges (keeping the lowest id among identical copies) so the output
-/// always satisfies the definition. `k = 0` therefore returns the reduced
-/// hypergraph itself (minus vertices stranded in no hyperedge — degree-0
-/// vertices trivially satisfy `d(v) ≥ 0`, so they are kept for `k = 0`).
-pub fn hypergraph_kcore(h: &Hypergraph, k: u32) -> KCore {
-    match hypergraph_kcore_with(h, k, &Deadline::none()) {
-        Ok(core) => core,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`hypergraph_kcore`] under a cooperative [`Deadline`], checked during
-/// the overlap build (per vertex-adjacency pair), the reduce sweep (per
-/// edge), and the peel (per queued vertex). Partial work counters are
-/// flushed to the sink even on the expiry path, so an aborted peel still
-/// reports how far it got; the error's `work_done` carries the
-/// phase-specific count (pairs, edges deleted, or vertices peeled).
-pub fn hypergraph_kcore_with(
-    h: &Hypergraph,
-    k: u32,
-    deadline: &Deadline,
-) -> Result<KCore, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("kcore");
-    hgobs::counter!("kcore.rounds");
-    let mut p = {
-        let _s = hgobs::Span::enter("build_state");
-        Peeler::new(h, k, deadline)?
-    };
-    let peeled = {
-        let sweep = {
-            let _s = hgobs::Span::enter("reduce_sweep");
-            p.reduce_sweep(h, deadline)
-        };
-        match sweep {
-            Ok(()) => {
-                p.seed_queue();
-                let _s = hgobs::Span::enter("peel");
-                p.run(h, deadline)
-            }
-            Err(e) => Err(e),
-        }
-    };
-    p.flush_metrics();
-    peeled?;
-    Ok(p.extract(h, k))
-}
-
 /// Compute the maximum core: the largest `k` for which the k-core is
 /// non-empty, together with that core.
 ///
 /// Returns `None` when even the 1-core is empty (no vertices, or every
 /// hyperedge vanishes). Backed by the incremental
 /// [`decompose`](crate::decompose()) sweep: one CSR overlap build and one
-/// monotone peel instead of the `~2 log k_max` independent hash-map peels
-/// [`max_core_bsearch`] runs.
+/// monotone peel.
 pub fn max_core(h: &Hypergraph) -> Option<KCore> {
     match max_core_with(h, &Deadline::none()) {
         Ok(core) => core,
@@ -313,80 +70,11 @@ pub fn max_core_with(
     Ok(crate::decompose::decompose_with(h, deadline)?.max_core)
 }
 
-/// Doubling-plus-binary-search maximum core over the per-k hash-map
-/// peeler: the pre-incremental driver, kept as a cross-validation oracle
-/// and benchmark baseline (k-cores are nested, so non-emptiness is
-/// monotone in `k` and the search is sound).
-pub fn max_core_bsearch(h: &Hypergraph) -> Option<KCore> {
-    match max_core_bsearch_with(h, &Deadline::none()) {
-        Ok(core) => core,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`max_core_bsearch`] under a cooperative [`Deadline`]; every peel in
-/// the doubling and binary-search phases runs under the same token.
-pub fn max_core_bsearch_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<Option<KCore>, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("kcore.max_core_search");
-    if hypergraph_kcore_with(h, 1, deadline)?.is_empty() {
-        return Ok(None);
-    }
-    // Doubling: find the first power-of-two-ish k with an empty core.
-    let mut lo = 1u32; // non-empty
-    let mut hi = 2u32;
-    while !hypergraph_kcore_with(h, hi, deadline)?.is_empty() {
-        lo = hi;
-        hi = hi.saturating_mul(2);
-        if hi as usize > h.max_vertex_degree() + 1 {
-            hi = h.max_vertex_degree() as u32 + 1;
-            break;
-        }
-    }
-    // Invariant: lo-core non-empty, hi-core empty.
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if hypergraph_kcore_with(h, mid, deadline)?.is_empty() {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(Some(hypergraph_kcore_with(h, lo, deadline)?))
-}
-
-/// Linear-scan maximum core (k = 1, 2, …): the reference for
-/// [`max_core`]'s binary search, kept for cross-validation.
-pub fn max_core_linear(h: &Hypergraph) -> Option<KCore> {
-    let mut best: Option<KCore> = None;
-    let mut k = 1u32;
-    loop {
-        let core = hypergraph_kcore(h, k);
-        if core.is_empty() {
-            return best;
-        }
-        best = Some(core);
-        k += 1;
-    }
-}
-
 /// Sizes of the k-core for every k from 1 to the maximum:
 /// `profile[i] = (k, vertices, edges)` with `k = i + 1`. Backed by the
 /// incremental [`decompose`](crate::decompose()) sweep.
 pub fn core_profile(h: &Hypergraph) -> Vec<(u32, usize, usize)> {
     crate::decompose::decompose(h).profile
-}
-
-/// [`core_profile`] under a cooperative [`Deadline`] (phase
-/// `kcore.decompose`), so an `X-Deadline-Ms` request into a deep-core
-/// dataset can be cut short mid-sweep.
-pub fn core_profile_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<Vec<(u32, usize, usize)>, DeadlineExceeded> {
-    Ok(crate::decompose::decompose_with(h, deadline)?.profile)
 }
 
 /// The core number of every vertex: the largest `k` for which the vertex
@@ -397,53 +85,11 @@ pub fn core_numbers(h: &Hypergraph) -> Vec<u32> {
     crate::decompose::decompose(h).core_numbers
 }
 
-/// [`core_numbers`] under a cooperative [`Deadline`] (phase
-/// `kcore.decompose`).
-pub fn core_numbers_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<Vec<u32>, DeadlineExceeded> {
-    Ok(crate::decompose::decompose_with(h, deadline)?.core_numbers)
-}
-
-/// Per-k `core_profile` oracle: one independent hash-map peel per level.
-/// Kept for cross-validation of the incremental sweep and as the
-/// benchmark "before" driver.
-pub fn core_profile_per_k(h: &Hypergraph) -> Vec<(u32, usize, usize)> {
-    let mut out = Vec::new();
-    let mut k = 1u32;
-    loop {
-        let core = hypergraph_kcore(h, k);
-        if core.is_empty() {
-            return out;
-        }
-        out.push((k, core.vertices.len(), core.edges.len()));
-        k += 1;
-    }
-}
-
-/// Per-k `core_numbers` oracle: sweeps `k = 1..` stamping survivors —
-/// correct because hypergraph k-cores are nested in their vertex sets
-/// (checked by property tests); O(k_max) full peels. Kept for
-/// cross-validation and as the benchmark "before" driver.
-pub fn core_numbers_per_k(h: &Hypergraph) -> Vec<u32> {
-    let mut core = vec![0u32; h.num_vertices()];
-    let mut k = 1u32;
-    loop {
-        let kc = hypergraph_kcore(h, k);
-        if kc.is_empty() {
-            return core;
-        }
-        for &v in &kc.vertices {
-            core[v.index()] = k;
-        }
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decompose::{csr_kcore, csr_kcore_with};
+    use crate::naive::edge_contents;
     use crate::HypergraphBuilder;
 
     /// Fan of k edges all containing a hub set: a planted 3-core.
@@ -462,14 +108,14 @@ mod tests {
     fn fan_cores() {
         let h = fan();
         // k=1: everything survives (all degrees >= 1, edges maximal).
-        let c1 = hypergraph_kcore(&h, 1);
+        let c1 = csr_kcore(&h, 1);
         assert_eq!(c1.vertices.len(), 7);
         assert_eq!(c1.edges.len(), 4);
 
         // k=2: tails die; edges collapse to four copies of {0,1,2};
         // the lowest-id copy survives, so degrees drop to 1 < 2 and
         // everything unravels.
-        let c2 = hypergraph_kcore(&h, 2);
+        let c2 = csr_kcore(&h, 2);
         assert!(c2.is_empty(), "expected empty 2-core, got {c2:?}");
 
         let mc = max_core(&h).unwrap();
@@ -489,7 +135,7 @@ mod tests {
     #[test]
     fn triangle_like_two_core() {
         let h = triangle_like();
-        let c2 = hypergraph_kcore(&h, 2);
+        let c2 = csr_kcore(&h, 2);
         // Leaves have degree 1 and die; edges become {0,1},{1,2},{0,2}:
         // all maximal, all core vertices keep degree 2.
         assert_eq!(c2.vertices, vec![VertexId(0), VertexId(1), VertexId(2)]);
@@ -508,7 +154,7 @@ mod tests {
         b.add_edge([1, 2]);
         b.add_edge([2, 3]);
         let h = b.build();
-        assert!(hypergraph_kcore(&h, 2).is_empty());
+        assert!(csr_kcore(&h, 2).is_empty());
         assert_eq!(max_core(&h).unwrap().k, 1);
     }
 
@@ -519,7 +165,7 @@ mod tests {
         b.add_edge([0, 1, 2]);
         b.add_edge([0, 1]);
         let h = b.build();
-        let c1 = hypergraph_kcore(&h, 1);
+        let c1 = csr_kcore(&h, 1);
         assert_eq!(c1.edges, vec![EdgeId(0)]);
         assert_eq!(c1.vertices.len(), 3);
     }
@@ -531,7 +177,7 @@ mod tests {
         b.add_edge([0, 1]);
         b.add_edge([0, 1]);
         let h = b.build();
-        let c1 = hypergraph_kcore(&h, 1);
+        let c1 = csr_kcore(&h, 1);
         assert_eq!(c1.edges, vec![EdgeId(0)]);
     }
 
@@ -541,19 +187,8 @@ mod tests {
         b.add_edge([]);
         b.add_edge([0]);
         let h = b.build();
-        let c1 = hypergraph_kcore(&h, 1);
+        let c1 = csr_kcore(&h, 1);
         assert_eq!(c1.edges, vec![EdgeId(1)]);
-    }
-
-    #[test]
-    fn k0_keeps_isolated_vertices() {
-        let mut b = HypergraphBuilder::new(3);
-        b.add_edge([0, 1]);
-        let h = b.build();
-        let c0 = hypergraph_kcore(&h, 0);
-        assert_eq!(c0.vertices.len(), 3);
-        let c1 = hypergraph_kcore(&h, 1);
-        assert_eq!(c1.vertices.len(), 2);
     }
 
     #[test]
@@ -573,7 +208,7 @@ mod tests {
         // Core vertices 0..=2 have core number 2; leaves 3..=5 have 1.
         assert_eq!(nums, vec![2, 2, 2, 1, 1, 1]);
         for k in 1..=2u32 {
-            let kc = hypergraph_kcore(&h, k);
+            let kc = csr_kcore(&h, k);
             let by_number: Vec<VertexId> = (0..h.num_vertices() as u32)
                 .filter(|&v| nums[v as usize] >= k)
                 .map(VertexId)
@@ -591,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_search_matches_linear_scan() {
+    fn max_core_matches_linear_scan() {
         let cases: Vec<Hypergraph> = vec![fan(), triangle_like(), {
             let mut b = HypergraphBuilder::new(8);
             for s in 0..8u32 {
@@ -601,14 +236,13 @@ mod tests {
         }];
         for h in &cases {
             let a = max_core(h).unwrap();
-            let b = max_core_linear(h).unwrap();
-            let c = max_core_bsearch(h).unwrap();
-            assert_eq!(a.k, b.k);
-            assert_eq!(a.vertices, b.vertices);
-            assert_eq!(a.edges, b.edges);
-            assert_eq!(a.k, c.k);
-            assert_eq!(a.vertices, c.vertices);
-            assert_eq!(a.edges, c.edges);
+            let oracle = crate::naive::naive_cores(h);
+            let (k, vs, es) = oracle.max_core().unwrap();
+            assert_eq!((a.k, &a.vertices[..]), (k, vs));
+            assert_eq!(
+                edge_contents(h, &a.edges, &a.vertices),
+                edge_contents(h, es, vs)
+            );
         }
     }
 
@@ -658,8 +292,8 @@ mod tests {
         let h = triangle_like();
         let none = Deadline::none();
         for k in 0..=3 {
-            let a = hypergraph_kcore(&h, k);
-            let b = hypergraph_kcore_with(&h, k, &none).unwrap();
+            let a = csr_kcore(&h, k);
+            let b = csr_kcore_with(&h, k, &none).unwrap();
             assert_eq!(a.vertices, b.vertices);
             assert_eq!(a.edges, b.edges);
         }
@@ -678,8 +312,8 @@ mod tests {
         }
         let h = b.build();
         let dl = Deadline::after(std::time::Duration::ZERO);
-        let err = hypergraph_kcore_with(&h, 2, &dl).unwrap_err();
-        assert_eq!(err.phase, "kcore.reduce");
+        let err = csr_kcore_with(&h, 2, &dl).unwrap_err();
+        assert_eq!(err.phase, "kcore.csr.reduce");
         assert_eq!(err.work_done, 0, "{err:?}");
         assert!(max_core_with(&h, &dl).is_err());
     }
@@ -699,8 +333,8 @@ mod tests {
         }
         let h = b.build();
         for ms in [1u64, 2, 4, 8, 16, 32, 64] {
-            match hypergraph_kcore_with(&h, 2, &Deadline::after_ms(ms)) {
-                Err(err) if err.phase == "kcore.peel" && err.work_done > 0 => {
+            match csr_kcore_with(&h, 2, &Deadline::after_ms(ms)) {
+                Err(err) if err.phase == "kcore.csr.peel" && err.work_done > 0 => {
                     assert!(err.work_done < 2 * n as u64, "{err:?}");
                     return;
                 }
@@ -720,7 +354,7 @@ mod tests {
     fn core_is_reduced_and_degrees_hold() {
         let h = triangle_like();
         for k in 0..=3 {
-            let core = hypergraph_kcore(&h, k);
+            let core = csr_kcore(&h, k);
             crate::validate::check_structure(&core.sub).unwrap();
             // Degrees >= k.
             assert!(core

@@ -13,12 +13,13 @@
 //! * connected components ([`components`]) and degree statistics /
 //!   power-law fitting ([`degree`], [`powerlaw`]);
 //! * the hypergraph **k-core** ([`kcore`]): the maximal *reduced*
-//!   sub-hypergraph in which every vertex lies in at least `k` hyperedges,
-//!   with the paper's overlap-counting maximality test;
-//! * reduced hypergraphs ([`reduce()`](crate::reduce())) and pairwise overlap tables
-//!   ([`overlap`], flat CSR form in [`csr_overlap`]), plus the one-pass
-//!   incremental core decomposition ([`decompose()`]) behind `max_core`,
-//!   `core_profile` and `core_numbers`;
+//!   sub-hypergraph in which every vertex lies in at least `k` hyperedges.
+//!   The paper's Fig. 4 algorithm, with its overlap-counting maximality
+//!   test, is [`csr_kcore`] for one `k` and the one-pass decomposition
+//!   [`decompose()`] behind `max_core`, `core_profile` and `core_numbers`;
+//!   [`naive`] holds the fixpoint oracle;
+//! * reduced hypergraphs ([`reduce()`](crate::reduce())) and the flat
+//!   CSR pairwise overlap table ([`csr_overlap`]);
 //! * greedy, dual, and primal-dual **vertex covers** and multicovers
 //!   ([`cover`], [`multicover`], [`cover_dual`]) for bait-protein selection;
 //! * the lossy graph projections the paper argues against
@@ -57,16 +58,13 @@ pub mod decompose;
 pub mod degree;
 pub mod dual;
 pub mod generalized;
-pub mod hash;
 pub mod hgb;
 pub mod hypergraph;
 pub mod io;
 pub mod kcore;
 pub mod msbfs;
 pub mod multicover;
-pub mod mutable;
 pub mod naive;
-pub mod overlap;
 pub mod pajek;
 pub mod path;
 pub mod powerlaw;
@@ -94,19 +92,13 @@ pub use hgb::{
     HgbStreamWriter,
 };
 pub use hypergraph::{EdgeId, Hypergraph, VertexId};
-pub use kcore::{
-    core_numbers, core_numbers_per_k, core_numbers_with, core_profile, core_profile_per_k,
-    core_profile_with, hypergraph_kcore, hypergraph_kcore_with, max_core, max_core_bsearch,
-    max_core_bsearch_with, max_core_linear, max_core_with, KCore,
-};
+pub use kcore::{core_numbers, core_profile, max_core, max_core_with, KCore};
 pub use msbfs::{
     msbfs_batch, msbfs_distance_stats, msbfs_distance_stats_from, msbfs_distance_stats_from_with,
     msbfs_distance_stats_with, msbfs_eccentricities, msbfs_eccentricities_with, BatchStats,
     MsBfsScratch, BATCH,
 };
 pub use multicover::{greedy_multicover, is_multicover};
-pub use mutable::MutableHypergraph;
-pub use overlap::OverlapTable;
 pub use path::{
     hyper_distance_stats, hyper_distance_stats_with, hyper_distances, hyper_distances_with,
     scalar_hyper_distance_stats, scalar_hyper_distance_stats_from,

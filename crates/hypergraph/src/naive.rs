@@ -81,6 +81,79 @@ pub fn naive_kcore(h: &Hypergraph, k: u32) -> (Vec<VertexId>, Vec<EdgeId>) {
     (vs, es)
 }
 
+/// The pin lists of `edges` restricted to the `alive` vertices, as a
+/// sorted list: a core's hyperedges by content. `alive` must be sorted
+/// ascending, as every core's vertex list is. Engines that peel in
+/// different orders may keep different copies of hyperedges that end up
+/// identical, so cores from different engines are compared by vertex
+/// ids and edge contents.
+pub fn edge_contents(h: &Hypergraph, edges: &[EdgeId], alive: &[VertexId]) -> Vec<Vec<u32>> {
+    let mut out: Vec<Vec<u32>> = edges
+        .iter()
+        .map(|&f| {
+            h.pins(f)
+                .iter()
+                .filter(|v| alive.binary_search(v).is_ok())
+                .map(|v| v.0)
+                .collect()
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Every level of the k-core by [`naive_kcore`]: the per-k oracle for
+/// [`crate::decompose()`] and the drivers it backs.
+#[derive(Clone, Debug)]
+pub struct NaiveCores {
+    /// `levels[k]` is `naive_kcore(h, k)` for `k = 0..=k_max + 1`; the
+    /// last level is the first empty one with `k ≥ 1`.
+    pub levels: Vec<(Vec<VertexId>, Vec<EdgeId>)>,
+    /// `(k, vertices, edges)` for every non-empty level `k ≥ 1`, the
+    /// shape of [`crate::Decomposition::profile`].
+    pub profile: Vec<(u32, usize, usize)>,
+    /// The largest `k` whose level holds each vertex (0 outside the
+    /// 1-core).
+    pub core_numbers: Vec<u32>,
+}
+
+impl NaiveCores {
+    /// The deepest non-empty level as `(k, vertices, edges)`, or `None`
+    /// when the 1-core is empty.
+    pub fn max_core(&self) -> Option<(u32, &[VertexId], &[EdgeId])> {
+        let k = self.profile.last()?.0;
+        let (vs, es) = &self.levels[k as usize];
+        Some((k, vs, es))
+    }
+}
+
+/// Run [`naive_kcore`] at `k = 0, 1, …` until a level with `k ≥ 1` is
+/// empty (k-cores are nested, so every deeper level is empty too).
+pub fn naive_cores(h: &Hypergraph) -> NaiveCores {
+    let mut levels = vec![naive_kcore(h, 0)];
+    let mut profile = Vec::new();
+    let mut core_numbers = vec![0u32; h.num_vertices()];
+    for k in 1u32.. {
+        let (vs, es) = naive_kcore(h, k);
+        let empty = vs.is_empty();
+        if !empty {
+            profile.push((k, vs.len(), es.len()));
+            for v in &vs {
+                core_numbers[v.index()] = k;
+            }
+        }
+        levels.push((vs, es));
+        if empty {
+            break;
+        }
+    }
+    NaiveCores {
+        levels,
+        profile,
+        core_numbers,
+    }
+}
+
 /// Exhaustive minimum-weight vertex cover by subset enumeration; only for
 /// tiny instances (`num_vertices ≤ 20`). Returns `None` when no cover
 /// exists (some hyperedge is empty). Ties are broken toward fewer
@@ -170,7 +243,7 @@ mod tests {
         for h in &cases {
             for k in 0..4 {
                 let (nv, ne) = naive_kcore(h, k);
-                let fast = crate::kcore::hypergraph_kcore(h, k);
+                let fast = crate::csr_kcore(h, k);
                 assert_eq!(nv, fast.vertices, "k={k}");
                 assert_eq!(ne, fast.edges, "k={k}");
             }

@@ -12,8 +12,8 @@
 
 use graphcore::{Graph, GraphBuilder, NodeId};
 
+use crate::csr_overlap::CsrOverlap;
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
-use crate::overlap::OverlapTable;
 
 /// Clique expansion: node `v` per vertex, edge `{u, w}` whenever some
 /// hyperedge contains both. Parallel edges from multiple shared complexes
@@ -59,7 +59,7 @@ pub fn star_expansion(h: &Hypergraph, bait: impl Fn(EdgeId) -> VertexId) -> Grap
 /// graph edge `(f, g)` with `f < g`, the shared-vertex count the paper
 /// suggests as an edge weight.
 pub fn intersection_graph(h: &Hypergraph) -> (Graph, Vec<(EdgeId, EdgeId, u32)>) {
-    let ov = OverlapTable::build(h);
+    let ov = CsrOverlap::build(h);
     let mut b = GraphBuilder::new(h.num_edges());
     let mut weights = Vec::new();
     for f in h.edges() {

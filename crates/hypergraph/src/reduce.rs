@@ -8,16 +8,17 @@
 //! Among *identical* hyperedges the lowest id is kept, matching the
 //! k-core's tie rule.
 
+use crate::csr_overlap::CsrOverlap;
 use crate::hypergraph::{EdgeId, Hypergraph};
-use crate::overlap::OverlapTable;
 
-/// Ids of non-maximal hyperedges, detected via the overlap table:
+/// Ids of non-maximal hyperedges, detected via the [`CsrOverlap`] table:
 /// `f` is non-maximal iff it is empty, or `overlap(f, g) == degree(f)`
 /// for some `g` with larger degree (or equal degree and smaller id).
 ///
-/// Expected time `O(Σ_v d(v)² + Σ_f d₂(f))`.
+/// Time: the `O(Σ_v d(v)²)` overlap build (pair generation plus a sort),
+/// then `O(Σ_f d₂(f))` probes.
 pub fn non_maximal_edges(h: &Hypergraph) -> Vec<EdgeId> {
-    let ov = OverlapTable::build(h);
+    let ov = CsrOverlap::build(h);
     let mut out = Vec::new();
     for f in h.edges() {
         let df = h.edge_degree(f) as u32;

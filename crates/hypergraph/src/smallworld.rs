@@ -10,9 +10,7 @@
 
 use hgobs::{Deadline, DeadlineExceeded};
 
-use crate::hypergraph::Hypergraph;
-use crate::hypergraph::VertexId;
-use crate::overlap::d2_vertex;
+use crate::hypergraph::{Hypergraph, VertexId};
 use crate::path::{
     hyper_distance_stats, hyper_distance_stats_from, hyper_distance_stats_from_with,
     hyper_distance_stats_with, HyperDistanceStats,
@@ -69,14 +67,19 @@ pub fn small_world_report_sampled_with(
 
 /// Assemble a [`SmallWorldReport`] from already-computed distance
 /// statistics — the yardstick arithmetic without the BFS sweep. Public
-/// so external engines (`parcore::par_small_world_report`) can reuse
-/// the exact same classification.
+/// so other distance engines (e.g. `parcore`'s parallel MS-BFS) get the
+/// exact same classification.
 pub fn report_from_distances(h: &Hypergraph, distances: HyperDistanceStats) -> SmallWorldReport {
     let n = h.num_vertices();
     let mean_reach = if n == 0 {
         0.0
     } else {
-        h.vertices().map(|v| d2_vertex(h, v) as f64).sum::<f64>() / n as f64
+        // One stamp array for the whole sweep: O(|V| + Σ_v Σ_{f ∋ v} |f|).
+        let mut stamp = vec![u32::MAX; n];
+        h.vertices()
+            .map(|v| d2_vertex(h, v, &mut stamp) as f64)
+            .sum::<f64>()
+            / n as f64
     };
     let random_expected_apl = if mean_reach > 1.0 && n > 1 {
         (n as f64).ln() / mean_reach.ln()
@@ -96,10 +99,45 @@ pub fn report_from_distances(h: &Hypergraph, distances: HyperDistanceStats) -> S
     }
 }
 
+/// Degree-2 of vertex `v`: the number of distinct vertices other than
+/// `v` across all hyperedges containing `v` (the vertices one step away).
+/// Marks neighbors in `stamp` (`len == num_vertices`) with `v`'s own id,
+/// so one array serves every vertex of a sweep without clearing; entries
+/// must never equal a live vertex id on entry, which `u32::MAX` ensures.
+fn d2_vertex(h: &Hypergraph, v: VertexId, stamp: &mut [u32]) -> usize {
+    let mut count = 0usize;
+    for &f in h.edges_of(v) {
+        for &w in h.pins(f) {
+            if w != v && stamp[w.index()] != v.0 {
+                stamp[w.index()] = v.0;
+                count += 1;
+            }
+        }
+    }
+    count
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::HypergraphBuilder;
+
+    #[test]
+    fn degree2_vertices() {
+        // e0={0,1,2}, e1={1,2,3}, e2={3,4}, e3={5}
+        let mut b = HypergraphBuilder::new(6);
+        b.add_edge([0, 1, 2]);
+        b.add_edge([1, 2, 3]);
+        b.add_edge([3, 4]);
+        b.add_edge([5]);
+        let h = b.build();
+        let mut stamp = vec![u32::MAX; h.num_vertices()];
+        let d2: Vec<usize> = h.vertices().map(|v| d2_vertex(&h, v, &mut stamp)).collect();
+        // v1 reaches {0,2,3}; v3 reaches {1,2,4}; v5 reaches nothing.
+        assert_eq!(d2, vec![2, 3, 3, 3, 1, 0]);
+        let r = report_from_distances(&h, crate::hyper_distance_stats(&h));
+        assert_eq!(r.mean_reach, 12.0 / 6.0);
+    }
 
     #[test]
     fn dense_overlapping_hypergraph_is_small_world() {

@@ -6,11 +6,11 @@
 
 use proptest::prelude::*;
 
-use hypergraph::naive::{exhaustive_min_cover, naive_kcore};
+use hypergraph::naive::{edge_contents, exhaustive_min_cover, naive_cores, naive_kcore};
 use hypergraph::reduce::{non_maximal_edges, non_maximal_edges_naive};
 use hypergraph::validate::check_structure;
 use hypergraph::{
-    greedy_multicover, greedy_vertex_cover, hypergraph_kcore, is_multicover, is_vertex_cover,
+    csr_kcore, greedy_multicover, greedy_vertex_cover, is_multicover, is_vertex_cover,
     pricing_vertex_cover, BipartiteView, Hypergraph, HypergraphBuilder, VertexId,
 };
 
@@ -34,29 +34,6 @@ fn arb_hypergraph(
             b.build()
         })
     })
-}
-
-/// Pin-sets of selected edges, restricted to `alive` vertices, as a
-/// sorted multiset of sorted vertex lists. Restriction matters: a
-/// surviving edge's effective content excludes peeled vertices.
-fn edge_contents(
-    h: &Hypergraph,
-    edges: &[hypergraph::EdgeId],
-    alive: &[VertexId],
-) -> Vec<Vec<u32>> {
-    let alive: std::collections::HashSet<u32> = alive.iter().map(|v| v.0).collect();
-    let mut out: Vec<Vec<u32>> = edges
-        .iter()
-        .map(|&f| {
-            h.pins(f)
-                .iter()
-                .map(|v| v.0)
-                .filter(|v| alive.contains(v))
-                .collect()
-        })
-        .collect();
-    out.sort();
-    out
 }
 
 /// Pin-sets of a standalone sub-hypergraph, translated to original ids.
@@ -91,13 +68,13 @@ proptest! {
         prop_assert_eq!(non_maximal_edges(&h), non_maximal_edges_naive(&h));
     }
 
-    /// The incremental k-core matches the naive fixpoint: identical
+    /// The CSR k-core matches the naive fixpoint: identical
     /// surviving vertices and identical surviving edge *contents* (ids may
     /// differ only between identical duplicate edges).
     #[test]
     fn kcore_matches_naive((h, k) in arb_hypergraph(10, 10, 5).prop_flat_map(|h| (Just(h), 0u32..5))) {
         let (nv, ne) = naive_kcore(&h, k);
-        let fast = hypergraph_kcore(&h, k);
+        let fast = csr_kcore(&h, k);
         prop_assert_eq!(&nv, &fast.vertices, "vertex sets differ at k={}", k);
         prop_assert_eq!(
             edge_contents(&h, &ne, &nv),
@@ -111,7 +88,7 @@ proptest! {
     /// contents match the surviving original edges.
     #[test]
     fn kcore_definition_holds((h, k) in arb_hypergraph(12, 12, 6).prop_flat_map(|h| (Just(h), 1u32..5))) {
-        let core = hypergraph_kcore(&h, k);
+        let core = csr_kcore(&h, k);
         check_structure(&core.sub).unwrap();
         prop_assert!(non_maximal_edges(&core.sub).is_empty());
         for v in core.sub.vertices() {
@@ -127,7 +104,7 @@ proptest! {
     fn kcore_vertices_nested(h in arb_hypergraph(12, 12, 5)) {
         let mut prev: Option<Vec<VertexId>> = None;
         for k in 1..5u32 {
-            let core = hypergraph_kcore(&h, k);
+            let core = csr_kcore(&h, k);
             if let Some(prev) = &prev {
                 for v in &core.vertices {
                     prop_assert!(prev.contains(v), "vertex {:?} in {}-core but not {}-core", v, k, k-1);
@@ -138,30 +115,27 @@ proptest! {
     }
 
     /// The one-pass incremental decomposition agrees with the per-k
-    /// hash-map oracles on every output: level profile, core numbers,
-    /// max core ids, and single-k surviving id sets (including inputs
-    /// with empty, nested, and duplicate hyperedges).
+    /// naive oracle on every output: level profile, core numbers, max
+    /// core ids, and single-k surviving id sets (including inputs with
+    /// empty, nested, and duplicate hyperedges).
     #[test]
     fn decompose_matches_per_k_oracle(h in arb_hypergraph(12, 12, 6)) {
         let d = hypergraph::decompose(&h);
-        prop_assert_eq!(&d.profile, &hypergraph::core_profile_per_k(&h));
-        prop_assert_eq!(&d.core_numbers, &hypergraph::core_numbers_per_k(&h));
-        let k_max = d.profile.last().map(|p| p.0).unwrap_or(0);
-        match (&d.max_core, hypergraph::max_core_bsearch(&h)) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.k, b.k);
-                prop_assert_eq!(&a.vertices, &b.vertices);
-                prop_assert_eq!(&a.edges, &b.edges);
-            }
-            (None, None) => {}
-            (a, b) => prop_assert!(false, "max_core liveness disagreement: {:?} vs {:?}",
-                a.as_ref().map(|c| c.k), b.map(|c| c.k)),
-        }
-        for k in 0..=k_max + 1 {
-            let fast = hypergraph::csr_kcore(&h, k);
-            let oracle = hypergraph_kcore(&h, k);
-            prop_assert_eq!(&fast.vertices, &oracle.vertices, "k = {}", k);
-            prop_assert_eq!(&fast.edges, &oracle.edges, "k = {}", k);
+        let oracle = naive_cores(&h);
+        prop_assert_eq!(&d.profile, &oracle.profile);
+        prop_assert_eq!(&d.core_numbers, &oracle.core_numbers);
+        prop_assert_eq!(
+            d.max_core.map(|c| (c.k, edge_contents(&h, &c.edges, &c.vertices), c.vertices)),
+            oracle.max_core().map(|(k, vs, es)| (k, edge_contents(&h, es, vs), vs.to_vec()))
+        );
+        for (k, (vs, es)) in oracle.levels.iter().enumerate() {
+            let fast = csr_kcore(&h, k as u32);
+            prop_assert_eq!(&fast.vertices, vs, "k = {}", k);
+            prop_assert_eq!(
+                edge_contents(&h, &fast.edges, &fast.vertices),
+                edge_contents(&h, es, vs),
+                "k = {}", k
+            );
         }
     }
 
@@ -301,7 +275,7 @@ proptest! {
         let h = hb.build();
         let g = gb.build();
 
-        let hcore = hypergraph_kcore(&h, k);
+        let hcore = csr_kcore(&h, k);
         let gdecomp = graphcore::core_decomposition(&g);
         let gvertices: Vec<u32> = gdecomp
             .k_core_nodes(k)

@@ -73,7 +73,7 @@ proptest! {
 
         // Core numbers are per-vertex: compute on the relabeled graph,
         // unmap into the original numbering, compare to the oracle.
-        let oracle_cores = hypergraph::core_numbers_per_k(&h);
+        let oracle_cores = hypergraph::naive::naive_cores(&h).core_numbers;
         let relabeled_cores = r.unmap_vertex_values(&hypergraph::core_numbers(&hr));
         prop_assert_eq!(oracle_cores, relabeled_cores);
     }

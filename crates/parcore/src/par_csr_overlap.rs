@@ -13,6 +13,12 @@
 //! [`hypergraph::decompose_from_overlap`]: the `O(Σ_v d(v)²)` build is
 //! the dominant cost of a decomposition on overlap-dense inputs, and it
 //! parallelizes; the confluent peel that follows stays sequential.
+//!
+//! hgserve answers max-core queries with [`hypergraph::decompose()`], and
+//! the vendored rayon runs the shards serially, so this module is a
+//! twin of that engine. It stays because the `hgperf` benchmark's traced
+//! replay times `par_decompose_with` (`hg kcore --par` is its only other
+//! caller), and goes with the next change to that benchmark.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -31,8 +37,7 @@ pub fn par_csr_overlap(h: &Hypergraph) -> CsrOverlap {
 
 /// Build a [`CsrOverlap`] from per-vertex-range shards in parallel,
 /// under a cooperative [`Deadline`] checked once per vertex (overshoot
-/// bounded by the widest adjacency list, as in
-/// [`crate::par_overlap_table_with`]). The error's `work_done` counts
+/// bounded by the widest adjacency list). The error's `work_done` counts
 /// pairs generated before expiry.
 pub fn par_csr_overlap_with(
     h: &Hypergraph,

@@ -19,10 +19,18 @@
 //! checking only degree-decremented hyperedges each round is exhaustive —
 //! the same argument the paper makes for the sequential algorithm.
 //!
-//! The result equals the sequential [`hypergraph::hypergraph_kcore`] in
+//! The result equals the sequential [`hypergraph::csr_kcore`] in
 //! surviving vertices and surviving hyperedge contents (hyperedge *ids*
-//! can differ only between identical duplicate contents, where both
-//! algorithms keep exactly one copy).
+//! can differ only between copies that end up identical, where both
+//! algorithms keep exactly one). It is an independent algorithm — snapshot
+//! subset probes against CSR overlap counting — so each engine checks
+//! the other on inputs too large for the
+//! [`naive_kcore`](hypergraph::naive::naive_kcore) oracle.
+//!
+//! hgserve answers `kcore?k=` with this engine for datasets of at least
+//! `par_threshold` vertices: its subset probes skip the `O(Σ_v d(v)²)`
+//! overlap build, about twice as fast as `csr_kcore` there (EXPERIMENTS
+//! A4), though the vendored rayon runs its phases serially.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -258,74 +266,22 @@ pub fn par_hypergraph_kcore_with(
     })
 }
 
-/// Parallel maximum core: largest k with a non-empty k-core. Same
-/// doubling + binary search over `k` as [`hypergraph::max_core`]
-/// (k-cores are nested, so non-emptiness is monotone in `k`).
-pub fn par_max_core(h: &Hypergraph) -> Option<KCore> {
-    match par_max_core_with(h, &Deadline::none()) {
-        Ok(core) => core,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`par_max_core`] under a cooperative [`Deadline`]; every peel in the
-/// doubling and binary-search phases runs under the same token.
-pub fn par_max_core_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<Option<KCore>, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("kcore.par.max_core_search");
-    if par_hypergraph_kcore_with(h, 1, deadline)?.is_empty() {
-        return Ok(None);
-    }
-    let mut lo = 1u32;
-    let mut hi = 2u32;
-    while !par_hypergraph_kcore_with(h, hi, deadline)?.is_empty() {
-        lo = hi;
-        hi = hi.saturating_mul(2);
-        if hi as usize > h.max_vertex_degree() + 1 {
-            hi = h.max_vertex_degree() as u32 + 1;
-            break;
-        }
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if par_hypergraph_kcore_with(h, mid, deadline)?.is_empty() {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(Some(par_hypergraph_kcore_with(h, lo, deadline)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypergraph::{hypergraph_kcore, HypergraphBuilder};
+    use hypergraph::naive::{edge_contents, naive_kcore};
+    use hypergraph::HypergraphBuilder;
 
-    fn contents(h: &Hypergraph, core: &KCore) -> Vec<Vec<u32>> {
-        let alive: std::collections::HashSet<u32> = core.vertices.iter().map(|v| v.0).collect();
-        let mut out: Vec<Vec<u32>> = core
-            .edges
-            .iter()
-            .map(|&f| {
-                h.pins(f)
-                    .iter()
-                    .map(|v| v.0)
-                    .filter(|v| alive.contains(v))
-                    .collect()
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
+    /// Same vertices and edge contents as the naive oracle.
     fn assert_equivalent(h: &Hypergraph, k: u32) {
-        let seq = hypergraph_kcore(h, k);
+        let (nv, ne) = naive_kcore(h, k);
         let par = par_hypergraph_kcore(h, k);
-        assert_eq!(seq.vertices, par.vertices, "k = {k}");
-        assert_eq!(contents(h, &seq), contents(h, &par), "k = {k}");
+        assert_eq!(nv, par.vertices, "k = {k}");
+        assert_eq!(
+            edge_contents(h, &ne, &nv),
+            edge_contents(h, &par.edges, &par.vertices),
+            "k = {k}"
+        );
     }
 
     #[test]
@@ -369,10 +325,10 @@ mod tests {
         for k in 1..8 {
             assert_equivalent(&h, k);
         }
+        // The max core is the deepest level the parallel engine keeps.
         let seq = hypergraph::max_core(&h).unwrap();
-        let par = par_max_core(&h).unwrap();
-        assert_eq!(seq.k, par.k);
-        assert_eq!(seq.vertices, par.vertices);
+        assert_eq!(seq.vertices, par_hypergraph_kcore(&h, seq.k).vertices);
+        assert!(par_hypergraph_kcore(&h, seq.k + 1).is_empty());
     }
 
     #[test]
@@ -388,7 +344,7 @@ mod tests {
     #[test]
     fn empty_and_degenerate() {
         let h = HypergraphBuilder::new(0).build();
-        assert!(par_max_core(&h).is_none());
+        assert!(par_hypergraph_kcore(&h, 1).is_empty());
         let mut b = HypergraphBuilder::new(3);
         b.add_edge([]);
         let h = b.build();
@@ -403,7 +359,6 @@ mod tests {
         let err = par_hypergraph_kcore_with(&h, 2, &dl).unwrap_err();
         assert_eq!(err.phase, "kcore.par.round");
         assert_eq!(err.work_done, 0, "{err:?}");
-        assert!(par_max_core_with(&h, &dl).is_err());
     }
 
     #[test]
@@ -413,7 +368,7 @@ mod tests {
             let a = par_hypergraph_kcore(&h, k);
             let b = par_hypergraph_kcore_with(&h, k, &Deadline::none()).unwrap();
             assert_eq!(a.vertices, b.vertices, "k = {k}");
-            assert_eq!(contents(&h, &a), contents(&h, &b), "k = {k}");
+            assert_eq!(a.edges, b.edges, "k = {k}");
         }
     }
 

@@ -6,6 +6,10 @@
 //! sequential [`hypergraph::msbfs_distance_stats`], which itself
 //! matches the scalar per-source oracle bit for bit.
 //!
+//! hgserve answers `/diameter` with this engine for datasets of at
+//! least `par_threshold` vertices; below that the thread spawns cost
+//! more than the split saves, and the serial engine answers.
+//!
 //! Cancellation: one shared [`Deadline`] token. Every worker checks it
 //! at each batch boundary and through the amortized in-kernel tick; the
 //! first check that trips the budget latches the cancel flag, which the
@@ -17,9 +21,7 @@ use std::time::Instant;
 
 use hgobs::{Deadline, DeadlineExceeded};
 use hypergraph::msbfs::{msbfs_batch, stats_from_acc, BatchStats, MsBfsScratch, BATCH};
-use hypergraph::{
-    report_from_distances, HyperDistanceStats, Hypergraph, SmallWorldReport, VertexId,
-};
+use hypergraph::{HyperDistanceStats, Hypergraph, VertexId};
 
 use crate::scoped;
 
@@ -164,27 +166,6 @@ fn sweep(
         }
     }
     Ok(stats_from_acc(acc))
-}
-
-/// Small-world report whose all-pairs sweep runs on the parallel
-/// MS-BFS engine; the yardstick arithmetic is shared with the
-/// sequential [`hypergraph::small_world_report`] via
-/// [`report_from_distances`], so classifications agree exactly.
-pub fn par_small_world_report(h: &Hypergraph) -> SmallWorldReport {
-    match par_small_world_report_with(h, &Deadline::none()) {
-        Ok(report) => report,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`par_small_world_report`] under a cooperative [`Deadline`]; the
-/// distance sweep dominates and is the part that can expire.
-pub fn par_small_world_report_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<SmallWorldReport, DeadlineExceeded> {
-    let distances = par_msbfs_distance_stats_with(h, deadline)?;
-    Ok(report_from_distances(h, distances))
 }
 
 #[cfg(test)]
@@ -416,6 +397,7 @@ mod tests {
     #[test]
     fn small_world_report_matches_sequential() {
         let h = hypergen::uniform_random_hypergraph(120, 90, 4, 7);
-        assert_eq!(par_small_world_report(&h), small_world_report(&h));
+        let par = hypergraph::report_from_distances(&h, par_msbfs_distance_stats(&h));
+        assert_eq!(par, small_world_report(&h));
     }
 }

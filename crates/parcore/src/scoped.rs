@@ -1,26 +1,21 @@
 //! Scoped-thread parallelism on `std::thread::scope`: the one substrate
 //! in this crate that runs on more than one core (the vendored `rayon`
-//! executes serially). Three entry points share one fan-out:
+//! executes serially). Two entry points share one fan-out:
 //!
 //! * [`scoped_run`] — a fixed number of workers, one result each;
 //! * `split` — one worker per core, claiming item indices from a
 //!   shared cursor, so uneven items balance themselves; the engine
-//!   behind [`par_msbfs`](crate::par_msbfs);
-//! * [`scoped_hyper_distance_stats`] — static chunking of BFS sources
-//!   over a caller-chosen thread count, the counterpoint to dynamic
-//!   claiming. Results are identical either way, which the tests pin
-//!   down.
+//!   behind [`par_msbfs`](crate::par_msbfs).
 //!
 //! Helper threads are spawned per call and joined before it returns;
 //! there is no persistent pool. The calling thread is always worker 0,
-//! so a single worker spawns nothing.
+//! so a single worker spawns nothing. A helper the OS refuses to start
+//! runs on the calling thread instead, after worker 0, so a thread limit
+//! costs parallelism but never an answer.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-use hgobs::{Deadline, DeadlineExceeded};
-use hypergraph::path::UNREACHABLE;
-use hypergraph::{HyperDistanceStats, Hypergraph, VertexId};
+use std::thread::Builder;
 
 /// How many workers `split` runs when it has enough items:
 /// `std::thread::available_parallelism()`, read once per process (1
@@ -34,7 +29,8 @@ pub fn split_width() -> usize {
 /// worker, in worker-index order. The closure receives its worker index
 /// so callers can do static partitioning (`sources[i::threads]`) or
 /// per-thread seeding. Worker 0 is the calling thread; the other
-/// `threads - 1` are scoped OS threads spawned for this call.
+/// `threads - 1` are scoped OS threads spawned for this call, and any
+/// the OS refuses run on the calling thread after worker 0.
 ///
 /// # Panics
 /// If `threads == 0` or any worker panics.
@@ -43,21 +39,30 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    run_with(Builder::new, threads, f)
+}
+
+/// [`scoped_run`] with every helper spawned from `builder()`, so tests
+/// can configure a spawn the OS refuses.
+fn run_with<R, F>(builder: fn() -> Builder, threads: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     assert!(threads > 0, "need at least one thread");
+    let f = &f;
     std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads)
-            .map(|i| {
-                let f = &f;
-                scope.spawn(move || f(i))
-            })
+            .map(|i| builder().spawn_scoped(scope, move || f(i)).ok())
             .collect();
         let mut out = Vec::with_capacity(threads);
         out.push(f(0));
-        out.extend(
-            helpers
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked")),
-        );
+        for (i, helper) in (1..threads).zip(helpers) {
+            out.push(match helper {
+                Some(h) => h.join().expect("worker panicked"),
+                None => f(i),
+            });
+        }
         out
     })
 }
@@ -85,14 +90,24 @@ impl Iterator for Claims<'_> {
 /// one) that claim the indices `0..items` from one shared cursor, so
 /// every index goes to exactly one worker; returns one result per
 /// worker, in worker order. Production callers pass [`split_width`];
-/// tests force the widths a host may lack.
+/// tests force the widths a host may lack. A refused helper runs after
+/// worker 0 has drained the cursor, so its share falls to the caller.
 pub(crate) fn split<R, F>(width: usize, items: usize, work: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, Claims<'_>) -> R + Sync,
 {
+    split_with(Builder::new, width, items, work)
+}
+
+/// [`split`] with every helper spawned from `builder()`.
+fn split_with<R, F>(builder: fn() -> Builder, width: usize, items: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, Claims<'_>) -> R + Sync,
+{
     let cursor = AtomicUsize::new(0);
-    scoped_run(width.min(items).max(1), |worker| {
+    run_with(builder, width.min(items).max(1), |worker| {
         work(
             worker,
             Claims {
@@ -103,124 +118,14 @@ where
     })
 }
 
-/// Distance statistics via `threads` scoped OS threads, each sweeping a
-/// static chunk of BFS sources. Matches
-/// [`hypergraph::hyper_distance_stats`] exactly.
-///
-/// # Panics
-/// If `threads == 0`.
-pub fn scoped_hyper_distance_stats(h: &Hypergraph, threads: usize) -> HyperDistanceStats {
-    match scoped_hyper_distance_stats_with(h, threads, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`scoped_hyper_distance_stats`] under a cooperative [`Deadline`]
-/// shared across the scoped threads: each worker pre-checks the shared
-/// flag per source, the per-BFS amortized ticks do the clock work, and
-/// the first tripped check latches cancellation for every sibling. The
-/// error's `work_done` counts BFS sources fully completed by all threads.
-///
-/// # Panics
-/// If `threads == 0`.
-pub fn scoped_hyper_distance_stats_with(
-    h: &Hypergraph,
-    threads: usize,
-    deadline: &Deadline,
-) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    assert!(threads > 0, "need at least one thread");
-    let sources: Vec<VertexId> = h.vertices().collect();
-    if sources.is_empty() {
-        return Ok(HyperDistanceStats {
-            diameter: 0,
-            average_path_length: 0.0,
-            reachable_pairs: 0,
-        });
-    }
-    let chunks: Vec<&[VertexId]> = sources.chunks(sources.len().div_ceil(threads)).collect();
-    let completed = AtomicU64::new(0);
-
-    let partials: Vec<Option<(u32, u128, u64)>> = scoped_run(chunks.len(), |i| {
-        let mut diameter = 0u32;
-        let mut total = 0u128;
-        let mut pairs = 0u64;
-        for &s in chunks[i] {
-            if deadline.cancelled() {
-                return None;
-            }
-            let Ok(dist) = hypergraph::hyper_distances_with(h, s, deadline) else {
-                return None;
-            };
-            for (v, &d) in dist.iter().enumerate() {
-                if d != UNREACHABLE && v != s.index() {
-                    diameter = diameter.max(d);
-                    total += d as u128;
-                    pairs += 1;
-                }
-            }
-            completed.fetch_add(1, Ordering::Relaxed);
-        }
-        Some((diameter, total, pairs))
-    });
-
-    let mut acc = (0u32, 0u128, 0u64);
-    for partial in partials {
-        match partial {
-            Some(b) => acc = (acc.0.max(b.0), acc.1 + b.1, acc.2 + b.2),
-            None => {
-                return Err(deadline.exceeded("bfs.scoped.sweep", completed.load(Ordering::Relaxed)))
-            }
-        }
-    }
-    let (diameter, total, pairs) = acc;
-    Ok(HyperDistanceStats {
-        diameter,
-        average_path_length: if pairs == 0 {
-            0.0
-        } else {
-            total as f64 / pairs as f64
-        },
-        reachable_pairs: pairs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypergraph::{hyper_distance_stats, HypergraphBuilder};
-
-    #[test]
-    fn matches_sequential_across_thread_counts() {
-        let h = hypergen::uniform_random_hypergraph(60, 50, 4, 11);
-        let seq = hyper_distance_stats(&h);
-        for threads in [1, 2, 3, 8, 64] {
-            assert_eq!(seq, scoped_hyper_distance_stats(&h, threads), "{threads}");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_sources_ok() {
-        let mut b = HypergraphBuilder::new(2);
-        b.add_edge([0, 1]);
-        let h = b.build();
-        let s = scoped_hyper_distance_stats(&h, 16);
-        assert_eq!(s.reachable_pairs, 2);
-        assert_eq!(s.diameter, 1);
-    }
-
-    #[test]
-    fn empty_hypergraph() {
-        let h = HypergraphBuilder::new(0).build();
-        let s = scoped_hyper_distance_stats(&h, 4);
-        assert_eq!(s.reachable_pairs, 0);
-    }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
-        let h = HypergraphBuilder::new(1).build();
-        let _ = scoped_hyper_distance_stats(&h, 0);
+        let _ = scoped_run(0, |i| i);
     }
 
     #[test]
@@ -265,30 +170,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matches_rayon_variant() {
-        let h = hypergen::uniform_random_hypergraph(80, 70, 5, 3);
-        let rayon = crate::par_hyper_distance_stats(&h);
-        let scoped = scoped_hyper_distance_stats(&h, 4);
-        assert_eq!(rayon, scoped);
+    /// A 1 TiB stack: the OS refuses to map it (`EAGAIN` on Linux), so
+    /// every helper spawned from this builder fails to start.
+    fn refused() -> Builder {
+        Builder::new().stack_size(1 << 40)
     }
 
     #[test]
-    fn cancelled_deadline_stops_every_scoped_worker() {
-        let h = hypergen::uniform_random_hypergraph(1500, 1200, 5, 5);
-        let dl = Deadline::cancellable();
-        dl.cancel();
-        let err = scoped_hyper_distance_stats_with(&h, 4, &dl).unwrap_err();
-        assert_eq!(err.phase, "bfs.scoped.sweep");
-        assert_eq!(err.work_done, 0, "{err:?}");
-    }
-
-    #[test]
-    fn unlimited_deadline_matches_plain_scoped_variant() {
-        let h = hypergen::uniform_random_hypergraph(60, 50, 4, 11);
-        assert_eq!(
-            scoped_hyper_distance_stats(&h, 3),
-            scoped_hyper_distance_stats_with(&h, 3, &Deadline::none()).unwrap()
-        );
+    fn refused_spawns_run_on_the_caller_in_worker_order() {
+        assert_eq!(run_with(refused, 3, |i| i), vec![0, 1, 2]);
+        for width in [2, 3] {
+            for items in [0, 1, 5, 64] {
+                let out = split_with(refused, width, items, |worker, claims| {
+                    (worker, claims.collect::<Vec<_>>())
+                });
+                assert_eq!(out.len(), width.min(items).max(1), "{width}/{items}");
+                for (i, (worker, _)) in out.iter().enumerate() {
+                    assert_eq!(*worker, i, "{width}/{items}");
+                }
+                let mut claimed: Vec<usize> =
+                    out.iter().flat_map(|w| w.1.iter().copied()).collect();
+                claimed.sort_unstable();
+                assert_eq!(claimed, (0..items).collect::<Vec<_>>(), "{width}/{items}");
+            }
+        }
     }
 }

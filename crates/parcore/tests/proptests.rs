@@ -1,13 +1,11 @@
 //! Property-based equivalence tests: parallel implementations must match
-//! the sequential ones on arbitrary inputs.
+//! the sequential ones and the oracles on arbitrary inputs.
 
 use proptest::prelude::*;
 
+use hypergraph::naive::{edge_contents, naive_kcore};
 use hypergraph::{Hypergraph, HypergraphBuilder};
-use parcore::{
-    par_core_decomposition, par_hyper_distance_stats, par_hypergraph_kcore,
-    scoped_hyper_distance_stats,
-};
+use parcore::{par_csr_overlap, par_hypergraph_kcore, par_msbfs_distance_stats};
 
 fn arb_hypergraph(
     max_v: usize,
@@ -29,84 +27,41 @@ fn arb_hypergraph(
     })
 }
 
-fn restricted_contents(h: &Hypergraph, core: &hypergraph::KCore) -> Vec<Vec<u32>> {
-    let alive: std::collections::HashSet<u32> = core.vertices.iter().map(|v| v.0).collect();
-    let mut out: Vec<Vec<u32>> = core
-        .edges
-        .iter()
-        .map(|&f| {
-            h.pins(f)
-                .iter()
-                .map(|v| v.0)
-                .filter(|v| alive.contains(v))
-                .collect()
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Parallel k-core == sequential k-core (vertices and edge contents).
+    /// Parallel k-core == the naive oracle (vertices and edge contents).
     #[test]
     fn par_kcore_equivalent((h, k) in arb_hypergraph(12, 12, 6).prop_flat_map(|h| (Just(h), 0u32..5))) {
-        let seq = hypergraph::hypergraph_kcore(&h, k);
+        let (nv, ne) = naive_kcore(&h, k);
         let par = par_hypergraph_kcore(&h, k);
-        prop_assert_eq!(&seq.vertices, &par.vertices, "k = {}", k);
+        prop_assert_eq!(&nv, &par.vertices, "k = {}", k);
         prop_assert_eq!(
-            restricted_contents(&h, &seq),
-            restricted_contents(&h, &par),
+            edge_contents(&h, &ne, &nv),
+            edge_contents(&h, &par.edges, &par.vertices),
             "k = {}", k
         );
     }
 
-    /// Parallel distance stats == sequential.
+    /// Parallel MS-BFS distance stats == the scalar per-source sweep.
     #[test]
     fn par_distances_equivalent(h in arb_hypergraph(14, 10, 5)) {
         let seq = hypergraph::hyper_distance_stats(&h);
-        prop_assert_eq!(seq, par_hyper_distance_stats(&h));
+        prop_assert_eq!(seq, par_msbfs_distance_stats(&h));
     }
 
-    /// Scoped-thread (`std::thread::scope`) distance stats == sequential,
-    /// any thread count.
-    #[test]
-    fn scoped_distances_equivalent(
-        h in arb_hypergraph(14, 10, 5),
-        threads in 1usize..6,
-    ) {
-        let seq = hypergraph::hyper_distance_stats(&h);
-        prop_assert_eq!(seq, scoped_hyper_distance_stats(&h, threads));
-    }
-
-    /// Parallel graph core decomposition == sequential.
-    #[test]
-    fn par_graph_cores_equivalent(
-        (n, edges) in (1usize..20).prop_flat_map(|n| (
-            Just(n),
-            proptest::collection::vec((0..n as u32, 0..n as u32), 0..50),
-        ))
-    ) {
-        let mut b = graphcore::GraphBuilder::new(n);
-        for (u, v) in edges {
-            if u != v {
-                b.add_edge(graphcore::NodeId(u), graphcore::NodeId(v));
-            }
-        }
-        let g = b.build();
-        let seq = graphcore::core_decomposition(&g);
-        let par = par_core_decomposition(&g);
-        prop_assert_eq!(seq.core, par.core);
-        prop_assert_eq!(seq.max_core, par.max_core);
-    }
-
-    /// Parallel overlap triples match the sequential table.
+    /// The sharded overlap build == brute-force pin-set intersection.
     #[test]
     fn par_overlap_equivalent(h in arb_hypergraph(12, 10, 5)) {
-        let table = hypergraph::OverlapTable::build(&h);
-        for (f, g, c) in parcore::par_overlap_table(&h) {
-            prop_assert_eq!(table.overlap(f, g), c);
+        let ov = par_csr_overlap(&h);
+        for f in h.edges() {
+            for g in h.edges().filter(|&g| g != f) {
+                let pg = h.pins(g);
+                let shared = h.pins(f).iter().filter(|v| pg.contains(v)).count() as u32;
+                prop_assert_eq!(ov.overlap(f, g), shared, "({:?}, {:?})", f, g);
+            }
+            prop_assert_eq!(ov.overlap(f, f), 0);
         }
+        prop_assert_eq!(ov.num_edges(), h.num_edges());
     }
 }

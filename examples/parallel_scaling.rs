@@ -1,6 +1,6 @@
 //! The paper's closing remark made real: "for large hypergraphs, a
 //! parallel algorithm will need to be designed." Compare the sequential
-//! overlap-counting k-core against the level-synchronous parallel one on
+//! CSR overlap-counting k-core against the level-synchronous parallel one on
 //! progressively larger mesh hypergraphs, across thread counts.
 //!
 //! ```sh
@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use hypergraph::{hypergraph_kcore, Hypergraph};
+use hypergraph::{csr_kcore, Hypergraph};
 use matrixmarket::{row_net, stiffness_3d};
 use parcore::par_hypergraph_kcore;
 
@@ -29,7 +29,7 @@ fn main() {
         let h = mesh(n);
 
         let t0 = Instant::now();
-        let seq = hypergraph_kcore(&h, k);
+        let seq = csr_kcore(&h, k);
         let t_seq = t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();

@@ -1,54 +1,23 @@
-//! Cross-validation of the k-core implementations against each other and
-//! against reference semantics, on realistic inputs.
+//! Cross-validation of the k-core engine against the naive oracle, the
+//! plain-graph core and reference semantics, on realistic inputs.
 
-use hypergraph::naive::naive_kcore;
-use hypergraph::{hypergraph_kcore, max_core, max_core_linear, Hypergraph};
+use hypergraph::naive::{edge_contents, naive_cores, naive_kcore};
+use hypergraph::{csr_kcore, max_core, Hypergraph};
 use proteome::cellzome::{cellzome_like, CELLZOME_SEED};
-
-/// Restricted edge contents (pins ∩ surviving vertices), sorted.
-fn contents(
-    h: &Hypergraph,
-    edges: &[hypergraph::EdgeId],
-    alive: &[hypergraph::VertexId],
-) -> Vec<Vec<u32>> {
-    let alive: std::collections::HashSet<u32> = alive.iter().map(|v| v.0).collect();
-    let mut out: Vec<Vec<u32>> = edges
-        .iter()
-        .map(|&f| {
-            h.pins(f)
-                .iter()
-                .map(|v| v.0)
-                .filter(|v| alive.contains(v))
-                .collect()
-        })
-        .collect();
-    out.sort();
-    out
-}
 
 #[test]
 fn optimized_matches_naive_on_cellzome() {
     let h = cellzome_like(CELLZOME_SEED).hypergraph;
     for k in [2u32, 6] {
-        let fast = hypergraph_kcore(&h, k);
+        let fast = csr_kcore(&h, k);
         let (nv, ne) = naive_kcore(&h, k);
         assert_eq!(fast.vertices, nv, "k = {k}");
         assert_eq!(
-            contents(&h, &fast.edges, &fast.vertices),
-            contents(&h, &ne, &nv),
+            edge_contents(&h, &fast.edges, &fast.vertices),
+            edge_contents(&h, &ne, &nv),
             "k = {k}"
         );
     }
-}
-
-#[test]
-fn binary_search_max_core_matches_linear_on_cellzome() {
-    let h = cellzome_like(CELLZOME_SEED).hypergraph;
-    let fast = max_core(&h).unwrap();
-    let slow = max_core_linear(&h).unwrap();
-    assert_eq!(fast.k, slow.k);
-    assert_eq!(fast.vertices, slow.vertices);
-    assert_eq!(fast.edges, slow.edges);
 }
 
 #[test]
@@ -58,7 +27,7 @@ fn matrix_hypergraph_cores_validate() {
     let core = max_core(&h).expect("non-empty");
     hypergraph::validate::check_kcore_invariant(&core.sub, core.k).expect("invariant");
     // One deeper is empty.
-    assert!(hypergraph_kcore(&h, core.k + 1).is_empty());
+    assert!(csr_kcore(&h, core.k + 1).is_empty());
 }
 
 #[test]
@@ -74,11 +43,7 @@ fn two_uniform_hypergraph_equals_graph_core_on_dip() {
 
     let gd = graphcore::core_decomposition(&g);
     for k in [2u32, 5, gd.max_core] {
-        let hv: Vec<u32> = hypergraph_kcore(&h, k)
-            .vertices
-            .iter()
-            .map(|v| v.0)
-            .collect();
+        let hv: Vec<u32> = csr_kcore(&h, k).vertices.iter().map(|v| v.0).collect();
         let gv: Vec<u32> = gd.k_core_nodes(k).iter().map(|u| u.0).collect();
         assert_eq!(hv, gv, "k = {k}");
     }
@@ -91,7 +56,7 @@ fn kcore_nested_on_cellzome() {
     let h = cellzome_like(CELLZOME_SEED).hypergraph;
     let mut prev: Option<Vec<hypergraph::VertexId>> = None;
     for k in 1..=7u32 {
-        let core = hypergraph_kcore(&h, k);
+        let core = csr_kcore(&h, k);
         if let Some(prev) = &prev {
             let prev: std::collections::HashSet<_> = prev.iter().collect();
             assert!(
@@ -105,31 +70,29 @@ fn kcore_nested_on_cellzome() {
 }
 
 /// Full agreement between the incremental CSR decomposition and the
-/// per-k hash-map oracles on one instance: profile, core numbers,
-/// max core, and per-k surviving id sets.
+/// per-k naive oracle on one instance: profile, core numbers, max core,
+/// and per-k surviving vertices and edge contents from `csr_kcore`.
 fn assert_decompose_matches_oracle(h: &Hypergraph, label: &str) {
     let d = hypergraph::decompose(h);
-    assert_eq!(d.profile, hypergraph::core_profile_per_k(h), "{label}");
-    assert_eq!(d.core_numbers, hypergraph::core_numbers_per_k(h), "{label}");
-    let k_max = d.profile.last().map(|p| p.0).unwrap_or(0);
-    match (&d.max_core, hypergraph::max_core_bsearch(h)) {
-        (Some(a), Some(b)) => {
-            assert_eq!(a.k, b.k, "{label}");
-            assert_eq!(a.vertices, b.vertices, "{label}");
-            assert_eq!(a.edges, b.edges, "{label}");
-        }
-        (None, None) => {}
-        (a, b) => panic!(
-            "{label}: max_core liveness disagreement ({:?} vs {:?})",
-            a.as_ref().map(|c| c.k),
-            b.map(|c| c.k)
-        ),
-    }
-    for k in 0..=k_max + 1 {
-        let fast = hypergraph::csr_kcore(h, k);
-        let oracle = hypergraph_kcore(h, k);
-        assert_eq!(fast.vertices, oracle.vertices, "{label} k = {k}");
-        assert_eq!(fast.edges, oracle.edges, "{label} k = {k}");
+    let oracle = naive_cores(h);
+    assert_eq!(d.profile, oracle.profile, "{label}");
+    assert_eq!(d.core_numbers, oracle.core_numbers, "{label}");
+    assert_eq!(
+        d.max_core
+            .map(|c| (c.k, edge_contents(h, &c.edges, &c.vertices), c.vertices)),
+        oracle
+            .max_core()
+            .map(|(k, vs, es)| (k, edge_contents(h, es, vs), vs.to_vec())),
+        "{label}: max core"
+    );
+    for (k, (vs, es)) in oracle.levels.iter().enumerate() {
+        let fast = csr_kcore(h, k as u32);
+        assert_eq!(&fast.vertices, vs, "{label} k = {k}");
+        assert_eq!(
+            edge_contents(h, &fast.edges, &fast.vertices),
+            edge_contents(h, es, vs),
+            "{label} k = {k}"
+        );
     }
 }
 
@@ -180,8 +143,8 @@ fn reduce_then_kcore_equals_kcore() {
     let h = cellzome_like(CELLZOME_SEED).hypergraph;
     let (reduced, kept) = hypergraph::reduce(&h);
     for k in [1u32, 3, 6] {
-        let direct = hypergraph_kcore(&h, k);
-        let via_reduce = hypergraph_kcore(&reduced, k);
+        let direct = csr_kcore(&h, k);
+        let via_reduce = csr_kcore(&reduced, k);
         assert_eq!(direct.vertices, via_reduce.vertices, "k = {k}");
         // Translate reduced edge ids back to original ids.
         let translated: Vec<hypergraph::EdgeId> =

@@ -92,6 +92,6 @@ fn empty_rows_do_not_break_cores() {
     let h = row_net(&m);
     assert_eq!(h.num_edges(), 5);
     // Empty hyperedges are dropped by the core computation.
-    let core = hypergraph::hypergraph_kcore(&h, 1);
+    let core = hypergraph::csr_kcore(&h, 1);
     assert!(core.edges.iter().all(|f| h.edge_degree(*f) > 0));
 }
