@@ -308,6 +308,14 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> vendored shim unit tests"
+# vendor/ is excluded from the workspace, so the step above never runs
+# the shims' own tests. Each builds against its own manifest into
+# target/vendor; the Cargo.lock each run writes is ignored.
+for SHIM in criterion parking_lot proptest rand; do
+    cargo test --offline -q --manifest-path "vendor/$SHIM/Cargo.toml" --target-dir target/vendor
+done
+
 echo "==> hgperf build + unit tests"
 # The benchmark is a workspace of its own that calls the kernels by
 # name; building it here catches a renamed or deleted entry point

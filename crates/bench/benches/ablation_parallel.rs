@@ -1,14 +1,12 @@
 //! A4 — the paper's future work: the sequential CSR overlap-counting
-//! k-core vs the level-synchronous parallel k-core, over mesh sizes and thread
-//! counts (thread scaling is only visible on multi-core hosts).
+//! k-core vs the level-synchronous subset-probe k-core, over mesh sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
-use hypergraph::csr_kcore;
+use hypergraph::{csr_kcore, probe_kcore};
 use matrixmarket::{row_net, stiffness_3d};
-use parcore::par_hypergraph_kcore;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_parallel");
@@ -21,25 +19,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| csr_kcore(black_box(h), k))
         });
         g.bench_with_input(BenchmarkId::new("parallel", n), &h, |b, h| {
-            b.iter(|| par_hypergraph_kcore(black_box(h), k))
-        });
-    }
-
-    // Thread scaling on the largest mesh.
-    let h = row_net(&stiffness_3d(18, 18, 18));
-    let max_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    for threads in [1usize, 2, 4, 8] {
-        if threads > max_threads {
-            break;
-        }
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        g.bench_with_input(BenchmarkId::new("parallel_threads", threads), &h, |b, h| {
-            b.iter(|| pool.install(|| par_hypergraph_kcore(black_box(h), k)))
+            b.iter(|| probe_kcore(black_box(h), k))
         });
     }
     g.finish();

@@ -10,7 +10,7 @@
 //! low-noise estimator for a deterministic kernel — and every engine's
 //! [`HyperDistanceStats`] must be bit-identical before any timing is
 //! trusted, as must the decomposition's outputs and the level-synchronous
-//! parallel k-core's; a mismatch is an error, not a footnote.
+//! subset-probe k-core's; a mismatch is an error, not a footnote.
 
 use std::time::Instant;
 
@@ -98,10 +98,10 @@ pub struct KernelBenchReport {
     pub relabel: bool,
     pub datasets: Vec<DatasetResult>,
     /// Best MS-BFS time on the scaled instance, in microseconds: the
-    /// single number `ci.sh --bench` gates at +25% over baseline.
+    /// single number `ci.sh --bench` gates at +50% over baseline.
     pub gate_msbfs_us: u64,
     /// Best incremental kcore decomposition time on the scaled instance,
-    /// in microseconds; gated by `ci.sh --bench` at +25% over baseline.
+    /// in microseconds; gated by `ci.sh --bench` at +50% over baseline.
     pub gate_kcore_us: u64,
 }
 
@@ -217,14 +217,14 @@ type KcoreOutputs = (
     Vec<u32>,
 );
 
-/// [`KcoreOutputs`] from [`parcore::par_hypergraph_kcore`] at
+/// [`KcoreOutputs`] from [`hypergraph::probe_kcore()`] at
 /// `k = 1..=k_max + 1`, stopping at the first empty core.
-fn par_kcore_outputs(h: &Hypergraph) -> KcoreOutputs {
+fn probe_kcore_outputs(h: &Hypergraph) -> KcoreOutputs {
     let mut max_core = None;
     let mut profile = Vec::new();
     let mut core_numbers = vec![0u32; h.num_vertices()];
     for k in 1u32.. {
-        let core = parcore::par_hypergraph_kcore(h, k);
+        let core = hypergraph::probe_kcore(h, k);
         if core.is_empty() {
             break;
         }
@@ -251,9 +251,9 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
     }
 
     // The decomposition gets all three outputs from one sweep; the
-    // level-synchronous parallel engine (snapshot subset probes, no
-    // overlap table) checks them one level at a time first.
-    let o_out = par_kcore_outputs(h);
+    // level-synchronous subset-probe engine (no overlap table) checks
+    // them one level at a time first.
+    let o_out = probe_kcore_outputs(h);
     let (decomp, d_out): (EngineResult, KcoreOutputs) =
         time_engine("kcore_decompose", reps, || {
             let d = hypergraph::decompose(h);
@@ -265,7 +265,7 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         });
     if o_out != d_out {
         return Err(format!(
-            "kcore engine disagreement on {name}: par_kcore (k_max {:?}) vs decompose (k_max {:?})",
+            "kcore engine disagreement on {name}: probe_kcore (k_max {:?}) vs decompose (k_max {:?})",
             o_out.0.as_ref().map(|c| c.0),
             d_out.0.as_ref().map(|c| c.0)
         ));

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hg stats <file.hgr>                         structural statistics
-//! hg kcore <file.hgr> [--k K] [--par] [--profile]   k-core / maximum core / level table
+//! hg kcore <file.hgr> [--k K] [--profile]     k-core / maximum core / level table
 //! hg fit <file.hgr>                           power-law fit of degrees
 //! hg cover <file.hgr> [--weights unit|deg2] [--multicover R]
 //! hg profile <file.hgr>... [--algo A]         per-algorithm metrics JSON
@@ -39,7 +39,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  hg stats <file.hgr>\n  hg kcore <file.hgr> [--k K] [--par] [--profile]\n  hg ks-core <file.hgr> --k K --s S\n  hg fit <file.hgr>\n  hg cover <file.hgr> [--weights unit|deg2] [--multicover R]\n  hg profile <file.hgr>... [--algo all|kcore|bfs|cover]\n  hg reduce <file.hgr> [-o FILE]\n  hg dual <file.hgr> [-o FILE]\n  hg tap-sim <file.hgr> [--baits N|cover|multicover] [--p P] [--seed S]\n  hg gen <cellzome|uniform N M K|table1 NAME> [--seed S] [-o FILE[.hgb]]\n  hg convert <file.hgr|.net|.mtx> -o <out.hgb> [--relabel]\n  hg export-pajek <file.hgr> -o <base>\n  hg serve [--addr HOST:PORT] [--threads N] [--cache-mb MB] [--deadline-ms MS]\n           [--queue N] [--par-threshold N] [--relabel] [--preload FILE...]\n  hg loadgen [--addr HOST:PORT] [--dataset NAME] [--concurrency N]\n             [--requests N] [--mix stats=3,kcore=1,...] [--deadline-ms MS]\n             [--connections N] [--json FILE]\n  hg trace <trace.json>   pretty-print a saved request trace\n  hg bench --kernels [--json FILE] [--reps N] [--scale N] [--cellzome FILE]\n           [--no-relabel]\n  hg bench --coldload [--json FILE] [--scale N] [--dir DIR] [--reps N]\n  hg bench --delta <baseline.json> <current.json>   markdown delta table\n  hg repro [e1..e10|a1..a4|all] [-o DIR]\nglobal flags:\n  --metrics FILE   write a JSON metrics report (counters, histograms, spans)\n  HG_LOG=info|debug   structured tracing to stderr\n".to_string()
+    "usage:\n  hg stats <file.hgr>\n  hg kcore <file.hgr> [--k K] [--profile]\n  hg ks-core <file.hgr> --k K --s S\n  hg fit <file.hgr>\n  hg cover <file.hgr> [--weights unit|deg2] [--multicover R]\n  hg profile <file.hgr>... [--algo all|kcore|bfs|cover]\n  hg reduce <file.hgr> [-o FILE]\n  hg dual <file.hgr> [-o FILE]\n  hg tap-sim <file.hgr> [--baits N|cover|multicover] [--p P] [--seed S]\n  hg gen <cellzome|uniform N M K|table1 NAME> [--seed S] [-o FILE[.hgb]]\n  hg convert <file.hgr|.net|.mtx> -o <out.hgb> [--relabel]\n  hg export-pajek <file.hgr> -o <base>\n  hg serve [--addr HOST:PORT] [--threads N] [--cache-mb MB] [--deadline-ms MS]\n           [--queue N] [--par-threshold N] [--relabel] [--preload FILE...]\n  hg loadgen [--addr HOST:PORT] [--dataset NAME] [--concurrency N]\n             [--requests N] [--mix stats=3,kcore=1,...] [--deadline-ms MS]\n             [--connections N] [--json FILE]\n  hg trace <trace.json>   pretty-print a saved request trace\n  hg bench --kernels [--json FILE] [--reps N] [--scale N] [--cellzome FILE]\n           [--no-relabel]\n  hg bench --coldload [--json FILE] [--scale N] [--dir DIR] [--reps N]\n  hg bench --delta <baseline.json> <current.json>   markdown delta table\n  hg repro [e1..e10|a1..a4|all] [-o DIR]\nglobal flags:\n  --metrics FILE   write a JSON metrics report (counters, histograms, spans)\n  HG_LOG=info|debug   structured tracing to stderr\n".to_string()
 }
 
 fn run(args: &[String]) -> Result<String, String> {
@@ -127,6 +127,21 @@ fn take_opt(args: &[String], flag: &str) -> Result<(Option<String>, Vec<String>)
     Ok((value, rest))
 }
 
+/// The `N` positional arguments left once a subcommand has taken its
+/// flags. A leftover flag or a surplus positional is an error naming
+/// it, so a mistyped or retired flag never runs silently; too few is a
+/// usage error.
+fn positionals<const N: usize>(rest: &[String]) -> Result<[&String; N], String> {
+    let flag = rest.iter().find(|a| a.starts_with('-'));
+    if let Some(extra) = flag.or(rest.get(N)) {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    rest.iter()
+        .collect::<Vec<_>>()
+        .try_into()
+        .map_err(|_| usage())
+}
+
 fn take_switch(args: &[String], flag: &str) -> (bool, Vec<String>) {
     let present = args.iter().any(|a| a == flag);
     (
@@ -157,7 +172,7 @@ fn with_phases(f: impl FnOnce() -> Result<String, String>) -> Result<String, Str
 }
 
 fn cmd_stats(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or_else(usage)?;
+    let [path] = positionals(args)?;
     let h = load(path)?;
     let cc = hypergraph::hypergraph_components(&h);
     let ov = hypergraph::CsrOverlap::build(&h);
@@ -184,18 +199,13 @@ fn cmd_stats(args: &[String]) -> Result<String, String> {
 
 fn cmd_kcore(args: &[String]) -> Result<String, String> {
     let (k_opt, rest) = take_opt(args, "--k")?;
-    let (par, rest) = take_switch(&rest, "--par");
     let (profile, rest) = take_switch(&rest, "--profile");
-    let path = rest.first().ok_or_else(usage)?;
+    let [path] = positionals(&rest)?;
     let h = load(path)?;
 
     if profile {
         // One incremental sweep yields every level's sizes.
-        let (d, secs) = if par {
-            timed(|| parcore::par_decompose(&h))
-        } else {
-            timed(|| hypergraph::decompose(&h))
-        };
+        let (d, secs) = timed(|| hypergraph::decompose(&h));
         let mut t = Table::new(&["k", "vertices", "hyperedges"]);
         for &(k, nv, ne) in &d.profile {
             t.row(cells![k, nv, ne]);
@@ -212,20 +222,10 @@ fn cmd_kcore(args: &[String]) -> Result<String, String> {
     let (core, secs) = match k_opt {
         Some(ks) => {
             let k: u32 = ks.parse().map_err(|e| format!("bad --k: {e}"))?;
-            let (c, s) = if par {
-                timed(|| parcore::par_hypergraph_kcore(&h, k))
-            } else {
-                timed(|| hypergraph::csr_kcore(&h, k))
-            };
+            let (c, s) = timed(|| hypergraph::probe_kcore(&h, k));
             (Some(c), s)
         }
-        None => {
-            if par {
-                timed(|| parcore::par_decompose(&h).max_core)
-            } else {
-                timed(|| hypergraph::max_core(&h))
-            }
-        }
+        None => timed(|| hypergraph::max_core(&h)),
     };
     match core {
         Some(c) if !c.is_empty() => Ok(format!(
@@ -241,7 +241,7 @@ fn cmd_kcore(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_fit(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or_else(usage)?;
+    let [path] = positionals(args)?;
     let h = load(path)?;
     let hist = hypergraph::vertex_degree_histogram(&h);
     match hypergraph::fit_power_law(&hist) {
@@ -256,7 +256,7 @@ fn cmd_fit(args: &[String]) -> Result<String, String> {
 fn cmd_cover(args: &[String]) -> Result<String, String> {
     let (weights, rest) = take_opt(args, "--weights")?;
     let (multi, rest) = take_opt(&rest, "--multicover")?;
-    let path = rest.first().ok_or_else(usage)?;
+    let [path] = positionals(&rest)?;
     let h = load(path)?;
 
     let weight: Box<dyn Fn(hypergraph::VertexId) -> f64> = match weights.as_deref() {
@@ -288,7 +288,7 @@ fn cmd_cover(args: &[String]) -> Result<String, String> {
 fn cmd_ks_core(args: &[String]) -> Result<String, String> {
     let (k, rest) = take_opt(args, "--k")?;
     let (s, rest) = take_opt(&rest, "--s")?;
-    let path = rest.first().ok_or_else(usage)?;
+    let [path] = positionals(&rest)?;
     let k: u32 = k
         .ok_or("ks-core requires --k")?
         .parse()
@@ -414,7 +414,7 @@ fn write_or_print(
 
 fn cmd_reduce(args: &[String]) -> Result<String, String> {
     let (out, rest) = take_opt(args, "-o")?;
-    let path = rest.first().ok_or_else(usage)?;
+    let [path] = positionals(&rest)?;
     let h = load(path)?;
     let (reduced, kept) = hypergraph::reduce(&h);
     let removed = h.num_edges() - kept.len();
@@ -427,7 +427,7 @@ fn cmd_reduce(args: &[String]) -> Result<String, String> {
 
 fn cmd_dual(args: &[String]) -> Result<String, String> {
     let (out, rest) = take_opt(args, "-o")?;
-    let path = rest.first().ok_or_else(usage)?;
+    let [path] = positionals(&rest)?;
     let h = load(path)?;
     let d = hypergraph::dual(&h);
     write_or_print(&d, out, "dual hypergraph")
@@ -437,7 +437,7 @@ fn cmd_tap_sim(args: &[String]) -> Result<String, String> {
     let (baits_opt, rest) = take_opt(args, "--baits")?;
     let (p_opt, rest) = take_opt(&rest, "--p")?;
     let (seed_opt, rest) = take_opt(&rest, "--seed")?;
-    let path = rest.first().ok_or_else(usage)?;
+    let [path] = positionals(&rest)?;
     let h = load(path)?;
 
     let p: f64 = p_opt
@@ -598,7 +598,7 @@ fn cmd_gen(args: &[String]) -> Result<String, String> {
 fn cmd_convert(args: &[String]) -> Result<String, String> {
     let (out, rest) = take_opt(args, "-o")?;
     let (relabel, rest) = take_switch(&rest, "--relabel");
-    let path = rest.first().ok_or_else(usage)?;
+    let [path] = positionals(&rest)?;
     let out = out.ok_or("convert requires -o <out.hgb>")?;
     if !out.ends_with(".hgb") {
         return Err(format!("convert output must end in .hgb, got `{out}`"));
@@ -634,7 +634,7 @@ fn cmd_convert(args: &[String]) -> Result<String, String> {
 
 fn cmd_export_pajek(args: &[String]) -> Result<String, String> {
     let (out, rest) = take_opt(args, "-o")?;
-    let path = rest.first().ok_or_else(usage)?;
+    let [path] = positionals(&rest)?;
     let base = out.ok_or("export-pajek requires -o <base>")?;
     let h = load(path)?;
     let core = hypergraph::max_core(&h);
@@ -747,9 +747,7 @@ fn cmd_loadgen(args: &[String]) -> Result<String, String> {
     let (deadline_ms, rest) = take_opt(&rest, "--deadline-ms")?;
     let (connections, rest) = take_opt(&rest, "--connections")?;
     let (json_out, rest) = take_opt(&rest, "--json")?;
-    if let Some(extra) = rest.first() {
-        return Err(format!("unexpected argument `{extra}`"));
-    }
+    positionals::<0>(&rest)?;
 
     let parse_n = |v: Option<String>, flag: &str, default: usize| -> Result<usize, String> {
         v.map_or(Ok(default), |s| {
@@ -805,7 +803,7 @@ fn cmd_loadgen(args: &[String]) -> Result<String, String> {
 /// `hg trace FILE` — pretty-print a saved request trace (a `?trace=1`
 /// response body, a `/debug/slowlog` entry, or a bare trace object).
 fn cmd_trace(args: &[String]) -> Result<String, String> {
-    let path = args.first().ok_or_else(usage)?;
+    let [path] = positionals(args)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let t = hgobs::trace::parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
     Ok(render_trace(&t))
@@ -880,9 +878,7 @@ fn cmd_bench(args: &[String]) -> Result<String, String> {
         let (scale, rest) = take_opt(&rest, "--scale")?;
         let (dir, rest) = take_opt(&rest, "--dir")?;
         let (reps, rest) = take_opt(&rest, "--reps")?;
-        if let Some(extra) = rest.first() {
-            return Err(format!("unexpected argument `{extra}`"));
-        }
+        positionals::<0>(&rest)?;
         let mut cfg = bench::ColdloadConfig::default();
         if let Some(s) = scale {
             let n: usize = s.parse().map_err(|e| format!("bad --scale: {e}"))?;
@@ -913,9 +909,7 @@ fn cmd_bench(args: &[String]) -> Result<String, String> {
     let (scale, rest) = take_opt(&rest, "--scale")?;
     let (cellzome, rest) = take_opt(&rest, "--cellzome")?;
     let (no_relabel, rest) = take_switch(&rest, "--no-relabel");
-    if let Some(extra) = rest.first() {
-        return Err(format!("unexpected argument `{extra}`"));
-    }
+    positionals::<0>(&rest)?;
 
     let mut cfg = bench::KernelBenchConfig::default();
     if let Some(r) = reps {

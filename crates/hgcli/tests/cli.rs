@@ -56,9 +56,14 @@ fn gen_stats_kcore_fit_cover_roundtrip() {
     assert!(ok);
     assert!(out.contains("6-core: 41 vertices, 54 hyperedges"));
 
-    let (ok, out, _) = hg(&["kcore", file_s, "--k", "2", "--par"]);
+    let (ok, out, _) = hg(&["kcore", file_s, "--k", "2"]);
     assert!(ok, "{out}");
     assert!(out.starts_with("2-core:"));
+
+    // A flag `hg kcore` does not take is an error, not silently dropped.
+    let (ok, _, err) = hg(&["kcore", file_s, "--k", "2", "--par"]);
+    assert!(!ok);
+    assert!(err.contains("unexpected argument `--par`"), "{err}");
 
     // The level table ends at the paper's 6-core: 41 proteins, 54 complexes.
     let (ok, out, _) = hg(&["kcore", file_s, "--profile"]);

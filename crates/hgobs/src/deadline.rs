@@ -10,9 +10,10 @@
 //! # Cross-thread propagation
 //!
 //! Clones share one flag. The first observer whose clock check trips the
-//! budget *latches* the cancel flag, so sibling workers in a rayon pool
-//! or a `std::thread::scope` notice via a single relaxed atomic load on
-//! their next check without ever reading the clock themselves.
+//! budget *latches* the cancel flag, so sibling workers in a
+//! `std::thread::scope` (parcore's splitter) notice via a single relaxed
+//! atomic load on their next check without ever reading the clock
+//! themselves.
 //! [`Deadline::cancel`] latches the same flag manually (e.g. from a
 //! shutdown path).
 //!

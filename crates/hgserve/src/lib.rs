@@ -39,8 +39,8 @@
 //!   closed, enforced by the event loop's timer wheel rather than a
 //!   blocked worker.
 //! * **Parallel offload** — on datasets at or above `par_threshold`
-//!   vertices, diameter and k-core queries run on the `parcore`
-//!   kernels, sharing one deadline token across all worker threads.
+//!   vertices, the diameter sweep runs on `parcore`'s MS-BFS over one
+//!   scoped thread per core, all sharing one deadline token.
 //!
 //! # Endpoints
 //!

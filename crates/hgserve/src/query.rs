@@ -66,14 +66,13 @@ pub struct ExecOpts {
     /// Cooperative deadline checked inside every heavy loop; the
     /// default (unlimited) never fires.
     pub deadline: Deadline,
-    /// Route diameter and `kcore?k=` through the `parcore` kernels: the
-    /// diameter sweep then runs on every core. The server enables this
-    /// for large datasets, where a sweep is long enough to pay for its
-    /// helper threads.
+    /// Run the diameter sweep on every core (`parcore`'s MS-BFS). The
+    /// server enables this for large datasets, where a sweep is long
+    /// enough to pay for its helper threads; no other query reads it.
     pub parallel: bool,
     /// Request-scoped trace context. [`Query::run_opts`] attaches it to
     /// the deadline it hands the kernels, so every instrumented phase
-    /// (MS-BFS batches, k-core peel levels, overlap shards) lands in
+    /// (MS-BFS batches, k-core peel levels, the overlap build) lands in
     /// this request's event list without per-kernel plumbing. The
     /// default is disabled: a branch per phase, no allocation.
     pub trace: TraceCtx,
@@ -169,8 +168,8 @@ impl Query {
     }
 
     /// Execute under [`ExecOpts`]: heavy endpoints honor the deadline
-    /// (returning a 504 [`QueryError`] on expiry) and optionally run on
-    /// the `parcore` parallel kernels.
+    /// (returning a 504 [`QueryError`] on expiry), and the diameter
+    /// sweep optionally runs on every core.
     pub fn run_opts(&self, h: &Hypergraph, opts: &ExecOpts) -> Result<String, QueryError> {
         // The trace rides on the deadline: kernels already thread the
         // deadline everywhere, so attaching it here is the only
@@ -288,12 +287,11 @@ fn run_kcore(
     opts: &ExecOpts,
     w: &mut JsonWriter,
 ) -> Result<(), QueryError> {
-    let core = match (k, opts.parallel) {
-        (Some(k), false) => Some(hypergraph::csr_kcore_with(h, k, &opts.deadline)?),
-        // Serial, yet ~2x the CSR peeler on large datasets: subset probes skip the overlap build.
-        (Some(k), true) => Some(parcore::par_hypergraph_kcore_with(h, k, &opts.deadline)?),
+    let core = match k {
+        // Subset probes skip the overlap build: ~2x the CSR peeler at every size.
+        Some(k) => Some(hypergraph::probe_kcore_with(h, k, &opts.deadline)?),
         // Maximum core: one incremental decomposition sweep.
-        (None, _) => hypergraph::max_core_with(h, &opts.deadline)?,
+        None => hypergraph::max_core_with(h, &opts.deadline)?,
     };
     match core {
         Some(c) if !c.is_empty() => {

@@ -72,8 +72,8 @@ pub struct ServerConfig {
     /// Wall-clock budget for reading one request head (slow-loris
     /// protection); exceeded → `408`.
     pub header_timeout_ms: u64,
-    /// Datasets with at least this many vertices route their heavy
-    /// queries (diameter, kcore) through the `parcore` kernels.
+    /// Datasets with at least this many vertices run the diameter sweep
+    /// on every core (`parcore`'s MS-BFS); no other query depends on it.
     pub par_threshold: usize,
 }
 

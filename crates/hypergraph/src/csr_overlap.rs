@@ -95,17 +95,16 @@ impl CsrOverlap {
     }
 
     /// Assemble from distinct overlap triples `(f, g, |f ∩ g|)` sorted by
-    /// `(f, g)` with `f < g` and positive counts — the format both the
-    /// sequential build and `parcore`'s sharded builder produce. Each
-    /// triple fills the `(f, g)` and `(g, f)` entries and links them via
-    /// `mirror`.
+    /// `(f, g)` with `f < g` and positive counts, as [`Self::build_with`]
+    /// produces them. Each triple fills the `(f, g)` and `(g, f)` entries
+    /// and links them via `mirror`.
     ///
     /// Rows come out sorted without any per-row sort: for a fixed row `e`,
     /// the mirror entries (from triples `(f, e)` with `f < e`) are
     /// appended in ascending `f` before any forward entry (from triples
     /// `(e, g)` with `g > e`, ascending in `g`), and every mirror neighbor
     /// `f < e` precedes every forward neighbor `g > e`.
-    pub fn from_triples(num_edges: usize, triples: &[(u32, u32, u32)]) -> Self {
+    fn from_triples(num_edges: usize, triples: &[(u32, u32, u32)]) -> Self {
         debug_assert!(triples
             .windows(2)
             .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));

@@ -266,17 +266,6 @@ pub fn decompose_with(
     deadline: &Deadline,
 ) -> Result<Decomposition, DeadlineExceeded> {
     let ov = CsrOverlap::build_with(h, deadline)?;
-    decompose_from_overlap(h, ov, deadline)
-}
-
-/// [`decompose_with`] starting from an already-built overlap table —
-/// `ov` must be freshly built from `h` (this is how `parcore` plugs its
-/// sharded parallel builder in front of the sequential sweep).
-pub fn decompose_from_overlap(
-    h: &Hypergraph,
-    ov: CsrOverlap,
-    deadline: &Deadline,
-) -> Result<Decomposition, DeadlineExceeded> {
     let _span = hgobs::Span::enter("kcore.decompose");
     let trace = deadline.trace();
     let mut p = CsrPeeler::new(h, ov);

@@ -87,21 +87,6 @@ pub fn ks_core(h: &Hypergraph, k: u32, s: u32) -> KsCore {
     }
 }
 
-/// The largest `k` with a non-empty (k, s)-core at fixed `s`, with that
-/// core; `None` if even `k = 1` is empty.
-pub fn max_ks_core(h: &Hypergraph, s: u32) -> Option<KsCore> {
-    let mut best: Option<KsCore> = None;
-    let mut k = 1u32;
-    loop {
-        let core = ks_core(h, k, s);
-        if core.is_empty() {
-            return best;
-        }
-        best = Some(core);
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,15 +183,6 @@ mod tests {
             let gv: Vec<u32> = d.k_core_nodes(k).iter().map(|u| u.0).collect();
             assert_eq!(hv, gv, "k = {k}");
         }
-    }
-
-    #[test]
-    fn max_ks_core_monotone_in_s() {
-        let h = toy();
-        let m1 = max_ks_core(&h, 1).unwrap();
-        let m4 = max_ks_core(&h, 4);
-        assert!(m1.k >= m4.map(|c| c.k).unwrap_or(0));
-        assert!(max_ks_core(&h, 5).is_none());
     }
 
     #[test]

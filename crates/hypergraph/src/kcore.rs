@@ -14,7 +14,10 @@
 //! decremented can newly become non-maximal, giving the paper's
 //! `O(|E|(Δ₂,F + Δ_V ln Δ₂,F))` bound. [`csr_kcore`](crate::csr_kcore)
 //! computes one k-core; the drivers here read every level from one
-//! [`decompose`](crate::decompose()) sweep. The oracle is
+//! [`decompose`](crate::decompose()) sweep. For one `k` without the
+//! overlap table, [`probe_kcore`](crate::probe_kcore()) tests
+//! containment by direct subset probes; it is the engine behind
+//! hgserve's `kcore?k=`. The oracle is
 //! [`naive_kcore`](crate::naive::naive_kcore), and the tests below pin
 //! the semantics on `csr_kcore`.
 //!

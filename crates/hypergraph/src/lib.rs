@@ -17,7 +17,9 @@
 //!   The paper's Fig. 4 algorithm, with its overlap-counting maximality
 //!   test, is [`csr_kcore`] for one `k` and the one-pass decomposition
 //!   [`decompose()`] behind `max_core`, `core_profile` and `core_numbers`;
-//!   [`naive`] holds the fixpoint oracle;
+//!   [`probe_kcore()`] is the level-synchronous subset-probe engine that
+//!   answers one `k` without an overlap table; [`naive`] holds the
+//!   fixpoint oracle;
 //! * reduced hypergraphs ([`reduce()`](crate::reduce())) and the flat
 //!   CSR pairwise overlap table ([`csr_overlap`]);
 //! * greedy, dual, and primal-dual **vertex covers** and multicovers
@@ -68,6 +70,7 @@ pub mod naive;
 pub mod pajek;
 pub mod path;
 pub mod powerlaw;
+pub mod probe_kcore;
 pub mod projections;
 pub mod reduce;
 pub mod relabel;
@@ -81,12 +84,10 @@ pub use components::{hypergraph_components, ComponentSummary, HyperComponents};
 pub use cover::{greedy_vertex_cover, is_vertex_cover, CoverError, CoverResult};
 pub use cover_dual::{dual_lower_bound, pricing_vertex_cover};
 pub use csr_overlap::CsrOverlap;
-pub use decompose::{
-    csr_kcore, csr_kcore_with, decompose, decompose_from_overlap, decompose_with, Decomposition,
-};
+pub use decompose::{csr_kcore, csr_kcore_with, decompose, decompose_with, Decomposition};
 pub use degree::{edge_degree_histogram, vertex_degree_histogram};
 pub use dual::dual;
-pub use generalized::{ks_core, max_ks_core, KsCore};
+pub use generalized::{ks_core, KsCore};
 pub use hgb::{
     open_hgb, write_hgb, write_hgb_file, HgbDataset, HgbError, HgbOpenMode, HgbOpenOptions,
     HgbStreamWriter,
@@ -105,6 +106,7 @@ pub use path::{
     scalar_hyper_distance_stats_from_with, HyperDistanceStats,
 };
 pub use powerlaw::{fit_power_law, PowerLawFit};
+pub use probe_kcore::{probe_kcore, probe_kcore_with};
 pub use projections::{clique_expansion, intersection_graph, star_expansion, SpaceReport};
 pub use reduce::{non_maximal_edges, reduce};
 pub use relabel::Relabeling;

@@ -11,7 +11,8 @@ use hypergraph::reduce::{non_maximal_edges, non_maximal_edges_naive};
 use hypergraph::validate::check_structure;
 use hypergraph::{
     csr_kcore, greedy_multicover, greedy_vertex_cover, is_multicover, is_vertex_cover,
-    pricing_vertex_cover, BipartiteView, Hypergraph, HypergraphBuilder, VertexId,
+    pricing_vertex_cover, probe_kcore, BipartiteView, CsrOverlap, Hypergraph, HypergraphBuilder,
+    VertexId,
 };
 
 /// Random hypergraph: up to `max_v` vertices, up to `max_e` edges of
@@ -284,5 +285,38 @@ proptest! {
             .collect();
         let hvertices: Vec<u32> = hcore.vertices.iter().map(|v| v.0).collect();
         prop_assert_eq!(hvertices, gvertices, "k = {}", k);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The subset-probe k-core == the naive oracle (vertices and edge
+    /// contents).
+    #[test]
+    fn par_kcore_equivalent((h, k) in arb_hypergraph(12, 12, 6).prop_flat_map(|h| (Just(h), 0u32..5))) {
+        let (nv, ne) = naive_kcore(&h, k);
+        let probe = probe_kcore(&h, k);
+        prop_assert_eq!(&nv, &probe.vertices, "k = {}", k);
+        prop_assert_eq!(
+            edge_contents(&h, &ne, &nv),
+            edge_contents(&h, &probe.edges, &probe.vertices),
+            "k = {}", k
+        );
+    }
+
+    /// The CSR overlap table == brute-force pin-set intersection.
+    #[test]
+    fn par_overlap_equivalent(h in arb_hypergraph(12, 10, 5)) {
+        let ov = CsrOverlap::build(&h);
+        for f in h.edges() {
+            for g in h.edges().filter(|&g| g != f) {
+                let pg = h.pins(g);
+                let shared = h.pins(f).iter().filter(|v| pg.contains(v)).count() as u32;
+                prop_assert_eq!(ov.overlap(f, g), shared, "({:?}, {:?})", f, g);
+            }
+            prop_assert_eq!(ov.overlap(f, f), 0);
+        }
+        prop_assert_eq!(ov.num_edges(), h.num_edges());
     }
 }

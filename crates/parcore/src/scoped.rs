@@ -1,6 +1,5 @@
-//! Scoped-thread parallelism on `std::thread::scope`: the one substrate
-//! in this crate that runs on more than one core (the vendored `rayon`
-//! executes serially). Two entry points share one fan-out:
+//! Scoped-thread parallelism on `std::thread::scope`: the workspace's
+//! one parallel substrate. Two entry points share one fan-out:
 //!
 //! * [`scoped_run`] — a fixed number of workers, one result each;
 //! * `split` — one worker per core, claiming item indices from a
