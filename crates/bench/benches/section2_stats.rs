@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| hypergraph_components(black_box(&ds.hypergraph)))
     });
     g.sample_size(20).measurement_time(Duration::from_secs(8));
-    g.bench_function("distance_stats_exact", |b| {
+    g.bench_function("hyper_distance_stats", |b| {
         b.iter(|| hyper_distance_stats(black_box(&giant)))
     });
     g.finish();

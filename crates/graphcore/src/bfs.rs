@@ -1,9 +1,6 @@
-//! Breadth-first search, shortest-path distances, diameter, and
-//! average path length — the small-world statistics of the paper's §2,
-//! computed on plain graphs (and reused by the hypergraph crate through its
-//! bipartite view).
-
-use hgobs::{Deadline, DeadlineExceeded};
+//! Breadth-first search on plain graphs: the scalar distance oracle that
+//! the hypergraph crate's path tests compare against through its
+//! bipartite view.
 
 use crate::graph::{Graph, NodeId};
 use crate::UNREACHABLE;
@@ -12,37 +9,11 @@ use crate::UNREACHABLE;
 ///
 /// Unreachable nodes get [`UNREACHABLE`]. O(n + m).
 pub fn bfs_distances(g: &Graph, source: NodeId) -> Vec<u32> {
-    match bfs_distances_with(g, source, &Deadline::none()) {
-        Ok(dist) => dist,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`bfs_distances`] under a cooperative [`Deadline`], checked every
-/// [`hgobs::CHECK_INTERVAL`] settled nodes. On expiry the error's
-/// `work_done` is the number of nodes settled.
-pub fn bfs_distances_with(
-    g: &Graph,
-    source: NodeId,
-    deadline: &Deadline,
-) -> Result<Vec<u32>, DeadlineExceeded> {
-    let mut tp = deadline.trace().phase("graph.bfs");
-    // Upfront check: the amortized tick only fires every CHECK_INTERVAL
-    // settled nodes, which a small graph may never reach.
-    if deadline.expired() {
-        return Err(deadline.exceeded("graph.bfs", 0));
-    }
     let mut dist = vec![UNREACHABLE; g.num_nodes()];
     let mut queue = std::collections::VecDeque::new();
-    let mut ticks = 0u32;
-    let mut settled = 0u64;
     dist[source.index()] = 0;
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
-        if deadline.tick(&mut ticks) {
-            return Err(deadline.exceeded("graph.bfs", settled));
-        }
-        settled += 1;
         let du = dist[u.index()];
         for &v in g.neighbors(u) {
             if dist[v.index()] == UNREACHABLE {
@@ -51,150 +22,7 @@ pub fn bfs_distances_with(
             }
         }
     }
-    tp.add_work(settled);
-    Ok(dist)
-}
-
-/// BFS that reuses caller-provided scratch buffers; used by the exact
-/// all-pairs sweeps so the per-source allocation disappears from the
-/// hot loop (perf-book: hoist allocations out of loops). The shared
-/// `ticks` counter amortizes deadline checks across the whole sweep;
-/// returns `false` when the deadline fired mid-BFS.
-pub(crate) fn bfs_into(
-    g: &Graph,
-    source: NodeId,
-    dist: &mut [u32],
-    queue: &mut std::collections::VecDeque<NodeId>,
-    deadline: &Deadline,
-    ticks: &mut u32,
-) -> bool {
-    dist.fill(UNREACHABLE);
-    queue.clear();
-    dist[source.index()] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        if deadline.tick(ticks) {
-            return false;
-        }
-        let du = dist[u.index()];
-        for &v in g.neighbors(u) {
-            if dist[v.index()] == UNREACHABLE {
-                dist[v.index()] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    true
-}
-
-/// Maximum finite distance from `source` (its eccentricity within its
-/// component). Returns 0 for an isolated node.
-pub fn eccentricity(g: &Graph, source: NodeId) -> u32 {
-    bfs_distances(g, source)
-        .into_iter()
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Aggregate distance statistics over all *reachable ordered pairs*
-/// (u, v), u ≠ v — the quantities behind the paper's "diameter 6,
-/// average path length 2.568" claim.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DistanceStats {
-    /// Largest finite pairwise distance.
-    pub diameter: u32,
-    /// Mean finite pairwise distance over reachable ordered pairs.
-    pub average_path_length: f64,
-    /// Number of reachable ordered pairs contributing to the mean.
-    pub reachable_pairs: u64,
-}
-
-/// Exact diameter and average path length by a BFS from every node:
-/// O(n (n + m)). Exact is fine at Cellzome scale (~1.4k + 232 nodes in
-/// the bipartite view); for larger inputs see [`distance_stats_sampled`].
-pub fn distance_stats_exact(g: &Graph) -> DistanceStats {
-    match distance_stats_exact_with(g, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`distance_stats_exact`] under a cooperative [`Deadline`]. Runs the
-/// batched MS-BFS engine ([`crate::msbfs`]): on expiry the error's
-/// phase is `"graph.msbfs"` and `work_done` counts completed batches of
-/// [`crate::msbfs::BATCH`] sources; the `graph.bfs.sources` counter
-/// still reflects completed sources. [`distance_stats_sampled_with`]
-/// remains the per-source scalar oracle.
-pub fn distance_stats_exact_with(
-    g: &Graph,
-    deadline: &Deadline,
-) -> Result<DistanceStats, DeadlineExceeded> {
-    crate::msbfs::msbfs_distance_stats_with(g, deadline)
-}
-
-/// Distance statistics estimated by BFS from `sources` chosen by the
-/// caller (e.g. a random sample). The diameter estimate is a lower bound;
-/// the average is over pairs (s, v) with s in `sources`.
-pub fn distance_stats_sampled(g: &Graph, sources: &[NodeId]) -> DistanceStats {
-    match distance_stats_sampled_with(g, sources, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`distance_stats_sampled`] under a cooperative [`Deadline`], checked
-/// every [`hgobs::CHECK_INTERVAL`] settled nodes across the whole sweep.
-pub fn distance_stats_sampled_with(
-    g: &Graph,
-    sources: &[NodeId],
-    deadline: &Deadline,
-) -> Result<DistanceStats, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("graph.bfs.sweep");
-    let mut diameter = 0u32;
-    let mut total = 0u128;
-    let mut pairs = 0u64;
-    let mut dist = vec![0u32; g.num_nodes()];
-    let mut queue = std::collections::VecDeque::new();
-    let mut ticks = 0u32;
-    let mut completed = 0u64;
-    for &u in sources {
-        // Per-source boundary check: negligible next to a BFS, and it
-        // makes expiry deterministic on graphs too small for the
-        // amortized tick to ever fire.
-        if deadline.expired() || !bfs_into(g, u, &mut dist, &mut queue, deadline, &mut ticks) {
-            hgobs::counter!("graph.bfs.sources", completed);
-            return Err(deadline.exceeded("graph.bfs.sweep", completed));
-        }
-        for (v, &d) in dist.iter().enumerate() {
-            if d != UNREACHABLE && v != u.index() {
-                diameter = diameter.max(d);
-                total += d as u128;
-                pairs += 1;
-            }
-        }
-        completed += 1;
-    }
-    hgobs::counter!("graph.bfs.sources", completed);
-    Ok(DistanceStats {
-        diameter,
-        average_path_length: if pairs == 0 {
-            0.0
-        } else {
-            total as f64 / pairs as f64
-        },
-        reachable_pairs: pairs,
-    })
-}
-
-/// Exact diameter (largest finite pairwise distance).
-pub fn diameter(g: &Graph) -> u32 {
-    distance_stats_exact(g).diameter
-}
-
-/// Exact average shortest-path length over reachable ordered pairs.
-pub fn average_path_length(g: &Graph) -> f64 {
-    distance_stats_exact(g).average_path_length
+    dist
 }
 
 #[cfg(test)]
@@ -229,54 +57,5 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], UNREACHABLE);
         assert_eq!(d[3], UNREACHABLE);
-    }
-
-    #[test]
-    fn diameter_of_path() {
-        assert_eq!(diameter(&path(6)), 5);
-    }
-
-    #[test]
-    fn eccentricity_center_vs_end() {
-        let g = path(5);
-        assert_eq!(eccentricity(&g, NodeId(0)), 4);
-        assert_eq!(eccentricity(&g, NodeId(2)), 2);
-    }
-
-    #[test]
-    fn average_path_length_path3() {
-        // path 0-1-2: ordered pairs distances 1,1,1,1,2,2 -> mean 8/6.
-        let apl = average_path_length(&path(3));
-        assert!((apl - 8.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stats_ignore_cross_component_pairs() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(NodeId(0), NodeId(1));
-        b.add_edge(NodeId(2), NodeId(3));
-        let g = b.build();
-        let s = distance_stats_exact(&g);
-        assert_eq!(s.diameter, 1);
-        assert_eq!(s.reachable_pairs, 4);
-        assert!((s.average_path_length - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_matches_exact_when_all_sources() {
-        let g = path(7);
-        let all: Vec<_> = g.nodes().collect();
-        let exact = distance_stats_exact(&g);
-        let sampled = distance_stats_sampled(&g, &all);
-        assert_eq!(exact, sampled);
-    }
-
-    #[test]
-    fn empty_graph_stats() {
-        let g = GraphBuilder::new(0).build();
-        let s = distance_stats_exact(&g);
-        assert_eq!(s.diameter, 0);
-        assert_eq!(s.reachable_pairs, 0);
-        assert_eq!(s.average_path_length, 0.0);
     }
 }

@@ -35,32 +35,6 @@ pub fn mean_local_clustering(g: &Graph) -> f64 {
     g.nodes().map(|u| local_clustering(g, u)).sum::<f64>() / n as f64
 }
 
-/// Global (transitivity) clustering coefficient:
-/// `3 * triangles / wedges`. Returns 0 when the graph has no wedge.
-pub fn global_clustering_coefficient(g: &Graph) -> f64 {
-    let mut triangles = 0u64;
-    let mut wedges = 0u64;
-    for u in g.nodes() {
-        let d = g.degree(u) as u64;
-        wedges += d * d.saturating_sub(1) / 2;
-        let nbrs = g.neighbors(u);
-        for (i, &a) in nbrs.iter().enumerate() {
-            for &b in &nbrs[i + 1..] {
-                if g.has_edge(a, b) {
-                    triangles += 1;
-                }
-            }
-        }
-    }
-    // Each triangle is counted once per corner, i.e. 3 times, which is
-    // exactly the numerator 3*T.
-    if wedges == 0 {
-        0.0
-    } else {
-        triangles as f64 / wedges as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +53,6 @@ mod tests {
         let g = triangle();
         assert_eq!(local_clustering(&g, NodeId(0)), 1.0);
         assert_eq!(mean_local_clustering(&g), 1.0);
-        assert_eq!(global_clustering_coefficient(&g), 1.0);
     }
 
     #[test]
@@ -89,7 +62,6 @@ mod tests {
         b.add_edge(NodeId(1), NodeId(2));
         let g = b.build();
         assert_eq!(mean_local_clustering(&g), 0.0);
-        assert_eq!(global_clustering_coefficient(&g), 0.0);
     }
 
     #[test]
@@ -106,9 +78,6 @@ mod tests {
         assert_eq!(local_clustering(&g, NodeId(3)), 0.0);
         // mean = (1/3 + 1 + 1 + 0)/4 = 7/12
         assert!((mean_local_clustering(&g) - 7.0 / 12.0).abs() < 1e-12);
-        // global: 3 triangles-count... wedges: node0: C(3,2)=3, nodes 1,2: 1 each -> 5.
-        // triangle corner count = 3 -> 3/5.
-        assert!((global_clustering_coefficient(&g) - 3.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -130,6 +99,5 @@ mod tests {
     fn empty_graph_clustering() {
         let g = GraphBuilder::new(0).build();
         assert_eq!(mean_local_clustering(&g), 0.0);
-        assert_eq!(global_clustering_coefficient(&g), 0.0);
     }
 }

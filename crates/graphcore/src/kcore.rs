@@ -7,8 +7,6 @@
 //! on the DIP protein-interaction graphs as the baseline its hypergraph
 //! k-core generalizes.
 
-use hgobs::{Deadline, DeadlineExceeded};
-
 use crate::graph::{Graph, NodeId};
 
 /// The full core decomposition of a graph.
@@ -66,30 +64,17 @@ impl CoreDecomposition {
 /// Implementation: counting-sort nodes by degree into a flat `vert` array
 /// with bucket starts `bin`, then peel in degree order, moving each
 /// affected neighbour one bucket down (constant time per degree decrement).
+/// Runs under the `graph.kcore` span and flushes the
+/// `graph.kcore.{nodes_peeled,degree_decrements}` counters.
 pub fn core_decomposition(g: &Graph) -> CoreDecomposition {
-    match core_decomposition_with(g, &Deadline::none()) {
-        Ok(decomp) => decomp,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`core_decomposition`] under a cooperative [`Deadline`], checked every
-/// [`hgobs::CHECK_INTERVAL`] peeled nodes. On expiry the error's
-/// `work_done` is the number of nodes peeled, and the partial peel count
-/// is still flushed to the `graph.kcore.nodes_peeled` counter.
-pub fn core_decomposition_with(
-    g: &Graph,
-    deadline: &Deadline,
-) -> Result<CoreDecomposition, DeadlineExceeded> {
     let _span = hgobs::Span::enter("graph.kcore");
-    let mut tp = deadline.trace().phase("graph.kcore.peel");
     let n = g.num_nodes();
     if n == 0 {
-        return Ok(CoreDecomposition {
+        return CoreDecomposition {
             core: Vec::new(),
             max_core: 0,
             peel_order: Vec::new(),
-        });
+        };
     }
 
     let mut degree: Vec<u32> = g.nodes().map(|u| g.degree(u) as u32).collect();
@@ -121,14 +106,8 @@ pub fn core_decomposition_with(
     let mut max_core = 0u32;
     let mut peel_order = Vec::with_capacity(n);
     let mut degree_decrements: u64 = 0;
-    let mut ticks = 0u32;
 
     for i in 0..n {
-        if deadline.tick(&mut ticks) {
-            hgobs::counter!("graph.kcore.nodes_peeled", i);
-            hgobs::counter!("graph.kcore.degree_decrements", degree_decrements);
-            return Err(deadline.exceeded("graph.kcore.peel", i as u64));
-        }
         let u = vert[i] as usize;
         let du = degree[u];
         core[u] = du;
@@ -157,50 +136,16 @@ pub fn core_decomposition_with(
         }
     }
 
-    tp.add_work(n as u64);
     hgobs::counter!("graph.kcore.nodes_peeled", n);
     hgobs::counter!("graph.kcore.degree_decrements", degree_decrements);
 
     // The peeling assigns core[u] = degree at removal; because degrees only
     // decrease as neighbours are peeled, this equals the core number.
-    Ok(CoreDecomposition {
+    CoreDecomposition {
         core,
         max_core,
         peel_order,
-    })
-}
-
-/// Extract the k-core as an induced subgraph.
-///
-/// Returns `(subgraph, node_map)` where `node_map[i]` is the original id of
-/// subgraph node `i`. The subgraph is empty when the k-core is empty.
-pub fn k_core_subgraph(g: &Graph, k: u32) -> (Graph, Vec<NodeId>) {
-    let decomp = core_decomposition(g);
-    induced_subgraph(g, &decomp.k_core_nodes(k))
-}
-
-/// Induced subgraph on `nodes` (which must be duplicate-free).
-///
-/// Returns `(subgraph, node_map)` with `node_map[i]` the original id of
-/// subgraph node `i`.
-pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-    let mut new_id = vec![u32::MAX; g.num_nodes()];
-    for (i, &u) in nodes.iter().enumerate() {
-        assert!(
-            new_id[u.index()] == u32::MAX,
-            "duplicate node {u:?} in induced_subgraph"
-        );
-        new_id[u.index()] = i as u32;
     }
-    let mut b = crate::GraphBuilder::new(nodes.len());
-    for &u in nodes {
-        for &v in g.neighbors(u) {
-            if new_id[v.index()] != u32::MAX && u < v {
-                b.add_edge(NodeId(new_id[u.index()]), NodeId(new_id[v.index()]));
-            }
-        }
-    }
-    (b.build(), nodes.to_vec())
 }
 
 #[cfg(test)]
@@ -287,17 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn k_core_subgraph_is_k4() {
-        let g = fig2_like();
-        let (sub, map) = k_core_subgraph(&g, 3);
-        assert_eq!(sub.num_nodes(), 4);
-        assert_eq!(sub.num_edges(), 6);
-        assert_eq!(map.len(), 4);
-        // Every node of the 3-core has degree >= 3 inside it.
-        assert!(sub.nodes().all(|u| sub.degree(u) >= 3));
-    }
-
-    #[test]
     fn peel_order_nondecreasing_core() {
         let g = fig2_like();
         let d = core_decomposition(&g);
@@ -305,34 +239,9 @@ mod tests {
         assert!(cores.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    #[test]
-    fn unlimited_deadline_matches_plain_decomposition() {
-        let g = fig2_like();
-        let a = core_decomposition(&g);
-        let b = core_decomposition_with(&g, &Deadline::none()).unwrap();
-        assert_eq!(a.core, b.core);
-        assert_eq!(a.max_core, b.max_core);
-        assert_eq!(a.peel_order, b.peel_order);
-    }
-
-    #[test]
-    fn deadline_fires_mid_peel_with_partial_node_count() {
-        // Big path graph: the peel loop dominates. A pre-expired deadline
-        // must stop within the first tick window with a partial count.
-        let n = 200_000u32;
-        let mut b = GraphBuilder::new(n as usize);
-        for i in 1..n {
-            b.add_edge(NodeId(i - 1), NodeId(i));
-        }
-        let g = b.build();
-        let err =
-            core_decomposition_with(&g, &Deadline::after(std::time::Duration::ZERO)).unwrap_err();
-        assert_eq!(err.phase, "graph.kcore.peel");
-        assert!(err.work_done < n as u64, "{err:?}");
-    }
-
-    /// Definitional check: within the k-core subgraph every node has degree
-    /// ≥ k, and the (k+1)-core with k = max_core is empty.
+    /// Definitional check: every node with core number ≥ k has at least
+    /// k neighbours whose core number is also ≥ k, and no node reaches
+    /// max_core + 1.
     #[test]
     fn core_definition_holds_on_random_like_graph() {
         // Deterministic pseudo-random graph via a simple LCG.
@@ -355,15 +264,18 @@ mod tests {
         let g = b.build();
         let d = core_decomposition(&g);
         for k in 1..=d.max_core {
-            let (sub, _) = k_core_subgraph(&g, k);
-            if sub.num_nodes() > 0 {
+            for u in d.k_core_nodes(k) {
+                let inside = g
+                    .neighbors(u)
+                    .iter()
+                    .filter(|&&v| d.core_number(v) >= k)
+                    .count();
                 assert!(
-                    sub.nodes().all(|u| sub.degree(u) >= k as usize),
-                    "k={k}: some node has degree < k in the k-core"
+                    inside >= k as usize,
+                    "k={k}: node {u:?} has {inside} < k neighbours in the k-core"
                 );
             }
         }
-        let (above, _) = k_core_subgraph(&g, d.max_core + 1);
-        assert_eq!(above.num_nodes(), 0);
+        assert!(d.k_core_nodes(d.max_core + 1).is_empty());
     }
 }

@@ -1,13 +1,21 @@
-//! `graphcore` — a compact, dependency-free substrate for simple undirected
-//! graphs, used by the hypergraph library for everything that reduces to a
-//! plain graph: the bipartite drawing graph `B(H)` of a hypergraph, the
-//! protein–protein interaction (PPI) baselines from DIP, and the lossy
-//! clique/star/intersection projections the paper argues against.
+//! `graphcore` — the plain-graph substrate behind the paper's baselines.
 //!
-//! The design follows the Rust performance-book idioms for graph kernels:
-//! a frozen CSR ([`Graph`]) built once from an edge list ([`GraphBuilder`]),
-//! `u32` node ids ([`NodeId`]), flat `Vec` storage, and no per-node
-//! allocation on any hot path.
+//! The paper uses plain graphs only to argue against them, and this crate
+//! holds what that argument needs:
+//!
+//! * a frozen CSR [`Graph`] built once from an edge list
+//!   ([`GraphBuilder`]) with `u32` node ids ([`NodeId`]), flat `Vec`
+//!   storage and no per-node allocation — the hypergraph crate builds the
+//!   bipartite drawing graph `B(H)` and the lossy clique/star/intersection
+//!   projections on it;
+//! * the linear-time graph k-core ([`core_decomposition`]) that the
+//!   hypergraph k-core generalizes, run on the Fig. 2 example and the DIP
+//!   protein-interaction baselines;
+//! * local clustering ([`mean_local_clustering`]), which shows how the
+//!   clique expansion inflates clustering;
+//! * connected components, [`UnionFind`], degree statistics, and the
+//!   scalar [`bfs_distances`] the hypergraph path tests use as an oracle;
+//! * Pajek `.net` / `.clu` I/O ([`pajek`]).
 //!
 //! # Quick start
 //!
@@ -32,38 +40,22 @@
 //! ```
 
 pub mod bfs;
-pub mod bitset;
 pub mod builder;
-pub mod centrality;
 pub mod clustering;
 pub mod components;
-pub mod correlation;
 pub mod degree;
 pub mod graph;
 pub mod kcore;
-pub mod msbfs;
 pub mod pajek;
 pub mod unionfind;
 
-pub use bfs::{
-    average_path_length, bfs_distances, bfs_distances_with, diameter, distance_stats_exact,
-    distance_stats_exact_with, distance_stats_sampled, distance_stats_sampled_with, eccentricity,
-    DistanceStats,
-};
+pub use bfs::bfs_distances;
 pub use builder::GraphBuilder;
-pub use centrality::{betweenness, betweenness_normalized};
-pub use clustering::{global_clustering_coefficient, local_clustering, mean_local_clustering};
+pub use clustering::{local_clustering, mean_local_clustering};
 pub use components::{connected_components, Components};
-pub use correlation::{degree_assortativity, mean_neighbor_degree_profile};
 pub use degree::{degree_histogram, DegreeStats};
 pub use graph::{Graph, NodeId};
-pub use kcore::{core_decomposition, core_decomposition_with, k_core_subgraph, CoreDecomposition};
-pub use msbfs::{
-    msbfs_distance_stats as graph_msbfs_distance_stats,
-    msbfs_distance_stats_from as graph_msbfs_distance_stats_from,
-    msbfs_distance_stats_from_with as graph_msbfs_distance_stats_from_with,
-    msbfs_distance_stats_with as graph_msbfs_distance_stats_with, GraphMsBfsScratch,
-};
+pub use kcore::{core_decomposition, CoreDecomposition};
 pub use unionfind::UnionFind;
 
 /// Distance value used throughout: `u32::MAX` encodes "unreachable".

@@ -61,6 +61,9 @@ pub fn parse_net(text: &str) -> Result<(Graph, Vec<String>), String> {
         .trim()
         .parse()
         .map_err(|e| format!("bad vertex count: {e}"))?;
+    if n > u32::MAX as usize {
+        return Err(format!("vertex count {n} exceeds u32::MAX"));
+    }
 
     let mut labels: Vec<String> = (1..=n).map(|i| format!("v{i}")).collect();
     let mut builder = crate::GraphBuilder::new(n);
@@ -162,5 +165,6 @@ mod tests {
         assert!(parse_net("*Vertices x").is_err());
         assert!(parse_net("*Vertices 2\n*Edges\n1 5").is_err());
         assert!(parse_net("*Vertices 1\n*Matrix").is_err());
+        assert!(parse_net("*Vertices 4294967296\n").is_err());
     }
 }

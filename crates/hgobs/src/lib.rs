@@ -15,8 +15,8 @@
 //! - **Disabled by default, near-zero cost when off.** Every recording
 //!   call first checks one relaxed atomic load ([`enabled`]); when the
 //!   sink is off, [`Span::enter`] allocates nothing and `counter!` /
-//!   `hist!` are a branch over a load. The `obs_overhead` bench in
-//!   `crates/bench` pins the disabled-path overhead under 2%.
+//!   `hist!` are a branch over a load. The `obs_overhead` test in
+//!   `crates/bench` holds the disabled-path overhead under 2%.
 //! - **Thread-safe.** The registry lives behind a `parking_lot` mutex;
 //!   span nesting uses a thread-local name stack, so spans opened on
 //!   worker threads aggregate under that thread's own root.

@@ -15,7 +15,7 @@
 //!
 //! [`TraceCtx::disabled`] is a `None`: opening a phase is one branch and
 //! no clock read, which is what keeps the kernel hot paths inside the
-//! `obs_overhead` bench's <2% budget. An enabled context allocates one
+//! `obs_overhead` test's <2% budget. An enabled context allocates one
 //! `Arc` per request and takes a short mutex section per *event* (a
 //! batch, a peel level, a shard — never per vertex).
 //!

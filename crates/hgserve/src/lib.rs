@@ -100,6 +100,9 @@
 //! handle.shutdown();
 //! ```
 
+// Every `unsafe` block and impl states the condition it relies on.
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod cache;
 pub mod http;
 pub mod loadgen;

@@ -84,6 +84,8 @@ struct WakeFd(RawFd);
 #[cfg(unix)]
 impl Drop for WakeFd {
     fn drop(&mut self) {
+        // SAFETY: `self.0` is a descriptor this `WakeFd` owns alone, and
+        // drop runs once, so it is closed exactly once.
         unsafe {
             sys::close(self.0);
         }
@@ -132,6 +134,8 @@ pub fn wake_fd(fd: RawFd) {
         return;
     }
     let one: u64 = 1;
+    // SAFETY: the buffer is the 8 bytes of the live local `one`, which
+    // write(2) only reads.
     unsafe {
         sys::write(fd, (&one as *const u64).cast(), 8);
     }
@@ -145,6 +149,8 @@ pub fn wake_fd(_fd: RawFd) {}
 fn drain_fd(fd: RawFd) {
     let mut buf = [0u8; 64];
     loop {
+        // SAFETY: `buf` is a live local of exactly `buf.len()` writable
+        // bytes, so read(2) stays in bounds.
         let n = unsafe { sys::read(fd, buf.as_mut_ptr(), buf.len()) };
         if n < buf.len() as isize {
             return;
@@ -211,13 +217,17 @@ pub struct Poller {
 impl Poller {
     pub fn new() -> io::Result<Poller> {
         use epoll_sys::*;
+        // SAFETY: no pointer arguments; the result is checked below.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
+        // SAFETY: no pointer arguments; the result is checked below.
         let wfd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
         if wfd < 0 {
             let err = io::Error::last_os_error();
+            // SAFETY: `epfd` was created above, is owned only here, and
+            // is closed once before returning.
             unsafe { sys::close(epfd) };
             return Err(err);
         }
@@ -225,8 +235,12 @@ impl Poller {
             events: EPOLLIN | EPOLLET,
             data: WAKER_TOKEN,
         };
+        // SAFETY: `ev` is a live `EpollEvent` in the kernel's layout,
+        // read by the kernel only for the duration of the call.
         if unsafe { epoll_ctl(epfd, EPOLL_CTL_ADD, wfd, &mut ev) } != 0 {
             let err = io::Error::last_os_error();
+            // SAFETY: both descriptors were created above, are owned
+            // only here, and are closed once before returning.
             unsafe {
                 sys::close(wfd);
                 sys::close(epfd);
@@ -263,6 +277,8 @@ impl Poller {
             events: Self::events_mask(interest),
             data: token,
         };
+        // SAFETY: `ev` is a live `EpollEvent` in the kernel's layout,
+        // read by the kernel only for the duration of the call.
         if unsafe { epoll_sys::epoll_ctl(self.epfd, op, fd, &mut ev) } != 0 {
             return Err(io::Error::last_os_error());
         }
@@ -293,6 +309,8 @@ impl Poller {
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         use epoll_sys::*;
         events.clear();
+        // SAFETY: `buf` holds `buf.len()` initialized `EpollEvent`s and
+        // the kernel writes at most `maxevents = buf.len()` of them.
         let n = unsafe {
             epoll_wait(
                 self.epfd,
@@ -339,6 +357,8 @@ impl Poller {
 #[cfg(target_os = "linux")]
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` is owned by this poller alone, and drop runs
+        // once, so it is closed exactly once.
         unsafe {
             sys::close(self.epfd);
         }
@@ -393,13 +413,19 @@ impl Poller {
     pub fn new() -> io::Result<Poller> {
         use poll_sys::*;
         let mut ends = [0i32; 2];
+        // SAFETY: `ends` is a live `[i32; 2]`, exactly the two slots
+        // pipe(2) writes.
         if unsafe { pipe(ends.as_mut_ptr()) } != 0 {
             return Err(io::Error::last_os_error());
         }
         for fd in ends {
+            // SAFETY: no pointer arguments; the result is checked below.
             let flags = unsafe { fcntl(fd, F_GETFL, 0) };
+            // SAFETY: as above; `F_SETFL` takes an integer argument.
             if flags < 0 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
                 let err = io::Error::last_os_error();
+                // SAFETY: both pipe ends were created above, are owned
+                // only here, and are closed once before returning.
                 unsafe {
                     sys::close(ends[0]);
                     sys::close(ends[1]);
@@ -465,6 +491,8 @@ impl Poller {
                 revents: 0,
             });
         }
+        // SAFETY: `buf` holds `buf.len()` initialized `PollFd`s, which
+        // poll(2) reads and whose `revents` it writes in place.
         let n = unsafe { poll(self.buf.as_mut_ptr(), self.buf.len(), timeout_ms(timeout)) };
         if n < 0 {
             let err = io::Error::last_os_error();

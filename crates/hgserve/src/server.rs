@@ -1179,6 +1179,9 @@ pub fn install_sigint_flag() -> &'static AtomicBool {
     }
     const SIGINT: i32 = 2;
     let handler: extern "C" fn(i32) = on_sigint;
+    // SAFETY: `on_sigint` is a program-lifetime `extern "C" fn(i32)`
+    // that does only async-signal-safe work (one atomic store and one
+    // write(2)), which is all signal(2) requires of a handler.
     unsafe {
         signal(SIGINT, handler as usize);
     }
@@ -1289,6 +1292,30 @@ mod tests {
         let r = route(&state, &req);
         assert_eq!(r.status, 400);
         assert!(r.body.contains("line 3"), "{}", r.body);
+    }
+
+    #[test]
+    fn post_hostile_header_counts_are_400_and_server_keeps_answering() {
+        // Declared counts that once panicked a parser (ids past u32) or
+        // aborted the process (allocations sized by the declared count).
+        let state = toy_state();
+        let mtx = "%%MatrixMarket matrix coordinate real general\n";
+        let cases = [
+            ("hgr", "0 4294967296\n".to_string()),
+            ("hgr", "1000000000000 1\n1\n".to_string()),
+            ("pajek", "*Vertices 4294967296\n".to_string()),
+            ("mtx", format!("{mtx}2 2 1000000000000\n1 1 1\n")),
+            ("mtx", format!("{mtx}4294967297 1 1\n1 1 1\n")),
+        ];
+        for (format, body) in cases {
+            let mut req = get(&format!("/datasets?name=hostile&format={format}"));
+            req.method = "POST".to_string();
+            req.body = body.clone().into_bytes();
+            let r = route(&state, &req);
+            assert_eq!(r.status, 400, "{format} {body:?}: {}", r.body);
+        }
+        assert_eq!(route(&state, &get("/healthz")).status, 200);
+        assert_eq!(route(&state, &get("/v1/hostile/stats")).status, 404);
     }
 
     #[test]

@@ -131,6 +131,8 @@ fn pad_to(len: usize) -> usize {
 fn write_u32s(w: &mut impl Write, xs: &[u32]) -> std::io::Result<()> {
     #[cfg(target_endian = "little")]
     {
+        // SAFETY: `xs` is `4 * xs.len()` initialized bytes with no
+        // padding, and `u8` has alignment 1.
         let bytes = unsafe { std::slice::from_raw_parts(xs.as_ptr() as *const u8, xs.len() * 4) };
         w.write_all(bytes)
     }
@@ -188,11 +190,13 @@ impl SectionData<'_> {
 }
 
 fn ids_as_u32(ids: &[VertexId]) -> &[u32] {
-    // repr(transparent) — see `storage.rs`.
+    // SAFETY: `VertexId` is `repr(transparent)` over `u32`, so the slice
+    // reinterprets in place with the same length.
     unsafe { std::slice::from_raw_parts(ids.as_ptr() as *const u32, ids.len()) }
 }
 
 fn eids_as_u32(ids: &[EdgeId]) -> &[u32] {
+    // SAFETY: `EdgeId` is `repr(transparent)` over `u32`, as above.
     unsafe { std::slice::from_raw_parts(ids.as_ptr() as *const u32, ids.len()) }
 }
 

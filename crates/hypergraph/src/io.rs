@@ -76,7 +76,8 @@ fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
         .filter(|(_, l)| !l.trim_start().starts_with('%'))
 }
 
-/// Parse the `<num_hyperedges> <num_vertices>` header line.
+/// Parse the `<num_hyperedges> <num_vertices>` header line. The vertex
+/// count must fit the `u32` ids the CSR stores.
 fn parse_header(header_no: usize, header: &str) -> Result<(usize, usize), HgrError> {
     let mut it = header.split_whitespace();
     let m: usize = it
@@ -89,6 +90,12 @@ fn parse_header(header_no: usize, header: &str) -> Result<(usize, usize), HgrErr
         .ok_or_else(|| HgrError::at(header_no, "missing vertex count"))?
         .parse()
         .map_err(|e| HgrError::at(header_no, format!("bad vertex count: {e}")))?;
+    if n > u32::MAX as usize {
+        return Err(HgrError::at(
+            header_no,
+            format!("vertex count {n} exceeds u32::MAX"),
+        ));
+    }
     Ok((m, n))
 }
 
@@ -107,16 +114,19 @@ pub fn read_hgr(text: &str) -> Result<Hypergraph, HgrError> {
         .next()
         .ok_or_else(|| HgrError::whole("empty document"))?;
     let (m, n) = parse_header(header_no, header)?;
-    assert!(n <= u32::MAX as usize, "vertex count exceeds u32");
+    let mut edge_lines = 0usize;
     let mut total_pins = 0usize;
     for (_, line) in lines.take(m) {
+        edge_lines += 1;
         total_pins += line.split_whitespace().count();
     }
 
     // Pass 2: fill the CSR in place, reproducing the single-pass error
     // paths (message, line number, and firing order are identical).
     let mut pins: Vec<u32> = Vec::with_capacity(total_pins);
-    let mut offsets: Vec<u32> = Vec::with_capacity(m + 1);
+    // Sized by the lines the text holds, not the declared count, so a
+    // hostile header cannot drive the allocation.
+    let mut offsets: Vec<u32> = Vec::with_capacity(edge_lines + 1);
     offsets.push(0);
     let mut lines = content_lines(text);
     lines.next(); // header, already parsed
@@ -215,6 +225,8 @@ mod tests {
         assert!(read_hgr("1 2\n0\n").is_err()); // ids are 1-based
         assert!(read_hgr("2 2\n1\n").is_err()); // too few edge lines
         assert!(read_hgr("1 2\n1\n2\n").is_err()); // too many edge lines
+        assert_eq!(read_hgr("0 4294967296\n").unwrap_err().line, Some(1)); // ids past u32
+        assert!(read_hgr("1000000000000 1\n1\n").is_err()); // count far past the lines
     }
 
     #[test]

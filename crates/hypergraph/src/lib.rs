@@ -10,6 +10,8 @@
 //! * the bipartite drawing graph `B(H)` ([`bipartite`]) and hypergraph
 //!   paths/distances/diameter ([`path`]) where the length of a path is the
 //!   *number of hyperedges* on it;
+//! * the batched multi-source BFS engine behind the diameter sweeps
+//!   ([`msbfs`]) and its lane masks and summary bitmaps ([`bitset`]);
 //! * connected components ([`components`]) and degree statistics /
 //!   power-law fitting ([`degree`], [`powerlaw`]);
 //! * the hypergraph **k-core** ([`kcore`]): the maximal *reduced*
@@ -50,7 +52,11 @@
 //! assert_eq!(cover.vertices, vec![VertexId(2)]);
 //! ```
 
+// Every `unsafe` block and impl states the condition it relies on.
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod bipartite;
+pub mod bitset;
 pub mod builder;
 pub mod components;
 pub mod cover;

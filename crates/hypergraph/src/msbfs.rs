@@ -24,9 +24,9 @@
 //!    (source, vertex) pairs into the accumulators on the spot.
 //!
 //! Both passes are driven by word-level summary bitmaps
-//! ([`graphcore::bitset`]): bit `v` of the summary is set exactly when
+//! ([`crate::bitset`]): bit `v` of the summary is set exactly when
 //! frontier word `v` is nonzero, so a level only ever touches its active
-//! words. A flat watermark scan ([`graphcore::bitset::scan_active`])
+//! words. A flat watermark scan ([`crate::bitset::scan_active`])
 //! picks the strategy per level — sparse levels walk summary bits and
 //! skip all-zero stretches outright, dense levels scan the watermark
 //! range flat — and the skipped-word / pass-mode tallies surface as
@@ -50,9 +50,9 @@
 //! the same amortized-tick contract as the scalar sweeps; expiry surfaces
 //! phase `"msbfs"` and the number of *batches* fully completed.
 
-use graphcore::bitset;
 use hgobs::{Deadline, DeadlineExceeded};
 
+use crate::bitset;
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 use crate::path::HyperDistanceStats;
 

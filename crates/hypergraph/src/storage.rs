@@ -54,9 +54,12 @@ pub struct MapRegion {
     len: usize,
 }
 
-// The region is read-only for its whole lifetime and unmapped exactly
-// once (owned behind `Arc`), so sharing across threads is sound.
+// SAFETY: a `MapRegion` owns its mapping: `ptr` addresses a read-only
+// region unmapped exactly once, on drop, and `len` is a plain integer,
+// so moving the owner to another thread cannot race.
 unsafe impl Send for MapRegion {}
+// SAFETY: no `&MapRegion` method writes through `ptr` or changes `len`,
+// so shared access from many threads only reads the mapping.
 unsafe impl Sync for MapRegion {}
 
 impl std::fmt::Debug for MapRegion {
@@ -89,6 +92,10 @@ mod sys {
 
     /// Map `file` read-only. `len` must be the file's length and > 0.
     pub(super) fn map_file(file: &std::fs::File, len: usize) -> std::io::Result<*const u8> {
+        // SAFETY: a null hint, a nonzero `len` (checked by the caller) and
+        // a descriptor open for the call; `PROT_READ` + `MAP_PRIVATE`
+        // means nothing writes through the mapping, and the result is
+        // checked against `MAP_FAILED` before use.
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),
@@ -106,6 +113,8 @@ mod sys {
     }
 
     pub(super) fn unmap(ptr: *const u8, len: usize) {
+        // SAFETY: `ptr`/`len` are exactly what `map_file` returned for one
+        // region, and its `Drop` (the only caller) runs once.
         unsafe {
             munmap(ptr as *mut core::ffi::c_void, len);
         }
@@ -159,6 +168,8 @@ impl MapRegion {
     /// The whole region as a byte slice.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
+        // SAFETY: `ptr` addresses `len` bytes mapped `PROT_READ` for as
+        // long as `self` lives, and this process never writes through them.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
@@ -175,6 +186,9 @@ impl MapRegion {
             .expect("section range overflow");
         assert!(end <= self.len, "section out of bounds");
         assert!(byte_off % 4 == 0, "section misaligned");
+        // SAFETY: the asserts keep the range inside the mapping and
+        // 4-aligned (the base is page-aligned); every bit pattern is a
+        // valid `u32`; lifetime and read-only use are as in `bytes`.
         unsafe { std::slice::from_raw_parts(self.ptr.add(byte_off) as *const u32, count) }
     }
 }
@@ -227,11 +241,14 @@ pub(crate) enum Storage {
 // `&[u32]` section can be reinterpreted as a typed id slice.
 #[inline]
 fn as_vertex_ids(raw: &[u32]) -> &[VertexId] {
+    // SAFETY: `VertexId` is `repr(transparent)` over `u32`: same size,
+    // alignment and validity, so the slice reinterprets in place.
     unsafe { std::slice::from_raw_parts(raw.as_ptr() as *const VertexId, raw.len()) }
 }
 
 #[inline]
 fn as_edge_ids(raw: &[u32]) -> &[EdgeId] {
+    // SAFETY: `EdgeId` is `repr(transparent)` over `u32`, as above.
     unsafe { std::slice::from_raw_parts(raw.as_ptr() as *const EdgeId, raw.len()) }
 }
 

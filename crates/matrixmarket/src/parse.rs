@@ -85,8 +85,17 @@ pub fn parse_mtx(text: &str) -> Result<CoordMatrix, MtxError> {
         .ok_or_else(|| err("missing nnz count"))?
         .parse()
         .map_err(|e| err(format!("bad nnz count: {e}")))?;
+    if nrows > u32::MAX as usize || ncols > u32::MAX as usize {
+        return Err(err(format!(
+            "size {nrows} x {ncols} exceeds u32::MAX rows or columns"
+        )));
+    }
 
-    let mut triplets: Vec<(u32, u32, f64)> = Vec::with_capacity(if mirror { 2 * nnz } else { nnz });
+    // Reserve for the entry lines the text holds, not the declared nnz,
+    // so a hostile size line cannot drive the allocation.
+    let entries = lines.clone().count().min(nnz);
+    let mut triplets: Vec<(u32, u32, f64)> =
+        Vec::with_capacity(if mirror { 2 * entries } else { entries });
     let mut parsed = 0usize;
     for line in lines {
         let t = line.trim();
@@ -214,6 +223,16 @@ mod tests {
                 .is_err()
         );
         assert!(parse_mtx("garbage\n1 1 0\n").is_err());
+        // Hostile size lines: an nnz far beyond the entries present (must
+        // not size any allocation), and a row count past u32.
+        assert!(parse_mtx(
+            "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n1 1 1\n"
+        )
+        .is_err());
+        assert!(parse_mtx(
+            "%%MatrixMarket matrix coordinate real general\n4294967297 1 1\n1 1 1\n"
+        )
+        .is_err());
     }
 
     #[test]
