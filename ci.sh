@@ -22,9 +22,13 @@
 #     "threads" (the par_msbfs splitter width) is 2 or more, the
 #     par_msbfs median on the scaled instance must also be >= 1.3x
 #     faster than the msbfs median (a ratio within one run, so it needs
-#     no baseline). A run that trips any of these is retried once:
-#     noise spikes clear on the second attempt, real regressions fail
-#     both.
+#     no baseline). Beside that floor the gate prints, and puts in its
+#     failure message, how much more work two concurrent copies of a
+#     fixed CPU loop get done than one in the same wall time (2.00x on
+#     two free cores, 1.00x when the host runs both on one): a floor
+#     failure with a burn near 1x is the host, one near 2x is the code.
+#     A run that trips any of these is retried once: noise spikes clear
+#     on the second attempt, real regressions fail both.
 #   * bench/serve-baseline.json stores the loadgen p99 ceiling: the
 #     steady-state p99 (400 requests, concurrency 4, warmed cache) is
 #     measured three times and the WORST pass is stored x3 for runner
@@ -116,6 +120,27 @@ set_idle_conns() {
     fi
 }
 
+# One fixed CPU-bound loop, about a second on one core.
+burn_cpu() {
+    awk 'BEGIN { s = 0; for (i = 0; i < 20000000; i++) s += i; print s }' >/dev/null
+}
+
+# Print the two-copy CPU burn ratio as a decimal, e.g. `1.97`: twice the
+# wall time of one burn_cpu over that of two concurrent copies.
+cpu_burn_ratio() {
+    T0=$(date +%s%N)
+    burn_cpu
+    T1=$(date +%s%N)
+    burn_cpu &
+    BURN_A=$!
+    burn_cpu &
+    BURN_B=$!
+    wait "$BURN_A" "$BURN_B"
+    T2=$(date +%s%N)
+    RATIO=$((200 * (T1 - T0) / (T2 - T1)))
+    printf '%d.%02d\n' $((RATIO / 100)) $((RATIO % 100))
+}
+
 run_bench() {
     echo "==> cargo build --release (bench)"
     cargo build --workspace --release -q
@@ -184,9 +209,10 @@ run_bench() {
             exit 1
         fi
         if [ "$THREADS" -ge 2 ]; then
-            echo "bench: par_msbfs median ${PAR_MED}us vs msbfs ${MS_MED}us on $THREADS threads (floor 1.3x)"
+            BURN=$(cpu_burn_ratio)
+            echo "bench: par_msbfs median ${PAR_MED}us vs msbfs ${MS_MED}us on $THREADS threads (floor 1.3x; two-copy CPU burn ${BURN}x)"
             if [ $((PAR_MED * 13)) -gt $((MS_MED * 10)) ]; then
-                OVER="$OVER par_msbfs_speedup<1.3x(par_msbfs=${PAR_MED}us,msbfs=${MS_MED}us)"
+                OVER="$OVER par_msbfs_speedup<1.3x(par_msbfs=${PAR_MED}us,msbfs=${MS_MED}us,cpu_burn=${BURN}x)"
             fi
         else
             echo "bench: threads=1, skipping the par_msbfs speedup floor"
@@ -322,9 +348,12 @@ echo "==> hgperf build + unit tests"
 # before the benchmark runs. Its Cargo.lock and target/ are ignored.
 cargo test --offline -q --manifest-path hgperf/Cargo.toml
 
-echo "==> hgserve e2e + robustness (release)"
+echo "==> hgserve e2e + robustness + event loop (release)"
+# The event-loop suite's hit-path tests (a hit answered while the only
+# worker runs a sweep) depend on release timing.
 cargo test -p hgserve --release --test e2e -q
 cargo test -p hgserve --release --test robustness -q
+cargo test -p hgserve --release --test event_loop -q
 
 echo "==> hgserve smoke (hg serve on an ephemeral port + curl)"
 start_server

@@ -7,6 +7,7 @@
 //! instead of undefined behavior.
 
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Maximum accepted size of the request line plus all headers.
@@ -398,7 +399,9 @@ pub fn status_reason(status: u16) -> &'static str {
 pub struct Response {
     pub status: u16,
     pub content_type: &'static str,
-    pub body: String,
+    /// Shared so a cached answer is written out without a copy: a cache
+    /// hit's body is the cache's own allocation.
+    pub body: Arc<String>,
     /// When set, emitted as a `Retry-After: <seconds>` header — used by
     /// the 503 shed path so well-behaved clients back off.
     pub retry_after: Option<u32>,
@@ -408,11 +411,11 @@ pub struct Response {
 }
 
 impl Response {
-    pub fn json(status: u16, body: String) -> Self {
+    pub fn json(status: u16, body: impl Into<Arc<String>>) -> Self {
         Response {
             status,
             content_type: "application/json",
-            body,
+            body: body.into(),
             retry_after: None,
             extra_headers: Vec::new(),
         }
@@ -422,7 +425,7 @@ impl Response {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
-            body,
+            body: Arc::new(body),
             retry_after: None,
             extra_headers: Vec::new(),
         }
@@ -483,13 +486,10 @@ impl Response {
         w.flush()
     }
 
-    /// Serialize into `(head, body)` byte chunks for the event loop's
-    /// vectored nonblocking writeout.
-    pub fn to_bytes(&self, close: bool) -> (Vec<u8>, Vec<u8>) {
-        (
-            self.head_string(close).into_bytes(),
-            self.body.clone().into_bytes(),
-        )
+    /// Serialize into the event loop's two writeout chunks: the rendered
+    /// head and the shared body, which is not copied.
+    pub fn to_bytes(&self, close: bool) -> (Vec<u8>, Arc<String>) {
+        (self.head_string(close).into_bytes(), Arc::clone(&self.body))
     }
 }
 
@@ -578,7 +578,7 @@ mod tests {
     #[test]
     fn response_serialization() {
         let mut out = Vec::new();
-        Response::json(200, "{}".into())
+        Response::json(200, "{}".to_string())
             .write_to(&mut out, true)
             .unwrap();
         let s = String::from_utf8(out).unwrap();
@@ -606,7 +606,7 @@ mod tests {
     #[test]
     fn extra_headers_emitted_before_body() {
         let mut out = Vec::new();
-        Response::json(200, "{}".into())
+        Response::json(200, "{}".to_string())
             .with_header("X-Trace-Id", "00000000deadbeef".into())
             .write_to(&mut out, false)
             .unwrap();
@@ -724,14 +724,14 @@ mod tests {
     #[test]
     fn response_to_bytes_matches_write_to() {
         for close in [true, false] {
-            let resp = Response::json(200, "{\"ok\":true}\n".into())
+            let resp = Response::json(200, "{\"ok\":true}\n".to_string())
                 .with_retry_after(1)
                 .with_header("X-Trace-Id", "0011223344556677".into());
             let mut blocking = Vec::new();
             resp.write_to(&mut blocking, close).unwrap();
             let (head, body) = resp.to_bytes(close);
             let mut chunked = head;
-            chunked.extend_from_slice(&body);
+            chunked.extend_from_slice(body.as_bytes());
             assert_eq!(chunked, blocking);
         }
     }

@@ -13,10 +13,12 @@
 //! `epoll` via [`poller`], with a portable `poll(2)` fallback) owns
 //! accept, read, and write for every connection as a small state
 //! machine (idle → reading → dispatched → writing), so thousands of
-//! parked keep-alive connections cost zero threads. Complete requests
-//! are handed to a fixed worker pool over a **bounded** mpsc channel;
-//! workers push serialized responses back through a completion queue
-//! and an eventfd wakeup. Requests are parsed by a minimal hand-rolled
+//! parked keep-alive connections cost zero threads. The loop looks
+//! each complete query up in the result cache and answers a hit itself,
+//! without copying its body; misses and other routes are handed to a
+//! fixed worker pool over a **bounded** mpsc channel, and workers push
+//! serialized responses back through a completion queue and an eventfd
+//! wakeup. Requests are parsed by a minimal hand-rolled
 //! incremental HTTP/1.1 parser ([`http`]), query execution lives in
 //! [`query`], datasets in [`registry`], and the cache in [`cache`]. A
 //! deterministic load generator ([`loadgen`]) doubles as benchmark
@@ -37,7 +39,11 @@
 //! * **Slow-loris protection** — a request head that trickles in
 //!   longer than the header timeout gets `408` and the connection is
 //!   closed, enforced by the event loop's timer wheel rather than a
-//!   blocked worker.
+//!   blocked worker. Every reject half-closes and drains the connection
+//!   before closing, so the client reads the answer, not a reset.
+//! * **Panic containment** — a panicking handler or kernel answers
+//!   `500` and closes its connection; the worker lives on
+//!   (`hgserve_panics_total`, `hgserve_workers_live`).
 //! * **Parallel offload** — on datasets at or above `par_threshold`
 //!   vertices, the diameter sweep runs on `parcore`'s MS-BFS over one
 //!   scoped thread per core, all sharing one deadline token.

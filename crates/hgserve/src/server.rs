@@ -1,14 +1,16 @@
-//! The analytics daemon: readiness event loop → fixed worker pool →
-//! registry lookup → result cache → algorithms.
+//! The analytics daemon: readiness event loop → registry and cache
+//! probe (hits answered there) → fixed worker pool → algorithms.
 //!
 //! ```text
 //!              ┌────────────────────────────────┐  bounded   ┌─────────┐
 //!   accept ───▶│ event loop (1 thread, epoll)   │── mpsc ───▶│ worker 0│──┐
-//!   read  ◀──▶│ conn slab:                      │  job queue │   …     │  │ ┌──────────┐
+//!   read  ◀──▶│ conn slab:                      │   misses   │   …     │  │ ┌──────────┐
 //!   write ◀──▶│  idle → reading → dispatched →  │            │ worker N│──┼▶│ registry │
 //!   close ───▶│  writing → idle  (per conn)     │◀─ completions + wake ─┘  │ ├──────────┤
-//!              └────────────────────────────────┘   (eventfd)             └▶│ LRU cache│
-//!                     ▲ waker wakeups                                       └──────────┘
+//!              │ probe: registry + cache get ───┼─────────────────────────┴▶│ LRU cache│
+//!              │   hit: written from the loop   │   (eventfd)               └──────────┘
+//!              └────────────────────────────────┘
+//!                     ▲ waker wakeups
 //!                     └── SIGINT handler / POST /admin/shutdown / workers
 //! ```
 //!
@@ -17,12 +19,23 @@
 //! complete requests with the incremental HTTP parser, and writes
 //! serialized responses back with vectored writes — so thousands of
 //! idle keep-alive connections cost zero threads and zero syscalls
-//! until bytes actually move. Compute stays on the worker pool: a
-//! parsed request is enqueued (bounded — the admission-control valve),
-//! a worker runs [`route`] and hands the serialized response back via
-//! a completion queue plus a waker write. The loop itself answers the
-//! protocol-robustness errors (`503` queue-full, `408` slow-loris,
-//! `400`/`413`/`431` parse failures) without touching a worker.
+//! until bytes actually move. [`route`] has two halves. The loop runs
+//! the first, the *probe*, on every parsed request: for an untraced
+//! `GET /v1/{dataset}/{endpoint}` it resolves the dataset and query and
+//! looks the answer up in the result cache. A hit is answered on the
+//! loop, its body shared with the cache (no copy), pipelined hits
+//! coalesced into one vectored write. Everything else goes to the
+//! worker pool (bounded — the admission-control valve) carrying what the
+//! probe resolved; a worker runs the second half, the *compute*, and
+//! hands the serialized response back via a completion queue plus a
+//! waker write. The loop never runs a kernel: a hit costs it a lookup
+//! and an enqueue. The loop also answers the protocol-robustness errors
+//! (`503` queue-full, `408` slow-loris, `400`/`413`/`431` parse
+//! failures) itself, then half-closes and drains the connection before
+//! closing it so the client reads the answer instead of a reset.
+//!
+//! A panic in either half answers `500` and closes that connection; the
+//! worker (or the loop) lives on, and `hgserve_panics_total` counts it.
 //!
 //! Graceful shutdown: the flag wakes the loop, which closes the
 //! listener and idle connections, lets dispatched and mid-read
@@ -33,7 +46,8 @@
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -46,7 +60,7 @@ use crate::cache::ShardedLru;
 use crate::http::{parse_request_bytes, ParseOutcome, Request, Response};
 use crate::poller::{self, Interest, Poller, Waker};
 use crate::query::{ExecOpts, Query};
-use crate::registry::{Format, Registry};
+use crate::registry::{Dataset, Format, Registry};
 use crate::slowlog::{unix_ms_now, SlowLog, SlowLogEntry};
 
 /// Server tunables, all CLI-exposed.
@@ -109,6 +123,10 @@ pub struct AppState {
     shed: AtomicU64,
     /// Requests answered 504 because their deadline fired mid-compute.
     deadline_hits: AtomicU64,
+    /// Requests answered 500 because their handler panicked.
+    panics: AtomicU64,
+    /// Worker threads currently running.
+    workers_live: AtomicU64,
     /// Parsed requests currently sitting in the job queue.
     queued: AtomicU64,
     queue_capacity: usize,
@@ -140,6 +158,8 @@ impl AppState {
             max_body_bytes: config.max_body_bytes,
             shed: AtomicU64::new(0),
             deadline_hits: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
+            workers_live: AtomicU64::new(0),
             queued: AtomicU64::new(0),
             queue_capacity: config.queue_depth.max(1),
             accepts: AtomicU64::new(0),
@@ -155,6 +175,16 @@ impl AppState {
     /// Requests shed with 503 so far.
     pub fn shed_total(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
+    }
+
+    /// Requests whose handler panicked (each answered 500) so far.
+    pub fn panics_total(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
+    }
+
+    /// Worker threads currently running.
+    pub fn workers_live(&self) -> u64 {
+        self.workers_live.load(Ordering::Relaxed)
     }
 
     /// Connections accepted so far.
@@ -227,6 +257,18 @@ impl AppState {
             cs.hits, cs.misses, cs.evictions
         )
     }
+
+    /// Count and log a handler panic; the request answers 500.
+    fn panicked(&self, req: &Request, message: &str) -> Response {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+        hgobs::log::warn(|| {
+            format!(
+                "handler panicked on {} {}: {message}; answering 500",
+                req.method, req.path
+            )
+        });
+        Response::error(500, "internal error: the request handler panicked")
+    }
 }
 
 /// A running server; dropping it without `shutdown()` detaches threads.
@@ -279,6 +321,19 @@ const LISTENER_TOKEN: u64 = poller::RESERVED_TOKEN - 1;
 /// requests before closing whatever is left.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
+/// Cache hits one connection may have answered per loop turn. A
+/// connection with input left after its turn waits on the ready list,
+/// so one pipelining client cannot hold the loop. It also bounds the
+/// write queue at two chunks per hit, well under `IOV_MAX` (1024).
+const HITS_PER_TURN: usize = 64;
+
+/// After an answer that rejects input, bytes discarded before closing
+/// (see [`Close::DrainAfterFlush`]).
+const REJECT_DRAIN_BYTES: usize = 1 << 20;
+/// After an answer that rejects input, how long to wait for the client
+/// to stop sending before closing anyway.
+const REJECT_DRAIN_TIME: Duration = Duration::from_secs(2);
+
 /// SIGINT sets this flag (via [`install_sigint_flag`]'s handler); the
 /// event loop translates it into a graceful shutdown request.
 static SIGINT_FLAG: AtomicBool = AtomicBool::new(false);
@@ -295,27 +350,86 @@ enum ConnState {
     /// A partial request head (or body) is buffered; the slow-loris
     /// clock is running.
     Reading = 1,
-    /// A complete request is on the job queue or under compute.
+    /// A complete request is on the job queue or under compute (hits
+    /// answered ahead of it may still be writing out).
     Dispatched = 2,
     /// Response bytes are queued for (possibly partial) writeout.
     Writing = 3,
 }
 
+/// How a connection ends once its write queue drains.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Close {
+    /// Keep-alive: go on to the next buffered request.
+    No,
+    /// Close.
+    AfterFlush,
+    /// The answer rejected a request the client may still be sending.
+    /// Closing with unread input makes the kernel reset the connection,
+    /// and the reset can reach the client before the answer does; so
+    /// shut the write side and discard input until EOF,
+    /// [`REJECT_DRAIN_BYTES`] or [`REJECT_DRAIN_TIME`] before closing.
+    DrainAfterFlush,
+    /// The write side is shut; input is discarded until EOF, `until`,
+    /// or `left` more bytes.
+    Draining { until: Instant, left: usize },
+}
+
+/// What [`probe`] found for one request.
+enum Probe {
+    /// An untraced query whose answer the cache holds.
+    Hit {
+        body: Arc<String>,
+        endpoint: &'static str,
+    },
+    /// An untraced query the cache does not hold (counted as the miss),
+    /// resolved once so the compute half neither resolves it again nor
+    /// counts a second miss.
+    Miss {
+        ds: Arc<Dataset>,
+        query: Query,
+        key: String,
+    },
+    /// Everything else — other routes, traced queries and queries that
+    /// do not resolve — routed in full by the compute half.
+    Route,
+    /// The probe panicked, with this message; answered 500.
+    Panicked(String),
+}
+
 /// One request handed to the worker pool, tagged with the connection
 /// token so the completion finds its way back (or is dropped if the
-/// connection died meanwhile).
+/// connection died meanwhile), with what the loop's probe resolved.
 struct Job {
     token: u64,
     req: Request,
+    probe: Probe,
 }
 
-/// A serialized response traveling back from a worker: byte chunks for
-/// the loop's vectored writeout plus the keep-alive decision.
+/// A serialized response traveling back from a worker: the head and
+/// shared body for the loop's vectored writeout, plus the keep-alive
+/// decision.
 struct Completion {
     token: u64,
     head: Vec<u8>,
-    body: Vec<u8>,
+    body: Arc<String>,
     close: bool,
+}
+
+/// One queued piece of response output: a rendered head, or a body
+/// shared with the result cache, so a hit copies no body bytes.
+enum Chunk {
+    Owned(Vec<u8>),
+    Shared(Arc<String>),
+}
+
+impl Chunk {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Owned(bytes) => bytes,
+            Chunk::Shared(text) => text.as_bytes(),
+        }
+    }
 }
 
 /// Per-connection state machine owned by the event loop.
@@ -328,13 +442,13 @@ struct Conn {
     rpos: usize,
     /// Pending response chunks; `wpos` is the written prefix of the
     /// front chunk.
-    wqueue: VecDeque<Vec<u8>>,
+    wqueue: VecDeque<Chunk>,
     wpos: usize,
     /// When the current (incomplete) request head started arriving —
     /// the slow-loris clock behind the 408 timer.
     head_started: Option<Instant>,
     peer_closed: bool,
-    close_after_flush: bool,
+    close: Close,
     /// Interest currently armed with the poller, to skip no-op MODs.
     armed: Interest,
 }
@@ -378,6 +492,9 @@ struct EventLoop {
     gens: Vec<u32>,
     free: Vec<usize>,
     open: usize,
+    /// Tokens of connections that ended their turn at the hit cap with
+    /// input still buffered; serviced before the next blocking wait.
+    ready: Vec<u64>,
     jobs: SyncSender<Job>,
     completions: Arc<Mutex<VecDeque<Completion>>>,
 }
@@ -401,6 +518,23 @@ impl EventLoop {
                 conn.state = new;
             }
         }
+    }
+
+    /// Park a connection with nothing in flight or queued: `Reading`
+    /// while a partial request is buffered (the 408 clock runs), else
+    /// `Idle`.
+    fn park(&mut self, idx: usize) {
+        let parked = match self.conns[idx].as_ref() {
+            Some(c) if c.state != ConnState::Dispatched && c.wqueue.is_empty() => {
+                if c.head_started.is_some() {
+                    ConnState::Reading
+                } else {
+                    ConnState::Idle
+                }
+            }
+            _ => return,
+        };
+        self.set_state(idx, parked);
     }
 
     /// Re-arm the poller registration if the interest set changed.
@@ -469,7 +603,7 @@ impl EventLoop {
                         wpos: 0,
                         head_started: None,
                         peer_closed: false,
-                        close_after_flush: false,
+                        close: Close::No,
                         armed: Interest::READ,
                     });
                     self.open += 1;
@@ -492,7 +626,9 @@ impl EventLoop {
     }
 
     /// Drain the socket into the read buffer (edge-triggered: until
-    /// `WouldBlock` or EOF), then try to advance the state machine.
+    /// `WouldBlock` or EOF), then service the connection. A connection
+    /// already answered for closing never parses again, so its input is
+    /// discarded.
     fn conn_readable(&mut self, idx: usize) {
         let mut scratch = [0u8; 16 * 1024];
         loop {
@@ -504,7 +640,23 @@ impl EventLoop {
                     conn.peer_closed = true;
                     break;
                 }
-                Ok(n) => conn.rbuf.extend_from_slice(&scratch[..n]),
+                Ok(n) => {
+                    let drained = match &mut conn.close {
+                        Close::No => {
+                            conn.rbuf.extend_from_slice(&scratch[..n]);
+                            false
+                        }
+                        Close::Draining { left, .. } => {
+                            *left = left.saturating_sub(n);
+                            *left == 0
+                        }
+                        Close::AfterFlush | Close::DrainAfterFlush => false,
+                    };
+                    if drained {
+                        self.close_conn(idx);
+                        return;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -513,31 +665,42 @@ impl EventLoop {
                 }
             }
         }
-        self.advance(idx);
+        self.service(idx);
     }
 
-    /// Try to move the connection forward: parse one buffered request
-    /// and dispatch it, park it idle/reading, or answer a protocol
-    /// error directly. At most one request is in flight per connection
-    /// (responses stay in order); the next pipelined request is parsed
-    /// when the current response finishes flushing.
-    fn advance(&mut self, idx: usize) {
-        enum Act {
-            Busy,
-            CloseNow,
-            ParkIdle,
-            ParkReading,
-            Dispatch(Box<Request>),
-            Respond { status: u16, message: String },
+    /// Move a connection as far as it goes without blocking: write out
+    /// its queue, answer what it has buffered, and write again. One
+    /// call is one turn; a connection the hit cap stopped with input
+    /// left joins the ready list. Every path iterates — nothing here
+    /// re-enters `service`, however deep the client pipelines.
+    fn service(&mut self, idx: usize) {
+        if !self.flush(idx) {
+            return;
         }
+        let more = self.answer_buffered(idx);
+        if self.flush(idx) && more {
+            if let Some(conn) = self.conns[idx].as_ref() {
+                self.ready.push(conn.token);
+            }
+        }
+    }
+
+    /// Answer the connection's buffered requests in order, once its
+    /// write queue has drained: up to [`HITS_PER_TURN`] cache hits are
+    /// answered here, into the queue. The turn ends at the first
+    /// request that needs a worker (dispatched), at an answer that
+    /// closes, at a protocol error (rejected) and at a partial request
+    /// (parked). Returns whether the cap ended it with input left.
+    fn answer_buffered(&mut self, idx: usize) -> bool {
         let max_body = self.state.max_body_bytes;
-        let act = {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            if matches!(conn.state, ConnState::Dispatched | ConnState::Writing) {
-                Act::Busy
-            } else {
+        for _ in 0..HITS_PER_TURN {
+            let parsed = {
+                let Some(conn) = self.conns[idx].as_mut() else {
+                    return false;
+                };
+                if conn.state == ConnState::Dispatched || conn.close != Close::No {
+                    return false;
+                }
                 // Compact the consumed prefix before growing further.
                 if conn.rpos == conn.rbuf.len() {
                     conn.rbuf.clear();
@@ -546,105 +709,132 @@ impl EventLoop {
                     conn.rbuf.drain(..conn.rpos);
                     conn.rpos = 0;
                 }
-                if conn.rbuf.len() == conn.rpos {
+                if conn.rbuf.is_empty() {
+                    conn.head_started = None;
                     if conn.peer_closed {
-                        Act::CloseNow
-                    } else {
-                        conn.head_started = None;
-                        Act::ParkIdle
+                        conn.close = Close::AfterFlush;
                     }
+                    None
                 } else {
                     match parse_request_bytes(&conn.rbuf[conn.rpos..], max_body) {
                         ParseOutcome::Complete(req, used) => {
                             conn.rpos += used;
                             conn.head_started = None;
-                            Act::Dispatch(Box::new(req))
+                            Some(Ok(req))
+                        }
+                        ParseOutcome::Partial if conn.peer_closed => {
+                            Some(Err((400, "truncated request".to_string())))
                         }
                         ParseOutcome::Partial => {
-                            if conn.peer_closed {
-                                Act::Respond {
-                                    status: 400,
-                                    message: "truncated request".to_string(),
-                                }
-                            } else {
-                                conn.head_started.get_or_insert_with(Instant::now);
-                                Act::ParkReading
-                            }
+                            conn.head_started.get_or_insert_with(Instant::now);
+                            None
                         }
-                        ParseOutcome::Error { status, message } => Act::Respond { status, message },
+                        ParseOutcome::Error { status, message } => Some(Err((status, message))),
                     }
                 }
-            }
-        };
-        match act {
-            Act::Busy => {}
-            Act::CloseNow => self.close_conn(idx),
-            Act::ParkIdle => self.set_state(idx, ConnState::Idle),
-            Act::ParkReading => self.set_state(idx, ConnState::Reading),
-            Act::Dispatch(req) => self.dispatch(idx, *req),
-            Act::Respond { status, message } => {
-                hgobs::counter!("serve.bad_requests");
-                let (head, body) = Response::error(status, &message).to_bytes(true);
-                self.enqueue_write(idx, head, body, true);
+            };
+            match parsed {
+                None => {
+                    self.park(idx);
+                    return false;
+                }
+                Some(Ok(req)) => {
+                    if !self.answer_or_dispatch(idx, req) {
+                        return false;
+                    }
+                }
+                Some(Err((status, message))) => {
+                    self.reject(idx, status, &message);
+                    return false;
+                }
             }
         }
+        self.conns[idx]
+            .as_ref()
+            .is_some_and(|c| c.rpos < c.rbuf.len())
     }
 
-    /// Hand a parsed request to the worker pool, or answer `503` +
+    /// Probe one parsed request: answer a cache hit here, into the
+    /// write queue, and hand anything else to a worker. Returns whether
+    /// it was answered here on a connection that stays open.
+    fn answer_or_dispatch(&mut self, idx: usize, req: Request) -> bool {
+        let t0 = Instant::now();
+        let probed = probe_contained(&self.state, &req);
+        if !matches!(probed, Probe::Hit { .. } | Probe::Panicked(_)) {
+            self.dispatch(idx, req, probed);
+            return false;
+        }
+        let resp = answer(&self.state, &req, probed, t0);
+        let close = closes_after(&self.state, &req, &resp);
+        let (head, body) = resp.to_bytes(close);
+        self.queue(idx, head, body, close_after(close));
+        !close
+    }
+
+    /// Hand a request to the worker pool, or answer `503` +
     /// `Retry-After` directly when the bounded queue is full — the
-    /// admission-control valve, now entirely inside the event loop.
-    fn dispatch(&mut self, idx: usize, req: Request) {
+    /// admission-control valve, entirely inside the event loop — or no
+    /// worker is left to take it.
+    fn dispatch(&mut self, idx: usize, req: Request, probe: Probe) {
         let Some(token) = self.conns[idx].as_ref().map(|c| c.token) else {
             return;
         };
         self.state.queued.fetch_add(1, Ordering::Relaxed);
-        match self.jobs.try_send(Job { token, req }) {
-            Ok(()) => self.set_state(idx, ConnState::Dispatched),
+        let refused = match self.jobs.try_send(Job { token, req, probe }) {
+            Ok(()) => {
+                self.set_state(idx, ConnState::Dispatched);
+                return;
+            }
             Err(TrySendError::Full(_)) => {
-                self.state.queued.fetch_sub(1, Ordering::Relaxed);
                 let shed_total = self.state.shed.fetch_add(1, Ordering::Relaxed) + 1;
                 hgobs::counter!("serve.shed");
                 hgobs::log::warn(|| {
                     format!("shedding request with 503: job queue full ({shed_total} shed so far)")
                 });
-                let (head, body) = Response::error(503, "server overloaded; queue full")
-                    .with_retry_after(1)
-                    .to_bytes(true);
-                self.enqueue_write(idx, head, body, true);
+                "server overloaded; queue full"
             }
-            Err(TrySendError::Disconnected(_)) => {
-                self.state.queued.fetch_sub(1, Ordering::Relaxed);
-                self.close_conn(idx);
-            }
-        }
+            Err(TrySendError::Disconnected(_)) => "no worker is running",
+        };
+        self.state.queued.fetch_sub(1, Ordering::Relaxed);
+        let (head, body) = Response::error(503, refused)
+            .with_retry_after(1)
+            .to_bytes(true);
+        self.queue(idx, head, body, Close::DrainAfterFlush);
     }
 
-    /// Queue response chunks and start (or continue) writing them out.
-    fn enqueue_write(&mut self, idx: usize, head: Vec<u8>, body: Vec<u8>, close: bool) {
-        {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            if !head.is_empty() {
-                conn.wqueue.push_back(head);
-            }
-            if !body.is_empty() {
-                conn.wqueue.push_back(body);
-            }
-            conn.close_after_flush |= close;
+    /// Answer a request the loop refuses (400/408/413/431/505), then
+    /// close once the client has stopped sending.
+    fn reject(&mut self, idx: usize, status: u16, message: &str) {
+        hgobs::counter!("serve.bad_requests");
+        let (head, body) = Response::error(status, message).to_bytes(true);
+        self.queue(idx, head, body, Close::DrainAfterFlush);
+    }
+
+    /// Queue one response for writeout; `close` says how the
+    /// connection ends once it is written.
+    fn queue(&mut self, idx: usize, head: Vec<u8>, body: Arc<String>, close: Close) {
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        conn.wqueue.push_back(Chunk::Owned(head));
+        if !body.is_empty() {
+            conn.wqueue.push_back(Chunk::Shared(body));
+        }
+        if close != Close::No {
+            conn.close = close;
         }
         self.set_state(idx, ConnState::Writing);
-        self.flush(idx);
     }
 
     /// Write queued chunks with vectored writes until drained or
     /// `WouldBlock` (then arm write interest and wait for the edge).
-    /// A finished flush closes the connection or parses the next
-    /// pipelined request from the buffer.
-    fn flush(&mut self, idx: usize) {
+    /// Returns whether the queue drained with the connection open for
+    /// more requests; a drained queue ends a closing connection, or
+    /// half-closes it and starts its drain.
+    fn flush(&mut self, idx: usize) -> bool {
         loop {
             let Some(conn) = self.conns[idx].as_mut() else {
-                return;
+                return false;
             };
             if conn.wqueue.is_empty() {
                 conn.wpos = 0;
@@ -654,46 +844,66 @@ impl EventLoop {
                 .wqueue
                 .iter()
                 .enumerate()
-                .map(|(i, chunk)| IoSlice::new(&chunk[if i == 0 { conn.wpos } else { 0 }..]))
+                .map(|(i, chunk)| {
+                    IoSlice::new(&chunk.bytes()[if i == 0 { conn.wpos } else { 0 }..])
+                })
                 .collect();
             match conn.stream.write_vectored(&slices) {
+                Ok(0) => {
+                    self.close_conn(idx);
+                    return false;
+                }
                 Ok(n) => {
                     let mut done = conn.wpos + n;
                     while let Some(front) = conn.wqueue.front() {
-                        if done >= front.len() {
-                            done -= front.len();
+                        let len = front.bytes().len();
+                        if done >= len {
+                            done -= len;
                             conn.wqueue.pop_front();
                         } else {
                             break;
                         }
                     }
                     conn.wpos = done;
-                    if n == 0 {
-                        self.close_conn(idx);
-                        return;
-                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.rearm(idx, Interest::READ_WRITE);
-                    return;
+                    return false;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close_conn(idx);
-                    return;
+                    return false;
                 }
             }
         }
-        let close = self.conns[idx]
-            .as_ref()
-            .is_some_and(|c| c.close_after_flush);
-        if close {
-            self.close_conn(idx);
-            return;
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return false;
+        };
+        match conn.close {
+            Close::No => {
+                self.rearm(idx, Interest::READ);
+                self.park(idx);
+                true
+            }
+            // A drain during shutdown would only hold the exit up.
+            Close::DrainAfterFlush if !conn.peer_closed && !self.state.shutting_down() => {
+                let _ = conn.stream.shutdown(Shutdown::Write);
+                conn.close = Close::Draining {
+                    until: Instant::now() + REJECT_DRAIN_TIME,
+                    left: REJECT_DRAIN_BYTES,
+                };
+                conn.rbuf = Vec::new();
+                conn.rpos = 0;
+                self.rearm(idx, Interest::READ);
+                false
+            }
+            Close::Draining { .. } if !conn.peer_closed => false,
+            _ => {
+                self.close_conn(idx);
+                false
+            }
         }
-        self.rearm(idx, Interest::READ);
-        self.set_state(idx, ConnState::Idle);
-        self.advance(idx);
     }
 
     /// Hand worker results back to their connections.
@@ -704,61 +914,68 @@ impl EventLoop {
             let Some(idx) = self.conn_index(c.token) else {
                 continue; // connection died while the worker computed
             };
-            self.enqueue_write(idx, c.head, c.body, c.close);
+            self.queue(idx, c.head, c.body, close_after(c.close));
+            self.service(idx);
         }
     }
 
     /// Answer `408` on connections whose request head has been
-    /// trickling in longer than the header timeout (slow-loris).
-    fn check_head_timeouts(&mut self) {
+    /// trickling in longer than the header timeout (slow-loris), and
+    /// close drains that ran out of time.
+    fn check_timers(&mut self) {
         let budget = self.state.header_timeout;
         let now = Instant::now();
         for idx in 0..self.conns.len() {
-            let expired = self.conns[idx].as_ref().is_some_and(|c| {
-                c.state == ConnState::Reading
-                    && c.head_started
-                        .is_some_and(|t0| now.duration_since(t0) >= budget)
-            });
+            let Some(conn) = self.conns[idx].as_ref() else {
+                continue;
+            };
+            if let Close::Draining { until, .. } = conn.close {
+                if now >= until {
+                    self.close_conn(idx);
+                }
+                continue;
+            }
+            let expired = conn.state == ConnState::Reading
+                && conn
+                    .head_started
+                    .is_some_and(|t0| now.duration_since(t0) >= budget);
             if expired {
-                hgobs::counter!("serve.bad_requests");
                 hgobs::log::warn(|| {
                     "closing slow connection with 408: request header read timed out".to_string()
                 });
-                let (head, body) =
-                    Response::error(408, "request header read timed out").to_bytes(true);
-                self.enqueue_write(idx, head, body, true);
+                self.reject(idx, 408, "request header read timed out");
+                self.service(idx);
             }
         }
     }
 
-    /// The nearest timer deadline: the earliest slow-loris expiry,
-    /// capped by the drain deadline during shutdown. `None` blocks
+    /// The nearest timer deadline: the earliest slow-loris or drain
+    /// expiry, capped by the shutdown drain deadline. `None` blocks
     /// until readiness or a wake.
     fn next_timeout(&self, drain_deadline: Option<Instant>) -> Option<Duration> {
         let mut next: Option<Instant> = drain_deadline;
         for conn in self.conns.iter().flatten() {
-            if conn.state == ConnState::Reading {
-                if let Some(t0) = conn.head_started {
-                    let deadline = t0 + self.state.header_timeout;
-                    next = Some(next.map_or(deadline, |n| n.min(deadline)));
-                }
-            }
+            let deadline = match (conn.close, conn.state, conn.head_started) {
+                (Close::Draining { until, .. }, _, _) => until,
+                (_, ConnState::Reading, Some(t0)) => t0 + self.state.header_timeout,
+                _ => continue,
+            };
+            next = Some(next.map_or(deadline, |n| n.min(deadline)));
         }
         next.map(|deadline| deadline.saturating_duration_since(Instant::now()))
     }
 
     /// Start the graceful drain: stop accepting and drop parked idle
-    /// connections; reading/dispatched/writing connections get the
-    /// grace period to finish.
+    /// connections and finished rejects; reading/dispatched/writing
+    /// connections get the grace period to finish.
     fn begin_drain(&mut self) {
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.delete(listener_fd(&listener));
         }
         for idx in 0..self.conns.len() {
-            if self.conns[idx]
-                .as_ref()
-                .is_some_and(|c| c.state == ConnState::Idle)
-            {
+            if self.conns[idx].as_ref().is_some_and(|c| {
+                c.state == ConnState::Idle || matches!(c.close, Close::Draining { .. })
+            }) {
                 self.close_conn(idx);
             }
         }
@@ -786,7 +1003,13 @@ impl EventLoop {
                     break;
                 }
             }
-            let timeout = self.next_timeout(drain_deadline);
+            // Connections on the ready list already have work: poll
+            // without blocking so other sockets get their turn first.
+            let timeout = if self.ready.is_empty() {
+                self.next_timeout(drain_deadline)
+            } else {
+                Some(Duration::ZERO)
+            };
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
@@ -802,15 +1025,37 @@ impl EventLoop {
                 }
                 if let Some(idx) = self.conn_index(ev.token) {
                     if ev.writable {
-                        self.flush(idx);
+                        self.service(idx);
                     }
                 }
             }
             self.drain_completions();
-            self.check_head_timeouts();
+            for token in std::mem::take(&mut self.ready) {
+                if let Some(idx) = self.conn_index(token) {
+                    self.service(idx);
+                }
+            }
+            self.check_timers();
         }
         // Dropping self (and with it `jobs`) closes the queue; workers
         // finish whatever is already queued, then exit.
+    }
+}
+
+/// Holds one count in [`AppState::workers_live`] for the life of a
+/// worker thread, however the thread ends.
+struct LiveWorker(Arc<AppState>);
+
+impl LiveWorker {
+    fn enter(state: Arc<AppState>) -> LiveWorker {
+        state.workers_live.fetch_add(1, Ordering::Relaxed);
+        LiveWorker(state)
+    }
+}
+
+impl Drop for LiveWorker {
+    fn drop(&mut self) {
+        self.0.workers_live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -846,26 +1091,26 @@ pub fn start(config: &ServerConfig, registry: Arc<Registry>) -> std::io::Result<
             let waker = waker.clone();
             std::thread::Builder::new()
                 .name(format!("hgserve-worker-{i}"))
-                .spawn(move || loop {
-                    let job = rx.lock().unwrap().recv();
-                    match job {
-                        Ok(Job { token, req }) => {
-                            state.queued.fetch_sub(1, Ordering::Relaxed);
-                            let resp = route(&state, &req);
-                            // Re-check the flag after routing so the
-                            // response to `/admin/shutdown` itself
-                            // already says `Connection: close`.
-                            let close = req.wants_close() || state.shutting_down();
-                            let (head, body) = resp.to_bytes(close);
-                            completions.lock().unwrap().push_back(Completion {
-                                token,
-                                head,
-                                body,
-                                close,
-                            });
-                            waker.wake();
-                        }
-                        Err(_) => break, // event loop gone: drained
+                .spawn(move || {
+                    let live = LiveWorker::enter(state);
+                    let state = &live.0;
+                    loop {
+                        let job = rx.lock().unwrap().recv();
+                        // An error means the event loop is gone: drained.
+                        let Ok(Job { token, req, probe }) = job else {
+                            break;
+                        };
+                        state.queued.fetch_sub(1, Ordering::Relaxed);
+                        let resp = answer(state, &req, probe, Instant::now());
+                        let close = closes_after(state, &req, &resp);
+                        let (head, body) = resp.to_bytes(close);
+                        completions.lock().unwrap().push_back(Completion {
+                            token,
+                            head,
+                            body,
+                            close,
+                        });
+                        waker.wake();
                     }
                 })
                 .expect("spawn worker")
@@ -885,6 +1130,7 @@ pub fn start(config: &ServerConfig, registry: Arc<Registry>) -> std::io::Result<
                     gens: Vec::new(),
                     free: Vec::new(),
                     open: 0,
+                    ready: Vec::new(),
                     jobs: tx,
                     completions,
                 };
@@ -909,18 +1155,115 @@ fn wants_trace(req: &Request) -> bool {
         || req.header("x-trace").is_some_and(|v| v.trim() == "1")
 }
 
+/// Whether a response ends its connection: the client asked, the
+/// server is draining (checked after answering, so the answer to
+/// `/admin/shutdown` itself already says so), or a handler panicked
+/// (the only source of a 500).
+fn closes_after(state: &AppState, req: &Request, resp: &Response) -> bool {
+    req.wants_close() || state.shutting_down() || resp.status == 500
+}
+
+fn close_after(close: bool) -> Close {
+    if close {
+        Close::AfterFlush
+    } else {
+        Close::No
+    }
+}
+
+/// Path segments with empty ones dropped: what the routing table
+/// matches on.
+fn segments(path: &str) -> Vec<&str> {
+    path.split('/').filter(|s| !s.is_empty()).collect()
+}
+
 /// Dispatch one request to its handler, recording request counters, a
 /// per-endpoint latency histogram, and a slow-query-log entry carrying
 /// the request's trace. Every response gets an `X-Trace-Id` header;
 /// `?trace=1` (or `X-Trace: 1`) additionally embeds the trace block —
 /// with `total_us` equal to the latency observation — in a 200 body.
+///
+/// The composition the server splits between its threads: `probe`
+/// (the cache lookup, on the event loop) then `answer` (on the loop
+/// for a hit, on a worker for anything else).
 pub fn route(state: &AppState, req: &Request) -> Response {
     let t0 = Instant::now();
+    answer(state, req, probe_contained(state, req), t0)
+}
+
+/// The first half of [`route`]: for an untraced
+/// `GET /v1/{dataset}/{endpoint}`, resolve the dataset and query and
+/// look the answer up in the result cache, counting the hit or miss.
+/// It runs no kernel, so the event loop can afford it.
+fn probe(state: &AppState, req: &Request) -> Probe {
+    let segments = segments(&req.path);
+    let ("GET", ["v1", dataset, endpoint]) = (req.method.as_str(), segments.as_slice()) else {
+        return Probe::Route;
+    };
+    // An explicitly traced request bypasses the cache entirely (both
+    // lookup and insert): its trace block must describe the compute
+    // that produced *this* body, and the freshly traced body must not
+    // displace the cached untraced answer other clients share.
+    if wants_trace(req) {
+        return Probe::Route;
+    }
+    let Ok((ds, query)) = resolve(state, dataset, endpoint, req) else {
+        return Probe::Route;
+    };
+    let key = format!("{}:{}", ds.cache_prefix(), query.canonical());
+    match state.cache.get(&key) {
+        Some(body) => {
+            hgobs::counter!("serve.cache.hit");
+            Probe::Hit {
+                body,
+                endpoint: query.endpoint(),
+            }
+        }
+        None => {
+            hgobs::counter!("serve.cache.miss");
+            Probe::Miss { ds, query, key }
+        }
+    }
+}
+
+/// [`probe`], with a panic turned into [`Probe::Panicked`]: on the
+/// event loop a panic would end every connection, not one request.
+fn probe_contained(state: &AppState, req: &Request) -> Probe {
+    panic::catch_unwind(AssertUnwindSafe(|| probe(state, req)))
+        .unwrap_or_else(|payload| Probe::Panicked(panic_message(&*payload)))
+}
+
+/// The text of a caught panic's payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s.to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
+    }
+}
+
+/// The second half of [`route`]: produce the answer the probe left —
+/// serve its hit, compute its miss, or route the request in full — and
+/// record the request once: `serve.requests`, one trace-id step, the
+/// latency histogram, error counters and the slowlog entry. A panic
+/// answers 500 and is counted in `hgserve_panics_total`.
+fn answer(state: &AppState, req: &Request, probe: Probe, t0: Instant) -> Response {
     hgobs::counter!("serve.requests");
     let seq = state.trace_seq.fetch_add(1, Ordering::Relaxed);
     let trace = TraceCtx::new(trace_id(&[req.method.as_str(), req.path.as_str()], seq));
     let explicit = wants_trace(req);
-    let (mut resp, endpoint) = route_inner(state, req, &trace, explicit);
+    let (mut resp, endpoint) = panic::catch_unwind(AssertUnwindSafe(|| match probe {
+        Probe::Hit { body, endpoint } => (Response::json(200, body), endpoint),
+        Probe::Miss { ds, query, key } => (
+            compute(state, req, &ds, &query, Some(&key), &trace),
+            query.endpoint(),
+        ),
+        Probe::Route => route_inner(state, req, &trace),
+        Probe::Panicked(message) => (state.panicked(req, &message), "panic"),
+    }))
+    .unwrap_or_else(|payload| (state.panicked(req, &panic_message(&*payload)), "panic"));
     let us = t0.elapsed().as_micros() as u64;
     hgobs::record_hist(&format!("serve.latency_us.{endpoint}"), us);
     if resp.status >= 400 {
@@ -950,7 +1293,7 @@ pub fn route(state: &AppState, req: &Request) -> Response {
             body.push_str("\"trace\":");
             body.push_str(&trace_json);
             body.push_str("}\n");
-            resp.body = body;
+            resp.body = Arc::new(body);
         }
     }
     // Only real work lands in the slow-query log: health/metrics
@@ -968,14 +1311,8 @@ pub fn route(state: &AppState, req: &Request) -> Response {
     resp.with_header("X-Trace-Id", trace.id_hex())
 }
 
-fn route_inner(
-    state: &AppState,
-    req: &Request,
-    trace: &TraceCtx,
-    explicit_trace: bool,
-) -> (Response, &'static str) {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+fn route_inner(state: &AppState, req: &Request, trace: &TraceCtx) -> (Response, &'static str) {
+    match (req.method.as_str(), segments(&req.path).as_slice()) {
         ("GET", ["healthz"]) => (healthz(state), "healthz"),
         ("GET", ["metrics"]) => (metrics(state), "metrics"),
         ("GET", ["debug", "slowlog"]) => {
@@ -990,9 +1327,15 @@ fn route_inner(
                 "shutdown",
             )
         }
-        ("GET", ["v1", dataset, endpoint]) => {
-            query(state, dataset, endpoint, req, trace, explicit_trace)
-        }
+        // Queries reach this arm when the probe left them: traced ones,
+        // which bypass the cache, and ones that do not resolve.
+        ("GET", ["v1", dataset, endpoint]) => match resolve(state, dataset, endpoint, req) {
+            Ok((ds, query)) => (
+                compute(state, req, &ds, &query, None, trace),
+                query.endpoint(),
+            ),
+            Err(answer) => answer,
+        },
         (_, ["healthz" | "metrics" | "v1", ..]) | (_, ["datasets"]) => (
             Response::error(405, &format!("method {} not allowed here", req.method)),
             "method_not_allowed",
@@ -1037,9 +1380,12 @@ fn metrics(state: &AppState) -> Response {
     ));
     body.push_str(&format!(
         "hgserve_shed_total {}\nhgserve_deadline_exceeded_total {}\n\
+         hgserve_panics_total {}\nhgserve_workers_live {}\n\
          hgserve_queue_depth {}\nhgserve_queue_capacity {}\n",
         state.shed.load(Ordering::Relaxed),
         state.deadline_hits.load(Ordering::Relaxed),
+        state.panics_total(),
+        state.workers_live(),
         state.queued.load(Ordering::Relaxed),
         state.queue_capacity,
     ));
@@ -1112,54 +1458,53 @@ fn post_dataset(state: &AppState, req: &Request) -> Response {
     }
 }
 
-fn query(
+/// Resolve a `/v1/{dataset}/{endpoint}` request to its dataset and
+/// query, or to the error answer and its endpoint label.
+fn resolve(
     state: &AppState,
     dataset: &str,
     endpoint: &str,
     req: &Request,
-    trace: &TraceCtx,
-    explicit_trace: bool,
-) -> (Response, &'static str) {
+) -> Result<(Arc<Dataset>, Query), (Response, &'static str)> {
     let Some(ds) = state.registry.get(dataset) else {
-        return (
+        return Err((
             Response::error(404, &format!("unknown dataset `{dataset}`")),
             "unknown_dataset",
-        );
+        ));
     };
-    let q = match Query::parse(endpoint, |k| req.param(k).map(str::to_string)) {
-        Ok(q) => q,
-        Err(e) => return (Response::error(e.status, &e.message), "bad_query"),
-    };
-    let label = q.endpoint();
-    let key = format!("{}:{}", ds.cache_prefix(), q.canonical());
-    // An explicit `?trace=1` request bypasses the cache entirely (both
-    // lookup and insert): its trace block must describe the compute
-    // that produced *this* body, and the freshly traced body must not
-    // displace the cached untraced answer other clients share.
-    if !explicit_trace {
-        if let Some(body) = state.cache.get(&key) {
-            hgobs::counter!("serve.cache.hit");
-            return (Response::json(200, body.as_str().to_string()), label);
-        }
-        hgobs::counter!("serve.cache.miss");
+    match Query::parse(endpoint, |k| req.param(k).map(str::to_string)) {
+        Ok(query) => Ok((ds, query)),
+        Err(e) => Err((Response::error(e.status, &e.message), "bad_query")),
     }
+}
+
+/// Run a resolved query under the request's deadline and trace. Only
+/// successful bodies are inserted, under `key` when there is one
+/// (traced requests bypass the cache): a 504 reflects this request's
+/// budget, not the dataset, and must never mask a later answer.
+fn compute(
+    state: &AppState,
+    req: &Request,
+    ds: &Dataset,
+    query: &Query,
+    key: Option<&str>,
+    trace: &TraceCtx,
+) -> Response {
     let opts = ExecOpts {
         deadline: state.request_deadline(req),
         parallel: ds.hypergraph.num_vertices() >= state.par_threshold,
         trace: trace.clone(),
         relabel: ds.relabeling.clone(),
     };
-    // Only successful bodies are cached: a 504 reflects this request's
-    // budget, not the dataset, and must never mask a later answer.
-    match q.run_opts(&ds.hypergraph, &opts) {
+    match query.run_opts(&ds.hypergraph, &opts) {
         Ok(body) => {
             let body = Arc::new(body);
-            if !explicit_trace {
-                state.cache.insert(&key, Arc::clone(&body));
+            if let Some(key) = key {
+                state.cache.insert(key, Arc::clone(&body));
             }
-            (Response::json(200, body.as_str().to_string()), label)
+            Response::json(200, body)
         }
-        Err(e) => (Response::error(e.status, &e.message), label),
+        Err(e) => Response::error(e.status, &e.message),
     }
 }
 

@@ -290,3 +290,68 @@ fn loadgen_with_deadline_never_blows_the_budget() {
 
     handle.shutdown();
 }
+
+#[test]
+fn kernel_panics_answer_500_and_the_workers_live_on() {
+    // A `.hgb` whose header checks out but whose pin and incidence lists
+    // start with an out-of-range id. `load_file` opens without scanning
+    // the data, so the first kernel to read the id panics.
+    let mut b = hypergraph::HypergraphBuilder::new(4);
+    b.add_edge([0, 1]);
+    b.add_edge([1, 2]);
+    b.add_edge([2, 3]);
+    let dir = std::env::temp_dir().join(format!("hgserve-panic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corrupt.hgb");
+    hypergraph::write_hgb_file(&b.build(), None, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let u64_at =
+        |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    // Header: 64 fixed bytes, then `count` entries of {id, offset, len}.
+    for entry in (0..u64_at(&bytes, 56) as usize).map(|i| 64 + i * 24) {
+        let id = u64_at(&bytes, entry);
+        if id == hypergraph::hgb::section::PIN_LIST || id == hypergraph::hgb::section::ADJ_LIST {
+            let at = u64_at(&bytes, entry + 8) as usize;
+            bytes[at..at + 4].copy_from_slice(&0x7fff_fff0u32.to_le_bytes());
+        }
+    }
+    std::fs::write(&path, &bytes).unwrap();
+    let registry = Arc::new(Registry::new());
+    registry
+        .load_file(path.to_str().unwrap())
+        .expect("the header is intact");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let handle = hgserve::start(
+        &ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 2,
+            ..ServerConfig::default()
+        },
+        registry,
+    )
+    .expect("server boots");
+    let addr = handle.addr().to_string();
+
+    for endpoint in ["components", "diameter"] {
+        let (status, body) = Client::new(&addr)
+            .get(&format!("/v1/corrupt/{endpoint}"))
+            .unwrap_or_else(|e| panic!("{endpoint} went unanswered: {e}"));
+        assert_eq!(status, 500, "{endpoint}: {body}");
+    }
+    let mut client = Client::new(&addr);
+    let (status, body) = client.get("/healthz").expect("alive after two panics");
+    assert_eq!(status, 200, "{body}");
+    let (_, metrics) = client.get("/metrics").expect("metrics");
+    assert!(metrics.contains("\nhgserve_panics_total 2\n"), "{metrics}");
+    assert!(metrics.contains("\nhgserve_workers_live 2\n"), "{metrics}");
+    let (_, slowlog) = client.get("/debug/slowlog").expect("slowlog");
+    let recent = &slowlog[slowlog.find("\"recent\":").expect("recent ring")..];
+    assert_eq!(
+        recent
+            .matches("\"endpoint\":\"panic\",\"status\":500")
+            .count(),
+        2,
+        "{slowlog}"
+    );
+    handle.shutdown();
+}
