@@ -385,6 +385,13 @@ curl -sf "http://$ADDR/v1/cellzome-2004/diameter?trace=1" >trace-sample.json
     cat trace-sample.json
     exit 1
 }
+# A distance is answered by the bidirectional pair search, not a full BFS.
+curl -sf "http://$ADDR/v1/cellzome-2004/distance?from=2&to=1000&trace=1" >trace-sample.json
+./target/release/hg trace trace-sample.json | grep -q 'bfs.pair' || {
+    echo "traced distance did not yield the bfs.pair phase:"
+    cat trace-sample.json
+    exit 1
+}
 curl -sf "http://$ADDR/debug/slowlog" | grep -q '"schema":"hg-slowlog/1"' || {
     echo "/debug/slowlog did not answer well-formed slowlog JSON"
     exit 1

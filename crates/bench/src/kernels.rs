@@ -1,7 +1,9 @@
 //! Deterministic kernel benchmark: scalar per-source BFS vs batched
-//! MS-BFS vs parallel MS-BFS on the all-pairs distance sweep, and the
-//! one-pass incremental CSR k-core decomposition, run from
-//! `hg bench --kernels` and gated by `ci.sh --bench`.
+//! MS-BFS vs parallel MS-BFS on the all-pairs distance sweep, the
+//! bidirectional pair search vs the full single-source BFS on a seeded
+//! list of vertex pairs, and the one-pass incremental CSR k-core
+//! decomposition, run from `hg bench --kernels` and gated by
+//! `ci.sh --bench`.
 //!
 //! Unlike the Criterion targets under `benches/`, this harness is a
 //! plain library so the CLI can invoke it and CI can diff its JSON
@@ -9,12 +11,15 @@
 //! report best-of-`reps` wall time — the minimum is the standard
 //! low-noise estimator for a deterministic kernel — and every engine's
 //! [`HyperDistanceStats`] must be bit-identical before any timing is
-//! trusted, as must the decomposition's outputs and the level-synchronous
-//! subset-probe k-core's; a mismatch is an error, not a footnote.
+//! trusted, as must both pair engines' answers, the decomposition's
+//! outputs and the level-synchronous subset-probe k-core's; a mismatch
+//! is an error, not a footnote.
 
 use std::time::Instant;
 
-use hypergraph::{HyperDistanceStats, Hypergraph};
+use hypergraph::{HyperDistanceStats, Hypergraph, VertexId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Configuration for one `hg bench --kernels` run.
 pub struct KernelBenchConfig {
@@ -59,6 +64,11 @@ pub struct DatasetResult {
     pub edges: usize,
     pub stats: HyperDistanceStats,
     pub engines: Vec<EngineResult>,
+    /// `distance` answered for the same [`PAIRS`] giant-component pairs
+    /// by the full BFS (`full_bfs`, the oracle) and the bidirectional
+    /// pair search (`pair`, what hgserve serves); times are for the
+    /// whole list.
+    pub pair_engines: Vec<EngineResult>,
     /// The k-core decomposition (`max_core` + `core_profile` +
     /// `core_numbers` from one incremental CSR sweep), cross-validated
     /// before its timing is trusted.
@@ -77,6 +87,17 @@ fn best_of(engines: &[EngineResult], engine: &str) -> Option<u64> {
 impl DatasetResult {
     fn best(&self, engine: &str) -> Option<u64> {
         best_of(&self.engines, engine)
+    }
+
+    /// Wall-clock speedup of the pair search over the full BFS.
+    pub fn speedup_pair(&self) -> f64 {
+        match (
+            best_of(&self.pair_engines, "full_bfs"),
+            best_of(&self.pair_engines, "pair"),
+        ) {
+            (Some(f), Some(p)) if p > 0 => f as f64 / p as f64,
+            _ => 0.0,
+        }
     }
 
     /// Wall-clock speedup of `engine` over the scalar oracle.
@@ -139,6 +160,17 @@ impl KernelBenchReport {
             w.key("speedup_msbfs").float(d.speedup_over_scalar("msbfs"));
             w.key("speedup_par_msbfs")
                 .float(d.speedup_over_scalar("par_msbfs"));
+            w.key("distance_pairs").uint(PAIRS as u64);
+            w.key("pair_engines").begin_array();
+            for e in &d.pair_engines {
+                w.begin_object();
+                w.key("engine").string(e.engine);
+                w.key("best_us").uint(e.best_us);
+                w.key("median_us").uint(e.median_us);
+                w.end_object();
+            }
+            w.end_array();
+            w.key("speedup_pair").float(d.speedup_pair());
             w.key("k_max").uint(d.k_max as u64);
             w.key("kcore_engines").begin_array();
             for e in &d.kcore_engines {
@@ -173,6 +205,16 @@ impl KernelBenchReport {
                     e.best_us,
                     e.median_us,
                     d.speedup_over_scalar(e.engine)
+                ));
+            }
+            out.push_str(&format!(
+                "  distance over {PAIRS} giant-component pairs (speedup {:.2}x):\n",
+                d.speedup_pair()
+            ));
+            for e in &d.pair_engines {
+                out.push_str(&format!(
+                    "  {:<16} best {:>9} us  median {:>9} us\n",
+                    e.engine, e.best_us, e.median_us
                 ));
             }
             out.push_str(&format!("  k-core decomposition (k_max {}):\n", d.k_max));
@@ -250,6 +292,29 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         ));
     }
 
+    let pairs = giant_component_pairs(h);
+    let (full, f_answers) = time_engine("full_bfs", reps, || {
+        pairs
+            .iter()
+            .map(|&(s, t)| {
+                Some(hypergraph::hyper_distances(h, s)[t.index()])
+                    .filter(|&d| d != hypergraph::path::UNREACHABLE)
+            })
+            .collect::<Vec<_>>()
+    });
+    let (pair, p_answers) = time_engine("pair", reps, || {
+        pairs
+            .iter()
+            .map(|&(s, t)| hypergraph::hyper_distance(h, s, t))
+            .collect::<Vec<_>>()
+    });
+    if let Some(i) = (0..pairs.len()).find(|&i| f_answers[i] != p_answers[i]) {
+        return Err(format!(
+            "distance engine disagreement on {name} for {:?}: full_bfs {:?}, pair {:?}",
+            pairs[i], f_answers[i], p_answers[i]
+        ));
+    }
+
     // The decomposition gets all three outputs from one sweep; the
     // level-synchronous subset-probe engine (no overlap table) checks
     // them one level at a time first.
@@ -278,9 +343,36 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         edges: h.num_edges(),
         stats: s_stats,
         engines: vec![scalar, msbfs, par],
+        pair_engines: vec![full, pair],
         kcore_engines: vec![decomp],
         k_max,
     })
+}
+
+/// Vertex pairs per dataset in the `distance` comparison.
+pub const PAIRS: usize = 64;
+
+/// [`PAIRS`] pairs of distinct vertices from the largest connected
+/// component, drawn with a fixed seed so every run times the same list.
+fn giant_component_pairs(h: &Hypergraph) -> Vec<(VertexId, VertexId)> {
+    let cc = hypergraph::hypergraph_components(h);
+    let members = cc
+        .largest()
+        .map(|c| cc.vertex_members(c))
+        .unwrap_or_default();
+    if members.len() < 2 {
+        return Vec::new();
+    }
+    let mut rng = StdRng::seed_from_u64(SCALED_SEED);
+    let mut pairs = Vec::with_capacity(PAIRS);
+    while pairs.len() < PAIRS {
+        let s = members[rng.gen_range(0..members.len())];
+        let t = members[rng.gen_range(0..members.len())];
+        if s != t {
+            pairs.push((s, t));
+        }
+    }
+    pairs
 }
 
 /// Deterministic seed for the scaled instance (one batch of entropy,
@@ -342,6 +434,8 @@ mod tests {
         for d in &report.datasets {
             let names: Vec<_> = d.engines.iter().map(|e| e.engine).collect();
             assert_eq!(names, vec!["scalar", "msbfs", "par_msbfs"], "{}", d.name);
+            let pnames: Vec<_> = d.pair_engines.iter().map(|e| e.engine).collect();
+            assert_eq!(pnames, vec!["full_bfs", "pair"], "{}", d.name);
             let knames: Vec<_> = d.kcore_engines.iter().map(|e| e.engine).collect();
             assert_eq!(knames, vec!["kcore_decompose"], "{}", d.name);
         }

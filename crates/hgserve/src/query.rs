@@ -330,15 +330,16 @@ fn run_distance(
 ) -> Result<(), QueryError> {
     let s = vertex(h, from, "from", opts)?;
     let t = vertex(h, to, "to", opts)?;
-    let dist = hypergraph::hyper_distances_with(h, s, &opts.deadline)?;
+    // A bidirectional pair search; `hyper_distances` is its oracle.
+    let dist = hypergraph::hyper_distance_with(h, s, t, &opts.deadline)?;
     w.key("from").uint(from as u64);
     w.key("to").uint(to as u64);
-    match dist[t.index()] {
-        hypergraph::path::UNREACHABLE => {
-            w.key("distance").raw("null");
-        }
-        d => {
+    match dist {
+        Some(d) => {
             w.key("distance").uint(d as u64);
+        }
+        None => {
+            w.key("distance").raw("null");
         }
     }
     Ok(())
@@ -548,6 +549,49 @@ mod tests {
     }
 
     #[test]
+    fn expired_distance_504_names_the_pair_search() {
+        let opts = ExecOpts {
+            deadline: hgobs::Deadline::after(std::time::Duration::ZERO),
+            ..ExecOpts::default()
+        };
+        let err = Query::Distance { from: 1, to: 4 }
+            .run_opts(&chain(), &opts)
+            .unwrap_err();
+        assert_eq!(err.status, 504, "{}", err.message);
+        assert!(err.message.contains("bfs.pair"), "{}", err.message);
+        assert!(err.message.contains("0 work units done"), "{}", err.message);
+    }
+
+    /// The `distance` body for 1-based `from`/`to`, built from `dist`,
+    /// the single-source BFS oracle's answer for `from`.
+    fn oracle_distance_body(dist: &[u32], from: u32, to: u32) -> String {
+        let d = match dist[to as usize - 1] {
+            hypergraph::path::UNREACHABLE => "null".to_string(),
+            d => d.to_string(),
+        };
+        format!("{{\"query\":\"distance?from={from}&to={to}\",\"from\":{from},\"to\":{to},\"distance\":{d}}}\n")
+    }
+
+    #[test]
+    fn cellzome_distance_bodies_match_the_full_bfs() {
+        let text = include_str!("../../../data/cellzome-2004.hgr");
+        let h = hypergraph::io::read_hgr(text).unwrap();
+        let cc = hypergraph::hypergraph_components(&h);
+        let giant = cc.vertex_members(cc.largest().unwrap());
+        assert!(giant.len() > 1000, "{}", giant.len());
+        for &s in giant.iter().step_by(16) {
+            let dist = hypergraph::hyper_distances(&h, s);
+            let from = s.0 + 1;
+            for to in 1..=h.num_vertices() as u32 {
+                assert_eq!(
+                    Query::Distance { from, to }.run(&h).unwrap(),
+                    oracle_distance_body(&dist, from, to)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn parallel_opts_match_sequential_bodies() {
         let h = chain();
         let par = ExecOpts {
@@ -602,7 +646,6 @@ mod tests {
             Query::Components,
             Query::KCore { k: Some(1) },
             Query::KCore { k: None },
-            Query::Distance { from: 1, to: 3 },
             Query::Diameter,
             Query::PowerLaw,
         ] {
@@ -612,6 +655,27 @@ mod tests {
                 "{q:?}"
             );
         }
+        // Distance pairs within a component, across components (1 -> 4),
+        // from the isolated vertex 11, and to itself: both datasets serve
+        // the full-BFS oracle's body.
+        for (from, to) in [
+            (1, 3),
+            (3, 1),
+            (4, 6),
+            (6, 5),
+            (1, 4),
+            (11, 2),
+            (7, 8),
+            (11, 11),
+        ] {
+            let dist = hypergraph::hyper_distances(&plain.hypergraph, VertexId(from - 1));
+            let want = oracle_distance_body(&dist, from, to);
+            let q = Query::Distance { from, to };
+            assert_eq!(q.run(&plain.hypergraph).unwrap(), want);
+            assert_eq!(q.run_opts(&relabeled.hypergraph, &opts).unwrap(), want);
+        }
+        let body = Query::Distance { from: 1, to: 4 }.run(&plain.hypergraph);
+        assert!(body.unwrap().contains("\"distance\":null"));
         // Cover stays a valid cover of the same size even if the tie
         // broken set differs.
         let body = Query::Cover.run_opts(&relabeled.hypergraph, &opts).unwrap();

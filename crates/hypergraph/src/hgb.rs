@@ -679,20 +679,9 @@ fn finish_open(
     verify: bool,
 ) -> Result<HgbDataset, HgbError> {
     if verify {
-        // Cheap spot checks first, then the crate's full structural
-        // validator (offset monotonicity, sorted pins, CSR duality).
-        let (eo, _, vo, _) = h.csr_slices();
-        if eo.first() != Some(&0) || vo.first() != Some(&0) {
-            return Err(HgbError::whole("CSR offsets do not start at 0"));
-        }
-        if eo.last().copied() != Some(header.num_pins as u32)
-            || vo.last().copied() != Some(header.num_pins as u32)
-        {
-            return Err(HgbError::whole(format!(
-                "CSR offsets do not end at num_pins {}",
-                header.num_pins
-            )));
-        }
+        // The crate's full structural validator: offsets (from 0,
+        // non-decreasing, ending at num_pins) before anything slices
+        // through them, then sorted pins and CSR duality.
         crate::validate::check_structure(&h)
             .map_err(|e| HgbError::whole(format!("structural validation failed: {e}")))?;
         if h.max_vertex_degree() as u64 != header.max_vertex_degree

@@ -79,6 +79,121 @@ pub fn hyper_distances_with(
     Ok(dist)
 }
 
+/// Hypergraph distance from `s` to `t` alone, or `None` when `t` is
+/// unreachable. A bidirectional search: in a small world the two
+/// half-depth balls meet after touching a small fraction of the
+/// component that [`hyper_distances`] (the oracle) sweeps whole.
+pub fn hyper_distance(h: &Hypergraph, s: VertexId, t: VertexId) -> Option<u32> {
+    match hyper_distance_with(h, s, t, &Deadline::none()) {
+        Ok(d) => d,
+        Err(_) => unreachable!("an unlimited deadline cannot expire"),
+    }
+}
+
+/// [`hyper_distance`] under a cooperative [`Deadline`]: checked up
+/// front, at every level boundary, and every [`hgobs::CHECK_INTERVAL`]
+/// settled vertices. The trace phase and the error's `work_done` are
+/// both `bfs.pair` and the vertices settled on both sides.
+///
+/// Each side runs the alternating vertex/hyperedge BFS one full level
+/// at a time, always on the side whose frontier has the smaller total
+/// vertex degree. Labels are distance + 1, so 0 means unseen and the
+/// buffers come from zeroed allocations. The search stops at the first
+/// vertex one side labels while the other already holds it, and that
+/// sum of the two distances is exact: before this level no vertex was
+/// held by both sides, so the radii summed to less than the distance
+/// `D`; the new vertex sums to at most the radii after the level, so at
+/// most `D`; and it spells a real walk from `s` to `t`, so at least `D`.
+pub fn hyper_distance_with(
+    h: &Hypergraph,
+    s: VertexId,
+    t: VertexId,
+    deadline: &Deadline,
+) -> Result<Option<u32>, DeadlineExceeded> {
+    let mut tp = deadline.trace().phase("bfs.pair");
+    if deadline.expired() {
+        return Err(deadline.exceeded("bfs.pair", 0));
+    }
+    let mut ticks = 0u32;
+    let mut settled = 0u64;
+    let answer = 'search: {
+        if s == t {
+            break 'search Some(0);
+        }
+        let [a, b] = &mut [PairSide::new(h, s), PairSide::new(h, t)];
+        let mut next = Vec::new();
+        while !a.frontier.is_empty() && !b.frontier.is_empty() {
+            if deadline.expired() {
+                return Err(deadline.exceeded("bfs.pair", settled));
+            }
+            let (near, far) = if b.degree < a.degree {
+                (&mut *b, &*a)
+            } else {
+                (&mut *a, &*b)
+            };
+            let mut degree = 0;
+            for &u in &near.frontier {
+                if deadline.tick(&mut ticks) {
+                    return Err(deadline.exceeded("bfs.pair", settled));
+                }
+                settled += 1;
+                let du = near.label[u.index()];
+                for &f in h.edges_of(u) {
+                    if near.edge_seen[f.index()] {
+                        continue;
+                    }
+                    near.edge_seen[f.index()] = true;
+                    for &w in h.pins(f) {
+                        if near.label[w.index()] != 0 {
+                            continue;
+                        }
+                        let dw = far.label[w.index()];
+                        if dw != 0 {
+                            // Both labels are distance + 1.
+                            break 'search Some(du + dw - 1);
+                        }
+                        near.label[w.index()] = du + 1;
+                        degree += h.vertex_degree(w);
+                        next.push(w);
+                    }
+                }
+            }
+            std::mem::swap(&mut near.frontier, &mut next);
+            next.clear();
+            near.degree = degree;
+        }
+        None
+    };
+    tp.add_work(settled);
+    hgobs::counter!("bfs.pair.searches");
+    hgobs::counter!("bfs.pair.settled", settled);
+    Ok(answer)
+}
+
+/// One end of [`hyper_distance_with`]'s search.
+struct PairSide {
+    /// Distance from this end + 1 per vertex; 0 means unseen.
+    label: Vec<u32>,
+    edge_seen: Vec<bool>,
+    /// The last level labeled.
+    frontier: Vec<VertexId>,
+    /// Total vertex degree of `frontier`: what expanding it costs.
+    degree: usize,
+}
+
+impl PairSide {
+    fn new(h: &Hypergraph, start: VertexId) -> Self {
+        let mut label = vec![0u32; h.num_vertices()];
+        label[start.index()] = 1;
+        PairSide {
+            label,
+            edge_seen: vec![false; h.num_edges()],
+            frontier: vec![start],
+            degree: h.vertex_degree(start),
+        }
+    }
+}
+
 /// Record eccentricity and per-level frontier-size histograms for one BFS.
 /// Kept out of line so the common disabled path pays only the `enabled()`
 /// check at the call site.
@@ -417,6 +532,103 @@ mod tests {
                     assert!(err.elapsed >= Duration::from_millis(ms), "{err:?}");
                     if err.work_done > 0 {
                         return; // observed a genuine mid-sweep stop
+                    }
+                }
+                Ok(_) => return,
+            }
+        }
+    }
+
+    /// The pair engine against its oracle, [`hyper_distances`].
+    fn assert_pair_matches_oracle(
+        h: &Hypergraph,
+        s: VertexId,
+        targets: impl Iterator<Item = VertexId>,
+    ) {
+        let dist = hyper_distances(h, s);
+        for t in targets {
+            let want = Some(dist[t.index()]).filter(|&d| d != UNREACHABLE);
+            assert_eq!(hyper_distance(h, s, t), want, "s={s:?} t={t:?}");
+        }
+    }
+
+    #[test]
+    fn pair_distance_to_itself_is_zero() {
+        let mut b = HypergraphBuilder::new(3);
+        b.add_edge([0, 1]);
+        let h = b.build();
+        assert_eq!(hyper_distance(&h, VertexId(0), VertexId(0)), Some(0));
+        // Vertex 2 is isolated.
+        assert_eq!(hyper_distance(&h, VertexId(2), VertexId(2)), Some(0));
+    }
+
+    #[test]
+    fn pair_sharing_one_edge_is_one_apart() {
+        let mut b = HypergraphBuilder::new(5);
+        b.add_edge([0, 1, 2, 3, 4]);
+        let h = b.build();
+        assert_eq!(hyper_distance(&h, VertexId(1), VertexId(4)), Some(1));
+        assert_eq!(hyper_distance(&h, VertexId(4), VertexId(1)), Some(1));
+    }
+
+    #[test]
+    fn pair_distance_along_a_chain() {
+        let h = chain();
+        for s in h.vertices() {
+            assert_pair_matches_oracle(&h, s, h.vertices());
+        }
+        assert_eq!(hyper_distance(&h, VertexId(0), VertexId(3)), Some(3));
+    }
+
+    #[test]
+    fn pair_distance_across_a_big_ring() {
+        // Both sides take many levels before they meet.
+        let h = big_ring(3000);
+        let targets = [1u32, 7, 8, 500, 1499, 1500, 1501, 2999].map(VertexId);
+        assert_pair_matches_oracle(&h, VertexId(0), targets.into_iter());
+        assert_pair_matches_oracle(&h, VertexId(1234), targets.into_iter());
+        assert!(hyper_distance(&h, VertexId(0), VertexId(1500)).unwrap() > 100);
+    }
+
+    #[test]
+    fn pair_in_different_components_is_unreachable() {
+        let mut b = HypergraphBuilder::new(6);
+        b.add_edge([0, 1]);
+        b.add_edge([1, 2]);
+        b.add_edge([3, 4]);
+        let h = b.build();
+        assert_eq!(hyper_distance(&h, VertexId(0), VertexId(4)), None);
+        assert_eq!(hyper_distance(&h, VertexId(4), VertexId(0)), None);
+        // Vertex 5 is isolated: its side empties at once.
+        assert_eq!(hyper_distance(&h, VertexId(5), VertexId(2)), None);
+        assert_eq!(hyper_distance(&h, VertexId(2), VertexId(5)), None);
+    }
+
+    #[test]
+    fn pre_cancelled_deadline_stops_pair_search_with_zero_work() {
+        let h = big_ring(3000);
+        let dl = Deadline::after(Duration::ZERO);
+        let err = hyper_distance_with(&h, VertexId(0), VertexId(1500), &dl).unwrap_err();
+        assert_eq!(err.phase, "bfs.pair");
+        assert_eq!(err.work_done, 0, "{err:?}");
+    }
+
+    #[test]
+    fn deadline_fires_mid_pair_search_with_partial_settled_count() {
+        // The ring search spans hundreds of levels and checks the clock
+        // at each; walk the budget up until one lands mid-search. A
+        // machine that finishes inside every budget ends at Ok, and the
+        // pre-cancelled test above still covers the expiry path.
+        let n = 9000;
+        let h = big_ring(n);
+        for us in [1u64, 4, 16, 64, 256, 1024, 4096] {
+            let dl = Deadline::after(Duration::from_micros(us));
+            match hyper_distance_with(&h, VertexId(0), VertexId(n / 2), &dl) {
+                Err(err) => {
+                    assert_eq!(err.phase, "bfs.pair");
+                    assert!(err.work_done < n as u64, "{err:?}");
+                    if err.work_done > 0 {
+                        return; // observed a genuine mid-search stop
                     }
                 }
                 Ok(_) => return,

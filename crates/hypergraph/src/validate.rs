@@ -16,11 +16,17 @@ impl std::error::Error for StructureError {}
 
 /// Verify the dual-CSR invariants of a [`Hypergraph`]:
 ///
+/// * both offset arrays start at 0, never decrease, and end at the
+///   length of the list they index (checked first: every later check
+///   slices through them);
 /// * pin lists sorted, duplicate-free, in vertex range;
 /// * adjacency lists sorted, duplicate-free, in edge range;
 /// * the two directions describe the same incidence relation;
 /// * `num_pins` consistent with both directions.
 pub fn check_structure(h: &Hypergraph) -> Result<(), StructureError> {
+    let (edge_offsets, pin_list, vertex_offsets, adj_list) = h.csr_slices();
+    check_offsets("edge", edge_offsets, pin_list.len())?;
+    check_offsets("vertex", vertex_offsets, adj_list.len())?;
     let n = h.num_vertices();
 
     let mut pin_total = 0usize;
@@ -74,6 +80,28 @@ pub fn check_structure(h: &Hypergraph) -> Result<(), StructureError> {
         return Err(StructureError(format!(
             "adjacency count mismatch: vertices sum to {adj_total}, num_pins() = {}",
             h.num_pins()
+        )));
+    }
+    Ok(())
+}
+
+/// One CSR offset array: starts at 0, non-decreasing, ends at `len`.
+fn check_offsets(side: &str, offsets: &[u32], len: usize) -> Result<(), StructureError> {
+    if offsets.first() != Some(&0) {
+        return Err(StructureError(format!("{side} offsets do not start at 0")));
+    }
+    if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
+        return Err(StructureError(format!(
+            "{side} offsets decrease at entry {}: {} > {}",
+            i + 1,
+            offsets[i],
+            offsets[i + 1]
+        )));
+    }
+    if offsets.last().map(|&o| o as usize) != Some(len) {
+        return Err(StructureError(format!(
+            "{side} offsets end at {:?}, not at the list length {len}",
+            offsets.last()
         )));
     }
     Ok(())

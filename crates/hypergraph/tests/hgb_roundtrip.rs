@@ -8,7 +8,10 @@
 use proptest::prelude::*;
 
 use hypergraph::hgb::{open_hgb, write_hgb, write_hgb_file, HgbOpenMode, HgbOpenOptions};
-use hypergraph::{Hypergraph, HypergraphBuilder, Relabeling, StorageKind};
+use hypergraph::{
+    hyper_distance, hypergraph_components, Hypergraph, HypergraphBuilder, Relabeling, StorageKind,
+    VertexId,
+};
 
 /// Random hypergraph: up to `max_v` vertices, up to `max_e` edges of
 /// size 0..=max_size (so empty and duplicate edges do occur).
@@ -162,15 +165,9 @@ fn data_corruption_caught_by_verify() {
     b.add_edge([2, 3, 4, 5]);
     let h = b.build();
     let bytes = encode(&h, None);
-    // Sections start at the first 64-byte boundary past the header;
-    // PIN_LIST is the second section. Stomp its first entry with an
-    // out-of-range vertex id.
+    // Stomp PIN_LIST's first entry with an out-of-range vertex id.
     let mut corrupted = bytes.clone();
-    let pin_list_off = {
-        // section table entry 1 (PIN_LIST): id at FIXED+24, offset at +8.
-        let fixed = 4 + 4 + 8 * 7;
-        u64::from_le_bytes(bytes[fixed + 24 + 8..fixed + 24 + 16].try_into().unwrap()) as usize
-    };
+    let pin_list_off = section_offset(&bytes, hypergraph::hgb::section::PIN_LIST);
     corrupted[pin_list_off..pin_list_off + 4].copy_from_slice(&999u32.to_le_bytes());
     let path = std::env::temp_dir().join(format!("hgb-datacorrupt-{}.hgb", std::process::id()));
     std::fs::write(&path, &corrupted).unwrap();
@@ -187,4 +184,85 @@ fn data_corruption_caught_by_verify() {
         err.message.contains("structural validation failed"),
         "{err}"
     );
+}
+
+/// Byte offset of section `id`'s data, read from the section table
+/// (entries of `{id, byte_offset, byte_len}` u64s after the fixed
+/// header fields).
+fn section_offset(bytes: &[u8], id: u64) -> usize {
+    let fixed = 4 + 4 + 8 * 7;
+    let count = u64::from_le_bytes(bytes[fixed - 8..fixed].try_into().unwrap()) as usize;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    (0..count)
+        .map(|i| fixed + i * 24)
+        .find(|&entry| word(entry) == id)
+        .map(|entry| word(entry + 8) as usize)
+        .unwrap_or_else(|| panic!("no section {id}"))
+}
+
+const BOTH_MODES: [HgbOpenMode; 2] = [HgbOpenMode::Mmap, HgbOpenMode::Owned];
+
+/// A huge offset inside either CSR offset array is an error under
+/// `verify`, not a slice panic in the structural validator.
+#[test]
+fn non_monotone_offsets_fail_verify_in_both_modes() {
+    use hypergraph::hgb::section;
+    let h = hypergraph::io::read_hgr("2 3\n1 2\n2 3\n").unwrap();
+    let path = temp_path("offsets");
+    write_hgb_file(&h, None, &path).unwrap();
+    let clean = std::fs::read(&path).unwrap();
+    for id in [section::EDGE_OFFSETS, section::VERTEX_OFFSETS] {
+        let entry = section_offset(&clean, id) + 4;
+        let mut bytes = clean.clone();
+        bytes[entry..entry + 4].copy_from_slice(&0x7fff_fff0u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        for mode in BOTH_MODES {
+            let err = open_hgb(&path, HgbOpenOptions { mode, verify: true })
+                .expect_err("a decreasing offset must fail verification");
+            assert!(
+                err.message.contains("offsets decrease"),
+                "{id} {mode:?}: {err}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Overwriting a few bytes anywhere in a valid file, data sections
+    /// included, never panics `open_hgb` with `verify` on, in either
+    /// mode; a file that still opens answers a kernel without panicking.
+    #[test]
+    fn byte_mutations_never_panic_verified_open(
+        h in arb_hypergraph(20, 15, 5),
+        mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..=4),
+    ) {
+        let mut bytes = encode(&h, None);
+        let mutations: Vec<(usize, u8)> =
+            mutations.into_iter().map(|(at, b)| (at % bytes.len(), b)).collect();
+        for &(at, b) in &mutations {
+            bytes[at] = b;
+        }
+        let path = temp_path("mutate");
+        std::fs::write(&path, &bytes).unwrap();
+        for mode in BOTH_MODES {
+            let opened = std::panic::catch_unwind(|| {
+                let g = open_hgb(&path, HgbOpenOptions { mode, verify: true }).ok()?.hypergraph;
+                let n = g.num_vertices() as u32;
+                let far = (n > 0).then(|| hyper_distance(&g, VertexId(0), VertexId(n - 1)));
+                Some((hypergraph_components(&g).count(), far))
+            });
+            if opened.is_err() {
+                let edges: Vec<&[VertexId]> = h.edges().map(|f| h.pins(f)).collect();
+                panic!(
+                    "{mode:?} open or kernel panicked: {} vertices, edges {edges:?}, \
+                     mutations (offset, byte) {mutations:?}",
+                    h.num_vertices()
+                );
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
 }

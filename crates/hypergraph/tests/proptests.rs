@@ -209,6 +209,20 @@ proptest! {
         }
     }
 
+    /// The bidirectional pair search answers every (s, t) exactly as the
+    /// single-source BFS oracle does. Sparse draws bring isolated
+    /// vertices and several components; empty and duplicate edges occur.
+    #[test]
+    fn pair_distance_matches_single_source_oracle(h in arb_hypergraph(30, 24, 4)) {
+        for s in h.vertices() {
+            let dist = hypergraph::hyper_distances(&h, s);
+            for t in h.vertices() {
+                let want = Some(dist[t.index()]).filter(|&d| d != hypergraph::path::UNREACHABLE);
+                prop_assert_eq!(hypergraph::hyper_distance(&h, s, t), want, "s={:?} t={:?}", s, t);
+            }
+        }
+    }
+
     /// `.hgr` round-trips exactly.
     #[test]
     fn hgr_roundtrip(h in arb_hypergraph(12, 10, 6)) {
