@@ -392,6 +392,23 @@ curl -sf "http://$ADDR/v1/cellzome-2004/distance?from=2&to=1000&trace=1" >trace-
     cat trace-sample.json
     exit 1
 }
+# Every k-core query runs the subset-probe engine: one level, and the
+# max core without the Fig. 4 sweep or its overlap table.
+for Q in 'kcore?k=3&trace=1' 'kcore?trace=1'; do
+    curl -sf "http://$ADDR/v1/cellzome-2004/$Q" >trace-sample.json
+    PHASES=$(./target/release/hg trace trace-sample.json)
+    printf '%s\n' "$PHASES" | grep -qF 'kcore.probe.peel' || {
+        echo "traced $Q did not yield the kcore.probe.peel phase:"
+        cat trace-sample.json
+        exit 1
+    }
+    if printf '%s\n' "$PHASES" | grep -qF -e 'kcore.decompose' -e 'kcore.reduce' \
+        -e 'kcore.peel' -e 'overlap.build'; then
+        echo "traced $Q ran the Fig. 4 sweep or built the overlap table:"
+        cat trace-sample.json
+        exit 1
+    fi
+done
 curl -sf "http://$ADDR/debug/slowlog" | grep -q '"schema":"hg-slowlog/1"' || {
     echo "/debug/slowlog did not answer well-formed slowlog JSON"
     exit 1

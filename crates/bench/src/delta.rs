@@ -155,8 +155,8 @@ mod tests {
     #[test]
     fn parses_a_real_report_roundtrip() {
         let r = parse_report(&tiny_json()).unwrap();
-        // 2 datasets × (3 distance + 1 kcore engine).
-        assert_eq!(r.rows.len(), 8, "{r:?}");
+        // 2 datasets × (3 distance + 2 kcore engines).
+        assert_eq!(r.rows.len(), 10, "{r:?}");
         let engines: Vec<&str> = r
             .rows
             .iter()
@@ -165,7 +165,13 @@ mod tests {
             .collect();
         assert_eq!(
             engines,
-            vec!["scalar", "msbfs", "par_msbfs", "kcore_decompose"]
+            vec![
+                "scalar",
+                "msbfs",
+                "par_msbfs",
+                "kcore_decompose",
+                "kcore_probe"
+            ]
         );
     }
 
@@ -174,7 +180,7 @@ mod tests {
         let json = tiny_json();
         let table = render_delta(&json, &json).unwrap();
         // Identical reports → every delta collapses to `=`.
-        assert_eq!(table.matches("| = |").count(), 10, "{table}");
+        assert_eq!(table.matches("| = |").count(), 12, "{table}");
         assert!(table.contains("| **gate** | gate_msbfs_us |"), "{table}");
         assert!(table.starts_with("| dataset | kernel |"), "{table}");
     }

@@ -1,8 +1,9 @@
 //! Deterministic kernel benchmark: scalar per-source BFS vs batched
 //! MS-BFS vs parallel MS-BFS on the all-pairs distance sweep, the
 //! bidirectional pair search vs the full single-source BFS on a seeded
-//! list of vertex pairs, and the one-pass incremental CSR k-core
-//! decomposition, run from `hg bench --kernels` and gated by
+//! list of vertex pairs, and the paper's one-pass CSR k-core
+//! decomposition vs the subset-probe decomposition that serves every
+//! k-core query, run from `hg bench --kernels` and gated by
 //! `ci.sh --bench`.
 //!
 //! Unlike the Criterion targets under `benches/`, this harness is a
@@ -11,9 +12,8 @@
 //! report best-of-`reps` wall time — the minimum is the standard
 //! low-noise estimator for a deterministic kernel — and every engine's
 //! [`HyperDistanceStats`] must be bit-identical before any timing is
-//! trusted, as must both pair engines' answers, the decomposition's
-//! outputs and the level-synchronous subset-probe k-core's; a mismatch
-//! is an error, not a footnote.
+//! trusted, as must both pair engines' answers and both k-core
+//! decompositions' outputs; a mismatch is an error, not a footnote.
 
 use std::time::Instant;
 
@@ -69,9 +69,10 @@ pub struct DatasetResult {
     /// pair search (`pair`, what hgserve serves); times are for the
     /// whole list.
     pub pair_engines: Vec<EngineResult>,
-    /// The k-core decomposition (`max_core` + `core_profile` +
-    /// `core_numbers` from one incremental CSR sweep), cross-validated
-    /// before its timing is trusted.
+    /// The k-core decomposition (max core, profile and core numbers
+    /// from one sweep) by the paper's CSR engine (`kcore_decompose`) and
+    /// by the served subset-probe engine (`kcore_probe`), cross-validated
+    /// before either timing is trusted.
     pub kcore_engines: Vec<EngineResult>,
     /// Depth of the maximum core (engine-agreed).
     pub k_max: u32,
@@ -259,24 +260,12 @@ type KcoreOutputs = (
     Vec<u32>,
 );
 
-/// [`KcoreOutputs`] from [`hypergraph::probe_kcore()`] at
-/// `k = 1..=k_max + 1`, stopping at the first empty core.
-fn probe_kcore_outputs(h: &Hypergraph) -> KcoreOutputs {
-    let mut max_core = None;
-    let mut profile = Vec::new();
-    let mut core_numbers = vec![0u32; h.num_vertices()];
-    for k in 1u32.. {
-        let core = hypergraph::probe_kcore(h, k);
-        if core.is_empty() {
-            break;
-        }
-        profile.push((k, core.vertices.len(), core.edges.len()));
-        for v in &core.vertices {
-            core_numbers[v.index()] = k;
-        }
-        max_core = Some((k, core.vertices, core.edges));
-    }
-    (max_core, profile, core_numbers)
+fn kcore_outputs(d: hypergraph::Decomposition) -> KcoreOutputs {
+    (
+        d.max_core.map(|c| (c.k, c.vertices, c.edges)),
+        d.profile,
+        d.core_numbers,
+    )
 }
 
 fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResult, String> {
@@ -315,23 +304,19 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         ));
     }
 
-    // The decomposition gets all three outputs from one sweep; the
-    // level-synchronous subset-probe engine (no overlap table) checks
-    // them one level at a time first.
-    let o_out = probe_kcore_outputs(h);
-    let (decomp, d_out): (EngineResult, KcoreOutputs) =
-        time_engine("kcore_decompose", reps, || {
-            let d = hypergraph::decompose(h);
-            (
-                d.max_core.map(|c| (c.k, c.vertices, c.edges)),
-                d.profile,
-                d.core_numbers,
-            )
-        });
-    if o_out != d_out {
+    // Each decomposition gets all three outputs from one sweep: the
+    // paper's Fig. 4 over the overlap table, and the served subset-probe
+    // engine without one.
+    let (decomp, d_out) = time_engine("kcore_decompose", reps, || {
+        kcore_outputs(hypergraph::decompose(h))
+    });
+    let (probe, p_out) = time_engine("kcore_probe", reps, || {
+        kcore_outputs(hypergraph::probe_decompose(h))
+    });
+    if p_out != d_out {
         return Err(format!(
-            "kcore engine disagreement on {name}: probe_kcore (k_max {:?}) vs decompose (k_max {:?})",
-            o_out.0.as_ref().map(|c| c.0),
+            "kcore engine disagreement on {name}: probe_decompose (k_max {:?}) vs decompose (k_max {:?})",
+            p_out.0.as_ref().map(|c| c.0),
             d_out.0.as_ref().map(|c| c.0)
         ));
     }
@@ -344,7 +329,7 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         stats: s_stats,
         engines: vec![scalar, msbfs, par],
         pair_engines: vec![full, pair],
-        kcore_engines: vec![decomp],
+        kcore_engines: vec![decomp, probe],
         k_max,
     })
 }
@@ -437,7 +422,7 @@ mod tests {
             let pnames: Vec<_> = d.pair_engines.iter().map(|e| e.engine).collect();
             assert_eq!(pnames, vec!["full_bfs", "pair"], "{}", d.name);
             let knames: Vec<_> = d.kcore_engines.iter().map(|e| e.engine).collect();
-            assert_eq!(knames, vec!["kcore_decompose"], "{}", d.name);
+            assert_eq!(knames, vec!["kcore_decompose", "kcore_probe"], "{}", d.name);
         }
         // Cellzome fallback twin reproduces the paper's diameter and
         // max-core depth (Table 1: the 6-core).

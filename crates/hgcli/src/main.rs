@@ -204,16 +204,16 @@ fn cmd_kcore(args: &[String]) -> Result<String, String> {
     let h = load(path)?;
 
     if profile {
-        // One incremental sweep yields every level's sizes.
-        let (d, secs) = timed(|| hypergraph::decompose(&h));
+        // One probe sweep yields every level's sizes.
+        let (profile, secs) = timed(|| hypergraph::core_profile(&h));
         let mut t = Table::new(&["k", "vertices", "hyperedges"]);
-        for &(k, nv, ne) in &d.profile {
+        for &(k, nv, ne) in &profile {
             t.row(cells![k, nv, ne]);
         }
         let mut out = t.render();
         out.push_str(&format!(
             "max core k = {} ({})\n",
-            d.profile.last().map(|p| p.0).unwrap_or(0),
+            profile.last().map(|p| p.0).unwrap_or(0),
             format_time(secs)
         ));
         return Ok(out);
@@ -233,7 +233,7 @@ fn cmd_kcore(args: &[String]) -> Result<String, String> {
             c.k,
             c.vertices.len(),
             c.edges.len(),
-            c.sub.num_pins(),
+            c.pins,
             format_time(secs)
         )),
         _ => Ok(format!("core is empty ({})\n", format_time(secs))),

@@ -130,7 +130,8 @@ pub fn e4_table1() -> String {
 
     let mut add_row = |name: &str, h: &hypergraph::Hypergraph| {
         let d2f = hypergraph::CsrOverlap::build(h).max_d2_edge();
-        let (core, secs) = timed(|| max_core(h));
+        // The paper's Fig. 4 by name, so the time column measures it.
+        let (core, secs) = timed(|| hypergraph::decompose(h).max_core);
         let (k, cv, ce) = core
             .map(|c| (c.k, c.vertices.len(), c.edges.len()))
             .unwrap_or((0, 0, 0));

@@ -340,21 +340,21 @@ fn metrics_flag_writes_valid_json_report() {
     assert!(json.starts_with("{\"schema\":\"hgobs/1\""), "{json}");
     check_json(json.trim()).unwrap_or_else(|e| panic!("invalid JSON ({e}):\n{json}"));
 
-    // The decomposition sweep counts one round per level, so at least one.
+    // The probe decomposition starts a round per level, so at least one.
     let rounds: u64 = json
-        .split("\"kcore.rounds\":")
+        .split("\"kcore.probe.rounds\":")
         .nth(1)
-        .expect("kcore.rounds counter present")
+        .expect("kcore.probe.rounds counter present")
         .chars()
         .take_while(|c| c.is_ascii_digit())
         .collect::<String>()
         .parse()
         .unwrap();
-    assert!(rounds >= 1, "kcore.rounds = {rounds}");
+    assert!(rounds >= 1, "kcore.probe.rounds = {rounds}");
 
     // The whole-run span wraps everything.
     assert!(json.contains("\"total\":{\"count\":1,"), "{json}");
-    assert!(json.contains("total/kcore.decompose"), "{json}");
+    assert!(json.contains("total/kcore.probe"), "{json}");
 }
 
 #[test]
@@ -375,7 +375,11 @@ fn metrics_counters_are_deterministic_across_runs() {
         sections.push(counters_section(&json).to_string());
     }
     assert_eq!(sections[0], sections[1]);
-    assert!(sections[0].contains("kcore.rounds"), "{}", sections[0]);
+    assert!(
+        sections[0].contains("kcore.probe.rounds"),
+        "{}",
+        sections[0]
+    );
 }
 
 #[test]
@@ -396,14 +400,14 @@ fn profile_emits_per_algorithm_sections() {
         assert!(out.contains(section), "missing {section} in:\n{out}");
     }
     assert!(out.contains("\"vertices\":1361"), "{out}");
-    assert!(out.contains("kcore.rounds"), "{out}");
+    assert!(out.contains("kcore.probe.rounds"), "{out}");
     assert!(out.contains("bfs.sources"), "{out}");
     assert!(out.contains("cover.picks"), "{out}");
 
     // The global --metrics report still carries the profiled totals.
     let global = std::fs::read_to_string(&report).unwrap();
     check_json(global.trim()).unwrap_or_else(|e| panic!("invalid JSON ({e}):\n{global}"));
-    assert!(global.contains("kcore.rounds"), "{global}");
+    assert!(global.contains("kcore.probe.rounds"), "{global}");
     assert!(global.contains("cover.dual_raises"), "{global}");
 
     let (ok, _, err) = hg(&["profile", file_s, "--algo", "frobnicate"]);

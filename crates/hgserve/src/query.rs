@@ -287,10 +287,10 @@ fn run_kcore(
     opts: &ExecOpts,
     w: &mut JsonWriter,
 ) -> Result<(), QueryError> {
+    // One subset-probe engine, no overlap table: one level, or every
+    // level from one state for the maximum core.
     let core = match k {
-        // Subset probes skip the overlap build: ~2x the CSR peeler at every size.
         Some(k) => Some(hypergraph::probe_kcore_with(h, k, &opts.deadline)?),
-        // Maximum core: one incremental decomposition sweep.
         None => hypergraph::max_core_with(h, &opts.deadline)?,
     };
     match core {
@@ -298,7 +298,7 @@ fn run_kcore(
             w.key("k").uint(c.k as u64);
             w.key("vertices").uint(c.vertices.len() as u64);
             w.key("hyperedges").uint(c.edges.len() as u64);
-            w.key("pins").uint(c.sub.num_pins() as u64);
+            w.key("pins").uint(c.pins as u64);
             // External ids, ascending: unmapping a relabeled dataset
             // scrambles the internal order, so sort after translation
             // (a no-op for unrelabeled datasets, already ascending).
@@ -586,6 +586,53 @@ mod tests {
                 assert_eq!(
                     Query::Distance { from, to }.run(&h).unwrap(),
                     oracle_distance_body(&dist, from, to)
+                );
+            }
+        }
+    }
+
+    /// The `kcore` body for `core`, built from the Fig. 4 engines'
+    /// answer, with the pin count read off the rebuilt sub-hypergraph.
+    fn oracle_kcore_body(h: &Hypergraph, query: &str, core: Option<hypergraph::KCore>) -> String {
+        match core.filter(|c| !c.is_empty()) {
+            Some(c) => {
+                let ids: Vec<String> = c.vertices.iter().map(|v| (v.0 + 1).to_string()).collect();
+                format!(
+                    "{{\"query\":\"{query}\",\"k\":{},\"vertices\":{},\"hyperedges\":{},\"pins\":{},\"vertex_ids\":[{}]}}\n",
+                    c.k,
+                    c.vertices.len(),
+                    c.edges.len(),
+                    c.sub_hypergraph(h).num_pins(),
+                    ids.join(",")
+                )
+            }
+            None => format!(
+                "{{\"query\":\"{query}\",\"k\":null,\"vertices\":0,\"hyperedges\":0,\"pins\":0,\"vertex_ids\":[]}}\n"
+            ),
+        }
+    }
+
+    #[test]
+    fn kcore_bodies_match_the_fig4_engines() {
+        let cellzome =
+            hypergraph::io::read_hgr(include_str!("../../../data/cellzome-2004.hgr")).unwrap();
+        let u6000 = hypergen::uniform_random_hypergraph(6_000, 4_500, 5, 41);
+        for h in [&cellzome, &u6000] {
+            let max = hypergraph::decompose(h).max_core;
+            let k_max = max.as_ref().map_or(0, |c| c.k);
+            assert!(k_max >= 5, "{k_max}");
+            assert_eq!(
+                Query::KCore { k: None }.run(h).unwrap(),
+                oracle_kcore_body(h, "kcore", max)
+            );
+            for k in 1..=k_max + 1 {
+                assert_eq!(
+                    Query::KCore { k: Some(k) }.run(h).unwrap(),
+                    oracle_kcore_body(
+                        h,
+                        &format!("kcore?k={k}"),
+                        Some(hypergraph::csr_kcore(h, k))
+                    )
                 );
             }
         }

@@ -1,5 +1,10 @@
 //! The paper's k-core algorithm (Fig. 4) over the CSR overlap engine:
 //! [`csr_kcore`] for one `k`, and [`decompose`] for every `k` in one pass.
+//! No request runs them: every served k-core query goes to the
+//! subset-probe engine in [`mod@crate::probe_kcore`]. They stay as the
+//! paper's algorithm (E4 times [`decompose`] by name, A4 and
+//! `hg bench --kernels` time both) and as the cross-check of that engine
+//! on inputs too large for the naive oracle.
 //!
 //! Hypergraph k-cores are nested (property-tested in this crate): the
 //! (k+1)-core is a sub-hypergraph of the k-core, and peeling is
@@ -9,8 +14,8 @@
 //! overlap table for every `k`, [`decompose`] builds it **once**, runs
 //! the reduce sweep once, and then sweeps `k = 1, 2, …` re-seeding the
 //! queue from the survivors, recording each level's sizes and stamping
-//! core numbers as it goes. `core_profile`, `core_numbers` and `max_core`
-//! in [`crate::kcore`] all fall out of the single sweep.
+//! core numbers as it goes. The profile, the core numbers and the max
+//! core all fall out of the single sweep.
 //!
 //! A hyperedge dies as soon as it is contained in an alive hyperedge of
 //! higher id-breaking rank, and ties between identical hyperedges keep
@@ -236,13 +241,11 @@ impl<'h> CsrPeeler<'h> {
     }
 
     fn extract(&self, k: u32) -> KCore {
-        let (sub, vmap, emap) = self.h.sub_hypergraph(&self.alive_v, &self.alive_e, false);
-        KCore {
-            k,
-            vertices: vmap,
-            edges: emap,
-            sub,
-        }
+        let pins = (0..self.h.num_edges())
+            .filter(|&f| self.alive_e[f])
+            .map(|f| self.deg_e[f] as usize)
+            .sum();
+        KCore::from_alive(k, &self.alive_v, &self.alive_e, pins)
     }
 }
 
@@ -316,13 +319,12 @@ pub fn decompose_with(
             .last()
             .expect("snapshot implies a non-empty level")
             .0;
-        let (sub, vmap, emap) = h.sub_hypergraph(&alive_v, &alive_e, false);
-        KCore {
-            k: k_max,
-            vertices: vmap,
-            edges: emap,
-            sub,
-        }
+        let pins = h
+            .edges()
+            .filter(|f| alive_e[f.index()])
+            .map(|f| h.pins(f).iter().filter(|v| alive_v[v.index()]).count())
+            .sum();
+        KCore::from_alive(k_max, &alive_v, &alive_e, pins)
     });
     Ok(Decomposition {
         profile,

@@ -194,7 +194,7 @@ mod tests {
         let h = toy();
         let paper = crate::csr_kcore(&h, 2);
         let ks = ks_core(&h, 2, 1);
-        assert!(crate::validate::check_kcore_invariant(&paper.sub, 2).is_ok());
+        assert!(crate::validate::check_kcore_invariant(&paper.sub_hypergraph(&h), 2).is_ok());
         assert!(ks.sub.vertices().all(|v| ks.sub.vertex_degree(v) >= 2));
     }
 }

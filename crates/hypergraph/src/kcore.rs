@@ -6,6 +6,15 @@
 //! belonged to is deleted as soon as it stops being maximal — including
 //! the special case of becoming empty.
 //!
+//! One engine serves every k-core query:
+//! [`probe_kcore`](crate::probe_kcore()) for one `k` and
+//! [`probe_decompose`](crate::probe_decompose()) for every level, both
+//! testing containment by direct subset probes. The drivers here —
+//! [`max_core`], [`core_profile`], [`core_numbers`] — read the
+//! decomposition. The oracle is
+//! [`naive_kcore`](crate::naive::naive_kcore) (per level:
+//! [`naive_cores`](crate::naive::naive_cores)).
+//!
 //! The paper's algorithm lives in [`mod@crate::decompose`]: peel vertices of
 //! degree < k; detect non-maximal hyperedges *without comparing vertex
 //! sets* by maintaining current degrees and pairwise overlaps
@@ -13,13 +22,10 @@
 //! `overlap(f, g) == degree(f)`. Only hyperedges whose degree was just
 //! decremented can newly become non-maximal, giving the paper's
 //! `O(|E|(Δ₂,F + Δ_V ln Δ₂,F))` bound. [`csr_kcore`](crate::csr_kcore)
-//! computes one k-core; the drivers here read every level from one
-//! [`decompose`](crate::decompose()) sweep. For one `k` without the
-//! overlap table, [`probe_kcore`](crate::probe_kcore()) tests
-//! containment by direct subset probes; it is the engine behind
-//! hgserve's `kcore?k=`. The oracle is
-//! [`naive_kcore`](crate::naive::naive_kcore), and the tests below pin
-//! the semantics on `csr_kcore`.
+//! computes one k-core and [`decompose`](crate::decompose()) every
+//! level; no request runs them. They stay as the Fig. 4 artifact (E4,
+//! A4, `hg bench --kernels`) and as the cross-check on inputs too large
+//! for the oracle. The tests below pin the semantics on `csr_kcore`.
 //!
 //! Ties between *identical* hyperedges are broken by id: the lowest id
 //! survives. This makes the computation deterministic and keeps exactly
@@ -38,15 +44,46 @@ pub struct KCore {
     pub vertices: Vec<VertexId>,
     /// Original ids of surviving hyperedges, ascending.
     pub edges: Vec<EdgeId>,
-    /// The core as a standalone hypergraph; its vertex `i` is
-    /// `vertices[i]`, its edge `j` is `edges[j]`.
-    pub sub: Hypergraph,
+    /// Pins of the core: surviving vertices summed over surviving
+    /// hyperedges.
+    pub pins: usize,
 }
 
 impl KCore {
+    /// The core whose vertices and hyperedges are those flagged alive.
+    pub(crate) fn from_alive(k: u32, alive_v: &[bool], alive_e: &[bool], pins: usize) -> KCore {
+        KCore {
+            k,
+            vertices: (0..alive_v.len() as u32)
+                .filter(|&v| alive_v[v as usize])
+                .map(VertexId)
+                .collect(),
+            edges: (0..alive_e.len() as u32)
+                .filter(|&f| alive_e[f as usize])
+                .map(EdgeId)
+                .collect(),
+            pins,
+        }
+    }
+
     /// `true` when the core is empty (no vertices survive).
     pub fn is_empty(&self) -> bool {
         self.vertices.is_empty()
+    }
+
+    /// The core as a standalone hypergraph, rebuilt from `h`, the
+    /// hypergraph it was computed on: its vertex `i` is `vertices[i]`,
+    /// its edge `j` is `edges[j]`.
+    pub fn sub_hypergraph(&self, h: &Hypergraph) -> Hypergraph {
+        let mut keep_v = vec![false; h.num_vertices()];
+        for v in &self.vertices {
+            keep_v[v.index()] = true;
+        }
+        let mut keep_e = vec![false; h.num_edges()];
+        for f in &self.edges {
+            keep_e[f.index()] = true;
+        }
+        h.sub_hypergraph(&keep_v, &keep_e, true).0
     }
 }
 
@@ -54,9 +91,8 @@ impl KCore {
 /// non-empty, together with that core.
 ///
 /// Returns `None` when even the 1-core is empty (no vertices, or every
-/// hyperedge vanishes). Backed by the incremental
-/// [`decompose`](crate::decompose()) sweep: one CSR overlap build and one
-/// monotone peel.
+/// hyperedge vanishes). Backed by
+/// [`probe_decompose`](crate::probe_decompose()).
 pub fn max_core(h: &Hypergraph) -> Option<KCore> {
     match max_core_with(h, &Deadline::none()) {
         Ok(core) => core,
@@ -64,28 +100,28 @@ pub fn max_core(h: &Hypergraph) -> Option<KCore> {
     }
 }
 
-/// [`max_core`] under a cooperative [`Deadline`] (phase
-/// `kcore.decompose`).
+/// [`max_core`] under a cooperative [`Deadline`], with the phases of
+/// [`probe_decompose_with`](crate::probe_decompose_with).
 pub fn max_core_with(
     h: &Hypergraph,
     deadline: &Deadline,
 ) -> Result<Option<KCore>, DeadlineExceeded> {
-    Ok(crate::decompose::decompose_with(h, deadline)?.max_core)
+    Ok(crate::probe_kcore::probe_decompose_with(h, deadline)?.max_core)
 }
 
 /// Sizes of the k-core for every k from 1 to the maximum:
-/// `profile[i] = (k, vertices, edges)` with `k = i + 1`. Backed by the
-/// incremental [`decompose`](crate::decompose()) sweep.
+/// `profile[i] = (k, vertices, edges)` with `k = i + 1`. Backed by
+/// [`probe_decompose`](crate::probe_decompose()).
 pub fn core_profile(h: &Hypergraph) -> Vec<(u32, usize, usize)> {
-    crate::decompose::decompose(h).profile
+    crate::probe_kcore::probe_decompose(h).profile
 }
 
 /// The core number of every vertex: the largest `k` for which the vertex
 /// belongs to the k-core (0 for vertices outside even the 1-core, e.g.
 /// isolated vertices or vertices whose hyperedges all vanish). Backed by
-/// the incremental [`decompose`](crate::decompose()) sweep.
+/// [`probe_decompose`](crate::probe_decompose()).
 pub fn core_numbers(h: &Hypergraph) -> Vec<u32> {
-    crate::decompose::decompose(h).core_numbers
+    crate::probe_kcore::probe_decompose(h).core_numbers
 }
 
 #[cfg(test)]
@@ -143,7 +179,9 @@ mod tests {
         // all maximal, all core vertices keep degree 2.
         assert_eq!(c2.vertices, vec![VertexId(0), VertexId(1), VertexId(2)]);
         assert_eq!(c2.edges.len(), 3);
-        assert!(c2.sub.vertices().all(|v| c2.sub.vertex_degree(v) >= 2));
+        let sub = c2.sub_hypergraph(&h);
+        assert!(sub.vertices().all(|v| sub.vertex_degree(v) >= 2));
+        assert_eq!(c2.pins, 6);
         let mc = max_core(&h).unwrap();
         assert_eq!(mc.k, 2);
     }
@@ -284,10 +322,10 @@ mod tests {
         assert!(mc.k >= 3, "k = {}", mc.k);
         assert!(mc.vertices.iter().all(|v| v.0 < 6));
         // Core invariant: every vertex has degree >= k in the core.
-        assert!(mc
-            .sub
+        let sub = mc.sub_hypergraph(&h);
+        assert!(sub
             .vertices()
-            .all(|v| mc.sub.vertex_degree(v) >= mc.k as usize));
+            .all(|v| sub.vertex_degree(v) >= mc.k as usize));
     }
 
     #[test]
@@ -358,15 +396,17 @@ mod tests {
         let h = triangle_like();
         for k in 0..=3 {
             let core = csr_kcore(&h, k);
-            crate::validate::check_structure(&core.sub).unwrap();
+            let sub = core.sub_hypergraph(&h);
+            crate::validate::check_structure(&sub).unwrap();
+            assert_eq!(core.pins, sub.num_pins());
             // Degrees >= k.
-            assert!(core
-                .sub
-                .vertices()
-                .all(|v| core.sub.vertex_degree(v) >= k as usize
-                    || core.sub.vertex_degree(v) == 0 && k == 0));
+            assert!(
+                sub.vertices()
+                    .all(|v| sub.vertex_degree(v) >= k as usize
+                        || sub.vertex_degree(v) == 0 && k == 0)
+            );
             // Reduced: no containment among surviving edges.
-            assert!(crate::reduce::non_maximal_edges(&core.sub).is_empty());
+            assert!(crate::reduce::non_maximal_edges(&sub).is_empty());
         }
     }
 }

@@ -16,12 +16,13 @@
 //!   power-law fitting ([`degree`], [`powerlaw`]);
 //! * the hypergraph **k-core** ([`kcore`]): the maximal *reduced*
 //!   sub-hypergraph in which every vertex lies in at least `k` hyperedges.
-//!   The paper's Fig. 4 algorithm, with its overlap-counting maximality
-//!   test, is [`csr_kcore`] for one `k` and the one-pass decomposition
-//!   [`decompose()`] behind `max_core`, `core_profile` and `core_numbers`;
-//!   [`probe_kcore()`] is the level-synchronous subset-probe engine that
-//!   answers one `k` without an overlap table; [`naive`] holds the
-//!   fixpoint oracle;
+//!   The level-synchronous subset-probe engine answers every k-core query
+//!   without an overlap table: [`probe_kcore()`] for one `k`, and
+//!   [`probe_decompose()`] for every level, behind `max_core`,
+//!   `core_profile` and `core_numbers`. The paper's Fig. 4 algorithm,
+//!   with its overlap-counting maximality test, is [`csr_kcore`] for one
+//!   `k` and the one-pass [`decompose()`], kept as the paper's artifact
+//!   and the engine's cross-check; [`naive`] holds the fixpoint oracle;
 //! * reduced hypergraphs ([`reduce()`](crate::reduce())) and the flat
 //!   CSR pairwise overlap table ([`csr_overlap`]);
 //! * greedy, dual, and primal-dual **vertex covers** and multicovers
@@ -112,7 +113,7 @@ pub use path::{
     scalar_hyper_distance_stats_from, scalar_hyper_distance_stats_from_with, HyperDistanceStats,
 };
 pub use powerlaw::{fit_power_law, PowerLawFit};
-pub use probe_kcore::{probe_kcore, probe_kcore_with};
+pub use probe_kcore::{probe_decompose, probe_decompose_with, probe_kcore, probe_kcore_with};
 pub use projections::{clique_expansion, intersection_graph, star_expansion, SpaceReport};
 pub use reduce::{non_maximal_edges, reduce};
 pub use relabel::Relabeling;

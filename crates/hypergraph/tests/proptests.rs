@@ -11,8 +11,8 @@ use hypergraph::reduce::{non_maximal_edges, non_maximal_edges_naive};
 use hypergraph::validate::check_structure;
 use hypergraph::{
     csr_kcore, greedy_multicover, greedy_vertex_cover, is_multicover, is_vertex_cover,
-    pricing_vertex_cover, probe_kcore, BipartiteView, CsrOverlap, Hypergraph, HypergraphBuilder,
-    VertexId,
+    pricing_vertex_cover, probe_decompose, probe_kcore, BipartiteView, CsrOverlap, Hypergraph,
+    HypergraphBuilder, VertexId,
 };
 
 /// Random hypergraph: up to `max_v` vertices, up to `max_e` edges of
@@ -37,14 +37,14 @@ fn arb_hypergraph(
     })
 }
 
-/// Pin-sets of a standalone sub-hypergraph, translated to original ids.
-fn sub_contents(core: &hypergraph::KCore) -> Vec<Vec<u32>> {
-    let mut out: Vec<Vec<u32>> = core
-        .sub
+/// Pin-sets of a core rebuilt as a standalone sub-hypergraph of `h`,
+/// translated to original ids.
+fn sub_contents(h: &Hypergraph, core: &hypergraph::KCore) -> Vec<Vec<u32>> {
+    let sub = core.sub_hypergraph(h);
+    let mut out: Vec<Vec<u32>> = sub
         .edges()
         .map(|f| {
-            core.sub
-                .pins(f)
+            sub.pins(f)
                 .iter()
                 .map(|v| core.vertices[v.index()].0)
                 .collect()
@@ -82,21 +82,26 @@ proptest! {
             edge_contents(&h, &fast.edges, &fast.vertices),
             "edge contents differ at k={}", k
         );
+        prop_assert_eq!(fast.pins, fast.sub_hypergraph(&h).num_pins());
     }
 
     /// Every k-core output satisfies its definition: structure valid,
     /// reduced, all degrees >= k, and the standalone sub-hypergraph's
-    /// contents match the surviving original edges.
+    /// contents match the surviving original edges and its pin count the
+    /// core's. Both engines.
     #[test]
     fn kcore_definition_holds((h, k) in arb_hypergraph(12, 12, 6).prop_flat_map(|h| (Just(h), 1u32..5))) {
-        let core = csr_kcore(&h, k);
-        check_structure(&core.sub).unwrap();
-        prop_assert!(non_maximal_edges(&core.sub).is_empty());
-        for v in core.sub.vertices() {
-            prop_assert!(core.sub.vertex_degree(v) >= k as usize);
+        for core in [csr_kcore(&h, k), probe_kcore(&h, k)] {
+            let sub = core.sub_hypergraph(&h);
+            check_structure(&sub).unwrap();
+            prop_assert!(non_maximal_edges(&sub).is_empty());
+            for v in sub.vertices() {
+                prop_assert!(sub.vertex_degree(v) >= k as usize);
+            }
+            prop_assert_eq!(edge_contents(&h, &core.edges, &core.vertices).len(), sub.num_edges());
+            prop_assert_eq!(sub_contents(&h, &core), edge_contents(&h, &core.edges, &core.vertices));
+            prop_assert_eq!(core.pins, sub.num_pins());
         }
-        prop_assert_eq!(edge_contents(&h, &core.edges, &core.vertices).len(), core.sub.num_edges());
-        prop_assert_eq!(sub_contents(&core), edge_contents(&h, &core.edges, &core.vertices));
     }
 
     /// k-cores are nested in content: vertices of the (k+1)-core are a
@@ -316,6 +321,26 @@ proptest! {
             edge_contents(&h, &ne, &nv),
             edge_contents(&h, &probe.edges, &probe.vertices),
             "k = {}", k
+        );
+        prop_assert_eq!(probe.pins, probe.sub_hypergraph(&h).num_pins());
+    }
+
+    /// The probe decomposition agrees with the per-k naive oracle on the
+    /// profile, the core numbers, and the max core's k, vertex ids, edge
+    /// contents and pin count (inputs with empty and duplicate
+    /// hyperedges and isolated vertices).
+    #[test]
+    fn probe_decompose_matches_naive_cores(h in arb_hypergraph(12, 12, 6)) {
+        let d = probe_decompose(&h);
+        let oracle = naive_cores(&h);
+        prop_assert_eq!(&d.profile, &oracle.profile);
+        prop_assert_eq!(&d.core_numbers, &oracle.core_numbers);
+        if let Some(c) = &d.max_core {
+            prop_assert_eq!(c.pins, c.sub_hypergraph(&h).num_pins());
+        }
+        prop_assert_eq!(
+            d.max_core.map(|c| (c.k, edge_contents(&h, &c.edges, &c.vertices), c.vertices)),
+            oracle.max_core().map(|(k, vs, es)| (k, edge_contents(&h, es, vs), vs.to_vec()))
         );
     }
 

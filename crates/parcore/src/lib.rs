@@ -15,11 +15,13 @@
 //!   workspace's one parallel substrate.
 //!
 //! The k-core engines are serial and live in `hypergraph`:
-//! [`hypergraph::csr_kcore`]/[`hypergraph::decompose()`] (the paper's
-//! Fig. 4) and [`hypergraph::probe_kcore()`] (level-synchronous subset
-//! probes, hgserve's `kcore?k=` engine). [`par_decompose_with`] and
-//! [`par_hypergraph_kcore_with`] re-export two of them under the names
-//! the `hgperf` benchmark's traced replay calls.
+//! [`hypergraph::probe_kcore()`] and [`hypergraph::probe_decompose()`]
+//! (level-synchronous subset probes) serve every k-core query;
+//! [`hypergraph::csr_kcore`]/[`hypergraph::decompose()`] are the paper's
+//! Fig. 4. [`par_decompose_with`] and [`par_hypergraph_kcore_with`]
+//! re-export `decompose_with` and `probe_kcore_with` under the names the
+//! `hgperf` benchmark's traced replay calls. No request runs
+//! `decompose_with` any more; the re-export stays for hgperf.
 
 pub mod par_msbfs;
 pub mod scoped;

@@ -25,7 +25,8 @@ fn matrix_hypergraph_cores_validate() {
     let m = matrixmarket::fem_mesh_2d(24, 24, 0.1, 7);
     let h = matrixmarket::row_net(&m);
     let core = max_core(&h).expect("non-empty");
-    hypergraph::validate::check_kcore_invariant(&core.sub, core.k).expect("invariant");
+    hypergraph::validate::check_kcore_invariant(&core.sub_hypergraph(&h), core.k)
+        .expect("invariant");
     // One deeper is empty.
     assert!(csr_kcore(&h, core.k + 1).is_empty());
 }
@@ -69,22 +70,24 @@ fn kcore_nested_on_cellzome() {
     }
 }
 
-/// Full agreement between the incremental CSR decomposition and the
-/// per-k naive oracle on one instance: profile, core numbers, max core,
-/// and per-k surviving vertices and edge contents from `csr_kcore`.
+/// Full agreement between both decompositions (the incremental CSR
+/// sweep and the subset-probe sweep) and the per-k naive oracle on one
+/// instance: profile, core numbers, max core, and per-k surviving
+/// vertices and edge contents from `csr_kcore`.
 fn assert_decompose_matches_oracle(h: &Hypergraph, label: &str) {
-    let d = hypergraph::decompose(h);
     let oracle = naive_cores(h);
-    assert_eq!(d.profile, oracle.profile, "{label}");
-    assert_eq!(d.core_numbers, oracle.core_numbers, "{label}");
-    assert_eq!(
-        d.max_core
-            .map(|c| (c.k, edge_contents(h, &c.edges, &c.vertices), c.vertices)),
-        oracle
-            .max_core()
-            .map(|(k, vs, es)| (k, edge_contents(h, es, vs), vs.to_vec())),
-        "{label}: max core"
-    );
+    for d in [hypergraph::decompose(h), hypergraph::probe_decompose(h)] {
+        assert_eq!(d.profile, oracle.profile, "{label}");
+        assert_eq!(d.core_numbers, oracle.core_numbers, "{label}");
+        assert_eq!(
+            d.max_core
+                .map(|c| (c.k, edge_contents(h, &c.edges, &c.vertices), c.vertices)),
+            oracle
+                .max_core()
+                .map(|(k, vs, es)| (k, edge_contents(h, es, vs), vs.to_vec())),
+            "{label}: max core"
+        );
+    }
     for (k, (vs, es)) in oracle.levels.iter().enumerate() {
         let fast = csr_kcore(h, k as u32);
         assert_eq!(&fast.vertices, vs, "{label} k = {k}");

@@ -70,7 +70,8 @@ fn table1_suite_cores_are_stable() {
         let h = row_net(m);
         let core = max_core(&h).expect("non-empty");
         assert_eq!(core.k, ek, "{name}");
-        hypergraph::validate::check_kcore_invariant(&core.sub, core.k).expect("invariant");
+        hypergraph::validate::check_kcore_invariant(&core.sub_hypergraph(&h), core.k)
+            .expect("invariant");
     }
 }
 
@@ -94,4 +95,23 @@ fn empty_rows_do_not_break_cores() {
     // Empty hyperedges are dropped by the core computation.
     let core = hypergraph::csr_kcore(&h, 1);
     assert!(core.edges.iter().all(|f| h.edge_degree(*f) > 0));
+}
+
+#[test]
+fn probe_and_csr_pin_counts_agree_on_fdp2880s() {
+    // A Table 1 row net where a vertex below k from the start also sits
+    // in a hyperedge the reduce deletes: queued twice, it once cost the
+    // probe engine 15 pins of the 3-core.
+    let (_, m) = table1_suite()
+        .into_iter()
+        .find(|(name, _)| *name == "fdp2880s")
+        .expect("fdp2880s in the suite");
+    let h = row_net(&m);
+    let probe = hypergraph::probe_kcore(&h, 3);
+    let csr = hypergraph::csr_kcore(&h, 3);
+    assert_eq!(probe.vertices, csr.vertices);
+    assert_eq!(probe.edges.len(), csr.edges.len());
+    assert_eq!(probe.pins, 21_317);
+    assert_eq!(csr.pins, 21_317);
+    assert_eq!(probe.sub_hypergraph(&h).num_pins(), 21_317);
 }
