@@ -409,6 +409,22 @@ for Q in 'kcore?k=3&trace=1' 'kcore?trace=1'; do
         exit 1
     fi
 done
+# Every kernel phase also feeds a `phase_ns.<phase>` histogram: the
+# k-core peels above and the earlier (serial MS-BFS) diameters show up,
+# and the retired span series do not.
+METRICS=$(curl -sf "http://$ADDR/metrics")
+for SERIES in hg_phase_ns_kcore_probe_peel_count hg_phase_ns_msbfs_batch_count; do
+    N=$(printf '%s\n' "$METRICS" | awk -v s="$SERIES" '$1 == s { print $2 }')
+    [ "${N:-0}" -ge 1 ] || {
+        echo "expected $SERIES >= 1 in /metrics, got '${N:-none}'"
+        exit 1
+    }
+done
+if printf '%s\n' "$METRICS" | grep -q '^hg_span_'; then
+    echo "/metrics still exports hg_span_* series:"
+    printf '%s\n' "$METRICS" | grep '^hg_span_'
+    exit 1
+fi
 curl -sf "http://$ADDR/debug/slowlog" | grep -q '"schema":"hg-slowlog/1"' || {
     echo "/debug/slowlog did not answer well-formed slowlog JSON"
     exit 1

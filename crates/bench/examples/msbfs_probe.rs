@@ -22,7 +22,7 @@ fn main() {
     for r in 0..reps {
         for (label, g) in [("orig   ", &h), ("relabel", &hr)] {
             let t = Instant::now();
-            let s = hypergraph::msbfs_distance_stats(g);
+            let s = hypergraph::hyper_distance_stats(g);
             eprintln!(
                 "rep {r} {label}: {} us (diameter {}, pairs {})",
                 t.elapsed().as_micros(),

@@ -272,7 +272,7 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
     let (scalar, s_stats) = time_engine("scalar", reps, || {
         hypergraph::scalar_hyper_distance_stats(h)
     });
-    let (msbfs, m_stats) = time_engine("msbfs", reps, || hypergraph::msbfs_distance_stats(h));
+    let (msbfs, m_stats) = time_engine("msbfs", reps, || hypergraph::hyper_distance_stats(h));
     let (par, p_stats) = time_engine("par_msbfs", reps, || parcore::par_msbfs_distance_stats(h));
     // Bit-identical across engines or the timings mean nothing.
     if s_stats != m_stats || s_stats != p_stats {

@@ -60,8 +60,8 @@ fn assert_kernels_identical(owned: &Hypergraph, mapped: &Hypergraph, name: &str)
     // MS-BFS all-pairs distance statistics (integer accumulators, so
     // equality is exact) plus per-source eccentricities.
     assert_eq!(
-        hypergraph::msbfs_distance_stats(owned),
-        hypergraph::msbfs_distance_stats(mapped),
+        hypergraph::hyper_distance_stats(owned),
+        hypergraph::hyper_distance_stats(mapped),
         "{name}: msbfs stats differ"
     );
     let sources: Vec<_> = owned.vertices().collect();
@@ -169,8 +169,8 @@ fn relabeled_hgb_kernels_identical_owned_vs_mmap() {
     std::fs::remove_file(&path).unwrap();
     assert_kernels_identical(&owned.hypergraph, &mapped.hypergraph, "relabeled cellzome");
     assert_eq!(
-        hypergraph::msbfs_distance_stats(&mapped.hypergraph),
-        hypergraph::msbfs_distance_stats(&h),
+        hypergraph::hyper_distance_stats(&mapped.hypergraph),
+        hypergraph::hyper_distance_stats(&h),
         "relabeling changed label-invariant distance stats"
     );
     assert_eq!(owned.relabeling, mapped.relabeling);

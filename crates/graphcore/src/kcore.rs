@@ -64,10 +64,10 @@ impl CoreDecomposition {
 /// Implementation: counting-sort nodes by degree into a flat `vert` array
 /// with bucket starts `bin`, then peel in degree order, moving each
 /// affected neighbour one bucket down (constant time per degree decrement).
-/// Runs under the `graph.kcore` span and flushes the
+/// Runs under the `graph.kcore` phase and flushes the
 /// `graph.kcore.{nodes_peeled,degree_decrements}` counters.
 pub fn core_decomposition(g: &Graph) -> CoreDecomposition {
-    let _span = hgobs::Span::enter("graph.kcore");
+    let _phase = hgobs::phase("graph.kcore");
     let n = g.num_nodes();
     if n == 0 {
         return CoreDecomposition {

@@ -13,9 +13,10 @@
 //! ```
 //!
 //! Every subcommand accepts the global `--metrics <file.json>` flag,
-//! which enables the observability sink and writes the run's counters,
-//! histograms, and timing spans as a schema-versioned JSON report.
-//! `HG_LOG=info|debug` turns on structured tracing to stderr.
+//! which enables the observability sink and writes the run's counters
+//! and histograms (phase timings among them, as `phase_ns.<phase>`) as
+//! a schema-versioned JSON report. `HG_LOG=info|debug` turns on
+//! structured tracing to stderr; `debug` prints each finished phase.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,7 +40,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  hg stats <file.hgr>\n  hg kcore <file.hgr> [--k K] [--profile]\n  hg ks-core <file.hgr> --k K --s S\n  hg fit <file.hgr>\n  hg cover <file.hgr> [--weights unit|deg2] [--multicover R]\n  hg profile <file.hgr>... [--algo all|kcore|bfs|cover]\n  hg reduce <file.hgr> [-o FILE]\n  hg dual <file.hgr> [-o FILE]\n  hg tap-sim <file.hgr> [--baits N|cover|multicover] [--p P] [--seed S]\n  hg gen <cellzome|uniform N M K|table1 NAME> [--seed S] [-o FILE[.hgb]]\n  hg convert <file.hgr|.net|.mtx> -o <out.hgb> [--relabel]\n  hg export-pajek <file.hgr> -o <base>\n  hg serve [--addr HOST:PORT] [--threads N] [--cache-mb MB] [--deadline-ms MS]\n           [--queue N] [--par-threshold N] [--relabel] [--preload FILE...]\n  hg loadgen [--addr HOST:PORT] [--dataset NAME] [--concurrency N]\n             [--requests N] [--mix stats=3,kcore=1,...] [--deadline-ms MS]\n             [--connections N] [--json FILE]\n  hg trace <trace.json>   pretty-print a saved request trace\n  hg bench --kernels [--json FILE] [--reps N] [--scale N] [--cellzome FILE]\n           [--no-relabel]\n  hg bench --coldload [--json FILE] [--scale N] [--dir DIR] [--reps N]\n  hg bench --delta <baseline.json> <current.json>   markdown delta table\n  hg repro [e1..e10|a1..a4|all] [-o DIR]\nglobal flags:\n  --metrics FILE   write a JSON metrics report (counters, histograms, spans)\n  HG_LOG=info|debug   structured tracing to stderr\n".to_string()
+    "usage:\n  hg stats <file.hgr>\n  hg kcore <file.hgr> [--k K] [--profile]\n  hg ks-core <file.hgr> --k K --s S\n  hg fit <file.hgr>\n  hg cover <file.hgr> [--weights unit|deg2] [--multicover R]\n  hg profile <file.hgr>... [--algo all|kcore|bfs|cover]\n  hg reduce <file.hgr> [-o FILE]\n  hg dual <file.hgr> [-o FILE]\n  hg tap-sim <file.hgr> [--baits N|cover|multicover] [--p P] [--seed S]\n  hg gen <cellzome|uniform N M K|table1 NAME> [--seed S] [-o FILE[.hgb]]\n  hg convert <file.hgr|.net|.mtx> -o <out.hgb> [--relabel]\n  hg export-pajek <file.hgr> -o <base>\n  hg serve [--addr HOST:PORT] [--threads N] [--cache-mb MB] [--deadline-ms MS]\n           [--queue N] [--par-threshold N] [--relabel] [--preload FILE...]\n  hg loadgen [--addr HOST:PORT] [--dataset NAME] [--concurrency N]\n             [--requests N] [--mix stats=3,kcore=1,...] [--deadline-ms MS]\n             [--connections N] [--json FILE]\n  hg trace <trace.json>   pretty-print a saved request trace\n  hg bench --kernels [--json FILE] [--reps N] [--scale N] [--cellzome FILE]\n           [--no-relabel]\n  hg bench --coldload [--json FILE] [--scale N] [--dir DIR] [--reps N]\n  hg bench --delta <baseline.json> <current.json>   markdown delta table\n  hg repro [e1..e10|a1..a4|all] [-o DIR]\nglobal flags:\n  --metrics FILE   write a JSON metrics report (counters, histograms incl. phase timings)\n  HG_LOG=info|debug   structured tracing to stderr (debug: one line per finished phase)\n".to_string()
 }
 
 fn run(args: &[String]) -> Result<String, String> {
@@ -49,7 +50,7 @@ fn run(args: &[String]) -> Result<String, String> {
         hgobs::enable();
     }
     let result = {
-        let _total = hgobs::Span::enter("total");
+        let _total = hgobs::phase("total");
         dispatch(&args)
     };
     if let Some(path) = metrics {

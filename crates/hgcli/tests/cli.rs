@@ -316,7 +316,7 @@ fn check_json(s: &str) -> Result<(), String> {
 }
 
 /// The counters section of a report is deterministic; extract it for
-/// run-to-run comparison (spans carry wall-clock noise).
+/// run-to-run comparison (phase histograms carry wall-clock noise).
 fn counters_section(json: &str) -> &str {
     let start = json.find("\"counters\":").expect("counters key");
     let end = json.find("\"histograms\":").expect("histograms key");
@@ -337,7 +337,7 @@ fn metrics_flag_writes_valid_json_report() {
     assert!(ok, "{err}");
 
     let json = std::fs::read_to_string(&report).unwrap();
-    assert!(json.starts_with("{\"schema\":\"hgobs/1\""), "{json}");
+    assert!(json.starts_with("{\"schema\":\"hgobs/2\""), "{json}");
     check_json(json.trim()).unwrap_or_else(|e| panic!("invalid JSON ({e}):\n{json}"));
 
     // The probe decomposition starts a round per level, so at least one.
@@ -352,9 +352,10 @@ fn metrics_flag_writes_valid_json_report() {
         .unwrap();
     assert!(rounds >= 1, "kcore.probe.rounds = {rounds}");
 
-    // The whole-run span wraps everything.
-    assert!(json.contains("\"total\":{\"count\":1,"), "{json}");
-    assert!(json.contains("total/kcore.probe"), "{json}");
+    // The whole-run phase wraps everything, once; the probe engine's
+    // peel phases record beside it.
+    assert!(json.contains("\"phase_ns.total\":{\"count\":1,"), "{json}");
+    assert!(json.contains("\"phase_ns.kcore.probe.peel\":{"), "{json}");
 }
 
 #[test]

@@ -338,6 +338,7 @@ mod tests {
 
     #[test]
     fn trace_rides_through_clones() {
+        let _g = crate::serial();
         let dl = Deadline::none();
         assert!(!dl.trace().is_enabled(), "traces are opt-in");
         let dl = Deadline::cancellable().with_trace(TraceCtx::new(9));

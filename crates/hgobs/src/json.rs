@@ -117,12 +117,6 @@ impl JsonWriter {
         self
     }
 
-    pub fn int(&mut self, n: i64) -> &mut Self {
-        self.pre_value();
-        self.buf.push_str(&n.to_string());
-        self
-    }
-
     pub fn float(&mut self, x: f64) -> &mut Self {
         self.pre_value();
         self.buf.push_str(&number(x));

@@ -1,7 +1,7 @@
 //! `hgobs` — the workspace's observability layer.
 //!
 //! One consistent substrate for answering "*why* was this run fast or
-//! slow": RAII timing spans, typed counters, and value histograms,
+//! slow": one RAII phase guard, typed counters, and value histograms,
 //! aggregated in a global per-run registry and exportable as a
 //! schema-versioned JSON report or a human-readable phase breakdown.
 //!
@@ -12,14 +12,20 @@
 //!
 //! # Design
 //!
+//! - **Two metric kinds, one timing guard.** Counters and histograms.
+//!   A phase guard ([`phase`], or [`TraceCtx::phase`] inside a traced
+//!   request) times its scope: on drop it records the nanoseconds as one
+//!   observation of histogram `phase_ns.<name>` when the sink is on and,
+//!   when a request trace is live, appends the trace event. Under `HG_LOG=debug` each
+//!   finished phase prints one line with its time.
 //! - **Disabled by default, near-zero cost when off.** Every recording
 //!   call first checks one relaxed atomic load ([`enabled`]); when the
-//!   sink is off, [`Span::enter`] allocates nothing and `counter!` /
-//!   `hist!` are a branch over a load. The `obs_overhead` test in
-//!   `crates/bench` holds the disabled-path overhead under 2%.
-//! - **Thread-safe.** The registry lives behind a `parking_lot` mutex;
-//!   span nesting uses a thread-local name stack, so spans opened on
-//!   worker threads aggregate under that thread's own root.
+//!   sink is off and no trace is live, a phase guard reads no clock and
+//!   `counter!` / `hist!` are a branch over a load. The `obs_overhead`
+//!   test in `crates/bench` holds the disabled-path overhead under 2%.
+//! - **Thread-safe.** The registry lives behind a `parking_lot` mutex,
+//!   and phases are flat names, so guards on worker threads aggregate
+//!   under the same histogram as on the caller.
 //! - **Deterministic output.** All maps are `BTreeMap`s and the JSON
 //!   emitter writes fixed key order, so two runs over the same input
 //!   produce byte-identical counter sections.
@@ -29,13 +35,14 @@
 //! ```
 //! hgobs::enable();
 //! {
-//!     let _span = hgobs::Span::enter("kcore");
+//!     let _phase = hgobs::phase("kcore");
 //!     hgobs::counter!("kcore.rounds");
 //!     hgobs::hist!("kcore.frontier", 17);
 //! }
 //! let report = hgobs::take_report();
 //! assert_eq!(report.counters["kcore.rounds"], 1);
-//! assert!(report.to_json().starts_with("{\"schema\":\"hgobs/1\""));
+//! assert_eq!(report.histograms["phase_ns.kcore"].count, 1);
+//! assert!(report.to_json().starts_with("{\"schema\":\"hgobs/2\""));
 //! hgobs::disable();
 //! ```
 
@@ -45,21 +52,16 @@ pub mod json;
 pub mod log;
 mod metrics;
 mod report;
-mod span;
 mod time;
 pub mod trace;
 
 pub use deadline::{Deadline, DeadlineExceeded, CHECK_INTERVAL};
-pub use metrics::{
-    add_counter, add_gauge, disable, enable, enabled, record_hist, reset, set_gauge,
-};
+pub use metrics::{add_counter, disable, enable, enabled, record_hist, reset};
 pub use report::{
-    absorb, sanitize_metric_name, snapshot_report, take_report, HistSummary, Report, SpanSummary,
-    SCHEMA_VERSION,
+    absorb, sanitize_metric_name, snapshot_report, take_report, HistSummary, Report, SCHEMA_VERSION,
 };
-pub use span::Span;
 pub use time::{format_time, timed};
-pub use trace::{TraceCtx, TraceEvent, TracePhase};
+pub use trace::{phase, TraceCtx, TraceEvent, TracePhase};
 
 /// Increment a named counter: `counter!("kcore.rounds")` adds 1,
 /// `counter!("kcore.edges_deleted", n)` adds `n`. No-op while the sink
@@ -83,27 +85,17 @@ macro_rules! hist {
     };
 }
 
-/// Set a named gauge to an absolute level:
-/// `gauge!("serve.conn.open", open)`. Gauges are point-in-time levels
-/// (signed), not monotone counters; `add_gauge` adjusts by a delta.
-/// No-op while the sink is disabled.
-#[macro_export]
-macro_rules! gauge {
-    ($name:literal, $value:expr) => {
-        $crate::set_gauge($name, ($value) as i64)
-    };
+/// The registry is global, so tests that drain it or open phases share
+/// one lock to avoid cross-talk under the multi-threaded test runner.
+#[cfg(test)]
+fn serial() -> parking_lot::MutexGuard<'static, ()> {
+    static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    GATE.lock()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The registry is global, so tests that drain it share one lock to
-    // avoid cross-talk under the default multi-threaded test runner.
-    fn serial() -> parking_lot::MutexGuard<'static, ()> {
-        static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-        GATE.lock()
-    }
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -112,28 +104,26 @@ mod tests {
         reset();
         counter!("t.disabled");
         hist!("t.disabled.h", 5);
-        let _s = Span::enter("t.disabled.span");
-        drop(_s);
+        phase("t.disabled.phase").finish();
         let r = take_report();
         assert!(r.counters.is_empty());
         assert!(r.histograms.is_empty());
-        assert!(r.spans.is_empty());
     }
 
     #[test]
-    fn counters_hists_and_spans_aggregate() {
+    fn counters_hists_and_phases_aggregate() {
         let _g = serial();
         reset();
         enable();
         {
-            let _outer = Span::enter("outer");
+            let _outer = phase("t.outer");
             {
-                let _inner = Span::enter("inner");
+                let _inner = phase("t.inner");
                 counter!("t.rounds");
                 counter!("t.rounds", 2);
             }
             {
-                let _inner = Span::enter("inner");
+                let _inner = phase("t.inner");
                 hist!("t.sizes", 3);
                 hist!("t.sizes", 9);
             }
@@ -143,29 +133,68 @@ mod tests {
         assert_eq!(r.counters["t.rounds"], 3);
         let h = &r.histograms["t.sizes"];
         assert_eq!((h.count, h.sum, h.min, h.max), (2, 12, 3, 9));
-        assert_eq!(r.spans["outer"].count, 1);
-        assert_eq!(r.spans["outer/inner"].count, 2);
-        assert!(r.spans["outer"].total_ns >= r.spans["outer/inner"].total_ns);
+        // Phases are flat: a nested guard records under its own name.
+        let (outer, inner) = (
+            &r.histograms["phase_ns.t.outer"],
+            &r.histograms["phase_ns.t.inner"],
+        );
+        assert_eq!((outer.count, inner.count), (1, 2));
+        assert!(outer.sum >= inner.sum);
+        assert!(!r.histograms.keys().any(|k| k.contains('/')));
     }
 
     #[test]
-    fn gauges_set_add_and_render() {
+    fn one_guard_records_into_each_live_sink() {
+        let _g = serial();
+        for sink in [false, true] {
+            for live in [false, true] {
+                reset();
+                if sink {
+                    enable();
+                }
+                let trace = if live {
+                    TraceCtx::new(1)
+                } else {
+                    TraceCtx::disabled()
+                };
+                {
+                    let mut tp = trace.phase("t.guard");
+                    tp.add_work(7);
+                }
+                disable();
+                let events = trace.events();
+                assert_eq!(events.len(), usize::from(live), "sink {sink}, trace {live}");
+                if live {
+                    assert_eq!((events[0].phase, events[0].work), ("t.guard", 7));
+                }
+                let recorded = take_report()
+                    .histograms
+                    .get("phase_ns.t.guard")
+                    .map(|h| h.count);
+                assert_eq!(recorded, sink.then_some(1), "trace {live}");
+            }
+        }
+    }
+
+    #[test]
+    fn guard_dropped_by_early_return_records_once() {
+        fn bail(trace: &TraceCtx) -> Result<(), String> {
+            let mut tp = trace.phase("t.bail");
+            tp.add_work(3);
+            Err("expired".to_string())?;
+            tp.add_work(100);
+            Ok(())
+        }
         let _g = serial();
         reset();
         enable();
-        gauge!("t.level", 4);
-        add_gauge("t.level", 3);
-        add_gauge("t.level", -9);
-        gauge!("t.other", 1);
+        let trace = TraceCtx::new(2);
+        assert!(bail(&trace).is_err());
         disable();
-        // Disabled: further gauge calls record nothing.
-        gauge!("t.level", 99);
-        let r = take_report();
-        assert_eq!(r.gauges["t.level"], -2);
-        assert_eq!(r.gauges["t.other"], 1);
-        let prom = r.render_prometheus();
-        assert!(prom.contains("hg_t_level -2\n"), "{prom}");
-        assert!(prom.contains("# TYPE hg_t_other gauge\n"), "{prom}");
+        let events = trace.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].phase, events[0].work), ("t.bail", 3));
+        assert_eq!(take_report().histograms["phase_ns.t.bail"].count, 1);
     }
 
     #[test]
@@ -221,18 +250,13 @@ mod tests {
         b.counters.insert("c".into(), 2);
         b.histograms
             .insert("h".into(), HistSummary::from_values(&[1, 3]));
-        b.spans.insert(
-            "s".into(),
-            SpanSummary {
-                count: 1,
-                total_ns: 10,
-            },
-        );
+        b.histograms
+            .insert("phase_ns.p".into(), HistSummary::from_values(&[10]));
         a.merge(&b);
         assert_eq!(a.counters["c"], 3);
         let h = &a.histograms["h"];
         assert_eq!((h.count, h.sum, h.min, h.max), (3, 9, 1, 5));
-        assert_eq!(a.spans["s"].count, 1);
+        assert_eq!(a.histograms["phase_ns.p"].count, 1);
     }
 
     #[test]
@@ -243,16 +267,14 @@ mod tests {
         counter!("b.two");
         counter!("a.one");
         hist!("z.h", 4);
-        {
-            let _s = Span::enter("total");
-        }
+        phase("total").finish();
         disable();
         let js = take_report().to_json();
-        assert!(js.starts_with("{\"schema\":\"hgobs/1\","));
+        assert!(js.starts_with("{\"schema\":\"hgobs/2\","));
         let a = js.find("\"a.one\"").unwrap();
         let b = js.find("\"b.two\"").unwrap();
         assert!(a < b, "counters must be sorted: {js}");
-        assert!(js.contains("\"spans\":{\"total\":{\"count\":1,"));
+        assert!(js.contains("\"phase_ns.total\":{\"count\":1,"));
         assert!(js.ends_with('}'));
     }
 }

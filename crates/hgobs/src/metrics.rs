@@ -1,4 +1,4 @@
-//! Global per-run metric registry: counters, histograms, span stats.
+//! Global per-run metric registry: counters and histograms.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -8,8 +8,7 @@ use parking_lot::Mutex;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether the global sink is recording. A single relaxed load — this
-/// is the entire cost of every `counter!`/`hist!`/`Span::enter` call
-/// while disabled.
+/// is the entire cost of every `counter!`/`hist!` call while disabled.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -59,20 +58,10 @@ impl Hist {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SpanStat {
-    pub count: u64,
-    pub total_ns: u64,
-}
-
 #[derive(Clone)]
 pub(crate) struct Registry {
     pub counters: BTreeMap<String, u64>,
     pub hists: BTreeMap<String, Hist>,
-    pub spans: BTreeMap<String, SpanStat>,
-    /// Point-in-time levels (open connections, queue depth): signed so
-    /// decrements can transiently cross zero without wrapping.
-    pub gauges: BTreeMap<String, i64>,
 }
 
 impl Registry {
@@ -80,8 +69,6 @@ impl Registry {
         Self {
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
-            spans: BTreeMap::new(),
-            gauges: BTreeMap::new(),
         }
     }
 }
@@ -119,48 +106,11 @@ pub fn record_hist(name: &str, value: u64) {
     }
 }
 
-/// Set a gauge to an absolute level (prefer the `gauge!` macro).
-#[inline]
-pub fn set_gauge(name: &str, value: i64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock();
-    if let Some(g) = reg.gauges.get_mut(name) {
-        *g = value;
-    } else {
-        reg.gauges.insert(name.to_string(), value);
-    }
-}
-
-/// Adjust a gauge by a signed delta (an absent gauge starts at 0).
-#[inline]
-pub fn add_gauge(name: &str, delta: i64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock();
-    if let Some(g) = reg.gauges.get_mut(name) {
-        *g += delta;
-    } else {
-        reg.gauges.insert(name.to_string(), delta);
-    }
-}
-
-pub(crate) fn record_span(path: String, ns: u64) {
-    let mut reg = REGISTRY.lock();
-    let stat = reg.spans.entry(path).or_default();
-    stat.count += 1;
-    stat.total_ns = stat.total_ns.saturating_add(ns);
-}
-
 /// Discard everything recorded so far.
 pub fn reset() {
     let mut reg = REGISTRY.lock();
     reg.counters.clear();
     reg.hists.clear();
-    reg.spans.clear();
-    reg.gauges.clear();
 }
 
 pub(crate) fn drain() -> Registry {
@@ -197,15 +147,5 @@ pub(crate) fn absorb_report(report: &crate::Report) {
         for &(idx, n) in &h.buckets {
             e.buckets[idx as usize] += n;
         }
-    }
-    for (k, s) in &report.spans {
-        let e = reg.spans.entry(k.clone()).or_default();
-        e.count += s.count;
-        e.total_ns = e.total_ns.saturating_add(s.total_ns);
-    }
-    for (k, &v) in &report.gauges {
-        // Levels add: re-absorbing a drained section restores whatever
-        // contribution it carried.
-        *reg.gauges.entry(k.clone()).or_insert(0) += v;
     }
 }

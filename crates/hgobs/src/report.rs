@@ -3,10 +3,11 @@
 use std::collections::BTreeMap;
 
 use crate::json::JsonWriter;
+use crate::trace::PHASE_HIST;
 
 /// Version tag written into every JSON report; bump when the layout of
 /// the report object changes incompatibly.
-pub const SCHEMA_VERSION: &str = "hgobs/1";
+pub const SCHEMA_VERSION: &str = "hgobs/2";
 
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistSummary {
@@ -94,26 +95,12 @@ fn dense_to_sparse(dense: &[u64]) -> Vec<(u32, u64)> {
         .collect()
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanSummary {
-    pub count: u64,
-    pub total_ns: u64,
-}
-
-impl SpanSummary {
-    pub fn seconds(&self) -> f64 {
-        self.total_ns as f64 / 1e9
-    }
-}
-
 /// Drained registry contents. Maps are ordered, so renders are stable.
+/// Phase durations are the histograms named `phase_ns.<phase>`.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     pub counters: BTreeMap<String, u64>,
     pub histograms: BTreeMap<String, HistSummary>,
-    pub spans: BTreeMap<String, SpanSummary>,
-    /// Point-in-time levels recorded via `set_gauge`/`add_gauge`.
-    pub gauges: BTreeMap<String, i64>,
 }
 
 /// Drain the global registry into a [`Report`]; subsequent recording
@@ -148,24 +135,10 @@ fn registry_to_report(reg: crate::metrics::Registry) -> Report {
                 )
             })
             .collect(),
-        spans: reg
-            .spans
-            .into_iter()
-            .map(|(k, s)| {
-                (
-                    k,
-                    SpanSummary {
-                        count: s.count,
-                        total_ns: s.total_ns,
-                    },
-                )
-            })
-            .collect(),
-        gauges: reg.gauges,
     }
 }
 
-/// Merge `report` back into the global registry (counters add, span and
+/// Merge `report` back into the global registry (counters add,
 /// histogram statistics combine), regardless of the enabled flag. Lets a
 /// caller drain per-phase sections while keeping whole-run totals
 /// available for a final report.
@@ -175,13 +148,10 @@ pub fn absorb(report: &Report) {
 
 impl Report {
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
-            && self.gauges.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Fold `other` into `self`: counters and span/histogram statistics
+    /// Fold `other` into `self`: counters and histogram statistics
     /// combine exactly as the registry would have aggregated them.
     pub fn merge(&mut self, other: &Report) {
         for (k, &v) in &other.counters {
@@ -235,19 +205,6 @@ impl Report {
             }
             e.buckets = merged;
         }
-        for (k, s) in &other.spans {
-            let e = self.spans.entry(k.clone()).or_insert(SpanSummary {
-                count: 0,
-                total_ns: 0,
-            });
-            e.count += s.count;
-            e.total_ns = e.total_ns.saturating_add(s.total_ns);
-        }
-        // Gauges are levels; merging fleet reports sums the levels
-        // (total open connections across shards).
-        for (k, &v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0) += v;
-        }
     }
 
     /// Write this report as a JSON object into `w` (no surrounding
@@ -256,12 +213,6 @@ impl Report {
         w.key("counters").begin_object();
         for (k, v) in &self.counters {
             w.key(k).uint(*v);
-        }
-        w.end_object();
-
-        w.key("gauges").begin_object();
-        for (k, v) in &self.gauges {
-            w.key(k).int(*v);
         }
         w.end_object();
 
@@ -288,16 +239,6 @@ impl Report {
             w.end_object();
         }
         w.end_object();
-
-        w.key("spans").begin_object();
-        for (k, s) in &self.spans {
-            w.key(k).begin_object();
-            w.key("count").uint(s.count);
-            w.key("total_ns").uint(s.total_ns);
-            w.key("seconds").float(s.seconds());
-            w.end_object();
-        }
-        w.end_object();
     }
 
     /// Standalone schema-versioned JSON document. Counters come first
@@ -316,19 +257,15 @@ impl Report {
     /// registry names sanitized ([`sanitize_metric_name`]) with an `hg_`
     /// prefix: counters become `hg_<name>_total`, histograms are proper
     /// Prometheus histograms (cumulative `_bucket{le="…"}` series plus
-    /// `_sum`/`_count`, and `_min`/`_max` gauges), spans expose `_count`
-    /// and `_seconds_total`. Maps are ordered, so the output is stable.
+    /// `_sum`/`_count`, and `_min`/`_max` gauges); a phase histogram
+    /// reads `hg_phase_ns_<phase>_…`. Maps are ordered, so the output is
+    /// stable.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
             let n = sanitize_metric_name(k);
             out.push_str(&format!("# TYPE hg_{n}_total counter\n"));
             out.push_str(&format!("hg_{n}_total {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            let n = sanitize_metric_name(k);
-            out.push_str(&format!("# TYPE hg_{n} gauge\n"));
-            out.push_str(&format!("hg_{n} {v}\n"));
         }
         for (k, h) in &self.histograms {
             let n = sanitize_metric_name(k);
@@ -345,35 +282,31 @@ impl Report {
             out.push_str(&format!("hg_{n}_min {}\n", h.min));
             out.push_str(&format!("hg_{n}_max {}\n", h.max));
         }
-        for (k, s) in &self.spans {
-            let n = sanitize_metric_name(k);
-            out.push_str(&format!("# TYPE hg_span_{n}_seconds_total counter\n"));
-            out.push_str(&format!("hg_span_{n}_count {}\n", s.count));
-            out.push_str(&format!(
-                "hg_span_{n}_seconds_total {}\n",
-                crate::json::number(s.seconds())
-            ));
-        }
         out
     }
 
-    /// Human-readable phase breakdown for CLI output: spans sorted by
-    /// path (parents before children), then counters, then histograms.
+    /// Human-readable phase breakdown for CLI output: each phase
+    /// histogram by bare phase name with its total time and count, then
+    /// counters, then the other histograms.
     pub fn render_text(&self) -> String {
+        let (phases, others): (Vec<_>, Vec<_>) = self
+            .histograms
+            .iter()
+            .partition(|(k, _)| k.starts_with(PHASE_HIST));
         let mut out = String::new();
-        if !self.spans.is_empty() {
+        if !phases.is_empty() {
             out.push_str("phase breakdown:\n");
-            let width = self.spans.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (path, s) in &self.spans {
-                let indent = path.matches('/').count() * 2;
+            let width = phases
+                .iter()
+                .map(|(k, _)| k.len() - PHASE_HIST.len())
+                .max()
+                .unwrap_or(0);
+            for (k, h) in phases {
                 out.push_str(&format!(
-                    "  {:indent$}{:<width$}  {:>10}  x{}\n",
-                    "",
-                    path,
-                    crate::format_time(s.seconds()),
-                    s.count,
-                    indent = indent,
-                    width = width.saturating_sub(indent),
+                    "  {:<width$}  {:>10}  x{}\n",
+                    &k[PHASE_HIST.len()..],
+                    crate::format_time(h.sum as f64 / 1e9),
+                    h.count,
                 ));
             }
         }
@@ -383,15 +316,9 @@ impl Report {
                 out.push_str(&format!("  {k} = {v}\n"));
             }
         }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (k, v) in &self.gauges {
-                out.push_str(&format!("  {k} = {v}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
+        if !others.is_empty() {
             out.push_str("histograms:\n");
-            for (k, h) in &self.histograms {
+            for (k, h) in others {
                 out.push_str(&format!(
                     "  {k}: n={} mean={:.2} min={} max={} p50={} p99={}\n",
                     h.count,
@@ -442,24 +369,17 @@ mod tests {
     fn sample() -> Report {
         let mut r = Report::default();
         r.counters.insert("kcore.rounds".into(), 3);
-        r.gauges.insert("serve.conn.open".into(), 12);
         r.histograms.insert(
             "bfs.frontier".into(),
             HistSummary::from_values(&[1, 2, 3, 4]),
         );
-        r.spans.insert(
-            "total".into(),
-            SpanSummary {
-                count: 1,
-                total_ns: 2_000_000,
-            },
+        r.histograms.insert(
+            "phase_ns.total".into(),
+            HistSummary::from_values(&[2_000_000]),
         );
-        r.spans.insert(
-            "total/kcore".into(),
-            SpanSummary {
-                count: 2,
-                total_ns: 1_000_000,
-            },
+        r.histograms.insert(
+            "phase_ns.kcore.peel".into(),
+            HistSummary::from_values(&[400_000, 600_000]),
         );
         r
     }
@@ -469,59 +389,69 @@ mod tests {
         let js = sample().to_json();
         assert_eq!(
             js,
-            "{\"schema\":\"hgobs/1\",\
+            "{\"schema\":\"hgobs/2\",\
              \"counters\":{\"kcore.rounds\":3},\
-             \"gauges\":{\"serve.conn.open\":12},\
              \"histograms\":{\"bfs.frontier\":{\"count\":4,\"sum\":10,\"min\":1,\"max\":4,\"mean\":2.5,\
-             \"p50\":2,\"p95\":4,\"p99\":4,\"buckets\":[[1,1],[2,1],[3,1],[5,1]]}},\
-             \"spans\":{\"total\":{\"count\":1,\"total_ns\":2000000,\"seconds\":0.002},\
-             \"total/kcore\":{\"count\":2,\"total_ns\":1000000,\"seconds\":0.001}}}"
+             \"p50\":2,\"p95\":4,\"p99\":4,\"buckets\":[[1,1],[2,1],[3,1],[5,1]]},\
+             \"phase_ns.kcore.peel\":{\"count\":2,\"sum\":1000000,\"min\":400000,\"max\":600000,\
+             \"mean\":500000,\"p50\":524287,\"p95\":600000,\"p99\":600000,\
+             \"buckets\":[[524287,1],[786431,1]]},\
+             \"phase_ns.total\":{\"count\":1,\"sum\":2000000,\"min\":2000000,\"max\":2000000,\
+             \"mean\":2000000,\"p50\":2000000,\"p95\":2000000,\"p99\":2000000,\
+             \"buckets\":[[2097151,1]]}}}"
         );
     }
 
     #[test]
     fn text_breakdown_lists_phases_and_counters() {
-        let text = sample().render_text();
-        assert!(text.contains("phase breakdown:"));
-        assert!(text.contains("total"));
-        assert!(text.contains("total/kcore"));
-        assert!(text.contains("kcore.rounds = 3"));
-        assert!(text.contains("serve.conn.open = 12"));
-        assert!(text.contains("bfs.frontier: n=4 mean=2.50 min=1 max=4 p50=2 p99=4"));
-    }
-
-    #[test]
-    fn merged_gauges_sum_levels() {
-        let mut a = Report::default();
-        a.gauges.insert("conn".into(), 5);
-        let mut b = Report::default();
-        b.gauges.insert("conn".into(), 7);
-        b.gauges.insert("queue".into(), -1);
-        a.merge(&b);
-        assert_eq!(a.gauges["conn"], 12);
-        assert_eq!(a.gauges["queue"], -1);
-        assert!(!a.is_empty());
+        // Each phase histogram appears once, by bare name, in the
+        // breakdown; only the other histograms follow it.
+        assert_eq!(
+            sample().render_text(),
+            "phase breakdown:\n  \
+             kcore.peel      0.001s  x2\n  \
+             total           0.002s  x1\n\
+             counters:\n  \
+             kcore.rounds = 3\n\
+             histograms:\n  \
+             bfs.frontier: n=4 mean=2.50 min=1 max=4 p50=2 p99=4\n"
+        );
     }
 
     #[test]
     fn prometheus_rendering_is_stable_and_sanitized() {
-        let text = sample().render_prometheus();
-        assert!(text.contains("# TYPE hg_bfs_frontier histogram\n"));
-        assert!(text.contains("hg_kcore_rounds_total 3\n"));
-        assert!(text.contains("# TYPE hg_serve_conn_open gauge\n"));
-        assert!(text.contains("hg_serve_conn_open 12\n"));
-        assert!(text.contains("hg_bfs_frontier_count 4\n"));
-        assert!(text.contains("hg_bfs_frontier_sum 10\n"));
-        // Cumulative bucket series ending in the +Inf catch-all.
-        assert!(text.contains("hg_bfs_frontier_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("hg_bfs_frontier_bucket{le=\"2\"} 2\n"));
-        assert!(text.contains("hg_bfs_frontier_bucket{le=\"3\"} 3\n"));
-        assert!(text.contains("hg_bfs_frontier_bucket{le=\"5\"} 4\n"));
-        assert!(text.contains("hg_bfs_frontier_bucket{le=\"+Inf\"} 4\n"));
-        assert!(text.contains("hg_span_total_kcore_count 2\n"));
-        assert!(text.contains("hg_span_total_kcore_seconds_total 0.001\n"));
-        // Deterministic: same report renders byte-identically.
-        assert_eq!(text, sample().render_prometheus());
+        // Cumulative bucket series ending in the +Inf catch-all; names
+        // sanitized under the `hg_` prefix.
+        assert_eq!(
+            sample().render_prometheus(),
+            "# TYPE hg_kcore_rounds_total counter\n\
+             hg_kcore_rounds_total 3\n\
+             # TYPE hg_bfs_frontier histogram\n\
+             hg_bfs_frontier_bucket{le=\"1\"} 1\n\
+             hg_bfs_frontier_bucket{le=\"2\"} 2\n\
+             hg_bfs_frontier_bucket{le=\"3\"} 3\n\
+             hg_bfs_frontier_bucket{le=\"5\"} 4\n\
+             hg_bfs_frontier_bucket{le=\"+Inf\"} 4\n\
+             hg_bfs_frontier_sum 10\n\
+             hg_bfs_frontier_count 4\n\
+             hg_bfs_frontier_min 1\n\
+             hg_bfs_frontier_max 4\n\
+             # TYPE hg_phase_ns_kcore_peel histogram\n\
+             hg_phase_ns_kcore_peel_bucket{le=\"524287\"} 1\n\
+             hg_phase_ns_kcore_peel_bucket{le=\"786431\"} 2\n\
+             hg_phase_ns_kcore_peel_bucket{le=\"+Inf\"} 2\n\
+             hg_phase_ns_kcore_peel_sum 1000000\n\
+             hg_phase_ns_kcore_peel_count 2\n\
+             hg_phase_ns_kcore_peel_min 400000\n\
+             hg_phase_ns_kcore_peel_max 600000\n\
+             # TYPE hg_phase_ns_total histogram\n\
+             hg_phase_ns_total_bucket{le=\"2097151\"} 1\n\
+             hg_phase_ns_total_bucket{le=\"+Inf\"} 1\n\
+             hg_phase_ns_total_sum 2000000\n\
+             hg_phase_ns_total_count 1\n\
+             hg_phase_ns_total_min 2000000\n\
+             hg_phase_ns_total_max 2000000\n"
+        );
     }
 
     #[test]
@@ -574,9 +504,10 @@ mod tests {
         let r = Report::default();
         assert!(r.is_empty());
         assert_eq!(r.render_text(), "");
+        assert_eq!(r.render_prometheus(), "");
         assert_eq!(
             r.to_json(),
-            "{\"schema\":\"hgobs/1\",\"counters\":{},\"gauges\":{},\"histograms\":{},\"spans\":{}}"
+            "{\"schema\":\"hgobs/2\",\"counters\":{},\"histograms\":{}}"
         );
     }
 }

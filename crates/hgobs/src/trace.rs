@@ -1,23 +1,28 @@
-//! Request-scoped tracing: one [`TraceCtx`] per request, carrying a
-//! deterministic trace id and an append-only list of
-//! `(phase, start_us, end_us, work)` events.
+//! Request-scoped tracing and the one phase guard.
 //!
-//! The global registry ([`crate::take_report`]) answers "how did this
+//! A [`TraceCtx`] belongs to one request: a deterministic trace id and
+//! an append-only list of `(phase, start_us, end_us, work)` events. The
+//! global registry ([`crate::take_report`]) answers "how did this
 //! *process* spend its time"; a trace answers "how did this *request*".
 //! A `TraceCtx` rides inside [`crate::Deadline`]
 //! (see [`Deadline::with_trace`](crate::Deadline::with_trace)), so every
-//! kernel that already takes a deadline — which after PR 3 is all of
-//! them — can emit per-phase events with no new plumbing: clone the
-//! deadline into a worker and the worker's events land in the same
-//! shared list.
+//! kernel that takes a deadline can emit per-phase events with no new
+//! plumbing: clone the deadline into a worker and the worker's events
+//! land in the same shared list.
+//!
+//! [`TracePhase`] is the workspace's one timing guard. Open it with
+//! [`TraceCtx::phase`], or with [`crate::phase`] where no trace is at
+//! hand. On drop it appends the trace event when a trace is live, and
+//! records the phase's nanoseconds into histogram `phase_ns.<name>`
+//! when the sink is on.
 //!
 //! # Cost model
 //!
-//! [`TraceCtx::disabled`] is a `None`: opening a phase is one branch and
-//! no clock read, which is what keeps the kernel hot paths inside the
-//! `obs_overhead` test's <2% budget. An enabled context allocates one
-//! `Arc` per request and takes a short mutex section per *event* (a
-//! batch, a peel level, a shard — never per vertex).
+//! With no live trace and the sink off, opening a phase is one branch
+//! and one relaxed load, with no clock read; that keeps the kernel hot
+//! paths inside the `obs_overhead` test's <2% budget. An enabled
+//! context allocates one `Arc` per request and takes a short mutex
+//! section per *event* (a batch, a peel level — never per vertex).
 //!
 //! # Partial traces
 //!
@@ -55,6 +60,22 @@ struct TraceInner {
     start: Instant,
     events: Mutex<Vec<TraceEvent>>,
     dropped: AtomicU64,
+}
+
+impl TraceInner {
+    fn push(&self, event: TraceEvent) {
+        let mut events = self.events.lock();
+        if events.len() >= MAX_TRACE_EVENTS {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            events.push(event);
+        }
+    }
+
+    /// Microseconds from the trace's start to `t`.
+    fn us(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.start).as_micros() as u64
+    }
 }
 
 /// A cheap, cloneable handle to one request's trace, or a no-op token.
@@ -124,36 +145,24 @@ impl TraceCtx {
     }
 
     /// Open a phase; it records itself on drop (explicitly via
-    /// [`TracePhase::finish`] or implicitly on early return). Disabled
-    /// contexts return an inert guard without reading the clock.
+    /// [`TracePhase::finish`] or implicitly on early return). With this
+    /// context disabled and the sink off, the guard is inert and reads
+    /// no clock.
     #[inline]
     pub fn phase(&self, phase: &'static str) -> TracePhase<'_> {
-        let start_us = match &self.inner {
-            Some(inner) => inner.start.elapsed().as_micros() as u64,
-            None => 0,
-        };
-        TracePhase {
-            ctx: self.inner.as_deref(),
-            phase,
-            start_us,
-            work: 0,
-        }
+        TracePhase::open(self.inner.as_deref(), phase)
     }
 
     /// Append one event with explicit bounds (prefer [`TraceCtx::phase`]).
     pub fn record(&self, phase: &'static str, start_us: u64, end_us: u64, work: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut events = inner.events.lock();
-        if events.len() >= MAX_TRACE_EVENTS {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        if let Some(inner) = &self.inner {
+            inner.push(TraceEvent {
+                phase,
+                start_us,
+                end_us,
+                work,
+            });
         }
-        events.push(TraceEvent {
-            phase,
-            start_us,
-            end_us,
-            work,
-        });
     }
 
     /// Snapshot of the events so far, sorted by start time then phase so
@@ -218,15 +227,40 @@ impl std::fmt::Debug for TraceCtx {
     }
 }
 
-/// RAII guard for one phase execution; see [`TraceCtx::phase`].
+/// Name prefix of the per-phase duration histograms.
+pub(crate) const PHASE_HIST: &str = "phase_ns.";
+
+/// Open a phase with no trace attached, for code that holds no
+/// deadline: the same guard as [`TraceCtx::phase`], which on drop
+/// records only the `phase_ns.<name>` histogram (when the sink is on).
+#[inline]
+pub fn phase(name: &'static str) -> TracePhase<'static> {
+    TracePhase::open(None, name)
+}
+
+/// RAII guard for one phase execution; see [`TraceCtx::phase`] and
+/// [`phase`].
 pub struct TracePhase<'a> {
-    ctx: Option<&'a TraceInner>,
+    trace: Option<&'a TraceInner>,
     phase: &'static str,
-    start_us: u64,
+    /// When the phase opened; `None` when neither a trace nor the sink
+    /// was live then, and the guard records nothing.
+    start: Option<Instant>,
     work: u64,
 }
 
-impl TracePhase<'_> {
+impl<'a> TracePhase<'a> {
+    #[inline]
+    fn open(trace: Option<&'a TraceInner>, phase: &'static str) -> Self {
+        let start = (trace.is_some() || crate::enabled()).then(Instant::now);
+        TracePhase {
+            trace,
+            phase,
+            start,
+            work: 0,
+        }
+    }
+
     /// Add to the phase's work counter.
     #[inline]
     pub fn add_work(&mut self, w: u64) {
@@ -239,19 +273,21 @@ impl TracePhase<'_> {
 
 impl Drop for TracePhase<'_> {
     fn drop(&mut self) {
-        let Some(inner) = self.ctx else { return };
-        let end_us = inner.start.elapsed().as_micros() as u64;
-        let mut events = inner.events.lock();
-        if events.len() >= MAX_TRACE_EVENTS {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        let Some(start) = self.start else { return };
+        let end = Instant::now();
+        if let Some(inner) = self.trace {
+            inner.push(TraceEvent {
+                phase: self.phase,
+                start_us: inner.us(start),
+                end_us: inner.us(end),
+                work: self.work,
+            });
         }
-        events.push(TraceEvent {
-            phase: self.phase,
-            start_us: self.start_us,
-            end_us,
-            work: self.work,
-        });
+        let ns = end.duration_since(start).as_nanos().min(u64::MAX as u128) as u64;
+        crate::log::debug(|| format!("{} ({})", self.phase, crate::format_time(ns as f64 / 1e9)));
+        if crate::enabled() {
+            crate::record_hist(&format!("{PHASE_HIST}{}", self.phase), ns);
+        }
     }
 }
 
@@ -343,6 +379,7 @@ mod tests {
 
     #[test]
     fn disabled_is_inert() {
+        let _g = crate::serial();
         let t = TraceCtx::disabled();
         assert!(!t.is_enabled());
         {
@@ -357,6 +394,7 @@ mod tests {
 
     #[test]
     fn phases_record_on_drop_with_work() {
+        let _g = crate::serial();
         let t = TraceCtx::new(7);
         {
             let mut p = t.phase("alpha");
@@ -378,6 +416,7 @@ mod tests {
 
     #[test]
     fn clones_share_one_event_list() {
+        let _g = crate::serial();
         let t = TraceCtx::new(1);
         let c = t.clone();
         c.phase("from-clone").finish();
@@ -431,6 +470,7 @@ mod tests {
 
     #[test]
     fn concurrent_contexts_stay_isolated() {
+        let _g = crate::serial();
         let a = TraceCtx::new(1);
         let b = TraceCtx::new(2);
         std::thread::scope(|s| {

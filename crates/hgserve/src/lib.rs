@@ -63,7 +63,7 @@
 //! | `GET /v1/{ds}/diameter` | diameter + average path length |
 //! | `GET /v1/{ds}/powerlaw` | degree power-law fit |
 //! | `GET /v1/{ds}/cover` | greedy vertex cover |
-//! | `GET /metrics` | hgobs counters/histograms + cache stats (Prometheus text) |
+//! | `GET /metrics` | hgobs counters/histograms (`hg_phase_ns_*` per kernel phase) + `hgserve_*` server series (Prometheus text) |
 //! | `GET /debug/slowlog` | retained traces of the slowest + most recent requests |
 //! | `POST /admin/shutdown` | graceful drain |
 //!

@@ -740,4 +740,56 @@ mod tests {
             assert_eq!(q.run(&h).unwrap(), q.run(&h).unwrap(), "{e}");
         }
     }
+
+    /// A traced request's phases, as `(name, count)` sorted by name.
+    fn traced_phases(q: &Query, h: &Hypergraph, parallel: bool) -> Vec<(&'static str, usize)> {
+        let opts = ExecOpts {
+            parallel,
+            trace: TraceCtx::new(1),
+            ..ExecOpts::default()
+        };
+        q.run_opts(h, &opts).unwrap();
+        let mut counts = std::collections::BTreeMap::new();
+        for e in opts.trace.events() {
+            *counts.entry(e.phase).or_insert(0) += 1;
+        }
+        counts.into_iter().collect()
+    }
+
+    #[test]
+    fn cellzome_traces_pin_each_endpoints_phases() {
+        let h = hypergraph::io::read_hgr(include_str!("../../../data/cellzome-2004.hgr")).unwrap();
+        assert_eq!(h.num_vertices(), 1361);
+        for q in [
+            Query::Stats,
+            Query::Degrees,
+            Query::Components,
+            Query::PowerLaw,
+            Query::Cover,
+        ] {
+            assert_eq!(traced_phases(&q, &h, false), [], "{q:?}");
+        }
+        assert_eq!(
+            traced_phases(&Query::KCore { k: Some(3) }, &h, false),
+            [("kcore.probe.peel", 1), ("kcore.probe.reduce", 1)]
+        );
+        let levels = hypergraph::core_profile(&h).len();
+        assert_eq!(
+            traced_phases(&Query::KCore { k: None }, &h, false),
+            [("kcore.probe.peel", levels + 1), ("kcore.probe.reduce", 1)]
+        );
+        assert_eq!(
+            traced_phases(&Query::Distance { from: 2, to: 1000 }, &h, false),
+            [("bfs.pair", 1)]
+        );
+        // 1,361 sources in batches of 256.
+        assert_eq!(
+            traced_phases(&Query::Diameter, &h, false),
+            [("msbfs.batch", 6)]
+        );
+        assert_eq!(
+            traced_phases(&Query::Diameter, &h, true),
+            [("msbfs.par.batch", 6)]
+        );
+    }
 }

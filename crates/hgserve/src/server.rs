@@ -558,7 +558,6 @@ impl EventLoop {
             self.gens[idx] = self.gens[idx].wrapping_add(1);
             self.free.push(idx);
             self.open -= 1;
-            hgobs::gauge!("serve.conn.open", self.open as i64);
         }
     }
 
@@ -577,7 +576,6 @@ impl EventLoop {
                     }
                     let _ = stream.set_nodelay(true);
                     self.state.accepts.fetch_add(1, Ordering::Relaxed);
-                    hgobs::counter!("serve.connections");
                     let idx = self.free.pop().unwrap_or_else(|| {
                         self.conns.push(None);
                         self.gens.push(0);
@@ -610,7 +608,6 @@ impl EventLoop {
                     self.state
                         .conn_gauge(ConnState::Idle)
                         .fetch_add(1, Ordering::Relaxed);
-                    hgobs::gauge!("serve.conn.open", self.open as i64);
                     self.conn_readable(idx);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -787,7 +784,6 @@ impl EventLoop {
             }
             Err(TrySendError::Full(_)) => {
                 let shed_total = self.state.shed.fetch_add(1, Ordering::Relaxed) + 1;
-                hgobs::counter!("serve.shed");
                 hgobs::log::warn(|| {
                     format!("shedding request with 503: job queue full ({shed_total} shed so far)")
                 });
@@ -1193,7 +1189,7 @@ pub fn route(state: &AppState, req: &Request) -> Response {
 
 /// The first half of [`route`]: for an untraced
 /// `GET /v1/{dataset}/{endpoint}`, resolve the dataset and query and
-/// look the answer up in the result cache, counting the hit or miss.
+/// look the answer up in the result cache (which counts the hit or miss).
 /// It runs no kernel, so the event loop can afford it.
 fn probe(state: &AppState, req: &Request) -> Probe {
     let segments = segments(&req.path);
@@ -1212,17 +1208,11 @@ fn probe(state: &AppState, req: &Request) -> Probe {
     };
     let key = format!("{}:{}", ds.cache_prefix(), query.canonical());
     match state.cache.get(&key) {
-        Some(body) => {
-            hgobs::counter!("serve.cache.hit");
-            Probe::Hit {
-                body,
-                endpoint: query.endpoint(),
-            }
-        }
-        None => {
-            hgobs::counter!("serve.cache.miss");
-            Probe::Miss { ds, query, key }
-        }
+        Some(body) => Probe::Hit {
+            body,
+            endpoint: query.endpoint(),
+        },
+        None => Probe::Miss { ds, query, key },
     }
 }
 
@@ -1271,7 +1261,6 @@ fn answer(state: &AppState, req: &Request, probe: Probe, t0: Instant) -> Respons
     }
     if resp.status == 504 {
         state.deadline_hits.fetch_add(1, Ordering::Relaxed);
-        hgobs::counter!("serve.deadline_exceeded");
         hgobs::log::warn(|| {
             format!(
                 "deadline exceeded: {} {} answered 504 after {us}us (trace {})",
@@ -1360,8 +1349,10 @@ fn healthz(state: &AppState) -> Response {
     Response::json(200, body)
 }
 
-/// Cumulative metrics: the hgobs registry (counters, histograms, spans)
-/// rendered as Prometheus text, followed by cache and uptime gauges.
+/// Cumulative metrics: the hgobs registry (counters, and histograms
+/// including the `hg_phase_ns_*` kernel phases) rendered as Prometheus
+/// text, followed by the server's own cache, admission, connection and
+/// uptime series.
 fn metrics(state: &AppState) -> Response {
     let mut body = hgobs::snapshot_report().render_prometheus();
     let cs = state.cache.stats();

@@ -95,7 +95,7 @@ pub fn greedy_vertex_cover(
     h: &Hypergraph,
     weight: impl Fn(VertexId) -> f64,
 ) -> Result<CoverResult, CoverError> {
-    let _span = hgobs::Span::enter("cover.greedy");
+    let _phase = hgobs::phase("cover.greedy");
     let weights: Vec<f64> = h.vertices().map(&weight).collect();
     for v in h.vertices() {
         let w = weights[v.index()];

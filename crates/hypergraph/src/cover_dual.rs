@@ -37,7 +37,7 @@ pub fn pricing_vertex_cover(
     h: &Hypergraph,
     weight: impl Fn(VertexId) -> f64,
 ) -> Result<PricingCover, CoverError> {
-    let _span = hgobs::Span::enter("cover.pricing");
+    let _phase = hgobs::phase("cover.pricing");
     let weights: Vec<f64> = h.vertices().map(&weight).collect();
     for v in h.vertices() {
         let w = weights[v.index()];

@@ -56,7 +56,6 @@ impl CsrOverlap {
     /// `overlap.csr.pairs` counter and the error's `work_done` report the
     /// pairs actually generated.
     pub fn build_with(h: &Hypergraph, deadline: &Deadline) -> Result<Self, DeadlineExceeded> {
-        let _span = hgobs::Span::enter("overlap.csr.build");
         let mut tp = deadline.trace().phase("overlap.build");
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut generated: u64 = 0;

@@ -269,7 +269,6 @@ pub fn decompose_with(
     deadline: &Deadline,
 ) -> Result<Decomposition, DeadlineExceeded> {
     let ov = CsrOverlap::build_with(h, deadline)?;
-    let _span = hgobs::Span::enter("kcore.decompose");
     let trace = deadline.trace();
     let mut p = CsrPeeler::new(h, ov);
     let mut ticks = 0u32;
@@ -355,7 +354,6 @@ pub fn csr_kcore_with(
     k: u32,
     deadline: &Deadline,
 ) -> Result<KCore, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("kcore.csr");
     hgobs::counter!("kcore.rounds");
     let ov = CsrOverlap::build_with(h, deadline)?;
     let trace = deadline.trace();

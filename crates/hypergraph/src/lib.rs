@@ -102,15 +102,15 @@ pub use hgb::{
 pub use hypergraph::{EdgeId, Hypergraph, VertexId};
 pub use kcore::{core_numbers, core_profile, max_core, max_core_with, KCore};
 pub use msbfs::{
-    msbfs_batch, msbfs_distance_stats, msbfs_distance_stats_from, msbfs_distance_stats_from_with,
-    msbfs_distance_stats_with, msbfs_eccentricities, msbfs_eccentricities_with, BatchStats,
-    MsBfsScratch, BATCH,
+    hyper_distance_stats, hyper_distance_stats_from, hyper_distance_stats_from_with,
+    hyper_distance_stats_with, msbfs_batch, msbfs_eccentricities, msbfs_eccentricities_with,
+    BatchStats, MsBfsScratch, BATCH,
 };
 pub use multicover::{greedy_multicover, is_multicover};
 pub use path::{
-    hyper_distance, hyper_distance_stats, hyper_distance_stats_with, hyper_distance_with,
-    hyper_distances, hyper_distances_with, scalar_hyper_distance_stats,
-    scalar_hyper_distance_stats_from, scalar_hyper_distance_stats_from_with, HyperDistanceStats,
+    hyper_distance, hyper_distance_with, hyper_distances, hyper_distances_with,
+    scalar_hyper_distance_stats, scalar_hyper_distance_stats_from,
+    scalar_hyper_distance_stats_from_with, HyperDistanceStats,
 };
 pub use powerlaw::{fit_power_law, PowerLawFit};
 pub use probe_kcore::{probe_decompose, probe_decompose_with, probe_kcore, probe_kcore_with};

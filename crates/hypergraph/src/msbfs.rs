@@ -409,48 +409,48 @@ pub fn msbfs_batch(
     Some(stats)
 }
 
-/// Exact distance statistics by MS-BFS from every vertex. Bit-identical
-/// to [`crate::path::scalar_hyper_distance_stats`], ~an order of
-/// magnitude less memory traffic.
-pub fn msbfs_distance_stats(h: &Hypergraph) -> HyperDistanceStats {
-    match msbfs_distance_stats_with(h, &Deadline::none()) {
+/// Exact vertex-pair distance statistics (paper §2) by MS-BFS from every
+/// vertex. Bit-identical to the per-source oracle
+/// [`crate::path::scalar_hyper_distance_stats`], with a fraction of its
+/// memory traffic.
+pub fn hyper_distance_stats(h: &Hypergraph) -> HyperDistanceStats {
+    match hyper_distance_stats_with(h, &Deadline::none()) {
         Ok(stats) => stats,
         Err(_) => unreachable!("an unlimited deadline cannot expire"),
     }
 }
 
-/// [`msbfs_distance_stats`] under a cooperative [`Deadline`]. The
-/// error's `work_done` counts batches (of up to [`BATCH`] sources)
-/// fully completed.
-pub fn msbfs_distance_stats_with(
+/// [`hyper_distance_stats`] under a cooperative [`Deadline`]. On expiry
+/// the error carries phase `"msbfs"` and counts batches (of up to
+/// [`BATCH`] sources) fully completed.
+pub fn hyper_distance_stats_with(
     h: &Hypergraph,
     deadline: &Deadline,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
     let sources: Vec<VertexId> = h.vertices().collect();
-    msbfs_distance_stats_from_with(h, &sources, deadline)
+    hyper_distance_stats_from_with(h, &sources, deadline)
 }
 
 /// Distance statistics restricted to caller-chosen BFS sources
-/// (sampling; the diameter becomes a lower bound).
-pub fn msbfs_distance_stats_from(h: &Hypergraph, sources: &[VertexId]) -> HyperDistanceStats {
-    match msbfs_distance_stats_from_with(h, sources, &Deadline::none()) {
+/// (sampling for large hypergraphs; the diameter becomes a lower bound).
+pub fn hyper_distance_stats_from(h: &Hypergraph, sources: &[VertexId]) -> HyperDistanceStats {
+    match hyper_distance_stats_from_with(h, sources, &Deadline::none()) {
         Ok(stats) => stats,
         Err(_) => unreachable!("an unlimited deadline cannot expire"),
     }
 }
 
-/// [`msbfs_distance_stats_from`] under a cooperative [`Deadline`],
+/// [`hyper_distance_stats_from`] under a cooperative [`Deadline`],
 /// checked both at batch boundaries (deterministic on small inputs) and
 /// every [`hgobs::CHECK_INTERVAL`] expanded vertices inside a batch. On
 /// expiry the error carries phase `"msbfs"` and the number of batches
 /// completed; the `msbfs.batches` and `bfs.sources` counters reflect
 /// that same partial progress on both the success and expiry paths.
-pub fn msbfs_distance_stats_from_with(
+pub fn hyper_distance_stats_from_with(
     h: &Hypergraph,
     sources: &[VertexId],
     deadline: &Deadline,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("msbfs.sweep");
     let mut scratch = MsBfsScratch::new(h);
     let mut ticks = 0u32;
     let mut acc = BatchStats::default();
@@ -496,13 +496,12 @@ pub fn msbfs_eccentricities(h: &Hypergraph, sources: &[VertexId]) -> Vec<u32> {
 }
 
 /// [`msbfs_eccentricities`] under a cooperative [`Deadline`]; same
-/// phase/work contract as [`msbfs_distance_stats_from_with`].
+/// phase/work contract as [`hyper_distance_stats_from_with`].
 pub fn msbfs_eccentricities_with(
     h: &Hypergraph,
     sources: &[VertexId],
     deadline: &Deadline,
 ) -> Result<Vec<u32>, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("msbfs.ecc");
     let mut scratch = MsBfsScratch::new(h);
     let mut ticks = 0u32;
     let mut ecc = vec![0u32; sources.len()];
@@ -568,14 +567,14 @@ mod tests {
     #[test]
     fn matches_scalar_on_chain() {
         let h = chain();
-        assert_eq!(msbfs_distance_stats(&h), scalar_hyper_distance_stats(&h));
+        assert_eq!(hyper_distance_stats(&h), scalar_hyper_distance_stats(&h));
     }
 
     #[test]
     fn matches_scalar_across_batch_boundary() {
         // 600 sources = 3 batches (256+256+88).
         let h = big_ring(600);
-        assert_eq!(msbfs_distance_stats(&h), scalar_hyper_distance_stats(&h));
+        assert_eq!(hyper_distance_stats(&h), scalar_hyper_distance_stats(&h));
     }
 
     #[test]
@@ -583,7 +582,7 @@ mod tests {
         let h = big_ring(100);
         let some: Vec<VertexId> = (0..70).map(VertexId).collect();
         assert_eq!(
-            msbfs_distance_stats_from(&h, &some),
+            hyper_distance_stats_from(&h, &some),
             scalar_hyper_distance_stats_from(&h, &some)
         );
     }
@@ -593,7 +592,7 @@ mod tests {
         let h = chain();
         let dup = [VertexId(0), VertexId(0), VertexId(2)];
         assert_eq!(
-            msbfs_distance_stats_from(&h, &dup),
+            hyper_distance_stats_from(&h, &dup),
             scalar_hyper_distance_stats_from(&h, &dup)
         );
     }
@@ -605,16 +604,16 @@ mod tests {
         b.add_edge([0, 1]);
         b.add_edge([2, 3]);
         let h = b.build();
-        assert_eq!(msbfs_distance_stats(&h), scalar_hyper_distance_stats(&h));
+        assert_eq!(hyper_distance_stats(&h), scalar_hyper_distance_stats(&h));
 
         let empty = HypergraphBuilder::new(0).build();
-        let s = msbfs_distance_stats(&empty);
+        let s = hyper_distance_stats(&empty);
         assert_eq!(s.diameter, 0);
         assert_eq!(s.reachable_pairs, 0);
 
         let single = HypergraphBuilder::new(1).build();
         assert_eq!(
-            msbfs_distance_stats(&single),
+            hyper_distance_stats(&single),
             scalar_hyper_distance_stats(&single)
         );
     }
@@ -692,7 +691,7 @@ mod tests {
     fn pre_expired_deadline_reports_zero_batches() {
         let h = big_ring(300);
         let dl = Deadline::after(Duration::ZERO);
-        let err = msbfs_distance_stats_with(&h, &dl).unwrap_err();
+        let err = hyper_distance_stats_with(&h, &dl).unwrap_err();
         assert_eq!(err.phase, "msbfs");
         assert_eq!(err.work_done, 0, "{err:?}");
         let err = msbfs_eccentricities_with(&h, &[VertexId(0)], &dl).unwrap_err();
@@ -708,7 +707,7 @@ mod tests {
         let h = big_ring(300);
         let trace = hgobs::TraceCtx::new(42);
         let dl = Deadline::after(Duration::ZERO).with_trace(trace.clone());
-        assert!(msbfs_distance_stats_with(&h, &dl).is_err());
+        assert!(hyper_distance_stats_with(&h, &dl).is_err());
         let events = trace.events();
         assert!(!events.is_empty(), "partial trace must not be empty");
         assert!(
@@ -723,8 +722,8 @@ mod tests {
     fn unlimited_deadline_matches_plain_variant() {
         let h = big_ring(130);
         assert_eq!(
-            msbfs_distance_stats(&h),
-            msbfs_distance_stats_with(&h, &Deadline::none()).unwrap()
+            hyper_distance_stats(&h),
+            hyper_distance_stats_with(&h, &Deadline::none()).unwrap()
         );
     }
 
@@ -736,7 +735,7 @@ mod tests {
         let h = big_ring(6000);
         let nb = 6000u64.div_ceil(BATCH as u64);
         for ms in [1u64, 2, 4, 8, 16, 32, 64] {
-            match msbfs_distance_stats_with(&h, &Deadline::after_ms(ms)) {
+            match hyper_distance_stats_with(&h, &Deadline::after_ms(ms)) {
                 Err(err) => {
                     assert_eq!(err.phase, "msbfs");
                     assert!(err.work_done < nb, "{err:?}");

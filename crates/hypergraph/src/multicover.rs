@@ -38,7 +38,7 @@ pub fn greedy_multicover(
     weight: impl Fn(VertexId) -> f64,
     requirement: impl Fn(EdgeId) -> u32,
 ) -> Result<CoverResult, CoverError> {
-    let _span = hgobs::Span::enter("cover.multicover");
+    let _phase = hgobs::phase("cover.multicover");
     let weights: Vec<f64> = h.vertices().map(&weight).collect();
     for v in h.vertices() {
         let w = weights[v.index()];

@@ -231,48 +231,6 @@ pub struct HyperDistanceStats {
     pub reachable_pairs: u64,
 }
 
-/// Exact statistics from every vertex. Since the batched MS-BFS kernel
-/// landed this routes through [`crate::msbfs::msbfs_distance_stats`]
-/// (bit-identical results, a fraction of the memory traffic); the
-/// per-source sweep survives as [`scalar_hyper_distance_stats`], the
-/// oracle the equivalence tests compare against.
-pub fn hyper_distance_stats(h: &Hypergraph) -> HyperDistanceStats {
-    match hyper_distance_stats_with(h, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`hyper_distance_stats`] under a cooperative [`Deadline`]. On expiry
-/// the error carries phase `"msbfs"` and counts *batches* of
-/// [`crate::msbfs::BATCH`] sources fully completed.
-pub fn hyper_distance_stats_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    crate::msbfs::msbfs_distance_stats_with(h, deadline)
-}
-
-/// Statistics restricted to BFS sources chosen by the caller (sampling
-/// for large hypergraphs; diameter becomes a lower bound). Routed
-/// through the batched MS-BFS kernel.
-pub fn hyper_distance_stats_from(h: &Hypergraph, sources: &[VertexId]) -> HyperDistanceStats {
-    match hyper_distance_stats_from_with(h, sources, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`hyper_distance_stats_from`] under a cooperative [`Deadline`];
-/// deadline contract as in [`hyper_distance_stats_with`].
-pub fn hyper_distance_stats_from_with(
-    h: &Hypergraph,
-    sources: &[VertexId],
-    deadline: &Deadline,
-) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    crate::msbfs::msbfs_distance_stats_from_with(h, sources, deadline)
-}
-
 /// The pre-MS-BFS engine: one scalar BFS per source. Kept as the oracle
 /// the batched kernel is tested against, and as the `scalar` engine in
 /// `hg bench --kernels`.
@@ -302,7 +260,7 @@ pub fn scalar_hyper_distance_stats_from_with(
     sources: &[VertexId],
     deadline: &Deadline,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("bfs.sweep");
+    let _tp = deadline.trace().phase("bfs.sweep");
     let mut diameter = 0u32;
     let mut total = 0u128;
     let mut pairs = 0u64;
@@ -375,6 +333,9 @@ pub fn scalar_hyper_distance_stats_from_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msbfs::{
+        hyper_distance_stats, hyper_distance_stats_from, hyper_distance_stats_with,
+    };
     use crate::{BipartiteView, HypergraphBuilder};
     use std::time::Duration;
 

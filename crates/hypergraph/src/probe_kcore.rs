@@ -315,7 +315,6 @@ pub fn probe_kcore_with(
     k: u32,
     deadline: &Deadline,
 ) -> Result<KCore, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("kcore.probe");
     let trace = deadline.trace();
     let mut s = State::new(h);
     let out = s
@@ -343,7 +342,6 @@ pub fn probe_decompose_with(
     h: &Hypergraph,
     deadline: &Deadline,
 ) -> Result<Decomposition, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("kcore.probe");
     let trace = deadline.trace();
     let mut s = State::new(h);
     s.level_v = vec![0; h.num_vertices()];

@@ -197,7 +197,7 @@ impl Relabeling {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msbfs::msbfs_distance_stats;
+    use crate::msbfs::hyper_distance_stats;
     use crate::path::scalar_hyper_distance_stats;
 
     fn sample() -> Hypergraph {
@@ -269,7 +269,7 @@ mod tests {
                 scalar_hyper_distance_stats(&g),
                 scalar_hyper_distance_stats(&h)
             );
-            assert_eq!(msbfs_distance_stats(&g), msbfs_distance_stats(&h));
+            assert_eq!(hyper_distance_stats(&g), hyper_distance_stats(&h));
             // Per-edge sizes survive as a multiset.
             let mut a: Vec<usize> = h.edges().map(|f| h.pins(f).len()).collect();
             let mut b: Vec<usize> = g.edges().map(|f| g.pins(f).len()).collect();

@@ -11,10 +11,11 @@
 use hgobs::{Deadline, DeadlineExceeded};
 
 use crate::hypergraph::{Hypergraph, VertexId};
-use crate::path::{
+use crate::msbfs::{
     hyper_distance_stats, hyper_distance_stats_from, hyper_distance_stats_from_with,
-    hyper_distance_stats_with, HyperDistanceStats,
+    hyper_distance_stats_with,
 };
+use crate::path::HyperDistanceStats;
 
 /// Small-world summary of a hypergraph.
 #[derive(Clone, Copy, Debug, PartialEq)]

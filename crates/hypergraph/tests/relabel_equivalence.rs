@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use hgobs::Deadline;
 use hypergraph::{
-    msbfs_batch, msbfs_distance_stats, msbfs_distance_stats_with, scalar_hyper_distance_stats,
+    hyper_distance_stats, hyper_distance_stats_with, msbfs_batch, scalar_hyper_distance_stats,
     Hypergraph, HypergraphBuilder, MsBfsScratch, Relabeling, VertexId, BATCH,
 };
 
@@ -60,7 +60,7 @@ proptest! {
         let hr = r.apply(&h);
 
         let oracle = scalar_hyper_distance_stats(&h);
-        let relabeled = msbfs_distance_stats(&hr);
+        let relabeled = hyper_distance_stats(&hr);
         prop_assert_eq!(oracle.diameter, relabeled.diameter);
         prop_assert_eq!(oracle.reachable_pairs, relabeled.reachable_pairs);
         // Exact f64 equality: both engines divide the same u128 level
@@ -106,7 +106,7 @@ fn sparse_and_dense_drains_both_engage_and_match_scalar() {
     assert!(c.words_skipped > 0, "no all-zero words skipped: {c:?}");
 
     let oracle = scalar_hyper_distance_stats(&h);
-    let swept = msbfs_distance_stats(&h);
+    let swept = hyper_distance_stats(&h);
     assert_eq!(oracle, swept);
     assert_eq!(
         oracle.average_path_length.to_bits(),
@@ -146,7 +146,7 @@ fn sparse_and_dense_drains_both_engage_and_match_scalar() {
     assert!(c.dense_passes > 0, "dense drain never engaged: {c:?}");
 
     let oracle = scalar_hyper_distance_stats(&h);
-    let swept = msbfs_distance_stats(&h);
+    let swept = hyper_distance_stats(&h);
     assert_eq!(oracle, swept);
     assert_eq!(
         oracle.average_path_length.to_bits(),
@@ -165,7 +165,7 @@ fn relabeled_mid_sweep_expiry_then_clean_rerun() {
         let r = Relabeling::bfs_order(&h);
         let hr = r.apply(&h);
         let total_batches = (n as u64).div_ceil(BATCH as u64);
-        let err = match msbfs_distance_stats_with(&hr, &Deadline::after_ms(3)) {
+        let err = match hyper_distance_stats_with(&hr, &Deadline::after_ms(3)) {
             Err(e) => e,
             Ok(_) => continue,
         };
@@ -173,7 +173,7 @@ fn relabeled_mid_sweep_expiry_then_clean_rerun() {
         assert!(err.work_done < total_batches, "{err:?}");
 
         let oracle = scalar_hyper_distance_stats(&h);
-        let rerun = msbfs_distance_stats(&hr);
+        let rerun = hyper_distance_stats(&hr);
         assert_eq!(oracle, rerun);
         assert_eq!(
             oracle.average_path_length.to_bits(),
@@ -194,7 +194,7 @@ fn relabel_edge_cases() {
     assert_eq!(e2.num_vertices(), 0);
     assert_eq!(
         scalar_hyper_distance_stats(&empty),
-        msbfs_distance_stats(&e2)
+        hyper_distance_stats(&e2)
     );
 
     let mut b = HypergraphBuilder::new(3);
@@ -205,5 +205,5 @@ fn relabel_edge_cases() {
     let hr = r.apply(&h);
     assert_eq!(hr.num_vertices(), 3);
     assert_eq!(hr.num_edges(), h.num_edges());
-    assert_eq!(scalar_hyper_distance_stats(&h), msbfs_distance_stats(&hr));
+    assert_eq!(scalar_hyper_distance_stats(&h), hyper_distance_stats(&hr));
 }

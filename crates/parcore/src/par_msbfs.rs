@@ -3,7 +3,7 @@
 //! `scoped::split` — one per core, the calling thread included —
 //! each worker holding private [`MsBfsScratch`] mask buffers, integer
 //! [`BatchStats`] partials merged at the end. Exactly matches the
-//! sequential [`hypergraph::msbfs_distance_stats`], which itself
+//! sequential [`hypergraph::hyper_distance_stats`], which itself
 //! matches the scalar per-source oracle bit for bit.
 //!
 //! hgserve answers `/diameter` with this engine for datasets of at
@@ -17,7 +17,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use hgobs::{Deadline, DeadlineExceeded};
 use hypergraph::msbfs::{msbfs_batch, stats_from_acc, BatchStats, MsBfsScratch, BATCH};
@@ -114,12 +113,7 @@ fn sweep(
     deadline: &Deadline,
     width: usize,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let _span = hgobs::Span::enter("msbfs.par.sweep");
     let completed = AtomicU64::new(0);
-    // Per-batch timing feeds the `msbfs.par.batch_us` histogram — the
-    // profiling ROADMAP item 3 needs — but only pay the clock reads when
-    // someone is collecting (registry on or a request trace attached).
-    let observing = hgobs::enabled() || deadline.trace().is_enabled();
     let batches: Vec<&[VertexId]> = sources.chunks(BATCH).collect();
     let partials = scoped::split(width, batches.len(), |_, claims| {
         let mut scratch: Option<MsBfsScratch> = None;
@@ -128,7 +122,6 @@ fn sweep(
         let mut finished = true;
         for i in claims {
             let mut tp = deadline.trace().phase("msbfs.par.batch");
-            let t0 = observing.then(Instant::now);
             // Batch-boundary check: one clock read per batch keeps
             // expiry deterministic on inputs too small for the
             // amortized in-kernel tick to ever fire, and the latch it
@@ -145,9 +138,6 @@ fn sweep(
             };
             acc.merge(&b);
             tp.add_work(batches[i].len() as u64);
-            if let Some(t0) = t0 {
-                hgobs::hist!("msbfs.par.batch_us", t0.elapsed().as_micros() as u64);
-            }
             completed.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(mut sc) = scratch {
@@ -172,10 +162,11 @@ fn sweep(
 mod tests {
     use super::*;
     use hypergraph::{
-        hyper_distance_stats, msbfs_distance_stats, scalar_hyper_distance_stats,
-        scalar_hyper_distance_stats_from, small_world_report, HypergraphBuilder,
+        hyper_distance_stats, scalar_hyper_distance_stats, scalar_hyper_distance_stats_from,
+        small_world_report, HypergraphBuilder,
     };
     use proptest::prelude::*;
+    use std::time::Instant;
 
     /// Exact equality, the f64 included: every engine divides the same
     /// u128 total by the same u64 pair count.
@@ -194,7 +185,7 @@ mod tests {
             let h = hypergen::uniform_random_hypergraph(700, 520, 4, seed);
             let sources: Vec<VertexId> = h.vertices().collect();
             let oracle = scalar_hyper_distance_stats(&h);
-            assert_eq!(par_msbfs_distance_stats(&h), msbfs_distance_stats(&h));
+            assert_eq!(par_msbfs_distance_stats(&h), hyper_distance_stats(&h));
             for width in [1, 2, 3] {
                 let par = sweep(&h, &sources, &Deadline::none(), width).unwrap();
                 assert_bit_identical(par, oracle);
@@ -261,7 +252,7 @@ mod tests {
         let some = [VertexId(0), VertexId(4)];
         assert_eq!(
             par_msbfs_distance_stats_from(&h, &some),
-            hypergraph::path::hyper_distance_stats_from(&h, &some)
+            hypergraph::hyper_distance_stats_from(&h, &some)
         );
     }
 
@@ -391,7 +382,7 @@ mod tests {
         let a = par_msbfs_distance_stats(&h);
         let b = par_msbfs_distance_stats(&h);
         assert_eq!(a, b);
-        assert_eq!(a, msbfs_distance_stats(&h));
+        assert_eq!(a, hyper_distance_stats(&h));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use hgobs::Deadline;
 use hypergraph::{
-    msbfs_distance_stats, msbfs_eccentricities, scalar_hyper_distance_stats,
+    hyper_distance_stats, msbfs_eccentricities, scalar_hyper_distance_stats,
     scalar_hyper_distance_stats_from, Hypergraph, HypergraphBuilder, VertexId,
 };
 use parcore::{par_msbfs_distance_stats, par_msbfs_distance_stats_from};
@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn msbfs_bit_identical_to_scalar(h in arb_hypergraph(90, 40, 6)) {
         let oracle = scalar_hyper_distance_stats(&h);
-        let batched = msbfs_distance_stats(&h);
+        let batched = hyper_distance_stats(&h);
         prop_assert_eq!(oracle.diameter, batched.diameter);
         prop_assert_eq!(oracle.reachable_pairs, batched.reachable_pairs);
         // Exact f64 equality is intentional: both engines divide the
@@ -78,7 +78,7 @@ proptest! {
         let oracle = scalar_hyper_distance_stats_from(&h, &sources);
         prop_assert_eq!(
             oracle,
-            hypergraph::path::hyper_distance_stats_from(&h, &sources)
+            hypergraph::hyper_distance_stats_from(&h, &sources)
         );
         prop_assert_eq!(oracle, par_msbfs_distance_stats_from(&h, &sources));
     }
@@ -102,7 +102,7 @@ proptest! {
 #[test]
 fn empty_and_single_vertex_edge_cases() {
     let h = HypergraphBuilder::new(0).build();
-    assert_eq!(scalar_hyper_distance_stats(&h), msbfs_distance_stats(&h));
+    assert_eq!(scalar_hyper_distance_stats(&h), hyper_distance_stats(&h));
     assert_eq!(
         scalar_hyper_distance_stats(&h),
         par_msbfs_distance_stats(&h)
@@ -111,7 +111,7 @@ fn empty_and_single_vertex_edge_cases() {
     let mut b = HypergraphBuilder::new(1);
     b.add_edge([0]);
     let h = b.build();
-    let s = msbfs_distance_stats(&h);
+    let s = hyper_distance_stats(&h);
     assert_eq!(s, scalar_hyper_distance_stats(&h));
     assert_eq!(s, par_msbfs_distance_stats(&h));
     assert_eq!(s.reachable_pairs, 0);
@@ -122,7 +122,7 @@ fn hypergen_instances_bit_identical_across_engines() {
     for seed in [1u64, 17, 99] {
         let h = hypergen::uniform_random_hypergraph(500, 350, 5, seed);
         let oracle = scalar_hyper_distance_stats(&h);
-        assert_eq!(oracle, msbfs_distance_stats(&h), "seed {seed}");
+        assert_eq!(oracle, hyper_distance_stats(&h), "seed {seed}");
         assert_eq!(oracle, par_msbfs_distance_stats(&h), "seed {seed}");
     }
 }
