@@ -322,6 +322,15 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> parcore stays hgperf's import shim"
+# crates/parcore only re-exports hypergraph names for the hgperf
+# benchmark, which builds against it by path; no workspace crate may
+# depend on it.
+if grep -lE '^(parcore *=|\[.*dependencies\.parcore\])' crates/*/Cargo.toml; then
+    echo "the manifests above depend on parcore; only hgperf may"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -410,10 +419,12 @@ for Q in 'kcore?k=3&trace=1' 'kcore?trace=1'; do
     fi
 done
 # Every kernel phase also feeds a `phase_ns.<phase>` histogram: the
-# k-core peels above and the earlier (serial MS-BFS) diameters show up,
-# and the retired span series do not.
+# k-core peels above and the earlier diameters show up, and the retired
+# span series do not. Cellzome's diameters run the MS-BFS sweep on one
+# thread, and the traced one leased the scratch an earlier sweep parked.
 METRICS=$(curl -sf "http://$ADDR/metrics")
-for SERIES in hg_phase_ns_kcore_probe_peel_count hg_phase_ns_msbfs_batch_count; do
+for SERIES in hg_phase_ns_kcore_probe_peel_count hg_phase_ns_msbfs_batch_count \
+    hg_msbfs_scratch_reused_total; do
     N=$(printf '%s\n' "$METRICS" | awk -v s="$SERIES" '$1 == s { print $2 }')
     [ "${N:-0}" -ge 1 ] || {
         echo "expected $SERIES >= 1 in /metrics, got '${N:-none}'"
@@ -483,7 +494,7 @@ echo "==> hgserve smoke (kernel counters under --par-threshold 1 --relabel)"
 # Force parallel routing on the small dataset and store it relabeled:
 # two uncached diameter sweeps (the second bypasses the cache via
 # ?trace=1) must surface the MS-BFS sparsity-sweep counters and the
-# parcore scratch-arena reuse counters in /metrics.
+# sweep's scratch-arena reuse counter in /metrics.
 start_server --par-threshold 1 --relabel
 curl -sf "http://$ADDR/datasets" | grep -q '"relabeled":true' || {
     echo "expected /datasets to report the preload as relabeled"
@@ -498,9 +509,9 @@ SWEEPS=$(printf '%s\n' "$METRICS" | grep -c '^hg_msbfs_sweep_' || true)
     printf '%s\n' "$METRICS" | grep '^hg_' || true
     exit 1
 }
-SCRATCH=$(printf '%s\n' "$METRICS" | awk '$1 == "hg_msbfs_par_scratch_reused_total" { print $2 }')
+SCRATCH=$(printf '%s\n' "$METRICS" | awk '$1 == "hg_msbfs_scratch_reused_total" { print $2 }')
 [ "${SCRATCH:-0}" -ge 1 ] || {
-    echo "expected hg_msbfs_par_scratch_reused_total >= 1, got ${SCRATCH:-none}"
+    echo "expected hg_msbfs_scratch_reused_total >= 1, got ${SCRATCH:-none}"
     printf '%s\n' "$METRICS" | grep '^hg_msbfs' || true
     exit 1
 }

@@ -114,7 +114,7 @@ impl DatasetResult {
 pub struct KernelBenchReport {
     pub reps: usize,
     /// Workers the `par_msbfs` engine splits batches over
-    /// ([`parcore::split_width`]); its speedup over `msbfs` needs two.
+    /// ([`hypergraph::split_width`]); its speedup over `msbfs` needs two.
     pub threads: usize,
     /// Whether datasets were BFS-relabeled before timing.
     pub relabel: bool,
@@ -273,7 +273,9 @@ fn bench_dataset(name: &str, h: &Hypergraph, reps: usize) -> Result<DatasetResul
         hypergraph::scalar_hyper_distance_stats(h)
     });
     let (msbfs, m_stats) = time_engine("msbfs", reps, || hypergraph::hyper_distance_stats(h));
-    let (par, p_stats) = time_engine("par_msbfs", reps, || parcore::par_msbfs_distance_stats(h));
+    let (par, p_stats) = time_engine("par_msbfs", reps, || {
+        hypergraph::par_msbfs_distance_stats(h)
+    });
     // Bit-identical across engines or the timings mean nothing.
     if s_stats != m_stats || s_stats != p_stats {
         return Err(format!(
@@ -391,7 +393,7 @@ pub fn run(cfg: &KernelBenchConfig) -> Result<KernelBenchReport, String> {
         .ok_or("scaled dataset missing kcore_decompose timing")?;
     Ok(KernelBenchReport {
         reps: cfg.reps,
-        threads: parcore::split_width(),
+        threads: hypergraph::split_width(),
         relabel: cfg.relabel,
         datasets,
         gate_msbfs_us,

@@ -11,7 +11,7 @@
 //!
 //! Clones share one flag. The first observer whose clock check trips the
 //! budget *latches* the cancel flag, so sibling workers in a
-//! `std::thread::scope` (parcore's splitter) notice via a single relaxed
+//! `std::thread::scope` (hypergraph's splitter) notice via a single relaxed
 //! atomic load on their next check without ever reading the clock
 //! themselves.
 //! [`Deadline::cancel`] latches the same flag manually (e.g. from a

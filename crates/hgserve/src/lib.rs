@@ -10,7 +10,7 @@
 //!
 //! Built entirely on `std::net` — no async runtime, no HTTP library:
 //! a single nonblocking **readiness event loop** ([`server`], on raw
-//! `epoll` via [`poller`], with a portable `poll(2)` fallback) owns
+//! `epoll` via [`poller`]; Linux is the one serving target) owns
 //! accept, read, and write for every connection as a small state
 //! machine (idle → reading → dispatched → writing), so thousands of
 //! parked keep-alive connections cost zero threads. The loop looks
@@ -45,8 +45,9 @@
 //!   `500` and closes its connection; the worker lives on
 //!   (`hgserve_panics_total`, `hgserve_workers_live`).
 //! * **Parallel offload** — on datasets at or above `par_threshold`
-//!   vertices, the diameter sweep runs on `parcore`'s MS-BFS over one
-//!   scoped thread per core, all sharing one deadline token.
+//!   vertices, the diameter sweep runs `hypergraph`'s one MS-BFS sweep
+//!   at `split_width()`, one scoped thread per core, all sharing one
+//!   deadline token; smaller datasets run it on the worker's own thread.
 //!
 //! # Endpoints
 //!

@@ -1,11 +1,10 @@
 //! Readiness polling for the server's connection event loop.
 //!
-//! On Linux this is raw `epoll(7)` — edge-triggered, with an
-//! `eventfd(2)` waker so worker threads (and the SIGINT handler) can
-//! interrupt a blocked `epoll_wait`. Every other unix target gets a
-//! portable `poll(2)` backend with a self-pipe waker; non-unix targets
-//! get a stub whose constructor fails, which [`crate::server::start`]
-//! surfaces as a clean bind error. In the style of
+//! This is raw `epoll(7)` — edge-triggered, with an `eventfd(2)` waker
+//! so worker threads (and the SIGINT handler) can interrupt a blocked
+//! `epoll_wait`. Linux is the one target: elsewhere a stub's
+//! constructor fails with `Unsupported`, which [`crate::server::start`]
+//! surfaces as a clean start-up error. In the style of
 //! `hypergraph::storage`'s mmap shim, the syscalls are declared
 //! directly with `extern "C"` — the workspace stays free of a libc
 //! dependency.
@@ -15,8 +14,7 @@
 //! [`Poller::wait`] for readiness [`Event`]s. Waker wakeups are
 //! consumed internally and surface as a plain (possibly event-free)
 //! return from `wait`, so the caller's loop re-checks its own queues
-//! after every return — the same discipline both edge- and
-//! level-triggered backends need.
+//! after every return.
 
 use std::io;
 use std::sync::Arc;
@@ -31,10 +29,11 @@ pub type RawFd = i32;
 /// (the waker); callers must stay below.
 pub const RESERVED_TOKEN: u64 = u64::MAX - 15;
 
+#[cfg(target_os = "linux")]
 const WAKER_TOKEN: u64 = u64::MAX;
 
 /// Which readiness directions a registration asks for. Read interest
-/// also reports peer hangup on both backends.
+/// also reports peer hangup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interest {
     pub readable: bool,
@@ -65,8 +64,8 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// Syscalls shared by both unix backends.
-#[cfg(unix)]
+/// Syscalls the poller and its waker share.
+#[cfg(target_os = "linux")]
 mod sys {
     extern "C" {
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
@@ -78,10 +77,10 @@ mod sys {
 /// An owned waker file descriptor, closed on last drop. Shared by the
 /// [`Poller`] and every [`Waker`] clone so a wake can never hit a
 /// recycled descriptor after the loop exits.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 struct WakeFd(RawFd);
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 impl Drop for WakeFd {
     fn drop(&mut self) {
         // SAFETY: `self.0` is a descriptor this `WakeFd` owns alone, and
@@ -96,16 +95,16 @@ impl Drop for WakeFd {
 /// Cheap to clone; safe to use from worker threads.
 #[derive(Clone)]
 pub struct Waker {
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     fd: Arc<WakeFd>,
-    #[cfg(not(unix))]
+    #[cfg(not(target_os = "linux"))]
     _unused: Arc<()>,
 }
 
 impl Waker {
     /// Make the next (or current) `wait` return promptly.
     pub fn wake(&self) {
-        #[cfg(unix)]
+        #[cfg(target_os = "linux")]
         wake_fd(self.fd.0);
     }
 
@@ -113,11 +112,11 @@ impl Waker {
     /// hold the `Waker` itself (the SIGINT handler stores it in an
     /// atomic and calls [`wake_fd`]).
     pub fn raw_fd(&self) -> RawFd {
-        #[cfg(unix)]
+        #[cfg(target_os = "linux")]
         {
             self.fd.0
         }
-        #[cfg(not(unix))]
+        #[cfg(not(target_os = "linux"))]
         {
             -1
         }
@@ -126,9 +125,8 @@ impl Waker {
 
 /// Wake a raw waker descriptor: one `write(2)`, which is
 /// async-signal-safe — this is the only call a signal handler makes.
-/// Writing a `u64` of 1 satisfies both backends (an eventfd requires
-/// exactly eight bytes; a pipe just buffers them).
-#[cfg(unix)]
+/// An eventfd takes exactly eight bytes: a `u64` of 1.
+#[cfg(target_os = "linux")]
 pub fn wake_fd(fd: RawFd) {
     if fd < 0 {
         return;
@@ -141,11 +139,11 @@ pub fn wake_fd(fd: RawFd) {
     }
 }
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 pub fn wake_fd(_fd: RawFd) {}
 
 /// Drain a nonblocking waker fd until empty; wakeups coalesce.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 fn drain_fd(fd: RawFd) {
     let mut buf = [0u8; 64];
     loop {
@@ -158,9 +156,10 @@ fn drain_fd(fd: RawFd) {
     }
 }
 
-/// Millisecond timeout for `epoll_wait`/`poll`: `None` blocks forever
-/// (-1); sub-millisecond durations round *up* so timer deadlines are
-/// never spun on at zero.
+/// Millisecond timeout for `epoll_wait`: `None` blocks forever (-1);
+/// sub-millisecond durations round *up* so timer deadlines are never
+/// spun on at zero.
+#[cfg(target_os = "linux")]
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -365,174 +364,19 @@ impl Drop for Poller {
     }
 }
 
-// ----------------------------------------------------------- poll(2)
+// ------------------------------------------------------------ other
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod poll_sys {
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: usize, timeout_ms: i32) -> i32;
-        pub fn pipe(fds: *mut i32) -> i32;
-        pub fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-    }
-
-    // Identical across the unix targets this repo builds on.
-    pub const POLLIN: i16 = 0x1;
-    pub const POLLOUT: i16 = 0x4;
-    pub const POLLERR: i16 = 0x8;
-    pub const POLLHUP: i16 = 0x10;
-    pub const F_GETFL: i32 = 3;
-    pub const F_SETFL: i32 = 4;
-    // O_NONBLOCK is 0x800 on Linux but 0x4 on the BSD family this
-    // fallback actually serves (macOS and friends).
-    pub const O_NONBLOCK: i32 = 0x4;
-}
-
-/// Level-triggered `poll(2)` poller with a self-pipe waker: the
-/// portable fallback for unix targets without epoll. Registrations
-/// live in a vector scanned per wait — fine for the fleet sizes a dev
-/// laptop throws at it; Linux production serving uses the epoll
-/// backend above.
-#[cfg(all(unix, not(target_os = "linux")))]
-pub struct Poller {
-    fds: Vec<(RawFd, u64, Interest)>,
-    wake_rx: WakeFd,
-    waker: Waker,
-    buf: Vec<poll_sys::PollFd>,
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-impl Poller {
-    pub fn new() -> io::Result<Poller> {
-        use poll_sys::*;
-        let mut ends = [0i32; 2];
-        // SAFETY: `ends` is a live `[i32; 2]`, exactly the two slots
-        // pipe(2) writes.
-        if unsafe { pipe(ends.as_mut_ptr()) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        for fd in ends {
-            // SAFETY: no pointer arguments; the result is checked below.
-            let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-            // SAFETY: as above; `F_SETFL` takes an integer argument.
-            if flags < 0 || unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
-                let err = io::Error::last_os_error();
-                // SAFETY: both pipe ends were created above, are owned
-                // only here, and are closed once before returning.
-                unsafe {
-                    sys::close(ends[0]);
-                    sys::close(ends[1]);
-                }
-                return Err(err);
-            }
-        }
-        Ok(Poller {
-            fds: Vec::new(),
-            wake_rx: WakeFd(ends[0]),
-            waker: Waker {
-                fd: Arc::new(WakeFd(ends[1])),
-            },
-            buf: Vec::new(),
-        })
-    }
-
-    pub fn waker(&self) -> Waker {
-        self.waker.clone()
-    }
-
-    pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        debug_assert!(token < RESERVED_TOKEN);
-        self.fds.push((fd, token, interest));
-        Ok(())
-    }
-
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        for slot in &mut self.fds {
-            if slot.0 == fd {
-                *slot = (fd, token, interest);
-                return Ok(());
-            }
-        }
-        Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-    }
-
-    pub fn delete(&mut self, fd: RawFd) -> io::Result<()> {
-        self.fds.retain(|&(f, _, _)| f != fd);
-        Ok(())
-    }
-
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        use poll_sys::*;
-        events.clear();
-        self.buf.clear();
-        self.buf.push(PollFd {
-            fd: self.wake_rx.0,
-            events: POLLIN,
-            revents: 0,
-        });
-        for &(fd, _, interest) in &self.fds {
-            let mut ev = 0i16;
-            if interest.readable {
-                ev |= POLLIN;
-            }
-            if interest.writable {
-                ev |= POLLOUT;
-            }
-            self.buf.push(PollFd {
-                fd,
-                events: ev,
-                revents: 0,
-            });
-        }
-        // SAFETY: `buf` holds `buf.len()` initialized `PollFd`s, which
-        // poll(2) reads and whose `revents` it writes in place.
-        let n = unsafe { poll(self.buf.as_mut_ptr(), self.buf.len(), timeout_ms(timeout)) };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
-            }
-            return Err(err);
-        }
-        if self.buf[0].revents & POLLIN != 0 {
-            drain_fd(self.wake_rx.0);
-        }
-        for (slot, &(_, token, _)) in self.buf[1..].iter().zip(&self.fds) {
-            let r = slot.revents;
-            if r == 0 {
-                continue;
-            }
-            events.push(Event {
-                token,
-                readable: r & (POLLIN | POLLERR | POLLHUP) != 0,
-                writable: r & (POLLOUT | POLLERR | POLLHUP) != 0,
-                hangup: r & (POLLERR | POLLHUP) != 0,
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------- non-unix
-
-/// Stub for non-unix targets: construction fails, so the server
+/// Stub for every target but Linux: construction fails, so the server
 /// reports readiness serving as unsupported instead of half-working.
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 pub struct Poller;
 
-#[cfg(not(unix))]
+#[cfg(not(target_os = "linux"))]
 impl Poller {
     pub fn new() -> io::Result<Poller> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "readiness polling requires a unix target",
+            "readiness polling requires Linux (epoll)",
         ))
     }
 
@@ -543,23 +387,23 @@ impl Poller {
     }
 
     pub fn add(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-        unreachable!("Poller::new always fails on non-unix targets")
+        unreachable!("Poller::new always fails off Linux")
     }
 
     pub fn modify(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-        unreachable!("Poller::new always fails on non-unix targets")
+        unreachable!("Poller::new always fails off Linux")
     }
 
     pub fn delete(&mut self, _fd: RawFd) -> io::Result<()> {
-        unreachable!("Poller::new always fails on non-unix targets")
+        unreachable!("Poller::new always fails off Linux")
     }
 
     pub fn wait(&mut self, _events: &mut Vec<Event>, _t: Option<Duration>) -> io::Result<()> {
-        unreachable!("Poller::new always fails on non-unix targets")
+        unreachable!("Poller::new always fails off Linux")
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::Write;

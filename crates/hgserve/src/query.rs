@@ -66,9 +66,10 @@ pub struct ExecOpts {
     /// Cooperative deadline checked inside every heavy loop; the
     /// default (unlimited) never fires.
     pub deadline: Deadline,
-    /// Run the diameter sweep on every core (`parcore`'s MS-BFS). The
-    /// server enables this for large datasets, where a sweep is long
-    /// enough to pay for its helper threads; no other query reads it.
+    /// Run the MS-BFS diameter sweep on every core
+    /// ([`hypergraph::par_msbfs_distance_stats_with`]). The server
+    /// enables this for large datasets, where a sweep is long enough to
+    /// pay for its helper threads; no other query reads it.
     pub parallel: bool,
     /// Request-scoped trace context. [`Query::run_opts`] attaches it to
     /// the deadline it hands the kernels, so every instrumented phase
@@ -346,11 +347,11 @@ fn run_distance(
 }
 
 fn run_diameter(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
-    // Both arms run the batched MS-BFS engine; the parallel arm splits
+    // Both arms run the one MS-BFS sweep; the parallel arm splits its
     // batches over one worker per core for datasets above the routing
     // threshold.
     let s = if opts.parallel {
-        parcore::par_msbfs_distance_stats_with(h, &opts.deadline)?
+        hypergraph::par_msbfs_distance_stats_with(h, &opts.deadline)?
     } else {
         hypergraph::hyper_distance_stats_with(h, &opts.deadline)?
     };
@@ -531,11 +532,11 @@ mod tests {
 
     #[test]
     fn expired_diameter_504_names_the_msbfs_engine() {
-        // Both routing arms now run MS-BFS; the 504 body carries the
-        // engine phase and the batches-completed work count so clients
-        // can see how far the sweep got.
+        // Both routing arms run the one MS-BFS sweep; the 504 body
+        // carries its phase and the batches-completed work count so
+        // clients can see how far the sweep got.
         let h = chain();
-        for (parallel, phase) in [(false, "msbfs"), (true, "msbfs.par")] {
+        for parallel in [false, true] {
             let opts = ExecOpts {
                 deadline: hgobs::Deadline::after(std::time::Duration::ZERO),
                 parallel,
@@ -543,8 +544,11 @@ mod tests {
             };
             let err = Query::Diameter.run_opts(&h, &opts).unwrap_err();
             assert_eq!(err.status, 504, "{}", err.message);
-            assert!(err.message.contains(phase), "{}", err.message);
-            assert!(err.message.contains("0 work units done"), "{}", err.message);
+            assert!(
+                err.message.contains(" in msbfs (0 work units done"),
+                "{}",
+                err.message
+            );
         }
     }
 
@@ -782,14 +786,12 @@ mod tests {
             traced_phases(&Query::Distance { from: 2, to: 1000 }, &h, false),
             [("bfs.pair", 1)]
         );
-        // 1,361 sources in batches of 256.
-        assert_eq!(
-            traced_phases(&Query::Diameter, &h, false),
-            [("msbfs.batch", 6)]
-        );
-        assert_eq!(
-            traced_phases(&Query::Diameter, &h, true),
-            [("msbfs.par.batch", 6)]
-        );
+        // 1,361 sources in batches of 256, at either width.
+        for parallel in [false, true] {
+            assert_eq!(
+                traced_phases(&Query::Diameter, &h, parallel),
+                [("msbfs.batch", 6)]
+            );
+        }
     }
 }

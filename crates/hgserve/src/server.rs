@@ -86,8 +86,9 @@ pub struct ServerConfig {
     /// Wall-clock budget for reading one request head (slow-loris
     /// protection); exceeded → `408`.
     pub header_timeout_ms: u64,
-    /// Datasets with at least this many vertices run the diameter sweep
-    /// on every core (`parcore`'s MS-BFS); no other query depends on it.
+    /// Datasets with at least this many vertices run the MS-BFS diameter
+    /// sweep on every core ([`hypergraph::par_msbfs_distance_stats_with`]);
+    /// no other query depends on it.
     pub par_threshold: usize,
 }
 
@@ -209,13 +210,16 @@ impl AppState {
 
     /// The [`Deadline`] governing one request: an explicit
     /// `X-Deadline-Ms` header (clamped to the server cap) wins over the
-    /// server-wide default; `0` (or no header and no default) means
-    /// unlimited. Unparseable header values are ignored.
+    /// server-wide default. A requested `0` asks for as long as the
+    /// server allows: the cap, or unlimited when `max_deadline_ms` is
+    /// 0. No header and no default also means unlimited. Unparseable
+    /// header values are ignored.
     pub fn request_deadline(&self, req: &Request) -> Deadline {
         let requested = req
             .header("x-deadline-ms")
             .and_then(|v| v.trim().parse::<u64>().ok());
         let ms = match requested {
+            Some(0) => self.max_deadline_ms,
             Some(ms) if self.max_deadline_ms > 0 => ms.min(self.max_deadline_ms),
             Some(ms) => ms,
             None => self.deadline_ms,
@@ -1720,9 +1724,16 @@ mod tests {
         // Unparseable header values fall back to the server default.
         let req = with_header(get("/v1/toy/diameter"), "x-deadline-ms", "soon");
         assert!(state.request_deadline(&req).is_unlimited());
-        // Explicit 0 disables the deadline for this request.
+        // An explicit 0 cannot lift the cap: it gets the full 60s.
         let req = with_header(get("/v1/toy/diameter"), "x-deadline-ms", "0");
-        assert!(state.request_deadline(&req).is_unlimited());
+        let dl = state.request_deadline(&req);
+        assert_eq!(dl.budget(), Some(Duration::from_secs(60)));
+        // Only a server without a cap leaves a requested 0 unlimited.
+        let uncapped = AppState {
+            max_deadline_ms: 0,
+            ..toy_state()
+        };
+        assert!(uncapped.request_deadline(&req).is_unlimited());
     }
 
     #[test]

@@ -1,11 +1,21 @@
 //! Sharded-cache behavior under concurrent access from scoped OS
-//! threads (via `parcore::scoped_run`), plus cross-thread invariants
-//! the per-shard unit tests cannot see.
+//! threads (`std::thread::scope`), plus cross-thread invariants the
+//! per-shard unit tests cannot see.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hgserve::ShardedLru;
+
+/// Run `f(t)` on `threads` scoped OS threads, `t` in `0..threads`, and
+/// collect the results in thread order.
+fn on_threads<R: Send>(threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|t| s.spawn(move || f(t))).collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
 
 #[test]
 fn concurrent_mixed_workload_keeps_invariants() {
@@ -15,7 +25,7 @@ fn concurrent_mixed_workload_keeps_invariants() {
     let cache = ShardedLru::new(16 * 1024, THREADS);
     let gets = AtomicU64::new(0);
 
-    parcore::scoped_run(THREADS, |t| {
+    on_threads(THREADS, |t| {
         // Each thread works a rolling window of keys that overlaps its
         // neighbors', so threads race on shared keys, not disjoint sets.
         for j in 0..OPS {
@@ -46,7 +56,7 @@ fn concurrent_mixed_workload_keeps_invariants() {
 #[test]
 fn concurrent_inserts_of_same_key_settle_on_one_entry() {
     let cache = ShardedLru::new(1 << 20, 4);
-    parcore::scoped_run(8, |t| {
+    on_threads(8, |t| {
         for _ in 0..500 {
             cache.insert("contended", Arc::new(format!("writer-{t}")));
         }
@@ -65,7 +75,7 @@ fn reads_scale_across_shards_without_poisoning() {
     for i in 0..256 {
         cache.insert(&format!("warm-{i}"), Arc::new("x".repeat(64)));
     }
-    let results = parcore::scoped_run(8, |t| {
+    let results = on_threads(8, |t| {
         let mut hits = 0u64;
         for j in 0..1_000 {
             if cache

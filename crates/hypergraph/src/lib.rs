@@ -11,7 +11,9 @@
 //!   paths/distances/diameter ([`path`]) where the length of a path is the
 //!   *number of hyperedges* on it;
 //! * the batched multi-source BFS engine behind the diameter sweeps
-//!   ([`msbfs`]) and its lane masks and summary bitmaps ([`bitset`]);
+//!   ([`msbfs`]), its lane masks and summary bitmaps ([`bitset`]), and
+//!   the `std::thread::scope` work splitter that runs one sweep on
+//!   every core ([`scoped`]);
 //! * connected components ([`components`]) and degree statistics /
 //!   power-law fitting ([`degree`], [`powerlaw`]);
 //! * the hypergraph **k-core** ([`kcore`]): the maximal *reduced*
@@ -81,6 +83,7 @@ pub mod probe_kcore;
 pub mod projections;
 pub mod reduce;
 pub mod relabel;
+pub mod scoped;
 pub mod smallworld;
 pub mod storage;
 pub mod validate;
@@ -102,9 +105,8 @@ pub use hgb::{
 pub use hypergraph::{EdgeId, Hypergraph, VertexId};
 pub use kcore::{core_numbers, core_profile, max_core, max_core_with, KCore};
 pub use msbfs::{
-    hyper_distance_stats, hyper_distance_stats_from, hyper_distance_stats_from_with,
-    hyper_distance_stats_with, msbfs_batch, msbfs_eccentricities, msbfs_eccentricities_with,
-    BatchStats, MsBfsScratch, BATCH,
+    hyper_distance_stats, hyper_distance_stats_with, msbfs_batch, par_msbfs_distance_stats,
+    par_msbfs_distance_stats_with, BatchStats, MsBfsScratch, BATCH,
 };
 pub use multicover::{greedy_multicover, is_multicover};
 pub use path::{
@@ -117,9 +119,7 @@ pub use probe_kcore::{probe_decompose, probe_decompose_with, probe_kcore, probe_
 pub use projections::{clique_expansion, intersection_graph, star_expansion, SpaceReport};
 pub use reduce::{non_maximal_edges, reduce};
 pub use relabel::Relabeling;
+pub use scoped::split_width;
 pub use storage::StorageKind;
 
-pub use smallworld::{
-    report_from_distances, small_world_report, small_world_report_sampled,
-    small_world_report_sampled_with, small_world_report_with, SmallWorldReport,
-};
+pub use smallworld::{report_from_distances, small_world_report, SmallWorldReport};

@@ -35,26 +35,42 @@
 //! Distances are never materialized as an n×n matrix: when a vertex is
 //! newly reached at level `d` by `c` sources, the running
 //! [`HyperDistanceStats`] accumulators absorb `c` pairs of distance `d`
-//! on the spot. The per-source eccentricity variant
-//! ([`msbfs_eccentricities`]) folds the same level information into a
-//! max-per-source-bit instead.
+//! on the spot.
 //!
 //! Results are bit-identical to the scalar oracle
-//! ([`crate::path::scalar_hyper_distance_stats_from_with`]): both count
-//! BFS levels of the bipartite expansion, and the accumulators are
-//! integers (`u64` pair counts, `u128` distance total), so the sum is
-//! independent of accumulation order and even the `f64` average is
-//! reproduced exactly.
+//! ([`crate::path::scalar_hyper_distance_stats`]): both count BFS levels
+//! of the bipartite expansion, and the accumulators are integers (`u64`
+//! pair counts, `u128` distance total), so the sum is independent of
+//! accumulation order and even the `f64` average is reproduced exactly.
+//!
+//! # One sweep at any width
+//!
+//! One batch loop drives the kernel. It hands the batches to
+//! `min(width, batches)` workers of the [`crate::scoped`] splitter — the
+//! calling thread plus scoped helpers — each with its own scratch leased
+//! from a cross-call arena, and merges their integer partials. The
+//! public entry points are two widths of it: [`hyper_distance_stats`]
+//! runs on the calling thread, and [`par_msbfs_distance_stats`] on
+//! [`split_width`](crate::scoped::split_width) workers, which hgserve
+//! uses for datasets of at least `par_threshold` vertices (below that
+//! the helper spawns cost more than the split saves).
 //!
 //! Every sweep has a `*_with` variant taking an [`hgobs::Deadline`] with
-//! the same amortized-tick contract as the scalar sweeps; expiry surfaces
-//! phase `"msbfs"` and the number of *batches* fully completed.
+//! the same amortized-tick contract as the scalar sweeps. Every worker
+//! checks the one shared token at each batch boundary and through the
+//! amortized in-kernel tick; the first check that trips the budget
+//! latches its cancel flag, which the other workers see on their next
+//! check. Expiry surfaces phase `"msbfs"` and the number of *batches*
+//! fully completed across all workers.
+
+use std::sync::Mutex;
 
 use hgobs::{Deadline, DeadlineExceeded};
 
 use crate::bitset;
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 use crate::path::HyperDistanceStats;
+use crate::scoped;
 
 /// Sources advanced per traversal: the bit width of a
 /// [`bitset::Mask`]. One 64-byte lane per vertex/hyperedge means a
@@ -106,7 +122,7 @@ impl MsBfsScratch {
     }
 
     /// Bytes held by the mask buffers (one 64-byte lane per vertex and
-    /// per hyperedge, plus the 1/64-size summaries); what one parallel
+    /// per hyperedge, plus the 1/64-size summaries); what one sweep
     /// worker costs to equip.
     pub fn bytes(&self) -> usize {
         (self.vlanes.len() + self.elanes.len()) * std::mem::size_of::<bitset::Lane>()
@@ -123,9 +139,9 @@ impl MsBfsScratch {
     /// Flush the accumulated sparsity telemetry into the global
     /// counters: `msbfs.sweep.sparse_passes`, `msbfs.sweep.dense_passes`
     /// and `msbfs.sweep.words_skipped` (all-zero summary words skipped
-    /// without touching their 64 mask words). The sweep entry points
-    /// call this once per sweep; callers driving [`msbfs_batch`]
-    /// directly may call it whenever a scrape boundary makes sense.
+    /// without touching their 64 mask words). The sweep calls this once
+    /// per worker; callers driving [`msbfs_batch`] directly may call it
+    /// whenever a scrape boundary makes sense.
     pub fn flush_counters(&mut self) {
         let c = std::mem::take(&mut self.counters);
         if c.sparse_passes != 0 {
@@ -186,10 +202,9 @@ impl BatchStats {
 }
 
 /// Advance one batch of at most [`BATCH`] sources to fixpoint,
-/// accumulating pair statistics (and, when `ecc` is given, per-source
-/// eccentricities into `ecc[i]` for batch slot `i`). Returns `None` when
-/// the deadline fires mid-traversal; `ticks` is the caller's amortized
-/// tick counter, shared across batches so the clock is read every
+/// accumulating pair statistics. Returns `None` when the deadline fires
+/// mid-traversal; `ticks` is the caller's amortized tick counter,
+/// shared across batches so the clock is read every
 /// [`hgobs::CHECK_INTERVAL`] expanded vertices/hyperedges regardless of
 /// batch size.
 ///
@@ -210,19 +225,15 @@ impl BatchStats {
 /// bit-identical either way.
 ///
 /// # Panics
-/// If `batch.len() > BATCH` or `ecc` is shorter than `batch`.
+/// If `batch.len() > BATCH`.
 pub fn msbfs_batch(
     h: &Hypergraph,
     batch: &[VertexId],
     scratch: &mut MsBfsScratch,
     deadline: &Deadline,
     ticks: &mut u32,
-    mut ecc: Option<&mut [u32]>,
 ) -> Option<BatchStats> {
     assert!(batch.len() <= BATCH, "batch wider than the u64 masks");
-    if let Some(e) = ecc.as_deref_mut() {
-        e[..batch.len()].fill(0);
-    }
     if batch.is_empty() {
         return Some(BatchStats::default());
     }
@@ -326,7 +337,6 @@ pub fn msbfs_batch(
         // ---- Pass 2: hyperedge frontier → next vertex frontier ----
         let escan = bitset::scan_active(esum);
         let mut level_pairs = 0u64;
-        let mut level_bits = bitset::MASK_ZERO;
         if escan.2 != 0 {
             let eactive_bits = bitset::count_bits(esum);
             let vunsat_bits = bitset::count_bits(vunsat);
@@ -346,7 +356,6 @@ pub fn msbfs_batch(
                         lane.absorb(&add);
                         vsum[wi >> 6] |= ((!bitset::mask_is_zero(&add)) as u64) << (wi & 63);
                         vunsat[wi >> 6] &= !((lane.saturated(&full) as u64) << (wi & 63));
-                        bitset::mask_or_into(&mut level_bits, &add);
                         level_pairs += bitset::mask_count(&add);
                     }
                     true
@@ -377,7 +386,6 @@ pub fn msbfs_batch(
                         lane.absorb(&add);
                         vsum[w] |= ((!bitset::mask_is_zero(&add)) as u64) << (wi & 63);
                         still &= !((lane.saturated(&full) as u64) << (wi & 63));
-                        bitset::mask_or_into(&mut level_bits, &add);
                         level_pairs += bitset::mask_count(&add);
                     }
                     vunsat[w] = still;
@@ -392,15 +400,6 @@ pub fn msbfs_batch(
             stats.diameter = level;
             stats.pairs += level_pairs;
             stats.total += level_pairs as u128 * level as u128;
-            if let Some(e) = ecc.as_deref_mut() {
-                for (w, &word) in level_bits.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        e[(w << 6) | bits.trailing_zeros() as usize] = level;
-                        bits &= bits - 1;
-                    }
-                }
-            }
         }
     }
     // Both passes consumed everything they read, so the frontier masks
@@ -410,14 +409,11 @@ pub fn msbfs_batch(
 }
 
 /// Exact vertex-pair distance statistics (paper §2) by MS-BFS from every
-/// vertex. Bit-identical to the per-source oracle
+/// vertex, on the calling thread. Bit-identical to the per-source oracle
 /// [`crate::path::scalar_hyper_distance_stats`], with a fraction of its
 /// memory traffic.
 pub fn hyper_distance_stats(h: &Hypergraph) -> HyperDistanceStats {
-    match hyper_distance_stats_with(h, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
+    unlimited(hyper_distance_stats_with(h, &Deadline::none()))
 }
 
 /// [`hyper_distance_stats`] under a cooperative [`Deadline`]. On expiry
@@ -428,104 +424,147 @@ pub fn hyper_distance_stats_with(
     deadline: &Deadline,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
     let sources: Vec<VertexId> = h.vertices().collect();
-    hyper_distance_stats_from_with(h, &sources, deadline)
+    sweep(h, &sources, deadline, 1)
 }
 
-/// Distance statistics restricted to caller-chosen BFS sources
-/// (sampling for large hypergraphs; the diameter becomes a lower bound).
-pub fn hyper_distance_stats_from(h: &Hypergraph, sources: &[VertexId]) -> HyperDistanceStats {
-    match hyper_distance_stats_from_with(h, sources, &Deadline::none()) {
+/// [`hyper_distance_stats`] with the batches split over
+/// [`split_width`](scoped::split_width) workers, the calling thread
+/// included.
+pub fn par_msbfs_distance_stats(h: &Hypergraph) -> HyperDistanceStats {
+    unlimited(par_msbfs_distance_stats_with(h, &Deadline::none()))
+}
+
+/// [`par_msbfs_distance_stats`] under a cooperative [`Deadline`] shared
+/// by every worker; the same expiry phase and batch count as
+/// [`hyper_distance_stats_with`].
+pub fn par_msbfs_distance_stats_with(
+    h: &Hypergraph,
+    deadline: &Deadline,
+) -> Result<HyperDistanceStats, DeadlineExceeded> {
+    let sources: Vec<VertexId> = h.vertices().collect();
+    sweep(h, &sources, deadline, scoped::split_width())
+}
+
+fn unlimited(stats: Result<HyperDistanceStats, DeadlineExceeded>) -> HyperDistanceStats {
+    match stats {
         Ok(stats) => stats,
         Err(_) => unreachable!("an unlimited deadline cannot expire"),
     }
 }
 
-/// [`hyper_distance_stats_from`] under a cooperative [`Deadline`],
-/// checked both at batch boundaries (deterministic on small inputs) and
-/// every [`hgobs::CHECK_INTERVAL`] expanded vertices inside a batch. On
-/// expiry the error carries phase `"msbfs"` and the number of batches
-/// completed; the `msbfs.batches` and `bfs.sources` counters reflect
-/// that same partial progress on both the success and expiry paths.
-pub fn hyper_distance_stats_from_with(
+/// Cross-call scratch pool: every sweep parks its workers'
+/// [`MsBfsScratch`] buffers here, and the next sweep over a hypergraph
+/// of the same dimensions leases them back instead of allocating and
+/// zeroing a 64-byte lane per vertex and hyperedge again (the A7
+/// telemetry showed allocation is the tax batch parallelism pays).
+/// Entries whose dimensions no longer fit are left for other datasets;
+/// the pool is capped so a burst of differently-sized requests cannot
+/// hoard memory.
+static SCRATCH_ARENA: Mutex<Vec<MsBfsScratch>> = Mutex::new(Vec::new());
+
+/// Upper bound on parked scratches — enough for the workers of the
+/// concurrent sweeps on the core counts this engine targets, small
+/// enough that stale dimensions age out quickly.
+const SCRATCH_ARENA_CAP: usize = 16;
+
+/// Lease a scratch sized for `h`: reuse a parked one when the
+/// dimensions match (`msbfs.scratch_reused`), otherwise allocate
+/// (`msbfs.scratch_allocs` / `msbfs.scratch_bytes`).
+fn lease_scratch(h: &Hypergraph) -> MsBfsScratch {
+    let mut pool = SCRATCH_ARENA.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(pos) = pool.iter().position(|sc| sc.fits(h)) {
+        let sc = pool.swap_remove(pos);
+        drop(pool);
+        hgobs::counter!("msbfs.scratch_reused");
+        return sc;
+    }
+    drop(pool);
+    let sc = MsBfsScratch::new(h);
+    hgobs::counter!("msbfs.scratch_allocs");
+    hgobs::counter!("msbfs.scratch_bytes", sc.bytes() as u64);
+    sc
+}
+
+/// Park a worker's scratch for the next sweep (dropped if the pool is
+/// full). An aborted batch may leave it dirty; its `clean` flag makes
+/// the next lease zero it again.
+fn release_scratch(sc: MsBfsScratch) {
+    let mut pool = SCRATCH_ARENA.lock().unwrap_or_else(|e| e.into_inner());
+    if pool.len() < SCRATCH_ARENA_CAP {
+        pool.push(sc);
+    }
+}
+
+/// The one batch loop: MS-BFS from every entry of `sources` (a repeated
+/// source counts its pairs once per occurrence, as in the scalar
+/// oracle), in batches of up to [`BATCH`] claimed by
+/// `min(width, batches)` workers of [`scoped::split`]. Each worker
+/// leases its own scratch at its first batch and keeps its own
+/// amortized tick counter, so workers never contend on traversal state;
+/// only the batch cursor and the deadline's cancel latch are shared.
+///
+/// The `msbfs.batches` and `bfs.sources` counters report the batches
+/// and sources fully completed, on the success and expiry paths alike;
+/// on expiry the error carries phase `"msbfs"` and that batch count.
+fn sweep(
     h: &Hypergraph,
     sources: &[VertexId],
     deadline: &Deadline,
+    width: usize,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let mut scratch = MsBfsScratch::new(h);
-    let mut ticks = 0u32;
-    let mut acc = BatchStats::default();
-    let mut batches = 0u64;
-    let mut completed_sources = 0u64;
-    let trace = deadline.trace();
-    let expired = 'sweep: {
-        for batch in sources.chunks(BATCH) {
+    let batches: Vec<&[VertexId]> = sources.chunks(BATCH).collect();
+    let shares = scoped::split(width, batches.len(), |_, claims| {
+        let mut scratch: Option<MsBfsScratch> = None;
+        let mut ticks = 0u32;
+        let mut acc = BatchStats::default();
+        let (mut done, mut swept, mut expired) = (0u64, 0u64, false);
+        for i in claims {
             // The phase guard opens before the boundary check so a trace
             // of an expired request still shows the batch that noticed.
-            let mut tp = trace.phase("msbfs.batch");
-            // Batch-boundary check: inputs smaller than CHECK_INTERVAL
-            // vertices might never reach the amortized tick.
-            if deadline.expired() {
-                break 'sweep true;
-            }
-            match msbfs_batch(h, batch, &mut scratch, deadline, &mut ticks, None) {
-                Some(b) => acc.merge(&b),
-                None => break 'sweep true,
-            }
-            tp.add_work(batch.len() as u64);
-            batches += 1;
-            completed_sources += batch.len() as u64;
+            let mut tp = deadline.trace().phase("msbfs.batch");
+            // Batch-boundary check: one clock read per batch keeps
+            // expiry deterministic on inputs too small for the
+            // amortized in-kernel tick to ever fire, and the latch it
+            // sets stops the other workers at their next check.
+            let stats = if deadline.expired() {
+                None
+            } else {
+                let sc = scratch.get_or_insert_with(|| lease_scratch(h));
+                msbfs_batch(h, batches[i], sc, deadline, &mut ticks)
+            };
+            let Some(b) = stats else {
+                expired = true;
+                break;
+            };
+            acc.merge(&b);
+            tp.add_work(batches[i].len() as u64);
+            done += 1;
+            swept += batches[i].len() as u64;
         }
-        false
-    };
-    scratch.flush_counters();
-    hgobs::counter!("msbfs.batches", batches);
-    hgobs::counter!("bfs.sources", completed_sources);
+        if let Some(mut sc) = scratch {
+            sc.flush_counters();
+            release_scratch(sc);
+        }
+        (acc, done, swept, expired)
+    });
+    let mut acc = BatchStats::default();
+    let (mut done, mut swept, mut expired) = (0u64, 0u64, false);
+    for (b, d, s, e) in shares {
+        acc.merge(&b);
+        done += d;
+        swept += s;
+        expired |= e;
+    }
+    hgobs::counter!("msbfs.batches", done);
+    hgobs::counter!("bfs.sources", swept);
     if expired {
-        return Err(deadline.exceeded("msbfs", batches));
+        return Err(deadline.exceeded("msbfs", done));
     }
     Ok(stats_from_acc(acc))
 }
 
-/// Per-source eccentricities (max finite distance; 0 for an isolated
-/// source) for every vertex in `sources`, by batched MS-BFS.
-pub fn msbfs_eccentricities(h: &Hypergraph, sources: &[VertexId]) -> Vec<u32> {
-    match msbfs_eccentricities_with(h, sources, &Deadline::none()) {
-        Ok(ecc) => ecc,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`msbfs_eccentricities`] under a cooperative [`Deadline`]; same
-/// phase/work contract as [`hyper_distance_stats_from_with`].
-pub fn msbfs_eccentricities_with(
-    h: &Hypergraph,
-    sources: &[VertexId],
-    deadline: &Deadline,
-) -> Result<Vec<u32>, DeadlineExceeded> {
-    let mut scratch = MsBfsScratch::new(h);
-    let mut ticks = 0u32;
-    let mut ecc = vec![0u32; sources.len()];
-    let mut batches = 0u64;
-    for (b, batch) in sources.chunks(BATCH).enumerate() {
-        let mut tp = deadline.trace().phase("msbfs.batch");
-        let out = &mut ecc[b * BATCH..b * BATCH + batch.len()];
-        if deadline.expired()
-            || msbfs_batch(h, batch, &mut scratch, deadline, &mut ticks, Some(out)).is_none()
-        {
-            scratch.flush_counters();
-            hgobs::counter!("msbfs.batches", batches);
-            return Err(deadline.exceeded("msbfs", batches));
-        }
-        tp.add_work(batch.len() as u64);
-        batches += 1;
-    }
-    scratch.flush_counters();
-    hgobs::counter!("msbfs.batches", batches);
-    Ok(ecc)
-}
-
 /// Final statistics from merged batch partials.
-pub fn stats_from_acc(acc: BatchStats) -> HyperDistanceStats {
+fn stats_from_acc(acc: BatchStats) -> HyperDistanceStats {
     HyperDistanceStats {
         diameter: acc.diameter,
         average_path_length: if acc.pairs == 0 {
@@ -540,11 +579,14 @@ pub fn stats_from_acc(acc: BatchStats) -> HyperDistanceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::{
-        hyper_distances, scalar_hyper_distance_stats, scalar_hyper_distance_stats_from,
-    };
+    use crate::path::{scalar_hyper_distance_stats, scalar_hyper_distance_stats_from};
+    use crate::smallworld::{report_from_distances, small_world_report};
     use crate::HypergraphBuilder;
-    use std::time::Duration;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::index::sample;
+    use rand::SeedableRng;
+    use std::time::{Duration, Instant};
 
     fn chain() -> Hypergraph {
         let mut b = HypergraphBuilder::new(4);
@@ -562,6 +604,29 @@ mod tests {
             b.add_edge([i, (i + 1) % n, (i + 7) % n]);
         }
         b.build()
+    }
+
+    /// `m` hyperedges, each a uniformly random `k`-subset of `n`
+    /// vertices: hypergen's uniform model, drawn from the same RNG
+    /// stream (hypergen depends on this crate, so its generator cannot
+    /// be called from these unit tests).
+    fn uniform(n: usize, m: usize, k: usize, seed: u64) -> Hypergraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = HypergraphBuilder::new(n);
+        for _ in 0..m {
+            b.add_edge(sample(&mut rng, n, k).iter().map(|v| v as u32));
+        }
+        b.build()
+    }
+
+    /// Exact equality, the f64 included: every width divides the same
+    /// u128 total by the same u64 pair count.
+    fn assert_bit_identical(a: HyperDistanceStats, b: HyperDistanceStats) {
+        assert_eq!(a, b);
+        assert_eq!(
+            a.average_path_length.to_bits(),
+            b.average_path_length.to_bits()
+        );
     }
 
     #[test]
@@ -582,7 +647,7 @@ mod tests {
         let h = big_ring(100);
         let some: Vec<VertexId> = (0..70).map(VertexId).collect();
         assert_eq!(
-            hyper_distance_stats_from(&h, &some),
+            sweep(&h, &some, &Deadline::none(), 1).unwrap(),
             scalar_hyper_distance_stats_from(&h, &some)
         );
     }
@@ -592,7 +657,7 @@ mod tests {
         let h = chain();
         let dup = [VertexId(0), VertexId(0), VertexId(2)];
         assert_eq!(
-            hyper_distance_stats_from(&h, &dup),
+            sweep(&h, &dup, &Deadline::none(), 1).unwrap(),
             scalar_hyper_distance_stats_from(&h, &dup)
         );
     }
@@ -629,13 +694,13 @@ mod tests {
         let gone = Deadline::after(Duration::ZERO);
         let mut aborted = false;
         for batch in sources.chunks(BATCH) {
-            aborted |= msbfs_batch(&h, batch, &mut scratch, &gone, &mut ticks, None).is_none();
+            aborted |= msbfs_batch(&h, batch, &mut scratch, &gone, &mut ticks).is_none();
         }
         assert!(aborted, "zero budget must abort at least one batch");
         // Reuse the same (possibly poisoned) scratch for a full sweep.
         let mut acc = BatchStats::default();
         for batch in sources.chunks(BATCH) {
-            let b = msbfs_batch(&h, batch, &mut scratch, &Deadline::none(), &mut ticks, None)
+            let b = msbfs_batch(&h, batch, &mut scratch, &Deadline::none(), &mut ticks)
                 .expect("unlimited deadline");
             acc.merge(&b);
         }
@@ -653,38 +718,13 @@ mod tests {
         let mut with_shared = BatchStats::default();
         let mut with_fresh = BatchStats::default();
         for batch in sources.chunks(BATCH) {
-            let b =
-                msbfs_batch(&h, batch, &mut shared, &Deadline::none(), &mut ticks, None).unwrap();
+            let b = msbfs_batch(&h, batch, &mut shared, &Deadline::none(), &mut ticks).unwrap();
             with_shared.merge(&b);
             let mut fresh = MsBfsScratch::new(&h);
-            let b =
-                msbfs_batch(&h, batch, &mut fresh, &Deadline::none(), &mut ticks, None).unwrap();
+            let b = msbfs_batch(&h, batch, &mut fresh, &Deadline::none(), &mut ticks).unwrap();
             with_fresh.merge(&b);
         }
         assert_eq!(with_shared, with_fresh);
-    }
-
-    #[test]
-    fn eccentricities_match_per_source_bfs() {
-        let h = big_ring(150);
-        let sources: Vec<VertexId> = h.vertices().collect();
-        let ecc = msbfs_eccentricities(&h, &sources);
-        for (i, &s) in sources.iter().enumerate() {
-            let expect = hyper_distances(&h, s)
-                .into_iter()
-                .filter(|&d| d != crate::path::UNREACHABLE)
-                .max()
-                .unwrap_or(0);
-            assert_eq!(ecc[i], expect, "source {s:?}");
-        }
-    }
-
-    #[test]
-    fn eccentricity_of_isolated_vertex_is_zero() {
-        let mut b = HypergraphBuilder::new(3);
-        b.add_edge([0, 1]);
-        let h = b.build();
-        assert_eq!(msbfs_eccentricities(&h, &[VertexId(2)]), vec![0]);
     }
 
     #[test]
@@ -694,8 +734,6 @@ mod tests {
         let err = hyper_distance_stats_with(&h, &dl).unwrap_err();
         assert_eq!(err.phase, "msbfs");
         assert_eq!(err.work_done, 0, "{err:?}");
-        let err = msbfs_eccentricities_with(&h, &[VertexId(0)], &dl).unwrap_err();
-        assert_eq!(err.phase, "msbfs");
     }
 
     #[test]
@@ -746,5 +784,235 @@ mod tests {
                 Ok(_) => return,
             }
         }
+    }
+
+    #[test]
+    fn matches_sequential_msbfs_and_scalar_oracle() {
+        // 700 vertices = 3 batches, so width 2 runs two workers.
+        for seed in 0..3u64 {
+            let h = uniform(700, 520, 4, seed);
+            let sources: Vec<VertexId> = h.vertices().collect();
+            let oracle = scalar_hyper_distance_stats(&h);
+            assert_eq!(par_msbfs_distance_stats(&h), hyper_distance_stats(&h));
+            for width in [1, 2, 3] {
+                let par = sweep(&h, &sources, &Deadline::none(), width).unwrap();
+                assert_bit_identical(par, oracle);
+            }
+        }
+    }
+
+    fn arb_hypergraph(
+        max_v: usize,
+        max_e: usize,
+        max_size: usize,
+    ) -> impl Strategy<Value = Hypergraph> {
+        (1..=max_v).prop_flat_map(move |n| {
+            proptest::collection::vec(
+                proptest::collection::vec(0..n as u32, 0..=max_size),
+                0..=max_e,
+            )
+            .prop_map(move |edges| {
+                let mut b = HypergraphBuilder::new(n);
+                for e in edges {
+                    b.add_edge(e);
+                }
+                b.build()
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Width 2 == scalar oracle, bit for bit, on the random shapes of
+        /// `tests/msbfs_equivalence.rs` (disconnected, isolated vertices,
+        /// duplicate and empty hyperedges). The sources cycle through the
+        /// vertices until they fill three batches, so two workers claim
+        /// batches even on tiny inputs.
+        #[test]
+        fn width_two_bit_identical_to_scalar(h in arb_hypergraph(90, 40, 6)) {
+            let sources: Vec<VertexId> = h.vertices().cycle().take(3 * BATCH).collect();
+            let par = sweep(&h, &sources, &Deadline::none(), 2).unwrap();
+            assert_bit_identical(par, scalar_hyper_distance_stats_from(&h, &sources));
+        }
+
+        /// Sweeps from a prefix of the vertices agree too, at both widths.
+        #[test]
+        fn subset_sources_bit_identical(
+            (h, take) in arb_hypergraph(70, 30, 5)
+                .prop_flat_map(|h| {
+                    let n = h.num_vertices();
+                    (Just(h), 0..=n)
+                })
+        ) {
+            let sources: Vec<VertexId> = (0..take as u32).map(VertexId).collect();
+            let oracle = scalar_hyper_distance_stats_from(&h, &sources);
+            for width in [1, 2] {
+                prop_assert_eq!(oracle, sweep(&h, &sources, &Deadline::none(), width).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn matches_default_engine_on_multi_batch_input() {
+        // 600 vertices = 3 batches: exercises the merge across workers.
+        let mut b = HypergraphBuilder::new(600);
+        for i in 0..599u32 {
+            b.add_edge([i, i + 1]);
+        }
+        let h = b.build();
+        assert_eq!(par_msbfs_distance_stats(&h), hyper_distance_stats(&h));
+    }
+
+    #[test]
+    fn empty_and_subset_sources() {
+        let h = HypergraphBuilder::new(0).build();
+        assert_eq!(par_msbfs_distance_stats(&h).reachable_pairs, 0);
+
+        let mut b = HypergraphBuilder::new(5);
+        b.add_edge([0, 1, 2]);
+        b.add_edge([2, 3, 4]);
+        let h = b.build();
+        let some = [VertexId(0), VertexId(4)];
+        assert_eq!(
+            sweep(&h, &some, &Deadline::none(), 2).unwrap(),
+            scalar_hyper_distance_stats_from(&h, &some)
+        );
+    }
+
+    #[test]
+    fn cancelled_deadline_stops_with_zero_batches() {
+        let h = uniform(2000, 1500, 5, 3);
+        let sources: Vec<VertexId> = h.vertices().collect();
+        let dl = Deadline::cancellable();
+        dl.cancel();
+        for width in [1, 2] {
+            let err = sweep(&h, &sources, &dl, width).unwrap_err();
+            assert_eq!(err.phase, "msbfs");
+            assert_eq!(err.work_done, 0, "{err:?}");
+        }
+    }
+
+    #[test]
+    fn tiny_budget_stops_parallel_sweep_early() {
+        let h = uniform(6000, 4800, 5, 11);
+        let sources: Vec<VertexId> = h.vertices().collect();
+        for width in [1, 2] {
+            match sweep(&h, &sources, &Deadline::after_ms(1), width) {
+                Err(err) => {
+                    assert_eq!(err.phase, "msbfs");
+                    assert!(
+                        (err.work_done as usize) < 6000_usize.div_ceil(BATCH),
+                        "{err:?}"
+                    );
+                }
+                // A machine fast enough to finish inside 1ms just proves
+                // the Ok path; the cancelled test covers expiry.
+                Ok(stats) => assert_eq!(stats, par_msbfs_distance_stats(&h)),
+            }
+        }
+    }
+
+    #[test]
+    fn width_two_expiry_mid_sweep_stops_both_workers_promptly() {
+        // 24 batches. A watcher cancels the shared token once the trace
+        // shows a finished batch, so expiry lands mid-sweep at any host
+        // speed; both workers must then stop inside the batch they are
+        // in rather than finish their share of the sweep.
+        let h = uniform(6000, 4500, 5, 41);
+        let sources: Vec<VertexId> = h.vertices().collect();
+        let total = sources.len().div_ceil(BATCH) as u64;
+        let trace = hgobs::TraceCtx::new(1);
+        let dl = Deadline::cancellable().with_trace(trace.clone());
+        let (result, batch, cancelled_at, returned_at) = std::thread::scope(|s| {
+            let watcher = s.spawn(|| loop {
+                if let Some(e) = trace.events().into_iter().find(|e| e.work > 0) {
+                    let at = Instant::now();
+                    dl.cancel();
+                    return (e, at);
+                }
+                std::thread::yield_now();
+            });
+            let result = sweep(&h, &sources, &dl, 2);
+            let returned_at = Instant::now();
+            let (batch, cancelled_at) = watcher.join().unwrap();
+            (result, batch, cancelled_at, returned_at)
+        });
+        let err = result.unwrap_err();
+        assert_eq!(err.phase, "msbfs");
+        assert!(err.work_done >= 1 && err.work_done < total, "{err:?}");
+        // Finishing the two shares would take about (total - 1) / 2 = 11
+        // batch times; stopping at the next tick takes a few percent of
+        // one, and the bound leaves room for a loaded test host.
+        let batch_time = Duration::from_micros(batch.end_us - batch.start_us);
+        let stop = returned_at.saturating_duration_since(cancelled_at);
+        assert!(
+            stop < batch_time * 4,
+            "stopped {stop:?} after cancel, batch {batch_time:?}"
+        );
+    }
+
+    #[test]
+    fn concurrent_requests_keep_traces_isolated() {
+        // Two "requests" run the two-worker sweep at the same time, each
+        // with its own TraceCtx riding its own deadline. Their workers
+        // run side by side on the same cores, but each event list must
+        // see exactly its own run.
+        let h = uniform(500, 400, 4, 5);
+        let sources: Vec<VertexId> = h.vertices().collect();
+        let expected_batches = 500usize.div_ceil(BATCH);
+        let results: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..=2u64)
+                .map(|id| {
+                    let (h, sources) = (&h, &sources);
+                    s.spawn(move || {
+                        let trace = hgobs::TraceCtx::new(id);
+                        let dl = Deadline::none().with_trace(trace.clone());
+                        let stats = sweep(h, sources, &dl, 2).unwrap();
+                        (trace, stats)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (trace, _) in &results {
+            let events = trace.events();
+            assert_eq!(events.len(), expected_batches, "{events:?}");
+            assert!(events.iter().all(|e| e.phase == "msbfs.batch"));
+            assert_eq!(events.iter().map(|e| e.work).sum::<u64>(), 500);
+        }
+        assert_eq!(results[0].1, results[1].1);
+    }
+
+    #[test]
+    fn scratch_arena_leases_fitting_buffers_only() {
+        let h1 = uniform(50, 40, 3, 1);
+        let h2 = uniform(80, 10, 3, 1);
+        let sc = lease_scratch(&h1);
+        assert!(sc.fits(&h1) && !sc.fits(&h2));
+        release_scratch(sc);
+        // A parked scratch of the right dimensions comes back; asking
+        // for different dimensions allocates instead of mis-leasing.
+        assert!(lease_scratch(&h1).fits(&h1));
+        assert!(lease_scratch(&h2).fits(&h2));
+    }
+
+    #[test]
+    fn repeated_sweeps_reuse_the_pool_and_stay_correct() {
+        // Sweep twice so the second run leases the first run's parked
+        // (possibly dirty) buffers; results must be identical to the
+        // serial engine both times.
+        let h = uniform(300, 220, 4, 9);
+        let a = par_msbfs_distance_stats(&h);
+        let b = par_msbfs_distance_stats(&h);
+        assert_eq!(a, b);
+        assert_eq!(a, hyper_distance_stats(&h));
+    }
+
+    #[test]
+    fn small_world_report_matches_sequential() {
+        let h = uniform(120, 90, 4, 7);
+        let par = report_from_distances(&h, par_msbfs_distance_stats(&h));
+        assert_eq!(par, small_world_report(&h));
     }
 }

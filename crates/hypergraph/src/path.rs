@@ -333,9 +333,7 @@ pub fn scalar_hyper_distance_stats_from_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msbfs::{
-        hyper_distance_stats, hyper_distance_stats_from, hyper_distance_stats_with,
-    };
+    use crate::msbfs::{hyper_distance_stats, hyper_distance_stats_with};
     use crate::{BipartiteView, HypergraphBuilder};
     use std::time::Duration;
 
@@ -412,16 +410,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sampled_equals_exact_with_all_sources() {
-        let h = chain();
-        let all: Vec<_> = h.vertices().collect();
-        assert_eq!(
-            hyper_distance_stats(&h),
-            hyper_distance_stats_from(&h, &all)
-        );
     }
 
     #[test]

@@ -8,13 +8,8 @@
 //! number of vertices reachable in one step), so the claim is checkable
 //! rather than eyeballed.
 
-use hgobs::{Deadline, DeadlineExceeded};
-
 use crate::hypergraph::{Hypergraph, VertexId};
-use crate::msbfs::{
-    hyper_distance_stats, hyper_distance_stats_from, hyper_distance_stats_from_with,
-    hyper_distance_stats_with,
-};
+use crate::msbfs::hyper_distance_stats;
 use crate::path::HyperDistanceStats;
 
 /// Small-world summary of a hypergraph.
@@ -40,36 +35,10 @@ pub fn small_world_report(h: &Hypergraph) -> SmallWorldReport {
     report_from_distances(h, distances)
 }
 
-/// [`small_world_report`] under a cooperative [`Deadline`]; the BFS
-/// sweep dominates and is the part that can expire.
-pub fn small_world_report_with(
-    h: &Hypergraph,
-    deadline: &Deadline,
-) -> Result<SmallWorldReport, DeadlineExceeded> {
-    let distances = hyper_distance_stats_with(h, deadline)?;
-    Ok(report_from_distances(h, distances))
-}
-
-/// Compute the report using sampled BFS sources (for large hypergraphs).
-pub fn small_world_report_sampled(h: &Hypergraph, sources: &[VertexId]) -> SmallWorldReport {
-    let distances = hyper_distance_stats_from(h, sources);
-    report_from_distances(h, distances)
-}
-
-/// [`small_world_report_sampled`] under a cooperative [`Deadline`].
-pub fn small_world_report_sampled_with(
-    h: &Hypergraph,
-    sources: &[VertexId],
-    deadline: &Deadline,
-) -> Result<SmallWorldReport, DeadlineExceeded> {
-    let distances = hyper_distance_stats_from_with(h, sources, deadline)?;
-    Ok(report_from_distances(h, distances))
-}
-
 /// Assemble a [`SmallWorldReport`] from already-computed distance
 /// statistics — the yardstick arithmetic without the BFS sweep. Public
-/// so other distance engines (e.g. `parcore`'s parallel MS-BFS) get the
-/// exact same classification.
+/// so a sweep at another width ([`crate::par_msbfs_distance_stats`]) or
+/// the scalar oracle gets the exact same classification.
 pub fn report_from_distances(h: &Hypergraph, distances: HyperDistanceStats) -> SmallWorldReport {
     let n = h.num_vertices();
     let mean_reach = if n == 0 {
@@ -180,18 +149,5 @@ mod tests {
         b.add_edge([0]);
         let r = small_world_report(&b.build());
         assert!(!r.is_small_world);
-    }
-
-    #[test]
-    fn sampled_report_close_to_exact() {
-        let mut b = HypergraphBuilder::new(20);
-        for s in 0..10u32 {
-            b.add_edge([s, s + 10, (s + 1) % 10]);
-        }
-        let h = b.build();
-        let exact = small_world_report(&h);
-        let all: Vec<_> = h.vertices().collect();
-        let sampled = small_world_report_sampled(&h, &all);
-        assert_eq!(exact, sampled);
     }
 }

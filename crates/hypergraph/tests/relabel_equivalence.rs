@@ -92,15 +92,8 @@ fn sparse_and_dense_drains_both_engage_and_match_scalar() {
     let mut scratch = MsBfsScratch::new(&h);
     let batch = [VertexId(0), VertexId(2500)];
     let mut ticks = 0u32;
-    msbfs_batch(
-        &h,
-        &batch,
-        &mut scratch,
-        &Deadline::none(),
-        &mut ticks,
-        None,
-    )
-    .expect("unlimited deadline cannot expire");
+    msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks)
+        .expect("unlimited deadline cannot expire");
     let c = scratch.sweep_counters();
     assert!(c.sparse_passes > 0, "sparse drain never engaged: {c:?}");
     assert!(c.words_skipped > 0, "no all-zero words skipped: {c:?}");
@@ -133,15 +126,8 @@ fn sparse_and_dense_drains_both_engage_and_match_scalar() {
     let mut scratch = MsBfsScratch::new(&h);
     let batch: Vec<VertexId> = (0..BATCH as u32).map(VertexId).collect();
     let mut ticks = 0u32;
-    msbfs_batch(
-        &h,
-        &batch,
-        &mut scratch,
-        &Deadline::none(),
-        &mut ticks,
-        None,
-    )
-    .expect("unlimited deadline cannot expire");
+    msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks)
+        .expect("unlimited deadline cannot expire");
     let c = scratch.sweep_counters();
     assert!(c.dense_passes > 0, "dense drain never engaged: {c:?}");
 

@@ -1,11 +1,13 @@
 //! The engines behind the paper's future-work claim must agree with the
-//! sequential ones on real workloads: the parallel MS-BFS sweep with the
-//! serial one, and the level-synchronous subset-probe k-core (the shape
-//! a parallel k-core takes) with the CSR peeler and the naive oracle.
+//! sequential ones on real workloads: the MS-BFS sweep on every core
+//! with the same sweep on one thread, and the level-synchronous
+//! subset-probe k-core (the shape a parallel k-core takes; it runs on
+//! one thread) with the CSR peeler and the naive oracle.
 
 use hypergraph::naive::{edge_contents, naive_kcore};
-use hypergraph::{csr_kcore, hyper_distance_stats, probe_kcore, Hypergraph, KCore};
-use parcore::par_msbfs_distance_stats;
+use hypergraph::{
+    csr_kcore, hyper_distance_stats, par_msbfs_distance_stats, probe_kcore, Hypergraph, KCore,
+};
 use proteome::cellzome::{cellzome_like, CELLZOME_SEED};
 
 /// Same vertices and edge contents as the naive oracle at `k`.
@@ -23,7 +25,7 @@ fn assert_matches_naive(h: &Hypergraph, core: &KCore, k: u32) {
 /// naive oracle's vertices and edge contents, and `csr_kcore`'s exact
 /// vertex and edge ids, at every level up to one past the 6-core.
 #[test]
-fn par_kcore_matches_sequential_on_cellzome() {
+fn probe_kcore_matches_sequential_on_cellzome() {
     let h = cellzome_like(CELLZOME_SEED).hypergraph;
     for k in 0..=7u32 {
         let probe = probe_kcore(&h, k);
@@ -38,7 +40,7 @@ fn par_kcore_matches_sequential_on_cellzome() {
 }
 
 #[test]
-fn par_kcore_matches_on_matrix_hypergraph() {
+fn probe_kcore_matches_on_matrix_hypergraph() {
     let h = matrixmarket::row_net(&matrixmarket::stiffness_3d(10, 10, 10));
     for k in [4u32, 8, 14] {
         let probe = probe_kcore(&h, k);
@@ -54,7 +56,7 @@ fn par_kcore_matches_on_matrix_hypergraph() {
 /// level, and against the naive oracle at the `k` the benchmark asks
 /// for.
 #[test]
-fn par_kcore_matches_csr_kcore_on_kernel_heavy_dataset() {
+fn probe_kcore_matches_csr_kcore_on_kernel_heavy_dataset() {
     let h = hypergen::uniform_random_hypergraph(6000, 4500, 5, 41);
     let k_max = hypergraph::max_core(&h).unwrap().k;
     for k in 0..=k_max + 1 {
