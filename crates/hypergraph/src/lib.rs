@@ -86,6 +86,8 @@ pub mod relabel;
 pub mod scoped;
 pub mod smallworld;
 pub mod storage;
+#[cfg(test)]
+mod testgen;
 pub mod validate;
 
 pub use bipartite::BipartiteView;
@@ -122,4 +124,4 @@ pub use relabel::Relabeling;
 pub use scoped::split_width;
 pub use storage::StorageKind;
 
-pub use smallworld::{report_from_distances, small_world_report, SmallWorldReport};
+pub use smallworld::{small_world_report, SmallWorldReport};

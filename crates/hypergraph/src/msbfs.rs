@@ -63,7 +63,7 @@
 //! check. Expiry surfaces phase `"msbfs"` and the number of *batches*
 //! fully completed across all workers.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use hgobs::{Deadline, DeadlineExceeded};
 
@@ -124,7 +124,7 @@ impl MsBfsScratch {
     /// Bytes held by the mask buffers (one 64-byte lane per vertex and
     /// per hyperedge, plus the 1/64-size summaries); what one sweep
     /// worker costs to equip.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         (self.vlanes.len() + self.elanes.len()) * std::mem::size_of::<bitset::Lane>()
             + (self.vsum.len() + self.esum.len() + self.vunsat.len() + self.eunsat.len())
                 * std::mem::size_of::<u64>()
@@ -132,7 +132,7 @@ impl MsBfsScratch {
 
     /// `true` when this scratch was sized for a hypergraph of `h`'s
     /// dimensions and can run batches over it.
-    pub fn fits(&self, h: &Hypergraph) -> bool {
+    pub(crate) fn fits(&self, h: &Hypergraph) -> bool {
         self.vlanes.len() == h.num_vertices() && self.elanes.len() == h.num_edges()
     }
 
@@ -457,42 +457,58 @@ fn unlimited(stats: Result<HyperDistanceStats, DeadlineExceeded>) -> HyperDistan
 /// of the same dimensions leases them back instead of allocating and
 /// zeroing a 64-byte lane per vertex and hyperedge again (the A7
 /// telemetry showed allocation is the tax batch parallelism pays).
-/// Entries whose dimensions no longer fit are left for other datasets;
-/// the pool is capped so a burst of differently-sized requests cannot
-/// hoard memory.
+/// Entries whose dimensions no longer fit are left for other datasets.
+/// The pool holds its entries oldest first and is capped, so a burst of
+/// differently-sized requests cannot hoard memory.
 static SCRATCH_ARENA: Mutex<Vec<MsBfsScratch>> = Mutex::new(Vec::new());
 
 /// Upper bound on parked scratches — enough for the workers of the
-/// concurrent sweeps on the core counts this engine targets, small
-/// enough that stale dimensions age out quickly.
+/// concurrent sweeps on the core counts this engine targets. A full
+/// pool drops its oldest entry for each new one, so dimensions no sweep
+/// asks for any more age out after this many newer parks.
 const SCRATCH_ARENA_CAP: usize = 16;
+
+/// The locked pool. A poisoned lock still hands it out: a parked
+/// scratch is only buffers, and a dirty one is re-zeroed on its next
+/// batch.
+fn arena() -> MutexGuard<'static, Vec<MsBfsScratch>> {
+    SCRATCH_ARENA.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Lease a scratch sized for `h`: reuse a parked one when the
 /// dimensions match (`msbfs.scratch_reused`), otherwise allocate
 /// (`msbfs.scratch_allocs` / `msbfs.scratch_bytes`).
 fn lease_scratch(h: &Hypergraph) -> MsBfsScratch {
-    let mut pool = SCRATCH_ARENA.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(pos) = pool.iter().position(|sc| sc.fits(h)) {
-        let sc = pool.swap_remove(pos);
-        drop(pool);
+    if let Some(sc) = take_fitting(&mut arena(), h) {
         hgobs::counter!("msbfs.scratch_reused");
         return sc;
     }
-    drop(pool);
     let sc = MsBfsScratch::new(h);
     hgobs::counter!("msbfs.scratch_allocs");
     hgobs::counter!("msbfs.scratch_bytes", sc.bytes() as u64);
     sc
 }
 
-/// Park a worker's scratch for the next sweep (dropped if the pool is
-/// full). An aborted batch may leave it dirty; its `clean` flag makes
-/// the next lease zero it again.
+/// Park a worker's scratch for the next sweep. An aborted batch may
+/// leave it dirty; its `clean` flag makes the next lease zero it again.
 fn release_scratch(sc: MsBfsScratch) {
-    let mut pool = SCRATCH_ARENA.lock().unwrap_or_else(|e| e.into_inner());
-    if pool.len() < SCRATCH_ARENA_CAP {
-        pool.push(sc);
+    park(&mut arena(), sc);
+}
+
+/// Remove the oldest parked scratch that fits `h`, keeping the rest in
+/// parking order.
+fn take_fitting(pool: &mut Vec<MsBfsScratch>, h: &Hypergraph) -> Option<MsBfsScratch> {
+    let pos = pool.iter().position(|sc| sc.fits(h))?;
+    Some(pool.remove(pos))
+}
+
+/// Park `sc` as the newest entry, dropping the oldest when the pool is
+/// full.
+fn park(pool: &mut Vec<MsBfsScratch>, sc: MsBfsScratch) {
+    if pool.len() == SCRATCH_ARENA_CAP {
+        pool.remove(0);
     }
+    pool.push(sc);
 }
 
 /// The one batch loop: MS-BFS from every entry of `sources` (a repeated
@@ -581,11 +597,9 @@ mod tests {
     use super::*;
     use crate::path::{scalar_hyper_distance_stats, scalar_hyper_distance_stats_from};
     use crate::smallworld::{report_from_distances, small_world_report};
+    use crate::testgen::uniform_random_hypergraph;
     use crate::HypergraphBuilder;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::seq::index::sample;
-    use rand::SeedableRng;
     use std::time::{Duration, Instant};
 
     fn chain() -> Hypergraph {
@@ -602,19 +616,6 @@ mod tests {
         let mut b = HypergraphBuilder::new(n as usize);
         for i in 0..n {
             b.add_edge([i, (i + 1) % n, (i + 7) % n]);
-        }
-        b.build()
-    }
-
-    /// `m` hyperedges, each a uniformly random `k`-subset of `n`
-    /// vertices: hypergen's uniform model, drawn from the same RNG
-    /// stream (hypergen depends on this crate, so its generator cannot
-    /// be called from these unit tests).
-    fn uniform(n: usize, m: usize, k: usize, seed: u64) -> Hypergraph {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut b = HypergraphBuilder::new(n);
-        for _ in 0..m {
-            b.add_edge(sample(&mut rng, n, k).iter().map(|v| v as u32));
         }
         b.build()
     }
@@ -790,7 +791,7 @@ mod tests {
     fn matches_sequential_msbfs_and_scalar_oracle() {
         // 700 vertices = 3 batches, so width 2 runs two workers.
         for seed in 0..3u64 {
-            let h = uniform(700, 520, 4, seed);
+            let h = uniform_random_hypergraph(700, 520, 4, seed);
             let sources: Vec<VertexId> = h.vertices().collect();
             let oracle = scalar_hyper_distance_stats(&h);
             assert_eq!(par_msbfs_distance_stats(&h), hyper_distance_stats(&h));
@@ -835,6 +836,10 @@ mod tests {
             let par = sweep(&h, &sources, &Deadline::none(), 2).unwrap();
             assert_bit_identical(par, scalar_hyper_distance_stats_from(&h, &sources));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Sweeps from a prefix of the vertices agree too, at both widths.
         #[test]
@@ -882,7 +887,7 @@ mod tests {
 
     #[test]
     fn cancelled_deadline_stops_with_zero_batches() {
-        let h = uniform(2000, 1500, 5, 3);
+        let h = uniform_random_hypergraph(2000, 1500, 5, 3);
         let sources: Vec<VertexId> = h.vertices().collect();
         let dl = Deadline::cancellable();
         dl.cancel();
@@ -895,7 +900,7 @@ mod tests {
 
     #[test]
     fn tiny_budget_stops_parallel_sweep_early() {
-        let h = uniform(6000, 4800, 5, 11);
+        let h = uniform_random_hypergraph(6000, 4800, 5, 11);
         let sources: Vec<VertexId> = h.vertices().collect();
         for width in [1, 2] {
             match sweep(&h, &sources, &Deadline::after_ms(1), width) {
@@ -919,7 +924,7 @@ mod tests {
         // shows a finished batch, so expiry lands mid-sweep at any host
         // speed; both workers must then stop inside the batch they are
         // in rather than finish their share of the sweep.
-        let h = uniform(6000, 4500, 5, 41);
+        let h = uniform_random_hypergraph(6000, 4500, 5, 41);
         let sources: Vec<VertexId> = h.vertices().collect();
         let total = sources.len().div_ceil(BATCH) as u64;
         let trace = hgobs::TraceCtx::new(1);
@@ -958,7 +963,7 @@ mod tests {
         // with its own TraceCtx riding its own deadline. Their workers
         // run side by side on the same cores, but each event list must
         // see exactly its own run.
-        let h = uniform(500, 400, 4, 5);
+        let h = uniform_random_hypergraph(500, 400, 4, 5);
         let sources: Vec<VertexId> = h.vertices().collect();
         let expected_batches = 500usize.div_ceil(BATCH);
         let results: Vec<_> = std::thread::scope(|s| {
@@ -986,8 +991,8 @@ mod tests {
 
     #[test]
     fn scratch_arena_leases_fitting_buffers_only() {
-        let h1 = uniform(50, 40, 3, 1);
-        let h2 = uniform(80, 10, 3, 1);
+        let h1 = uniform_random_hypergraph(50, 40, 3, 1);
+        let h2 = uniform_random_hypergraph(80, 10, 3, 1);
         let sc = lease_scratch(&h1);
         assert!(sc.fits(&h1) && !sc.fits(&h2));
         release_scratch(sc);
@@ -998,11 +1003,31 @@ mod tests {
     }
 
     #[test]
+    fn full_arena_drops_its_oldest_scratch() {
+        // One more shape than the pool holds, parked oldest first: the
+        // first shape is dropped and the newest comes back on lease.
+        let shapes: Vec<Hypergraph> = (1..=SCRATCH_ARENA_CAP + 1)
+            .map(|n| HypergraphBuilder::new(n).build())
+            .collect();
+        let mut pool = Vec::new();
+        for h in &shapes {
+            park(&mut pool, MsBfsScratch::new(h));
+        }
+        assert_eq!(pool.len(), SCRATCH_ARENA_CAP);
+        assert!(take_fitting(&mut pool, &shapes[0]).is_none());
+        let newest = shapes.last().unwrap();
+        let parked = pool.last().unwrap().vlanes.as_ptr();
+        let leased = take_fitting(&mut pool, newest).expect("newest shape is parked");
+        assert_eq!(leased.vlanes.as_ptr(), parked);
+        assert_eq!(pool.len(), SCRATCH_ARENA_CAP - 1);
+    }
+
+    #[test]
     fn repeated_sweeps_reuse_the_pool_and_stay_correct() {
         // Sweep twice so the second run leases the first run's parked
         // (possibly dirty) buffers; results must be identical to the
         // serial engine both times.
-        let h = uniform(300, 220, 4, 9);
+        let h = uniform_random_hypergraph(300, 220, 4, 9);
         let a = par_msbfs_distance_stats(&h);
         let b = par_msbfs_distance_stats(&h);
         assert_eq!(a, b);
@@ -1011,7 +1036,7 @@ mod tests {
 
     #[test]
     fn small_world_report_matches_sequential() {
-        let h = uniform(120, 90, 4, 7);
+        let h = uniform_random_hypergraph(120, 90, 4, 7);
         let par = report_from_distances(&h, par_msbfs_distance_stats(&h));
         assert_eq!(par, small_world_report(&h));
     }

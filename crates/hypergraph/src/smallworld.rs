@@ -36,10 +36,11 @@ pub fn small_world_report(h: &Hypergraph) -> SmallWorldReport {
 }
 
 /// Assemble a [`SmallWorldReport`] from already-computed distance
-/// statistics — the yardstick arithmetic without the BFS sweep. Public
-/// so a sweep at another width ([`crate::par_msbfs_distance_stats`]) or
-/// the scalar oracle gets the exact same classification.
-pub fn report_from_distances(h: &Hypergraph, distances: HyperDistanceStats) -> SmallWorldReport {
+/// statistics — the yardstick arithmetic without the BFS sweep.
+pub(crate) fn report_from_distances(
+    h: &Hypergraph,
+    distances: HyperDistanceStats,
+) -> SmallWorldReport {
     let n = h.num_vertices();
     let mean_reach = if n == 0 {
         0.0

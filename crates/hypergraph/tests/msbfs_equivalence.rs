@@ -6,9 +6,6 @@
 //! or used).
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::seq::index::sample;
-use rand::SeedableRng;
 
 use hgobs::Deadline;
 use hypergraph::{
@@ -87,22 +84,10 @@ fn empty_and_single_vertex_edge_cases() {
     assert_eq!(s.reachable_pairs, 0);
 }
 
-/// `m` hyperedges, each a uniformly random `k`-subset of `n` vertices:
-/// hypergen's uniform model, drawn from the same RNG stream (hypergen
-/// depends on this crate, so it is not a dependency of its tests).
-fn uniform(n: usize, m: usize, k: usize, seed: u64) -> Hypergraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = HypergraphBuilder::new(n);
-    for _ in 0..m {
-        b.add_edge(sample(&mut rng, n, k).iter().map(|v| v as u32));
-    }
-    b.build()
-}
-
 #[test]
 fn hypergen_instances_bit_identical_across_engines() {
     for seed in [1u64, 17, 99] {
-        let h = uniform(500, 350, 5, seed);
+        let h = hypergen::uniform_random_hypergraph(500, 350, 5, seed);
         let oracle = scalar_hyper_distance_stats(&h);
         assert_eq!(oracle, hyper_distance_stats(&h), "seed {seed}");
         assert_eq!(oracle, par_msbfs_distance_stats(&h), "seed {seed}");
