@@ -401,6 +401,20 @@ curl -sf "http://$ADDR/v1/cellzome-2004/distance?from=2&to=1000&trace=1" >trace-
     cat trace-sample.json
     exit 1
 }
+# Untraced distance misses are answered on the event loop: every
+# cellzome pair search fits the loop's pin budget, so none is handed to
+# a worker.
+for PAIR in 'from=2&to=1000' 'from=5&to=900' 'from=17&to=1200' 'from=1361&to=100'; do
+    curl -sf "http://$ADDR/v1/cellzome-2004/distance?$PAIR" >/dev/null
+done
+METRICS=$(curl -sf "http://$ADDR/metrics")
+LOOP_COMPUTED=$(printf '%s\n' "$METRICS" | awk '$1 == "hg_serve_loop_computed_total" { print $2 }')
+LOOP_HANDOFFS=$(printf '%s\n' "$METRICS" | awk '$1 == "hg_serve_loop_handoffs_total" { print $2 }')
+if [ "${LOOP_COMPUTED:-0}" -lt 1 ] || [ "${LOOP_HANDOFFS:-0}" -ne 0 ]; then
+    echo "expected distance misses answered on the loop (hg_serve_loop_computed_total >= 1," \
+        "hg_serve_loop_handoffs_total absent or 0), got '${LOOP_COMPUTED:-none}' and '${LOOP_HANDOFFS:-none}'"
+    exit 1
+fi
 # Every k-core query runs the subset-probe engine: one level, and the
 # max core without the Fig. 4 sweep or its overlap table.
 for Q in 'kcore?k=3&trace=1' 'kcore?trace=1'; do

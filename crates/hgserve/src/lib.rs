@@ -15,8 +15,10 @@
 //! machine (idle → reading → dispatched → writing), so thousands of
 //! parked keep-alive connections cost zero threads. The loop looks
 //! each complete query up in the result cache and answers a hit itself,
-//! without copying its body; misses and other routes are handed to a
-//! fixed worker pool over a **bounded** mpsc channel, and workers push
+//! without copying its body, and a `distance` miss too when its pair
+//! search finishes within a fixed pin budget; other misses and routes
+//! are handed to a fixed worker pool over a **bounded** mpsc channel,
+//! and workers push
 //! serialized responses back through a completion queue and an eventfd
 //! wakeup. Requests are parsed by a minimal hand-rolled
 //! incremental HTTP/1.1 parser ([`http`]), query execution lives in

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use hgobs::json::JsonWriter;
 use hgobs::{Deadline, DeadlineExceeded, TraceCtx};
-use hypergraph::{Hypergraph, Relabeling, VertexId};
+use hypergraph::{Hypergraph, PairStop, Relabeling, VertexId};
 
 /// A parsed, validated analytics query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -172,6 +172,35 @@ impl Query {
     /// (returning a 504 [`QueryError`] on expiry), and the diameter
     /// sweep optionally runs on every core.
     pub fn run_opts(&self, h: &Hypergraph, opts: &ExecOpts) -> Result<String, QueryError> {
+        self.write_body(h, opts, usize::MAX)
+            .map(|body| body.expect("an unbounded pair search always finishes"))
+    }
+
+    /// Answer a pair query (`distance`) whose search finishes within
+    /// `max_pins` pins scanned, with the body [`Query::run_opts`] would
+    /// write. `None` declines: the query is not a pair query, or its
+    /// search would scan more. Errors (a bad vertex id, the deadline)
+    /// are answers like any other.
+    pub fn run_within(
+        &self,
+        h: &Hypergraph,
+        opts: &ExecOpts,
+        max_pins: usize,
+    ) -> Option<Result<String, QueryError>> {
+        match self {
+            Query::Distance { .. } => self.write_body(h, opts, max_pins).transpose(),
+            _ => None,
+        }
+    }
+
+    /// The body writer behind both entry points; `Ok(None)` when a
+    /// pair search would scan more than `max_pins` pins.
+    fn write_body(
+        &self,
+        h: &Hypergraph,
+        opts: &ExecOpts,
+        max_pins: usize,
+    ) -> Result<Option<String>, QueryError> {
         // The trace rides on the deadline: kernels already thread the
         // deadline everywhere, so attaching it here is the only
         // plumbing the whole request path needs.
@@ -190,7 +219,11 @@ impl Query {
             Query::Degrees => run_degrees(h, &mut w),
             Query::Components => run_components(h, &mut w),
             Query::KCore { k } => run_kcore(h, *k, opts, &mut w)?,
-            Query::Distance { from, to } => run_distance(h, *from, *to, opts, &mut w)?,
+            Query::Distance { from, to } => {
+                if !run_distance(h, *from, *to, opts, max_pins, &mut w)? {
+                    return Ok(None);
+                }
+            }
             Query::Diameter => run_diameter(h, opts, &mut w)?,
             Query::PowerLaw => run_powerlaw(h, &mut w),
             Query::Cover => run_cover(h, opts, &mut w)?,
@@ -198,7 +231,7 @@ impl Query {
         w.end_object();
         let mut body = w.finish();
         body.push('\n');
-        Ok(body)
+        Ok(Some(body))
     }
 }
 
@@ -322,17 +355,24 @@ fn run_kcore(
     Ok(())
 }
 
+/// Write the `distance` fields; `false` (nothing written) when the
+/// pair search would scan more than `max_pins` pins.
 fn run_distance(
     h: &Hypergraph,
     from: u32,
     to: u32,
     opts: &ExecOpts,
+    max_pins: usize,
     w: &mut JsonWriter,
-) -> Result<(), QueryError> {
+) -> Result<bool, QueryError> {
     let s = vertex(h, from, "from", opts)?;
     let t = vertex(h, to, "to", opts)?;
     // A bidirectional pair search; `hyper_distances` is its oracle.
-    let dist = hypergraph::hyper_distance_with(h, s, t, &opts.deadline)?;
+    let dist = match hypergraph::hyper_distance_within(h, s, t, max_pins, &opts.deadline) {
+        Ok(dist) => dist,
+        Err(PairStop::OverBudget) => return Ok(false),
+        Err(PairStop::Deadline(e)) => return Err(e.into()),
+    };
     w.key("from").uint(from as u64);
     w.key("to").uint(to as u64);
     match dist {
@@ -343,7 +383,7 @@ fn run_distance(
             w.key("distance").raw("null");
         }
     }
-    Ok(())
+    Ok(true)
 }
 
 fn run_diameter(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
@@ -564,6 +604,29 @@ mod tests {
         assert_eq!(err.status, 504, "{}", err.message);
         assert!(err.message.contains("bfs.pair"), "{}", err.message);
         assert!(err.message.contains("0 work units done"), "{}", err.message);
+    }
+
+    #[test]
+    fn run_within_answers_pair_queries_as_run_does_or_declines() {
+        let h = chain();
+        let opts = ExecOpts::default();
+        assert_eq!(Query::Stats.run_within(&h, &opts, usize::MAX), None);
+        for (from, to) in [(1, 4), (2, 3), (3, 3)] {
+            let q = Query::Distance { from, to };
+            assert_eq!(q.run_within(&h, &opts, 6), Some(q.run(&h)), "{q:?}");
+        }
+        // From 1 to 4 the search enters all three two-pin hyperedges.
+        let far = Query::Distance { from: 1, to: 4 };
+        assert_eq!(far.run_within(&h, &opts, 3), None);
+        // Errors are answers too.
+        let bad = Query::Distance { from: 0, to: 4 }.run_within(&h, &opts, 0);
+        assert_eq!(bad.map(|r| r.unwrap_err().status), Some(400));
+        let expired = ExecOpts {
+            deadline: hgobs::Deadline::after(std::time::Duration::ZERO),
+            ..ExecOpts::default()
+        };
+        let late = far.run_within(&h, &expired, usize::MAX);
+        assert_eq!(late.map(|r| r.unwrap_err().status), Some(504));
     }
 
     /// The `distance` body for 1-based `from`/`to`, built from `dist`,

@@ -116,6 +116,40 @@ pub fn parse_text(format: Format, text: &str) -> Result<Hypergraph, String> {
     }
 }
 
+/// The largest length a text document's header declares for a
+/// per-vertex (or per-row, per-column) array: the `.hgr` vertex count,
+/// the Pajek `*Vertices` count, or the larger MatrixMarket dimension.
+/// Read from the header line alone, as each parser reads it, so a cap
+/// can refuse the document before anything is allocated. `None` when
+/// the header does not parse (the parser then says why).
+pub fn declared_size(format: Format, text: &str) -> Option<usize> {
+    let mut lines = text.lines();
+    match format {
+        Format::Hgr => lines
+            .find(|l| !l.trim_start().starts_with('%'))?
+            .split_whitespace()
+            .nth(1)?
+            .parse()
+            .ok(),
+        Format::Pajek => lines
+            .map(str::trim)
+            .find(|l| !l.is_empty())?
+            .strip_prefix("*Vertices")?
+            .trim()
+            .parse()
+            .ok(),
+        Format::MatrixMarket => {
+            let size = lines
+                .skip(1)
+                .map(str::trim)
+                .find(|l| !l.is_empty() && !l.starts_with('%'))?;
+            let mut dims = size.split_whitespace().map(|d| d.parse::<usize>().ok());
+            Some(dims.next()??.max(dims.next()??))
+        }
+        Format::Hgb => None,
+    }
+}
+
 fn validate_name(name: &str) -> Result<(), String> {
     if name.is_empty()
         || !name
@@ -322,6 +356,16 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("line 3"), "{err}");
         assert!(r.get("bad").is_none());
+    }
+
+    #[test]
+    fn declared_size_reads_each_header_as_its_parser_does() {
+        assert_eq!(declared_size(Format::Hgr, "% c\n3 7\n1 2\n"), Some(7));
+        assert_eq!(declared_size(Format::Pajek, "\n  *Vertices 5\n"), Some(5));
+        let mtx = "%%MatrixMarket matrix coordinate real general\n%c\n\n4 9 1\n1 1 1\n";
+        assert_eq!(declared_size(Format::MatrixMarket, mtx), Some(9));
+        assert_eq!(declared_size(Format::Hgr, "3 x\n"), None);
+        assert_eq!(declared_size(Format::Pajek, "*Edges\n"), None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The analytics daemon: readiness event loop → registry and cache
-//! probe (hits answered there) → fixed worker pool → algorithms.
+//! probe (hits and budgeted `distance` misses answered there) → fixed
+//! worker pool → algorithms.
 //!
 //! ```text
 //!              ┌────────────────────────────────┐  bounded   ┌─────────┐
@@ -9,6 +10,8 @@
 //!   close ───▶│  writing → idle  (per conn)     │◀─ completions + wake ─┘  │ ├──────────┤
 //!              │ probe: registry + cache get ───┼─────────────────────────┴▶│ LRU cache│
 //!              │   hit: written from the loop   │   (eventfd)               └──────────┘
+//!              │   distance miss: pair search   │
+//!              │     ≤ 2^13 pins, else a worker │
 //!              └────────────────────────────────┘
 //!                     ▲ waker wakeups
 //!                     └── SIGINT handler / POST /admin/shutdown / workers
@@ -28,11 +31,18 @@
 //! worker pool (bounded — the admission-control valve) carrying what the
 //! probe resolved; a worker runs the second half, the *compute*, and
 //! hands the serialized response back via a completion queue plus a
-//! waker write. The loop never runs a kernel: a hit costs it a lookup
-//! and an enqueue. The loop also answers the protocol-robustness errors
-//! (`503` queue-full, `408` slow-loris, `400`/`413`/`431` parse
-//! failures) itself, then half-closes and drains the connection before
-//! closing it so the client reads the answer instead of a reset.
+//! waker write. The loop runs a kernel only where it can bound it: a
+//! `distance` miss is searched for on the loop under a fixed budget of
+//! `LOOP_PAIR_PINS` (2^13) pins scanned, answered and cached there if the
+//! search finishes, and handed to a worker unchanged if it would pass
+//! the budget (`serve.loop_computed`, `serve.loop_handoffs`). Such a
+//! miss ends its connection's turn. Every other endpoint scans the
+//! whole dataset and has no budget to stop at, so it stays on the
+//! workers, as do traced requests. The loop also answers the
+//! protocol-robustness errors (`503` queue-full, `408` slow-loris,
+//! `400`/`413`/`431` parse failures) itself, then half-closes and
+//! drains the connection before closing it so the client reads the
+//! answer instead of a reset.
 //!
 //! A panic in either half answers `500` and closes that connection; the
 //! worker (or the loop) lives on, and `hgserve_panics_total` counts it.
@@ -59,8 +69,8 @@ use hgobs::{Deadline, TraceCtx};
 use crate::cache::ShardedLru;
 use crate::http::{parse_request_bytes, ParseOutcome, Request, Response};
 use crate::poller::{self, Interest, Poller, Waker};
-use crate::query::{ExecOpts, Query};
-use crate::registry::{Dataset, Format, Registry};
+use crate::query::{ExecOpts, Query, QueryError};
+use crate::registry::{declared_size, Dataset, Format, Registry};
 use crate::slowlog::{unix_ms_now, SlowLog, SlowLogEntry};
 
 /// Server tunables, all CLI-exposed.
@@ -331,6 +341,17 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// write queue at two chunks per hit, well under `IOV_MAX` (1024).
 const HITS_PER_TURN: usize = 64;
 
+/// Pins a `distance` cache miss may scan on the event loop. Sized by
+/// loop stall, not by any workload: a search that spends it all stalls
+/// the loop about as long as one turn of [`HITS_PER_TURN`] hits. On a
+/// million-vertex instance, where nearly every label is a cache miss, a
+/// search costs 20–45 ns per pin on a 2-vCPU x86 host, so 2^13 pins
+/// stall the loop 0.16–0.37 ms, against 0.14–0.31 ms for a 64-hit turn
+/// (EXPERIMENTS.md A16). A search that would pass it goes to a worker
+/// unchanged, which runs it again, unbounded, so at most this much work
+/// is thrown away.
+const LOOP_PAIR_PINS: usize = 1 << 13;
+
 /// After an answer that rejects input, bytes discarded before closing
 /// (see [`Close::DrainAfterFlush`]).
 const REJECT_DRAIN_BYTES: usize = 1 << 20;
@@ -386,6 +407,12 @@ enum Probe {
         body: Arc<String>,
         endpoint: &'static str,
     },
+    /// An untraced pair query the cache does not hold, answered by the
+    /// probe's search within [`LOOP_PAIR_PINS`] (a 200 is cached).
+    Computed {
+        resp: Response,
+        endpoint: &'static str,
+    },
     /// An untraced query the cache does not hold (counted as the miss),
     /// resolved once so the compute half neither resolves it again nor
     /// counts a second miss.
@@ -399,6 +426,17 @@ enum Probe {
     Route,
     /// The probe panicked, with this message; answered 500.
     Panicked(String),
+}
+
+/// How answering one request leaves its connection's turn.
+enum Turn {
+    /// Go on to the next buffered request.
+    Next,
+    /// End the turn; input left puts the connection on the ready list.
+    Yield,
+    /// End the turn: the request went to a worker or the connection
+    /// closes.
+    End,
 }
 
 /// One request handed to the worker pool, tagged with the connection
@@ -689,9 +727,11 @@ impl EventLoop {
     /// Answer the connection's buffered requests in order, once its
     /// write queue has drained: up to [`HITS_PER_TURN`] cache hits are
     /// answered here, into the queue. The turn ends at the first
-    /// request that needs a worker (dispatched), at an answer that
-    /// closes, at a protocol error (rejected) and at a partial request
-    /// (parked). Returns whether the cap ended it with input left.
+    /// request that needs a worker (dispatched), at a miss answered
+    /// here (so one turn buys at most one [`LOOP_PAIR_PINS`] search),
+    /// at an answer that closes, at a protocol error (rejected) and at
+    /// a partial request (parked). Returns whether the cap or a miss
+    /// answered here ended it with input left.
     fn answer_buffered(&mut self, idx: usize) -> bool {
         let max_body = self.state.max_body_bytes;
         for _ in 0..HITS_PER_TURN {
@@ -739,11 +779,11 @@ impl EventLoop {
                     self.park(idx);
                     return false;
                 }
-                Some(Ok(req)) => {
-                    if !self.answer_or_dispatch(idx, req) {
-                        return false;
-                    }
-                }
+                Some(Ok(req)) => match self.answer_or_dispatch(idx, req) {
+                    Turn::Next => {}
+                    Turn::Yield => break,
+                    Turn::End => return false,
+                },
                 Some(Err((status, message))) => {
                     self.reject(idx, status, &message);
                     return false;
@@ -755,21 +795,29 @@ impl EventLoop {
             .is_some_and(|c| c.rpos < c.rbuf.len())
     }
 
-    /// Probe one parsed request: answer a cache hit here, into the
-    /// write queue, and hand anything else to a worker. Returns whether
-    /// it was answered here on a connection that stays open.
-    fn answer_or_dispatch(&mut self, idx: usize, req: Request) -> bool {
+    /// Probe one parsed request: answer what the probe answered (a
+    /// cache hit, a pair query within its budget, a panic) here, into
+    /// the write queue, and hand anything else to a worker.
+    fn answer_or_dispatch(&mut self, idx: usize, req: Request) -> Turn {
         let t0 = Instant::now();
         let probed = probe_contained(&self.state, &req);
-        if !matches!(probed, Probe::Hit { .. } | Probe::Panicked(_)) {
-            self.dispatch(idx, req, probed);
-            return false;
-        }
+        let computed = match probed {
+            Probe::Hit { .. } | Probe::Panicked(_) => false,
+            Probe::Computed { .. } => true,
+            Probe::Miss { .. } | Probe::Route => {
+                self.dispatch(idx, req, probed);
+                return Turn::End;
+            }
+        };
         let resp = answer(&self.state, &req, probed, t0);
         let close = closes_after(&self.state, &req, &resp);
         let (head, body) = resp.to_bytes(close);
         self.queue(idx, head, body, close_after(close));
-        !close
+        match (close, computed) {
+            (true, _) => Turn::End,
+            (false, true) => Turn::Yield,
+            (false, false) => Turn::Next,
+        }
     }
 
     /// Hand a request to the worker pool, or answer `503` +
@@ -1184,8 +1232,9 @@ fn segments(path: &str) -> Vec<&str> {
 /// with `total_us` equal to the latency observation — in a 200 body.
 ///
 /// The composition the server splits between its threads: `probe`
-/// (the cache lookup, on the event loop) then `answer` (on the loop
-/// for a hit, on a worker for anything else).
+/// (the cache lookup and a budgeted pair search, on the event loop)
+/// then `answer` (on the loop for what the probe answered, on a worker
+/// for anything else).
 pub fn route(state: &AppState, req: &Request) -> Response {
     let t0 = Instant::now();
     answer(state, req, probe_contained(state, req), t0)
@@ -1193,8 +1242,10 @@ pub fn route(state: &AppState, req: &Request) -> Response {
 
 /// The first half of [`route`]: for an untraced
 /// `GET /v1/{dataset}/{endpoint}`, resolve the dataset and query and
-/// look the answer up in the result cache (which counts the hit or miss).
-/// It runs no kernel, so the event loop can afford it.
+/// look the answer up in the result cache (which counts the hit or
+/// miss). A missed pair query is searched for here, within
+/// [`LOOP_PAIR_PINS`]; no other kernel runs, so the event loop can
+/// afford it.
 fn probe(state: &AppState, req: &Request) -> Probe {
     let segments = segments(&req.path);
     let ("GET", ["v1", dataset, endpoint]) = (req.method.as_str(), segments.as_slice()) else {
@@ -1211,12 +1262,29 @@ fn probe(state: &AppState, req: &Request) -> Probe {
         return Probe::Route;
     };
     let key = format!("{}:{}", ds.cache_prefix(), query.canonical());
-    match state.cache.get(&key) {
-        Some(body) => Probe::Hit {
+    if let Some(body) = state.cache.get(&key) {
+        return Probe::Hit {
             body,
             endpoint: query.endpoint(),
-        },
-        None => Probe::Miss { ds, query, key },
+        };
+    }
+    // Only a pair query has a budget to stop at.
+    if !matches!(query, Query::Distance { .. }) {
+        return Probe::Miss { ds, query, key };
+    }
+    let opts = exec_opts(state, req, &ds, TraceCtx::default());
+    match query.run_within(&ds.hypergraph, &opts, LOOP_PAIR_PINS) {
+        Some(result) => {
+            hgobs::counter!("serve.loop_computed");
+            Probe::Computed {
+                resp: respond(state, result, Some(&key)),
+                endpoint: query.endpoint(),
+            }
+        }
+        None => {
+            hgobs::counter!("serve.loop_handoffs");
+            Probe::Miss { ds, query, key }
+        }
     }
 }
 
@@ -1250,6 +1318,7 @@ fn answer(state: &AppState, req: &Request, probe: Probe, t0: Instant) -> Respons
     let explicit = wants_trace(req);
     let (mut resp, endpoint) = panic::catch_unwind(AssertUnwindSafe(|| match probe {
         Probe::Hit { body, endpoint } => (Response::json(200, body), endpoint),
+        Probe::Computed { resp, endpoint } => (resp, endpoint),
         Probe::Miss { ds, query, key } => (
             compute(state, req, &ds, &query, Some(&key), &trace),
             query.endpoint(),
@@ -1434,6 +1503,18 @@ fn post_dataset(state: &AppState, req: &Request) -> Response {
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return Response::error(400, "dataset body must be UTF-8 text");
     };
+    // A declared count sizes per-vertex arrays before any data line is
+    // read, so a few header bytes could ask for gigabytes. Cap it by
+    // the body limit.
+    if let Some(n) = declared_size(format, text).filter(|&n| n > state.max_body_bytes) {
+        return Response::error(
+            400,
+            &format!(
+                "declared size {n} exceeds this server's limit of {} (its body limit)",
+                state.max_body_bytes
+            ),
+        );
+    }
     match state.registry.insert_text(&name, format, text, "upload") {
         Ok(ds) => {
             hgobs::counter!("serve.datasets_loaded");
@@ -1485,13 +1566,26 @@ fn compute(
     key: Option<&str>,
     trace: &TraceCtx,
 ) -> Response {
-    let opts = ExecOpts {
+    let opts = exec_opts(state, req, ds, trace.clone());
+    respond(state, query.run_opts(&ds.hypergraph, &opts), key)
+}
+
+/// How a query on `ds` runs for `req`: under the request's deadline,
+/// with `trace`, on every core for large datasets, in the dataset's
+/// vertex order.
+fn exec_opts(state: &AppState, req: &Request, ds: &Dataset, trace: TraceCtx) -> ExecOpts {
+    ExecOpts {
         deadline: state.request_deadline(req),
         parallel: ds.hypergraph.num_vertices() >= state.par_threshold,
-        trace: trace.clone(),
+        trace,
         relabel: ds.relabeling.clone(),
-    };
-    match query.run_opts(&ds.hypergraph, &opts) {
+    }
+}
+
+/// The response to a query's result, inserting a successful body under
+/// `key` when there is one.
+fn respond(state: &AppState, result: Result<String, QueryError>, key: Option<&str>) -> Response {
+    match result {
         Ok(body) => {
             let body = Arc::new(body);
             if let Some(key) = key {
@@ -1656,6 +1750,31 @@ mod tests {
         }
         assert_eq!(route(&state, &get("/healthz")).status, 200);
         assert_eq!(route(&state, &get("/v1/hostile/stats")).status, 404);
+    }
+
+    #[test]
+    fn post_declared_sizes_past_the_body_limit_are_400_before_allocating() {
+        // Each declares 4e9 vertices, rows or columns (under u32::MAX,
+        // so the parsers alone would allocate for them) in a few bytes.
+        let state = toy_state();
+        let mtx = "%%MatrixMarket matrix coordinate pattern general\n";
+        let cases = [
+            ("hgr", "0 4000000000\n".to_string()),
+            ("pajek", "*Vertices 4000000000\n".to_string()),
+            ("mtx", format!("{mtx}4000000000 3 0\n")),
+            ("mtx", format!("{mtx}% no data\n3 4000000000 0\n")),
+        ];
+        for (format, body) in cases {
+            let mut req = get(&format!("/datasets?name=huge&format={format}"));
+            req.method = "POST".to_string();
+            req.body = body.clone().into_bytes();
+            let r = route(&state, &req);
+            assert_eq!(r.status, 400, "{format} {body:?}: {}", r.body);
+            assert!(r.body.contains("declared size 4000000000"), "{}", r.body);
+        }
+        assert_eq!(route(&state, &get("/healthz")).status, 200);
+        assert_eq!(route(&state, &get("/v1/huge/stats")).status, 404);
+        assert_eq!(route(&state, &get("/v1/toy/stats")).status, 200);
     }
 
     #[test]

@@ -348,6 +348,63 @@ fn a_hit_answers_while_the_only_worker_computes() {
 }
 
 #[test]
+fn a_near_distance_is_answered_on_the_loop_and_a_far_one_by_a_worker() {
+    // Exclusive: the loop counters below are process-global.
+    let _counters = GLOBAL_COUNTERS.write().unwrap_or_else(|e| e.into_inner());
+    // A ring of size-3 hyperedges {i, i+1, i+7}: the far pair is
+    // thousands of hyperedges apart, past any loop budget.
+    let n = 100_000u32;
+    let mut b = HypergraphBuilder::new(n as usize);
+    for i in 0..n {
+        b.add_edge([i, (i + 1) % n, (i + 7) % n]);
+    }
+    let ring = b.build();
+    let registry = Arc::new(Registry::new());
+    registry
+        .insert_text("ring", Format::Hgr, &write_hgr(&ring), "event-loop test")
+        .expect("preload dataset");
+    let (handle, addr) = boot_with(
+        registry,
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let counter = |name: &str| fetch_metric(&addr, name).unwrap_or(0);
+    let computed = counter("hg_serve_loop_computed_total");
+    let handoffs = counter("hg_serve_loop_handoffs_total");
+    let oracle = hypergraph::hyper_distances(&ring, hypergraph::VertexId(0));
+    let body = |to: u32| {
+        let query = format!("distance?from=1&to={to}");
+        let d = oracle[to as usize - 1];
+        format!("{{\"query\":\"{query}\",\"from\":1,\"to\":{to},\"distance\":{d}}}\n")
+    };
+    let far = n / 2 + 1;
+    assert!(oracle[far as usize - 1] > 5_000);
+    // Pipelined in one write: the loop answers the near pair, which
+    // ends the connection's turn, then hands the far one to the worker.
+    let mut conn = connect(&addr);
+    conn.write_all(
+        format!(
+            "{}{}",
+            get("/v1/ring/distance?from=1&to=2"),
+            get(&format!("/v1/ring/distance?from=1&to={far}"))
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    let mut carry = Vec::new();
+    for to in [2, far] {
+        let raw = read_response_carry(&mut conn, &mut carry);
+        assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+        assert_eq!(body_of(&raw), body(to));
+    }
+    assert_eq!(counter("hg_serve_loop_computed_total") - computed, 1);
+    assert_eq!(counter("hg_serve_loop_handoffs_total") - handoffs, 1);
+    handle.shutdown();
+}
+
+#[test]
 fn every_cacheable_get_is_one_lookup_and_every_request_one_count() {
     // Exclusive: the `serve.requests` delta below is process-global.
     let _counters = GLOBAL_COUNTERS.write().unwrap_or_else(|e| e.into_inner());

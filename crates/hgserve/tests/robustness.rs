@@ -320,6 +320,17 @@ fn kernel_panics_answer_500_and_the_workers_live_on() {
     registry
         .load_file(path.to_str().unwrap())
         .expect("the header is intact");
+    // A path 1-2-3-4-5-6: a search from 3 to 6 passes vertex 4, which
+    // the panicking search labeled from its target, so labels left
+    // behind would make it meet there, one hyperedge from 3.
+    let mut path6 = hypergraph::HypergraphBuilder::new(6);
+    for i in 0..5 {
+        path6.add_edge([i, i + 1]);
+    }
+    let healthy = path6.build();
+    registry
+        .insert_text("healthy", Format::Hgr, &write_hgr(&healthy), "robustness")
+        .expect("healthy dataset");
     std::fs::remove_dir_all(&dir).unwrap();
     let handle = hgserve::start(
         &ServerConfig {
@@ -332,25 +343,38 @@ fn kernel_panics_answer_500_and_the_workers_live_on() {
     .expect("server boots");
     let addr = handle.addr().to_string();
 
-    for endpoint in ["components", "diameter"] {
+    // Two panics on workers, and a distance that panics in the event
+    // loop's pair search.
+    for endpoint in ["components", "diameter", "distance?from=1&to=4"] {
         let (status, body) = Client::new(&addr)
             .get(&format!("/v1/corrupt/{endpoint}"))
             .unwrap_or_else(|e| panic!("{endpoint} went unanswered: {e}"));
         assert_eq!(status, 500, "{endpoint}: {body}");
     }
     let mut client = Client::new(&addr);
-    let (status, body) = client.get("/healthz").expect("alive after two panics");
+    let (status, body) = client.get("/healthz").expect("alive after three panics");
     assert_eq!(status, 200, "{body}");
     let (_, metrics) = client.get("/metrics").expect("metrics");
-    assert!(metrics.contains("\nhgserve_panics_total 2\n"), "{metrics}");
+    assert!(metrics.contains("\nhgserve_panics_total 3\n"), "{metrics}");
     assert!(metrics.contains("\nhgserve_workers_live 2\n"), "{metrics}");
+    // The loop's pair scratch came through the unwind clean.
+    let (status, body) = client
+        .get("/v1/healthy/distance?from=3&to=6")
+        .expect("distance");
+    assert_eq!(status, 200, "{body}");
+    let d = hypergraph::hyper_distances(&healthy, hypergraph::VertexId(2))[5];
+    assert_eq!(d, 3);
+    assert_eq!(
+        body,
+        format!("{{\"query\":\"distance?from=3&to=6\",\"from\":3,\"to\":6,\"distance\":{d}}}\n")
+    );
     let (_, slowlog) = client.get("/debug/slowlog").expect("slowlog");
     let recent = &slowlog[slowlog.find("\"recent\":").expect("recent ring")..];
     assert_eq!(
         recent
             .matches("\"endpoint\":\"panic\",\"status\":500")
             .count(),
-        2,
+        3,
         "{slowlog}"
     );
     handle.shutdown();

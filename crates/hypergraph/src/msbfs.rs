@@ -597,7 +597,7 @@ mod tests {
     use super::*;
     use crate::path::{scalar_hyper_distance_stats, scalar_hyper_distance_stats_from};
     use crate::smallworld::{report_from_distances, small_world_report};
-    use crate::testgen::uniform_random_hypergraph;
+    use crate::testgen::{arb_hypergraph, uniform_random_hypergraph};
     use crate::HypergraphBuilder;
     use proptest::prelude::*;
     use std::time::{Duration, Instant};
@@ -800,26 +800,6 @@ mod tests {
                 assert_bit_identical(par, oracle);
             }
         }
-    }
-
-    fn arb_hypergraph(
-        max_v: usize,
-        max_e: usize,
-        max_size: usize,
-    ) -> impl Strategy<Value = Hypergraph> {
-        (1..=max_v).prop_flat_map(move |n| {
-            proptest::collection::vec(
-                proptest::collection::vec(0..n as u32, 0..=max_size),
-                0..=max_e,
-            )
-            .prop_map(move |edges| {
-                let mut b = HypergraphBuilder::new(n);
-                for e in edges {
-                    b.add_edge(e);
-                }
-                b.build()
-            })
-        })
     }
 
     proptest! {

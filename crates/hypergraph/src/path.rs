@@ -12,11 +12,12 @@
 //! Every sweep has a `*_with` variant taking an [`hgobs::Deadline`];
 //! the plain functions are unbounded wrappers over those.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use hgobs::{Deadline, DeadlineExceeded};
 
-use crate::hypergraph::{Hypergraph, VertexId};
+use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 
 /// Distance value meaning "unreachable".
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -97,101 +98,281 @@ pub fn hyper_distance(h: &Hypergraph, s: VertexId, t: VertexId) -> Option<u32> {
 ///
 /// Each side runs the alternating vertex/hyperedge BFS one full level
 /// at a time, always on the side whose frontier has the smaller total
-/// vertex degree. Labels are distance + 1, so 0 means unseen and the
-/// buffers come from zeroed allocations. The search stops at the first
-/// vertex one side labels while the other already holds it, and that
-/// sum of the two distances is exact: before this level no vertex was
-/// held by both sides, so the radii summed to less than the distance
-/// `D`; the new vertex sums to at most the radii after the level, so at
-/// most `D`; and it spells a real walk from `s` to `t`, so at least `D`.
+/// vertex degree. The search stops at the first vertex one side labels
+/// while the other already holds it, and that sum of the two distances
+/// is exact: before this level no vertex was held by both sides, so the
+/// radii summed to less than the distance `D`; the new vertex sums to
+/// at most the radii after the level, so at most `D`; and it spells a
+/// real walk from `s` to `t`, so at least `D`.
+///
+/// The search allocates nothing per query: it labels vertices and
+/// marks hyperedges in a scratch its thread keeps (4 B per vertex and
+/// 1 B per hyperedge of the largest hypergraph it searched, plus lists
+/// of what it touched kept at up to 2^14 entries; growth is counted in
+/// `bfs.pair.scratch_bytes`), and on every exit, an unwind included,
+/// clears only the entries it touched.
 pub fn hyper_distance_with(
     h: &Hypergraph,
     s: VertexId,
     t: VertexId,
     deadline: &Deadline,
 ) -> Result<Option<u32>, DeadlineExceeded> {
-    let mut tp = deadline.trace().phase("bfs.pair");
-    if deadline.expired() {
-        return Err(deadline.exceeded("bfs.pair", 0));
+    match pair_search(h, s, t, usize::MAX, deadline) {
+        Ok(found) => Ok(found.distance),
+        Err(PairStop::Deadline(e)) => Err(e),
+        Err(PairStop::OverBudget) => {
+            unreachable!("a search scans each hyperedge once, so it never passes usize::MAX pins")
+        }
     }
-    let mut ticks = 0u32;
-    let mut settled = 0u64;
-    let answer = 'search: {
-        if s == t {
-            break 'search Some(0);
-        }
-        let [a, b] = &mut [PairSide::new(h, s), PairSide::new(h, t)];
-        let mut next = Vec::new();
-        while !a.frontier.is_empty() && !b.frontier.is_empty() {
-            if deadline.expired() {
-                return Err(deadline.exceeded("bfs.pair", settled));
-            }
-            let (near, far) = if b.degree < a.degree {
-                (&mut *b, &*a)
-            } else {
-                (&mut *a, &*b)
-            };
-            let mut degree = 0;
-            for &u in &near.frontier {
-                if deadline.tick(&mut ticks) {
-                    return Err(deadline.exceeded("bfs.pair", settled));
-                }
-                settled += 1;
-                let du = near.label[u.index()];
-                for &f in h.edges_of(u) {
-                    if near.edge_seen[f.index()] {
-                        continue;
-                    }
-                    near.edge_seen[f.index()] = true;
-                    for &w in h.pins(f) {
-                        if near.label[w.index()] != 0 {
-                            continue;
-                        }
-                        let dw = far.label[w.index()];
-                        if dw != 0 {
-                            // Both labels are distance + 1.
-                            break 'search Some(du + dw - 1);
-                        }
-                        near.label[w.index()] = du + 1;
-                        degree += h.vertex_degree(w);
-                        next.push(w);
-                    }
-                }
-            }
-            std::mem::swap(&mut near.frontier, &mut next);
-            next.clear();
-            near.degree = degree;
-        }
-        None
-    };
-    tp.add_work(settled);
-    hgobs::counter!("bfs.pair.searches");
-    hgobs::counter!("bfs.pair.settled", settled);
-    Ok(answer)
 }
 
-/// One end of [`hyper_distance_with`]'s search.
-struct PairSide {
-    /// Distance from this end + 1 per vertex; 0 means unseen.
+/// Why [`hyper_distance_within`] stopped without an answer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PairStop {
+    /// Finishing would scan more pins than the budget.
+    OverBudget,
+    /// The deadline fired first.
+    Deadline(DeadlineExceeded),
+}
+
+/// [`hyper_distance_with`] that stops with [`PairStop::OverBudget`]
+/// before it scans more than `max_pins` pins in all (a hyperedge's pins
+/// are charged when a side enters it). The search is the same step for
+/// step, so a budget at least what the unbounded search scans never
+/// stops it, and any smaller budget always does. Every pin scanned is
+/// at most two units of work (the pin, and the vertex-to-hyperedge step
+/// that reached it), so the budget bounds the time spent.
+pub fn hyper_distance_within(
+    h: &Hypergraph,
+    s: VertexId,
+    t: VertexId,
+    max_pins: usize,
+    deadline: &Deadline,
+) -> Result<Option<u32>, PairStop> {
+    pair_search(h, s, t, max_pins, deadline).map(|found| found.distance)
+}
+
+/// A vertex label holds distance + 1 in its low 31 bits (0: unseen),
+/// and this bit when the side searching from `t` set it.
+const FROM_T: u32 = 1 << 31;
+const DEPTH: u32 = FROM_T - 1;
+
+/// Touched-list capacity a thread keeps between searches; a longer
+/// search's lists shrink back to it.
+const KEEP_TOUCHED: usize = 1 << 14;
+
+/// The pair search's per-thread scratch. Between searches every label
+/// is 0, every mark is clear and both lists are empty.
+struct PairScratch {
+    /// Per vertex: 0 while unseen, else the side bit | distance + 1.
     label: Vec<u32>,
-    edge_seen: Vec<bool>,
-    /// The last level labeled.
-    frontier: Vec<VertexId>,
-    /// Total vertex degree of `frontier`: what expanding it costs.
+    /// Per hyperedge: whether a side has entered it. One mark serves
+    /// both sides: a side that enters a hyperedge labels every pin of
+    /// it (or meets the other side and ends), so the other side never
+    /// holds a pin of it while the search runs.
+    entered: Vec<bool>,
+    /// Every vertex labeled, in labeling order; each level a side
+    /// expands is one contiguous run.
+    seen: Vec<VertexId>,
+    /// Every hyperedge entered.
+    touched: Vec<EdgeId>,
+}
+
+thread_local! {
+    static PAIR_SCRATCH: RefCell<PairScratch> = const {
+        RefCell::new(PairScratch {
+            label: Vec::new(),
+            entered: Vec::new(),
+            seen: Vec::new(),
+            touched: Vec::new(),
+        })
+    };
+}
+
+impl PairScratch {
+    /// Grow to `h`'s dimensions; new entries are clean.
+    fn fit(&mut self, h: &Hypergraph) {
+        assert!(
+            h.num_vertices() <= DEPTH as usize,
+            "the pair search labels at most 2^31 - 1 vertices"
+        );
+        if self.label.len() < h.num_vertices() {
+            self.label.resize(h.num_vertices(), 0);
+        }
+        if self.entered.len() < h.num_edges() {
+            self.entered.resize(h.num_edges(), false);
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        4 * self.label.capacity()
+            + self.entered.capacity()
+            + 4 * (self.seen.capacity() + self.touched.capacity())
+    }
+}
+
+/// Clears what a search touched when dropped, so the scratch is clean
+/// however the search ends: answer, budget stop, deadline or unwind.
+/// The lists hold only entries written in range, so this cannot panic.
+struct Clean<'a>(&'a mut PairScratch);
+
+impl Drop for Clean<'_> {
+    fn drop(&mut self) {
+        let sc = &mut *self.0;
+        for v in sc.seen.drain(..) {
+            sc.label[v.index()] = 0;
+        }
+        for f in sc.touched.drain(..) {
+            sc.entered[f.index()] = false;
+        }
+        sc.seen.shrink_to(KEEP_TOUCHED);
+        sc.touched.shrink_to(KEEP_TOUCHED);
+    }
+}
+
+/// What a finished pair search found, and what it cost.
+struct Found {
+    distance: Option<u32>,
+    /// Vertices whose hyperedges a side scanned.
+    settled: u64,
+    /// Pins of the hyperedges entered: what the budget counts.
+    pins: usize,
+}
+
+/// The one search behind [`hyper_distance_with`] and
+/// [`hyper_distance_within`].
+fn pair_search(
+    h: &Hypergraph,
+    s: VertexId,
+    t: VertexId,
+    max_pins: usize,
+    deadline: &Deadline,
+) -> Result<Found, PairStop> {
+    let mut tp = deadline.trace().phase("bfs.pair");
+    if deadline.expired() {
+        return Err(PairStop::Deadline(deadline.exceeded("bfs.pair", 0)));
+    }
+    let found = if s == t {
+        Found {
+            distance: Some(0),
+            settled: 0,
+            pins: 0,
+        }
+    } else {
+        PAIR_SCRATCH.with(|cell| {
+            let mut sc = cell.borrow_mut();
+            let before = sc.bytes();
+            sc.fit(h);
+            let clean = Clean(&mut sc);
+            let found = search(h, s, t, max_pins, deadline, clean.0);
+            drop(clean);
+            let grown = sc.bytes().saturating_sub(before);
+            if grown > 0 {
+                hgobs::counter!("bfs.pair.scratch_bytes", grown as u64);
+            }
+            found
+        })?
+    };
+    tp.add_work(found.settled);
+    hgobs::counter!("bfs.pair.searches");
+    hgobs::counter!("bfs.pair.settled", found.settled);
+    hgobs::counter!("bfs.pair.pins", found.pins as u64);
+    Ok(found)
+}
+
+/// One side of the search: the bit its labels carry, the run of
+/// `seen` holding its last level, and that level's total vertex degree
+/// (what expanding it costs).
+struct Side {
+    tag: u32,
+    level: std::ops::Range<usize>,
     degree: usize,
 }
 
-impl PairSide {
-    fn new(h: &Hypergraph, start: VertexId) -> Self {
-        let mut label = vec![0u32; h.num_vertices()];
-        label[start.index()] = 1;
-        PairSide {
-            label,
-            edge_seen: vec![false; h.num_edges()],
-            frontier: vec![start],
-            degree: h.vertex_degree(start),
+/// [`pair_search`]'s loop over a clean scratch, for `s != t`.
+fn search(
+    h: &Hypergraph,
+    s: VertexId,
+    t: VertexId,
+    max_pins: usize,
+    deadline: &Deadline,
+    sc: &mut PairScratch,
+) -> Result<Found, PairStop> {
+    let PairScratch {
+        label,
+        entered,
+        seen,
+        touched,
+    } = sc;
+    label[s.index()] = 1;
+    seen.push(s);
+    label[t.index()] = FROM_T | 1;
+    seen.push(t);
+    let mut sides = [
+        Side {
+            tag: 0,
+            level: 0..1,
+            degree: h.vertex_degree(s),
+        },
+        Side {
+            tag: FROM_T,
+            level: 1..2,
+            degree: h.vertex_degree(t),
+        },
+    ];
+    let mut ticks = 0u32;
+    let mut settled = 0u64;
+    let mut pins = 0usize;
+    while sides.iter().all(|side| !side.level.is_empty()) {
+        if deadline.expired() {
+            return Err(PairStop::Deadline(deadline.exceeded("bfs.pair", settled)));
         }
+        let near = &mut sides[usize::from(sides[1].degree < sides[0].degree)];
+        let next = seen.len();
+        let mut degree = 0;
+        for i in near.level.clone() {
+            if deadline.tick(&mut ticks) {
+                return Err(PairStop::Deadline(deadline.exceeded("bfs.pair", settled)));
+            }
+            settled += 1;
+            let u = seen[i];
+            let du = label[u.index()] & DEPTH;
+            for &f in h.edges_of(u) {
+                if entered[f.index()] {
+                    continue;
+                }
+                let f_pins = h.pins(f);
+                pins += f_pins.len();
+                if pins > max_pins {
+                    return Err(PairStop::OverBudget);
+                }
+                entered[f.index()] = true;
+                touched.push(f);
+                for &w in f_pins {
+                    let lw = label[w.index()];
+                    if lw == 0 {
+                        label[w.index()] = near.tag | (du + 1);
+                        seen.push(w);
+                        degree += h.vertex_degree(w);
+                    } else if lw & FROM_T != near.tag {
+                        return Ok(Found {
+                            // Both labels are distance + 1.
+                            distance: Some(du + (lw & DEPTH) - 1),
+                            settled,
+                            pins,
+                        });
+                    }
+                }
+            }
+        }
+        near.level = next..seen.len();
+        near.degree = degree;
     }
+    Ok(Found {
+        distance: None,
+        settled,
+        pins,
+    })
 }
 
 /// Record eccentricity and per-level frontier-size histograms for one BFS.
@@ -334,7 +515,9 @@ pub fn scalar_hyper_distance_stats_from_with(
 mod tests {
     use super::*;
     use crate::msbfs::{hyper_distance_stats, hyper_distance_stats_with};
+    use crate::testgen::arb_hypergraph;
     use crate::{BipartiteView, HypergraphBuilder};
+    use proptest::prelude::*;
     use std::time::Duration;
 
     /// Chain of three overlapping edges: {0,1}, {1,2}, {2,3}.
@@ -592,5 +775,97 @@ mod tests {
         let err = hyper_distances_with(&h, VertexId(0), &dl).unwrap_err();
         assert_eq!(err.phase, "bfs");
         assert!(err.work_done < 9000, "{err:?}");
+    }
+
+    /// Whether this thread's pair scratch is clean: every label 0, every
+    /// mark clear, both lists empty.
+    fn scratch_is_clean() -> bool {
+        PAIR_SCRATCH.with(|cell| {
+            let sc = cell.borrow();
+            sc.label.iter().all(|&l| l == 0)
+                && sc.entered.iter().all(|&e| !e)
+                && sc.seen.is_empty()
+                && sc.touched.is_empty()
+        })
+    }
+
+    #[test]
+    fn pair_budget_stops_exactly_below_the_search_need() {
+        let h = big_ring(3000);
+        let (s, t) = (VertexId(0), VertexId(1500));
+        let need = pair_search(&h, s, t, usize::MAX, &Deadline::none())
+            .unwrap()
+            .pins;
+        assert!(need > 100, "{need}");
+        let within = |budget| hyper_distance_within(&h, s, t, budget, &Deadline::none());
+        assert_eq!(within(need), Ok(hyper_distance(&h, s, t)));
+        assert_eq!(within(need - 1), Err(PairStop::OverBudget));
+        assert!(scratch_is_clean());
+    }
+
+    #[test]
+    fn an_unwinding_search_leaves_the_scratch_clean() {
+        // Size this thread's scratch past the small hypergraph, so an
+        // out-of-range target is labeled before the search panics on it.
+        assert!(hyper_distance(&big_ring(300), VertexId(0), VertexId(150)).is_some());
+        let small = chain();
+        let unwound =
+            std::panic::catch_unwind(|| hyper_distance(&small, VertexId(0), VertexId(100)));
+        assert!(unwound.is_err());
+        assert!(scratch_is_clean());
+        assert_eq!(hyper_distance(&small, VertexId(0), VertexId(3)), Some(3));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On one thread, searches that finish, stop at a random pin
+        /// budget, meet a pre-expired deadline or have `s == t` each
+        /// leave the scratch clean, so every finished search answers as
+        /// the single-source oracle does, on hypergraphs of changing
+        /// size. A budget at least the search's need never stops it,
+        /// and a smaller one always does.
+        #[test]
+        fn every_exit_leaves_the_pair_scratch_clean(
+            (h, queries) in arb_hypergraph(30, 24, 4).prop_flat_map(|h| {
+                let n = h.num_vertices() as u32;
+                let query = (0..n, 0..n, 0..4u32, 0..64usize);
+                (Just(h), proptest::collection::vec(query, 1..24))
+            })
+        ) {
+            let expired = Deadline::after(Duration::ZERO);
+            for (s, t, exit, budget) in queries {
+                let (s, t) = (VertexId(s), VertexId(t));
+                let dist = hyper_distances(&h, s);
+                let want = Some(dist[t.index()]).filter(|&d| d != UNREACHABLE);
+                match exit {
+                    0 => prop_assert_eq!(hyper_distance(&h, s, t), want),
+                    1 => {
+                        let need = pair_search(&h, s, t, usize::MAX, &Deadline::none())
+                            .unwrap()
+                            .pins;
+                        let got = hyper_distance_within(&h, s, t, budget, &Deadline::none());
+                        if budget >= need {
+                            prop_assert_eq!(got, Ok(want));
+                        } else {
+                            prop_assert_eq!(got, Err(PairStop::OverBudget));
+                        }
+                    }
+                    2 => {
+                        let Err(PairStop::Deadline(e)) =
+                            hyper_distance_within(&h, s, t, budget, &expired)
+                        else {
+                            panic!("an expired deadline must stop the search");
+                        };
+                        prop_assert_eq!((e.phase, e.work_done), ("bfs.pair", 0));
+                    }
+                    _ => prop_assert_eq!(
+                        hyper_distance_within(&h, s, s, 0, &Deadline::none()),
+                        Ok(Some(0))
+                    ),
+                }
+                prop_assert!(scratch_is_clean());
+            }
+        }
     }
 }

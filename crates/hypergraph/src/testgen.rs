@@ -1,8 +1,10 @@
-//! Test-only replicas of `hypergen`'s generators. `hypergen` depends on
-//! this crate, so its generators are unusable in these unit tests; the
-//! replicas replay its RNG calls and build the same instances.
+//! Test-only generators: replicas of `hypergen`'s (`hypergen` depends
+//! on this crate, so its generators are unusable in these unit tests;
+//! the replicas replay its RNG calls and build the same instances), and
+//! the random shapes the property tests draw.
 
 use crate::{Hypergraph, HypergraphBuilder};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
@@ -50,4 +52,27 @@ pub(crate) fn planted_core_hypergraph(
         b.add_edge([x as u32, rng.gen_range(0..x) as u32]);
     }
     b.build()
+}
+
+/// Random hypergraph: 1 to `max_v` vertices, up to `max_e` hyperedges of
+/// 0 to `max_size` pins. Sparse draws bring isolated vertices and
+/// several components; empty and duplicate hyperedges occur.
+pub(crate) fn arb_hypergraph(
+    max_v: usize,
+    max_e: usize,
+    max_size: usize,
+) -> impl Strategy<Value = Hypergraph> {
+    (1..=max_v).prop_flat_map(move |n| {
+        proptest::collection::vec(
+            proptest::collection::vec(0..n as u32, 0..=max_size),
+            0..=max_e,
+        )
+        .prop_map(move |edges| {
+            let mut b = HypergraphBuilder::new(n);
+            for e in edges {
+                b.add_edge(e);
+            }
+            b.build()
+        })
+    })
 }
