@@ -364,6 +364,32 @@ cargo test -p hgserve --release --test e2e -q
 cargo test -p hgserve --release --test robustness -q
 cargo test -p hgserve --release --test event_loop -q
 
+echo "==> hg profile smoke (MS-BFS pulls on u6000 in file order)"
+# hgperf's u6000, byte for byte. Every batch of its file order holds an
+# isolated source, so no lane ever saturates; the sweep must still pull
+# once a frontier is dense, and its work counters must repeat exactly.
+mkdir -p target/hgb-cache
+./target/release/hg gen uniform 6000 4500 5 --seed 41 \
+    -o target/hgb-cache/hypergen-u6000.hgr >/dev/null
+profile_counters() {
+    ./target/release/hg profile target/hgb-cache/hypergen-u6000.hgr --algo bfs |
+        sed -n 's/.*"counters":\({[^}]*}\).*/\1/p'
+}
+C1=$(profile_counters)
+C2=$(profile_counters)
+if [ -z "$C1" ] || [ "$C1" != "$C2" ]; then
+    echo "hg profile counters missing or differ between two runs:"
+    echo "  run 1: $C1"
+    echo "  run 2: $C2"
+    exit 1
+fi
+PULLS=$(printf '%s\n' "$C1" | sed -n 's/.*"msbfs.sweep.pull_passes":\([0-9]*\).*/\1/p')
+[ "${PULLS:-0}" -ge 1 ] || {
+    echo "expected msbfs.sweep.pull_passes >= 1 on u6000, got '${PULLS:-none}': $C1"
+    exit 1
+}
+echo "profile smoke OK (u6000 pull passes: $PULLS)"
+
 echo "==> hgserve smoke (hg serve on an ephemeral port + curl)"
 start_server
 # Robustness surface first, while the cache is cold: a 1ms deadline on

@@ -1,13 +1,12 @@
 //! Word-level summary bitmaps for the bitset BFS kernels.
 //!
-//! The MS-BFS sweeps keep one `u64` mask per vertex (or hyperedge). On
-//! sparse levels — a handful of frontier vertices in a graph of
-//! thousands — scanning every mask word to find the few nonzero ones
-//! dominates the traversal. A *summary* keeps one bit per mask word:
-//! bit `i % 64` of `summary[i / 64]` is set exactly when mask word `i`
-//! is nonzero. The kernels maintain the summary as they set mask bits
-//! (a mask word only becomes nonzero inside the `add != 0` branch that
-//! already exists), so skipping a zero summary word skips 64 mask words
+//! The MS-BFS sweeps keep one 256-bit frontier [`Mask`] per vertex (or
+//! hyperedge), inside its [`Lane`]. On sparse levels — a handful of
+//! frontier vertices in a graph of thousands — scanning every mask to
+//! find the few nonzero ones dominates the traversal. A *summary* keeps
+//! one bit per mask: bit `i % 64` of `summary[i / 64]` is set exactly
+//! when mask `i` is nonzero. The kernels set that bit as they deliver
+//! bits into a mask, so skipping a zero summary word skips 64 masks
 //! without touching them.
 //!
 //! [`scan_active`] is the flat, branch-predictable u64-lane sweep that

@@ -3,13 +3,14 @@
 //!
 //! The all-pairs sweeps behind the paper's diameter-6 / APL-2.568 claim
 //! run one BFS per source, so every source pays the full CSR scan on its
-//! own. MS-BFS batches up to [`BATCH`] sources into one traversal: each
-//! vertex and each hyperedge carries a `u64` "seen" mask (bit `i` set
-//! once source `i` has reached it) and a frontier mask for the current
-//! level. One pass over the CSR arrays then advances all 64 frontiers at
+//! own. MS-BFS batches up to [`BATCH`] = 256 sources into one
+//! traversal: each vertex and each hyperedge carries one 64-byte
+//! [`bitset::Lane`], a 256-bit "seen" mask (bit `i` set once source `i`
+//! has reached it) beside a 256-bit frontier mask for the current level.
+//! One pass over the CSR arrays then advances all 256 frontiers at
 //! once — the adjacency and pin lists are streamed once per *batch*
-//! instead of once per *source*, cutting memory traffic by up to 64× on
-//! exactly the kernels hgserve exposes under deadlines.
+//! instead of once per *source*, cutting memory traffic by up to 256×
+//! on exactly the kernels hgserve exposes under deadlines.
 //!
 //! # Memory layout of one level
 //!
@@ -17,7 +18,7 @@
 //!
 //! 1. **vertex → hyperedge**: every frontier vertex hands its mask to
 //!    the incident hyperedges it has not traversed yet, zeroing its own
-//!    frontier word as it is expanded;
+//!    frontier mask as it is expanded;
 //! 2. **hyperedge → vertex**: every entered hyperedge hands its mask to
 //!    its unseen pins, writing the *next* frontier directly into the
 //!    (now empty) vertex frontier and absorbing the newly reached
@@ -25,12 +26,31 @@
 //!
 //! Both passes are driven by word-level summary bitmaps
 //! ([`crate::bitset`]): bit `v` of the summary is set exactly when
-//! frontier word `v` is nonzero, so a level only ever touches its active
-//! words. A flat watermark scan ([`crate::bitset::scan_active`])
+//! frontier mask `v` is nonzero, so a level only ever touches its active
+//! lanes. A flat watermark scan ([`crate::bitset::scan_active`])
 //! picks the strategy per level — sparse levels walk summary bits and
 //! skip all-zero stretches outright, dense levels scan the watermark
 //! range flat — and the skipped-word / pass-mode tallies surface as
 //! `msbfs.sweep.*` counters (see [`MsBfsScratch::flush_counters`]).
+//!
+//! # Push or pull, by probe cost
+//!
+//! Each pass runs in one of two directions. *Push* drains the frontier
+//! and writes every drained mask into the neighbors' lanes; *pull*
+//! walks the entries still missing a source of the batch (the
+//! *unsaturated* ones, kept in a summary of their own) and ORs in
+//! their neighbors' frontier masks. A push probe is a read-modify-write
+//! of a random 64-byte lane plus two summary-word updates; a pull probe
+//! is one 32-byte load. So a pass pulls when its estimated pull probes
+//! are below α × its estimated push probes, the cost argument of
+//! direction-optimizing BFS (Beamer, Asanović & Patterson, SC 2012).
+//! α comes from measured per-probe costs and sweep times (EXPERIMENTS
+//! A17): 3 for vertex → hyperedge, and 2 for hyperedge → vertex, whose
+//! pulls also pay a lane update per vertex, spread over few probes on
+//! low-degree inputs such as the protein data. The rule does not wait
+//! for saturation: a batch whose sources span two
+//! components (an isolated source is the extreme case) never saturates
+//! a lane, yet pulls once its frontier is dense.
 //!
 //! Distances are never materialized as an n×n matrix: when a vertex is
 //! newly reached at level `d` by `c` sources, the running
@@ -80,10 +100,9 @@ use crate::scoped;
 pub const BATCH: usize = bitset::LANE_BITS;
 
 /// Reusable per-traversal mask buffers. One allocation per worker; a
-/// batch that ran to completion leaves every frontier mask and summary
-/// zero (both passes consume what they read), so the next batch only
-/// re-zeroes the `seen` halves of the lanes instead of the whole
-/// scratch.
+/// batch that ran to completion leaves both frontier summaries zero
+/// (both passes consume what they read), so the next batch re-zeroes
+/// the lanes but skips the summaries.
 pub struct MsBfsScratch {
     /// Per-vertex interleaved (seen, frontier) masks: one random cache
     /// line per expansion probe instead of two.
@@ -167,9 +186,11 @@ impl MsBfsScratch {
         &self.counters
     }
 
-    /// Ready the masks for a fresh batch. A clean scratch — freshly
-    /// allocated, or left by a completed batch — has all-zero frontier
-    /// masks and summaries already; only the `seen` halves carry state.
+    /// Ready the masks for a fresh batch: zero every lane, and the
+    /// frontier summaries too unless the scratch is clean (freshly
+    /// allocated, or left by a completed batch, which consumed every
+    /// summary bit it set). The batch refills the unsaturated summaries
+    /// itself.
     fn prepare(&mut self) {
         self.vlanes.fill(bitset::Lane::ZERO);
         self.elanes.fill(bitset::Lane::ZERO);
@@ -201,6 +222,32 @@ impl BatchStats {
     }
 }
 
+/// α of the vertex → hyperedge pass: one push probe costs about as
+/// much as this many pull probes.
+const ALPHA_V2E: u128 = 3;
+
+/// α of the hyperedge → vertex pass.
+const ALPHA_E2V: u128 = 2;
+
+/// The per-level direction rule: `true` when pulling into the `unsat`
+/// of `unsat_len` targets costs less than pushing from the `active` of
+/// `active_len` sources, with a push probe weighted `alpha` pull
+/// probes. A pass over `p` pins makes about `active × p / active_len`
+/// push probes and `unsat × p / unsat_len` pull probes, so the rule
+/// compares the cross products; `u128` keeps the weighted product exact
+/// for lengths up to `u32::MAX`.
+#[inline]
+fn pull_is_cheaper(
+    unsat: u64,
+    unsat_len: usize,
+    active: u64,
+    active_len: usize,
+    alpha: u128,
+) -> bool {
+    let pull = unsat as u128 * active_len as u128;
+    pull < alpha * active as u128 * unsat_len as u128
+}
+
 /// Advance one batch of at most [`BATCH`] sources to fixpoint,
 /// accumulating pair statistics. Returns `None` when the deadline fires
 /// mid-traversal; `ticks` is the caller's amortized tick counter,
@@ -208,16 +255,17 @@ impl BatchStats {
 /// [`hgobs::CHECK_INTERVAL`] expanded vertices/hyperedges regardless of
 /// batch size.
 ///
-/// Each level runs its two expansions in whichever direction is
-/// cheaper, decided from flat popcount sweeps of the summaries:
+/// Each level runs its two expansions in whichever direction costs
+/// less, a push probe weighing α pull probes (module docs), decided
+/// from flat popcount sweeps of the summaries:
 ///
 /// * **push** — drain the frontier, writing masks into the neighbors'
 ///   lanes (best while the frontier is small);
 /// * **pull** — walk the *unsaturated* entries (those still missing a
 ///   source, tracked in a summary of their own) and gather their
 ///   neighbors' frontier masks with pure loads, skipping saturated
-///   entries outright (best on the late dense levels, where push would
-///   probe mostly-saturated lanes for nothing).
+///   entries outright (best once the frontier is dense, where push
+///   would read-modify-write most lanes).
 ///
 /// Both directions produce the same per-level set of newly reached
 /// (source, vertex) pairs, and the integer accumulators make the
@@ -233,7 +281,10 @@ pub fn msbfs_batch(
     deadline: &Deadline,
     ticks: &mut u32,
 ) -> Option<BatchStats> {
-    assert!(batch.len() <= BATCH, "batch wider than the u64 masks");
+    assert!(
+        batch.len() <= BATCH,
+        "batch wider than the 256-source lanes"
+    );
     if batch.is_empty() {
         return Some(BatchStats::default());
     }
@@ -271,12 +322,9 @@ pub fn msbfs_batch(
         level += 1;
 
         // ---- Pass 1: vertex frontier → hyperedge frontier ----
-        // Push cost ≈ frontier vertices × avg degree; pull cost ≈
-        // unsaturated hyperedges × avg size. Equalized denominators:
-        // compare frontier_bits/n against unsat_bits/m.
         let vactive_bits = bitset::count_bits(vsum);
         let eunsat_bits = bitset::count_bits(eunsat);
-        if eunsat_bits * n as u64 >= vactive_bits * m as u64 {
+        if !pull_is_cheaper(eunsat_bits, m, vactive_bits, n, ALPHA_V2E) {
             // Push. The loop body is branchless on purpose: `add` is
             // often zero mid-sweep and an `if add != 0` there
             // mispredicts randomly, flushing the pipeline and
@@ -340,7 +388,7 @@ pub fn msbfs_batch(
         if escan.2 != 0 {
             let eactive_bits = bitset::count_bits(esum);
             let vunsat_bits = bitset::count_bits(vunsat);
-            if vunsat_bits * m as u64 >= eactive_bits * n as u64 {
+            if !pull_is_cheaper(vunsat_bits, n, eactive_bits, m, ALPHA_E2V) {
                 // Push, branchless as above. `seen` is updated as masks
                 // land, so summing `popcount(add)` counts each newly
                 // reached (source, vertex) pair exactly once no matter
@@ -785,6 +833,45 @@ mod tests {
                 Ok(_) => return,
             }
         }
+    }
+
+    #[test]
+    fn pull_engages_on_a_batch_that_never_saturates() {
+        // hgperf's u6000 in file order. Its first batch holds 8
+        // isolated sources, so no lane ever saturates and every
+        // unsaturated entry stays on the pull worklist; the cost rule
+        // must still pull once the frontier is dense.
+        let h = uniform_random_hypergraph(6000, 4500, 5, 41);
+        let batch: Vec<VertexId> = (0..BATCH as u32).map(VertexId).collect();
+        let isolated = batch.iter().filter(|&&v| h.vertex_degree(v) == 0);
+        assert_eq!(isolated.count(), 8);
+        let mut scratch = MsBfsScratch::new(&h);
+        let mut ticks = 0u32;
+        let b = msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
+        let c = scratch.sweep_counters();
+        assert!(c.pull_passes > 0, "pull never engaged: {c:?}");
+        assert_bit_identical(
+            stats_from_acc(b),
+            scalar_hyper_distance_stats_from(&h, &batch),
+        );
+    }
+
+    #[test]
+    fn direction_rule_is_exact_at_u32_max_dimensions() {
+        let max = u32::MAX as usize;
+        let all = u32::MAX as u64;
+        // Every target unsaturated, every source active: pull is
+        // cheaper exactly when a push probe costs more than a pull.
+        assert!(!pull_is_cheaper(all, max, all, max, 1));
+        assert!(pull_is_cheaper(all, max, all, max, ALPHA_V2E));
+        assert!(pull_is_cheaper(all, max, all, max, ALPHA_E2V));
+        // One active source among u32::MAX: push.
+        assert!(!pull_is_cheaper(all, max, 1, max, ALPHA_V2E));
+        // Every target saturated: pulling walks an empty worklist. An
+        // empty frontier or an empty hypergraph never pulls.
+        assert!(pull_is_cheaper(0, max, 1, max, ALPHA_V2E));
+        assert!(!pull_is_cheaper(0, max, 0, max, ALPHA_V2E));
+        assert!(!pull_is_cheaper(0, 0, 0, 0, ALPHA_E2V));
     }
 
     #[test]

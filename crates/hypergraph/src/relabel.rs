@@ -22,6 +22,8 @@
 //! `--relabel` CLI flag, translating ids at the response boundary;
 //! `hg bench --kernels` does the same by default (`--no-relabel` to
 //! opt out) so the published kernel numbers include the layout win.
+//! That win is about 1.2× on the hypergen-u6000 MS-BFS sweep and 1.15×
+//! on cellzome, at either width (EXPERIMENTS A17).
 
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 use crate::HypergraphBuilder;
