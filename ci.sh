@@ -533,8 +533,9 @@ fi
 echo "==> hgserve smoke (kernel counters under --par-threshold 1 --relabel)"
 # Force parallel routing on the small dataset and store it relabeled:
 # two uncached diameter sweeps (the second bypasses the cache via
-# ?trace=1) must surface the MS-BFS sparsity-sweep counters and the
-# sweep's scratch-arena reuse counter in /metrics.
+# ?trace=1) must surface the MS-BFS pull-direction counter (relabeled
+# cellzome pulls in 19 passes per sweep) and the sweep's scratch-arena
+# reuse counter in /metrics.
 start_server --par-threshold 1 --relabel
 curl -sf "http://$ADDR/datasets" | grep -q '"relabeled":true' || {
     echo "expected /datasets to report the preload as relabeled"
@@ -543,10 +544,10 @@ curl -sf "http://$ADDR/datasets" | grep -q '"relabeled":true' || {
 curl -sf "http://$ADDR/v1/cellzome-2004/diameter" >/dev/null
 curl -sf "http://$ADDR/v1/cellzome-2004/diameter?trace=1" >/dev/null
 METRICS=$(curl -sf "http://$ADDR/metrics")
-SWEEPS=$(printf '%s\n' "$METRICS" | grep -c '^hg_msbfs_sweep_' || true)
-[ "${SWEEPS:-0}" -ge 1 ] || {
-    echo "expected hg_msbfs_sweep_* counters in /metrics, got $SWEEPS"
-    printf '%s\n' "$METRICS" | grep '^hg_' || true
+PULLS=$(printf '%s\n' "$METRICS" | awk '$1 == "hg_msbfs_sweep_pull_passes_total" { print $2 }')
+[ "${PULLS:-0}" -ge 1 ] || {
+    echo "expected hg_msbfs_sweep_pull_passes_total >= 1, got ${PULLS:-none}"
+    printf '%s\n' "$METRICS" | grep '^hg_msbfs' || true
     exit 1
 }
 SCRATCH=$(printf '%s\n' "$METRICS" | awk '$1 == "hg_msbfs_scratch_reused_total" { print $2 }')
@@ -557,7 +558,7 @@ SCRATCH=$(printf '%s\n' "$METRICS" | awk '$1 == "hg_msbfs_scratch_reused_total" 
 }
 stop_server
 rm -f smoke.log
-echo "kernel-counter smoke OK (sweep series: $SWEEPS, scratch reuses: $SCRATCH)"
+echo "kernel-counter smoke OK (pull passes: $PULLS, scratch reuses: $SCRATCH)"
 
 echo "==> hgserve smoke (.hgb preload served from mmap)"
 # Convert the Cellzome text dataset to `.hgb` (the convert path

@@ -75,8 +75,9 @@
 //! Every response carries an `X-Trace-Id` header (deterministic from
 //! method, path, and a per-process sequence number). Adding `?trace=1`
 //! to a query — or sending `X-Trace: 1` — embeds a `"trace"` block in
-//! the JSON body: per-kernel-phase events (MS-BFS batches, k-core peel
-//! levels, overlap shards) with microsecond bounds and work counts,
+//! the JSON body: per-kernel-phase events (`msbfs.batch` per MS-BFS
+//! batch, `kcore.probe.reduce` and `kcore.probe.peel` per k-core level,
+//! `bfs.pair` per pair search) with microsecond bounds and work counts,
 //! plus `total_us`, the exact latency the request recorded to its
 //! `serve.latency_us.{endpoint}` histogram. Traced requests bypass the
 //! result cache so the events describe the compute that produced the

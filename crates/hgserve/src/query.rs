@@ -73,9 +73,10 @@ pub struct ExecOpts {
     pub parallel: bool,
     /// Request-scoped trace context. [`Query::run_opts`] attaches it to
     /// the deadline it hands the kernels, so every instrumented phase
-    /// (MS-BFS batches, k-core peel levels, the overlap build) lands in
-    /// this request's event list without per-kernel plumbing. The
-    /// default is disabled: a branch per phase, no allocation.
+    /// (`msbfs.batch`, `kcore.probe.reduce`, `kcore.probe.peel`,
+    /// `bfs.pair`) lands in this request's event list without
+    /// per-kernel plumbing. The default is disabled: a branch per phase,
+    /// no allocation.
     pub trace: TraceCtx,
     /// Set when the dataset was stored under a BFS-order vertex
     /// relabeling (`hg serve --relabel`): incoming 1-based ids are

@@ -1,19 +1,12 @@
-//! Word-level summary bitmaps for the bitset BFS kernels.
+//! Lane masks and word-level summary bitmaps for the MS-BFS kernel.
 //!
-//! The MS-BFS sweeps keep one 256-bit frontier [`Mask`] per vertex (or
-//! hyperedge), inside its [`Lane`]. On sparse levels — a handful of
-//! frontier vertices in a graph of thousands — scanning every mask to
-//! find the few nonzero ones dominates the traversal. A *summary* keeps
-//! one bit per mask: bit `i % 64` of `summary[i / 64]` is set exactly
-//! when mask `i` is nonzero. The kernels set that bit as they deliver
-//! bits into a mask, so skipping a zero summary word skips 64 masks
-//! without touching them.
-//!
-//! [`scan_active`] is the flat, branch-predictable u64-lane sweep that
-//! decides each level's strategy: it returns the nonzero-word watermarks
-//! (lowest and highest active summary index) and the active-word count,
-//! from which the caller picks the sparse (summary-driven, zero words
-//! skipped) or dense (flat range scan) expansion path.
+//! The sweep keeps one 256-bit frontier [`Mask`] per vertex (or
+//! hyperedge), inside its [`Lane`]. A *summary* keeps one bit per mask:
+//! bit `i % 64` of `summary[i / 64]` is set exactly when mask `i` is
+//! nonzero. The kernel sets that bit as it delivers bits into a mask, so
+//! [`drain`] walks only the set summary bits and an all-zero summary word
+//! skips 64 masks without touching them. The pull direction walks its
+//! worklist summary the same way.
 
 /// `u64` words per source mask: each lane carries [`LANE_BITS`]
 /// sources. The whole lane — both masks — is exactly one 64-byte cache
@@ -124,22 +117,6 @@ impl Lane {
     }
 }
 
-/// Tallies of how the level drains ran; flushed to named counters by
-/// the kernels that own them.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DrainStats {
-    /// Levels drained by walking summary bits.
-    pub sparse_passes: u64,
-    /// Levels drained by a flat scan of the watermark range.
-    pub dense_passes: u64,
-    /// All-zero summary words skipped outright on sparse levels — each
-    /// one is 64 mask words never touched.
-    pub words_skipped: u64,
-    /// Passes run in the pull direction (gather from unsaturated
-    /// entries) instead of pushing the frontier.
-    pub pull_passes: u64,
-}
-
 /// Number of `u64` summary words covering `len` mask words.
 #[inline]
 pub fn words_for(len: usize) -> usize {
@@ -152,33 +129,8 @@ pub fn mark(summary: &mut [u64], i: usize) {
     summary[i >> 6] |= 1u64 << (i & 63);
 }
 
-/// One flat sweep over a summary: `(lo, hi, active)` where
-/// `lo..hi` is the half-open range of summary indices holding any
-/// nonzero word (the watermarks) and `active` counts nonzero summary
-/// words inside it. `active == 0` means the whole mask is zero (and
-/// `lo..hi` is empty).
-#[inline]
-pub fn scan_active(summary: &[u64]) -> (usize, usize, usize) {
-    let mut lo = summary.len();
-    let mut hi = 0usize;
-    let mut active = 0usize;
-    for (i, &w) in summary.iter().enumerate() {
-        if w != 0 {
-            active += 1;
-            hi = i + 1;
-            lo = lo.min(i);
-        }
-    }
-    if active == 0 {
-        (0, 0, 0)
-    } else {
-        (lo, hi, active)
-    }
-}
-
 /// Total set bits across a summary — one flat branchless popcount
-/// sweep; the input to the per-level push/pull and sparse/dense
-/// strategy decisions.
+/// sweep; the input to each pass's push/pull decision.
 #[inline]
 pub fn count_bits(summary: &[u64]) -> u64 {
     summary.iter().map(|w| w.count_ones() as u64).sum()
@@ -196,63 +148,25 @@ pub fn fill_all(summary: &mut [u64], len: usize) {
     }
 }
 
-/// Sparse levels consult the summary bit by bit; dense levels scan the
-/// watermark range flat. The crossover: a summary word is worth
-/// consulting while fewer than one in [`DENSE_DIVISOR`] words inside
-/// the watermark range is active.
-pub const DENSE_DIVISOR: usize = 4;
-
-/// `true` when the level should take the dense (flat-scan) path.
+/// Drain a frontier: visit every entry marked in `summary` once, in
+/// index order, handing `visit` its `front` mask and zeroing the mask and
+/// its summary bit as it is consumed. Returns `false` when `visit` aborts
+/// (deadline expiry), leaving the rest of the frontier in place; the next
+/// batch zeroes every lane and summary before it starts.
 #[inline]
-pub fn is_dense(lo: usize, hi: usize, active: usize) -> bool {
-    active * DENSE_DIVISOR >= hi - lo
-}
-
-/// Drain one level's (summary, lanes) pair: visit every entry with a
-/// nonzero `front` mask exactly once, zeroing the mask and its summary
-/// bit as it is consumed. `(lo, hi, active)` come from a prior
-/// [`scan_active`] of `summary`; sparse levels walk summary bits and
-/// skip all-zero words outright, dense levels scan the watermark range
-/// flat. Returns `false` when `visit` aborts (deadline expiry), leaving
-/// the masks half-consumed — callers must treat the buffers as dirty.
-#[inline]
-pub fn drain_level(
+pub fn drain(
     summary: &mut [u64],
     lanes: &mut [Lane],
-    (lo, hi, active): (usize, usize, usize),
-    stats: &mut DrainStats,
     mut visit: impl FnMut(usize, Mask) -> bool,
 ) -> bool {
-    if is_dense(lo, hi, active) {
-        stats.dense_passes += 1;
-        for i in (lo << 6)..((hi << 6).min(lanes.len())) {
-            let m = lanes[i].front;
-            if mask_is_zero(&m) {
-                continue;
-            }
-            lanes[i].front = MASK_ZERO;
+    for (w, word) in summary.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            let i = (w << 6) | bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let m = std::mem::replace(&mut lanes[i].front, MASK_ZERO);
             if !visit(i, m) {
                 return false;
-            }
-        }
-        summary[lo..hi].fill(0);
-    } else {
-        stats.sparse_passes += 1;
-        stats.words_skipped += (hi - lo - active) as u64;
-        for (w, word) in summary.iter_mut().enumerate().take(hi).skip(lo) {
-            let mut sw = *word;
-            if sw == 0 {
-                continue;
-            }
-            *word = 0;
-            while sw != 0 {
-                let i = (w << 6) | sw.trailing_zeros() as usize;
-                sw &= sw - 1;
-                let m = lanes[i].front;
-                lanes[i].front = MASK_ZERO;
-                if !visit(i, m) {
-                    return false;
-                }
             }
         }
     }
@@ -297,50 +211,33 @@ mod tests {
         assert_eq!(count_bits(&[]), 0);
     }
 
+    /// Marks spread over 40 summary words, at word boundaries and in
+    /// one dense run: every marked entry is visited once, in index order,
+    /// with its own mask, and the frontier is all-zero afterwards.
     #[test]
-    fn scan_active_finds_watermarks() {
-        assert_eq!(scan_active(&[]), (0, 0, 0));
-        assert_eq!(scan_active(&[0, 0, 0]), (0, 0, 0));
-        assert_eq!(scan_active(&[0, 4, 0]), (1, 2, 1));
-        assert_eq!(scan_active(&[1, 0, 8]), (0, 3, 2));
-        assert_eq!(scan_active(&[7]), (0, 1, 1));
-    }
-
-    /// Both drain strategies must consume exactly the nonzero lanes and
-    /// leave summary and frontier masks all-zero.
-    #[test]
-    fn drain_consumes_all_active_lanes_in_both_modes() {
-        for force_sparse in [false, true] {
-            // Two active words 40 summary-words apart force the sparse
-            // path; every-third-lane occupancy forces the dense path.
-            let n = if force_sparse { 2560 } else { 130 };
-            let mut lanes = vec![Lane::ZERO; n];
-            let mut summary = vec![0u64; words_for(n)];
-            let mut expect = Vec::new();
-            let step = if force_sparse { 2500 } else { 3 };
-            for i in (0..n).step_by(step) {
-                let m = [(i as u64) | 1, 2, 0, i as u64];
-                lanes[i].front = m;
-                mark(&mut summary, i);
-                expect.push((i, m));
-            }
-            let scan = scan_active(&summary);
-            let mut stats = DrainStats::default();
-            let mut got = Vec::new();
-            let done = drain_level(&mut summary, &mut lanes, scan, &mut stats, |i, m| {
-                got.push((i, m));
-                true
-            });
-            assert!(done);
-            assert_eq!(got, expect);
-            assert!(summary.iter().all(|&w| w == 0));
-            assert!(lanes.iter().all(|l| mask_is_zero(&l.front)));
-            if force_sparse {
-                assert_eq!(stats.sparse_passes, 1, "{stats:?}");
-                assert!(stats.words_skipped > 0);
-            } else {
-                assert_eq!(stats.dense_passes, 1, "{stats:?}");
-            }
+    fn drain_visits_each_marked_entry_once_in_order() {
+        let n = 2560;
+        let mut lanes = vec![Lane::ZERO; n];
+        let mut summary = vec![0u64; words_for(n)];
+        let mut expect = Vec::new();
+        for i in [0usize, 63, 64, 127, 700, 701, 702, 703, 2500, 2559] {
+            let m = [(i as u64) | 1, 2, 0, i as u64];
+            lanes[i].seen = m;
+            lanes[i].front = m;
+            mark(&mut summary, i);
+            expect.push((i, m));
+        }
+        let mut got = Vec::new();
+        assert!(drain(&mut summary, &mut lanes, |i, m| {
+            got.push((i, m));
+            true
+        }));
+        assert_eq!(got, expect);
+        assert!(summary.iter().all(|&w| w == 0));
+        assert!(lanes.iter().all(|l| mask_is_zero(&l.front)));
+        // Draining consumes the frontier only; `seen` stays.
+        for (i, m) in expect {
+            assert_eq!(lanes[i].seen, m);
         }
     }
 
@@ -352,15 +249,12 @@ mod tests {
             lanes[i].front = [1, 0, 0, 0];
             mark(&mut summary, i);
         }
-        let scan = scan_active(&summary);
-        let mut stats = DrainStats::default();
-        assert!(!drain_level(
-            &mut summary,
-            &mut lanes,
-            scan,
-            &mut stats,
-            |_, _| false
-        ));
+        let mut visits = 0;
+        assert!(!drain(&mut summary, &mut lanes, |_, _| {
+            visits += 1;
+            false
+        }));
+        assert_eq!(visits, 1, "an aborted drain stops at once");
     }
 
     #[test]
@@ -399,14 +293,5 @@ mod tests {
     fn lane_is_one_cache_line() {
         assert_eq!(std::mem::size_of::<Lane>(), 64);
         assert_eq!(std::mem::align_of::<Lane>(), 64);
-    }
-
-    #[test]
-    fn density_switch_uses_span_not_len() {
-        // 2 active words in a 3-word span is dense; 2 in 100 is sparse.
-        assert!(is_dense(10, 13, 2));
-        assert!(!is_dense(0, 100, 2));
-        // A fully active span is always dense.
-        assert!(is_dense(0, 5, 5));
     }
 }

@@ -11,9 +11,8 @@
 //!   paths/distances/diameter ([`path`]) where the length of a path is the
 //!   *number of hyperedges* on it;
 //! * the batched multi-source BFS engine behind the diameter sweeps
-//!   ([`msbfs`]), its lane masks and summary bitmaps ([`bitset`]), and
-//!   the `std::thread::scope` work splitter that runs one sweep on
-//!   every core ([`scoped`]);
+//!   ([`msbfs`]) and the `std::thread::scope` work splitter that runs
+//!   one sweep on every core ([`scoped`]);
 //! * connected components ([`components`]) and degree statistics /
 //!   power-law fitting ([`degree`], [`powerlaw`]);
 //! * the hypergraph **k-core** ([`kcore`]): the maximal *reduced*
@@ -59,7 +58,7 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod bipartite;
-pub mod bitset;
+mod bitset;
 pub mod builder;
 pub mod components;
 pub mod cover;
@@ -107,8 +106,8 @@ pub use hgb::{
 pub use hypergraph::{EdgeId, Hypergraph, VertexId};
 pub use kcore::{core_numbers, core_profile, max_core, max_core_with, KCore};
 pub use msbfs::{
-    hyper_distance_stats, hyper_distance_stats_with, msbfs_batch, par_msbfs_distance_stats,
-    par_msbfs_distance_stats_with, BatchStats, MsBfsScratch, BATCH,
+    hyper_distance_stats, hyper_distance_stats_with, par_msbfs_distance_stats,
+    par_msbfs_distance_stats_with, BATCH,
 };
 pub use multicover::{greedy_multicover, is_multicover};
 pub use path::{

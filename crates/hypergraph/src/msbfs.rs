@@ -4,34 +4,32 @@
 //! The all-pairs sweeps behind the paper's diameter-6 / APL-2.568 claim
 //! run one BFS per source, so every source pays the full CSR scan on its
 //! own. MS-BFS batches up to [`BATCH`] = 256 sources into one
-//! traversal: each vertex and each hyperedge carries one 64-byte
-//! [`bitset::Lane`], a 256-bit "seen" mask (bit `i` set once source `i`
-//! has reached it) beside a 256-bit frontier mask for the current level.
+//! traversal: each vertex and each hyperedge carries one 64-byte lane,
+//! a 256-bit "seen" mask (bit `i` set once source `i` has reached it)
+//! beside a 256-bit frontier mask for the current level.
 //! One pass over the CSR arrays then advances all 256 frontiers at
 //! once — the adjacency and pin lists are streamed once per *batch*
 //! instead of once per *source*, cutting memory traffic by up to 256×
 //! on exactly the kernels hgserve exposes under deadlines.
 //!
-//! # Memory layout of one level
+//! # One level, two passes
 //!
-//! Each level is two *consuming* passes, with no settle pass in between:
+//! Vertices and hyperedges are the two *sides* of the expansion. One
+//! private routine moves one side's frontier into the other side, and
+//! each level calls it twice, with no settle pass in between:
 //!
 //! 1. **vertex → hyperedge**: every frontier vertex hands its mask to
 //!    the incident hyperedges it has not traversed yet, zeroing its own
 //!    frontier mask as it is expanded;
 //! 2. **hyperedge → vertex**: every entered hyperedge hands its mask to
 //!    its unseen pins, writing the *next* frontier directly into the
-//!    (now empty) vertex frontier and absorbing the newly reached
-//!    (source, vertex) pairs into the accumulators on the spot.
+//!    (now empty) vertex frontier. Only this pass counts the newly
+//!    reached (source, vertex) pairs, into the accumulators on the spot.
 //!
-//! Both passes are driven by word-level summary bitmaps
-//! ([`crate::bitset`]): bit `v` of the summary is set exactly when
-//! frontier mask `v` is nonzero, so a level only ever touches its active
-//! lanes. A flat watermark scan ([`crate::bitset::scan_active`])
-//! picks the strategy per level — sparse levels walk summary bits and
-//! skip all-zero stretches outright, dense levels scan the watermark
-//! range flat — and the skipped-word / pass-mode tallies surface as
-//! `msbfs.sweep.*` counters (see [`MsBfsScratch::flush_counters`]).
+//! Each side keeps a word-level summary of its frontier: bit `v` of the
+//! summary is set exactly when frontier mask `v` is nonzero. A pass drains the frontier by walking
+//! the set summary bits, so it touches only active lanes and skips 64
+//! idle ones per all-zero summary word.
 //!
 //! # Push or pull, by probe cost
 //!
@@ -50,7 +48,8 @@
 //! low-degree inputs such as the protein data. The rule does not wait
 //! for saturation: a batch whose sources span two
 //! components (an isolated source is the extreme case) never saturates
-//! a lane, yet pulls once its frontier is dense.
+//! a lane, yet pulls once its frontier is dense. Pull passes are counted
+//! as `msbfs.sweep.pull_passes`.
 //!
 //! Distances are never materialized as an n×n matrix: when a vertex is
 //! newly reached at level `d` by `c` sources, the running
@@ -87,135 +86,112 @@ use std::sync::{Mutex, MutexGuard};
 
 use hgobs::{Deadline, DeadlineExceeded};
 
-use crate::bitset;
+use crate::bitset::{self, Lane, Mask};
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 use crate::path::HyperDistanceStats;
 use crate::scoped;
 
-/// Sources advanced per traversal: the bit width of a
-/// [`bitset::Mask`]. One 64-byte lane per vertex/hyperedge means a
-/// random expansion probe still costs a single cache line while
-/// amortizing the CSR scan — and every probe's memory latency — across
-/// 256 sources at once.
+/// Sources advanced per traversal: the bit width of one lane mask. One
+/// 64-byte lane per vertex/hyperedge means a random expansion probe
+/// still costs a single cache line while amortizing the CSR scan — and
+/// every probe's memory latency — across 256 sources at once.
 pub const BATCH: usize = bitset::LANE_BITS;
 
-/// Reusable per-traversal mask buffers. One allocation per worker; a
-/// batch that ran to completion leaves both frontier summaries zero
-/// (both passes consume what they read), so the next batch re-zeroes
-/// the lanes but skips the summaries.
-pub struct MsBfsScratch {
-    /// Per-vertex interleaved (seen, frontier) masks: one random cache
+/// One side of the expansion — the vertices or the hyperedges — as a
+/// batch sees it.
+struct Side {
+    /// Per-entry interleaved (seen, frontier) masks: one random cache
     /// line per expansion probe instead of two.
-    vlanes: Vec<bitset::Lane>,
-    /// Per-hyperedge interleaved (traversed, entered-this-level) masks.
-    elanes: Vec<bitset::Lane>,
-    /// Summary of the vertex frontier: bit `v` set ⟺ `vlanes[v].front != 0`.
-    vsum: Vec<u64>,
-    /// Summary of the hyperedge frontier, same invariant.
-    esum: Vec<u64>,
-    /// Bit `v` set while `vlanes[v].seen` is still missing some source
-    /// of the current batch — the pull direction's worklist.
-    vunsat: Vec<u64>,
-    /// Same for hyperedges.
-    eunsat: Vec<u64>,
-    /// `true` while the mask invariants above hold (every batch so far
-    /// ran to completion); a deadline abort mid-pass clears it, forcing
-    /// the next batch to re-zero everything.
-    clean: bool,
-    counters: bitset::DrainStats,
+    lanes: Vec<Lane>,
+    /// Summary of the frontier: bit `i` set ⟺ `lanes[i].front != 0`.
+    front: Vec<u64>,
+    /// Bit `i` set while `lanes[i].seen` is still missing some source
+    /// of the batch — the pull direction's worklist.
+    unsat: Vec<u64>,
+}
+
+impl Side {
+    fn new(len: usize) -> Self {
+        Side {
+            lanes: vec![Lane::ZERO; len],
+            front: vec![0; bitset::words_for(len)],
+            unsat: vec![0; bitset::words_for(len)],
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.lanes.len() * std::mem::size_of::<Lane>()
+            + (self.front.len() + self.unsat.len()) * std::mem::size_of::<u64>()
+    }
+
+    /// Ready the side for a fresh batch: nothing seen, an empty
+    /// frontier, every entry unsaturated. Zeroing the frontier summary
+    /// too (1/512 the size of the lanes) means a batch a deadline
+    /// aborted mid-pass leaves nothing behind.
+    fn reset(&mut self) {
+        self.lanes.fill(Lane::ZERO);
+        self.front.fill(0);
+        bitset::fill_all(&mut self.unsat, self.lanes.len());
+    }
+}
+
+/// Reusable per-traversal buffers, one allocation per sweep worker.
+struct MsBfsScratch {
+    /// Vertex lanes hold (seen, frontier) masks.
+    v: Side,
+    /// Hyperedge lanes hold (traversed, entered-this-level) masks.
+    e: Side,
+    /// Passes run in the pull direction since the last flush.
+    pull_passes: u64,
 }
 
 impl MsBfsScratch {
     /// Allocate scratch sized for `h`.
-    pub fn new(h: &Hypergraph) -> Self {
+    fn new(h: &Hypergraph) -> Self {
         MsBfsScratch {
-            vlanes: vec![bitset::Lane::ZERO; h.num_vertices()],
-            elanes: vec![bitset::Lane::ZERO; h.num_edges()],
-            vsum: vec![0; bitset::words_for(h.num_vertices())],
-            esum: vec![0; bitset::words_for(h.num_edges())],
-            vunsat: vec![0; bitset::words_for(h.num_vertices())],
-            eunsat: vec![0; bitset::words_for(h.num_edges())],
-            clean: true,
-            counters: bitset::DrainStats::default(),
+            v: Side::new(h.num_vertices()),
+            e: Side::new(h.num_edges()),
+            pull_passes: 0,
         }
     }
 
     /// Bytes held by the mask buffers (one 64-byte lane per vertex and
     /// per hyperedge, plus the 1/64-size summaries); what one sweep
     /// worker costs to equip.
-    pub(crate) fn bytes(&self) -> usize {
-        (self.vlanes.len() + self.elanes.len()) * std::mem::size_of::<bitset::Lane>()
-            + (self.vsum.len() + self.esum.len() + self.vunsat.len() + self.eunsat.len())
-                * std::mem::size_of::<u64>()
+    fn bytes(&self) -> usize {
+        self.v.bytes() + self.e.bytes()
     }
 
     /// `true` when this scratch was sized for a hypergraph of `h`'s
     /// dimensions and can run batches over it.
-    pub(crate) fn fits(&self, h: &Hypergraph) -> bool {
-        self.vlanes.len() == h.num_vertices() && self.elanes.len() == h.num_edges()
+    fn fits(&self, h: &Hypergraph) -> bool {
+        self.v.lanes.len() == h.num_vertices() && self.e.lanes.len() == h.num_edges()
     }
 
-    /// Flush the accumulated sparsity telemetry into the global
-    /// counters: `msbfs.sweep.sparse_passes`, `msbfs.sweep.dense_passes`
-    /// and `msbfs.sweep.words_skipped` (all-zero summary words skipped
-    /// without touching their 64 mask words). The sweep calls this once
-    /// per worker; callers driving [`msbfs_batch`] directly may call it
-    /// whenever a scrape boundary makes sense.
-    pub fn flush_counters(&mut self) {
-        let c = std::mem::take(&mut self.counters);
-        if c.sparse_passes != 0 {
-            hgobs::counter!("msbfs.sweep.sparse_passes", c.sparse_passes);
+    /// Flush the pull tally into the global counter
+    /// `msbfs.sweep.pull_passes`; the sweep calls this once per worker.
+    fn flush_counters(&mut self) {
+        let pulls = std::mem::take(&mut self.pull_passes);
+        if pulls != 0 {
+            hgobs::counter!("msbfs.sweep.pull_passes", pulls);
         }
-        if c.dense_passes != 0 {
-            hgobs::counter!("msbfs.sweep.dense_passes", c.dense_passes);
-        }
-        if c.words_skipped != 0 {
-            hgobs::counter!("msbfs.sweep.words_skipped", c.words_skipped);
-        }
-        if c.pull_passes != 0 {
-            hgobs::counter!("msbfs.sweep.pull_passes", c.pull_passes);
-        }
-    }
-
-    /// The sparsity telemetry accumulated since the last
-    /// [`flush_counters`](Self::flush_counters) — lets tests and callers
-    /// driving [`msbfs_batch`] directly verify which sweep strategies
-    /// (sparse bit walk, dense flat scan, pull direction) engaged
-    /// without going through the global metrics registry.
-    pub fn sweep_counters(&self) -> &bitset::DrainStats {
-        &self.counters
-    }
-
-    /// Ready the masks for a fresh batch: zero every lane, and the
-    /// frontier summaries too unless the scratch is clean (freshly
-    /// allocated, or left by a completed batch, which consumed every
-    /// summary bit it set). The batch refills the unsaturated summaries
-    /// itself.
-    fn prepare(&mut self) {
-        self.vlanes.fill(bitset::Lane::ZERO);
-        self.elanes.fill(bitset::Lane::ZERO);
-        if !self.clean {
-            self.vsum.fill(0);
-            self.esum.fill(0);
-        }
-        self.clean = false;
     }
 }
 
 /// Distance-statistic partials of one batch, mergeable across batches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchStats {
+struct BatchStats {
     /// Largest finite distance discovered by this batch.
-    pub diameter: u32,
+    diameter: u32,
     /// Sum of finite distances over the batch's (source, vertex) pairs.
-    pub total: u128,
+    total: u128,
     /// Number of reachable ordered pairs discovered by this batch.
-    pub pairs: u64,
+    pairs: u64,
 }
 
 impl BatchStats {
     /// Fold another batch's partials into this one.
-    pub fn merge(&mut self, other: &BatchStats) {
+    fn merge(&mut self, other: &BatchStats) {
         self.diameter = self.diameter.max(other.diameter);
         self.total += other.total;
         self.pairs += other.pairs;
@@ -229,7 +205,7 @@ const ALPHA_V2E: u128 = 3;
 /// α of the hyperedge → vertex pass.
 const ALPHA_E2V: u128 = 2;
 
-/// The per-level direction rule: `true` when pulling into the `unsat`
+/// The per-pass direction rule: `true` when pulling into the `unsat`
 /// of `unsat_len` targets costs less than pushing from the `active` of
 /// `active_len` sources, with a push probe weighted `alpha` pull
 /// probes. A pass over `p` pins makes about `active × p / active_len`
@@ -248,6 +224,113 @@ fn pull_is_cheaper(
     pull < alpha * active as u128 * unsat_len as u128
 }
 
+/// What both passes of one batch share: the mask of a saturated lane,
+/// the deadline with the caller's amortized tick counter, and the
+/// scratch's pull tally.
+struct Walk<'a> {
+    full: Mask,
+    deadline: &'a Deadline,
+    ticks: &'a mut u32,
+    pull_passes: &'a mut u64,
+}
+
+impl Walk<'_> {
+    /// One pass of a level: move `from`'s frontier into `to`, in
+    /// whichever direction [`pull_is_cheaper`] picks with a push probe
+    /// weighing `alpha` pull probes. `out(i)` lists the `to` entries next
+    /// to `from` entry `i`, and `into(j)` the `from` entries next to `to`
+    /// entry `j`.
+    ///
+    /// * **push** drains the frontier, writing each mask into the
+    ///   neighbors' lanes (best while the frontier is small);
+    /// * **pull** walks the unsaturated `to` entries and gathers their
+    ///   neighbors' frontier masks with pure loads, skipping saturated
+    ///   entries outright (best once the frontier is dense, where push
+    ///   would read-modify-write most lanes), then drains the frontier
+    ///   it read.
+    ///
+    /// Both consume `from`'s frontier and deliver the same fresh bits
+    /// into `to`. Returns the (source, entry) pairs newly reached in `to`
+    /// when `COUNT` (0 otherwise), or `None` when the deadline fires.
+    #[inline(always)]
+    fn pass<const COUNT: bool, O, I>(
+        &mut self,
+        from: &mut Side,
+        to: &mut Side,
+        out: impl Fn(usize) -> O,
+        into: impl Fn(usize) -> I,
+        alpha: u128,
+    ) -> Option<u64>
+    where
+        O: Iterator<Item = usize>,
+        I: Iterator<Item = usize>,
+    {
+        let full = self.full;
+        let active = bitset::count_bits(&from.front);
+        let unsat = bitset::count_bits(&to.unsat);
+        let mut reached = 0u64;
+        if !pull_is_cheaper(unsat, to.lanes.len(), active, from.lanes.len(), alpha) {
+            // Push. The loop body is branchless on purpose: `add` is
+            // often zero mid-sweep and an `if add != 0` there mispredicts
+            // randomly, flushing the pipeline and serializing the
+            // independent cache probes this loop lives or dies by. ORing
+            // a zero `add`, shifting a zero summary bit and clearing an
+            // already-clear unsat bit are no-ops that cost nothing but
+            // keep the loads in flight. `seen` is updated as masks land,
+            // so summing `popcount(add)` counts each newly reached pair
+            // exactly once no matter how many neighbors deliver it.
+            let ok = bitset::drain(&mut from.front, &mut from.lanes, |i, m| {
+                if self.deadline.tick(self.ticks) {
+                    return false;
+                }
+                for j in out(i) {
+                    let lane = &mut to.lanes[j];
+                    let add = lane.fresh(&m);
+                    lane.absorb(&add);
+                    to.front[j >> 6] |= ((!bitset::mask_is_zero(&add)) as u64) << (j & 63);
+                    to.unsat[j >> 6] &= !((lane.saturated(&full) as u64) << (j & 63));
+                    if COUNT {
+                        reached += bitset::mask_count(&add);
+                    }
+                }
+                true
+            });
+            return ok.then_some(reached);
+        }
+        // Pull: the union of the neighbors' frontier masks is the same
+        // mask push would have delivered piecewise.
+        *self.pull_passes += 1;
+        for w in 0..to.unsat.len() {
+            let mut bits = to.unsat[w];
+            let mut still = bits;
+            while bits != 0 {
+                let j = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.deadline.tick(self.ticks) {
+                    return None;
+                }
+                let mut gather = bitset::MASK_ZERO;
+                for i in into(j) {
+                    bitset::mask_or_into(&mut gather, &from.lanes[i].front);
+                }
+                let lane = &mut to.lanes[j];
+                let add = lane.fresh(&gather);
+                lane.absorb(&add);
+                to.front[w] |= ((!bitset::mask_is_zero(&add)) as u64) << (j & 63);
+                still &= !((lane.saturated(&full) as u64) << (j & 63));
+                if COUNT {
+                    reached += bitset::mask_count(&add);
+                }
+            }
+            to.unsat[w] = still;
+        }
+        // Consume the frontier the pull read from; this visit never
+        // aborts.
+        bitset::drain(&mut from.front, &mut from.lanes, |_, _| true);
+        Some(reached)
+    }
+}
+
 /// Advance one batch of at most [`BATCH`] sources to fixpoint,
 /// accumulating pair statistics. Returns `None` when the deadline fires
 /// mid-traversal; `ticks` is the caller's amortized tick counter,
@@ -255,26 +338,17 @@ fn pull_is_cheaper(
 /// [`hgobs::CHECK_INTERVAL`] expanded vertices/hyperedges regardless of
 /// batch size.
 ///
-/// Each level runs its two expansions in whichever direction costs
-/// less, a push probe weighing α pull probes (module docs), decided
-/// from flat popcount sweeps of the summaries:
-///
-/// * **push** — drain the frontier, writing masks into the neighbors'
-///   lanes (best while the frontier is small);
-/// * **pull** — walk the *unsaturated* entries (those still missing a
-///   source, tracked in a summary of their own) and gather their
-///   neighbors' frontier masks with pure loads, skipping saturated
-///   entries outright (best once the frontier is dense, where push
-///   would read-modify-write most lanes).
-///
-/// Both directions produce the same per-level set of newly reached
-/// (source, vertex) pairs, and the integer accumulators make the
-/// statistics independent of discovery order, so the result is
-/// bit-identical either way.
+/// Each level is two [`Walk::pass`]es, vertex → hyperedge and then
+/// hyperedge → vertex. The second delivers the next vertex frontier and
+/// counts the pairs it reaches, so a level that reaches none ends the
+/// batch. Either direction of a pass yields the same per-level set of
+/// newly reached (source, vertex) pairs, and the integer accumulators
+/// make the statistics independent of discovery order, so the result
+/// is bit-identical whichever way each pass runs.
 ///
 /// # Panics
 /// If `batch.len() > BATCH`.
-pub fn msbfs_batch(
+fn msbfs_batch(
     h: &Hypergraph,
     batch: &[VertexId],
     scratch: &mut MsBfsScratch,
@@ -288,171 +362,35 @@ pub fn msbfs_batch(
     if batch.is_empty() {
         return Some(BatchStats::default());
     }
-    scratch.prepare();
-    let n = h.num_vertices();
-    let m = h.num_edges();
-    let MsBfsScratch {
-        vlanes,
-        elanes,
-        vsum,
-        esum,
-        vunsat,
-        eunsat,
-        clean,
-        counters,
-    } = scratch;
-    // All sources present ⟺ lane saturated; nothing left to deliver.
-    let full = bitset::mask_full(batch.len());
-    bitset::fill_all(vunsat, n);
-    bitset::fill_all(eunsat, m);
+    let MsBfsScratch { v, e, pull_passes } = scratch;
+    v.reset();
+    e.reset();
     for (i, &s) in batch.iter().enumerate() {
-        let lane = &mut vlanes[s.index()];
+        let lane = &mut v.lanes[s.index()];
         lane.seen[i >> 6] |= 1u64 << (i & 63);
         lane.front[i >> 6] |= 1u64 << (i & 63);
-        bitset::mark(vsum, s.index());
+        bitset::mark(&mut v.front, s.index());
     }
-
+    let edges_of = |i: usize| h.edges_of(VertexId(i as u32)).iter().map(|f| f.index());
+    let pins = |j: usize| h.pins(EdgeId(j as u32)).iter().map(|p| p.index());
+    let mut walk = Walk {
+        // All sources present ⟺ lane saturated; nothing left to deliver.
+        full: bitset::mask_full(batch.len()),
+        deadline,
+        ticks,
+        pull_passes,
+    };
     let mut stats = BatchStats::default();
-    let mut level = 0u32;
-    loop {
-        let vscan = bitset::scan_active(vsum);
-        if vscan.2 == 0 {
+    for level in 1u32.. {
+        walk.pass::<false, _, _>(v, e, edges_of, pins, ALPHA_V2E)?;
+        let reached = walk.pass::<true, _, _>(e, v, pins, edges_of, ALPHA_E2V)?;
+        if reached == 0 {
             break;
         }
-        level += 1;
-
-        // ---- Pass 1: vertex frontier → hyperedge frontier ----
-        let vactive_bits = bitset::count_bits(vsum);
-        let eunsat_bits = bitset::count_bits(eunsat);
-        if !pull_is_cheaper(eunsat_bits, m, vactive_bits, n, ALPHA_V2E) {
-            // Push. The loop body is branchless on purpose: `add` is
-            // often zero mid-sweep and an `if add != 0` there
-            // mispredicts randomly, flushing the pipeline and
-            // serializing the independent cache probes this loop lives
-            // or dies by. ORing a zero `add`, shifting a zero summary
-            // bit and clearing an already-clear unsat bit are no-ops
-            // that cost nothing but keep the loads in flight.
-            let ok = bitset::drain_level(vsum, vlanes, vscan, counters, |v, fv| {
-                if deadline.tick(ticks) {
-                    return false;
-                }
-                for &f in h.edges_of(VertexId(v as u32)) {
-                    let fi = f.index();
-                    let lane = &mut elanes[fi];
-                    let add = lane.fresh(&fv);
-                    lane.absorb(&add);
-                    esum[fi >> 6] |= ((!bitset::mask_is_zero(&add)) as u64) << (fi & 63);
-                    eunsat[fi >> 6] &= !((lane.saturated(&full) as u64) << (fi & 63));
-                }
-                true
-            });
-            if !ok {
-                return None;
-            }
-        } else {
-            // Pull: gather the pins' frontier masks of every hyperedge
-            // that can still accept a source; saturated hyperedges are
-            // skipped without a probe. Reads leave the frontier intact,
-            // so it is drained (cheaply, no expansion) afterwards.
-            counters.pull_passes += 1;
-            for w in 0..eunsat.len() {
-                let mut bits = eunsat[w];
-                let mut still = bits;
-                while bits != 0 {
-                    let fi = (w << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if deadline.tick(ticks) {
-                        return None;
-                    }
-                    let mut gather = bitset::MASK_ZERO;
-                    for &p in h.pins(EdgeId(fi as u32)) {
-                        bitset::mask_or_into(&mut gather, &vlanes[p.index()].front);
-                    }
-                    let lane = &mut elanes[fi];
-                    let add = lane.fresh(&gather);
-                    lane.absorb(&add);
-                    esum[w] |= ((!bitset::mask_is_zero(&add)) as u64) << (fi & 63);
-                    still &= !((lane.saturated(&full) as u64) << (fi & 63));
-                }
-                eunsat[w] = still;
-            }
-            // Consume the vertex frontier the pull left behind.
-            if !bitset::drain_level(vsum, vlanes, vscan, counters, |_, _| true) {
-                unreachable!("clearing drain never aborts");
-            }
-        }
-
-        // ---- Pass 2: hyperedge frontier → next vertex frontier ----
-        let escan = bitset::scan_active(esum);
-        let mut level_pairs = 0u64;
-        if escan.2 != 0 {
-            let eactive_bits = bitset::count_bits(esum);
-            let vunsat_bits = bitset::count_bits(vunsat);
-            if !pull_is_cheaper(vunsat_bits, n, eactive_bits, m, ALPHA_E2V) {
-                // Push, branchless as above. `seen` is updated as masks
-                // land, so summing `popcount(add)` counts each newly
-                // reached (source, vertex) pair exactly once no matter
-                // how many hyperedges deliver it.
-                let ok = bitset::drain_level(esum, elanes, escan, counters, |f, ff| {
-                    if deadline.tick(ticks) {
-                        return false;
-                    }
-                    for &w in h.pins(EdgeId(f as u32)) {
-                        let wi = w.index();
-                        let lane = &mut vlanes[wi];
-                        let add = lane.fresh(&ff);
-                        lane.absorb(&add);
-                        vsum[wi >> 6] |= ((!bitset::mask_is_zero(&add)) as u64) << (wi & 63);
-                        vunsat[wi >> 6] &= !((lane.saturated(&full) as u64) << (wi & 63));
-                        level_pairs += bitset::mask_count(&add);
-                    }
-                    true
-                });
-                if !ok {
-                    return None;
-                }
-            } else {
-                // Pull over unsaturated vertices; the union of incident
-                // hyperedge frontiers is the same mask push would have
-                // delivered piecewise.
-                counters.pull_passes += 1;
-                for w in 0..vunsat.len() {
-                    let mut bits = vunsat[w];
-                    let mut still = bits;
-                    while bits != 0 {
-                        let wi = (w << 6) | bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if deadline.tick(ticks) {
-                            return None;
-                        }
-                        let mut gather = bitset::MASK_ZERO;
-                        for &f in h.edges_of(VertexId(wi as u32)) {
-                            bitset::mask_or_into(&mut gather, &elanes[f.index()].front);
-                        }
-                        let lane = &mut vlanes[wi];
-                        let add = lane.fresh(&gather);
-                        lane.absorb(&add);
-                        vsum[w] |= ((!bitset::mask_is_zero(&add)) as u64) << (wi & 63);
-                        still &= !((lane.saturated(&full) as u64) << (wi & 63));
-                        level_pairs += bitset::mask_count(&add);
-                    }
-                    vunsat[w] = still;
-                }
-                // Consume the hyperedge frontier the pull read from.
-                if !bitset::drain_level(esum, elanes, escan, counters, |_, _| true) {
-                    unreachable!("clearing drain never aborts");
-                }
-            }
-        }
-        if level_pairs != 0 {
-            stats.diameter = level;
-            stats.pairs += level_pairs;
-            stats.total += level_pairs as u128 * level as u128;
-        }
+        stats.diameter = level;
+        stats.pairs += reached;
+        stats.total += reached as u128 * level as u128;
     }
-    // Both passes consumed everything they read, so the frontier masks
-    // and summaries are all-zero again: the next batch may skip them.
-    *clean = true;
     Some(stats)
 }
 
@@ -538,7 +476,7 @@ fn lease_scratch(h: &Hypergraph) -> MsBfsScratch {
 }
 
 /// Park a worker's scratch for the next sweep. An aborted batch may
-/// leave it dirty; its `clean` flag makes the next lease zero it again.
+/// leave it dirty; the next batch zeroes it before it starts.
 fn release_scratch(sc: MsBfsScratch) {
     park(&mut arena(), sc);
 }
@@ -735,7 +673,7 @@ mod tests {
     #[test]
     fn dirty_scratch_after_abort_still_matches_scalar() {
         // A deadline abort mid-pass leaves the masks half-consumed; the
-        // clean flag must force the next batch to re-zero everything.
+        // next batch must re-zero everything before it starts.
         let h = big_ring(600);
         let mut scratch = MsBfsScratch::new(&h);
         let mut ticks = 0u32;
@@ -848,12 +786,71 @@ mod tests {
         let mut scratch = MsBfsScratch::new(&h);
         let mut ticks = 0u32;
         let b = msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
-        let c = scratch.sweep_counters();
-        assert!(c.pull_passes > 0, "pull never engaged: {c:?}");
+        assert!(scratch.pull_passes > 0, "pull never engaged");
         assert_bit_identical(
             stats_from_acc(b),
             scalar_hyper_distance_stats_from(&h, &batch),
         );
+    }
+
+    #[test]
+    fn pull_passes_pin_the_direction_rule_on_u6000() {
+        // hgperf's u6000 in file order, all 24 batches on one scratch.
+        // `hg profile --algo bfs` reads the same 215 pull passes; the
+        // count moves only if some pass flips direction.
+        let h = uniform_random_hypergraph(6000, 4500, 5, 41);
+        let sources: Vec<VertexId> = h.vertices().collect();
+        let mut scratch = MsBfsScratch::new(&h);
+        let mut ticks = 0u32;
+        for batch in sources.chunks(BATCH) {
+            msbfs_batch(&h, batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
+        }
+        assert_eq!(scratch.pull_passes, 215);
+    }
+
+    /// A random 5-pin blob: 1200 vertices and 900 hyperedges drawn by a
+    /// fixed xorshift, so level-2+ frontiers cover most vertices.
+    fn blob() -> Hypergraph {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let n = 1200u64;
+        let mut b = HypergraphBuilder::new(n as usize);
+        for _ in 0..900 {
+            let pins: Vec<u32> = (0..5).map(|_| (next() % n) as u32).collect();
+            b.add_edge(pins);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn sparse_and_dense_frontiers_match_scalar() {
+        // Two sources far apart on a 2560-vertex chain keep the frontier
+        // on 2 of 40 summary words; the blob's frontiers cover most of
+        // them. One batch equals the oracle on its sources, and the
+        // public sweep equals it on all of them.
+        let mut b = HypergraphBuilder::new(2560);
+        for i in 0..2559u32 {
+            b.add_edge([i, i + 1]);
+        }
+        let cases = [
+            (b.build(), vec![VertexId(0), VertexId(2500)]),
+            (blob(), (0..BATCH as u32).map(VertexId).collect()),
+        ];
+        for (h, batch) in cases {
+            let mut scratch = MsBfsScratch::new(&h);
+            let mut ticks = 0u32;
+            let b = msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
+            assert_bit_identical(
+                stats_from_acc(b),
+                scalar_hyper_distance_stats_from(&h, &batch),
+            );
+            assert_bit_identical(hyper_distance_stats(&h), scalar_hyper_distance_stats(&h));
+        }
     }
 
     #[test]
@@ -1083,9 +1080,9 @@ mod tests {
         assert_eq!(pool.len(), SCRATCH_ARENA_CAP);
         assert!(take_fitting(&mut pool, &shapes[0]).is_none());
         let newest = shapes.last().unwrap();
-        let parked = pool.last().unwrap().vlanes.as_ptr();
+        let parked = pool.last().unwrap().v.lanes.as_ptr();
         let leased = take_fitting(&mut pool, newest).expect("newest shape is parked");
-        assert_eq!(leased.vlanes.as_ptr(), parked);
+        assert_eq!(leased.v.lanes.as_ptr(), parked);
         assert_eq!(pool.len(), SCRATCH_ARENA_CAP - 1);
     }
 

@@ -1,14 +1,14 @@
 //! Cache-local vertex/hyperedge renumbering.
 //!
-//! The hot bitset kernels ([`crate::msbfs`], [`mod@crate::decompose`]) are
-//! bound by random probes into per-vertex and per-hyperedge mask
-//! arrays: every pin of an expanded hyperedge lands on its own cache
-//! line when vertex ids are scattered. Renumbering vertices (and
-//! hyperedges) in BFS discovery order places ids that are traversed
-//! together next to each other, so one hyperedge's pins — and one
-//! vertex's incident hyperedges — share cache lines instead of each
-//! paying a miss. Degree order is the cheaper variant that still
-//! clusters the high-traffic hubs.
+//! The hot kernels (the MS-BFS sweep in [`crate::msbfs`], and the
+//! overlap-table k-core in [`mod@crate::decompose`]) are bound by random
+//! probes into per-vertex and per-hyperedge arrays: every pin of an
+//! expanded hyperedge lands on its own cache line when vertex ids are
+//! scattered. Renumbering vertices (and hyperedges) in BFS discovery
+//! order places ids that are traversed together next to each other, so
+//! one hyperedge's pins — and one vertex's incident hyperedges — share
+//! cache lines instead of each paying a miss. Degree order is the
+//! cheaper variant that still clusters the high-traffic hubs.
 //!
 //! A [`Relabeling`] is a pure permutation: [`Relabeling::apply`]
 //! rebuilds the CSR under the new ids, and the inverse maps translate

@@ -1,16 +1,15 @@
-//! Relabeling + sparsity-sweep equivalence suite: vertex renumbering
-//! (`Relabeling::bfs_order` / `degree_order`) and the sparse/dense
-//! frontier-sweep switching inside MS-BFS are pure layout optimizations
-//! — every observable result must be *bit-identical* to the scalar
-//! oracle on the **unrelabeled** hypergraph, including when a deadline
-//! expires mid-sweep.
+//! Relabeling equivalence suite: vertex renumbering
+//! (`Relabeling::bfs_order` / `degree_order`) is a pure layout
+//! optimization — every observable result must be *bit-identical* to
+//! the scalar oracle on the **unrelabeled** hypergraph, including when a
+//! deadline expires mid-sweep.
 
 use proptest::prelude::*;
 
 use hgobs::Deadline;
 use hypergraph::{
-    hyper_distance_stats, hyper_distance_stats_with, msbfs_batch, scalar_hyper_distance_stats,
-    Hypergraph, HypergraphBuilder, MsBfsScratch, Relabeling, VertexId, BATCH,
+    hyper_distance_stats, hyper_distance_stats_with, scalar_hyper_distance_stats, Hypergraph,
+    HypergraphBuilder, Relabeling, BATCH,
 };
 
 fn arb_hypergraph(
@@ -77,67 +76,6 @@ proptest! {
         let relabeled_cores = r.unmap_vertex_values(&hypergraph::core_numbers(&hr));
         prop_assert_eq!(oracle_cores, relabeled_cores);
     }
-}
-
-/// Geometry that forces the *sparse* drain (two sources far apart on a
-/// long chain: the frontier occupies 2 of ~40 summary words) and
-/// geometry that forces the *dense* drain (a scaled instance whose
-/// mid-sweep frontiers cover most vertices) must both engage — proven
-/// by the scratch telemetry — while the public sweep stays bit-identical
-/// to the scalar oracle.
-#[test]
-fn sparse_and_dense_drains_both_engage_and_match_scalar() {
-    // Sparse: 2560-vertex chain, sources at 0 and 2500.
-    let h = chain(2560);
-    let mut scratch = MsBfsScratch::new(&h);
-    let batch = [VertexId(0), VertexId(2500)];
-    let mut ticks = 0u32;
-    msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks)
-        .expect("unlimited deadline cannot expire");
-    let c = scratch.sweep_counters();
-    assert!(c.sparse_passes > 0, "sparse drain never engaged: {c:?}");
-    assert!(c.words_skipped > 0, "no all-zero words skipped: {c:?}");
-
-    let oracle = scalar_hyper_distance_stats(&h);
-    let swept = hyper_distance_stats(&h);
-    assert_eq!(oracle, swept);
-    assert_eq!(
-        oracle.average_path_length.to_bits(),
-        swept.average_path_length.to_bits()
-    );
-
-    // Dense: a random 5-pin blob (deterministic xorshift; the hypergen
-    // crate dev-depends on this one, so it can't be used here) where
-    // level-2+ frontiers cover most vertices.
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let n = 1200u64;
-    let mut b = HypergraphBuilder::new(n as usize);
-    for _ in 0..900 {
-        let pins: Vec<u32> = (0..5).map(|_| (next() % n) as u32).collect();
-        b.add_edge(pins);
-    }
-    let h = b.build();
-    let mut scratch = MsBfsScratch::new(&h);
-    let batch: Vec<VertexId> = (0..BATCH as u32).map(VertexId).collect();
-    let mut ticks = 0u32;
-    msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks)
-        .expect("unlimited deadline cannot expire");
-    let c = scratch.sweep_counters();
-    assert!(c.dense_passes > 0, "dense drain never engaged: {c:?}");
-
-    let oracle = scalar_hyper_distance_stats(&h);
-    let swept = hyper_distance_stats(&h);
-    assert_eq!(oracle, swept);
-    assert_eq!(
-        oracle.average_path_length.to_bits(),
-        swept.average_path_length.to_bits()
-    );
 }
 
 /// A deadline expiring mid-sweep on a *relabeled* graph reports partial
