@@ -390,6 +390,37 @@ PULLS=$(printf '%s\n' "$C1" | sed -n 's/.*"msbfs.sweep.pull_passes":\([0-9]*\).*
 }
 echo "profile smoke OK (u6000 pull passes: $PULLS)"
 
+echo "==> hg kcore smoke (pin signatures on the same u6000 file)"
+# The 3-core's probes: pin signatures reject nearly every non-container
+# before a sorted merge (20 merges; 8,182 without the filter and with a
+# separate reduce), and the work counters must repeat exactly.
+kcore_counters() {
+    ./target/release/hg --metrics "target/hgb-cache/kcore-$1.json" kcore --k 3 \
+        target/hgb-cache/hypergen-u6000.hgr >"target/hgb-cache/kcore-$1.out"
+    sed -n 's/.*"counters":\({[^}]*}\).*/\1/p' "target/hgb-cache/kcore-$1.json"
+}
+K1=$(kcore_counters 1)
+K2=$(kcore_counters 2)
+if [ -z "$K1" ] || [ "$K1" != "$K2" ]; then
+    echo "hg kcore counters missing or differ between two runs:"
+    echo "  run 1: $K1"
+    echo "  run 2: $K2"
+    exit 1
+fi
+for run in 1 2; do
+    head -n 1 "target/hgb-cache/kcore-$run.out" |
+        grep -q '^3-core: 4306 vertices, 4494 hyperedges, 19884 pins' || {
+        echo "unexpected u6000 3-core (run $run): $(cat "target/hgb-cache/kcore-$run.out")"
+        exit 1
+    }
+done
+TESTS=$(printf '%s\n' "$K1" | sed -n 's/.*"kcore.probe.subset_tests":\([0-9]*\).*/\1/p')
+[ -n "$TESTS" ] && [ "$TESTS" -le 64 ] || {
+    echo "expected kcore.probe.subset_tests <= 64 at k = 3 on u6000, got '${TESTS:-none}': $K1"
+    exit 1
+}
+echo "kcore smoke OK (u6000 3-core subset tests: $TESTS)"
+
 echo "==> hgserve smoke (hg serve on an ephemeral port + curl)"
 start_server
 # Robustness surface first, while the cache is cold: a 1ms deadline on

@@ -2,6 +2,8 @@
 //! escaping plus a small object/array writer with caller-controlled
 //! key order, which is how reports stay byte-stable across runs.
 
+use std::fmt::Write as _;
+
 /// Append `s` JSON-escaped (without surrounding quotes) to `out`.
 pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
@@ -113,7 +115,8 @@ impl JsonWriter {
 
     pub fn uint(&mut self, n: u64) -> &mut Self {
         self.pre_value();
-        self.buf.push_str(&n.to_string());
+        // Digits straight into the buffer: no `String` per number.
+        let _ = write!(self.buf, "{n}");
         self
     }
 
@@ -162,12 +165,18 @@ mod tests {
         w.key("a").uint(1);
         w.key("b").uint(2);
         w.end_object();
-        w.key("list").begin_array().uint(1).uint(2).end_array();
+        w.key("list")
+            .begin_array()
+            .uint(1)
+            .uint(2)
+            .uint(0)
+            .uint(u64::MAX)
+            .end_array();
         w.key("x").float(0.5);
         w.end_object();
         assert_eq!(
             w.finish(),
-            r#"{"schema":"hgobs/1","counts":{"a":1,"b":2},"list":[1,2],"x":0.5}"#
+            r#"{"schema":"hgobs/1","counts":{"a":1,"b":2},"list":[1,2,0,18446744073709551615],"x":0.5}"#
         );
     }
 }

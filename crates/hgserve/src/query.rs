@@ -73,10 +73,9 @@ pub struct ExecOpts {
     pub parallel: bool,
     /// Request-scoped trace context. [`Query::run_opts`] attaches it to
     /// the deadline it hands the kernels, so every instrumented phase
-    /// (`msbfs.batch`, `kcore.probe.reduce`, `kcore.probe.peel`,
-    /// `bfs.pair`) lands in this request's event list without
-    /// per-kernel plumbing. The default is disabled: a branch per phase,
-    /// no allocation.
+    /// (`msbfs.batch`, `kcore.probe.peel`, `bfs.pair`) lands in this
+    /// request's event list without per-kernel plumbing. The default is
+    /// disabled: a branch per phase, no allocation.
     pub trace: TraceCtx,
     /// Set when the dataset was stored under a BFS-order vertex
     /// relabeling (`hg serve --relabel`): incoming 1-based ids are
@@ -839,12 +838,12 @@ mod tests {
         }
         assert_eq!(
             traced_phases(&Query::KCore { k: Some(3) }, &h, false),
-            [("kcore.probe.peel", 1), ("kcore.probe.reduce", 1)]
+            [("kcore.probe.peel", 1)]
         );
         let levels = hypergraph::core_profile(&h).len();
         assert_eq!(
             traced_phases(&Query::KCore { k: None }, &h, false),
-            [("kcore.probe.peel", levels + 1), ("kcore.probe.reduce", 1)]
+            [("kcore.probe.peel", levels + 1)]
         );
         assert_eq!(
             traced_phases(&Query::Distance { from: 2, to: 1000 }, &h, false),
