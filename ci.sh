@@ -364,10 +364,13 @@ cargo test -p hgserve --release --test e2e -q
 cargo test -p hgserve --release --test robustness -q
 cargo test -p hgserve --release --test event_loop -q
 
-echo "==> hg profile smoke (MS-BFS pulls on u6000 in file order)"
-# hgperf's u6000, byte for byte. Every batch of its file order holds an
-# isolated source, so no lane ever saturates; the sweep must still pull
-# once a frontier is dense, and its work counters must repeat exactly.
+echo "==> hg profile smoke (MS-BFS on u6000 in traversal order)"
+# hgperf's u6000, byte for byte. The sweep takes its sources in the
+# discovery order of one BFS and leaves the 127 isolated vertices out:
+# 5,873 sources in 23 batches (file order swept 6,000 in 24). A batch
+# that spans two components never saturates a lane, so the sweep must
+# still pull once a frontier is dense, and its work counters must
+# repeat exactly.
 mkdir -p target/hgb-cache
 ./target/release/hg gen uniform 6000 4500 5 --seed 41 \
     -o target/hgb-cache/hypergen-u6000.hgr >/dev/null
@@ -383,12 +386,22 @@ if [ -z "$C1" ] || [ "$C1" != "$C2" ]; then
     echo "  run 2: $C2"
     exit 1
 fi
-PULLS=$(printf '%s\n' "$C1" | sed -n 's/.*"msbfs.sweep.pull_passes":\([0-9]*\).*/\1/p')
+profile_counter() {
+    printf '%s\n' "$C1" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
+}
+PULLS=$(profile_counter msbfs.sweep.pull_passes)
 [ "${PULLS:-0}" -ge 1 ] || {
     echo "expected msbfs.sweep.pull_passes >= 1 on u6000, got '${PULLS:-none}': $C1"
     exit 1
 }
-echo "profile smoke OK (u6000 pull passes: $PULLS)"
+SOURCES=$(profile_counter bfs.sources)
+BATCHES=$(profile_counter msbfs.batches)
+if [ "$SOURCES" != 5873 ] || [ "$BATCHES" != 23 ]; then
+    echo "expected bfs.sources 5873 and msbfs.batches 23 on u6000," \
+        "got '${SOURCES:-none}' and '${BATCHES:-none}': $C1"
+    exit 1
+fi
+echo "profile smoke OK (u6000: $SOURCES sources, $BATCHES batches, $PULLS pull passes)"
 
 echo "==> hg kcore smoke (pin signatures on the same u6000 file)"
 # The 3-core's probes: pin signatures reject nearly every non-container

@@ -73,9 +73,9 @@ pub struct ExecOpts {
     pub parallel: bool,
     /// Request-scoped trace context. [`Query::run_opts`] attaches it to
     /// the deadline it hands the kernels, so every instrumented phase
-    /// (`msbfs.batch`, `kcore.probe.peel`, `bfs.pair`) lands in this
-    /// request's event list without per-kernel plumbing. The default is
-    /// disabled: a branch per phase, no allocation.
+    /// (`msbfs.order`, `msbfs.batch`, `kcore.probe.peel`, `bfs.pair`)
+    /// lands in this request's event list without per-kernel plumbing.
+    /// The default is disabled: a branch per phase, no allocation.
     pub trace: TraceCtx,
     /// Set when the dataset was stored under a BFS-order vertex
     /// relabeling (`hg serve --relabel`): incoming 1-based ids are
@@ -420,9 +420,11 @@ fn run_powerlaw(h: &Hypergraph, w: &mut JsonWriter) {
 
 fn run_cover(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
     // Greedy tie-breaks on internal vertex id, so a relabeled dataset
-    // may pick a different (equally sized, equally valid) cover than
-    // the same data unrelabeled; ids are emitted in selection order,
-    // translated back to the client's numbering.
+    // may pick a different cover than the same data unrelabeled, and of
+    // a different size (unit weights: cellzome 81 plain against 82
+    // BFS-relabeled, u6000 1,150 against 1,139); `cover` is the one
+    // body that depends on relabeling (ROADMAP item 8). Ids are emitted
+    // in selection order, translated back to the client's numbering.
     let cover = hypergraph::greedy_vertex_cover(h, |_| 1.0)
         .map_err(|e| QueryError::bad(format!("cover failed: {e}")))?;
     w.key("size").uint(cover.vertices.len() as u64);
@@ -849,11 +851,12 @@ mod tests {
             traced_phases(&Query::Distance { from: 2, to: 1000 }, &h, false),
             [("bfs.pair", 1)]
         );
-        // 1,361 sources in batches of 256, at either width.
+        // One traversal order of 1,361 sources (cellzome has no
+        // isolated vertex), swept in batches of 256, at either width.
         for parallel in [false, true] {
             assert_eq!(
                 traced_phases(&Query::Diameter, &h, parallel),
-                [("msbfs.batch", 6)]
+                [("msbfs.batch", 6), ("msbfs.order", 1)]
             );
         }
     }

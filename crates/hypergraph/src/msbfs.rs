@@ -46,10 +46,25 @@
 //! A17): 3 for vertex → hyperedge, and 2 for hyperedge → vertex, whose
 //! pulls also pay a lane update per vertex, spread over few probes on
 //! low-degree inputs such as the protein data. The rule does not wait
-//! for saturation: a batch whose sources span two
-//! components (an isolated source is the extreme case) never saturates
-//! a lane, yet pulls once its frontier is dense. Pull passes are counted
-//! as `msbfs.sweep.pull_passes`.
+//! for saturation: a batch whose sources span two components (the
+//! batch where one component's sources end and the next one's begin,
+//! in the source order below) never saturates a lane, yet pulls once
+//! its frontier is dense. Pull passes are counted as
+//! `msbfs.sweep.pull_passes`.
+//!
+//! # Source order
+//!
+//! The sweep does not take its sources in file order. One BFS over the
+//! CSR, seeded in id order, lists every vertex of nonzero degree in
+//! discovery order (trace phase `msbfs.order`), and the batches are cut
+//! from that list. Sources one BFS discovers together reach the same
+//! vertices at the same levels, so their lanes fill and saturate
+//! together — the reason bit-parallel BFS starts a root together with
+//! its neighbours (Akiba, Iwata & Yoshida, SIGMOD 2013). Each component
+//! comes out contiguous, so only a batch at a component boundary spans
+//! two. An isolated vertex reaches no vertex but itself, at distance 0,
+//! which no accumulator counts; it is left out, and `bfs.sources`
+//! counts the list swept.
 //!
 //! Distances are never materialized as an n×n matrix: when a vertex is
 //! newly reached at level `d` by `c` sources, the running
@@ -68,7 +83,8 @@
 //! `min(width, batches)` workers of the [`crate::scoped`] splitter — the
 //! calling thread plus scoped helpers — each with its own scratch leased
 //! from a cross-call arena, and merges their integer partials. The
-//! public entry points are two widths of it: [`hyper_distance_stats`]
+//! public entry points build the source order on the calling thread
+//! and then run two widths of it: [`hyper_distance_stats`]
 //! runs on the calling thread, and [`par_msbfs_distance_stats`] on
 //! [`split_width`](crate::scoped::split_width) workers, which hgserve
 //! uses for datasets of at least `par_threshold` vertices (below that
@@ -79,15 +95,17 @@
 //! checks the one shared token at each batch boundary and through the
 //! amortized in-kernel tick; the first check that trips the budget
 //! latches its cancel flag, which the other workers see on their next
-//! check. Expiry surfaces phase `"msbfs"` and the number of *batches*
-//! fully completed across all workers.
+//! check. The order builder ticks the same token once per vertex it
+//! dequeues. Expiry surfaces phase `"msbfs"` and the number of
+//! *batches* fully completed across all workers (0 while the order is
+//! still being built).
 
 use std::sync::{Mutex, MutexGuard};
 
 use hgobs::{Deadline, DeadlineExceeded};
 
 use crate::bitset::{self, Lane, Mask};
-use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
+use crate::hypergraph::{Hypergraph, VertexId};
 use crate::path::HyperDistanceStats;
 use crate::scoped;
 
@@ -371,8 +389,17 @@ fn msbfs_batch(
         lane.front[i >> 6] |= 1u64 << (i & 63);
         bitset::mark(&mut v.front, s.index());
     }
-    let edges_of = |i: usize| h.edges_of(VertexId(i as u32)).iter().map(|f| f.index());
-    let pins = |j: usize| h.pins(EdgeId(j as u32)).iter().map(|p| p.index());
+    // The CSR once per batch: the closures index the slices directly
+    // instead of matching on the storage backing at every probe.
+    let (edge_offsets, pin_list, vertex_offsets, adj_list) = h.csr_slices();
+    let edges_of = |i: usize| {
+        let span = vertex_offsets[i] as usize..vertex_offsets[i + 1] as usize;
+        adj_list[span].iter().map(|f| f.index())
+    };
+    let pins = |j: usize| {
+        let span = edge_offsets[j] as usize..edge_offsets[j + 1] as usize;
+        pin_list[span].iter().map(|p| p.index())
+    };
     let mut walk = Walk {
         // All sources present ⟺ lane saturated; nothing left to deliver.
         full: bitset::mask_full(batch.len()),
@@ -394,8 +421,60 @@ fn msbfs_batch(
     Some(stats)
 }
 
+/// Every vertex of nonzero degree exactly once, in the discovery order
+/// of one BFS over the vertex / hyperedge expansion, seeded in id order:
+/// each component comes out contiguous, and the components in the order
+/// of their smallest id. Isolated vertices are left out.
+///
+/// The build ticks `deadline` once per dequeued vertex, and on expiry
+/// answers phase `"msbfs"` with 0 work, as the batch loop does before
+/// its first batch. One `msbfs.order` trace phase covers it, with the
+/// vertices listed as its work (0 on expiry).
+fn traversal_order(h: &Hypergraph, deadline: &Deadline) -> Result<Vec<VertexId>, DeadlineExceeded> {
+    let mut tp = deadline.trace().phase("msbfs.order");
+    let (edge_offsets, pin_list, vertex_offsets, adj_list) = h.csr_slices();
+    let n = h.num_vertices();
+    let mut seen = vec![false; n];
+    let mut entered = vec![false; h.num_edges()];
+    // Discovery is branchless: every pin is stored in the next slot and
+    // the length advances only if the pin is new. The spare slot takes
+    // the stores made once all `n` vertices are listed.
+    let mut order = vec![VertexId(0); n + 1];
+    let (mut len, mut head, mut ticks) = (0, 0, 0u32);
+    for s in 0..n {
+        if seen[s] || vertex_offsets[s] == vertex_offsets[s + 1] {
+            continue;
+        }
+        seen[s] = true;
+        order[len] = VertexId(s as u32);
+        len += 1;
+        while head < len {
+            if deadline.tick(&mut ticks) {
+                return Err(deadline.exceeded("msbfs", 0));
+            }
+            let v = order[head].index();
+            head += 1;
+            for &f in &adj_list[vertex_offsets[v] as usize..vertex_offsets[v + 1] as usize] {
+                let f = f.index();
+                if entered[f] {
+                    continue;
+                }
+                entered[f] = true;
+                for &p in &pin_list[edge_offsets[f] as usize..edge_offsets[f + 1] as usize] {
+                    order[len] = p;
+                    len += !std::mem::replace(&mut seen[p.index()], true) as usize;
+                }
+            }
+        }
+    }
+    order.truncate(len);
+    tp.add_work(len as u64);
+    Ok(order)
+}
+
 /// Exact vertex-pair distance statistics (paper §2) by MS-BFS from every
-/// vertex, on the calling thread. Bit-identical to the per-source oracle
+/// vertex (an isolated one adds no pair, so the sweep skips it), on the
+/// calling thread. Bit-identical to the per-source oracle
 /// [`crate::path::scalar_hyper_distance_stats`], with a fraction of its
 /// memory traffic.
 pub fn hyper_distance_stats(h: &Hypergraph) -> HyperDistanceStats {
@@ -409,8 +488,8 @@ pub fn hyper_distance_stats_with(
     h: &Hypergraph,
     deadline: &Deadline,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let sources: Vec<VertexId> = h.vertices().collect();
-    sweep(h, &sources, deadline, 1)
+    let order = traversal_order(h, deadline)?;
+    sweep(h, &order, deadline, 1)
 }
 
 /// [`hyper_distance_stats`] with the batches split over
@@ -427,8 +506,8 @@ pub fn par_msbfs_distance_stats_with(
     h: &Hypergraph,
     deadline: &Deadline,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let sources: Vec<VertexId> = h.vertices().collect();
-    sweep(h, &sources, deadline, scoped::split_width())
+    let order = traversal_order(h, deadline)?;
+    sweep(h, &order, deadline, scoped::split_width())
 }
 
 fn unlimited(stats: Result<HyperDistanceStats, DeadlineExceeded>) -> HyperDistanceStats {
@@ -728,19 +807,24 @@ mod tests {
         // A request that times out mid-kernel must still surface the
         // batches it attempted: the phase guard opens before the
         // boundary expiry check and records on drop, so the trace shows
-        // where the budget went even on the 504 path.
+        // where the budget went even on the 504 path. 300 vertices are
+        // too few for the order builder's amortized tick to read the
+        // clock, so the order completes and the first batch boundary
+        // notices the expiry.
         let h = big_ring(300);
         let trace = hgobs::TraceCtx::new(42);
         let dl = Deadline::after(Duration::ZERO).with_trace(trace.clone());
         assert!(hyper_distance_stats_with(&h, &dl).is_err());
         let events = trace.events();
-        assert!(!events.is_empty(), "partial trace must not be empty");
+        assert!(events.len() >= 2, "partial trace must show both phases");
+        assert_eq!((events[0].phase, events[0].work), ("msbfs.order", 300));
+        let batches = &events[1..];
         assert!(
-            events.iter().all(|e| e.phase == "msbfs.batch"),
+            batches.iter().all(|e| e.phase == "msbfs.batch"),
             "{events:?}"
         );
         // The aborted batch completed no sources.
-        assert_eq!(events.iter().map(|e| e.work).sum::<u64>(), 0);
+        assert_eq!(batches.iter().map(|e| e.work).sum::<u64>(), 0);
     }
 
     #[test]
@@ -793,19 +877,104 @@ mod tests {
         );
     }
 
+    /// Pull passes of the batches cut from `sources`, all on one scratch.
+    fn pull_passes_over(h: &Hypergraph, sources: &[VertexId]) -> u64 {
+        let mut scratch = MsBfsScratch::new(h);
+        let mut ticks = 0u32;
+        for batch in sources.chunks(BATCH) {
+            msbfs_batch(h, batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
+        }
+        scratch.pull_passes
+    }
+
     #[test]
     fn pull_passes_pin_the_direction_rule_on_u6000() {
         // hgperf's u6000 in file order, all 24 batches on one scratch.
-        // `hg profile --algo bfs` reads the same 215 pull passes; the
-        // count moves only if some pass flips direction.
+        // The count moves only if some pass flips direction.
         let h = uniform_random_hypergraph(6000, 4500, 5, 41);
         let sources: Vec<VertexId> = h.vertices().collect();
-        let mut scratch = MsBfsScratch::new(&h);
-        let mut ticks = 0u32;
-        for batch in sources.chunks(BATCH) {
-            msbfs_batch(&h, batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
+        assert_eq!(pull_passes_over(&h, &sources), 215);
+    }
+
+    #[test]
+    fn pull_passes_pin_the_traversal_order_on_u6000() {
+        // The 23 batches the public sweeps cut from the traversal order:
+        // `hg profile --algo bfs` reads the same 231 pull passes.
+        let h = uniform_random_hypergraph(6000, 4500, 5, 41);
+        let order = traversal_order(&h, &Deadline::none()).unwrap();
+        assert_eq!(pull_passes_over(&h, &order), 231);
+    }
+
+    #[test]
+    fn u6000_sweeps_its_connected_sources_in_23_batches() {
+        // A file-order sweep records 24 batches of 6,000 sources; the
+        // traversal order leaves out the 127 isolated vertices. Read
+        // from each request's own trace, not from the global counters
+        // other tests share.
+        let h = uniform_random_hypergraph(6000, 4500, 5, 41);
+        let isolated = h.vertices().filter(|&v| h.vertex_degree(v) == 0);
+        assert_eq!(isolated.count(), 127);
+        let file_order: Vec<VertexId> = h.vertices().collect();
+        let oracle = sweep(&h, &file_order, &Deadline::none(), 1).unwrap();
+        for par in [false, true] {
+            let trace = hgobs::TraceCtx::new(1);
+            let dl = Deadline::none().with_trace(trace.clone());
+            let stats = if par {
+                par_msbfs_distance_stats_with(&h, &dl)
+            } else {
+                hyper_distance_stats_with(&h, &dl)
+            };
+            assert_bit_identical(stats.unwrap(), oracle);
+            let events = trace.events();
+            assert_eq!((events[0].phase, events[0].work), ("msbfs.order", 5873));
+            let batches = &events[1..];
+            assert!(batches.iter().all(|e| e.phase == "msbfs.batch"));
+            assert_eq!(batches.len(), 23, "par {par}");
+            assert_eq!(batches.iter().map(|e| e.work).sum::<u64>(), 5873);
         }
-        assert_eq!(scratch.pull_passes, 215);
+    }
+
+    /// One component of `n` vertices: a chain of 2-pin hyperedges.
+    fn chain_of(n: u32) -> Hypergraph {
+        let mut b = HypergraphBuilder::new(n as usize);
+        for i in 0..n - 1 {
+            b.add_edge([i, i + 1]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn cancelled_token_stops_the_order_builder_within_one_interval() {
+        // The builder reads the clock at its CHECK_INTERVAL-th dequeue
+        // and not before: a cancelled token lets a component of one
+        // vertex fewer finish, and stops one of CHECK_INTERVAL vertices
+        // or more there, with phase `msbfs` and 0 work.
+        let dl = Deadline::cancellable();
+        dl.cancel();
+        let n = hgobs::CHECK_INTERVAL;
+        let long = chain_of(8 * n);
+        assert!(traversal_order(&chain_of(n - 1), &dl).is_ok());
+        for h in [&chain_of(n), &long] {
+            let err = traversal_order(h, &dl).unwrap_err();
+            assert_eq!((err.phase, err.work_done), ("msbfs", 0), "{err:?}");
+        }
+        // The public entry points stop there too: one `msbfs.order`
+        // event with no work, and no batch.
+        for par in [false, true] {
+            let trace = hgobs::TraceCtx::new(4);
+            let dl = Deadline::cancellable().with_trace(trace.clone());
+            dl.cancel();
+            let err = if par {
+                par_msbfs_distance_stats_with(&long, &dl)
+            } else {
+                hyper_distance_stats_with(&long, &dl)
+            }
+            .unwrap_err();
+            assert_eq!((err.phase, err.work_done), ("msbfs", 0), "{err:?}");
+            let events = trace.events();
+            assert_eq!(events.len(), 1, "{events:?}");
+            assert_eq!((events[0].phase, events[0].work), ("msbfs.order", 0));
+        }
     }
 
     /// A random 5-pin blob: 1200 vertices and 900 hyperedges drawn by a
@@ -919,6 +1088,52 @@ mod tests {
             for width in [1, 2] {
                 prop_assert_eq!(oracle, sweep(&h, &sources, &Deadline::none(), width).unwrap());
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The traversal order lists each vertex of nonzero degree once
+        /// and no isolated vertex, each component contiguous and the
+        /// components in order of their smallest id; the public sweeps
+        /// over it, and width 2 over it, equal the scalar oracle bit for
+        /// bit. The shapes include isolated vertices, empty and duplicate
+        /// hyperedges and several components.
+        #[test]
+        fn traversal_order_lists_components_and_keeps_the_answer(
+            h in arb_hypergraph(90, 40, 6)
+        ) {
+            let order = traversal_order(&h, &Deadline::none()).unwrap();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            let connected: Vec<VertexId> =
+                h.vertices().filter(|&v| h.vertex_degree(v) > 0).collect();
+            prop_assert_eq!(sorted, connected);
+
+            let components = crate::hypergraph_components(&h);
+            let label = &components.vertex_label;
+            let mut smallest = vec![u32::MAX; components.count()];
+            for v in h.vertices() {
+                let c = label[v.index()] as usize;
+                smallest[c] = smallest[c].min(v.0);
+            }
+            // Each run of one label starts at that component's smallest
+            // id; the starts increase, so no component comes back.
+            let mut last_start = None;
+            for (i, v) in order.iter().enumerate() {
+                let c = label[v.index()];
+                if i == 0 || label[order[i - 1].index()] != c {
+                    prop_assert_eq!(v.0, smallest[c as usize]);
+                    prop_assert!(last_start < Some(v.0), "{:?} revisits", order);
+                    last_start = Some(v.0);
+                }
+            }
+
+            let oracle = scalar_hyper_distance_stats(&h);
+            assert_bit_identical(hyper_distance_stats(&h), oracle);
+            assert_bit_identical(par_msbfs_distance_stats(&h), oracle);
+            assert_bit_identical(sweep(&h, &order, &Deadline::none(), 2).unwrap(), oracle);
         }
     }
 

@@ -22,8 +22,12 @@
 //! `--relabel` CLI flag, translating ids at the response boundary;
 //! `hg bench --kernels` does the same by default (`--no-relabel` to
 //! opt out) so the published kernel numbers include the layout win.
-//! That win is about 1.2× on the hypergen-u6000 MS-BFS sweep and 1.15×
-//! on cellzome, at either width (EXPERIMENTS A17).
+//! The MS-BFS sweep takes its sources in traversal order whatever the
+//! labels, so what relabeling adds is the lane layout alone: 1.03× at
+//! width 2 and 1.06× at width 1 on the hypergen-u6000 sweep, none
+//! measurable on cellzome, and 1.16× on hypergen-u20000 at width 2
+//! (EXPERIMENTS A20; with file-order sources it was 1.2× on u6000 and
+//! 1.15× on cellzome, A17).
 
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 use crate::HypergraphBuilder;
