@@ -370,7 +370,9 @@ echo "==> hg profile smoke (MS-BFS on u6000 in traversal order)"
 # 5,873 sources in 23 batches (file order swept 6,000 in 24). A batch
 # that spans two components never saturates a lane, so the sweep must
 # still pull once a frontier is dense, and its work counters must
-# repeat exactly.
+# repeat exactly. A CPU with AVX2, BMI1, BMI2 and LZCNT (`abm` in
+# /proc/cpuinfo) runs all 23 batches in the kernel's AVX2 build; any
+# other runs none there.
 mkdir -p target/hgb-cache
 ./target/release/hg gen uniform 6000 4500 5 --seed 41 \
     -o target/hgb-cache/hypergen-u6000.hgr >/dev/null
@@ -401,7 +403,20 @@ if [ "$SOURCES" != 5873 ] || [ "$BATCHES" != 23 ]; then
         "got '${SOURCES:-none}' and '${BATCHES:-none}': $C1"
     exit 1
 fi
-echo "profile smoke OK (u6000: $SOURCES sources, $BATCHES batches, $PULLS pull passes)"
+CPU_FLAGS=" $(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true) "
+WANT_AVX2=23
+for FLAG in avx2 bmi1 bmi2 abm; do
+    case "$CPU_FLAGS" in
+    *" $FLAG "*) ;;
+    *) WANT_AVX2=0 ;;
+    esac
+done
+AVX2=$(profile_counter msbfs.avx2_batches)
+if [ "${AVX2:-0}" != "$WANT_AVX2" ]; then
+    echo "expected msbfs.avx2_batches $WANT_AVX2 on u6000, got '${AVX2:-none}': $C1"
+    exit 1
+fi
+echo "profile smoke OK (u6000: $SOURCES sources, $BATCHES batches, $PULLS pull passes, ${AVX2:-0} AVX2 batches)"
 
 echo "==> hg kcore smoke (pin signatures on the same u6000 file)"
 # The 3-core's probes: pin signatures reject nearly every non-container

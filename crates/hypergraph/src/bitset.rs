@@ -12,8 +12,9 @@
 /// sources. The whole lane — both masks — is exactly one 64-byte cache
 /// line, so a random expansion probe costs the same one miss it would
 /// at one word per mask, while advancing four times as many sources.
-/// The elementwise `|`/`& !` passes over `[u64; 4]` are exactly the
-/// shape LLVM autovectorizes to 256-bit SIMD ops.
+/// At the workspace's baseline x86-64 target LLVM compiles each
+/// elementwise `|`/`& !` pass over `[u64; 4]` to two 128-bit SSE2 ops;
+/// the MS-BFS batch's AVX2 build compiles it to one 256-bit op.
 pub const LANE_WORDS: usize = 4;
 
 /// Sources per lane (and per MS-BFS batch): `64 * LANE_WORDS`.
@@ -152,8 +153,9 @@ pub fn fill_all(summary: &mut [u64], len: usize) {
 /// index order, handing `visit` its `front` mask and zeroing the mask and
 /// its summary bit as it is consumed. Returns `false` when `visit` aborts
 /// (deadline expiry), leaving the rest of the frontier in place; the next
-/// batch zeroes every lane and summary before it starts.
-#[inline]
+/// batch zeroes every lane and summary before it starts. Always inlined,
+/// so each build of the MS-BFS batch compiles its own push loop.
+#[inline(always)]
 pub fn drain(
     summary: &mut [u64],
     lanes: &mut [Lane],

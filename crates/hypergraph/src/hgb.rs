@@ -126,28 +126,18 @@ fn pad_to(len: usize) -> usize {
     len.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
 }
 
-/// Serialize one `u32` array little-endian. On little-endian targets
-/// this is a single contiguous write; elsewhere a per-element fallback.
-fn write_u32s(w: &mut impl Write, xs: &[u32]) -> std::io::Result<()> {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: `xs` is `4 * xs.len()` initialized bytes with no
-        // padding, and `u8` has alignment 1.
-        let bytes = unsafe { std::slice::from_raw_parts(xs.as_ptr() as *const u8, xs.len() * 4) };
-        w.write_all(bytes)
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        let mut buf = Vec::with_capacity(8192);
-        for chunk in xs.chunks(2048) {
-            buf.clear();
-            for x in chunk {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+/// Serialize `u32`s little-endian, through one 8 KiB buffer.
+fn write_u32s(w: &mut impl Write, xs: impl Iterator<Item = u32>) -> std::io::Result<()> {
+    const BUF: usize = 8192;
+    let mut buf = Vec::with_capacity(BUF);
+    for x in xs {
+        buf.extend_from_slice(&x.to_le_bytes());
+        if buf.len() == BUF {
             w.write_all(&buf)?;
+            buf.clear();
         }
-        Ok(())
     }
+    w.write_all(&buf)
 }
 
 /// One planned section: id plus the array to write.
@@ -158,6 +148,10 @@ struct Plan<'a> {
 
 enum SectionData<'a> {
     Raw(&'a [u32]),
+    /// The pin list's vertex ids.
+    Pins(&'a [VertexId]),
+    /// The adjacency list's hyperedge ids.
+    Adjacency(&'a [EdgeId]),
     /// Degrees derived from a CSR offsets array (adjacent differences),
     /// computed on the fly so the writer never materializes them.
     Degrees(&'a [u32]),
@@ -167,37 +161,22 @@ impl SectionData<'_> {
     fn count(&self) -> usize {
         match self {
             SectionData::Raw(xs) => xs.len(),
+            SectionData::Pins(ids) => ids.len(),
+            SectionData::Adjacency(ids) => ids.len(),
             SectionData::Degrees(offsets) => offsets.len() - 1,
         }
     }
 
     fn write(&self, w: &mut impl Write) -> std::io::Result<()> {
         match self {
-            SectionData::Raw(xs) => write_u32s(w, xs),
+            SectionData::Raw(xs) => write_u32s(w, xs.iter().copied()),
+            SectionData::Pins(ids) => write_u32s(w, ids.iter().map(|v| v.0)),
+            SectionData::Adjacency(ids) => write_u32s(w, ids.iter().map(|f| f.0)),
             SectionData::Degrees(offsets) => {
-                let mut buf = Vec::with_capacity(4096);
-                for pair in offsets.windows(2) {
-                    buf.extend_from_slice(&(pair[1] - pair[0]).to_le_bytes());
-                    if buf.len() >= 4096 {
-                        w.write_all(&buf)?;
-                        buf.clear();
-                    }
-                }
-                w.write_all(&buf)
+                write_u32s(w, offsets.windows(2).map(|pair| pair[1] - pair[0]))
             }
         }
     }
-}
-
-fn ids_as_u32(ids: &[VertexId]) -> &[u32] {
-    // SAFETY: `VertexId` is `repr(transparent)` over `u32`, so the slice
-    // reinterprets in place with the same length.
-    unsafe { std::slice::from_raw_parts(ids.as_ptr() as *const u32, ids.len()) }
-}
-
-fn eids_as_u32(ids: &[EdgeId]) -> &[u32] {
-    // SAFETY: `EdgeId` is `repr(transparent)` over `u32`, as above.
-    unsafe { std::slice::from_raw_parts(ids.as_ptr() as *const u32, ids.len()) }
 }
 
 /// Write `h` (and optionally the relabeling that produced it) as a
@@ -216,7 +195,7 @@ pub fn write_hgb(
         },
         Plan {
             id: section::PIN_LIST,
-            data: SectionData::Raw(ids_as_u32(pin_list)),
+            data: SectionData::Pins(pin_list),
         },
         Plan {
             id: section::VERTEX_OFFSETS,
@@ -224,7 +203,7 @@ pub fn write_hgb(
         },
         Plan {
             id: section::ADJ_LIST,
-            data: SectionData::Raw(eids_as_u32(adj_list)),
+            data: SectionData::Adjacency(adj_list),
         },
         Plan {
             id: section::VERTEX_DEGREES,

@@ -99,6 +99,25 @@
 //! dequeues. Expiry surfaces phase `"msbfs"` and the number of
 //! *batches* fully completed across all workers (0 while the order is
 //! still being built).
+//!
+//! # CPU features
+//!
+//! The workspace builds for baseline x86-64, where each 256-bit lane op
+//! on a `[u64; 4]` mask compiles to two 128-bit SSE2 ops, and the sweep
+//! is limited by those ops rather than by memory (EXPERIMENTS A21). So
+//! the batch kernel is one source compiled twice: the portable build,
+//! and a copy inside one function compiled with AVX2, BMI1, BMI2 and
+//! LZCNT enabled, into which the batch, its two passes and the lane ops
+//! inline. POPCNT is left out on purpose: with it LLVM moves some mask
+//! popcounts out of the vector registers into scalar `popcnt`s, which
+//! cost the AVX2 build its gain on cellzome and the Table 1 nets. Each
+//! sweep picks the AVX2 build once, when `is_x86_feature_detected!`
+//! reports every one of those features; on any other CPU, and on
+//! targets other than x86_64, the portable build runs, which is why it
+//! stays. Both builds run the same code on the same data, so answers,
+//! batch and pull-pass counts, deadline ticks and trace phases agree;
+//! the batches the AVX2 build completes are counted as
+//! `msbfs.avx2_batches`.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -129,11 +148,14 @@ struct Side {
 }
 
 impl Side {
+    /// A side of `len` entries in its [`Side::reset`] state.
     fn new(len: usize) -> Self {
+        let mut unsat = vec![0; bitset::words_for(len)];
+        bitset::fill_all(&mut unsat, len);
         Side {
             lanes: vec![Lane::ZERO; len],
             front: vec![0; bitset::words_for(len)],
-            unsat: vec![0; bitset::words_for(len)],
+            unsat,
         }
     }
 
@@ -159,16 +181,20 @@ struct MsBfsScratch {
     v: Side,
     /// Hyperedge lanes hold (traversed, entered-this-level) masks.
     e: Side,
+    /// `false` until a batch runs here: a fresh scratch is already in
+    /// its reset state, so its first batch skips the reset.
+    used: bool,
     /// Passes run in the pull direction since the last flush.
     pull_passes: u64,
 }
 
 impl MsBfsScratch {
-    /// Allocate scratch sized for `h`.
+    /// Allocate scratch sized for `h`, in its reset state.
     fn new(h: &Hypergraph) -> Self {
         MsBfsScratch {
             v: Side::new(h.num_vertices()),
             e: Side::new(h.num_edges()),
+            used: false,
             pull_passes: 0,
         }
     }
@@ -296,23 +322,30 @@ impl Walk<'_> {
             // already-clear unsat bit are no-ops that cost nothing but
             // keep the loads in flight. `seen` is updated as masks land,
             // so summing `popcount(add)` counts each newly reached pair
-            // exactly once no matter how many neighbors deliver it.
-            let ok = bitset::drain(&mut from.front, &mut from.lanes, |i, m| {
-                if self.deadline.tick(self.ticks) {
-                    return false;
-                }
-                for j in out(i) {
-                    let lane = &mut to.lanes[j];
-                    let add = lane.fresh(&m);
-                    lane.absorb(&add);
-                    to.front[j >> 6] |= ((!bitset::mask_is_zero(&add)) as u64) << (j & 63);
-                    to.unsat[j >> 6] &= !((lane.saturated(&full) as u64) << (j & 63));
-                    if COUNT {
-                        reached += bitset::mask_count(&add);
+            // exactly once no matter how many neighbors deliver it. The
+            // closure is always inlined, as `drain` is, so each build of
+            // the batch compiles its own push loop.
+            let ok = bitset::drain(
+                &mut from.front,
+                &mut from.lanes,
+                #[inline(always)]
+                |i, m| {
+                    if self.deadline.tick(self.ticks) {
+                        return false;
                     }
-                }
-                true
-            });
+                    for j in out(i) {
+                        let lane = &mut to.lanes[j];
+                        let add = lane.fresh(&m);
+                        lane.absorb(&add);
+                        to.front[j >> 6] |= ((!bitset::mask_is_zero(&add)) as u64) << (j & 63);
+                        to.unsat[j >> 6] &= !((lane.saturated(&full) as u64) << (j & 63));
+                        if COUNT {
+                            reached += bitset::mask_count(&add);
+                        }
+                    }
+                    true
+                },
+            );
             return ok.then_some(reached);
         }
         // Pull: the union of the neighbors' frontier masks is the same
@@ -364,8 +397,11 @@ impl Walk<'_> {
 /// make the statistics independent of discovery order, so the result
 /// is bit-identical whichever way each pass runs.
 ///
+/// Always inlined, so each [`Build`] compiles its own copy.
+///
 /// # Panics
 /// If `batch.len() > BATCH`.
+#[inline(always)]
 fn msbfs_batch(
     h: &Hypergraph,
     batch: &[VertexId],
@@ -380,9 +416,19 @@ fn msbfs_batch(
     if batch.is_empty() {
         return Some(BatchStats::default());
     }
-    let MsBfsScratch { v, e, pull_passes } = scratch;
-    v.reset();
-    e.reset();
+    let MsBfsScratch {
+        v,
+        e,
+        used,
+        pull_passes,
+    } = scratch;
+    // A used scratch may hold a finished or an aborted batch; a fresh
+    // one is already zero, and zeroing it again would write every lane
+    // twice before the first deadline tick.
+    if std::mem::replace(used, true) {
+        v.reset();
+        e.reset();
+    }
     for (i, &s) in batch.iter().enumerate() {
         let lane = &mut v.lanes[s.index()];
         lane.seen[i >> 6] |= 1u64 << (i & 63);
@@ -419,6 +465,78 @@ fn msbfs_batch(
         stats.total += reached as u128 * level as u128;
     }
     Some(stats)
+}
+
+/// The builds of [`msbfs_batch`] a sweep can run: one source, compiled
+/// for the workspace's baseline target and again with AVX2 enabled.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Build {
+    /// The baseline-target build, the only one other CPUs and targets
+    /// can run.
+    Portable,
+    /// [`msbfs_batch_avx2`]. Only [`Build::avx2`] makes one, once it has
+    /// detected every feature that function is compiled with.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Build {
+    /// The build sweeps run on this CPU: AVX2 where it has the features.
+    fn best() -> Build {
+        Build::avx2().unwrap_or(Build::Portable)
+    }
+
+    /// The AVX2 build, when the CPU reports AVX2, BMI1, BMI2 and LZCNT.
+    fn avx2() -> Option<Build> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("bmi1")
+            && is_x86_feature_detected!("bmi2")
+            && is_x86_feature_detected!("lzcnt")
+        {
+            return Some(Build::Avx2);
+        }
+        None
+    }
+
+    /// [`msbfs_batch`] in this build.
+    fn batch(
+        self,
+        h: &Hypergraph,
+        batch: &[VertexId],
+        scratch: &mut MsBfsScratch,
+        deadline: &Deadline,
+        ticks: &mut u32,
+    ) -> Option<BatchStats> {
+        match self {
+            Build::Portable => msbfs_batch(h, batch, scratch, deadline, ticks),
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx2 => {
+                // SAFETY: only `Build::avx2` makes a `Build::Avx2`, after
+                // `is_x86_feature_detected!` reported every feature
+                // `msbfs_batch_avx2` is compiled with.
+                unsafe { msbfs_batch_avx2(h, batch, scratch, deadline, ticks) }
+            }
+        }
+    }
+}
+
+/// [`msbfs_batch`] compiled with AVX2, BMI1, BMI2 and LZCNT: the batch,
+/// its passes and the lane ops inline here, so a 256-bit mask op is one
+/// AVX2 instruction instead of two SSE2 ones.
+///
+/// # Safety
+/// The CPU must support every one of those features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
+unsafe fn msbfs_batch_avx2(
+    h: &Hypergraph,
+    batch: &[VertexId],
+    scratch: &mut MsBfsScratch,
+    deadline: &Deadline,
+    ticks: &mut u32,
+) -> Option<BatchStats> {
+    msbfs_batch(h, batch, scratch, deadline, ticks)
 }
 
 /// Every vertex of nonzero degree exactly once, in the discovery order
@@ -489,7 +607,7 @@ pub fn hyper_distance_stats_with(
     deadline: &Deadline,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
     let order = traversal_order(h, deadline)?;
-    sweep(h, &order, deadline, 1)
+    sweep(h, &order, deadline, 1, Build::best())
 }
 
 /// [`hyper_distance_stats`] with the batches split over
@@ -507,7 +625,7 @@ pub fn par_msbfs_distance_stats_with(
     deadline: &Deadline,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
     let order = traversal_order(h, deadline)?;
-    sweep(h, &order, deadline, scoped::split_width())
+    sweep(h, &order, deadline, scoped::split_width(), Build::best())
 }
 
 fn unlimited(stats: Result<HyperDistanceStats, DeadlineExceeded>) -> HyperDistanceStats {
@@ -584,14 +702,20 @@ fn park(pool: &mut Vec<MsBfsScratch>, sc: MsBfsScratch) {
 /// amortized tick counter, so workers never contend on traversal state;
 /// only the batch cursor and the deadline's cancel latch are shared.
 ///
+/// Every worker runs its batches in `build`, which the public entry
+/// points pick once per call with [`Build::best`].
+///
 /// The `msbfs.batches` and `bfs.sources` counters report the batches
-/// and sources fully completed, on the success and expiry paths alike;
-/// on expiry the error carries phase `"msbfs"` and that batch count.
+/// and sources fully completed, on the success and expiry paths alike
+/// (`msbfs.avx2_batches` repeats the batch count when `build` is the
+/// AVX2 one); on expiry the error carries phase `"msbfs"` and that
+/// batch count.
 fn sweep(
     h: &Hypergraph,
     sources: &[VertexId],
     deadline: &Deadline,
     width: usize,
+    build: Build,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
     let batches: Vec<&[VertexId]> = sources.chunks(BATCH).collect();
     let shares = scoped::split(width, batches.len(), |_, claims| {
@@ -611,7 +735,7 @@ fn sweep(
                 None
             } else {
                 let sc = scratch.get_or_insert_with(|| lease_scratch(h));
-                msbfs_batch(h, batches[i], sc, deadline, &mut ticks)
+                build.batch(h, batches[i], sc, deadline, &mut ticks)
             };
             let Some(b) = stats else {
                 expired = true;
@@ -637,6 +761,9 @@ fn sweep(
         expired |= e;
     }
     hgobs::counter!("msbfs.batches", done);
+    if build != Build::Portable {
+        hgobs::counter!("msbfs.avx2_batches", done);
+    }
     hgobs::counter!("bfs.sources", swept);
     if expired {
         return Err(deadline.exceeded("msbfs", done));
@@ -695,6 +822,17 @@ mod tests {
         );
     }
 
+    /// The builds this CPU runs: the portable one, and the AVX2 one
+    /// where the CPU has its features (a note says when it is skipped).
+    fn builds() -> Vec<Build> {
+        let mut builds = vec![Build::Portable];
+        match Build::avx2() {
+            Some(avx2) => builds.push(avx2),
+            None => eprintln!("note: no AVX2/BMI1/BMI2/LZCNT here; AVX2 build skipped"),
+        }
+        builds
+    }
+
     #[test]
     fn matches_scalar_on_chain() {
         let h = chain();
@@ -713,7 +851,7 @@ mod tests {
         let h = big_ring(100);
         let some: Vec<VertexId> = (0..70).map(VertexId).collect();
         assert_eq!(
-            sweep(&h, &some, &Deadline::none(), 1).unwrap(),
+            sweep(&h, &some, &Deadline::none(), 1, Build::best()).unwrap(),
             scalar_hyper_distance_stats_from(&h, &some)
         );
     }
@@ -723,7 +861,7 @@ mod tests {
         let h = chain();
         let dup = [VertexId(0), VertexId(0), VertexId(2)];
         assert_eq!(
-            sweep(&h, &dup, &Deadline::none(), 1).unwrap(),
+            sweep(&h, &dup, &Deadline::none(), 1, Build::best()).unwrap(),
             scalar_hyper_distance_stats_from(&h, &dup)
         );
     }
@@ -794,6 +932,35 @@ mod tests {
     }
 
     #[test]
+    fn fresh_scratch_equals_a_reset_one() {
+        // A fresh scratch skips its first reset, so it must already be
+        // in the state a reset leaves, field by field: here against one
+        // a zero budget aborted mid-batch and one that finished a batch.
+        // 600 entries leave a partial last summary word.
+        let h = big_ring(600);
+        let sources: Vec<VertexId> = h.vertices().take(BATCH).collect();
+        let fresh = MsBfsScratch::new(&h);
+        assert!(!fresh.used);
+        for (budget, aborts) in [
+            (Deadline::after(Duration::ZERO), true),
+            (Deadline::none(), false),
+        ] {
+            let mut reset = MsBfsScratch::new(&h);
+            let mut ticks = 0u32;
+            let stats = msbfs_batch(&h, &sources, &mut reset, &budget, &mut ticks);
+            assert_eq!(stats.is_none(), aborts);
+            assert!(reset.used);
+            reset.v.reset();
+            reset.e.reset();
+            for (a, b) in [(&fresh.v, &reset.v), (&fresh.e, &reset.e)] {
+                assert_eq!(a.lanes, b.lanes);
+                assert_eq!(a.front, b.front);
+                assert_eq!(a.unsat, b.unsat);
+            }
+        }
+    }
+
+    #[test]
     fn pre_expired_deadline_reports_zero_batches() {
         let h = big_ring(300);
         let dl = Deadline::after(Duration::ZERO);
@@ -840,20 +1007,33 @@ mod tests {
     fn deadline_can_fire_mid_sweep_with_partial_batch_count() {
         // Enough vertices for many batches; walk the budget up until a
         // stop lands mid-sweep (or the box finishes inside the budget,
-        // which the pre-expired test covers).
+        // which the pre-expired test covers): for the public sweep, and
+        // for each build through the public sweep's two steps.
         let h = big_ring(6000);
         let nb = 6000u64.div_ceil(BATCH as u64);
-        for ms in [1u64, 2, 4, 8, 16, 32, 64] {
-            match hyper_distance_stats_with(&h, &Deadline::after_ms(ms)) {
-                Err(err) => {
-                    assert_eq!(err.phase, "msbfs");
-                    assert!(err.work_done < nb, "{err:?}");
-                    if err.work_done > 0 {
-                        return;
+        fn walk_budgets(
+            nb: u64,
+            what: &str,
+            run: impl Fn(&Deadline) -> Result<HyperDistanceStats, DeadlineExceeded>,
+        ) {
+            for ms in [1u64, 2, 4, 8, 16, 32, 64] {
+                match run(&Deadline::after_ms(ms)) {
+                    Err(err) => {
+                        assert_eq!(err.phase, "msbfs");
+                        assert!(err.work_done < nb, "{what} {err:?}");
+                        if err.work_done > 0 {
+                            return;
+                        }
                     }
+                    Ok(_) => return,
                 }
-                Ok(_) => return,
             }
+        }
+        walk_budgets(nb, "public", |dl| hyper_distance_stats_with(&h, dl));
+        for build in builds() {
+            walk_budgets(nb, &format!("{build:?}"), |dl| {
+                traversal_order(&h, dl).and_then(|o| sweep(&h, &o, dl, 1, build))
+            });
         }
     }
 
@@ -877,12 +1057,15 @@ mod tests {
         );
     }
 
-    /// Pull passes of the batches cut from `sources`, all on one scratch.
-    fn pull_passes_over(h: &Hypergraph, sources: &[VertexId]) -> u64 {
+    /// Pull passes of the batches cut from `sources`, all on one scratch
+    /// in `build`.
+    fn pull_passes_over(h: &Hypergraph, sources: &[VertexId], build: Build) -> u64 {
         let mut scratch = MsBfsScratch::new(h);
         let mut ticks = 0u32;
         for batch in sources.chunks(BATCH) {
-            msbfs_batch(h, batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
+            build
+                .batch(h, batch, &mut scratch, &Deadline::none(), &mut ticks)
+                .unwrap();
         }
         scratch.pull_passes
     }
@@ -893,7 +1076,9 @@ mod tests {
         // The count moves only if some pass flips direction.
         let h = uniform_random_hypergraph(6000, 4500, 5, 41);
         let sources: Vec<VertexId> = h.vertices().collect();
-        assert_eq!(pull_passes_over(&h, &sources), 215);
+        for build in builds() {
+            assert_eq!(pull_passes_over(&h, &sources, build), 215, "{build:?}");
+        }
     }
 
     #[test]
@@ -902,7 +1087,9 @@ mod tests {
         // `hg profile --algo bfs` reads the same 231 pull passes.
         let h = uniform_random_hypergraph(6000, 4500, 5, 41);
         let order = traversal_order(&h, &Deadline::none()).unwrap();
-        assert_eq!(pull_passes_over(&h, &order), 231);
+        for build in builds() {
+            assert_eq!(pull_passes_over(&h, &order, build), 231, "{build:?}");
+        }
     }
 
     #[test]
@@ -915,7 +1102,17 @@ mod tests {
         let isolated = h.vertices().filter(|&v| h.vertex_degree(v) == 0);
         assert_eq!(isolated.count(), 127);
         let file_order: Vec<VertexId> = h.vertices().collect();
-        let oracle = sweep(&h, &file_order, &Deadline::none(), 1).unwrap();
+        let oracle = sweep(&h, &file_order, &Deadline::none(), 1, Build::Portable).unwrap();
+        let check = |trace: &hgobs::TraceCtx, stats: HyperDistanceStats, what: &str| {
+            assert_bit_identical(stats, oracle);
+            let events = trace.events();
+            assert_eq!((events[0].phase, events[0].work), ("msbfs.order", 5873));
+            let batches = &events[1..];
+            assert!(batches.iter().all(|e| e.phase == "msbfs.batch"));
+            assert_eq!(batches.len(), 23, "{what}");
+            assert_eq!(batches.iter().map(|e| e.work).sum::<u64>(), 5873);
+        };
+        // The public sweeps, in the build this CPU picks.
         for par in [false, true] {
             let trace = hgobs::TraceCtx::new(1);
             let dl = Deadline::none().with_trace(trace.clone());
@@ -924,13 +1121,15 @@ mod tests {
             } else {
                 hyper_distance_stats_with(&h, &dl)
             };
-            assert_bit_identical(stats.unwrap(), oracle);
-            let events = trace.events();
-            assert_eq!((events[0].phase, events[0].work), ("msbfs.order", 5873));
-            let batches = &events[1..];
-            assert!(batches.iter().all(|e| e.phase == "msbfs.batch"));
-            assert_eq!(batches.len(), 23, "par {par}");
-            assert_eq!(batches.iter().map(|e| e.work).sum::<u64>(), 5873);
+            check(&trace, stats.unwrap(), &format!("par {par}"));
+        }
+        // Each build at both widths, through the public sweeps' two steps.
+        for (build, width) in builds().into_iter().flat_map(|b| [(b, 1), (b, 2)]) {
+            let trace = hgobs::TraceCtx::new(1);
+            let dl = Deadline::none().with_trace(trace.clone());
+            let order = traversal_order(&h, &dl).unwrap();
+            let stats = sweep(&h, &order, &dl, width, build).unwrap();
+            check(&trace, stats, &format!("{build:?} width {width}"));
         }
     }
 
@@ -1048,9 +1247,11 @@ mod tests {
             let sources: Vec<VertexId> = h.vertices().collect();
             let oracle = scalar_hyper_distance_stats(&h);
             assert_eq!(par_msbfs_distance_stats(&h), hyper_distance_stats(&h));
-            for width in [1, 2, 3] {
-                let par = sweep(&h, &sources, &Deadline::none(), width).unwrap();
-                assert_bit_identical(par, oracle);
+            for build in builds() {
+                for width in [1, 2, 3] {
+                    let par = sweep(&h, &sources, &Deadline::none(), width, build).unwrap();
+                    assert_bit_identical(par, oracle);
+                }
             }
         }
     }
@@ -1058,16 +1259,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Width 2 == scalar oracle, bit for bit, on the random shapes of
-        /// `tests/msbfs_equivalence.rs` (disconnected, isolated vertices,
-        /// duplicate and empty hyperedges). The sources cycle through the
-        /// vertices until they fill three batches, so two workers claim
-        /// batches even on tiny inputs.
+        /// Width 2 == scalar oracle, bit for bit, in every build, on the
+        /// random shapes of `tests/msbfs_equivalence.rs` (disconnected,
+        /// isolated vertices, duplicate and empty hyperedges). The
+        /// sources cycle through the vertices until they fill three
+        /// batches, so two workers claim batches even on tiny inputs.
         #[test]
         fn width_two_bit_identical_to_scalar(h in arb_hypergraph(90, 40, 6)) {
             let sources: Vec<VertexId> = h.vertices().cycle().take(3 * BATCH).collect();
-            let par = sweep(&h, &sources, &Deadline::none(), 2).unwrap();
-            assert_bit_identical(par, scalar_hyper_distance_stats_from(&h, &sources));
+            let oracle = scalar_hyper_distance_stats_from(&h, &sources);
+            for build in builds() {
+                let par = sweep(&h, &sources, &Deadline::none(), 2, build).unwrap();
+                assert_bit_identical(par, oracle);
+            }
         }
     }
 
@@ -1086,7 +1290,8 @@ mod tests {
             let sources: Vec<VertexId> = (0..take as u32).map(VertexId).collect();
             let oracle = scalar_hyper_distance_stats_from(&h, &sources);
             for width in [1, 2] {
-                prop_assert_eq!(oracle, sweep(&h, &sources, &Deadline::none(), width).unwrap());
+                let stats = sweep(&h, &sources, &Deadline::none(), width, Build::best());
+                prop_assert_eq!(oracle, stats.unwrap());
             }
         }
     }
@@ -1133,7 +1338,8 @@ mod tests {
             let oracle = scalar_hyper_distance_stats(&h);
             assert_bit_identical(hyper_distance_stats(&h), oracle);
             assert_bit_identical(par_msbfs_distance_stats(&h), oracle);
-            assert_bit_identical(sweep(&h, &order, &Deadline::none(), 2).unwrap(), oracle);
+            let width_two = sweep(&h, &order, &Deadline::none(), 2, Build::best());
+            assert_bit_identical(width_two.unwrap(), oracle);
         }
     }
 
@@ -1159,7 +1365,7 @@ mod tests {
         let h = b.build();
         let some = [VertexId(0), VertexId(4)];
         assert_eq!(
-            sweep(&h, &some, &Deadline::none(), 2).unwrap(),
+            sweep(&h, &some, &Deadline::none(), 2, Build::best()).unwrap(),
             scalar_hyper_distance_stats_from(&h, &some)
         );
     }
@@ -1171,7 +1377,7 @@ mod tests {
         let dl = Deadline::cancellable();
         dl.cancel();
         for width in [1, 2] {
-            let err = sweep(&h, &sources, &dl, width).unwrap_err();
+            let err = sweep(&h, &sources, &dl, width, Build::best()).unwrap_err();
             assert_eq!(err.phase, "msbfs");
             assert_eq!(err.work_done, 0, "{err:?}");
         }
@@ -1182,7 +1388,7 @@ mod tests {
         let h = uniform_random_hypergraph(6000, 4800, 5, 11);
         let sources: Vec<VertexId> = h.vertices().collect();
         for width in [1, 2] {
-            match sweep(&h, &sources, &Deadline::after_ms(1), width) {
+            match sweep(&h, &sources, &Deadline::after_ms(1), width, Build::best()) {
                 Err(err) => {
                     assert_eq!(err.phase, "msbfs");
                     assert!(
@@ -1202,38 +1408,44 @@ mod tests {
         // 24 batches. A watcher cancels the shared token once the trace
         // shows a finished batch, so expiry lands mid-sweep at any host
         // speed; both workers must then stop inside the batch they are
-        // in rather than finish their share of the sweep.
+        // in rather than finish their share of the sweep, in each build.
         let h = uniform_random_hypergraph(6000, 4500, 5, 41);
         let sources: Vec<VertexId> = h.vertices().collect();
         let total = sources.len().div_ceil(BATCH) as u64;
-        let trace = hgobs::TraceCtx::new(1);
-        let dl = Deadline::cancellable().with_trace(trace.clone());
-        let (result, batch, cancelled_at, returned_at) = std::thread::scope(|s| {
-            let watcher = s.spawn(|| loop {
-                if let Some(e) = trace.events().into_iter().find(|e| e.work > 0) {
-                    let at = Instant::now();
-                    dl.cancel();
-                    return (e, at);
-                }
-                std::thread::yield_now();
+        for build in builds() {
+            let trace = hgobs::TraceCtx::new(1);
+            let dl = Deadline::cancellable().with_trace(trace.clone());
+            let (result, batch, cancelled_at, returned_at) = std::thread::scope(|s| {
+                let watcher = s.spawn(|| loop {
+                    if let Some(e) = trace.events().into_iter().find(|e| e.work > 0) {
+                        let at = Instant::now();
+                        dl.cancel();
+                        return (e, at);
+                    }
+                    std::thread::yield_now();
+                });
+                let result = sweep(&h, &sources, &dl, 2, build);
+                let returned_at = Instant::now();
+                let (batch, cancelled_at) = watcher.join().unwrap();
+                (result, batch, cancelled_at, returned_at)
             });
-            let result = sweep(&h, &sources, &dl, 2);
-            let returned_at = Instant::now();
-            let (batch, cancelled_at) = watcher.join().unwrap();
-            (result, batch, cancelled_at, returned_at)
-        });
-        let err = result.unwrap_err();
-        assert_eq!(err.phase, "msbfs");
-        assert!(err.work_done >= 1 && err.work_done < total, "{err:?}");
-        // Finishing the two shares would take about (total - 1) / 2 = 11
-        // batch times; stopping at the next tick takes a few percent of
-        // one, and the bound leaves room for a loaded test host.
-        let batch_time = Duration::from_micros(batch.end_us - batch.start_us);
-        let stop = returned_at.saturating_duration_since(cancelled_at);
-        assert!(
-            stop < batch_time * 4,
-            "stopped {stop:?} after cancel, batch {batch_time:?}"
-        );
+            let err = result.unwrap_err();
+            assert_eq!(err.phase, "msbfs");
+            assert!(
+                err.work_done >= 1 && err.work_done < total,
+                "{build:?} {err:?}"
+            );
+            // Finishing the two shares would take about (total - 1) / 2 =
+            // 11 batch times; stopping at the next tick takes a few
+            // percent of one, and the bound leaves room for a loaded
+            // test host.
+            let batch_time = Duration::from_micros(batch.end_us - batch.start_us);
+            let stop = returned_at.saturating_duration_since(cancelled_at);
+            assert!(
+                stop < batch_time * 4,
+                "{build:?} stopped {stop:?} after cancel, batch {batch_time:?}"
+            );
+        }
     }
 
     #[test]
@@ -1252,7 +1464,7 @@ mod tests {
                     s.spawn(move || {
                         let trace = hgobs::TraceCtx::new(id);
                         let dl = Deadline::none().with_trace(trace.clone());
-                        let stats = sweep(h, sources, &dl, 2).unwrap();
+                        let stats = sweep(h, sources, &dl, 2, Build::best()).unwrap();
                         (trace, stats)
                     })
                 })
