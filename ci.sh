@@ -340,6 +340,42 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+echo "==> hgr reader smoke (a reformatted cellzome reads the same)"
+# The same hyperedges with CRLF line ends, tabs between the ids of every
+# other line, a comment after the header, a tab-indented comment between
+# two hyperedges and a no-break space (U+00A0) between two ids. The
+# reader splits where char::is_whitespace does, so `hg stats` must print
+# exactly what it prints on the original.
+NBSP=$(printf '\302\240')
+awk -v nbsp="$NBSP" '
+    NR == 1 { printf "%s\r\n%% reformatted copy of cellzome-2004\r\n", $0; next }
+    NR == 4 { printf "\t%% a tab-indented comment between hyperedges\r\n" }
+    NR % 2 == 0 { gsub(/ /, "\t") }
+    NR == 5 { sub(/ /, nbsp) }
+    { printf "%s\r\n", $0 }
+' data/cellzome-2004.hgr >target/cellzome-variant.hgr
+./target/release/hg stats data/cellzome-2004.hgr >target/cellzome-stats.txt
+./target/release/hg stats target/cellzome-variant.hgr >target/cellzome-variant-stats.txt
+if ! cmp -s target/cellzome-stats.txt target/cellzome-variant-stats.txt; then
+    echo "hg stats differs on the reformatted cellzome:"
+    diff target/cellzome-stats.txt target/cellzome-variant-stats.txt || true
+    exit 1
+fi
+# hMETIS fmt 1 leads each hyperedge line with a weight; read as ids, this
+# file would load {1,2} and {1,2,3} without an error. The reader must
+# refuse the header and name the field.
+printf '2 3 1\n1 1 2\n1 2 3\n' >target/weighted.hgr
+if ./target/release/hg stats target/weighted.hgr >target/weighted.out 2>&1; then
+    echo "hg stats read a weighted (fmt 1) header:"
+    cat target/weighted.out
+    exit 1
+fi
+if ! grep -q 'fmt' target/weighted.out; then
+    echo "hg stats refused the fmt 1 header without naming the field:"
+    cat target/weighted.out
+    exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 

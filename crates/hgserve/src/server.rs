@@ -188,6 +188,11 @@ impl AppState {
         self.shed.load(Ordering::Relaxed)
     }
 
+    /// Parsed requests currently waiting in the job queue for a worker.
+    pub fn queued(&self) -> u64 {
+        self.queued.load(Ordering::Relaxed)
+    }
+
     /// Requests whose handler panicked (each answered 500) so far.
     pub fn panics_total(&self) -> u64 {
         self.panics.load(Ordering::Relaxed)

@@ -102,16 +102,36 @@ fn saturated_server_sheds_with_503_and_retry_after() {
 
     let slow_request =
         |path: &str| format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+    // Wait on server state, not the clock: a sweep here takes tens of
+    // ms, so a fixed sleep can outlast A and let B run and C queue.
+    let state = handle.state();
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let t0 = Instant::now();
+        while !done() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "timed out waiting for {what}: open connections {:?}, queued {}",
+                state.open_connections(),
+                state.queued()
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    };
     let mut conn_a = TcpStream::connect(&addr).expect("conn A");
     conn_a
         .write_all(slow_request("/v1/big/diameter?trace=1").as_bytes())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    // A is dispatched and out of the queue: the one worker runs it.
+    wait_for("the worker to take A", &|| {
+        let [_, _, dispatched, _] = state.open_connections();
+        dispatched == 1 && state.queued() == 0
+    });
     let mut conn_b = TcpStream::connect(&addr).expect("conn B");
     conn_b
         .write_all(slow_request("/v1/big/diameter?trace=1&pad=b").as_bytes())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    // B waits in the one queue slot behind A.
+    wait_for("B to queue behind A", &|| state.queued() == 1);
 
     // Conn C must be rejected immediately with 503 + Retry-After.
     let mut conn_c = TcpStream::connect(&addr).expect("conn C");

@@ -99,9 +99,8 @@ impl HypergraphBuilder {
 /// Freeze an already-assembled edge-side CSR (per-edge `offsets` into a
 /// flat sorted-and-deduplicated `pins` array) into a [`Hypergraph`],
 /// constructing the vertex-side CSR by counting sort. Shared by
-/// [`HypergraphBuilder::build`], the streamed two-pass text reader, and
-/// the `.hgb` stream writer — none of which want a second copy of the
-/// pin data.
+/// [`HypergraphBuilder::build`], the `.hgr` text reader, and the `.hgb`
+/// stream writer — none of which want a second copy of the pin data.
 pub(crate) fn build_from_edge_csr(
     num_vertices: usize,
     offsets: Vec<u32>,
