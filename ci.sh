@@ -376,6 +376,21 @@ if ! grep -q 'fmt' target/weighted.out; then
     exit 1
 fi
 
+echo "==> Pajek smoke (a .net triangle through hg convert and hg stats)"
+# `hg` picks a text format by extension, as `hg serve` does: each Pajek
+# edge is a 2-pin hyperedge, so the triangle's `.hgb` must read like the
+# three-hyperedge `.hgr` below.
+printf '*Vertices 3\n1 "a"\n2 "b"\n3 "c"\n*Edges\n1 2\n2 3\n1 3\n' >target/triangle.net
+printf '3 3\n1 2\n2 3\n1 3\n' >target/triangle.hgr
+./target/release/hg convert target/triangle.net -o target/triangle.hgb >/dev/null
+./target/release/hg stats target/triangle.hgb >target/triangle-hgb-stats.txt
+./target/release/hg stats target/triangle.hgr >target/triangle-hgr-stats.txt
+if ! cmp -s target/triangle-hgb-stats.txt target/triangle-hgr-stats.txt; then
+    echo "hg stats differs between the converted Pajek triangle and its .hgr:"
+    diff target/triangle-hgb-stats.txt target/triangle-hgr-stats.txt || true
+    exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 
@@ -412,6 +427,16 @@ echo "==> hg profile smoke (MS-BFS on u6000 in traversal order)"
 mkdir -p target/hgb-cache
 ./target/release/hg gen uniform 6000 4500 5 --seed 41 \
     -o target/hgb-cache/hypergen-u6000.hgr >/dev/null
+# The same instance written as `.hgb` must read the same.
+./target/release/hg gen uniform 6000 4500 5 --seed 41 \
+    -o target/hgb-cache/u6000-twin.hgb >/dev/null
+./target/release/hg stats target/hgb-cache/hypergen-u6000.hgr >target/hgb-cache/u6000-hgr-stats.txt
+./target/release/hg stats target/hgb-cache/u6000-twin.hgb >target/hgb-cache/u6000-hgb-stats.txt
+if ! cmp -s target/hgb-cache/u6000-hgr-stats.txt target/hgb-cache/u6000-hgb-stats.txt; then
+    echo "hg stats differs between u6000's .hgr and .hgb:"
+    diff target/hgb-cache/u6000-hgr-stats.txt target/hgb-cache/u6000-hgb-stats.txt || true
+    exit 1
+fi
 profile_counters() {
     ./target/release/hg profile target/hgb-cache/hypergen-u6000.hgr --algo bfs |
         sed -n 's/.*"counters":\({[^}]*}\).*/\1/p'

@@ -3,10 +3,8 @@
 //! gated by `ci.sh --bench`.
 //!
 //! The dataset pair (`hypergen-u<N>.hgr` / `.hgb`) is generated once
-//! into a cache directory and reused across runs — the `.hgb` side via
-//! the streaming writer (no in-memory [`hypergraph::Hypergraph`], no
-//! text form), the `.hgr` side from the identically-seeded in-memory
-//! generator. Each timed load is open + the first stats answer
+//! into a cache directory, both files from one generated hypergraph,
+//! and reused across runs. Each timed load is open + the first stats answer
 //! (degree maxima and shape), which for `.hgb` is O(header): the gate
 //! number measures exactly the path `hg serve --preload` takes at
 //! startup.
@@ -138,21 +136,18 @@ impl ColdloadReport {
     }
 }
 
-/// Generate the cached dataset pair if missing. The `.hgb` is written
-/// by the streaming emitter; the `.hgr` from the identically-seeded
-/// in-memory generator, so both files describe the same hypergraph.
-/// Returns `(hgb_path, hgr_path)`.
+/// Generate the cached dataset pair if either file is missing: the
+/// hypergraph is generated once and written as both `.hgb` and `.hgr`,
+/// so both files describe it. Returns `(hgb_path, hgr_path)`.
 pub fn ensure_datasets(cfg: &ColdloadConfig) -> Result<(PathBuf, PathBuf), String> {
     std::fs::create_dir_all(&cfg.cache_dir)
         .map_err(|e| format!("cannot create {}: {e}", cfg.cache_dir.display()))?;
     let hgb = cfg.hgb_path();
     let hgr = cfg.hgr_path();
-    if !hgb.exists() {
-        hypergen::uniform_to_hgb(cfg.n, cfg.m, cfg.k, cfg.seed, &hgb)
-            .map_err(|e| format!("cannot write {}: {e}", hgb.display()))?;
-    }
-    if !hgr.exists() {
+    if !hgb.exists() || !hgr.exists() {
         let h = hypergen::uniform_random_hypergraph(cfg.n, cfg.m, cfg.k, cfg.seed);
+        hypergraph::write_hgb_file(&h, None, &hgb)
+            .map_err(|e| format!("cannot write {}: {e}", hgb.display()))?;
         std::fs::write(&hgr, hypergraph::io::write_hgr(&h))
             .map_err(|e| format!("cannot write {}: {e}", hgr.display()))?;
     }

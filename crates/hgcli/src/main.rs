@@ -88,8 +88,13 @@ fn dispatch(args: &[String]) -> Result<String, String> {
     }
 }
 
+/// Read a dataset file the way `hg serve --preload` and `POST /datasets`
+/// do: the format follows the extension (`.hgb` is mmap-opened), and a
+/// file with an unknown extension is read as `.hgr`.
 fn load(path: &str) -> Result<hypergraph::Hypergraph, String> {
-    if path.ends_with(".hgb") {
+    use hgserve::registry::{parse_text, Format};
+    let format = Format::from_path(path).unwrap_or(Format::Hgr);
+    if format == Format::Hgb {
         // Binary CSR: mmap open, O(header). Kernels read straight from
         // the mapped file.
         let ds = hypergraph::open_hgb(
@@ -100,12 +105,7 @@ fn load(path: &str) -> Result<hypergraph::Hypergraph, String> {
         return Ok(ds.hypergraph);
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if path.ends_with(".mtx") {
-        let m = matrixmarket::parse_mtx(&text).map_err(|e| e.to_string())?;
-        Ok(matrixmarket::row_net(&m))
-    } else {
-        hypergraph::io::read_hgr(&text).map_err(|e| e.to_string())
-    }
+    parse_text(format, &text)
 }
 
 /// Pull `--flag value` out of an argument list; returns (value, rest).
@@ -514,26 +514,6 @@ fn cmd_gen(args: &[String]) -> Result<String, String> {
         .unwrap_or(proteome::CELLZOME_SEED);
 
     let what = rest.first().ok_or_else(usage)?;
-    // Streaming fast path: `gen uniform N M K -o out.hgb` feeds the
-    // generator's edge stream straight into the binary writer — no
-    // in-memory Hypergraph, no text form. This is how the
-    // million-vertex bench dataset is produced.
-    if what == "uniform" {
-        if let Some(out) = out.as_deref().filter(|o| o.ends_with(".hgb")) {
-            let parse = |i: usize, name: &str| -> Result<usize, String> {
-                rest.get(i)
-                    .ok_or(format!("uniform needs N M K ({name} missing)"))?
-                    .parse()
-                    .map_err(|e| format!("bad {name}: {e}"))
-            };
-            let (n, m, k) = (parse(1, "N")?, parse(2, "M")?, parse(3, "K")?);
-            hypergen::uniform_to_hgb(n, m, k, seed, std::path::Path::new(out))
-                .map_err(|e| format!("cannot write {out}: {e}"))?;
-            return Ok(format!(
-                "wrote {out} ({n} vertices, {m} hyperedges) [streamed .hgb]\n"
-            ));
-        }
-    }
     let h = match what.as_str() {
         "cellzome" => proteome::cellzome_like(seed).hypergraph,
         "uniform" => {
@@ -564,31 +544,22 @@ fn cmd_gen(args: &[String]) -> Result<String, String> {
         }
     };
 
-    match out {
-        Some(path) if path.ends_with(".hgb") => {
-            hypergraph::write_hgb_file(&h, None, std::path::Path::new(&path))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            Ok(format!(
-                "wrote {} ({} vertices, {} hyperedges, {} pins) [.hgb]\n",
-                path,
-                h.num_vertices(),
-                h.num_edges(),
-                h.num_pins()
-            ))
-        }
-        Some(path) => {
-            let text = hypergraph::io::write_hgr(&h);
-            std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            Ok(format!(
-                "wrote {} ({} vertices, {} hyperedges, {} pins)\n",
-                path,
-                h.num_vertices(),
-                h.num_edges(),
-                h.num_pins()
-            ))
-        }
-        None => Ok(hypergraph::io::write_hgr(&h)),
-    }
+    let Some(path) = out else {
+        return Ok(hypergraph::io::write_hgr(&h));
+    };
+    let (written, kind) = if path.ends_with(".hgb") {
+        let hgb = hypergraph::write_hgb_file(&h, None, std::path::Path::new(&path));
+        (hgb, " [.hgb]")
+    } else {
+        (std::fs::write(&path, hypergraph::io::write_hgr(&h)), "")
+    };
+    written.map_err(|e| format!("cannot write {path}: {e}"))?;
+    Ok(format!(
+        "wrote {path} ({} vertices, {} hyperedges, {} pins){kind}\n",
+        h.num_vertices(),
+        h.num_edges(),
+        h.num_pins()
+    ))
 }
 
 /// `hg convert <file.hgr|.net|.mtx|.hgb> -o <out.hgb> [--relabel]` —

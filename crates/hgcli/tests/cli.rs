@@ -195,6 +195,62 @@ fn mtx_input_accepted() {
     assert!(out.contains("3"));
 }
 
+/// A Pajek `.net` reads by its extension, as in `hg serve`: each graph
+/// edge is a 2-pin hyperedge, so a triangle has the statistics of the
+/// three-hyperedge `.hgr` below, and converts to a `.hgb` that does too.
+#[test]
+fn pajek_input_accepted_by_stats_and_convert() {
+    let dir = tmpdir("net");
+    let net = dir.join("triangle.net");
+    let hgr = dir.join("triangle.hgr");
+    let hgb = dir.join("triangle.hgb");
+    std::fs::write(
+        &net,
+        "*Vertices 3\n1 \"a\"\n2 \"b\"\n3 \"c\"\n*Edges\n1 2\n2 3\n1 3\n",
+    )
+    .unwrap();
+    std::fs::write(&hgr, "3 3\n1 2\n2 3\n1 3\n").unwrap();
+    let [net, hgr, hgb] = [&net, &hgr, &hgb].map(|p| p.to_str().unwrap());
+
+    let (ok, want, err) = hg(&["stats", hgr]);
+    assert!(ok, "{err}");
+    let (ok, out, err) = hg(&["stats", net]);
+    assert!(ok, "{err}");
+    assert_eq!(out, want);
+
+    let (ok, out, err) = hg(&["convert", net, "-o", hgb]);
+    assert!(ok, "{err}");
+    assert!(out.contains("3 vertices, 3 hyperedges, 6 pins"), "{out}");
+    let (ok, out, err) = hg(&["stats", hgb]);
+    assert!(ok, "{err}");
+    assert_eq!(out, want);
+}
+
+/// `hg gen … -o x.hgb` writes exactly what `write_hgb_file` writes for
+/// the generated hypergraph, and `hg stats` reads it as it reads the
+/// `.hgr` twin.
+#[test]
+fn gen_uniform_hgb_matches_the_library_writer_and_its_text_twin() {
+    let dir = tmpdir("gen_hgb");
+    let (hgb, hgr, want) = (dir.join("a.hgb"), dir.join("a.hgr"), dir.join("want.hgb"));
+    let gen = ["gen", "uniform", "300", "200", "4", "--seed", "7", "-o"];
+    for out in [&hgb, &hgr] {
+        let args: Vec<&str> = gen.iter().copied().chain([out.to_str().unwrap()]).collect();
+        let (ok, _, err) = hg(&args);
+        assert!(ok, "{err}");
+    }
+    let h = hypergen::uniform_random_hypergraph(300, 200, 4, 7);
+    hypergraph::write_hgb_file(&h, None, &want).unwrap();
+    let same = std::fs::read(&hgb).unwrap() == std::fs::read(&want).unwrap();
+    assert!(same, "hg gen wrote other bytes than write_hgb_file");
+
+    let (ok, from_hgb, err) = hg(&["stats", hgb.to_str().unwrap()]);
+    assert!(ok, "{err}");
+    let (ok, from_hgr, err) = hg(&["stats", hgr.to_str().unwrap()]);
+    assert!(ok, "{err}");
+    assert_eq!(from_hgb, from_hgr);
+}
+
 #[test]
 fn bad_file_reports_error() {
     let (ok, _, err) = hg(&["stats", "/nonexistent/definitely.hgr"]);

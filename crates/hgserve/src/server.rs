@@ -73,7 +73,9 @@ use crate::query::{ExecOpts, Query, QueryError};
 use crate::registry::{declared_size, Dataset, Format, Registry};
 use crate::slowlog::{unix_ms_now, SlowLog, SlowLogEntry};
 
-/// Server tunables, all CLI-exposed.
+/// Server tunables. `hg serve` has a flag for each field except
+/// `max_body_bytes`, `max_deadline_ms` and `header_timeout_ms`, which it
+/// runs at their defaults; library callers can set every field.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878`; port 0 picks an ephemeral port.

@@ -22,10 +22,10 @@ pub fn uniform_random_hypergraph(n: usize, m: usize, k: usize, seed: u64) -> Hyp
 
 /// The edge stream behind [`uniform_random_hypergraph`]: invokes `emit`
 /// once per hyperedge with its pins, drawing from the identical RNG
-/// sequence — a sink that builds a [`Hypergraph`] reproduces
-/// [`uniform_random_hypergraph`] bit for bit, and a sink that streams
-/// into an `.hgb` writer never materializes the hypergraph (or its text
-/// form) at all.
+/// sequence, so a sink that adds each hyperedge to a
+/// [`HypergraphBuilder`] reproduces [`uniform_random_hypergraph`] bit for
+/// bit. A sink can also look at each hyperedge as it is drawn, as the
+/// benchmark's dataset check counts vertex degrees.
 ///
 /// # Panics
 /// If `k > n`.

@@ -41,12 +41,6 @@ impl HypergraphBuilder {
         self.offsets.len() - 1
     }
 
-    /// Grow the vertex-id space to at least `n` vertices.
-    pub fn ensure_vertices(&mut self, n: usize) {
-        assert!(n <= u32::MAX as usize, "vertex count exceeds u32");
-        self.num_vertices = self.num_vertices.max(n);
-    }
-
     /// Pre-reserve capacity for `additional_pins` more incidences.
     pub fn reserve_pins(&mut self, additional_pins: usize) {
         self.pins.reserve(additional_pins);
@@ -67,16 +61,7 @@ impl HypergraphBuilder {
             );
             self.pins.push(v);
         }
-        self.pins[start..].sort_unstable();
-        // In-place dedup of the new tail.
-        let mut write = start;
-        for read in start..self.pins.len() {
-            if read == start || self.pins[read] != self.pins[write - 1] {
-                self.pins[write] = self.pins[read];
-                write += 1;
-            }
-        }
-        self.pins.truncate(write);
+        sort_dedup_tail(&mut self.pins, start);
         assert!(
             self.pins.len() <= u32::MAX as usize,
             "pin count exceeds u32"
@@ -96,44 +81,58 @@ impl HypergraphBuilder {
     }
 }
 
+/// Sort `pins[start..]`, one hyperedge's ids, and drop its repeats in
+/// place: how every hyperedge is closed before it enters a CSR
+/// ([`HypergraphBuilder::add_edge`] and the `.hgr` reader's line end).
+pub(crate) fn sort_dedup_tail(pins: &mut Vec<u32>, start: usize) {
+    pins[start..].sort_unstable();
+    let mut write = start;
+    for read in start..pins.len() {
+        if write == start || pins[read] != pins[write - 1] {
+            pins[write] = pins[read];
+            write += 1;
+        }
+    }
+    pins.truncate(write);
+}
+
 /// Freeze an already-assembled edge-side CSR (per-edge `offsets` into a
 /// flat sorted-and-deduplicated `pins` array) into a [`Hypergraph`],
-/// constructing the vertex-side CSR by counting sort. Shared by
-/// [`HypergraphBuilder::build`], the `.hgr` text reader, and the `.hgb`
-/// stream writer — none of which want a second copy of the pin data.
+/// constructing the vertex-side CSR by counting sort. Called by
+/// [`HypergraphBuilder::build`] and by the `.hgr` text reader, which
+/// fills the same two arrays without a builder.
+///
+/// `vertex_offsets` is the only per-vertex array: `v`'s degree is counted
+/// at slot `v + 2`, the prefix sum moves `v`'s start to slot `v + 1`, and
+/// the scatter, with that slot as `v`'s cursor, leaves `v + 1`'s start
+/// there. Slots `0..=n` are then the offsets.
 pub(crate) fn build_from_edge_csr(
     num_vertices: usize,
     offsets: Vec<u32>,
     pins: Vec<u32>,
 ) -> Hypergraph {
     let n = num_vertices;
-    let m = offsets.len() - 1;
-
-    // Count vertex degrees.
-    let mut vdeg = vec![0u32; n];
+    let mut vertex_offsets = vec![0u32; n + 2];
     for &v in &pins {
-        vdeg[v as usize] += 1;
+        vertex_offsets[v as usize + 2] += 1;
     }
-    let mut vertex_offsets = Vec::with_capacity(n + 1);
-    vertex_offsets.push(0u32);
     let mut acc = 0u32;
-    for &d in &vdeg {
-        acc += d;
-        vertex_offsets.push(acc);
+    for slot in &mut vertex_offsets[2..] {
+        acc += *slot;
+        *slot = acc;
     }
 
-    // Scatter edge ids into vertex adjacency lists. Edges are scanned
-    // in increasing id order, so each vertex's list comes out sorted.
-    let mut cursor: Vec<u32> = vertex_offsets[..n].to_vec();
+    // Edges are scanned in increasing id order, so each vertex's list
+    // comes out sorted.
     let mut adj_list = vec![EdgeId(0); pins.len()];
-    for e in 0..m {
-        let lo = offsets[e] as usize;
-        let hi = offsets[e + 1] as usize;
-        for &v in &pins[lo..hi] {
-            adj_list[cursor[v as usize] as usize] = EdgeId(e as u32);
-            cursor[v as usize] += 1;
+    for (e, range) in offsets.windows(2).enumerate() {
+        for &v in &pins[range[0] as usize..range[1] as usize] {
+            let cursor = &mut vertex_offsets[v as usize + 1];
+            adj_list[*cursor as usize] = EdgeId(e as u32);
+            *cursor += 1;
         }
     }
+    vertex_offsets.truncate(n + 1);
 
     let pin_list: Vec<VertexId> = pins.into_iter().map(VertexId).collect();
     Hypergraph::from_parts(offsets, pin_list, vertex_offsets, adj_list)

@@ -46,6 +46,7 @@
 use std::io::Write;
 use std::sync::Arc;
 
+use crate::builder::HypergraphBuilder;
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 use crate::relabel::Relabeling;
 use crate::storage::{MapRegion, MappedCsr, SectionRange, Storage};
@@ -281,88 +282,41 @@ pub fn write_hgb_file(
     write_hgb(h, relabeling, &mut w)
 }
 
-/// Accumulates hyperedges and writes a `.hgb` directly — no
-/// [`Hypergraph`] and no text form are ever materialized, so emitting a
-/// million-vertex generated dataset peaks at the size of the CSR
-/// itself. Used by `hypergen`'s streaming emitters (`hg gen ... -o
-/// out.hgb`).
-///
-/// Semantics match [`crate::HypergraphBuilder`]: pins are sorted and
-/// deduplicated per edge, duplicate edges are kept, empty edges are
-/// allowed.
-pub struct HgbStreamWriter {
-    num_vertices: usize,
-    pins: Vec<u32>,
-    offsets: Vec<u32>,
-}
+/// A [`HypergraphBuilder`] whose [`finish`](Self::finish) writes the
+/// built hypergraph through [`write_hgb`]. The benchmark's dataset
+/// preparation (`hgperf`) imports it; everything else builds a
+/// [`Hypergraph`] and calls [`write_hgb_file`], which is the same path.
+pub struct HgbStreamWriter(HypergraphBuilder);
 
 impl HgbStreamWriter {
     /// Writer over the vertex set `0..num_vertices`.
     pub fn new(num_vertices: usize) -> Self {
-        assert!(
-            num_vertices <= u32::MAX as usize,
-            "vertex count exceeds u32"
-        );
-        HgbStreamWriter {
-            num_vertices,
-            pins: Vec::new(),
-            offsets: vec![0],
-        }
+        HgbStreamWriter(HypergraphBuilder::new(num_vertices))
     }
 
-    /// Pre-reserve capacity for `additional_pins` more incidences.
+    /// [`HypergraphBuilder::reserve_pins`].
     pub fn reserve_pins(&mut self, additional_pins: usize) {
-        self.pins.reserve(additional_pins);
+        self.0.reserve_pins(additional_pins);
     }
 
-    /// Number of hyperedges added so far.
+    /// [`HypergraphBuilder::num_edges`].
     pub fn num_edges(&self) -> usize {
-        self.offsets.len() - 1
+        self.0.num_edges()
     }
 
-    /// Add one hyperedge (sorted + deduplicated in place).
-    ///
-    /// # Panics
-    /// If any vertex id is out of range.
+    /// [`HypergraphBuilder::add_edge`].
     pub fn add_edge(&mut self, vertices: impl IntoIterator<Item = u32>) {
-        let start = self.pins.len();
-        for v in vertices {
-            assert!(
-                (v as usize) < self.num_vertices,
-                "vertex {v} out of range for {} vertices",
-                self.num_vertices
-            );
-            self.pins.push(v);
-        }
-        self.pins[start..].sort_unstable();
-        let mut write = start;
-        for read in start..self.pins.len() {
-            if read == start || self.pins[read] != self.pins[write - 1] {
-                self.pins[write] = self.pins[read];
-                write += 1;
-            }
-        }
-        self.pins.truncate(write);
-        assert!(
-            self.pins.len() <= u32::MAX as usize,
-            "pin count exceeds u32"
-        );
-        self.offsets.push(self.pins.len() as u32);
+        self.0.add_edge(vertices);
     }
 
-    /// Build the vertex-side CSR and stream the complete `.hgb` out.
+    /// Build the hypergraph and write it as `.hgb`.
     pub fn finish(self, w: &mut impl Write) -> std::io::Result<()> {
-        // Same counting-scatter as `HypergraphBuilder::build`, then
-        // reuse the normal writer over a transient owned hypergraph —
-        // the only allocations are the CSR arrays themselves.
-        let h = crate::builder::build_from_edge_csr(self.num_vertices, self.offsets, self.pins);
-        write_hgb(&h, None, w)
+        write_hgb(&self.0.build(), None, w)
     }
 
     /// [`HgbStreamWriter::finish`] into a buffered file.
     pub fn finish_file(self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.finish(&mut w)
+        write_hgb_file(&self.0.build(), None, path)
     }
 }
 

@@ -334,15 +334,7 @@ pub fn read_hgr(text: &str) -> Result<Hypergraph, HgrError> {
         // Sort + dedup the line's ids in place (builder semantics),
         // unless they came strictly increasing, as `write_hgr` writes them.
         if !sorted {
-            pins[start..].sort_unstable();
-            let mut write = start;
-            for read in start..pins.len() {
-                if read == start || pins[read] != pins[write - 1] {
-                    pins[write] = pins[read];
-                    write += 1;
-                }
-            }
-            pins.truncate(write);
+            crate::builder::sort_dedup_tail(&mut pins, start);
         }
         assert!(pins.len() <= u32::MAX as usize, "pin count exceeds u32");
         offsets.push(pins.len() as u32);
@@ -583,10 +575,10 @@ mod tests {
         assert!(err.message.contains("bad vertex id `bogus`"), "{err}");
     }
 
-    /// Exact preallocation: the CSR arrays come out with no spare
-    /// capacity on a clean parse.
+    /// A comment line between hyperedges adds no pin and no hyperedge,
+    /// and shifts no hyperedge id: the last line is still hyperedge 2.
     #[test]
-    fn two_pass_preallocates_exactly() {
+    fn comment_between_hyperedges_adds_nothing() {
         let h = read_hgr("3 5\n1 2 3\n% comment between edges\n2 3 4\n5\n").unwrap();
         assert_eq!(h.num_pins(), 7);
         assert_eq!(h.num_edges(), 3);

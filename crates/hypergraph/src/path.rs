@@ -46,38 +46,67 @@ pub fn hyper_distances_with(
     if deadline.expired() {
         return Err(deadline.exceeded("bfs", 0));
     }
-    let mut dist = vec![UNREACHABLE; h.num_vertices()];
-    let mut edge_seen = vec![false; h.num_edges()];
-    let mut frontier: VecDeque<VertexId> = VecDeque::new();
-    let mut ticks = 0u32;
-    let mut settled = 0u64;
-    dist[source.index()] = 0;
-    frontier.push_back(source);
-    while let Some(u) = frontier.pop_front() {
-        if deadline.tick(&mut ticks) {
-            return Err(deadline.exceeded("bfs", settled));
-        }
-        settled += 1;
-        let du = dist[u.index()];
-        for &f in h.edges_of(u) {
-            if edge_seen[f.index()] {
-                continue;
-            }
-            edge_seen[f.index()] = true;
-            for &w in h.pins(f) {
-                if dist[w.index()] == UNREACHABLE {
-                    dist[w.index()] = du + 1;
-                    frontier.push_back(w);
-                }
-            }
-        }
-    }
+    let mut bfs = Bfs::new(h);
+    let settled = bfs
+        .run(h, source, deadline)
+        .map_err(|settled| deadline.exceeded("bfs", settled))?;
     tp.add_work(settled);
     hgobs::counter!("bfs.sources");
     if hgobs::enabled() {
-        record_bfs_shape(&dist);
+        record_bfs_shape(&bfs.dist);
     }
-    Ok(dist)
+    Ok(bfs.dist)
+}
+
+/// The scalar BFS over its own buffers, run once by
+/// [`hyper_distances_with`] and once per source by the scalar sweep.
+/// `ticks` is the deadline's amortized counter, kept across runs.
+struct Bfs {
+    dist: Vec<u32>,
+    edge_seen: Vec<bool>,
+    frontier: VecDeque<VertexId>,
+    ticks: u32,
+}
+
+impl Bfs {
+    fn new(h: &Hypergraph) -> Self {
+        Bfs {
+            dist: vec![UNREACHABLE; h.num_vertices()],
+            edge_seen: vec![false; h.num_edges()],
+            frontier: VecDeque::new(),
+            ticks: 0,
+        }
+    }
+
+    /// BFS from `source`, alternating vertex and hyperedge expansions,
+    /// over buffers the caller has cleared (a run that returns `Ok`
+    /// leaves `frontier` empty). Returns the vertices settled, or as the
+    /// error the number settled when the deadline's tick fired.
+    fn run(&mut self, h: &Hypergraph, source: VertexId, deadline: &Deadline) -> Result<u64, u64> {
+        let mut settled = 0u64;
+        self.dist[source.index()] = 0;
+        self.frontier.push_back(source);
+        while let Some(u) = self.frontier.pop_front() {
+            if deadline.tick(&mut self.ticks) {
+                return Err(settled);
+            }
+            settled += 1;
+            let du = self.dist[u.index()];
+            for &f in h.edges_of(u) {
+                if self.edge_seen[f.index()] {
+                    continue;
+                }
+                self.edge_seen[f.index()] = true;
+                for &w in h.pins(f) {
+                    if self.dist[w.index()] == UNREACHABLE {
+                        self.dist[w.index()] = du + 1;
+                        self.frontier.push_back(w);
+                    }
+                }
+            }
+        }
+        Ok(settled)
+    }
 }
 
 /// Hypergraph distance from `s` to `t` alone, or `None` when `t` is
@@ -445,10 +474,7 @@ pub fn scalar_hyper_distance_stats_from_with(
     let mut diameter = 0u32;
     let mut total = 0u128;
     let mut pairs = 0u64;
-    let mut dist = vec![UNREACHABLE; h.num_vertices()];
-    let mut edge_seen = vec![false; h.num_edges()];
-    let mut frontier: VecDeque<VertexId> = VecDeque::new();
-    let mut ticks = 0u32;
+    let mut bfs = Bfs::new(h);
     let mut completed = 0u64;
 
     let expired = 'sweep: {
@@ -459,33 +485,15 @@ pub fn scalar_hyper_distance_stats_from_with(
             if deadline.expired() {
                 break 'sweep true;
             }
-            dist.fill(UNREACHABLE);
-            edge_seen.fill(false);
-            frontier.clear();
-            dist[s.index()] = 0;
-            frontier.push_back(s);
-            while let Some(u) = frontier.pop_front() {
-                if deadline.tick(&mut ticks) {
-                    break 'sweep true;
-                }
-                let du = dist[u.index()];
-                for &f in h.edges_of(u) {
-                    if edge_seen[f.index()] {
-                        continue;
-                    }
-                    edge_seen[f.index()] = true;
-                    for &w in h.pins(f) {
-                        if dist[w.index()] == UNREACHABLE {
-                            dist[w.index()] = du + 1;
-                            frontier.push_back(w);
-                        }
-                    }
-                }
+            bfs.dist.fill(UNREACHABLE);
+            bfs.edge_seen.fill(false);
+            if bfs.run(h, s, deadline).is_err() {
+                break 'sweep true;
             }
             if hgobs::enabled() {
-                record_bfs_shape(&dist);
+                record_bfs_shape(&bfs.dist);
             }
-            for (v, &d) in dist.iter().enumerate() {
+            for (v, &d) in bfs.dist.iter().enumerate() {
                 if d != UNREACHABLE && v != s.index() {
                     diameter = diameter.max(d);
                     total += d as u128;
