@@ -703,15 +703,24 @@ printf '%s' "$DATASETS" | grep -q '"storage":"mmap"' || {
     echo "expected /datasets to report storage \"mmap\": $DATASETS"
     exit 1
 }
-# The binary and text twins must answer identically.
-D_BIN=$(curl -sf "http://$ADDR/v1/cellzome-bin/stats")
-D_TXT=$(curl -sf "http://$ADDR/v1/cellzome-2004/stats")
-[ "$D_BIN" = "$D_TXT" ] || {
-    echo ".hgb and .hgr answers diverge:"
-    echo "  bin: $D_BIN"
-    echo "  txt: $D_TXT"
+# The binary and text twins must answer identically: every endpoint
+# in hgserve::query::ENDPOINTS (distance on one pair), plus kcore?k=3.
+QUERIES=$(sed -n '/^pub const ENDPOINTS/,/^];/s/^ *"\([a-z]*\)",$/\1/p' \
+    crates/hgserve/src/query.rs | sed 's/^distance$/distance?from=1\&to=100/')
+[ "$(printf '%s\n' "$QUERIES" | wc -l)" -ge 8 ] || {
+    echo "expected the endpoint list from query.rs, got: $QUERIES"
     exit 1
 }
+for Q in $QUERIES 'kcore?k=3'; do
+    D_BIN=$(curl -sf "http://$ADDR/v1/cellzome-bin/$Q")
+    D_TXT=$(curl -sf "http://$ADDR/v1/cellzome-2004/$Q")
+    [ -n "$D_BIN" ] && [ "$D_BIN" = "$D_TXT" ] || {
+        echo ".hgb and .hgr answers to $Q diverge:"
+        echo "  bin: $D_BIN"
+        echo "  txt: $D_TXT"
+        exit 1
+    }
+done
 RESIDENT=$(curl -sf "http://$ADDR/metrics" |
     sed -n 's/^hgserve_dataset_resident_bytes{dataset="cellzome-bin",storage="mmap"} \([0-9]*\)$/\1/p')
 [ "${RESIDENT:-0}" -ge 1 ] || {
@@ -721,6 +730,6 @@ RESIDENT=$(curl -sf "http://$ADDR/metrics" |
 }
 stop_server
 rm -f smoke.log
-echo "mmap smoke OK (resident bytes: $RESIDENT)"
+echo "mmap smoke OK (resident bytes: $RESIDENT; $(printf '%s\n' "$QUERIES" | wc -l) endpoints + kcore?k=3 identical)"
 
 echo "CI OK"

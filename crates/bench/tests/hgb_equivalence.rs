@@ -1,17 +1,19 @@
 //! Owned vs mmap storage must be invisible to every kernel: the same
 //! `.hgb` file opened through the owned decoder and through the mmap
-//! path has to produce bit-identical MS-BFS distance statistics,
-//! k-core decompositions (max-core id sets included), connected
-//! components, and degree histograms — on the Cellzome twin and on a
-//! hypergen configuration. This is the equality half of the
-//! `ci.sh --bench` cold-load acceptance gate.
+//! path has to produce bit-identical MS-BFS distance statistics at both
+//! widths, k-core decompositions (max-core id sets included), the probe
+//! k-core, pair distances, the greedy cover, connected components, and
+//! degree histograms — on the Cellzome twin and on a hypergen
+//! configuration. This is the equality half of the `ci.sh --bench`
+//! cold-load acceptance gate.
 
 #![cfg(unix)] // the mmap side of the comparison needs the unix shim
 
 use std::path::PathBuf;
 
 use hypergraph::hgb::{open_hgb, write_hgb_file, HgbOpenMode, HgbOpenOptions};
-use hypergraph::{Hypergraph, StorageKind};
+use hypergraph::path::UNREACHABLE;
+use hypergraph::{Hypergraph, StorageKind, VertexId};
 
 fn temp_hgb(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hgb-equiv-{tag}-{}.hgb", std::process::id()))
@@ -63,6 +65,55 @@ fn assert_kernels_identical(owned: &Hypergraph, mapped: &Hypergraph, name: &str)
         hypergraph::hyper_distance_stats(owned),
         hypergraph::hyper_distance_stats(mapped),
         "{name}: msbfs stats differ"
+    );
+    assert_eq!(
+        hypergraph::par_msbfs_distance_stats(owned),
+        hypergraph::par_msbfs_distance_stats(mapped),
+        "{name}: full-width msbfs stats differ"
+    );
+
+    // Pair distances, as `distance?from=&to=` answers them: the pair
+    // search on both backings against the single-source oracle, over a
+    // fixed 8 x 8 grid of sources and targets.
+    let n = owned.num_vertices();
+    for s in (0..8).map(|i| VertexId((i * n / 8) as u32)) {
+        let oracle = hypergraph::hyper_distances(owned, s);
+        assert_eq!(
+            oracle,
+            hypergraph::hyper_distances(mapped, s),
+            "{name}: distances from {s} differ"
+        );
+        for t in (0..8).map(|j| VertexId(((j * 7_919 + 1) % n) as u32)) {
+            let want = Some(oracle[t.index()]).filter(|&d| d != UNREACHABLE);
+            for (h, side) in [(owned, "owned"), (mapped, "mapped")] {
+                let got = hypergraph::hyper_distance(h, s, t);
+                assert_eq!(got, want, "{name}: {side} distance {s} -> {t}");
+            }
+        }
+    }
+
+    // The probe k-core that answers `kcore?k=3`.
+    let (p_owned, p_mapped) = (
+        hypergraph::probe_kcore(owned, 3),
+        hypergraph::probe_kcore(mapped, 3),
+    );
+    assert_eq!(
+        (p_owned.vertices, p_owned.edges, p_owned.pins),
+        (p_mapped.vertices, p_mapped.edges, p_mapped.pins),
+        "{name}: probe 3-cores differ"
+    );
+
+    // The unit-weight greedy cover that answers `cover`.
+    let c_owned = hypergraph::greedy_vertex_cover(owned, |_| 1.0).unwrap();
+    let c_mapped = hypergraph::greedy_vertex_cover(mapped, |_| 1.0).unwrap();
+    assert_eq!(
+        c_owned.vertices, c_mapped.vertices,
+        "{name}: greedy covers differ"
+    );
+    assert_eq!(
+        c_owned.total_weight.to_bits(),
+        c_mapped.total_weight.to_bits(),
+        "{name}: greedy cover weights differ"
     );
 
     // One-pass k-core decomposition: per-vertex core numbers, the level

@@ -31,9 +31,10 @@ impl BipartiteView {
         let m = h.num_edges();
         let mut b = GraphBuilder::new(n + m);
         b.reserve(h.num_pins());
-        for f in h.edges() {
-            let fnode = NodeId((n + f.index()) as u32);
-            for &v in h.pins(f) {
+        let csr = h.csr();
+        for f in 0..m {
+            let fnode = NodeId((n + f) as u32);
+            for &v in csr.pins(f) {
                 b.add_edge(NodeId(v.0), fnode);
             }
         }

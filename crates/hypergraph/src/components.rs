@@ -81,12 +81,12 @@ impl HyperComponents {
 /// Connected components via union–find over `|V| + |F|` elements,
 /// O(|E| α) time.
 pub fn hypergraph_components(h: &Hypergraph) -> HyperComponents {
-    let n = h.num_vertices();
-    let m = h.num_edges();
+    let csr = h.csr();
+    let (n, m) = (csr.num_vertices(), csr.num_edges());
     let mut uf = UnionFind::new(n + m);
-    for f in h.edges() {
-        for &v in h.pins(f) {
-            uf.union(n + f.index(), v.index());
+    for f in 0..m {
+        for &v in csr.pins(f) {
+            uf.union(n + f, v.index());
         }
     }
     let (labels, count) = uf.labels();

@@ -66,7 +66,12 @@ impl CoverResult {
         if self.vertices.is_empty() {
             return 0.0;
         }
-        let sum: usize = self.vertices.iter().map(|&v| h.vertex_degree(v)).sum();
+        let csr = h.csr();
+        let sum: usize = self
+            .vertices
+            .iter()
+            .map(|v| csr.vertex_degree(v.index()) as usize)
+            .sum();
         sum as f64 / self.vertices.len() as f64
     }
 }
@@ -96,6 +101,7 @@ pub fn greedy_vertex_cover(
     weight: impl Fn(VertexId) -> f64,
 ) -> Result<CoverResult, CoverError> {
     let _phase = hgobs::phase("cover.greedy");
+    let csr = h.csr();
     let weights: Vec<f64> = h.vertices().map(&weight).collect();
     for v in h.vertices() {
         let w = weights[v.index()];
@@ -103,11 +109,11 @@ pub fn greedy_vertex_cover(
             return Err(CoverError::BadWeight(v));
         }
     }
-    if let Some(f) = h.edges().find(|&f| h.edge_degree(f) == 0) {
-        return Err(CoverError::EmptyEdge(f));
+    if let Some(f) = csr.edge_degrees().position(|d| d == 0) {
+        return Err(CoverError::EmptyEdge(EdgeId(f as u32)));
     }
 
-    let mut uncovered_adj: Vec<u32> = h.vertices().map(|v| h.vertex_degree(v) as u32).collect();
+    let mut uncovered_adj: Vec<u32> = csr.vertex_degrees().collect();
     let mut covered = vec![false; h.num_edges()];
     let mut remaining = h.num_edges();
     let mut in_cover = vec![false; h.num_vertices()];
@@ -151,14 +157,14 @@ pub fn greedy_vertex_cover(
         result.vertices.push(VertexId(vid));
         result.total_weight += weights[v];
         result.iterations += 1;
-        for &f in h.edges_of(VertexId(vid)) {
+        for &f in csr.edges_of(v) {
             if covered[f.index()] {
                 continue;
             }
             covered[f.index()] = true;
             remaining -= 1;
             edges_covered += 1;
-            for &w in h.pins(f) {
+            for &w in csr.pins(f.index()) {
                 uncovered_adj[w.index()] -= 1;
             }
         }
@@ -172,12 +178,12 @@ pub fn greedy_vertex_cover(
 
 /// `true` iff `cover` touches every hyperedge of `h`.
 pub fn is_vertex_cover(h: &Hypergraph, cover: &[VertexId]) -> bool {
-    let mut chosen = vec![false; h.num_vertices()];
+    let csr = h.csr();
+    let mut chosen = vec![false; csr.num_vertices()];
     for &v in cover {
         chosen[v.index()] = true;
     }
-    h.edges()
-        .all(|f| h.pins(f).iter().any(|v| chosen[v.index()]))
+    (0..csr.num_edges()).all(|f| csr.pins(f).iter().any(|v| chosen[v.index()]))
 }
 
 /// The m-th harmonic number `H_m = 1 + 1/2 + … + 1/m` — the greedy

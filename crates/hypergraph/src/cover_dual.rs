@@ -13,7 +13,7 @@
 //! per-instance approximation certificate.
 
 use crate::cover::{CoverError, CoverResult};
-use crate::hypergraph::{Hypergraph, VertexId};
+use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 
 /// Outcome of the primal-dual cover: the cover plus its dual certificate.
 #[derive(Clone, Debug)]
@@ -38,6 +38,7 @@ pub fn pricing_vertex_cover(
     weight: impl Fn(VertexId) -> f64,
 ) -> Result<PricingCover, CoverError> {
     let _phase = hgobs::phase("cover.pricing");
+    let csr = h.csr();
     let weights: Vec<f64> = h.vertices().map(&weight).collect();
     for v in h.vertices() {
         let w = weights[v.index()];
@@ -45,8 +46,8 @@ pub fn pricing_vertex_cover(
             return Err(CoverError::BadWeight(v));
         }
     }
-    if let Some(f) = h.edges().find(|&f| h.edge_degree(f) == 0) {
-        return Err(CoverError::EmptyEdge(f));
+    if let Some(f) = csr.edge_degrees().position(|d| d == 0) {
+        return Err(CoverError::EmptyEdge(EdgeId(f as u32)));
     }
 
     let mut residual = weights.clone();
@@ -56,18 +57,18 @@ pub fn pricing_vertex_cover(
     let mut dual_raises: u64 = 0;
     let mut pruned: u64 = 0;
 
-    for f in h.edges() {
-        if h.pins(f).iter().any(|v| in_cover[v.index()]) {
+    for f in 0..csr.num_edges() {
+        let pins = csr.pins(f);
+        if pins.iter().any(|v| in_cover[v.index()]) {
             continue;
         }
-        let eps = h
-            .pins(f)
+        let eps = pins
             .iter()
             .map(|v| residual[v.index()])
             .fold(f64::INFINITY, f64::min);
         dual_sum += eps;
         dual_raises += 1;
-        for &v in h.pins(f) {
+        for &v in pins {
             residual[v.index()] -= eps;
             if residual[v.index()] <= 1e-12 && !in_cover[v.index()] {
                 in_cover[v.index()] = true;
@@ -79,16 +80,15 @@ pub fn pricing_vertex_cover(
     // Reverse-delete pruning: drop vertices (latest first) whose removal
     // keeps the cover feasible. Track per-edge cover multiplicity so each
     // feasibility check is O(d(v) + Σ_{f∋v} 1).
-    let mut cover_count: Vec<u32> = vec![0; h.num_edges()];
-    for f in h.edges() {
-        cover_count[f.index()] = h.pins(f).iter().filter(|v| in_cover[v.index()]).count() as u32;
-    }
+    let mut cover_count: Vec<u32> = (0..csr.num_edges())
+        .map(|f| csr.pins(f).iter().filter(|v| in_cover[v.index()]).count() as u32)
+        .collect();
     for &v in order.iter().rev() {
-        let removable = h.edges_of(v).iter().all(|f| cover_count[f.index()] >= 2);
-        if removable {
+        let edges = csr.edges_of(v.index());
+        if edges.iter().all(|f| cover_count[f.index()] >= 2) {
             pruned += 1;
             in_cover[v.index()] = false;
-            for &f in h.edges_of(v) {
+            for &f in edges {
                 cover_count[f.index()] -= 1;
             }
         }

@@ -60,8 +60,9 @@ impl CsrOverlap {
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut generated: u64 = 0;
         let mut ticks = 0u32;
-        for v in h.vertices() {
-            let adj = h.edges_of(v);
+        let csr = h.csr();
+        for v in 0..csr.num_vertices() {
+            let adj = csr.edges_of(v);
             for (i, &f) in adj.iter().enumerate() {
                 for &g in &adj[i + 1..] {
                     if deadline.tick(&mut ticks) {

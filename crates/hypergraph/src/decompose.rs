@@ -25,7 +25,7 @@
 use hgobs::{Deadline, DeadlineExceeded};
 
 use crate::csr_overlap::CsrOverlap;
-use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
+use crate::hypergraph::{Csr, Hypergraph};
 use crate::kcore::KCore;
 
 /// Everything one incremental sweep produces.
@@ -44,7 +44,7 @@ pub struct Decomposition {
 
 /// Peeling state over a [`CsrOverlap`]; flat arrays only, no hashing.
 struct CsrPeeler<'h> {
-    h: &'h Hypergraph,
+    csr: Csr<'h>,
     ov: CsrOverlap,
     alive_v: Vec<bool>,
     alive_e: Vec<bool>,
@@ -64,18 +64,18 @@ struct CsrPeeler<'h> {
 }
 
 impl<'h> CsrPeeler<'h> {
-    fn new(h: &'h Hypergraph, ov: CsrOverlap) -> Self {
-        debug_assert_eq!(ov.num_edges(), h.num_edges());
+    fn new(csr: Csr<'h>, ov: CsrOverlap) -> Self {
+        debug_assert_eq!(ov.num_edges(), csr.num_edges());
         CsrPeeler {
-            h,
+            csr,
             ov,
-            alive_v: vec![true; h.num_vertices()],
-            alive_e: vec![true; h.num_edges()],
-            deg_v: h.vertices().map(|v| h.vertex_degree(v) as u32).collect(),
-            deg_e: h.edges().map(|f| h.edge_degree(f) as u32).collect(),
-            edges_alive: h.num_edges(),
+            alive_v: vec![true; csr.num_vertices()],
+            alive_e: vec![true; csr.num_edges()],
+            deg_v: csr.vertex_degrees().collect(),
+            deg_e: csr.edge_degrees().collect(),
+            edges_alive: csr.num_edges(),
             queue: Vec::new(),
-            queued: vec![false; h.num_vertices()],
+            queued: vec![false; csr.num_vertices()],
             k: 0,
             scratch: Vec::new(),
             vertices_peeled: 0,
@@ -121,7 +121,7 @@ impl<'h> CsrPeeler<'h> {
         self.edges_alive -= 1;
         self.edges_deleted += 1;
         self.ov.kill_edge(f);
-        for &w in self.h.pins(EdgeId(f as u32)) {
+        for &w in self.csr.pins(f) {
             let w = w.index();
             if self.alive_v[w] {
                 self.deg_v[w] -= 1;
@@ -143,8 +143,8 @@ impl<'h> CsrPeeler<'h> {
         let mut alive_edges = std::mem::take(&mut self.scratch);
         alive_edges.clear();
         alive_edges.extend(
-            self.h
-                .edges_of(VertexId(v as u32))
+            self.csr
+                .edges_of(v)
                 .iter()
                 .map(|f| f.0)
                 .filter(|&f| self.alive_e[f as usize]),
@@ -184,7 +184,7 @@ impl<'h> CsrPeeler<'h> {
         if deadline.expired() {
             return Err(deadline.exceeded(phase, self.edges_deleted));
         }
-        for f in 0..self.h.num_edges() {
+        for f in 0..self.csr.num_edges() {
             if deadline.tick(ticks) {
                 return Err(deadline.exceeded(phase, self.edges_deleted));
             }
@@ -241,7 +241,7 @@ impl<'h> CsrPeeler<'h> {
     }
 
     fn extract(&self, k: u32) -> KCore {
-        let pins = (0..self.h.num_edges())
+        let pins = (0..self.csr.num_edges())
             .filter(|&f| self.alive_e[f])
             .map(|f| self.deg_e[f] as usize)
             .sum();
@@ -270,7 +270,8 @@ pub fn decompose_with(
 ) -> Result<Decomposition, DeadlineExceeded> {
     let ov = CsrOverlap::build_with(h, deadline)?;
     let trace = deadline.trace();
-    let mut p = CsrPeeler::new(h, ov);
+    let csr = h.csr();
+    let mut p = CsrPeeler::new(csr, ov);
     let mut ticks = 0u32;
     let mut profile: Vec<(u32, usize, usize)> = Vec::new();
     let mut core_numbers = vec![0u32; h.num_vertices()];
@@ -318,10 +319,9 @@ pub fn decompose_with(
             .last()
             .expect("snapshot implies a non-empty level")
             .0;
-        let pins = h
-            .edges()
-            .filter(|f| alive_e[f.index()])
-            .map(|f| h.pins(f).iter().filter(|v| alive_v[v.index()]).count())
+        let pins = (0..csr.num_edges())
+            .filter(|&f| alive_e[f])
+            .map(|f| csr.pins(f).iter().filter(|v| alive_v[v.index()]).count())
             .sum();
         KCore::from_alive(k_max, &alive_v, &alive_e, pins)
     });
@@ -357,7 +357,7 @@ pub fn csr_kcore_with(
     hgobs::counter!("kcore.rounds");
     let ov = CsrOverlap::build_with(h, deadline)?;
     let trace = deadline.trace();
-    let mut p = CsrPeeler::new(h, ov);
+    let mut p = CsrPeeler::new(h.csr(), ov);
     let mut ticks = 0u32;
     p.k = k;
     let peeled = (|| {
@@ -385,7 +385,7 @@ pub fn csr_kcore_with(
 mod tests {
     use super::*;
     use crate::naive::{edge_contents, naive_cores};
-    use crate::HypergraphBuilder;
+    use crate::{HypergraphBuilder, VertexId};
 
     fn triangle_like() -> Hypergraph {
         let mut b = HypergraphBuilder::new(6);

@@ -5,31 +5,23 @@ use crate::hypergraph::Hypergraph;
 /// Histogram of vertex degrees: `hist[d]` = number of vertices belonging
 /// to exactly `d` hyperedges (the x-axis of the paper's Fig. 1).
 pub fn vertex_degree_histogram(h: &Hypergraph) -> Vec<usize> {
-    let mut hist = vec![0usize; h.max_vertex_degree() + 1];
-    for v in h.vertices() {
-        hist[h.vertex_degree(v)] += 1;
-    }
-    hist
+    histogram(h.csr().vertex_degrees())
 }
 
 /// Histogram of hyperedge degrees (complex sizes): `hist[d]` = number of
 /// hyperedges containing exactly `d` vertices.
 pub fn edge_degree_histogram(h: &Hypergraph) -> Vec<usize> {
-    let mut hist = vec![0usize; h.max_edge_degree() + 1];
-    for f in h.edges() {
-        hist[h.edge_degree(f)] += 1;
+    histogram(h.csr().edge_degrees())
+}
+
+/// `hist[d]` = how many of `degrees` equal `d`, up to the largest
+/// (`[0]` when there are none).
+fn histogram(degrees: impl Iterator<Item = u32> + Clone) -> Vec<usize> {
+    let mut hist = vec![0usize; degrees.clone().max().unwrap_or(0) as usize + 1];
+    for d in degrees {
+        hist[d as usize] += 1;
     }
     hist
-}
-
-/// Vertex degree sequence (one entry per vertex, in id order).
-pub fn vertex_degree_sequence(h: &Hypergraph) -> Vec<usize> {
-    h.vertices().map(|v| h.vertex_degree(v)).collect()
-}
-
-/// Hyperedge degree sequence (one entry per edge, in id order).
-pub fn edge_degree_sequence(h: &Hypergraph) -> Vec<usize> {
-    h.edges().map(|f| h.edge_degree(f)).collect()
 }
 
 #[cfg(test)]
@@ -59,8 +51,10 @@ mod tests {
 
     #[test]
     fn sequences() {
-        assert_eq!(vertex_degree_sequence(&toy()), vec![1, 2, 3, 0]);
-        assert_eq!(edge_degree_sequence(&toy()), vec![3, 2, 1]);
+        let h = toy();
+        let csr = h.csr();
+        assert_eq!(csr.vertex_degrees().collect::<Vec<_>>(), vec![1, 2, 3, 0]);
+        assert_eq!(csr.edge_degrees().collect::<Vec<_>>(), vec![3, 2, 1]);
     }
 
     #[test]

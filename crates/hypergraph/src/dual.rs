@@ -16,8 +16,9 @@ use crate::hypergraph::Hypergraph;
 pub fn dual(h: &Hypergraph) -> Hypergraph {
     let mut b = HypergraphBuilder::new(h.num_edges());
     b.reserve_pins(h.num_pins());
-    for v in h.vertices() {
-        b.add_edge(h.edges_of(v).iter().map(|f| f.0));
+    let csr = h.csr();
+    for v in 0..csr.num_vertices() {
+        b.add_edge(csr.edges_of(v).iter().map(|f| f.0));
     }
     b.build()
 }

@@ -42,10 +42,11 @@ impl KsCore {
 /// surviving hyperedges, until stable. Each round scans every vertex and
 /// hyperedge once; every incidence is decremented at most once overall.
 pub fn ks_core(h: &Hypergraph, k: u32, s: u32) -> KsCore {
+    let csr = h.csr();
     let mut alive_v = vec![true; h.num_vertices()];
     let mut alive_e = vec![true; h.num_edges()];
-    let mut deg_v: Vec<u32> = h.vertices().map(|v| h.vertex_degree(v) as u32).collect();
-    let mut deg_e: Vec<u32> = h.edges().map(|f| h.edge_degree(f) as u32).collect();
+    let mut deg_v: Vec<u32> = csr.vertex_degrees().collect();
+    let mut deg_e: Vec<u32> = csr.edge_degrees().collect();
     loop {
         let small: Vec<EdgeId> = h
             .edges()
@@ -53,7 +54,7 @@ pub fn ks_core(h: &Hypergraph, k: u32, s: u32) -> KsCore {
             .collect();
         for &f in &small {
             alive_e[f.index()] = false;
-            for &v in h.pins(f) {
+            for &v in csr.pins(f.index()) {
                 if alive_v[v.index()] {
                     deg_v[v.index()] -= 1;
                 }
@@ -68,7 +69,7 @@ pub fn ks_core(h: &Hypergraph, k: u32, s: u32) -> KsCore {
         }
         for &v in &doomed {
             alive_v[v.index()] = false;
-            for &f in h.edges_of(v) {
+            for &f in csr.edges_of(v.index()) {
                 if alive_e[f.index()] {
                     deg_e[f.index()] -= 1;
                 }

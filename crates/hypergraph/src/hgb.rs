@@ -47,7 +47,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use crate::builder::HypergraphBuilder;
-use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
+use crate::hypergraph::{Csr, EdgeId, Hypergraph, VertexId};
 use crate::relabel::Relabeling;
 use crate::storage::{MapRegion, MappedCsr, SectionRange, Storage};
 
@@ -153,9 +153,10 @@ enum SectionData<'a> {
     Pins(&'a [VertexId]),
     /// The adjacency list's hyperedge ids.
     Adjacency(&'a [EdgeId]),
-    /// Degrees derived from a CSR offsets array (adjacent differences),
-    /// computed on the fly so the writer never materializes them.
-    Degrees(&'a [u32]),
+    /// Degrees read through the CSR view on the fly, so the writer
+    /// never materializes them.
+    VertexDegrees(Csr<'a>),
+    EdgeDegrees(Csr<'a>),
 }
 
 impl SectionData<'_> {
@@ -164,7 +165,8 @@ impl SectionData<'_> {
             SectionData::Raw(xs) => xs.len(),
             SectionData::Pins(ids) => ids.len(),
             SectionData::Adjacency(ids) => ids.len(),
-            SectionData::Degrees(offsets) => offsets.len() - 1,
+            SectionData::VertexDegrees(csr) => csr.num_vertices(),
+            SectionData::EdgeDegrees(csr) => csr.num_edges(),
         }
     }
 
@@ -173,9 +175,8 @@ impl SectionData<'_> {
             SectionData::Raw(xs) => write_u32s(w, xs.iter().copied()),
             SectionData::Pins(ids) => write_u32s(w, ids.iter().map(|v| v.0)),
             SectionData::Adjacency(ids) => write_u32s(w, ids.iter().map(|f| f.0)),
-            SectionData::Degrees(offsets) => {
-                write_u32s(w, offsets.windows(2).map(|pair| pair[1] - pair[0]))
-            }
+            SectionData::VertexDegrees(csr) => write_u32s(w, csr.vertex_degrees()),
+            SectionData::EdgeDegrees(csr) => write_u32s(w, csr.edge_degrees()),
         }
     }
 }
@@ -188,31 +189,31 @@ pub fn write_hgb(
     relabeling: Option<&Relabeling>,
     w: &mut impl Write,
 ) -> std::io::Result<()> {
-    let (edge_offsets, pin_list, vertex_offsets, adj_list) = h.csr_slices();
+    let csr = h.csr();
     let mut plans = vec![
         Plan {
             id: section::EDGE_OFFSETS,
-            data: SectionData::Raw(edge_offsets),
+            data: SectionData::Raw(csr.edge_offsets),
         },
         Plan {
             id: section::PIN_LIST,
-            data: SectionData::Pins(pin_list),
+            data: SectionData::Pins(csr.pin_list),
         },
         Plan {
             id: section::VERTEX_OFFSETS,
-            data: SectionData::Raw(vertex_offsets),
+            data: SectionData::Raw(csr.vertex_offsets),
         },
         Plan {
             id: section::ADJ_LIST,
-            data: SectionData::Adjacency(adj_list),
+            data: SectionData::Adjacency(csr.adj_list),
         },
         Plan {
             id: section::VERTEX_DEGREES,
-            data: SectionData::Degrees(vertex_offsets),
+            data: SectionData::VertexDegrees(csr),
         },
         Plan {
             id: section::EDGE_DEGREES,
-            data: SectionData::Degrees(edge_offsets),
+            data: SectionData::EdgeDegrees(csr),
         },
     ];
     let mut flags = 0u64;

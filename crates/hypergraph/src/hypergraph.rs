@@ -76,9 +76,12 @@ impl fmt::Display for EdgeId {
 /// hypergraph computation in [`crate::reduce()`] removes them).
 /// The CSR arrays live behind a `Storage`: owned `Vec`s for anything
 /// built in-process, or slices into a read-only memory-mapped `.hgb`
-/// file ([`crate::hgb::open_hgb`]) — every kernel sees the same slice
-/// API either way. [`Hypergraph::storage_kind`] reports which backing
-/// is active.
+/// file ([`crate::hgb::open_hgb`]). [`Hypergraph::storage_kind`]
+/// reports which backing is active. Kernels never see the difference:
+/// each resolves the backing once per call into the crate's CSR view
+/// (`Csr`, four plain slices) and reads pins, incidences and degrees
+/// through it. The accessors below delegate to the same view, one
+/// resolution per call.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
     storage: Storage,
@@ -110,14 +113,11 @@ impl Hypergraph {
         Hypergraph { storage }
     }
 
-    /// The four CSR arrays, for serializers (crate-internal).
-    pub(crate) fn csr_slices(&self) -> (&[u32], &[VertexId], &[u32], &[EdgeId]) {
-        (
-            self.storage.edge_offsets(),
-            self.storage.pin_list(),
-            self.storage.vertex_offsets(),
-            self.storage.adj_list(),
-        )
+    /// The CSR view: the backing resolved once, for a kernel to read
+    /// for the rest of its call.
+    #[inline]
+    pub(crate) fn csr(&self) -> Csr<'_> {
+        self.storage.csr()
     }
 
     /// Which backing the CSR lives in: [`StorageKind::Owned`] heap
@@ -136,20 +136,20 @@ impl Hypergraph {
     /// Number of vertices `|V|`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.storage.vertex_offsets().len() - 1
+        self.csr().num_vertices()
     }
 
     /// Number of hyperedges `|F|`.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.storage.edge_offsets().len() - 1
+        self.csr().num_edges()
     }
 
     /// Total number of incidences `|E| = Σ_v d(v) = Σ_f d(f)` — the
     /// paper's measure of the space needed to represent `H`.
     #[inline]
     pub fn num_pins(&self) -> usize {
-        self.storage.pin_list().len()
+        self.csr().pin_list.len()
     }
 
     /// `true` if the hypergraph has no vertices and no hyperedges.
@@ -161,31 +161,25 @@ impl Hypergraph {
     /// Sorted member vertices of hyperedge `f`.
     #[inline]
     pub fn pins(&self, f: EdgeId) -> &[VertexId] {
-        let offsets = self.storage.edge_offsets();
-        let lo = offsets[f.index()] as usize;
-        let hi = offsets[f.index() + 1] as usize;
-        &self.storage.pin_list()[lo..hi]
+        self.csr().pins(f.index())
     }
 
     /// Sorted hyperedges containing vertex `v`.
     #[inline]
     pub fn edges_of(&self, v: VertexId) -> &[EdgeId] {
-        let offsets = self.storage.vertex_offsets();
-        let lo = offsets[v.index()] as usize;
-        let hi = offsets[v.index() + 1] as usize;
-        &self.storage.adj_list()[lo..hi]
+        self.csr().edges_of(v.index())
     }
 
     /// Degree of vertex `v`: the number of hyperedges it belongs to.
     #[inline]
     pub fn vertex_degree(&self, v: VertexId) -> usize {
-        self.edges_of(v).len()
+        self.csr().vertex_degree(v.index()) as usize
     }
 
     /// Degree (cardinality) of hyperedge `f`: the number of vertices in it.
     #[inline]
     pub fn edge_degree(&self, f: EdgeId) -> usize {
-        self.pins(f).len()
+        self.csr().edge_degree(f.index()) as usize
     }
 
     /// `true` iff vertex `v` belongs to hyperedge `f` (binary search).
@@ -205,31 +199,30 @@ impl Hypergraph {
 
     /// Maximum vertex degree `Δ_V` (0 if there are no vertices).
     pub fn max_vertex_degree(&self) -> usize {
-        self.vertices()
-            .map(|v| self.vertex_degree(v))
-            .max()
-            .unwrap_or(0)
+        self.csr().vertex_degrees().max().unwrap_or(0) as usize
     }
 
     /// Maximum hyperedge degree `Δ_F` (0 if there are no hyperedges).
     pub fn max_edge_degree(&self) -> usize {
-        self.edges().map(|f| self.edge_degree(f)).max().unwrap_or(0)
+        self.csr().edge_degrees().max().unwrap_or(0) as usize
     }
 
     /// A vertex of maximum degree, if any vertex exists.
     pub fn argmax_vertex_degree(&self) -> Option<VertexId> {
+        let csr = self.csr();
         self.vertices()
-            .max_by_key(|&v| (self.vertex_degree(v), std::cmp::Reverse(v.0)))
+            .max_by_key(|&v| (csr.vertex_degree(v.index()), std::cmp::Reverse(v.0)))
     }
 
     /// Bytes of heap storage used by the four CSR arrays — the paper's
     /// "space proportional to the sum of the numbers of proteins" claim,
     /// made concrete. Counting both directions of the dual CSR.
     pub fn storage_bytes(&self) -> usize {
-        (self.storage.edge_offsets().len() + self.storage.vertex_offsets().len())
-            * std::mem::size_of::<u32>()
-            + std::mem::size_of_val(self.storage.pin_list())
-            + std::mem::size_of_val(self.storage.adj_list())
+        let csr = self.csr();
+        std::mem::size_of_val(csr.edge_offsets)
+            + std::mem::size_of_val(csr.pin_list)
+            + std::mem::size_of_val(csr.vertex_offsets)
+            + std::mem::size_of_val(csr.adj_list)
     }
 
     /// Extract the sub-hypergraph induced by keep-flags over vertices and
@@ -257,6 +250,7 @@ impl Hypergraph {
             }
         }
 
+        let csr = self.csr();
         let mut builder = crate::HypergraphBuilder::new(vertex_map.len());
         let mut edge_map = Vec::new();
         let mut scratch: Vec<u32> = Vec::new();
@@ -266,7 +260,7 @@ impl Hypergraph {
             }
             scratch.clear();
             scratch.extend(
-                self.pins(f)
+                csr.pins(f.index())
                     .iter()
                     .filter(|v| keep_vertex[v.index()])
                     .map(|v| new_vid[v.index()]),
@@ -278,6 +272,79 @@ impl Hypergraph {
             edge_map.push(f);
         }
         (builder.build(), vertex_map, edge_map)
+    }
+}
+
+/// The four CSR arrays of one hypergraph, resolved from its backing
+/// once ([`Hypergraph::csr`]): the one way kernels read pins,
+/// incidences and degrees. It is `Copy`, so a kernel takes it at the
+/// top of a call and hands it to its helpers; after that an owned and a
+/// mapped hypergraph cost a loop the same plain slice reads, with no
+/// storage match or section lookup per probe.
+///
+/// Indices are plain `usize` ids below [`Csr::num_edges`] (for `f`) or
+/// [`Csr::num_vertices`] (for `v`). Every read goes through a checked
+/// slice of the list, so offsets that disagree with it (an unverified
+/// `.hgb`) panic instead of yielding a degree larger than the list.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Csr<'a> {
+    /// Offsets into `pin_list`, `num_edges + 1` of them.
+    pub edge_offsets: &'a [u32],
+    /// Concatenated sorted pin lists of all hyperedges.
+    pub pin_list: &'a [VertexId],
+    /// Offsets into `adj_list`, `num_vertices + 1` of them.
+    pub vertex_offsets: &'a [u32],
+    /// Concatenated sorted incident-hyperedge lists of all vertices.
+    pub adj_list: &'a [EdgeId],
+}
+
+impl<'a> Csr<'a> {
+    /// Number of vertices `|V|`.
+    #[inline]
+    pub fn num_vertices(self) -> usize {
+        self.vertex_offsets.len() - 1
+    }
+
+    /// Number of hyperedges `|F|`.
+    #[inline]
+    pub fn num_edges(self) -> usize {
+        self.edge_offsets.len() - 1
+    }
+
+    /// Sorted member vertices of hyperedge `f`.
+    #[inline]
+    pub fn pins(self, f: usize) -> &'a [VertexId] {
+        &self.pin_list[self.edge_offsets[f] as usize..self.edge_offsets[f + 1] as usize]
+    }
+
+    /// Sorted hyperedges containing vertex `v`.
+    #[inline]
+    pub fn edges_of(self, v: usize) -> &'a [EdgeId] {
+        &self.adj_list[self.vertex_offsets[v] as usize..self.vertex_offsets[v + 1] as usize]
+    }
+
+    /// Degree of vertex `v`.
+    #[inline]
+    pub fn vertex_degree(self, v: usize) -> u32 {
+        self.edges_of(v).len() as u32
+    }
+
+    /// Degree (cardinality) of hyperedge `f`.
+    #[inline]
+    pub fn edge_degree(self, f: usize) -> u32 {
+        self.pins(f).len() as u32
+    }
+
+    /// Every vertex degree, in id order: the widths of the adjacency
+    /// offset windows.
+    pub fn vertex_degrees(self) -> impl ExactSizeIterator<Item = u32> + Clone + 'a {
+        (0..self.num_vertices()).map(move |v| self.vertex_degree(v))
+    }
+
+    /// Every hyperedge degree, in id order: the widths of the pin
+    /// offset windows.
+    pub fn edge_degrees(self) -> impl ExactSizeIterator<Item = u32> + Clone + 'a {
+        (0..self.num_edges()).map(move |f| self.edge_degree(f))
     }
 }
 

@@ -83,8 +83,7 @@ pub mod projections;
 pub mod reduce;
 pub mod relabel;
 pub mod scoped;
-pub mod smallworld;
-pub mod storage;
+mod storage;
 #[cfg(test)]
 mod testgen;
 pub mod validate;
@@ -122,5 +121,3 @@ pub use reduce::{non_maximal_edges, reduce};
 pub use relabel::Relabeling;
 pub use scoped::split_width;
 pub use storage::StorageKind;
-
-pub use smallworld::{small_world_report, SmallWorldReport};

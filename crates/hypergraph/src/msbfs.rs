@@ -124,7 +124,7 @@ use std::sync::{Mutex, MutexGuard};
 use hgobs::{Deadline, DeadlineExceeded};
 
 use crate::bitset::{self, Lane, Mask};
-use crate::hypergraph::{Hypergraph, VertexId};
+use crate::hypergraph::{Csr, Hypergraph, VertexId};
 use crate::path::HyperDistanceStats;
 use crate::scoped;
 
@@ -403,7 +403,7 @@ impl Walk<'_> {
 /// If `batch.len() > BATCH`.
 #[inline(always)]
 fn msbfs_batch(
-    h: &Hypergraph,
+    csr: Csr<'_>,
     batch: &[VertexId],
     scratch: &mut MsBfsScratch,
     deadline: &Deadline,
@@ -435,17 +435,8 @@ fn msbfs_batch(
         lane.front[i >> 6] |= 1u64 << (i & 63);
         bitset::mark(&mut v.front, s.index());
     }
-    // The CSR once per batch: the closures index the slices directly
-    // instead of matching on the storage backing at every probe.
-    let (edge_offsets, pin_list, vertex_offsets, adj_list) = h.csr_slices();
-    let edges_of = |i: usize| {
-        let span = vertex_offsets[i] as usize..vertex_offsets[i + 1] as usize;
-        adj_list[span].iter().map(|f| f.index())
-    };
-    let pins = |j: usize| {
-        let span = edge_offsets[j] as usize..edge_offsets[j + 1] as usize;
-        pin_list[span].iter().map(|p| p.index())
-    };
+    let edges_of = |i| csr.edges_of(i).iter().map(|f| f.index());
+    let pins = |j| csr.pins(j).iter().map(|p| p.index());
     let mut walk = Walk {
         // All sources present ⟺ lane saturated; nothing left to deliver.
         full: bitset::mask_full(batch.len()),
@@ -502,20 +493,20 @@ impl Build {
     /// [`msbfs_batch`] in this build.
     fn batch(
         self,
-        h: &Hypergraph,
+        csr: Csr<'_>,
         batch: &[VertexId],
         scratch: &mut MsBfsScratch,
         deadline: &Deadline,
         ticks: &mut u32,
     ) -> Option<BatchStats> {
         match self {
-            Build::Portable => msbfs_batch(h, batch, scratch, deadline, ticks),
+            Build::Portable => msbfs_batch(csr, batch, scratch, deadline, ticks),
             #[cfg(target_arch = "x86_64")]
             Build::Avx2 => {
                 // SAFETY: only `Build::avx2` makes a `Build::Avx2`, after
                 // `is_x86_feature_detected!` reported every feature
                 // `msbfs_batch_avx2` is compiled with.
-                unsafe { msbfs_batch_avx2(h, batch, scratch, deadline, ticks) }
+                unsafe { msbfs_batch_avx2(csr, batch, scratch, deadline, ticks) }
             }
         }
     }
@@ -530,13 +521,13 @@ impl Build {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt")]
 unsafe fn msbfs_batch_avx2(
-    h: &Hypergraph,
+    csr: Csr<'_>,
     batch: &[VertexId],
     scratch: &mut MsBfsScratch,
     deadline: &Deadline,
     ticks: &mut u32,
 ) -> Option<BatchStats> {
-    msbfs_batch(h, batch, scratch, deadline, ticks)
+    msbfs_batch(csr, batch, scratch, deadline, ticks)
 }
 
 /// Every vertex of nonzero degree exactly once, in the discovery order
@@ -550,17 +541,17 @@ unsafe fn msbfs_batch_avx2(
 /// vertices listed as its work (0 on expiry).
 fn traversal_order(h: &Hypergraph, deadline: &Deadline) -> Result<Vec<VertexId>, DeadlineExceeded> {
     let mut tp = deadline.trace().phase("msbfs.order");
-    let (edge_offsets, pin_list, vertex_offsets, adj_list) = h.csr_slices();
-    let n = h.num_vertices();
+    let csr = h.csr();
+    let n = csr.num_vertices();
     let mut seen = vec![false; n];
-    let mut entered = vec![false; h.num_edges()];
+    let mut entered = vec![false; csr.num_edges()];
     // Discovery is branchless: every pin is stored in the next slot and
     // the length advances only if the pin is new. The spare slot takes
     // the stores made once all `n` vertices are listed.
     let mut order = vec![VertexId(0); n + 1];
     let (mut len, mut head, mut ticks) = (0, 0, 0u32);
     for s in 0..n {
-        if seen[s] || vertex_offsets[s] == vertex_offsets[s + 1] {
+        if seen[s] || csr.vertex_degree(s) == 0 {
             continue;
         }
         seen[s] = true;
@@ -572,13 +563,13 @@ fn traversal_order(h: &Hypergraph, deadline: &Deadline) -> Result<Vec<VertexId>,
             }
             let v = order[head].index();
             head += 1;
-            for &f in &adj_list[vertex_offsets[v] as usize..vertex_offsets[v + 1] as usize] {
+            for &f in csr.edges_of(v) {
                 let f = f.index();
                 if entered[f] {
                     continue;
                 }
                 entered[f] = true;
-                for &p in &pin_list[edge_offsets[f] as usize..edge_offsets[f + 1] as usize] {
+                for &p in csr.pins(f) {
                     order[len] = p;
                     len += !std::mem::replace(&mut seen[p.index()], true) as usize;
                 }
@@ -717,6 +708,7 @@ fn sweep(
     width: usize,
     build: Build,
 ) -> Result<HyperDistanceStats, DeadlineExceeded> {
+    let csr = h.csr();
     let batches: Vec<&[VertexId]> = sources.chunks(BATCH).collect();
     let shares = scoped::split(width, batches.len(), |_, claims| {
         let mut scratch: Option<MsBfsScratch> = None;
@@ -735,7 +727,7 @@ fn sweep(
                 None
             } else {
                 let sc = scratch.get_or_insert_with(|| lease_scratch(h));
-                build.batch(h, batches[i], sc, deadline, &mut ticks)
+                build.batch(csr, batches[i], sc, deadline, &mut ticks)
             };
             let Some(b) = stats else {
                 expired = true;
@@ -788,7 +780,6 @@ fn stats_from_acc(acc: BatchStats) -> HyperDistanceStats {
 mod tests {
     use super::*;
     use crate::path::{scalar_hyper_distance_stats, scalar_hyper_distance_stats_from};
-    use crate::smallworld::{report_from_distances, small_world_report};
     use crate::testgen::{arb_hypergraph, uniform_random_hypergraph};
     use crate::HypergraphBuilder;
     use proptest::prelude::*;
@@ -898,13 +889,13 @@ mod tests {
         let gone = Deadline::after(Duration::ZERO);
         let mut aborted = false;
         for batch in sources.chunks(BATCH) {
-            aborted |= msbfs_batch(&h, batch, &mut scratch, &gone, &mut ticks).is_none();
+            aborted |= msbfs_batch(h.csr(), batch, &mut scratch, &gone, &mut ticks).is_none();
         }
         assert!(aborted, "zero budget must abort at least one batch");
         // Reuse the same (possibly poisoned) scratch for a full sweep.
         let mut acc = BatchStats::default();
         for batch in sources.chunks(BATCH) {
-            let b = msbfs_batch(&h, batch, &mut scratch, &Deadline::none(), &mut ticks)
+            let b = msbfs_batch(h.csr(), batch, &mut scratch, &Deadline::none(), &mut ticks)
                 .expect("unlimited deadline");
             acc.merge(&b);
         }
@@ -922,10 +913,11 @@ mod tests {
         let mut with_shared = BatchStats::default();
         let mut with_fresh = BatchStats::default();
         for batch in sources.chunks(BATCH) {
-            let b = msbfs_batch(&h, batch, &mut shared, &Deadline::none(), &mut ticks).unwrap();
+            let b =
+                msbfs_batch(h.csr(), batch, &mut shared, &Deadline::none(), &mut ticks).unwrap();
             with_shared.merge(&b);
             let mut fresh = MsBfsScratch::new(&h);
-            let b = msbfs_batch(&h, batch, &mut fresh, &Deadline::none(), &mut ticks).unwrap();
+            let b = msbfs_batch(h.csr(), batch, &mut fresh, &Deadline::none(), &mut ticks).unwrap();
             with_fresh.merge(&b);
         }
         assert_eq!(with_shared, with_fresh);
@@ -947,7 +939,7 @@ mod tests {
         ] {
             let mut reset = MsBfsScratch::new(&h);
             let mut ticks = 0u32;
-            let stats = msbfs_batch(&h, &sources, &mut reset, &budget, &mut ticks);
+            let stats = msbfs_batch(h.csr(), &sources, &mut reset, &budget, &mut ticks);
             assert_eq!(stats.is_none(), aborts);
             assert!(reset.used);
             reset.v.reset();
@@ -1049,7 +1041,7 @@ mod tests {
         assert_eq!(isolated.count(), 8);
         let mut scratch = MsBfsScratch::new(&h);
         let mut ticks = 0u32;
-        let b = msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
+        let b = msbfs_batch(h.csr(), &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
         assert!(scratch.pull_passes > 0, "pull never engaged");
         assert_bit_identical(
             stats_from_acc(b),
@@ -1064,7 +1056,7 @@ mod tests {
         let mut ticks = 0u32;
         for batch in sources.chunks(BATCH) {
             build
-                .batch(h, batch, &mut scratch, &Deadline::none(), &mut ticks)
+                .batch(h.csr(), batch, &mut scratch, &Deadline::none(), &mut ticks)
                 .unwrap();
         }
         scratch.pull_passes
@@ -1212,7 +1204,8 @@ mod tests {
         for (h, batch) in cases {
             let mut scratch = MsBfsScratch::new(&h);
             let mut ticks = 0u32;
-            let b = msbfs_batch(&h, &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
+            let b =
+                msbfs_batch(h.csr(), &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
             assert_bit_identical(
                 stats_from_acc(b),
                 scalar_hyper_distance_stats_from(&h, &batch),
@@ -1523,12 +1516,5 @@ mod tests {
         let b = par_msbfs_distance_stats(&h);
         assert_eq!(a, b);
         assert_eq!(a, hyper_distance_stats(&h));
-    }
-
-    #[test]
-    fn small_world_report_matches_sequential() {
-        let h = uniform_random_hypergraph(120, 90, 4, 7);
-        let par = report_from_distances(&h, par_msbfs_distance_stats(&h));
-        assert_eq!(par, small_world_report(&h));
     }
 }

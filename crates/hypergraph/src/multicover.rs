@@ -39,6 +39,7 @@ pub fn greedy_multicover(
     requirement: impl Fn(EdgeId) -> u32,
 ) -> Result<CoverResult, CoverError> {
     let _phase = hgobs::phase("cover.multicover");
+    let csr = h.csr();
     let weights: Vec<f64> = h.vertices().map(&weight).collect();
     for v in h.vertices() {
         let w = weights[v.index()];
@@ -48,7 +49,7 @@ pub fn greedy_multicover(
     }
     let mut need: Vec<u32> = h.edges().map(&requirement).collect();
     for f in h.edges() {
-        if need[f.index()] as usize > h.edge_degree(f) {
+        if need[f.index()] > csr.edge_degree(f.index()) {
             return Err(CoverError::InfeasibleRequirement(f));
         }
     }
@@ -60,7 +61,12 @@ pub fn greedy_multicover(
     let mut remaining = active.iter().filter(|&&a| a).count();
     let mut useful: Vec<u32> = h
         .vertices()
-        .map(|v| h.edges_of(v).iter().filter(|f| active[f.index()]).count() as u32)
+        .map(|v| {
+            csr.edges_of(v.index())
+                .iter()
+                .filter(|f| active[f.index()])
+                .count() as u32
+        })
         .collect();
     let mut in_cover = vec![false; h.num_vertices()];
 
@@ -98,7 +104,7 @@ pub fn greedy_multicover(
         result.total_weight += weights[v];
         result.iterations += 1;
         useful[v] = 0;
-        for &f in h.edges_of(VertexId(vid)) {
+        for &f in csr.edges_of(v) {
             if !active[f.index()] {
                 continue;
             }
@@ -107,7 +113,7 @@ pub fn greedy_multicover(
                 // Requirement met: the edge stops contributing usefulness.
                 active[f.index()] = false;
                 remaining -= 1;
-                for &w in h.pins(f) {
+                for &w in csr.pins(f.index()) {
                     if !in_cover[w.index()] {
                         useful[w.index()] -= 1;
                     }
@@ -127,12 +133,17 @@ pub fn is_multicover(
     cover: &[VertexId],
     requirement: impl Fn(EdgeId) -> u32,
 ) -> bool {
-    let mut chosen = vec![false; h.num_vertices()];
+    let csr = h.csr();
+    let mut chosen = vec![false; csr.num_vertices()];
     for &v in cover {
         chosen[v.index()] = true;
     }
     h.edges().all(|f| {
-        let have = h.pins(f).iter().filter(|v| chosen[v.index()]).count() as u32;
+        let have = csr
+            .pins(f.index())
+            .iter()
+            .filter(|v| chosen[v.index()])
+            .count() as u32;
         have >= requirement(f)
     })
 }

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use hgobs::{Deadline, DeadlineExceeded};
 
-use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
+use crate::hypergraph::{Csr, EdgeId, Hypergraph, VertexId};
 
 /// Distance value meaning "unreachable".
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -48,7 +48,7 @@ pub fn hyper_distances_with(
     }
     let mut bfs = Bfs::new(h);
     let settled = bfs
-        .run(h, source, deadline)
+        .run(h.csr(), source, deadline)
         .map_err(|settled| deadline.exceeded("bfs", settled))?;
     tp.add_work(settled);
     hgobs::counter!("bfs.sources");
@@ -82,7 +82,7 @@ impl Bfs {
     /// over buffers the caller has cleared (a run that returns `Ok`
     /// leaves `frontier` empty). Returns the vertices settled, or as the
     /// error the number settled when the deadline's tick fired.
-    fn run(&mut self, h: &Hypergraph, source: VertexId, deadline: &Deadline) -> Result<u64, u64> {
+    fn run(&mut self, csr: Csr<'_>, source: VertexId, deadline: &Deadline) -> Result<u64, u64> {
         let mut settled = 0u64;
         self.dist[source.index()] = 0;
         self.frontier.push_back(source);
@@ -92,12 +92,12 @@ impl Bfs {
             }
             settled += 1;
             let du = self.dist[u.index()];
-            for &f in h.edges_of(u) {
+            for &f in csr.edges_of(u.index()) {
                 if self.edge_seen[f.index()] {
                     continue;
                 }
                 self.edge_seen[f.index()] = true;
-                for &w in h.pins(f) {
+                for &w in csr.pins(f.index()) {
                     if self.dist[w.index()] == UNREACHABLE {
                         self.dist[w.index()] = du + 1;
                         self.frontier.push_back(w);
@@ -293,7 +293,7 @@ fn pair_search(
             let before = sc.bytes();
             sc.fit(h);
             let clean = Clean(&mut sc);
-            let found = search(h, s, t, max_pins, deadline, clean.0);
+            let found = search(h.csr(), s, t, max_pins, deadline, clean.0);
             drop(clean);
             let grown = sc.bytes().saturating_sub(before);
             if grown > 0 {
@@ -315,12 +315,12 @@ fn pair_search(
 struct Side {
     tag: u32,
     level: std::ops::Range<usize>,
-    degree: usize,
+    degree: u32,
 }
 
 /// [`pair_search`]'s loop over a clean scratch, for `s != t`.
 fn search(
-    h: &Hypergraph,
+    csr: Csr<'_>,
     s: VertexId,
     t: VertexId,
     max_pins: usize,
@@ -341,12 +341,12 @@ fn search(
         Side {
             tag: 0,
             level: 0..1,
-            degree: h.vertex_degree(s),
+            degree: csr.vertex_degree(s.index()),
         },
         Side {
             tag: FROM_T,
             level: 1..2,
-            degree: h.vertex_degree(t),
+            degree: csr.vertex_degree(t.index()),
         },
     ];
     let mut ticks = 0u32;
@@ -366,11 +366,11 @@ fn search(
             settled += 1;
             let u = seen[i];
             let du = label[u.index()] & DEPTH;
-            for &f in h.edges_of(u) {
+            for &f in csr.edges_of(u.index()) {
                 if entered[f.index()] {
                     continue;
                 }
-                let f_pins = h.pins(f);
+                let f_pins = csr.pins(f.index());
                 pins += f_pins.len();
                 if pins > max_pins {
                     return Err(PairStop::OverBudget);
@@ -382,7 +382,7 @@ fn search(
                     if lw == 0 {
                         label[w.index()] = near.tag | (du + 1);
                         seen.push(w);
-                        degree += h.vertex_degree(w);
+                        degree += csr.vertex_degree(w.index());
                     } else if lw & FROM_T != near.tag {
                         return Ok(Found {
                             // Both labels are distance + 1.
@@ -474,6 +474,7 @@ pub fn scalar_hyper_distance_stats_from_with(
     let mut diameter = 0u32;
     let mut total = 0u128;
     let mut pairs = 0u64;
+    let csr = h.csr();
     let mut bfs = Bfs::new(h);
     let mut completed = 0u64;
 
@@ -487,7 +488,7 @@ pub fn scalar_hyper_distance_stats_from_with(
             }
             bfs.dist.fill(UNREACHABLE);
             bfs.edge_seen.fill(false);
-            if bfs.run(h, s, deadline).is_err() {
+            if bfs.run(csr, s, deadline).is_err() {
                 break 'sweep true;
             }
             if hgobs::enabled() {

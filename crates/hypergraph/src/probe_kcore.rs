@@ -62,7 +62,7 @@
 use hgobs::{Deadline, DeadlineExceeded, TraceCtx};
 
 use crate::decompose::Decomposition;
-use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
+use crate::hypergraph::{Csr, EdgeId, Hypergraph, VertexId};
 use crate::kcore::KCore;
 
 /// The bit vertex `v` sets in a pin signature: the top six bits of a
@@ -73,12 +73,8 @@ fn sig_bit(v: VertexId) -> u64 {
 }
 
 struct State<'h> {
-    /// The CSR: hyperedge offsets into `pin_list`, and vertex offsets
-    /// into `adj_list`.
-    edge_offsets: &'h [u32],
-    pin_list: &'h [VertexId],
-    vertex_offsets: &'h [u32],
-    adj_list: &'h [EdgeId],
+    /// The raw hypergraph, resolved once for the whole call.
+    csr: Csr<'h>,
     /// The threshold being peeled to.
     k: u32,
     alive_v: Vec<bool>,
@@ -120,25 +116,16 @@ impl<'h> State<'h> {
     /// start is queued once, and so is a hyperedge that loses a pin to
     /// the first vertex phase.
     fn new(h: &'h Hypergraph) -> Self {
-        let (edge_offsets, pin_list, vertex_offsets, adj_list) = h.csr_slices();
-        let degrees = |offsets: &[u32]| offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let csr = h.csr();
         State {
-            edge_offsets,
-            pin_list,
-            vertex_offsets,
-            adj_list,
+            csr,
             k: 0,
             alive_v: vec![true; h.num_vertices()],
             alive_e: vec![true; h.num_edges()],
-            deg_v: degrees(vertex_offsets),
-            deg_e: degrees(edge_offsets),
-            sig: edge_offsets
-                .windows(2)
-                .map(|w| {
-                    pin_list[w[0] as usize..w[1] as usize]
-                        .iter()
-                        .fold(0, |sig, &v| sig | sig_bit(v))
-                })
+            deg_v: csr.vertex_degrees().collect(),
+            deg_e: csr.edge_degrees().collect(),
+            sig: (0..h.num_edges())
+                .map(|f| csr.pins(f).iter().fold(0, |sig, &v| sig | sig_bit(v)))
                 .collect(),
             vertices_alive: h.num_vertices(),
             edges_alive: h.num_edges(),
@@ -158,20 +145,6 @@ impl<'h> State<'h> {
         }
     }
 
-    /// Raw pins of hyperedge `f`.
-    #[inline]
-    fn pins(&self, f: usize) -> &'h [VertexId] {
-        let pin_list = self.pin_list;
-        &pin_list[self.edge_offsets[f] as usize..self.edge_offsets[f + 1] as usize]
-    }
-
-    /// Raw hyperedges through vertex `v`.
-    #[inline]
-    fn edges_of(&self, v: usize) -> &'h [EdgeId] {
-        let adj_list = self.adj_list;
-        &adj_list[self.vertex_offsets[v] as usize..self.vertex_offsets[v + 1] as usize]
-    }
-
     /// `true` iff alive hyperedge `f` is empty or contained in an alive
     /// `g` that wins the tie rule (strictly larger, or identical with a
     /// smaller id).
@@ -182,7 +155,7 @@ impl<'h> State<'h> {
         }
         // One scan for the pivot and the alive pins' signature: a dead
         // pin reads as degree `u32::MAX` and adds no bit.
-        let pins_f = self.pins(f);
+        let pins_f = self.csr.pins(f);
         let (mut pivot, mut pivot_deg, mut sig_f) = (0, u32::MAX, 0u64);
         for &v in pins_f {
             let i = v.index();
@@ -199,7 +172,7 @@ impl<'h> State<'h> {
             return false;
         }
         self.pin_buf.clear();
-        for &g in self.edges_of(pivot) {
+        for &g in self.csr.edges_of(pivot) {
             let gi = g.index();
             // A missing bit proves that `g` lacks an alive pin of `f`.
             if gi == f || sig_f & !self.sig[gi] != 0 || !self.alive_e[gi] {
@@ -217,7 +190,7 @@ impl<'h> State<'h> {
                 self.subset_tests += 1;
                 // `pin_buf` holds only alive pins, so `g`'s raw pins
                 // need no alive filter.
-                let mut rest = self.pins(gi).iter().map(|v| v.0);
+                let mut rest = self.csr.pins(gi).iter().map(|v| v.0);
                 if self
                     .pin_buf
                     .iter()
@@ -238,7 +211,7 @@ impl<'h> State<'h> {
         if let Some(level) = self.level_e.get_mut(f) {
             *level = self.k - 1;
         }
-        for &w in self.pins(f) {
+        for &w in self.csr.pins(f) {
             let w = w.index();
             if self.alive_v[w] {
                 self.deg_v[w] -= 1;
@@ -257,7 +230,7 @@ impl<'h> State<'h> {
         if let Some(level) = self.level_v.get_mut(v) {
             *level = self.k - 1;
         }
-        for &f in self.edges_of(v) {
+        for &f in self.csr.edges_of(v) {
             let f = f.index();
             if self.alive_e[f] {
                 self.deg_e[f] -= 1;

@@ -19,9 +19,10 @@ use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 /// hyperedge contains both. Parallel edges from multiple shared complexes
 /// are merged (the graph is simple).
 pub fn clique_expansion(h: &Hypergraph) -> Graph {
+    let csr = h.csr();
     let mut b = GraphBuilder::new(h.num_vertices());
-    for f in h.edges() {
-        let pins = h.pins(f);
+    for f in 0..csr.num_edges() {
+        let pins = csr.pins(f);
         b.reserve(pins.len() * pins.len().saturating_sub(1) / 2);
         for (i, &u) in pins.iter().enumerate() {
             for &w in &pins[i + 1..] {
@@ -38,14 +39,16 @@ pub fn clique_expansion(h: &Hypergraph) -> Graph {
 /// # Panics
 /// If a bait is not a member of its hyperedge.
 pub fn star_expansion(h: &Hypergraph, bait: impl Fn(EdgeId) -> VertexId) -> Graph {
+    let csr = h.csr();
     let mut b = GraphBuilder::new(h.num_vertices());
     for f in h.edges() {
         let bv = bait(f);
+        let pins = csr.pins(f.index());
         assert!(
-            h.contains(f, bv) || h.edge_degree(f) == 0,
+            pins.binary_search(&bv).is_ok() || pins.is_empty(),
             "bait {bv:?} is not a member of {f:?}"
         );
-        for &w in h.pins(f) {
+        for &w in pins {
             if w != bv {
                 b.add_edge(NodeId(bv.0), NodeId(w.0));
             }

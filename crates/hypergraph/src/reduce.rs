@@ -19,16 +19,17 @@ use crate::hypergraph::{EdgeId, Hypergraph};
 /// then `O(Σ_f d₂(f))` probes.
 pub fn non_maximal_edges(h: &Hypergraph) -> Vec<EdgeId> {
     let ov = CsrOverlap::build(h);
+    let csr = h.csr();
     let mut out = Vec::new();
     for f in h.edges() {
-        let df = h.edge_degree(f) as u32;
+        let df = csr.edge_degree(f.index());
         if df == 0 {
             out.push(f);
             continue;
         }
         let contained = ov.overlapping(f).any(|(g, c)| {
             c == df && {
-                let dg = h.edge_degree(g) as u32;
+                let dg = csr.edge_degree(g.index());
                 dg > df || (dg == df && g < f)
             }
         });

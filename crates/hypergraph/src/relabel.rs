@@ -60,8 +60,8 @@ impl Relabeling {
     /// the access pattern of the MS-BFS expansion and the k-core peel.
     /// Isolated vertices are appended at the end in old-id order.
     pub fn bfs_order(h: &Hypergraph) -> Self {
-        let n = h.num_vertices();
-        let m = h.num_edges();
+        let csr = h.csr();
+        let (n, m) = (csr.num_vertices(), csr.num_edges());
         let mut vertex_to_new = vec![u32::MAX; n];
         let mut vertex_to_old = Vec::with_capacity(n);
         let mut edge_seen = vec![false; m];
@@ -69,24 +69,24 @@ impl Relabeling {
 
         // Component seeds, highest degree first (ties: lower old id).
         let mut seeds: Vec<u32> = (0..n as u32).collect();
-        seeds.sort_by_key(|&v| (std::cmp::Reverse(h.vertex_degree(VertexId(v))), v));
+        seeds.sort_by_key(|&v| (std::cmp::Reverse(csr.vertex_degree(v as usize)), v));
 
         let mut queue = std::collections::VecDeque::new();
         for s in seeds {
-            if vertex_to_new[s as usize] != u32::MAX || h.vertex_degree(VertexId(s)) == 0 {
+            if vertex_to_new[s as usize] != u32::MAX || csr.vertex_degree(s as usize) == 0 {
                 continue;
             }
             vertex_to_new[s as usize] = vertex_to_old.len() as u32;
             vertex_to_old.push(s);
             queue.push_back(s);
             while let Some(v) = queue.pop_front() {
-                for &f in h.edges_of(VertexId(v)) {
+                for &f in csr.edges_of(v as usize) {
                     if edge_seen[f.index()] {
                         continue;
                     }
                     edge_seen[f.index()] = true;
                     edge_to_old.push(f.index() as u32);
-                    for &w in h.pins(f) {
+                    for &w in csr.pins(f.index()) {
                         if vertex_to_new[w.index()] == u32::MAX {
                             vertex_to_new[w.index()] = vertex_to_old.len() as u32;
                             vertex_to_old.push(w.index() as u32);
@@ -120,8 +120,9 @@ impl Relabeling {
     /// untouched. Cheaper to compute than [`Relabeling::bfs_order`] and
     /// still clusters the hubs most probes land on.
     pub fn degree_order(h: &Hypergraph) -> Self {
+        let csr = h.csr();
         let mut vertex_to_old: Vec<u32> = (0..h.num_vertices() as u32).collect();
-        vertex_to_old.sort_by_key(|&v| (std::cmp::Reverse(h.vertex_degree(VertexId(v))), v));
+        vertex_to_old.sort_by_key(|&v| (std::cmp::Reverse(csr.vertex_degree(v as usize)), v));
         let mut vertex_to_new = vec![0u32; h.num_vertices()];
         for (new, &old) in vertex_to_old.iter().enumerate() {
             vertex_to_new[old as usize] = new as u32;
@@ -138,11 +139,12 @@ impl Relabeling {
     /// histogram, core profile, … is preserved (per-vertex outputs come
     /// back under new ids — translate with [`Relabeling::original_vertex`]).
     pub fn apply(&self, h: &Hypergraph) -> Hypergraph {
+        let csr = h.csr();
         let mut b = HypergraphBuilder::new(h.num_vertices());
         b.reserve_pins(h.num_pins());
         for &old_f in &self.edge_to_old {
             b.add_edge(
-                h.pins(EdgeId(old_f))
+                csr.pins(old_f as usize)
                     .iter()
                     .map(|&w| self.vertex_to_new[w.index()]),
             );

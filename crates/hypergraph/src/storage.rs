@@ -1,13 +1,15 @@
 //! Backing storage for a [`Hypergraph`]'s CSR arrays: owned `Vec`s or
 //! a read-only memory-mapped `.hgb` file.
 //!
-//! The whole kernel stack reaches the CSR through [`Hypergraph::pins`]
-//! and [`Hypergraph::edges_of`], which resolve to plain slices here.
-//! `Storage::Owned` is the portable default every builder and parser
-//! produces; `Storage::Mapped` serves the same slices straight out of
-//! an mmap'd [`crate::hgb`] file, so cold load is O(header) and the OS
-//! pages the arrays in on demand — a dataset larger than RAM can still
-//! answer degree and stats queries.
+//! The whole kernel stack reads the CSR through one view, [`Csr`]: the
+//! four arrays as plain slices. [`Storage::csr`] is the one match on
+//! the backing. A kernel takes the view once per call and reads pins,
+//! incidences and degrees through it; [`Hypergraph`]'s public accessors
+//! delegate to it. `Storage::Owned` is the portable default every
+//! builder and parser produces; `Storage::Mapped` serves the same
+//! slices straight out of an mmap'd [`crate::hgb`] file, so cold load
+//! is O(header) and the OS pages the arrays in on demand — a dataset
+//! larger than RAM can still answer degree and stats queries.
 //!
 //! The mmap wrapper is a minimal `unsafe` shim over `mmap(2)`/
 //! `munmap(2)` declared directly (the workspace is dependency-light; no
@@ -16,12 +18,10 @@
 //! [`crate::hgb::open_hgb`].
 //!
 //! [`Hypergraph`]: crate::Hypergraph
-//! [`Hypergraph::pins`]: crate::Hypergraph::pins
-//! [`Hypergraph::edges_of`]: crate::Hypergraph::edges_of
 
 use std::sync::Arc;
 
-use crate::hypergraph::{EdgeId, VertexId};
+use crate::hypergraph::{Csr, EdgeId, VertexId};
 
 /// Which backing a hypergraph's CSR lives in. Reported by
 /// [`crate::Hypergraph::storage_kind`] and surfaced as
@@ -49,7 +49,7 @@ impl StorageKind {
 /// On unix this is an `mmap(2)` of a whole file, unmapped on drop. The
 /// pointer is page-aligned, so the 64-byte-aligned `.hgb` sections stay
 /// aligned for the 256-bit-lane bitset kernels.
-pub struct MapRegion {
+pub(crate) struct MapRegion {
     ptr: *const u8,
     len: usize,
 }
@@ -159,12 +159,6 @@ impl MapRegion {
         self.len
     }
 
-    /// `true` if the region is empty (never constructed; kept for API
-    /// completeness).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The whole region as a byte slice.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
@@ -211,7 +205,7 @@ pub(crate) struct SectionRange {
 ///
 /// Only constructed by [`crate::hgb::open_hgb`] after the header and
 /// section table have been validated (bounds, alignment, lengths), so
-/// the slice casts in the accessors cannot go out of range.
+/// the slice casts in [`Storage::csr`] cannot go out of range.
 #[derive(Clone, Debug)]
 pub(crate) struct MappedCsr {
     pub region: Arc<MapRegion>,
@@ -253,39 +247,30 @@ fn as_edge_ids(raw: &[u32]) -> &[EdgeId] {
 }
 
 impl Storage {
+    /// The CSR view: the one match on the backing.
     #[inline]
-    pub fn edge_offsets(&self) -> &[u32] {
+    pub fn csr(&self) -> Csr<'_> {
         match self {
-            Storage::Owned { edge_offsets, .. } => edge_offsets,
-            Storage::Mapped(m) => m.region.u32s(m.edge_offsets.byte_off, m.edge_offsets.count),
-        }
-    }
-
-    #[inline]
-    pub fn pin_list(&self) -> &[VertexId] {
-        match self {
-            Storage::Owned { pin_list, .. } => pin_list,
+            Storage::Owned {
+                edge_offsets,
+                pin_list,
+                vertex_offsets,
+                adj_list,
+            } => Csr {
+                edge_offsets,
+                pin_list,
+                vertex_offsets,
+                adj_list,
+            },
             Storage::Mapped(m) => {
-                as_vertex_ids(m.region.u32s(m.pin_list.byte_off, m.pin_list.count))
+                let u32s = |r: SectionRange| m.region.u32s(r.byte_off, r.count);
+                Csr {
+                    edge_offsets: u32s(m.edge_offsets),
+                    pin_list: as_vertex_ids(u32s(m.pin_list)),
+                    vertex_offsets: u32s(m.vertex_offsets),
+                    adj_list: as_edge_ids(u32s(m.adj_list)),
+                }
             }
-        }
-    }
-
-    #[inline]
-    pub fn vertex_offsets(&self) -> &[u32] {
-        match self {
-            Storage::Owned { vertex_offsets, .. } => vertex_offsets,
-            Storage::Mapped(m) => m
-                .region
-                .u32s(m.vertex_offsets.byte_off, m.vertex_offsets.count),
-        }
-    }
-
-    #[inline]
-    pub fn adj_list(&self) -> &[EdgeId] {
-        match self {
-            Storage::Owned { adj_list, .. } => adj_list,
-            Storage::Mapped(m) => as_edge_ids(m.region.u32s(m.adj_list.byte_off, m.adj_list.count)),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Structural invariant checks, used by tests and debug assertions.
 
-use crate::hypergraph::{Hypergraph, VertexId};
+use crate::hypergraph::Hypergraph;
 
 /// A violated structural invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,14 +24,14 @@ impl std::error::Error for StructureError {}
 /// * the two directions describe the same incidence relation;
 /// * `num_pins` consistent with both directions.
 pub fn check_structure(h: &Hypergraph) -> Result<(), StructureError> {
-    let (edge_offsets, pin_list, vertex_offsets, adj_list) = h.csr_slices();
-    check_offsets("edge", edge_offsets, pin_list.len())?;
-    check_offsets("vertex", vertex_offsets, adj_list.len())?;
-    let n = h.num_vertices();
+    let csr = h.csr();
+    check_offsets("edge", csr.edge_offsets, csr.pin_list.len())?;
+    check_offsets("vertex", csr.vertex_offsets, csr.adj_list.len())?;
+    let n = csr.num_vertices();
 
     let mut pin_total = 0usize;
     for f in h.edges() {
-        let pins = h.pins(f);
+        let pins = csr.pins(f.index());
         pin_total += pins.len();
         if !pins.windows(2).all(|w| w[0] < w[1]) {
             return Err(StructureError(format!(
@@ -42,7 +42,7 @@ pub fn check_structure(h: &Hypergraph) -> Result<(), StructureError> {
             return Err(StructureError(format!("pin {v:?} of {f:?} out of range")));
         }
         for &v in pins {
-            if !h.edges_of(v).contains(&f) {
+            if !csr.edges_of(v.index()).contains(&f) {
                 return Err(StructureError(format!(
                     "incidence ({v:?}, {f:?}) missing from adjacency side"
                 )));
@@ -58,7 +58,7 @@ pub fn check_structure(h: &Hypergraph) -> Result<(), StructureError> {
 
     let mut adj_total = 0usize;
     for v in h.vertices() {
-        let adj = h.edges_of(v);
+        let adj = csr.edges_of(v.index());
         adj_total += adj.len();
         if !adj.windows(2).all(|w| w[0] < w[1]) {
             return Err(StructureError(format!(
@@ -66,10 +66,10 @@ pub fn check_structure(h: &Hypergraph) -> Result<(), StructureError> {
             )));
         }
         for &f in adj {
-            if f.index() >= h.num_edges() {
+            if f.index() >= csr.num_edges() {
                 return Err(StructureError(format!("edge {f:?} of {v:?} out of range")));
             }
-            if !h.contains(f, v) {
+            if csr.pins(f.index()).binary_search(&v).is_err() {
                 return Err(StructureError(format!(
                     "incidence ({v:?}, {f:?}) missing from pin side"
                 )));
@@ -111,13 +111,11 @@ fn check_offsets(side: &str, offsets: &[u32], len: usize) -> Result<(), Structur
 /// vertex has degree ≥ k and the hypergraph is reduced.
 pub fn check_kcore_invariant(core: &Hypergraph, k: u32) -> Result<(), StructureError> {
     check_structure(core)?;
-    if let Some(v) = core
-        .vertices()
-        .find(|&v| (core.vertex_degree(v) as u32) < k)
-    {
+    let csr = core.csr();
+    if let Some(v) = core.vertices().find(|v| csr.vertex_degree(v.index()) < k) {
         return Err(StructureError(format!(
             "vertex {v:?} has degree {} < k = {k} in claimed k-core",
-            core.vertex_degree(VertexId(v.0))
+            csr.vertex_degree(v.index())
         )));
     }
     let dead = crate::reduce::non_maximal_edges(core);
