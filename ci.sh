@@ -396,10 +396,10 @@ cargo test --workspace -q
 
 echo "==> vendored shim unit tests"
 # vendor/ is excluded from the workspace, so the step above never runs
-# the shims' own tests. Each builds against its own manifest into
-# target/vendor; the Cargo.lock each run writes is ignored.
-for SHIM in criterion parking_lot proptest rand; do
-    cargo test --offline -q --manifest-path "vendor/$SHIM/Cargo.toml" --target-dir target/vendor
+# the shims' own tests. Every shim with a manifest builds against it
+# into target/vendor; the Cargo.lock each run writes is ignored.
+for MANIFEST in vendor/*/Cargo.toml; do
+    cargo test --offline -q --manifest-path "$MANIFEST" --target-dir target/vendor
 done
 
 echo "==> hgperf build + unit tests"

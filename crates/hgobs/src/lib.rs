@@ -23,7 +23,7 @@
 //!   sink is off and no trace is live, a phase guard reads no clock and
 //!   `counter!` / `hist!` are a branch over a load. The `obs_overhead`
 //!   test in `crates/bench` holds the disabled-path overhead under 2%.
-//! - **Thread-safe.** The registry lives behind a `parking_lot` mutex,
+//! - **Thread-safe.** The registry lives behind a `std::sync::Mutex`,
 //!   and phases are flat names, so guards on worker threads aggregate
 //!   under the same histogram as on the caller.
 //! - **Deterministic output.** All maps are `BTreeMap`s and the JSON
@@ -87,10 +87,13 @@ macro_rules! hist {
 
 /// The registry is global, so tests that drain it or open phases share
 /// one lock to avoid cross-talk under the multi-threaded test runner.
+/// A test that fails while holding it poisons the lock; the others
+/// still take it.
 #[cfg(test)]
-fn serial() -> parking_lot::MutexGuard<'static, ()> {
-    static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
     GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -2,8 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -75,13 +74,20 @@ impl Registry {
 
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
 
+/// The locked registry. A poisoned lock still hands it out: a panic
+/// under the lock can leave a merge partly done, but every map in the
+/// registry stays valid.
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Add `n` to a counter (prefer the `counter!` macro).
 #[inline]
 pub fn add_counter(name: &str, n: u64) {
     if !enabled() {
         return;
     }
-    let mut reg = REGISTRY.lock();
+    let mut reg = registry();
     // Allocate the key only on first use of each counter name.
     if let Some(c) = reg.counters.get_mut(name) {
         *c += n;
@@ -96,7 +102,7 @@ pub fn record_hist(name: &str, value: u64) {
     if !enabled() {
         return;
     }
-    let mut reg = REGISTRY.lock();
+    let mut reg = registry();
     if let Some(h) = reg.hists.get_mut(name) {
         h.record(value);
     } else {
@@ -108,20 +114,20 @@ pub fn record_hist(name: &str, value: u64) {
 
 /// Discard everything recorded so far.
 pub fn reset() {
-    let mut reg = REGISTRY.lock();
+    let mut reg = registry();
     reg.counters.clear();
     reg.hists.clear();
 }
 
 pub(crate) fn drain() -> Registry {
-    std::mem::replace(&mut *REGISTRY.lock(), Registry::new())
+    std::mem::replace(&mut *registry(), Registry::new())
 }
 
 /// Clone the registry without draining it. Long-lived processes (the
 /// analytics server) render cumulative metrics from this while the
 /// registry keeps accumulating.
 pub(crate) fn snapshot() -> Registry {
-    REGISTRY.lock().clone()
+    registry().clone()
 }
 
 /// Merge a previously drained [`crate::Report`] back into the registry,
@@ -129,7 +135,7 @@ pub(crate) fn snapshot() -> Registry {
 /// section a run into per-phase drains but still want the run totals
 /// present for a final whole-process report.
 pub(crate) fn absorb_report(report: &crate::Report) {
-    let mut reg = REGISTRY.lock();
+    let mut reg = registry();
     for (k, &v) in &report.counters {
         *reg.counters.entry(k.clone()).or_insert(0) += v;
     }

@@ -32,10 +32,8 @@
 //! the requests whose traces matter most.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::json::JsonWriter;
 
@@ -63,8 +61,14 @@ struct TraceInner {
 }
 
 impl TraceInner {
+    /// The event list. A poisoned lock still hands it out: the list is
+    /// only pushed to and read under it, so it is always valid.
+    fn events(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push(&self, event: TraceEvent) {
-        let mut events = self.events.lock();
+        let mut events = self.events();
         if events.len() >= MAX_TRACE_EVENTS {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -137,13 +141,6 @@ impl TraceCtx {
         format!("{:016x}", self.id())
     }
 
-    /// Microseconds since the trace was created (0 when disabled).
-    pub fn elapsed_us(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.start.elapsed().as_micros() as u64)
-    }
-
     /// Open a phase; it records itself on drop (explicitly via
     /// [`TracePhase::finish`] or implicitly on early return). With this
     /// context disabled and the sink off, the guard is inert and reads
@@ -171,7 +168,7 @@ impl TraceCtx {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut events = inner.events.lock().clone();
+        let mut events = inner.events().clone();
         events.sort_by(|a, b| {
             (a.start_us, a.end_us, a.phase)
                 .cmp(&(b.start_us, b.end_us, b.phase))
@@ -221,7 +218,7 @@ impl std::fmt::Debug for TraceCtx {
             Some(inner) => f
                 .debug_struct("TraceCtx")
                 .field("id", &format_args!("{:016x}", inner.id))
-                .field("events", &inner.events.lock().len())
+                .field("events", &inner.events().len())
                 .finish(),
         }
     }

@@ -55,8 +55,9 @@ impl Request {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HttpError {
     /// No bytes arrived before the socket read timeout; the connection
-    /// is idle between keep-alive requests. Not an error condition —
-    /// the server uses it to poll its shutdown flag.
+    /// is idle between keep-alive requests. Only the blocking
+    /// [`read_request`], the unit-test oracle of [`parse_request_bytes`],
+    /// returns it; the event loop never calls that reader.
     Idle,
     /// The peer closed the connection cleanly between requests.
     Eof,

@@ -73,9 +73,17 @@ use crate::query::{ExecOpts, Query, QueryError};
 use crate::registry::{declared_size, Dataset, Format, Registry};
 use crate::slowlog::{unix_ms_now, SlowLog, SlowLogEntry};
 
+/// Largest accepted request body (`POST /datasets`); a longer declared
+/// `Content-Length` answers `413`.
+const MAX_BODY_BYTES: usize = 64 << 20;
+
+/// Cap on a client-requested `X-Deadline-Ms`.
+const MAX_DEADLINE_MS: u64 = 60_000;
+
 /// Server tunables. `hg serve` has a flag for each field except
-/// `max_body_bytes`, `max_deadline_ms` and `header_timeout_ms`, which it
-/// runs at their defaults; library callers can set every field.
+/// `header_timeout_ms`, which it runs at its default; library callers
+/// can set every field. The body limit (64 MiB) and the cap on a
+/// requested deadline (60 s) are fixed.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878`; port 0 picks an ephemeral port.
@@ -84,17 +92,12 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Result-cache budget in bytes (0 disables caching).
     pub cache_bytes: usize,
-    /// Largest accepted `POST /datasets` body.
-    pub max_body_bytes: usize,
     /// Parsed requests waiting for a worker before the event loop
     /// starts shedding new ones with `503` + `Retry-After`.
     pub queue_depth: usize,
     /// Default per-request compute budget in milliseconds; `0` disables
     /// the default (requests without `X-Deadline-Ms` run unbounded).
     pub deadline_ms: u64,
-    /// Upper cap applied to client-requested `X-Deadline-Ms` values;
-    /// `0` means uncapped.
-    pub max_deadline_ms: u64,
     /// Wall-clock budget for reading one request head (slow-loris
     /// protection); exceeded → `408`.
     pub header_timeout_ms: u64,
@@ -110,10 +113,8 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7878".to_string(),
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             cache_bytes: 64 << 20,
-            max_body_bytes: 64 << 20,
             queue_depth: 64,
             deadline_ms: 0,
-            max_deadline_ms: 60_000,
             header_timeout_ms: 5_000,
             par_threshold: 4_096,
         }
@@ -131,7 +132,6 @@ pub struct AppState {
     /// Sequence number feeding each request's deterministic trace id.
     trace_seq: AtomicU64,
     shutdown: AtomicBool,
-    max_body_bytes: usize,
     /// Requests rejected with 503 because the job queue was full.
     shed: AtomicU64,
     /// Requests answered 504 because their deadline fired mid-compute.
@@ -154,7 +154,6 @@ pub struct AppState {
     /// this state, so a late wake can never hit a recycled fd.
     loop_waker: Mutex<Option<Waker>>,
     deadline_ms: u64,
-    max_deadline_ms: u64,
     header_timeout: Duration,
     par_threshold: usize,
 }
@@ -168,7 +167,6 @@ impl AppState {
             started: Instant::now(),
             trace_seq: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            max_body_bytes: config.max_body_bytes,
             shed: AtomicU64::new(0),
             deadline_hits: AtomicU64::new(0),
             panics: AtomicU64::new(0),
@@ -179,7 +177,6 @@ impl AppState {
             conn_states: Default::default(),
             loop_waker: Mutex::new(None),
             deadline_ms: config.deadline_ms,
-            max_deadline_ms: config.max_deadline_ms,
             header_timeout: Duration::from_millis(config.header_timeout_ms.max(1)),
             par_threshold: config.par_threshold,
         }
@@ -226,19 +223,17 @@ impl AppState {
     }
 
     /// The [`Deadline`] governing one request: an explicit
-    /// `X-Deadline-Ms` header (clamped to the server cap) wins over the
+    /// `X-Deadline-Ms` header (clamped to the 60 s cap) wins over the
     /// server-wide default. A requested `0` asks for as long as the
-    /// server allows: the cap, or unlimited when `max_deadline_ms` is
-    /// 0. No header and no default also means unlimited. Unparseable
-    /// header values are ignored.
+    /// server allows: the cap. No header and no default means
+    /// unlimited. Unparseable header values are ignored.
     pub fn request_deadline(&self, req: &Request) -> Deadline {
         let requested = req
             .header("x-deadline-ms")
             .and_then(|v| v.trim().parse::<u64>().ok());
         let ms = match requested {
-            Some(0) => self.max_deadline_ms,
-            Some(ms) if self.max_deadline_ms > 0 => ms.min(self.max_deadline_ms),
-            Some(ms) => ms,
+            Some(0) => MAX_DEADLINE_MS,
+            Some(ms) => ms.min(MAX_DEADLINE_MS),
             None => self.deadline_ms,
         };
         if ms == 0 {
@@ -740,7 +735,6 @@ impl EventLoop {
     /// a partial request (parked). Returns whether the cap or a miss
     /// answered here ended it with input left.
     fn answer_buffered(&mut self, idx: usize) -> bool {
-        let max_body = self.state.max_body_bytes;
         for _ in 0..HITS_PER_TURN {
             let parsed = {
                 let Some(conn) = self.conns[idx].as_mut() else {
@@ -764,7 +758,7 @@ impl EventLoop {
                     }
                     None
                 } else {
-                    match parse_request_bytes(&conn.rbuf[conn.rpos..], max_body) {
+                    match parse_request_bytes(&conn.rbuf[conn.rpos..], MAX_BODY_BYTES) {
                         ParseOutcome::Complete(req, used) => {
                             conn.rpos += used;
                             conn.head_started = None;
@@ -1513,12 +1507,11 @@ fn post_dataset(state: &AppState, req: &Request) -> Response {
     // A declared count sizes per-vertex arrays before any data line is
     // read, so a few header bytes could ask for gigabytes. Cap it by
     // the body limit.
-    if let Some(n) = declared_size(format, text).filter(|&n| n > state.max_body_bytes) {
+    if let Some(n) = declared_size(format, text).filter(|&n| n > MAX_BODY_BYTES) {
         return Response::error(
             400,
             &format!(
-                "declared size {n} exceeds this server's limit of {} (its body limit)",
-                state.max_body_bytes
+                "declared size {n} exceeds this server's limit of {MAX_BODY_BYTES} (its body limit)"
             ),
         );
     }
@@ -1655,7 +1648,6 @@ mod tests {
             &ServerConfig {
                 threads: 2,
                 cache_bytes: 1 << 20,
-                max_body_bytes: 1 << 20,
                 ..ServerConfig::default()
             },
             registry,
@@ -1843,7 +1835,7 @@ mod tests {
         assert!(state
             .request_deadline(&get("/v1/toy/diameter"))
             .is_unlimited());
-        // Header wins and is clamped to max_deadline_ms (60s default).
+        // Header wins and is clamped to the 60 s cap.
         let req = with_header(get("/v1/toy/diameter"), "x-deadline-ms", "999999999");
         let dl = state.request_deadline(&req);
         assert_eq!(dl.budget(), Some(Duration::from_secs(60)));
@@ -1854,12 +1846,6 @@ mod tests {
         let req = with_header(get("/v1/toy/diameter"), "x-deadline-ms", "0");
         let dl = state.request_deadline(&req);
         assert_eq!(dl.budget(), Some(Duration::from_secs(60)));
-        // Only a server without a cap leaves a requested 0 unlimited.
-        let uncapped = AppState {
-            max_deadline_ms: 0,
-            ..toy_state()
-        };
-        assert!(uncapped.request_deadline(&req).is_unlimited());
     }
 
     #[test]

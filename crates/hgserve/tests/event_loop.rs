@@ -199,6 +199,29 @@ fn oversized_headers_answer_431_and_close() {
 }
 
 #[test]
+fn a_body_one_byte_past_the_limit_answers_413_and_close() {
+    let (handle, addr, _counters) = boot();
+    let mut conn = connect(&addr);
+    // The head alone declares a body one byte over the 64 MiB limit; no
+    // body follows.
+    let limit = 64usize << 20;
+    let head = format!(
+        "POST /datasets?name=x HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+        limit + 1
+    );
+    conn.write_all(head.as_bytes()).unwrap();
+    let raw = read_response(&mut conn);
+    assert!(raw.starts_with("HTTP/1.1 413 "), "{raw}");
+    assert!(raw.contains("Connection: close"), "{raw}");
+    assert!(raw.contains(&format!("exceeds limit {limit}")), "{raw}");
+    let mut next = connect(&addr);
+    next.write_all(get("/healthz").as_bytes()).unwrap();
+    let raw = read_response(&mut next);
+    assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+    handle.shutdown();
+}
+
+#[test]
 fn a_reject_reads_on_until_the_client_stops_sending() {
     // A client mid-upload goes on sending after the server has answered
     // 431. The server shuts its write side and discards that input

@@ -1,51 +1,8 @@
-//! Chung–Lu style random models with prescribed expected degrees.
+//! Chung–Lu random graphs with prescribed expected degrees.
 
 use graphcore::{Graph, GraphBuilder, NodeId};
-use hypergraph::{Hypergraph, HypergraphBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Bipartite Chung–Lu hypergraph: vertex `v` has weight `w_v`, hyperedge
-/// `f` has weight `u_f`; `v ∈ f` independently with probability
-/// `min(1, w_v · u_f / S)` where `S = Σ w_v` (so expected vertex degree
-/// ≈ `w_v · Σ u_f / S`). Sampling is done per hyperedge with weighted
-/// inversion, O(d(f) log |V|) per edge in expectation.
-pub fn chung_lu_hypergraph(vertex_weights: &[f64], edge_weights: &[f64], seed: u64) -> Hypergraph {
-    assert!(vertex_weights.iter().all(|&w| w >= 0.0 && w.is_finite()));
-    assert!(edge_weights.iter().all(|&w| w >= 0.0 && w.is_finite()));
-    let s: f64 = vertex_weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = HypergraphBuilder::new(vertex_weights.len());
-
-    // Cumulative weights for proportional vertex sampling.
-    let mut cum = Vec::with_capacity(vertex_weights.len());
-    let mut acc = 0.0;
-    for &w in vertex_weights {
-        acc += w;
-        cum.push(acc);
-    }
-
-    for &uf in edge_weights {
-        // Expected size uf (weights normalized so Σu_f ≈ Σ sizes): draw a
-        // Poisson-ish count via repeated Bernoulli on a weighted sample.
-        // Practical approximation: sample round(uf) members proportionally
-        // to w_v, plus one extra with probability frac(uf); dedup.
-        let base = uf.floor() as usize;
-        let extra = usize::from(rng.gen::<f64>() < uf.fract());
-        let mut pins = Vec::with_capacity(base + extra);
-        if s > 0.0 {
-            for _ in 0..(base + extra) {
-                let t = rng.gen::<f64>() * s;
-                let v = cum
-                    .partition_point(|&c| c < t)
-                    .min(vertex_weights.len() - 1);
-                pins.push(v as u32);
-            }
-        }
-        b.add_edge(pins);
-    }
-    b.build()
-}
 
 /// Chung–Lu power-law *graph* with expected degree `weights[v]` for node
 /// `v`: edge `{u, v}` present independently with probability
@@ -107,30 +64,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hypergraph_sizes_near_weights() {
-        let vw = vec![1.0; 200];
-        let ew = vec![8.0; 50];
-        let h = chung_lu_hypergraph(&vw, &ew, 9);
-        assert_eq!(h.num_edges(), 50);
-        let mean_size = h.num_pins() as f64 / 50.0;
-        assert!((mean_size - 8.0).abs() < 1.0, "mean size = {mean_size}");
-    }
-
-    #[test]
-    fn hypergraph_weighted_vertices_get_higher_degree() {
-        let mut vw = vec![1.0; 100];
-        vw[0] = 50.0;
-        let ew = vec![5.0; 60];
-        let h = chung_lu_hypergraph(&vw, &ew, 10);
-        let hub = h.vertex_degree(hypergraph::VertexId(0));
-        let mean: f64 = (1..100)
-            .map(|v| h.vertex_degree(hypergraph::VertexId(v)) as f64)
-            .sum::<f64>()
-            / 99.0;
-        assert!(hub as f64 > 5.0 * mean, "hub {hub} vs mean {mean}");
-    }
-
-    #[test]
     fn graph_mean_degree_close_to_expected() {
         let n = 2000;
         let weights = vec![6.0; n];
@@ -170,9 +103,6 @@ mod tests {
     fn zero_weights_yield_empty() {
         let g = chung_lu_graph(&[0.0; 10], 1);
         assert_eq!(g.num_edges(), 0);
-        let h = chung_lu_hypergraph(&[0.0; 5], &[3.0; 4], 1);
-        assert_eq!(h.num_edges(), 4);
-        assert_eq!(h.num_pins(), 0);
     }
 
     #[test]

@@ -7,54 +7,6 @@ use hypergraph::validate::check_structure;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Power-law sequences respect their bounds for any parameters.
-    #[test]
-    fn power_law_bounds(
-        n in 1usize..300,
-        gamma in 0.5f64..4.0,
-        d_min in 1u32..5,
-        width in 0u32..30,
-        seed in any::<u64>(),
-    ) {
-        let d_max = d_min + width;
-        let seq = hypergen::power_law_degrees(n, gamma, d_min, d_max, seed);
-        prop_assert_eq!(seq.len(), n);
-        prop_assert!(seq.iter().all(|&d| (d_min..=d_max).contains(&d)));
-    }
-
-    /// The configuration model uses every stub: pin count equals the
-    /// degree sum minus merged duplicates, and never exceeds it; realized
-    /// vertex degrees never exceed targets.
-    #[test]
-    fn configuration_model_respects_degrees(
-        (vdeg, edeg, seed) in (1usize..40, 1usize..15, any::<u64>()).prop_map(|(n, m, seed)| {
-            // Build degree sequences with equal sums.
-            let vdeg: Vec<u32> = (0..n).map(|i| 1 + (i % 3) as u32).collect();
-            let total: u32 = vdeg.iter().sum();
-            let base = total / m as u32;
-            let mut edeg = vec![base; m];
-            edeg[0] += total - base * m as u32;
-            (vdeg, edeg, seed)
-        })
-    ) {
-        let h = hypergen::configuration_hypergraph(&vdeg, &edeg, seed);
-        check_structure(&h).unwrap();
-        prop_assert_eq!(h.num_vertices(), vdeg.len());
-        prop_assert_eq!(h.num_edges(), edeg.len());
-        let total: usize = vdeg.iter().map(|&d| d as usize).sum();
-        prop_assert!(h.num_pins() <= total);
-        for (v, &target) in vdeg.iter().enumerate() {
-            prop_assert!(
-                h.vertex_degree(hypergraph::VertexId(v as u32)) <= target as usize
-            );
-        }
-        for (f, &target) in edeg.iter().enumerate() {
-            prop_assert!(
-                h.edge_degree(hypergraph::EdgeId(f as u32)) <= target as usize
-            );
-        }
-    }
-
     /// Uniform hypergraphs are k-uniform and structurally valid.
     #[test]
     fn uniform_is_uniform(

@@ -70,11 +70,6 @@ impl HypergraphBuilder {
         EdgeId(self.offsets.len() as u32 - 2)
     }
 
-    /// Add a hyperedge given [`VertexId`]s.
-    pub fn add_edge_ids(&mut self, vertices: impl IntoIterator<Item = VertexId>) -> EdgeId {
-        self.add_edge(vertices.into_iter().map(|v| v.0))
-    }
-
     /// Freeze into a [`Hypergraph`], constructing the vertex-side CSR.
     pub fn build(self) -> Hypergraph {
         build_from_edge_csr(self.num_vertices, self.offsets, self.pins)
@@ -138,15 +133,6 @@ pub(crate) fn build_from_edge_csr(
     Hypergraph::from_parts(offsets, pin_list, vertex_offsets, adj_list)
 }
 
-/// Convenience: build a hypergraph directly from slices of vertex ids.
-pub fn hypergraph_from_edges(num_vertices: usize, edges: &[&[u32]]) -> Hypergraph {
-    let mut b = HypergraphBuilder::new(num_vertices);
-    for e in edges {
-        b.add_edge(e.iter().copied());
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,17 +183,12 @@ mod tests {
 
     #[test]
     fn adjacency_lists_sorted_by_edge_id() {
-        let h = hypergraph_from_edges(2, &[&[0, 1], &[0], &[0, 1]]);
+        let mut b = HypergraphBuilder::new(2);
+        b.add_edge([0, 1]);
+        b.add_edge([0]);
+        b.add_edge([0, 1]);
+        let h = b.build();
         assert_eq!(h.edges_of(VertexId(0)), &[EdgeId(0), EdgeId(1), EdgeId(2)]);
         assert_eq!(h.edges_of(VertexId(1)), &[EdgeId(0), EdgeId(2)]);
-    }
-
-    #[test]
-    fn add_edge_ids_matches_add_edge() {
-        let mut b1 = HypergraphBuilder::new(4);
-        b1.add_edge([3, 1]);
-        let mut b2 = HypergraphBuilder::new(4);
-        b2.add_edge_ids([VertexId(3), VertexId(1)]);
-        assert_eq!(b1.build().pins(EdgeId(0)), b2.build().pins(EdgeId(0)));
     }
 }

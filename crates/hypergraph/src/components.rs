@@ -59,16 +59,6 @@ impl HyperComponents {
             .collect()
     }
 
-    /// Hyperedges of component `c`.
-    pub fn edge_members(&self, c: usize) -> Vec<EdgeId> {
-        self.edge_label
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l as usize == c)
-            .map(|(f, _)| EdgeId(f as u32))
-            .collect()
-    }
-
     /// Extract component `c` as a standalone hypergraph, together with the
     /// original ids of its vertices and edges.
     pub fn extract(&self, h: &Hypergraph, c: usize) -> (Hypergraph, Vec<VertexId>, Vec<EdgeId>) {
@@ -143,7 +133,6 @@ mod tests {
             cc.vertex_members(big),
             vec![VertexId(0), VertexId(1), VertexId(2)]
         );
-        assert_eq!(cc.edge_members(big), vec![EdgeId(0), EdgeId(1)]);
     }
 
     #[test]

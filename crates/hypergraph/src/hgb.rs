@@ -10,8 +10,9 @@
 //!          num_edges      u64
 //!          num_pins       u64
 //!          flags          u64  (bit 0: relabeling sections present)
-//!          max_vertex_deg u64  (precomputed summary statistics,
-//!          max_edge_deg   u64   so stats answers are O(1) after open)
+//!          max_vertex_deg u64  (precomputed summary: checked by a
+//!          max_edge_deg   u64   verifying open, read by hg bench
+//!                               --coldload; /stats scans the CSR)
 //!          section_count  u64
 //!          sections       count x { id u64, byte_offset u64, byte_len u64 }
 //!          header_fnv1a   u64  (FNV-1a over every header byte above)
@@ -20,10 +21,11 @@
 //!   2 PIN_LIST        num_pins        member vertices per hyperedge
 //!   3 VERTEX_OFFSETS  num_vertices+1  CSR offsets into ADJ_LIST
 //!   4 ADJ_LIST        num_pins        incident hyperedges per vertex
-//!   5 VERTEX_DEGREES  num_vertices    d(v), redundant with offsets but
-//!                                     lets degree queries touch one
-//!                                     contiguous section
-//!   6 EDGE_DEGREES    num_edges       d(f), same rationale
+//!   5 VERTEX_DEGREES  num_vertices    d(v), redundant with offsets;
+//!                                     shape-checked at open, read by
+//!                                     nothing (degrees come off the
+//!                                     offsets)
+//!   6 EDGE_DEGREES    num_edges       d(f), same
 //!   7 REL_V_TO_NEW    num_vertices    (optional) relabeling forward map
 //!   8 REL_V_TO_OLD    num_vertices    (optional) relabeling inverse map
 //!   9 REL_E_TO_OLD    num_edges       (optional) hyperedge inverse map

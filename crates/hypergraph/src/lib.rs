@@ -112,7 +112,7 @@ pub use multicover::{greedy_multicover, is_multicover};
 pub use path::{
     hyper_distance, hyper_distance_with, hyper_distance_within, hyper_distances,
     hyper_distances_with, scalar_hyper_distance_stats, scalar_hyper_distance_stats_from,
-    scalar_hyper_distance_stats_from_with, HyperDistanceStats, PairStop,
+    HyperDistanceStats, PairStop,
 };
 pub use powerlaw::{fit_power_law, PowerLawFit};
 pub use probe_kcore::{probe_decompose, probe_decompose_with, probe_kcore, probe_kcore_with};

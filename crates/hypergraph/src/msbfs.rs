@@ -632,8 +632,9 @@ fn unlimited(stats: Result<HyperDistanceStats, DeadlineExceeded>) -> HyperDistan
 /// zeroing a 64-byte lane per vertex and hyperedge again (the A7
 /// telemetry showed allocation is the tax batch parallelism pays).
 /// Entries whose dimensions no longer fit are left for other datasets.
-/// The pool holds its entries oldest first and is capped, so a burst of
-/// differently-sized requests cannot hoard memory.
+/// The pool holds its entries oldest first and is capped by entry
+/// count, not bytes, so it can still hoard memory: 16 scratches sized
+/// for a million-vertex hypergraph pin about 1.28 GB.
 static SCRATCH_ARENA: Mutex<Vec<MsBfsScratch>> = Mutex::new(Vec::new());
 
 /// Upper bound on parked scratches — enough for the workers of the

@@ -9,8 +9,10 @@
 //! paper reports diameter 6 and average path length 2.568 for the yeast
 //! hypergraph and reads these as small-world evidence.
 //!
-//! Every sweep has a `*_with` variant taking an [`hgobs::Deadline`];
-//! the plain functions are unbounded wrappers over those.
+//! The single-source BFS and the pair search each have a `*_with`
+//! variant taking an [`hgobs::Deadline`]; the plain functions are
+//! unbounded wrappers over those. The scalar sweep, an oracle, takes no
+//! deadline.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -60,12 +62,10 @@ pub fn hyper_distances_with(
 
 /// The scalar BFS over its own buffers, run once by
 /// [`hyper_distances_with`] and once per source by the scalar sweep.
-/// `ticks` is the deadline's amortized counter, kept across runs.
 struct Bfs {
     dist: Vec<u32>,
     edge_seen: Vec<bool>,
     frontier: VecDeque<VertexId>,
-    ticks: u32,
 }
 
 impl Bfs {
@@ -74,7 +74,6 @@ impl Bfs {
             dist: vec![UNREACHABLE; h.num_vertices()],
             edge_seen: vec![false; h.num_edges()],
             frontier: VecDeque::new(),
-            ticks: 0,
         }
     }
 
@@ -84,10 +83,11 @@ impl Bfs {
     /// error the number settled when the deadline's tick fired.
     fn run(&mut self, csr: Csr<'_>, source: VertexId, deadline: &Deadline) -> Result<u64, u64> {
         let mut settled = 0u64;
+        let mut ticks = 0u32;
         self.dist[source.index()] = 0;
         self.frontier.push_back(source);
         while let Some(u) = self.frontier.pop_front() {
-            if deadline.tick(&mut self.ticks) {
+            if deadline.tick(&mut ticks) {
                 return Err(settled);
             }
             settled += 1;
@@ -454,62 +454,30 @@ pub fn scalar_hyper_distance_stats_from(
     h: &Hypergraph,
     sources: &[VertexId],
 ) -> HyperDistanceStats {
-    match scalar_hyper_distance_stats_from_with(h, sources, &Deadline::none()) {
-        Ok(stats) => stats,
-        Err(_) => unreachable!("an unlimited deadline cannot expire"),
-    }
-}
-
-/// [`scalar_hyper_distance_stats_from`] under a cooperative
-/// [`Deadline`], checked every [`hgobs::CHECK_INTERVAL`] settled
-/// vertices across the whole sweep. The `bfs.sources` counter reflects
-/// only the sources actually completed, on both the success and the
-/// expiry path, and the error's `work_done` is that same partial count.
-pub fn scalar_hyper_distance_stats_from_with(
-    h: &Hypergraph,
-    sources: &[VertexId],
-    deadline: &Deadline,
-) -> Result<HyperDistanceStats, DeadlineExceeded> {
-    let _tp = deadline.trace().phase("bfs.sweep");
+    let _tp = hgobs::phase("bfs.sweep");
     let mut diameter = 0u32;
     let mut total = 0u128;
     let mut pairs = 0u64;
     let csr = h.csr();
     let mut bfs = Bfs::new(h);
-    let mut completed = 0u64;
-
-    let expired = 'sweep: {
-        for &s in sources {
-            // Per-source boundary check: negligible next to a BFS, and
-            // it makes expiry deterministic on graphs too small for the
-            // amortized tick to ever fire.
-            if deadline.expired() {
-                break 'sweep true;
-            }
-            bfs.dist.fill(UNREACHABLE);
-            bfs.edge_seen.fill(false);
-            if bfs.run(csr, s, deadline).is_err() {
-                break 'sweep true;
-            }
-            if hgobs::enabled() {
-                record_bfs_shape(&bfs.dist);
-            }
-            for (v, &d) in bfs.dist.iter().enumerate() {
-                if d != UNREACHABLE && v != s.index() {
-                    diameter = diameter.max(d);
-                    total += d as u128;
-                    pairs += 1;
-                }
-            }
-            completed += 1;
+    for &s in sources {
+        bfs.dist.fill(UNREACHABLE);
+        bfs.edge_seen.fill(false);
+        bfs.run(csr, s, &Deadline::none())
+            .expect("an unlimited deadline cannot expire");
+        if hgobs::enabled() {
+            record_bfs_shape(&bfs.dist);
         }
-        false
-    };
-    hgobs::counter!("bfs.sources", completed);
-    if expired {
-        return Err(deadline.exceeded("bfs.sweep", completed));
+        for (v, &d) in bfs.dist.iter().enumerate() {
+            if d != UNREACHABLE && v != s.index() {
+                diameter = diameter.max(d);
+                total += d as u128;
+                pairs += 1;
+            }
+        }
     }
-    Ok(HyperDistanceStats {
+    hgobs::counter!("bfs.sources", sources.len());
+    HyperDistanceStats {
         diameter,
         average_path_length: if pairs == 0 {
             0.0
@@ -517,7 +485,7 @@ pub fn scalar_hyper_distance_stats_from_with(
             total as f64 / pairs as f64
         },
         reachable_pairs: pairs,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -641,43 +609,6 @@ mod tests {
         let err = hyper_distance_stats_with(&h, &dl).unwrap_err();
         assert_eq!(err.phase, "msbfs");
         assert_eq!(err.work_done, 0, "{err:?}");
-    }
-
-    #[test]
-    fn pre_cancelled_deadline_stops_scalar_sweep_before_any_source_completes() {
-        let h = big_ring(3000);
-        let sources: Vec<VertexId> = h.vertices().collect();
-        let dl = Deadline::after(Duration::ZERO);
-        assert!(dl.expired());
-        let err = scalar_hyper_distance_stats_from_with(&h, &sources, &dl).unwrap_err();
-        assert_eq!(err.phase, "bfs.sweep");
-        // The first tick window (CHECK_INTERVAL settled vertices) spans at
-        // most one 3000-vertex source, so no source can have completed.
-        assert_eq!(err.work_done, 0, "{err:?}");
-    }
-
-    #[test]
-    fn deadline_fires_mid_scalar_sweep_with_partial_source_count() {
-        // A full sweep over 3000 sources × 3000 vertices is ~9M settles;
-        // walk the budget up from 1ms until one lands mid-sweep. On any
-        // machine fast enough to finish the whole sweep inside 1ms the
-        // escalation simply ends at Ok and the pre-cancelled test above
-        // still covers the expiry path.
-        let h = big_ring(3000);
-        let sources: Vec<VertexId> = h.vertices().collect();
-        for ms in [1u64, 2, 4, 8, 16, 32, 64] {
-            match scalar_hyper_distance_stats_from_with(&h, &sources, &Deadline::after_ms(ms)) {
-                Err(err) => {
-                    assert_eq!(err.phase, "bfs.sweep");
-                    assert!(err.work_done < 3000, "{err:?}");
-                    assert!(err.elapsed >= Duration::from_millis(ms), "{err:?}");
-                    if err.work_done > 0 {
-                        return; // observed a genuine mid-sweep stop
-                    }
-                }
-                Ok(_) => return,
-            }
-        }
     }
 
     /// The pair engine against its oracle, [`hyper_distances`].

@@ -39,21 +39,6 @@ pub fn fit_power_law(hist: &[usize]) -> Option<PowerLawFit> {
         .filter(|&(_, &freq)| freq > 0)
         .map(|(d, &freq)| ((d as f64).log10(), (freq as f64).log10()))
         .collect();
-    fit_log_log(&pts)
-}
-
-/// Fit on explicit (degree, frequency) pairs; entries with degree < 1 or
-/// frequency <= 0 are skipped.
-pub fn fit_power_law_points(points: &[(f64, f64)]) -> Option<PowerLawFit> {
-    let pts: Vec<(f64, f64)> = points
-        .iter()
-        .filter(|&&(d, p)| d >= 1.0 && p > 0.0)
-        .map(|&(d, p)| (d.log10(), p.log10()))
-        .collect();
-    fit_log_log(&pts)
-}
-
-fn fit_log_log(pts: &[(f64, f64)]) -> Option<PowerLawFit> {
     let n = pts.len();
     if n < 2 {
         return None;
@@ -143,13 +128,6 @@ mod tests {
         assert_eq!(fit_power_law(&[5, 10]), None); // only d=1 usable
         assert_eq!(fit_power_law(&[]), None);
         assert_eq!(fit_power_law(&[0, 0, 0]), None);
-    }
-
-    #[test]
-    fn points_api_matches_histogram_api() {
-        let hist = vec![0usize, 100, 25, 11, 6];
-        let pts: Vec<(f64, f64)> = (1..=4).map(|d| (d as f64, hist[d] as f64)).collect();
-        assert_eq!(fit_power_law(&hist), fit_power_law_points(&pts));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! of recovering it to `1 − (1 − p)^r`; this module simulates the
 //! process and checks that claim end to end.
 
-use hypergraph::{EdgeId, Hypergraph, HypergraphBuilder, VertexId};
+use hypergraph::{EdgeId, Hypergraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,19 +56,6 @@ pub struct TapRun {
     pub productive_baits: usize,
     /// Total pull-down attempts (Σ over baits of their complex count).
     pub attempts: usize,
-}
-
-impl TapRun {
-    /// Assemble the observed data as a hypergraph over the same vertex
-    /// set (one hyperedge per successful pull-down) — the raw form in
-    /// which the Cellzome dataset itself was published.
-    pub fn observed_hypergraph(&self, num_vertices: usize) -> Hypergraph {
-        let mut b = HypergraphBuilder::new(num_vertices);
-        for pd in &self.pull_downs {
-            b.add_edge(pd.observed.iter().map(|v| v.0));
-        }
-        b.build()
-    }
 }
 
 /// Run the simulated TAP experiment: each bait attempts every complex it
@@ -180,6 +167,7 @@ pub fn expected_recovery(reproducibility: f64, r: u32) -> f64 {
 mod tests {
     use super::*;
     use crate::cellzome::{cellzome_like, CELLZOME_SEED};
+    use hypergraph::HypergraphBuilder;
 
     fn toy() -> Hypergraph {
         let mut b = HypergraphBuilder::new(6);
@@ -307,24 +295,6 @@ mod tests {
             "multicover recovery {rate_multi} (expect ≈ 0.91)"
         );
         assert!(rate_multi > rate_single + 0.1);
-    }
-
-    #[test]
-    fn observed_hypergraph_shape() {
-        let h = toy();
-        let baits = [VertexId(0), VertexId(2)];
-        let run = run_tap(
-            &h,
-            &baits,
-            TapConfig {
-                reproducibility: 1.0,
-                detection: 1.0,
-            },
-            0,
-        );
-        let obs = run.observed_hypergraph(h.num_vertices());
-        assert_eq!(obs.num_edges(), run.pull_downs.len());
-        assert_eq!(obs.num_vertices(), h.num_vertices());
     }
 
     #[test]
