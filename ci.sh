@@ -394,11 +394,13 @@ fi
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> vendored shim unit tests"
-# vendor/ is excluded from the workspace, so the step above never runs
-# the shims' own tests. Every shim with a manifest builds against it
-# into target/vendor; the Cargo.lock each run writes is ignored.
+echo "==> vendored shim lints + unit tests"
+# vendor/ is excluded from the workspace, so the steps above never lint
+# the shims or run their own tests. Every shim with a manifest builds
+# against it into target/vendor; the Cargo.lock each run writes is
+# ignored.
 for MANIFEST in vendor/*/Cargo.toml; do
+    cargo clippy --offline --all-targets --manifest-path "$MANIFEST" --target-dir target/vendor -- -D warnings
     cargo test --offline -q --manifest-path "$MANIFEST" --target-dir target/vendor
 done
 

@@ -33,12 +33,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Grow the node-id space to at least `n` nodes.
-    pub fn ensure_nodes(&mut self, n: usize) {
-        assert!(n <= u32::MAX as usize, "node count exceeds u32");
-        self.num_nodes = self.num_nodes.max(n);
-    }
-
     /// Record the undirected edge `{u, v}`. Self-loops are ignored.
     ///
     /// # Panics
@@ -54,13 +48,6 @@ impl GraphBuilder {
         }
         let e = if u < v { (u, v) } else { (v, u) };
         self.edges.push(e);
-    }
-
-    /// Record every edge in `it`.
-    pub fn extend_edges(&mut self, it: impl IntoIterator<Item = (NodeId, NodeId)>) {
-        for (u, v) in it {
-            self.add_edge(u, v);
-        }
     }
 
     /// Freeze into a CSR [`Graph`], deduplicating parallel edges.
@@ -137,23 +124,5 @@ mod tests {
     fn rejects_out_of_range() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(NodeId(0), NodeId(2));
-    }
-
-    #[test]
-    fn ensure_nodes_grows() {
-        let mut b = GraphBuilder::new(1);
-        b.ensure_nodes(3);
-        b.add_edge(NodeId(0), NodeId(2));
-        let g = b.build();
-        assert_eq!(g.num_nodes(), 3);
-        assert!(g.has_edge(NodeId(0), NodeId(2)));
-    }
-
-    #[test]
-    fn extend_edges_bulk() {
-        let mut b = GraphBuilder::new(4);
-        b.extend_edges([(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))]);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 2);
     }
 }

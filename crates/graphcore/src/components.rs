@@ -29,13 +29,6 @@ impl Components {
             .map(|(u, _)| NodeId(u as u32))
             .collect()
     }
-
-    /// Component sizes sorted descending.
-    pub fn sizes_desc(&self) -> Vec<u32> {
-        let mut s = self.size.clone();
-        s.sort_unstable_by(|a, b| b.cmp(a));
-        s
-    }
 }
 
 /// Connected components via union–find, O(m α(n)).
@@ -67,7 +60,6 @@ mod tests {
         let g = b.build();
         let cc = connected_components(&g);
         assert_eq!(cc.count, 3);
-        assert_eq!(cc.sizes_desc(), vec![3, 2, 1]);
         let big = cc.largest().unwrap();
         assert_eq!(cc.size[big], 3);
         assert_eq!(cc.members(big), vec![NodeId(0), NodeId(1), NodeId(2)]);

@@ -8,7 +8,6 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
-    num_sets: usize,
 }
 
 impl UnionFind {
@@ -18,7 +17,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
-            num_sets: n,
         }
     }
 
@@ -30,11 +28,6 @@ impl UnionFind {
     /// `true` if the structure holds no elements.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Current number of disjoint sets.
-    pub fn num_sets(&self) -> usize {
-        self.num_sets
     }
 
     /// Representative of `x`'s set (path halving).
@@ -65,13 +58,7 @@ impl UnionFind {
         if self.rank[hi] == self.rank[lo] {
             self.rank[hi] += 1;
         }
-        self.num_sets -= 1;
         true
-    }
-
-    /// `true` iff `x` and `y` are in the same set.
-    pub fn same_set(&mut self, x: usize, y: usize) -> bool {
-        self.find(x) == self.find(y)
     }
 
     /// Dense labelling: returns `(labels, count)` where labels are
@@ -100,8 +87,8 @@ mod tests {
     #[test]
     fn starts_as_singletons() {
         let mut uf = UnionFind::new(4);
-        assert_eq!(uf.num_sets(), 4);
-        assert!(!uf.same_set(0, 1));
+        assert_ne!(uf.find(0), uf.find(1));
+        assert_eq!(uf.labels().1, 4);
     }
 
     #[test]
@@ -110,12 +97,12 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(2, 3));
         assert!(!uf.union(1, 0));
-        assert_eq!(uf.num_sets(), 2);
-        assert!(uf.same_set(0, 1));
-        assert!(!uf.same_set(0, 2));
+        assert_eq!(uf.labels().1, 2);
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
         assert!(uf.union(1, 3));
-        assert_eq!(uf.num_sets(), 1);
-        assert!(uf.same_set(0, 2));
+        assert_eq!(uf.labels().1, 1);
+        assert_eq!(uf.find(0), uf.find(2));
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! Sharded LRU result cache keyed by `(dataset, epoch, query)` strings.
+//! LRU result cache keyed by `(dataset, epoch, query)` strings.
 //!
-//! Each shard is an independent `Mutex<Shard>`; a key's shard is chosen
-//! by its FNV-1a hash, so concurrent requests for different keys mostly
-//! take different locks. Within a shard, entries form an intrusive
-//! doubly-linked LRU list over a slab (`Vec<Node>` + free list) with a
-//! `HashMap` index, giving O(1) get / insert / evict.
+//! One `Mutex` guards the whole cache. The event loop makes every
+//! lookup, and a worker inserts at most once per kernel run, so there
+//! is no contention to spread over several locks. Entries form an
+//! intrusive doubly-linked LRU list over a slab (`Vec<Node>` + free
+//! list) with a `HashMap` index, giving O(1) get / insert / evict.
 //!
 //! Capacity is accounted in **bytes** (key + value + fixed per-node
 //! overhead), not entry counts, because cached bodies range from a
-//! 100-byte health payload to multi-megabyte degree histograms. The
-//! budget is split evenly across shards; a value larger than one
-//! shard's budget is never cached (serving it uncached is cheaper than
-//! thrashing the whole shard).
+//! 100-byte health payload to multi-megabyte degree histograms. Any
+//! value that fits the budget is cached, evicting the least recently
+//! used entries; a larger one is not cached at all.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Fixed per-entry overhead charged on top of key/value bytes: the
@@ -23,7 +21,7 @@ const NODE_OVERHEAD: usize = 96;
 
 const NIL: usize = usize::MAX;
 
-/// Point-in-time cache statistics, summed over shards.
+/// Point-in-time cache statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -34,7 +32,7 @@ pub struct CacheStats {
     pub entries: u64,
     /// Bytes currently charged against the capacity.
     pub bytes: u64,
-    /// Total capacity in bytes (all shards).
+    /// Total capacity in bytes.
     pub capacity_bytes: u64,
 }
 
@@ -47,7 +45,7 @@ struct Node {
 }
 
 #[derive(Default)]
-struct Shard {
+struct Lru {
     map: HashMap<Arc<str>, usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
@@ -56,16 +54,18 @@ struct Shard {
     /// Least recently used, or NIL when empty.
     tail: usize,
     bytes: usize,
+    hits: u64,
+    misses: u64,
     insertions: u64,
     evictions: u64,
 }
 
-impl Shard {
+impl Lru {
     fn new() -> Self {
-        Shard {
+        Lru {
             head: NIL,
             tail: NIL,
-            ..Shard::default()
+            ..Lru::default()
         }
     }
 
@@ -104,90 +104,55 @@ impl Shard {
         self.free.push(t);
         self.evictions += 1;
     }
+}
 
-    /// Keys from most to least recently used (test/debug aid).
-    fn keys_mru_to_lru(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut i = self.head;
-        while i != NIL {
-            out.push(self.nodes[i].key.to_string());
-            i = self.nodes[i].next;
+/// The byte-budgeted LRU described in the module docs.
+pub struct ResultCache {
+    lru: Mutex<Lru>,
+    /// Byte budget.
+    capacity: usize,
+}
+
+impl ResultCache {
+    /// A cache holding at most `capacity_bytes` (0 caches nothing).
+    pub fn new(capacity_bytes: usize) -> Self {
+        ResultCache {
+            lru: Mutex::new(Lru::new()),
+            capacity: capacity_bytes,
         }
-        out
-    }
-}
-
-/// The sharded LRU described in the module docs.
-pub struct ShardedLru {
-    shards: Box<[Mutex<Shard>]>,
-    /// Byte budget per shard.
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-fn fnv1a(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-impl ShardedLru {
-    /// A cache with `capacity_bytes` total budget split over
-    /// `num_shards` shards (rounded up to a power of two, minimum 1).
-    pub fn new(capacity_bytes: usize, num_shards: usize) -> Self {
-        let shards = num_shards.max(1).next_power_of_two();
-        ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            shard_capacity: capacity_bytes / shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, key: &str) -> &Mutex<Shard> {
-        // Power-of-two shard count: mask the hash.
-        &self.shards[(fnv1a(key) as usize) & (self.shards.len() - 1)]
     }
 
     /// Look `key` up, promoting it to most-recently-used on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<String>> {
-        let mut shard = self.shard_of(key).lock().unwrap();
-        match shard.map.get(key).copied() {
+        let mut lru = self.lru.lock().expect("result cache lock poisoned");
+        match lru.map.get(key).copied() {
             Some(i) => {
-                shard.unlink(i);
-                shard.push_front(i);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&shard.nodes[i].value))
+                lru.unlink(i);
+                lru.push_front(i);
+                lru.hits += 1;
+                Some(Arc::clone(&lru.nodes[i].value))
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                lru.misses += 1;
                 None
             }
         }
     }
 
     /// Insert or replace `key`, evicting least-recently-used entries
-    /// until the shard fits its budget. Oversized values are skipped.
+    /// until the cache fits its budget. Oversized values are skipped.
     pub fn insert(&self, key: &str, value: Arc<String>) {
         let size = key.len() + value.len() + NODE_OVERHEAD;
-        if size > self.shard_capacity {
+        if size > self.capacity {
             return;
         }
-        let mut shard = self.shard_of(key).lock().unwrap();
-        if let Some(&i) = shard.map.get(key) {
-            shard.bytes = shard.bytes - shard.nodes[i].size + size;
-            shard.nodes[i].value = value;
-            shard.nodes[i].size = size;
-            shard.unlink(i);
-            shard.push_front(i);
+        let mut lru = self.lru.lock().expect("result cache lock poisoned");
+        if let Some(&i) = lru.map.get(key) {
+            lru.bytes = lru.bytes - lru.nodes[i].size + size;
+            lru.nodes[i].value = value;
+            lru.nodes[i].size = size;
+            lru.unlink(i);
+            lru.push_front(i);
         } else {
             let key: Arc<str> = Arc::from(key);
             let node = Node {
@@ -197,59 +162,49 @@ impl ShardedLru {
                 prev: NIL,
                 next: NIL,
             };
-            let i = match shard.free.pop() {
+            let i = match lru.free.pop() {
                 Some(i) => {
-                    shard.nodes[i] = node;
+                    lru.nodes[i] = node;
                     i
                 }
                 None => {
-                    shard.nodes.push(node);
-                    shard.nodes.len() - 1
+                    lru.nodes.push(node);
+                    lru.nodes.len() - 1
                 }
             };
-            shard.map.insert(key, i);
-            shard.bytes += size;
-            shard.push_front(i);
-            shard.insertions += 1;
+            lru.map.insert(key, i);
+            lru.bytes += size;
+            lru.push_front(i);
+            lru.insertions += 1;
         }
-        while shard.bytes > self.shard_capacity {
-            shard.evict_lru();
+        while lru.bytes > self.capacity {
+            lru.evict_lru();
         }
     }
 
     /// Drop every entry (statistics other than `entries`/`bytes` persist).
     pub fn clear(&self) {
-        for s in self.shards.iter() {
-            let mut s = s.lock().unwrap();
-            let evicted = s.map.len() as u64;
-            *s = Shard {
-                insertions: s.insertions,
-                evictions: s.evictions + evicted,
-                ..Shard::new()
-            };
-        }
+        let mut lru = self.lru.lock().expect("result cache lock poisoned");
+        *lru = Lru {
+            hits: lru.hits,
+            misses: lru.misses,
+            insertions: lru.insertions,
+            evictions: lru.evictions + lru.map.len() as u64,
+            ..Lru::new()
+        };
     }
 
     pub fn stats(&self) -> CacheStats {
-        let mut st = CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            capacity_bytes: (self.shard_capacity * self.shards.len()) as u64,
-            ..CacheStats::default()
-        };
-        for s in self.shards.iter() {
-            let s = s.lock().unwrap();
-            st.insertions += s.insertions;
-            st.evictions += s.evictions;
-            st.entries += s.map.len() as u64;
-            st.bytes += s.bytes as u64;
+        let lru = self.lru.lock().expect("result cache lock poisoned");
+        CacheStats {
+            hits: lru.hits,
+            misses: lru.misses,
+            insertions: lru.insertions,
+            evictions: lru.evictions,
+            entries: lru.map.len() as u64,
+            bytes: lru.bytes as u64,
+            capacity_bytes: self.capacity as u64,
         }
-        st
-    }
-
-    /// MRU→LRU key order of the shard holding `key` (for tests).
-    pub fn shard_order_of(&self, key: &str) -> Vec<String> {
-        self.shard_of(key).lock().unwrap().keys_mru_to_lru()
     }
 }
 
@@ -261,24 +216,31 @@ mod tests {
         Arc::new(s.to_string())
     }
 
-    /// Single shard so eviction order is observable deterministically.
-    fn single(capacity: usize) -> ShardedLru {
-        ShardedLru::new(capacity, 1)
+    /// Keys from most to least recently used.
+    fn keys_mru_to_lru(c: &ResultCache) -> Vec<String> {
+        let lru = c.lru.lock().unwrap();
+        let mut out = Vec::with_capacity(lru.map.len());
+        let mut i = lru.head;
+        while i != NIL {
+            out.push(lru.nodes[i].key.to_string());
+            i = lru.nodes[i].next;
+        }
+        out
     }
 
     #[test]
     fn get_promotes_and_eviction_is_lru_order() {
         // Room for exactly three one-byte-key entries.
         let entry = 1 + 1 + NODE_OVERHEAD;
-        let c = single(3 * entry);
+        let c = ResultCache::new(3 * entry);
         c.insert("a", val("1"));
         c.insert("b", val("2"));
         c.insert("c", val("3"));
-        assert_eq!(c.shard_order_of("a"), vec!["c", "b", "a"]);
+        assert_eq!(keys_mru_to_lru(&c), vec!["c", "b", "a"]);
 
         // Touch `a`: it becomes MRU, so `b` is now the LRU victim.
         assert_eq!(c.get("a").unwrap().as_str(), "1");
-        assert_eq!(c.shard_order_of("a"), vec!["a", "c", "b"]);
+        assert_eq!(keys_mru_to_lru(&c), vec!["a", "c", "b"]);
         c.insert("d", val("4"));
         assert!(c.get("b").is_none(), "LRU entry b should have been evicted");
         assert!(c.get("a").is_some());
@@ -289,7 +251,7 @@ mod tests {
 
     #[test]
     fn capacity_accounting_tracks_bytes_exactly() {
-        let c = single(10_000);
+        let c = ResultCache::new(10_000);
         c.insert("key1", val("0123456789"));
         let expect = ("key1".len() + 10 + NODE_OVERHEAD) as u64;
         assert_eq!(c.stats().bytes, expect);
@@ -307,7 +269,7 @@ mod tests {
 
     #[test]
     fn oversized_value_is_not_cached() {
-        let c = single(200);
+        let c = ResultCache::new(200);
         c.insert("big", Arc::new("x".repeat(500)));
         assert!(c.get("big").is_none());
         assert_eq!(c.stats().entries, 0);
@@ -316,7 +278,7 @@ mod tests {
     #[test]
     fn eviction_cascade_frees_enough_space() {
         let entry = 1 + 8 + NODE_OVERHEAD;
-        let c = single(4 * entry);
+        let c = ResultCache::new(4 * entry);
         for k in ["a", "b", "c", "d"] {
             c.insert(k, Arc::new("12345678".to_string()));
         }
@@ -330,7 +292,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters() {
-        let c = single(10_000);
+        let c = ResultCache::new(10_000);
         assert!(c.get("nope").is_none());
         c.insert("k", val("v"));
         assert!(c.get("k").is_some());
@@ -342,32 +304,16 @@ mod tests {
     #[test]
     fn slab_reuses_freed_nodes() {
         let entry = 1 + 1 + NODE_OVERHEAD;
-        let c = single(2 * entry);
+        let c = ResultCache::new(2 * entry);
         for i in 0..100 {
             c.insert(if i % 2 == 0 { "a" } else { "b" }, val("x"));
             c.insert("c", val("y"));
         }
-        let shard = c.shards[0].lock().unwrap();
+        let lru = c.lru.lock().unwrap();
         assert!(
-            shard.nodes.len() <= 4,
+            lru.nodes.len() <= 4,
             "slab grew unbounded: {}",
-            shard.nodes.len()
+            lru.nodes.len()
         );
-    }
-
-    #[test]
-    fn sharding_distributes_keys() {
-        let c = ShardedLru::new(1 << 20, 8);
-        assert_eq!(c.num_shards(), 8);
-        for i in 0..64 {
-            c.insert(&format!("key-{i}"), val("v"));
-        }
-        let occupied = c
-            .shards
-            .iter()
-            .filter(|s| !s.lock().unwrap().map.is_empty())
-            .count();
-        assert!(occupied >= 4, "FNV spread keys over only {occupied} shards");
-        assert_eq!(c.stats().entries, 64);
     }
 }

@@ -6,7 +6,7 @@
 //! no TLS, no HTTP/2 — requests that need those get a clean 4xx/5xx
 //! instead of undefined behavior.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -453,11 +453,7 @@ impl Response {
     }
 
     /// Render the status line and header block (through the final blank
-    /// line). One source of truth for both the blocking [`write_to`]
-    /// path and the event loop's [`to_bytes`] chunks.
-    ///
-    /// [`write_to`]: Response::write_to
-    /// [`to_bytes`]: Response::to_bytes
+    /// line): the head chunk of [`Response::to_bytes`].
     fn head_string(&self, close: bool) -> String {
         use std::fmt::Write as _;
         let mut head = String::with_capacity(128);
@@ -480,15 +476,9 @@ impl Response {
         head
     }
 
-    /// Serialize onto `w`. `close` controls the `Connection` header.
-    pub fn write_to(&self, w: &mut impl Write, close: bool) -> std::io::Result<()> {
-        w.write_all(self.head_string(close).as_bytes())?;
-        w.write_all(self.body.as_bytes())?;
-        w.flush()
-    }
-
     /// Serialize into the event loop's two writeout chunks: the rendered
-    /// head and the shared body, which is not copied.
+    /// head and the shared body, which is not copied. `close` controls
+    /// the `Connection` header.
     pub fn to_bytes(&self, close: bool) -> (Vec<u8>, Arc<String>) {
         (self.head_string(close).into_bytes(), Arc::clone(&self.body))
     }
@@ -576,13 +566,15 @@ mod tests {
         );
     }
 
+    /// The serialized response, head chunk then body chunk.
+    fn serialized(resp: &Response, close: bool) -> String {
+        let (head, body) = resp.to_bytes(close);
+        String::from_utf8(head).unwrap() + body.as_str()
+    }
+
     #[test]
     fn response_serialization() {
-        let mut out = Vec::new();
-        Response::json(200, "{}".to_string())
-            .write_to(&mut out, true)
-            .unwrap();
-        let s = String::from_utf8(out).unwrap();
+        let s = serialized(&Response::json(200, "{}".to_string()), true);
         assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(s.contains("Content-Length: 2\r\n"));
         assert!(s.contains("Connection: close\r\n"));
@@ -592,12 +584,8 @@ mod tests {
 
     #[test]
     fn retry_after_header_emitted_before_body() {
-        let mut out = Vec::new();
-        Response::error(503, "overloaded")
-            .with_retry_after(2)
-            .write_to(&mut out, true)
-            .unwrap();
-        let s = String::from_utf8(out).unwrap();
+        let resp = Response::error(503, "overloaded").with_retry_after(2);
+        let s = serialized(&resp, true);
         assert!(s.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{s}");
         let (head, body) = s.split_once("\r\n\r\n").unwrap();
         assert!(head.contains("\r\nRetry-After: 2"), "{head}");
@@ -606,12 +594,9 @@ mod tests {
 
     #[test]
     fn extra_headers_emitted_before_body() {
-        let mut out = Vec::new();
-        Response::json(200, "{}".to_string())
-            .with_header("X-Trace-Id", "00000000deadbeef".into())
-            .write_to(&mut out, false)
-            .unwrap();
-        let s = String::from_utf8(out).unwrap();
+        let resp = Response::json(200, "{}".to_string())
+            .with_header("X-Trace-Id", "00000000deadbeef".into());
+        let s = serialized(&resp, false);
         let (head, _) = s.split_once("\r\n\r\n").unwrap();
         assert!(head.contains("\r\nX-Trace-Id: 00000000deadbeef"), "{head}");
     }
@@ -720,20 +705,5 @@ mod tests {
             parse(&raw).unwrap_err(),
             HttpError::Bad { status: 431, .. }
         ));
-    }
-
-    #[test]
-    fn response_to_bytes_matches_write_to() {
-        for close in [true, false] {
-            let resp = Response::json(200, "{\"ok\":true}\n".to_string())
-                .with_retry_after(1)
-                .with_header("X-Trace-Id", "0011223344556677".into());
-            let mut blocking = Vec::new();
-            resp.write_to(&mut blocking, close).unwrap();
-            let (head, body) = resp.to_bytes(close);
-            let mut chunked = head;
-            chunked.extend_from_slice(body.as_bytes());
-            assert_eq!(chunked, blocking);
-        }
     }
 }

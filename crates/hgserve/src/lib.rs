@@ -2,7 +2,7 @@
 //!
 //! The rest of the workspace computes each answer from scratch per CLI
 //! invocation; this crate turns those computations into a long-lived
-//! HTTP/1.1 daemon with an in-memory dataset registry and a sharded
+//! HTTP/1.1 daemon with an in-memory dataset registry and a single
 //! LRU **result cache**, so the paper's read-mostly query set (k-cores,
 //! components, distances/diameter, degree distributions and power-law
 //! fits, vertex covers) is computed once per dataset epoch and served
@@ -123,7 +123,7 @@ pub mod registry;
 pub mod server;
 pub mod slowlog;
 
-pub use cache::{CacheStats, ShardedLru};
+pub use cache::{CacheStats, ResultCache};
 pub use loadgen::{
     fetch_dataset_load, parse_mix, Client, LoadgenConfig, LoadgenReport, MixEntry, SlowSample,
 };

@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 use hgobs::trace::trace_id;
 use hgobs::{Deadline, TraceCtx};
 
-use crate::cache::ShardedLru;
+use crate::cache::ResultCache;
 use crate::http::{parse_request_bytes, ParseOutcome, Request, Response};
 use crate::poller::{self, Interest, Poller, Waker};
 use crate::query::{ExecOpts, Query, QueryError};
@@ -124,7 +124,7 @@ impl Default for ServerConfig {
 /// State shared by the event loop and every worker.
 pub struct AppState {
     pub registry: Arc<Registry>,
-    pub cache: ShardedLru,
+    pub cache: ResultCache,
     /// Retained traces of the slowest and most recent requests,
     /// served at `GET /debug/slowlog`.
     pub slowlog: SlowLog,
@@ -162,7 +162,7 @@ impl AppState {
     fn from_config(config: &ServerConfig, registry: Arc<Registry>) -> AppState {
         AppState {
             registry,
-            cache: ShardedLru::new(config.cache_bytes, config.threads.max(1) * 2),
+            cache: ResultCache::new(config.cache_bytes),
             slowlog: SlowLog::new(),
             started: Instant::now(),
             trace_seq: AtomicU64::new(0),
@@ -1693,6 +1693,41 @@ mod tests {
         assert_eq!(cs.hits, 1, "{cs:?}");
         assert_eq!(cs.misses, 1, "{cs:?}");
         assert_eq!(cs.entries, 1, "{cs:?}");
+    }
+
+    #[test]
+    fn answer_under_the_budget_is_cached_whatever_the_thread_count() {
+        // A 1,000-vertex path: the `kcore?k=1` body lists every vertex
+        // id, a few KiB, far under the 64 KiB budget but larger than a
+        // 32nd of it.
+        let registry = Arc::new(Registry::new());
+        let mut b = HypergraphBuilder::new(1_000);
+        for v in 1..1_000 {
+            b.add_edge([v - 1, v]);
+        }
+        let text = hypergraph::io::write_hgr(&b.build());
+        registry
+            .insert_text("path", Format::Hgr, &text, "test")
+            .unwrap();
+        let state = AppState::from_config(
+            &ServerConfig {
+                threads: 16,
+                cache_bytes: 64 << 10,
+                ..ServerConfig::default()
+            },
+            registry,
+        );
+        let r1 = route(&state, &get("/v1/path/kcore?k=1"));
+        assert_eq!(r1.status, 200);
+        assert!(
+            (2 << 10..64 << 10).contains(&r1.body.len()),
+            "{}",
+            r1.body.len()
+        );
+        let r2 = route(&state, &get("/v1/path/kcore?k=1"));
+        assert_eq!(r1.body, r2.body);
+        let cs = state.cache.stats();
+        assert_eq!(cs.hits, 1, "{cs:?}");
     }
 
     #[test]

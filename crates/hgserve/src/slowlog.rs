@@ -7,14 +7,14 @@
 //! JSON, so a latency spike can be diagnosed after the fact without
 //! having re-run the request with `?trace=1`.
 //!
-//! The hot path is cheap by construction: admission to the slowest set
-//! is pre-screened by one relaxed atomic load (the current minimum of
-//! the full set), so a fast request under a loaded server skips that
-//! lock entirely; the recent ring's critical section is a deque
-//! push/pop of an already-built entry.
+//! One mutex guards both views and the slowest set's minimum. The
+//! thread that answered a request records it (the event loop for cache
+//! hits, a worker for computed answers): it takes the lock once, for a
+//! comparison against that minimum and a ring push/pop of an
+//! already-built entry. Only a request slow enough to enter the slowest
+//! set also copies its entry there.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -61,68 +61,62 @@ pub fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// The retention buffer shared by every worker.
-pub struct SlowLog {
-    recent: Mutex<VecDeque<SlowLogEntry>>,
-    slow: Mutex<Vec<SlowLogEntry>>,
-    /// Admission threshold for `slow`: the smallest `total_us` in the
-    /// set once it is full, 0 before that. Screened without the lock.
-    min_slow_us: AtomicU64,
-}
+/// The retention buffer shared by the event loop and every worker.
+#[derive(Default)]
+pub struct SlowLog(Mutex<Retained>);
 
-impl Default for SlowLog {
-    fn default() -> Self {
-        SlowLog::new()
-    }
+#[derive(Default)]
+struct Retained {
+    recent: VecDeque<SlowLogEntry>,
+    slow: Vec<SlowLogEntry>,
+    /// Admission threshold for `slow`: the smallest `total_us` in the
+    /// set once it is full, 0 before that.
+    min_slow_us: u64,
 }
 
 impl SlowLog {
     pub fn new() -> SlowLog {
-        SlowLog {
-            recent: Mutex::new(VecDeque::with_capacity(RECENT_CAP)),
-            slow: Mutex::new(Vec::with_capacity(SLOW_CAP)),
-            min_slow_us: AtomicU64::new(0),
-        }
+        SlowLog::default()
     }
 
     /// Retain one finished request.
     pub fn record(&self, entry: SlowLogEntry) {
-        // Slowest set first, so the common fast request pays only the
-        // screening load plus the recent-ring push.
-        if entry.total_us >= self.min_slow_us.load(Ordering::Relaxed) {
-            let mut slow = self.slow.lock().unwrap();
-            // Re-check under the lock: the threshold may have moved.
-            let threshold = self.min_slow_us.load(Ordering::Relaxed);
-            if slow.len() < SLOW_CAP || entry.total_us >= threshold {
-                slow.push(entry.clone());
-                if slow.len() > SLOW_CAP {
-                    let (mi, _) = slow
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.total_us)
-                        .expect("non-empty");
-                    slow.swap_remove(mi);
-                }
-                if slow.len() == SLOW_CAP {
-                    let min = slow.iter().map(|e| e.total_us).min().expect("non-empty");
-                    self.min_slow_us.store(min, Ordering::Relaxed);
-                }
+        let mut log = self.0.lock().expect("slowlog lock poisoned");
+        if entry.total_us >= log.min_slow_us {
+            log.slow.push(entry.clone());
+            if log.slow.len() > SLOW_CAP {
+                let (mi, _) = log
+                    .slow
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.total_us)
+                    .expect("non-empty");
+                log.slow.swap_remove(mi);
+            }
+            if log.slow.len() == SLOW_CAP {
+                log.min_slow_us = log
+                    .slow
+                    .iter()
+                    .map(|e| e.total_us)
+                    .min()
+                    .expect("non-empty");
             }
         }
-        let mut recent = self.recent.lock().unwrap();
-        if recent.len() == RECENT_CAP {
-            recent.pop_front();
+        if log.recent.len() == RECENT_CAP {
+            log.recent.pop_front();
         }
-        recent.push_back(entry);
+        log.recent.push_back(entry);
     }
 
     /// The `GET /debug/slowlog` body: `{"schema":"hg-slowlog/1",
     /// "slowest":[…],"recent":[…]}` — slowest ordered by descending
     /// latency, recent newest-first, newline-terminated.
     pub fn render_json(&self) -> String {
-        let mut slowest = self.slow.lock().unwrap().clone();
+        let (mut slowest, recent) = {
+            let log = self.0.lock().expect("slowlog lock poisoned");
+            (log.slow.clone(), log.recent.clone())
+        };
         slowest.sort_by_key(|e| std::cmp::Reverse(e.total_us));
-        let recent = self.recent.lock().unwrap().clone();
         let mut w = hgobs::json::JsonWriter::new();
         w.begin_object();
         w.key("schema").string("hg-slowlog/1");
@@ -211,8 +205,7 @@ mod tests {
         for i in 0..SLOW_CAP as u64 {
             log.record(entry(i, 1_000 + i));
         }
-        assert_eq!(log.min_slow_us.load(Ordering::Relaxed), 1_000);
-        log.record(entry(99, 5)); // screened out by the atomic check
+        log.record(entry(99, 5)); // below the full set's minimum
         let body = log.render_json();
         let slowest = body
             .split("\"slowest\"")

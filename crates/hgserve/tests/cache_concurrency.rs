@@ -1,11 +1,11 @@
-//! Sharded-cache behavior under concurrent access from scoped OS
+//! Result-cache behavior under concurrent access from scoped OS
 //! threads (`std::thread::scope`), plus cross-thread invariants the
-//! per-shard unit tests cannot see.
+//! single-threaded unit tests cannot see.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hgserve::ShardedLru;
+use hgserve::ResultCache;
 
 /// Run `f(t)` on `threads` scoped OS threads, `t` in `0..threads`, and
 /// collect the results in thread order.
@@ -22,7 +22,7 @@ fn concurrent_mixed_workload_keeps_invariants() {
     const THREADS: usize = 8;
     const OPS: usize = 2_000;
     // Small budget so eviction happens constantly under contention.
-    let cache = ShardedLru::new(16 * 1024, THREADS);
+    let cache = ResultCache::new(16 * 1024);
     let gets = AtomicU64::new(0);
 
     on_threads(THREADS, |t| {
@@ -55,7 +55,7 @@ fn concurrent_mixed_workload_keeps_invariants() {
 
 #[test]
 fn concurrent_inserts_of_same_key_settle_on_one_entry() {
-    let cache = ShardedLru::new(1 << 20, 4);
+    let cache = ResultCache::new(1 << 20);
     on_threads(8, |t| {
         for _ in 0..500 {
             cache.insert("contended", Arc::new(format!("writer-{t}")));
@@ -70,8 +70,8 @@ fn concurrent_inserts_of_same_key_settle_on_one_entry() {
 }
 
 #[test]
-fn reads_scale_across_shards_without_poisoning() {
-    let cache = ShardedLru::new(1 << 20, 8);
+fn concurrent_reads_all_hit_without_poisoning() {
+    let cache = ResultCache::new(1 << 20);
     for i in 0..256 {
         cache.insert(&format!("warm-{i}"), Arc::new("x".repeat(64)));
     }

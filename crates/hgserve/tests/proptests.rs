@@ -1,6 +1,6 @@
 //! Property tests for the serving layer:
 //!
-//! * routing a query stream through the sharded result cache must
+//! * routing a query stream through the LRU result cache must
 //!   never change an answer — the cached engine replays the exact
 //!   lookup/insert discipline `server::route` uses, with a budget
 //!   small enough that eviction and recomputation both happen;
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use hgobs::HistSummary;
 use hgserve::http::{parse_request_bytes, split_target, ParseOutcome};
 use hgserve::registry::parse_text;
-use hgserve::{Format, Query, ShardedLru};
+use hgserve::{Format, Query, ResultCache};
 use hypergraph::{Hypergraph, HypergraphBuilder};
 
 fn arb_hypergraph(
@@ -73,9 +73,8 @@ proptest! {
                 (Just(h), arb_queries(n, 24))
             }),
         capacity in 256usize..4096,
-        shards in 1usize..5,
     ) {
-        let cache = ShardedLru::new(capacity, shards);
+        let cache = ResultCache::new(capacity);
         for q in &queries {
             let direct = q.run(&h);
             let key = format!("prop@1:{}", q.canonical());
