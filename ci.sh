@@ -723,10 +723,12 @@ for Q in $QUERIES 'kcore?k=3'; do
         exit 1
     }
 done
+# A mapped dataset's resident bytes are its file's length.
 RESIDENT=$(curl -sf "http://$ADDR/metrics" |
     sed -n 's/^hgserve_dataset_resident_bytes{dataset="cellzome-bin",storage="mmap"} \([0-9]*\)$/\1/p')
-[ "${RESIDENT:-0}" -ge 1 ] || {
-    echo "expected hgserve_dataset_resident_bytes for cellzome-bin, got '${RESIDENT:-none}'"
+HGB_BYTES=$(wc -c <target/hgb-cache/cellzome-bin.hgb | tr -d " ")
+[ "${RESIDENT:-0}" -eq "$HGB_BYTES" ] || {
+    echo "expected hgserve_dataset_resident_bytes for cellzome-bin = $HGB_BYTES (the file's length), got '${RESIDENT:-none}'"
     curl -sf "http://$ADDR/metrics" | grep '^hgserve_dataset' || true
     exit 1
 }

@@ -743,18 +743,6 @@ fn cmd_loadgen(args: &[String]) -> Result<String, String> {
             .transpose()?,
         idle_connections: parse_n(connections, "--connections", 0)?,
     };
-    // Machine-parseable startup line mirroring `hg serve`'s: the target
-    // dataset's load time, storage backing, and resident bytes as the
-    // server reports them in /datasets.
-    if let Some((storage, load_us, resident)) = hgserve::fetch_dataset_load(&cfg.addr, &cfg.dataset)
-    {
-        println!(
-            "LOAD={} storage={storage} us={load_us} resident_bytes={resident}",
-            cfg.dataset
-        );
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-    }
     let report = hgserve::loadgen::run(&cfg)?;
     if let Some(path) = json_out {
         std::fs::write(&path, report.render_json())

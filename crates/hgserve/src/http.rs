@@ -8,7 +8,6 @@
 
 use std::io::BufRead;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Maximum accepted size of the request line plus all headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -54,11 +53,6 @@ impl Request {
 /// Why a request could not be parsed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HttpError {
-    /// No bytes arrived before the socket read timeout; the connection
-    /// is idle between keep-alive requests. Only the blocking
-    /// [`read_request`], the unit-test oracle of [`parse_request_bytes`],
-    /// returns it; the event loop never calls that reader.
-    Idle,
     /// The peer closed the connection cleanly between requests.
     Eof,
     /// Malformed or oversized input; carries the status to answer with.
@@ -235,30 +229,17 @@ pub fn parse_request_bytes(buf: &[u8], max_body: usize) -> ParseOutcome {
     )
 }
 
-/// Read one request from `reader`.
+/// Read one request from `reader`: the blocking reader that the unit
+/// tests compare [`parse_request_bytes`] against. The event loop never
+/// calls it.
 ///
-/// Distinguishes a clean close ([`HttpError::Eof`]), an idle timeout
-/// with no bytes read ([`HttpError::Idle`]), malformed input
+/// Distinguishes a clean close ([`HttpError::Eof`]), malformed input
 /// ([`HttpError::Bad`]), and transport errors ([`HttpError::Io`]).
-///
-/// `head_timeout` bounds the wall-clock time between the first byte of
-/// the request head and its final blank line (slow-loris protection):
-/// a peer that trickles bytes slower than that gets a 408. The clock
-/// only starts once at least one byte has arrived — a connection idle
-/// *between* requests still surfaces as [`HttpError::Idle`] forever.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    max_body: usize,
-    head_timeout: Duration,
-) -> Result<Request, HttpError> {
-    let mut head_started: Option<Instant> = None;
+pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
     let mut line = String::new();
-    match read_line_crlf(reader, &mut line, true, &mut head_started, head_timeout) {
-        Ok(0) => return Err(HttpError::Eof),
-        Ok(_) => {}
-        Err(e) => return Err(e),
+    if read_line_crlf(reader, &mut line)? == 0 {
+        return Err(HttpError::Eof);
     }
-    head_started.get_or_insert_with(Instant::now);
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -277,10 +258,9 @@ pub fn read_request(
     let mut head_bytes = line.len();
     loop {
         let mut h = String::new();
-        match read_line_crlf(reader, &mut h, false, &mut head_started, head_timeout) {
-            Ok(0) => return Err(HttpError::bad(400, "truncated headers")),
-            Ok(n) => head_bytes += n,
-            Err(e) => return Err(e),
+        match read_line_crlf(reader, &mut h)? {
+            0 => return Err(HttpError::bad(400, "truncated headers")),
+            n => head_bytes += n,
         }
         if h.is_empty() {
             break;
@@ -324,49 +304,16 @@ pub fn read_request(
 
 /// Read one `\r\n`- (or `\n`-) terminated line into `buf`, stripped.
 /// Returns the number of raw bytes consumed; 0 means EOF before any
-/// byte. `first_line` maps a timeout with *no head bytes at all* to
-/// [`HttpError::Idle`]; once any byte has arrived, `head_started` is
-/// stamped and further stalls are judged against `head_timeout`.
-fn read_line_crlf(
-    reader: &mut impl BufRead,
-    buf: &mut String,
-    first_line: bool,
-    head_started: &mut Option<Instant>,
-    head_timeout: Duration,
-) -> Result<usize, HttpError> {
+/// byte, and EOF inside a line is a 400.
+fn read_line_crlf(reader: &mut impl BufRead, buf: &mut String) -> Result<usize, HttpError> {
     let mut raw = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut raw) {
-            Ok(0) => {
-                if raw.is_empty() {
-                    return Ok(0);
-                }
-                return Err(HttpError::bad(400, "truncated line"));
-            }
-            Ok(_) => {
-                if raw.last() == Some(&b'\n') {
-                    break;
-                }
-                // Partial line: the head has begun; start its clock.
-                head_started.get_or_insert_with(Instant::now);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if first_line && raw.is_empty() && head_started.is_none() {
-                    return Err(HttpError::Idle);
-                }
-                // Mid-request stall: keep waiting, but only up to the
-                // head timeout — a trickling peer must not pin a worker.
-                let started = head_started.get_or_insert_with(Instant::now);
-                if started.elapsed() >= head_timeout {
-                    return Err(HttpError::bad(408, "request header read timed out"));
-                }
-                continue;
-            }
-            Err(e) => return Err(HttpError::Io(e.to_string())),
+    match reader.read_until(b'\n', &mut raw) {
+        Ok(0) => return Ok(0),
+        Ok(_) if raw.last() != Some(&b'\n') => {
+            return Err(HttpError::bad(400, "truncated line"));
         }
+        Ok(_) => {}
+        Err(e) => return Err(HttpError::Io(e.to_string())),
     }
     let n = raw.len();
     while raw.last() == Some(&b'\n') || raw.last() == Some(&b'\r') {
@@ -490,11 +437,7 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(
-            &mut BufReader::new(raw.as_bytes()),
-            1024,
-            Duration::from_secs(5),
-        )
+        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
     }
 
     #[test]

@@ -124,9 +124,7 @@ pub mod server;
 pub mod slowlog;
 
 pub use cache::{CacheStats, ResultCache};
-pub use loadgen::{
-    fetch_dataset_load, parse_mix, Client, LoadgenConfig, LoadgenReport, MixEntry, SlowSample,
-};
+pub use loadgen::{parse_mix, Client, LoadgenConfig, LoadgenReport, MixEntry, SlowSample};
 pub use query::{ExecOpts, Query, QueryError};
 pub use registry::{Dataset, Format, Registry};
 pub use server::{install_sigint_flag, start, AppState, ServerConfig, ServerHandle};

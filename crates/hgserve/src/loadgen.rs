@@ -389,44 +389,6 @@ pub fn fetch_metric(addr: &str, name: &str) -> Option<u64> {
     })
 }
 
-/// Fetch one dataset's load facts from `GET /datasets`: its storage
-/// backing (`"owned"` / `"mmap"`), load time in microseconds, and
-/// resident CSR bytes. `None` if the server is unreachable or the
-/// dataset is not registered. Drives the CLI's machine-parseable
-/// `LOAD=` startup line.
-pub fn fetch_dataset_load(addr: &str, dataset: &str) -> Option<(String, u64, u64)> {
-    let (status, body) = Client::new(addr).get("/datasets").ok()?;
-    if status != 200 {
-        return None;
-    }
-    // The /datasets body is flat and machine-generated; scrape the one
-    // object for this dataset rather than growing a JSON parser.
-    let needle = format!("\"name\":\"{dataset}\"");
-    let start = body.find(&needle)?;
-    let obj = &body[start..];
-    let obj = &obj[..obj.find('}').unwrap_or(obj.len())];
-    let find_u64 = |key: &str| -> Option<u64> {
-        let k = format!("\"{key}\":");
-        let i = obj.find(&k)? + k.len();
-        let digits: String = obj[i..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        digits.parse().ok()
-    };
-    let find_str = |key: &str| -> Option<String> {
-        let k = format!("\"{key}\":\"");
-        let i = obj.find(&k)? + k.len();
-        let rest = &obj[i..];
-        Some(rest[..rest.find('"')?].to_string())
-    };
-    Some((
-        find_str("storage")?,
-        find_u64("load_us")?,
-        find_u64("resident_bytes")?,
-    ))
-}
-
 /// Tiny deterministic LCG (Numerical Recipes constants).
 struct Lcg(u64);
 

@@ -21,15 +21,16 @@
 //!   2 PIN_LIST        num_pins        member vertices per hyperedge
 //!   3 VERTEX_OFFSETS  num_vertices+1  CSR offsets into ADJ_LIST
 //!   4 ADJ_LIST        num_pins        incident hyperedges per vertex
-//!   5 VERTEX_DEGREES  num_vertices    d(v), redundant with offsets;
-//!                                     shape-checked at open, read by
-//!                                     nothing (degrees come off the
-//!                                     offsets)
-//!   6 EDGE_DEGREES    num_edges       d(f), same
 //!   7 REL_V_TO_NEW    num_vertices    (optional) relabeling forward map
 //!   8 REL_V_TO_OLD    num_vertices    (optional) relabeling inverse map
 //!   9 REL_E_TO_OLD    num_edges       (optional) hyperedge inverse map
 //! ```
+//!
+//! Ids 5 and 6 are retired: older files carry a copy of every vertex
+//! and hyperedge degree there, which the reader skips like any id it
+//! does not know. Degrees come off the offsets, and the ids are never
+//! reused. Each header count must fit a `u32`, the width of every id
+//! and offset; a larger one is refused at its field.
 //!
 //! Sections start on 64-byte boundaries, so once the file is mapped
 //! (page-aligned) every array is cache-line aligned for the 256-bit
@@ -49,7 +50,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use crate::builder::HypergraphBuilder;
-use crate::hypergraph::{Csr, EdgeId, Hypergraph, VertexId};
+use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 use crate::relabel::Relabeling;
 use crate::storage::{MapRegion, MappedCsr, SectionRange, Storage};
 
@@ -60,14 +61,13 @@ pub const VERSION: u32 = 1;
 /// Every section starts on a multiple of this (cache-line/lane size).
 pub const SECTION_ALIGN: usize = 64;
 
-/// Section ids (the `id` field of each section-table entry).
+/// Section ids (the `id` field of each section-table entry). Ids 5 and
+/// 6 are retired (see the module docs) and never reused.
 pub mod section {
     pub const EDGE_OFFSETS: u64 = 1;
     pub const PIN_LIST: u64 = 2;
     pub const VERTEX_OFFSETS: u64 = 3;
     pub const ADJ_LIST: u64 = 4;
-    pub const VERTEX_DEGREES: u64 = 5;
-    pub const EDGE_DEGREES: u64 = 6;
     pub const REL_V_TO_NEW: u64 = 7;
     pub const REL_V_TO_OLD: u64 = 8;
     pub const REL_E_TO_OLD: u64 = 9;
@@ -155,10 +155,6 @@ enum SectionData<'a> {
     Pins(&'a [VertexId]),
     /// The adjacency list's hyperedge ids.
     Adjacency(&'a [EdgeId]),
-    /// Degrees read through the CSR view on the fly, so the writer
-    /// never materializes them.
-    VertexDegrees(Csr<'a>),
-    EdgeDegrees(Csr<'a>),
 }
 
 impl SectionData<'_> {
@@ -167,8 +163,6 @@ impl SectionData<'_> {
             SectionData::Raw(xs) => xs.len(),
             SectionData::Pins(ids) => ids.len(),
             SectionData::Adjacency(ids) => ids.len(),
-            SectionData::VertexDegrees(csr) => csr.num_vertices(),
-            SectionData::EdgeDegrees(csr) => csr.num_edges(),
         }
     }
 
@@ -177,8 +171,6 @@ impl SectionData<'_> {
             SectionData::Raw(xs) => write_u32s(w, xs.iter().copied()),
             SectionData::Pins(ids) => write_u32s(w, ids.iter().map(|v| v.0)),
             SectionData::Adjacency(ids) => write_u32s(w, ids.iter().map(|f| f.0)),
-            SectionData::VertexDegrees(csr) => write_u32s(w, csr.vertex_degrees()),
-            SectionData::EdgeDegrees(csr) => write_u32s(w, csr.edge_degrees()),
         }
     }
 }
@@ -208,14 +200,6 @@ pub fn write_hgb(
         Plan {
             id: section::ADJ_LIST,
             data: SectionData::Adjacency(csr.adj_list),
-        },
-        Plan {
-            id: section::VERTEX_DEGREES,
-            data: SectionData::VertexDegrees(csr),
-        },
-        Plan {
-            id: section::EDGE_DEGREES,
-            data: SectionData::EdgeDegrees(csr),
         },
     ];
     let mut flags = 0u64;
@@ -285,10 +269,10 @@ pub fn write_hgb_file(
     write_hgb(h, relabeling, &mut w)
 }
 
-/// A [`HypergraphBuilder`] whose [`finish`](Self::finish) writes the
-/// built hypergraph through [`write_hgb`]. The benchmark's dataset
-/// preparation (`hgperf`) imports it; everything else builds a
-/// [`Hypergraph`] and calls [`write_hgb_file`], which is the same path.
+/// A [`HypergraphBuilder`] whose [`finish_file`](Self::finish_file)
+/// writes the built hypergraph through [`write_hgb_file`]. The
+/// benchmark's dataset preparation (`hgperf`) imports it; everything
+/// else builds a [`Hypergraph`] and calls [`write_hgb_file`] itself.
 pub struct HgbStreamWriter(HypergraphBuilder);
 
 impl HgbStreamWriter {
@@ -302,22 +286,12 @@ impl HgbStreamWriter {
         self.0.reserve_pins(additional_pins);
     }
 
-    /// [`HypergraphBuilder::num_edges`].
-    pub fn num_edges(&self) -> usize {
-        self.0.num_edges()
-    }
-
     /// [`HypergraphBuilder::add_edge`].
     pub fn add_edge(&mut self, vertices: impl IntoIterator<Item = u32>) {
         self.0.add_edge(vertices);
     }
 
-    /// Build the hypergraph and write it as `.hgb`.
-    pub fn finish(self, w: &mut impl Write) -> std::io::Result<()> {
-        write_hgb(&self.0.build(), None, w)
-    }
-
-    /// [`HgbStreamWriter::finish`] into a buffered file.
+    /// Build the hypergraph and write it to `path` as `.hgb`.
     pub fn finish_file(self, path: &std::path::Path) -> std::io::Result<()> {
         write_hgb_file(&self.0.build(), None, path)
     }
@@ -441,6 +415,20 @@ fn parse_header(bytes: &[u8], file_len: u64) -> Result<ParsedHeader, HgbError> {
             format!("header checksum mismatch: stored {want:#018x}, computed {got:#018x}"),
         ));
     }
+    // Ids and offsets are u32s, so no readable CSR has a larger count;
+    // bounding each here also keeps every `count + 1` below in range.
+    for (field, name, count) in [
+        (8, "num_vertices", num_vertices),
+        (16, "num_edges", num_edges),
+        (24, "num_pins", num_pins),
+    ] {
+        if count > u32::MAX as u64 {
+            return Err(HgbError::at(
+                field,
+                format!("{name} {count} exceeds the u32 id range"),
+            ));
+        }
+    }
     let mut sections = Vec::with_capacity(section_count as usize);
     for i in 0..section_count as usize {
         let entry = FIXED + i * 24;
@@ -502,6 +490,18 @@ impl ParsedHeader {
             count: want_count as usize,
         })
     }
+
+    /// Locate the four CSR sections, in section-id order (edge offsets,
+    /// pin list, vertex offsets, adjacency list), each shape-checked
+    /// against the header's counts.
+    fn csr_sections(&self) -> Result<[SectionRange; 4], HgbError> {
+        Ok([
+            self.require(section::EDGE_OFFSETS, self.num_edges + 1)?,
+            self.require(section::PIN_LIST, self.num_pins)?,
+            self.require(section::VERTEX_OFFSETS, self.num_vertices + 1)?,
+            self.require(section::ADJ_LIST, self.num_pins)?,
+        ])
+    }
 }
 
 /// Open a `.hgb` file. The default is the mmap path: O(header) work,
@@ -530,17 +530,14 @@ pub fn open_hgb(path: &std::path::Path, opts: HgbOpenOptions) -> Result<HgbDatas
 fn open_mapped(region: Arc<MapRegion>, verify: bool) -> Result<HgbDataset, HgbError> {
     let bytes = region.bytes();
     let header = parse_header(bytes, bytes.len() as u64)?;
+    let [edge_offsets, pin_list, vertex_offsets, adj_list] = header.csr_sections()?;
     let csr = MappedCsr {
-        edge_offsets: header.require(section::EDGE_OFFSETS, header.num_edges + 1)?,
-        pin_list: header.require(section::PIN_LIST, header.num_pins)?,
-        vertex_offsets: header.require(section::VERTEX_OFFSETS, header.num_vertices + 1)?,
-        adj_list: header.require(section::ADJ_LIST, header.num_pins)?,
+        edge_offsets,
+        pin_list,
+        vertex_offsets,
+        adj_list,
         region: Arc::clone(&region),
     };
-    // Degree sections must exist with the right shape even though the
-    // mapped path reads degrees off the offsets arrays.
-    header.require(section::VERTEX_DEGREES, header.num_vertices)?;
-    header.require(section::EDGE_DEGREES, header.num_edges)?;
     let relabeling = decode_relabeling(&header, |r| region.u32s(r.byte_off, r.count).to_vec())?;
     let h = Hypergraph::from_storage(Storage::Mapped(csr));
     finish_open(h, relabeling, &header, verify)
@@ -555,25 +552,14 @@ fn open_owned(bytes: &[u8], verify: bool) -> Result<HgbDataset, HgbError> {
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect()
     };
-    let edge_offsets = take(header.require(section::EDGE_OFFSETS, header.num_edges + 1)?);
-    let pin_list: Vec<VertexId> = take(header.require(section::PIN_LIST, header.num_pins)?)
-        .into_iter()
-        .map(VertexId)
-        .collect();
-    let vertex_offsets = take(header.require(section::VERTEX_OFFSETS, header.num_vertices + 1)?);
-    let adj_list: Vec<EdgeId> = take(header.require(section::ADJ_LIST, header.num_pins)?)
-        .into_iter()
-        .map(EdgeId)
-        .collect();
-    header.require(section::VERTEX_DEGREES, header.num_vertices)?;
-    header.require(section::EDGE_DEGREES, header.num_edges)?;
-    let relabeling = decode_relabeling(&header, take)?;
+    let [edge_offsets, pin_list, vertex_offsets, adj_list] = header.csr_sections()?;
     let h = Hypergraph::from_storage(Storage::Owned {
-        edge_offsets,
-        pin_list,
-        vertex_offsets,
-        adj_list,
+        edge_offsets: take(edge_offsets),
+        pin_list: take(pin_list).into_iter().map(VertexId).collect(),
+        vertex_offsets: take(vertex_offsets),
+        adj_list: take(adj_list).into_iter().map(EdgeId).collect(),
     });
+    let relabeling = decode_relabeling(&header, take)?;
     finish_open(h, relabeling, &header, verify)
 }
 
@@ -728,7 +714,12 @@ mod tests {
     fn sections_are_aligned() {
         let bytes = encode(&toy(), None);
         let header = parse_header(&bytes, bytes.len() as u64).unwrap();
-        assert_eq!(header.sections.len(), 6);
+        let ids: Vec<u64> = header.sections.iter().map(|&(id, _, _)| id).collect();
+        assert_eq!(
+            ids,
+            [1, 2, 3, 4],
+            "the CSR's four sections and nothing else"
+        );
         for &(_, off, _) in &header.sections {
             assert_eq!(off % SECTION_ALIGN as u64, 0);
         }
@@ -777,15 +768,52 @@ mod tests {
     fn unsupported_version_rejected() {
         let mut bytes = encode(&toy(), None);
         bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
-        // Re-seal the checksum so the version check, not the checksum,
-        // fires.
-        let count = read_u64(&bytes, 56) as usize;
-        let checksum_off = 4 + 4 + 8 * 7 + count * 24;
-        let sum = fnv1a(&bytes[..checksum_off]);
-        bytes[checksum_off..checksum_off + 8].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         let err = open_owned(&bytes, false).unwrap_err();
         assert_eq!(err.offset, Some(4));
         assert!(err.message.contains("unsupported version 9"), "{err}");
+    }
+
+    /// Re-write the header checksum over edited header bytes, so the
+    /// check under test fires rather than the checksum.
+    fn reseal(bytes: &mut [u8]) {
+        let count = read_u64(bytes, 56) as usize;
+        let checksum_off = 4 + 4 + 8 * 7 + count * 24;
+        let sum = fnv1a(&bytes[..checksum_off]);
+        bytes[checksum_off..checksum_off + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// A count no u32 id can address is refused at its header field, in
+    /// both modes and whether or not the open verifies. Each case empties
+    /// the section the count sizes, which `u64::MAX + 1` wrapped to zero
+    /// would match.
+    #[test]
+    fn header_counts_past_u32_are_refused_at_their_field() {
+        let clean = encode(&toy(), None);
+        let path = std::env::temp_dir().join(format!("hgb-unit-counts-{}.hgb", std::process::id()));
+        for (field, id) in [
+            (8, section::VERTEX_OFFSETS),
+            (16, section::EDGE_OFFSETS),
+            (24, section::PIN_LIST),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let entry = (0..4)
+                .map(|i| 64 + i * 24)
+                .find(|&entry| read_u64(&bytes, entry) == id)
+                .expect("section in the table");
+            bytes[entry + 16..entry + 24].copy_from_slice(&0u64.to_le_bytes());
+            reseal(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            for mode in [HgbOpenMode::Mmap, HgbOpenMode::Owned] {
+                for verify in [false, true] {
+                    let err = open_hgb(&path, HgbOpenOptions { mode, verify }).unwrap_err();
+                    assert_eq!(err.offset, Some(field as u64), "{mode:?} {verify}: {err}");
+                    assert!(err.message.contains("exceeds the u32 id range"), "{err}");
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -795,10 +823,12 @@ mod tests {
         sw.add_edge([3, 1, 2]);
         sw.add_edge([4]);
         sw.add_edge([]);
-        assert_eq!(sw.num_edges(), 4);
-        let mut buf = Vec::new();
-        sw.finish(&mut buf).unwrap();
-        let via_stream = open_owned(&buf, true).unwrap().hypergraph;
+        let path = std::env::temp_dir().join(format!("hgb-unit-stream-{}.hgb", std::process::id()));
+        sw.finish_file(&path).unwrap();
+        let via_stream = open_owned(&std::fs::read(&path).unwrap(), true)
+            .unwrap()
+            .hypergraph;
+        std::fs::remove_file(&path).unwrap();
         assert_same(&toy(), &via_stream);
     }
 

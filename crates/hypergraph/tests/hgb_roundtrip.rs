@@ -190,13 +190,11 @@ fn data_corruption_caught_by_verify() {
 /// (entries of `{id, byte_offset, byte_len}` u64s after the fixed
 /// header fields).
 fn section_offset(bytes: &[u8], id: u64) -> usize {
-    let fixed = 4 + 4 + 8 * 7;
-    let count = u64::from_le_bytes(bytes[fixed - 8..fixed].try_into().unwrap()) as usize;
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let count = header_word(bytes, TABLE - 8) as usize;
     (0..count)
-        .map(|i| fixed + i * 24)
-        .find(|&entry| word(entry) == id)
-        .map(|entry| word(entry + 8) as usize)
+        .map(|i| TABLE + i * 24)
+        .find(|&entry| header_word(bytes, entry) == id)
+        .map(|entry| header_word(bytes, entry + 8) as usize)
         .unwrap_or_else(|| panic!("no section {id}"))
 }
 
@@ -264,5 +262,107 @@ proptest! {
             }
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Overwriting a few bytes of the header's fields after the version
+    /// (bytes 8..56) or of its section table, then re-sealing the
+    /// checksum so those fields are read, never panics `open_hgb` in
+    /// either mode, with `verify` on or off; a file that opens verified
+    /// answers a kernel without panicking. `section_count` (56..64) is
+    /// left alone, so the checksum stays where it is.
+    #[test]
+    fn resealed_header_mutations_never_panic(
+        h in arb_hypergraph(20, 15, 5),
+        relabel in any::<bool>(),
+        mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..=4),
+    ) {
+        let relabeling = relabel.then(|| Relabeling::bfs_order(&h));
+        let stored = relabeling.as_ref().map_or_else(|| h.clone(), |r| r.apply(&h));
+        let mut bytes = encode(&stored, relabeling.as_ref());
+        let table_end = TABLE + header_word(&bytes, TABLE - 8) as usize * 24;
+        let fields: Vec<usize> = (8..TABLE - 8).chain(TABLE..table_end).collect();
+        let mutations: Vec<(usize, u8)> =
+            mutations.into_iter().map(|(at, b)| (fields[at % fields.len()], b)).collect();
+        for &(at, b) in &mutations {
+            bytes[at] = b;
+        }
+        let sum = fnv1a(&bytes[..table_end]);
+        bytes[table_end..table_end + 8].copy_from_slice(&sum.to_le_bytes());
+        let path = temp_path("reseal");
+        std::fs::write(&path, &bytes).unwrap();
+        for mode in BOTH_MODES {
+            for verify in [false, true] {
+                let opened = std::panic::catch_unwind(|| {
+                    let g = open_hgb(&path, HgbOpenOptions { mode, verify }).ok()?.hypergraph;
+                    // Only a verified open promises a CSR a kernel can read.
+                    verify.then(|| {
+                        let n = g.num_vertices() as u32;
+                        let far = (n > 0).then(|| hyper_distance(&g, VertexId(0), VertexId(n - 1)));
+                        (hypergraph_components(&g).count(), far)
+                    })
+                });
+                prop_assert!(
+                    opened.is_ok(),
+                    "{:?} verify={} open or kernel panicked: relabeled {}, mutations (offset, byte) {:?}",
+                    mode, verify, relabel, mutations
+                );
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// Bytes before the section table: magic, version and seven u64 fields,
+/// the last of them `section_count`.
+const TABLE: usize = 4 + 4 + 8 * 7;
+
+fn header_word(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// The header checksum: 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Files written before section ids 5 and 6 were retired (each carries
+/// a vertex and a hyperedge degree array there) still open in both
+/// modes with `verify` on, and equal the `.hgr` they were converted
+/// from; the relabeled one keeps its id translation.
+#[test]
+fn files_with_the_retired_degree_sections_still_open() {
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let text = std::fs::read_to_string(data.join("toy.hgr")).unwrap();
+    let source = hypergraph::io::read_hgr(&text).unwrap();
+    let relabeling = Relabeling::bfs_order(&source);
+    for (file, relabeled) in [
+        ("toy-degree-sections.hgb", false),
+        ("toy-degree-sections-relabeled.hgb", true),
+    ] {
+        let bytes = std::fs::read(data.join(file)).unwrap();
+        let ids: Vec<u64> = (0..header_word(&bytes, TABLE - 8) as usize)
+            .map(|i| header_word(&bytes, TABLE + i * 24))
+            .collect();
+        assert!(ids.contains(&5) && ids.contains(&6), "{file}: {ids:?}");
+        assert_eq!(
+            bytes[4..8],
+            hypergraph::hgb::VERSION.to_le_bytes(),
+            "{file}"
+        );
+        for mode in BOTH_MODES {
+            let ds = open_hgb(&data.join(file), HgbOpenOptions { mode, verify: true })
+                .unwrap_or_else(|e| panic!("{file} {mode:?}: {e}"));
+            if relabeled {
+                assert_eq!(ds.relabeling.as_ref(), Some(&relabeling), "{file}");
+                assert_identical(&relabeling.apply(&source), &ds.hypergraph);
+            } else {
+                assert!(ds.relabeling.is_none(), "{file}");
+                assert_identical(&source, &ds.hypergraph);
+            }
+            assert_eq!(ds.max_vertex_degree, source.max_vertex_degree());
+            assert_eq!(ds.max_edge_degree, source.max_edge_degree());
+        }
     }
 }
