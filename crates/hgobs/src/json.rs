@@ -2,8 +2,6 @@
 //! escaping plus a small object/array writer with caller-controlled
 //! key order, which is how reports stay byte-stable across runs.
 
-use std::fmt::Write as _;
-
 /// Append `s` JSON-escaped (without surrounding quotes) to `out`.
 pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
@@ -18,6 +16,43 @@ pub fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
+    }
+}
+
+/// `"00"`, `"01"`, …, `"99"`: the decimal digits of every value below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Append `n` in decimal to `out`, byte for byte what `n.to_string()`
+/// gives, two digits per division and without `core::fmt`.
+pub fn push_uint(out: &mut String, mut n: u64) {
+    // `u64::MAX` has 20 digits; they fill the buffer from the end.
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        start -= 2;
+        buf[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        start -= 1;
+        buf[start] = b'0' + n as u8;
+    }
+    for &digit in &buf[start..] {
+        out.push(digit as char);
     }
 }
 
@@ -116,7 +151,7 @@ impl JsonWriter {
     pub fn uint(&mut self, n: u64) -> &mut Self {
         self.pre_value();
         // Digits straight into the buffer: no `String` per number.
-        let _ = write!(self.buf, "{n}");
+        push_uint(&mut self.buf, n);
         self
     }
 
@@ -141,6 +176,40 @@ impl JsonWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `push_uint` appends exactly `n.to_string()`.
+    fn assert_pushes_to_string(n: u64) {
+        let mut out = String::from("[");
+        push_uint(&mut out, n);
+        assert_eq!(out, format!("[{n}"));
+    }
+
+    #[test]
+    fn push_uint_matches_to_string() {
+        (0..=100_000).for_each(assert_pushes_to_string);
+        // Every digit count, at and around its first value.
+        let mut power = 1u64;
+        loop {
+            for n in [power - 1, power, power + 1] {
+                assert_pushes_to_string(n);
+            }
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        assert_pushes_to_string(u64::MAX);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        // The shift spreads the draws over every digit count.
+        #[test]
+        fn push_uint_matches_to_string_on_any_u64(n in any::<u64>(), shift in 0u32..64) {
+            assert_pushes_to_string(n >> shift);
+        }
+    }
 
     #[test]
     fn escaping() {

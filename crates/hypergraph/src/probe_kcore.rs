@@ -72,16 +72,21 @@ fn sig_bit(v: VertexId) -> u64 {
     1 << (v.0.wrapping_mul(0x9E37_79B9) >> 26)
 }
 
+/// The degree of a deleted vertex or hyperedge. It is never below `k`,
+/// and as a pin it is never the pivot, so it doubles as the alive flag.
+/// A degree counts pins, so no alive item reaches it while the
+/// hypergraph has fewer than `u32::MAX` pins, which [`State::new`]
+/// asserts.
+const DEAD: u32 = u32::MAX;
+
 struct State<'h> {
     /// The raw hypergraph, resolved once for the whole call.
     csr: Csr<'h>,
     /// The threshold being peeled to.
     k: u32,
-    alive_v: Vec<bool>,
-    alive_e: Vec<bool>,
-    /// Alive hyperedges through each alive vertex.
+    /// Alive hyperedges through each vertex, or [`DEAD`].
     deg_v: Vec<u32>,
-    /// Alive pins of each alive hyperedge.
+    /// Alive pins of each hyperedge, or [`DEAD`].
     deg_e: Vec<u32>,
     /// Each hyperedge's raw pins ORed through [`sig_bit`].
     sig: Vec<u64>,
@@ -89,6 +94,9 @@ struct State<'h> {
     edges_alive: usize,
     /// `Σ deg_e` over alive hyperedges.
     pins_alive: usize,
+    /// Round one's queue: every vertex a candidate and every hyperedge
+    /// affected, walked in id order instead of listed.
+    all_queued: bool,
     /// Hyperedges the next edge phase probes, each listed once.
     affected: Vec<u32>,
     in_affected: Vec<bool>,
@@ -114,26 +122,44 @@ impl<'h> State<'h> {
     /// Round one's state: every vertex a candidate, every hyperedge
     /// affected. Both are marked, so a vertex that is below `k` from the
     /// start is queued once, and so is a hyperedge that loses a pin to
-    /// the first vertex phase.
-    fn new(h: &'h Hypergraph) -> Self {
+    /// the first vertex phase. The build ticks `deadline` once per id
+    /// (phase `kcore.probe.state`, no work done).
+    fn new(h: &'h Hypergraph, deadline: &Deadline) -> Result<Self, DeadlineExceeded> {
         let csr = h.csr();
-        State {
+        let (n, m) = (csr.num_vertices(), csr.num_edges());
+        assert!(h.num_pins() < DEAD as usize, "a degree could read as DEAD");
+        let mut ticks = 0;
+        let mut expired = || deadline.tick(&mut ticks);
+        let mut deg_v = vec![0; n];
+        for (v, d) in deg_v.iter_mut().enumerate() {
+            if expired() {
+                return Err(deadline.exceeded("kcore.probe.state", 0));
+            }
+            *d = csr.vertex_degree(v);
+        }
+        let (mut deg_e, mut sig) = (vec![0; m], vec![0; m]);
+        for (f, (d, s)) in deg_e.iter_mut().zip(&mut sig).enumerate() {
+            if expired() {
+                return Err(deadline.exceeded("kcore.probe.state", 0));
+            }
+            let pins = csr.pins(f);
+            *d = pins.len() as u32;
+            *s = pins.iter().fold(0, |sig, &v| sig | sig_bit(v));
+        }
+        Ok(State {
             csr,
             k: 0,
-            alive_v: vec![true; h.num_vertices()],
-            alive_e: vec![true; h.num_edges()],
-            deg_v: csr.vertex_degrees().collect(),
-            deg_e: csr.edge_degrees().collect(),
-            sig: (0..h.num_edges())
-                .map(|f| csr.pins(f).iter().fold(0, |sig, &v| sig | sig_bit(v)))
-                .collect(),
-            vertices_alive: h.num_vertices(),
-            edges_alive: h.num_edges(),
+            deg_v,
+            deg_e,
+            sig,
+            vertices_alive: n,
+            edges_alive: m,
             pins_alive: h.num_pins(),
-            affected: (0..h.num_edges() as u32).collect(),
-            in_affected: vec![true; h.num_edges()],
-            candidates: (0..h.num_vertices() as u32).collect(),
-            in_candidates: vec![true; h.num_vertices()],
+            all_queued: n + m > 0,
+            affected: Vec::new(),
+            in_affected: vec![true; m],
+            candidates: Vec::new(),
+            in_candidates: vec![true; n],
             doomed: Vec::new(),
             pin_buf: Vec::new(),
             level_v: Vec::new(),
@@ -142,7 +168,7 @@ impl<'h> State<'h> {
             vertices_peeled: 0,
             edges_deleted: 0,
             subset_tests: 0,
-        }
+        })
     }
 
     /// `true` iff alive hyperedge `f` is empty or contained in an alive
@@ -154,16 +180,15 @@ impl<'h> State<'h> {
             return true;
         }
         // One scan for the pivot and the alive pins' signature: a dead
-        // pin reads as degree `u32::MAX` and adds no bit.
+        // pin's degree is `DEAD`, so it is never the pivot and adds no
+        // bit.
         let pins_f = self.csr.pins(f);
-        let (mut pivot, mut pivot_deg, mut sig_f) = (0, u32::MAX, 0u64);
+        let (mut pivot, mut pivot_deg, mut sig_f) = (0, DEAD, 0u64);
         for &v in pins_f {
-            let i = v.index();
-            let alive = self.alive_v[i];
-            let d = if alive { self.deg_v[i] } else { u32::MAX };
-            sig_f |= sig_bit(v) & (alive as u64).wrapping_neg();
+            let d = self.deg_v[v.index()];
+            sig_f |= sig_bit(v) & ((d != DEAD) as u64).wrapping_neg();
             if d < pivot_deg {
-                (pivot, pivot_deg) = (i, d);
+                (pivot, pivot_deg) = (v.index(), d);
             }
         }
         // The pivot's alive hyperedges include `f`: with no other, `f`
@@ -175,15 +200,15 @@ impl<'h> State<'h> {
         for &g in self.csr.edges_of(pivot) {
             let gi = g.index();
             // A missing bit proves that `g` lacks an alive pin of `f`.
-            if gi == f || sig_f & !self.sig[gi] != 0 || !self.alive_e[gi] {
+            if gi == f || sig_f & !self.sig[gi] != 0 {
                 continue;
             }
             let dg = self.deg_e[gi];
-            if dg > df || (dg == df && gi < f) {
+            if dg != DEAD && (dg > df || (dg == df && gi < f)) {
                 // The alive pins, gathered for the first candidate that
                 // passes the filter.
                 if self.pin_buf.is_empty() {
-                    let alive = pins_f.iter().filter(|v| self.alive_v[v.index()]);
+                    let alive = pins_f.iter().filter(|v| self.deg_v[v.index()] != DEAD);
                     self.pin_buf.extend(alive.map(|v| v.0));
                     debug_assert_eq!(self.pin_buf.len(), df as usize);
                 }
@@ -204,16 +229,16 @@ impl<'h> State<'h> {
     }
 
     fn delete_edge(&mut self, f: usize) {
-        self.alive_e[f] = false;
-        self.edges_alive -= 1;
         self.pins_alive -= self.deg_e[f] as usize;
+        self.deg_e[f] = DEAD;
+        self.edges_alive -= 1;
         self.edges_deleted += 1;
         if let Some(level) = self.level_e.get_mut(f) {
             *level = self.k - 1;
         }
         for &w in self.csr.pins(f) {
             let w = w.index();
-            if self.alive_v[w] {
+            if self.deg_v[w] != DEAD {
                 self.deg_v[w] -= 1;
                 if !self.in_candidates[w] {
                     self.in_candidates[w] = true;
@@ -224,7 +249,7 @@ impl<'h> State<'h> {
     }
 
     fn delete_vertex(&mut self, v: usize) {
-        self.alive_v[v] = false;
+        self.deg_v[v] = DEAD;
         self.vertices_alive -= 1;
         self.vertices_peeled += 1;
         if let Some(level) = self.level_v.get_mut(v) {
@@ -232,7 +257,7 @@ impl<'h> State<'h> {
         }
         for &f in self.csr.edges_of(v) {
             let f = f.index();
-            if self.alive_e[f] {
+            if self.deg_e[f] != DEAD {
                 self.deg_e[f] -= 1;
                 self.pins_alive -= 1;
                 if !self.in_affected[f] {
@@ -244,19 +269,29 @@ impl<'h> State<'h> {
     }
 
     /// Probe every affected hyperedge against this snapshot, then delete
-    /// the non-maximal ones.
+    /// the non-maximal ones. Ends round one's walk over every id.
     fn edge_phase(&mut self, deadline: &Deadline) -> Result<(), DeadlineExceeded> {
-        let affected = std::mem::take(&mut self.affected);
         let mut doomed = std::mem::take(&mut self.doomed);
         doomed.clear();
-        for &f in &affected {
-            self.in_affected[f as usize] = false;
-            if self.alive_e[f as usize] && self.is_non_maximal(f as usize) {
+        let mut probe = |s: &mut Self, f: u32| {
+            s.in_affected[f as usize] = false;
+            if s.deg_e[f as usize] != DEAD && s.is_non_maximal(f as usize) {
                 doomed.push(f);
             }
+        };
+        if self.all_queued {
+            self.all_queued = false;
+            for f in 0..self.csr.num_edges() as u32 {
+                probe(self, f);
+            }
+        } else {
+            let affected = std::mem::take(&mut self.affected);
+            for &f in &affected {
+                probe(self, f);
+            }
+            self.affected = affected;
+            self.affected.clear();
         }
-        self.affected = affected;
-        self.affected.clear();
         deadline.check("kcore.probe.edge_phase", self.vertices_peeled)?;
         for &f in &doomed {
             self.delete_edge(f as usize);
@@ -265,19 +300,29 @@ impl<'h> State<'h> {
         Ok(())
     }
 
-    /// Collect the candidates below `k`, then delete them.
+    /// Collect the candidates below `k`, then delete them. A dead
+    /// vertex's degree is `DEAD`, never below `k`.
     fn vertex_phase(&mut self, deadline: &Deadline) -> Result<(), DeadlineExceeded> {
-        let candidates = std::mem::take(&mut self.candidates);
         let mut doomed = std::mem::take(&mut self.doomed);
         doomed.clear();
-        for &v in &candidates {
-            self.in_candidates[v as usize] = false;
-            if self.alive_v[v as usize] && self.deg_v[v as usize] < self.k {
+        let mut test = |s: &mut Self, v: u32| {
+            s.in_candidates[v as usize] = false;
+            if s.deg_v[v as usize] < s.k {
                 doomed.push(v);
             }
+        };
+        if self.all_queued {
+            for v in 0..self.csr.num_vertices() as u32 {
+                test(self, v);
+            }
+        } else {
+            let candidates = std::mem::take(&mut self.candidates);
+            for &v in &candidates {
+                test(self, v);
+            }
+            self.candidates = candidates;
+            self.candidates.clear();
         }
-        self.candidates = candidates;
-        self.candidates.clear();
         deadline.check("kcore.probe.vertex_phase", self.vertices_peeled)?;
         hgobs::hist!("kcore.probe.frontier", doomed.len());
         for &v in &doomed {
@@ -300,7 +345,9 @@ impl<'h> State<'h> {
         let before = self.vertices_peeled;
         self.k = k;
         let mut out = Ok(());
-        while out.is_ok() && !(self.candidates.is_empty() && self.affected.is_empty()) {
+        while out.is_ok()
+            && (self.all_queued || !(self.candidates.is_empty() && self.affected.is_empty()))
+        {
             self.rounds += 1;
             out = deadline
                 .check("kcore.probe.round", self.vertices_peeled)
@@ -311,6 +358,57 @@ impl<'h> State<'h> {
         out
     }
 
+    /// The alive vertices and hyperedges.
+    fn core(&self) -> KCore {
+        KCore {
+            k: self.k,
+            vertices: ids(self.vertices_alive, &self.deg_v, |d| d != DEAD, VertexId),
+            edges: ids(self.edges_alive, &self.deg_e, |d| d != DEAD, EdgeId),
+            pins: self.pins_alive,
+        }
+    }
+
+    /// Peel k = 1, 2, … until the core is empty, recording death levels.
+    fn decompose(&mut self, deadline: &Deadline) -> Result<Decomposition, DeadlineExceeded> {
+        let trace = deadline.trace();
+        let (n, m) = (self.csr.num_vertices(), self.csr.num_edges());
+        self.level_v = vec![0; n];
+        self.level_e = vec![0; m];
+        let mut profile: Vec<(u32, usize, usize)> = Vec::new();
+        let mut max_pins = 0;
+        // Survivors, compacted at each level so seeding k + 1 costs
+        // O(|k-core|) rather than O(|V|).
+        let mut alive: Vec<u32> = (0..n as u32).collect();
+        for k in 1u32.. {
+            if k > 1 {
+                // A new level: no hyperedge changed, every survivor is a
+                // candidate.
+                alive.retain(|&v| self.deg_v[v as usize] != DEAD);
+                self.candidates.extend_from_slice(&alive);
+                for &v in &alive {
+                    self.in_candidates[v as usize] = true;
+                }
+            }
+            self.peel(k, deadline, trace)?;
+            if self.vertices_alive == 0 {
+                break;
+            }
+            profile.push((k, self.vertices_alive, self.edges_alive));
+            max_pins = self.pins_alive;
+        }
+        let max_core = profile.last().map(|&(k, nv, ne)| KCore {
+            k,
+            vertices: ids(nv, &self.level_v, |level| level == k, VertexId),
+            edges: ids(ne, &self.level_e, |level| level == k, EdgeId),
+            pins: max_pins,
+        });
+        Ok(Decomposition {
+            profile,
+            core_numbers: std::mem::take(&mut self.level_v),
+            max_core,
+        })
+    }
+
     /// Flush the work counters to the sink (no-op when disabled).
     fn flush_metrics(&self) {
         hgobs::counter!("kcore.probe.rounds", self.rounds);
@@ -318,6 +416,20 @@ impl<'h> State<'h> {
         hgobs::counter!("kcore.probe.edges_deleted", self.edges_deleted);
         hgobs::counter!("kcore.probe.subset_tests", self.subset_tests);
     }
+}
+
+/// The ids whose entry in `per_id` passes `keep`, ascending, in a vector
+/// sized for the `count` of them.
+fn ids<T>(count: usize, per_id: &[u32], keep: impl Fn(u32) -> bool, id: fn(u32) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(count);
+    out.extend(
+        (0..)
+            .zip(per_id)
+            .filter(|&(_, &x)| keep(x))
+            .map(|(i, _)| id(i)),
+    );
+    debug_assert_eq!(out.len(), count);
+    out
 }
 
 /// The k-core for one `k` by level-synchronous subset probes. See the
@@ -330,9 +442,10 @@ pub fn probe_kcore(h: &Hypergraph, k: u32) -> KCore {
     }
 }
 
-/// [`probe_kcore`] under a cooperative [`Deadline`], checked at every
-/// phase boundary: the round top (phase `kcore.probe.round`), after the
-/// edge probes (`kcore.probe.edge_phase`) and after the vertex scan
+/// [`probe_kcore`] under a cooperative [`Deadline`], ticked through the
+/// state build (phase `kcore.probe.state`) and checked at every phase
+/// boundary: the round top (`kcore.probe.round`), after the edge probes
+/// (`kcore.probe.edge_phase`) and after the vertex scan
 /// (`kcore.probe.vertex_phase`), each before the phase's deletions
 /// apply. Overshoot is therefore bounded by one phase. The error's
 /// `work_done` counts vertices peeled by completed phases.
@@ -342,11 +455,11 @@ pub fn probe_kcore_with(
     deadline: &Deadline,
 ) -> Result<KCore, DeadlineExceeded> {
     let trace = deadline.trace();
-    let mut s = State::new(h);
+    let mut s = State::new(h, deadline)?;
     let out = s.peel(k, deadline, trace);
     s.flush_metrics();
     out?;
-    Ok(KCore::from_alive(k, &s.alive_v, &s.alive_e, s.pins_alive))
+    Ok(s.core())
 }
 
 /// The whole k-core decomposition by subset probes: peel k = 1, 2, …
@@ -366,54 +479,10 @@ pub fn probe_decompose_with(
     h: &Hypergraph,
     deadline: &Deadline,
 ) -> Result<Decomposition, DeadlineExceeded> {
-    let trace = deadline.trace();
-    let mut s = State::new(h);
-    s.level_v = vec![0; h.num_vertices()];
-    s.level_e = vec![0; h.num_edges()];
-    let mut profile: Vec<(u32, usize, usize)> = Vec::new();
-    let mut max_pins = 0;
-    let swept = (|| {
-        // Survivors, compacted at each level so seeding k + 1 costs
-        // O(|k-core|) rather than O(|V|).
-        let mut alive: Vec<u32> = (0..h.num_vertices() as u32).collect();
-        for k in 1u32.. {
-            if k > 1 {
-                // A new level: no hyperedge changed, every survivor is a
-                // candidate.
-                alive.retain(|&v| s.alive_v[v as usize]);
-                s.candidates.extend_from_slice(&alive);
-                for &v in &alive {
-                    s.in_candidates[v as usize] = true;
-                }
-            }
-            s.peel(k, deadline, trace)?;
-            if s.vertices_alive == 0 {
-                return Ok(());
-            }
-            profile.push((k, s.vertices_alive, s.edges_alive));
-            max_pins = s.pins_alive;
-        }
-        Ok(())
-    })();
+    let mut s = State::new(h, deadline)?;
+    let out = s.decompose(deadline);
     s.flush_metrics();
-    swept?;
-    let max_core = profile.last().map(|&(k, _, _)| KCore {
-        k,
-        vertices: (0..h.num_vertices() as u32)
-            .filter(|&v| s.level_v[v as usize] == k)
-            .map(VertexId)
-            .collect(),
-        edges: (0..h.num_edges() as u32)
-            .filter(|&f| s.level_e[f as usize] == k)
-            .map(EdgeId)
-            .collect(),
-        pins: max_pins,
-    });
-    Ok(Decomposition {
-        profile,
-        core_numbers: s.level_v,
-        max_core,
-    })
+    out
 }
 
 #[cfg(test)]
@@ -541,6 +610,22 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_deadline_stops_the_state_build() {
+        // Two check intervals of hyperedges: the build reads the clock
+        // before it ends, so neither entry point reaches a round.
+        let h = uniform_random_hypergraph(100, 2 * hgobs::CHECK_INTERVAL as usize, 3, 5);
+        let dl = Deadline::cancellable();
+        dl.cancel();
+        for err in [
+            probe_kcore_with(&h, 2, &dl).unwrap_err(),
+            probe_decompose_with(&h, &dl).unwrap_err(),
+        ] {
+            assert_eq!(err.phase, "kcore.probe.state");
+            assert_eq!(err.work_done, 0, "{err:?}");
+        }
+    }
+
+    #[test]
     fn unlimited_deadline_matches_plain_par_kcore() {
         let h = uniform_random_hypergraph(60, 120, 4, 2);
         for k in 1..5 {
@@ -600,10 +685,15 @@ mod tests {
 
     /// Run `k` the way [`probe_kcore_with`] does, keeping the state.
     fn peeled_state(h: &Hypergraph, k: u32) -> State<'_> {
-        let mut s = State::new(h);
         let dl = Deadline::none();
+        let mut s = State::new(h, &dl).unwrap();
         s.peel(k, &dl, dl.trace()).unwrap();
         s
+    }
+
+    /// `(rounds, vertices_peeled, edges_deleted, subset_tests)`.
+    fn work(s: &State) -> (u64, u64, u64, u64) {
+        (s.rounds, s.vertices_peeled, s.edges_deleted, s.subset_tests)
     }
 
     #[test]
@@ -611,14 +701,51 @@ mod tests {
         // hgperf's u6000, whose 3-core deletes 6 hyperedges. Probing
         // each hyperedge once per round, behind the signature filter,
         // takes 20 sorted merges to find them; without both, 8,182.
+        // Exact counts: a change to which hyperedges are probed or
+        // merged moves them.
         let h = uniform_random_hypergraph(6000, 4500, 5, 41);
         let s = peeled_state(&h, 3);
-        assert!(s.subset_tests <= 64, "{} subset tests", s.subset_tests);
-        let core = KCore::from_alive(3, &s.alive_v, &s.alive_e, s.pins_alive);
+        assert_eq!(work(&s), (2, 1694, 6, 20));
+        let core = s.core();
         assert_eq!(
             (core.vertices.len(), core.edges.len(), core.pins),
             (4306, 4494, 19884)
         );
+        assert_eq!(core.vertices.capacity(), 4306);
+        assert_eq!(core.edges.capacity(), 4494);
+    }
+
+    #[test]
+    fn max_cores_pin_their_work_counters() {
+        // hgperf's u6000 and the Cellzome golden dataset, decomposed to
+        // the empty core the way `probe_decompose_with` does.
+        let cellzome = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../data/cellzome-2004.hgr"
+        ))
+        .expect("golden dataset present");
+        for (h, want_work, want_core) in [
+            (
+                uniform_random_hypergraph(6000, 4500, 5, 41),
+                (21, 6000, 4500, 4086),
+                (5, 1473, 3190, 8617),
+            ),
+            (
+                crate::io::read_hgr(&cellzome).unwrap(),
+                (17, 1361, 232, 181),
+                (6, 41, 54, 246),
+            ),
+        ] {
+            let dl = Deadline::none();
+            let mut s = State::new(&h, &dl).unwrap();
+            let d = s.decompose(&dl).unwrap();
+            assert_eq!(work(&s), want_work);
+            let mc = d.max_core.unwrap();
+            let got = (mc.k, mc.vertices.len(), mc.edges.len(), mc.pins);
+            assert_eq!(got, want_core);
+            assert_eq!(mc.vertices.capacity(), mc.vertices.len());
+            assert_eq!(mc.edges.capacity(), mc.edges.len());
+        }
     }
 
     #[test]
@@ -672,7 +799,7 @@ mod tests {
         }
         b.add_edge([0, 150]);
         let h = b.build();
-        let s = State::new(&h);
+        let s = State::new(&h, &Deadline::none()).unwrap();
         assert!(s.sig[..6].iter().all(|&sig| sig == u64::MAX));
         assert_matches_naive_cores(&h);
     }
