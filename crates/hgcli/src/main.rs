@@ -896,9 +896,13 @@ fn cmd_bench(args: &[String]) -> Result<String, String> {
 
 fn cmd_repro(args: &[String]) -> Result<String, String> {
     let (out_dir, rest) = take_opt(args, "-o")?;
+    // One experiment name at most, checked before `-o` is created.
+    let what = match &rest[..] {
+        [] => "all",
+        _ => positionals::<1>(&rest)?[0].as_str(),
+    };
     let out_dir = PathBuf::from(out_dir.unwrap_or_else(|| ".".to_string()));
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create out dir: {e}"))?;
-    let what = rest.first().map(|s| s.as_str()).unwrap_or("all");
     let io_err = |e: std::io::Error| format!("io error: {e}");
     match what {
         "e1" => with_phases(|| Ok(repro::e1_section2_stats())),

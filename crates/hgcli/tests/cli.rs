@@ -269,6 +269,31 @@ fn flag_with_missing_value_errors() {
     assert!(err.contains("missing value after -o"), "{err}");
 }
 
+#[test]
+fn repro_refuses_a_second_name_or_a_leftover_flag() {
+    // Each is refused before any experiment runs or `-o` is created.
+    let dir = tmpdir("repro_surplus");
+    for (args, extra) in [
+        (&["e4", "e5", "a4"][..], "e5"),
+        (&["e1", "--par"][..], "--par"),
+        (&["--bogus"][..], "--bogus"),
+    ] {
+        let out = dir.join("out");
+        let out_arg = out.to_str().unwrap();
+        let mut argv = vec!["repro", "-o", out_arg];
+        argv.extend_from_slice(args);
+        let (ok, stdout, err) = hg(&argv);
+        assert!(!ok, "hg {argv:?} succeeded:\n{stdout}");
+        assert!(
+            err.contains(&format!("unexpected argument `{extra}`")),
+            "{argv:?}: {err}"
+        );
+        assert!(stdout.is_empty(), "{argv:?} ran something:\n{stdout}");
+        assert!(!out.exists(), "{argv:?} created {}", out.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Minimal recursive-descent JSON validity check (no parse tree): enough
 /// to catch unbalanced braces, stray commas, and broken string escaping
 /// in the hand-rolled emitter.

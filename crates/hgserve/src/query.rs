@@ -336,13 +336,10 @@ fn run_kcore(
             // External ids, ascending: unmapping a relabeled dataset
             // scrambles the internal order, so sort after translation
             // (a no-op for unrelabeled datasets, already ascending).
+            // Ascending ids a few apart suit the writer's counter.
             let mut ids: Vec<u64> = c.vertices.iter().map(|&v| external_id(v, opts)).collect();
             ids.sort_unstable();
-            w.key("vertex_ids").begin_array();
-            for id in ids {
-                w.uint(id);
-            }
-            w.end_array();
+            w.key("vertex_ids").uint_array(&ids);
         }
         _ => {
             w.key("k").raw("null");

@@ -36,6 +36,9 @@
 //! candidates that pass are tested by merging the sorted alive pins
 //! against their raw pin lists, so the filter changes no decision.
 //!
+//! The vertex phase's collection and the core's id lists write every id
+//! and advance by the test's outcome, so no branch depends on a degree.
+//!
 //! Deleting a hyperedge cannot make another hyperedge non-maximal, and
 //! deleting a vertex shrinks containment *candidates* monotonically, so
 //! checking only degree-decremented hyperedges each round is exhaustive —
@@ -273,27 +276,32 @@ impl<'h> State<'h> {
     fn edge_phase(&mut self, deadline: &Deadline) -> Result<(), DeadlineExceeded> {
         let mut doomed = std::mem::take(&mut self.doomed);
         doomed.clear();
+        let mut ticks = 0;
         let mut probe = |s: &mut Self, f: u32| {
             s.in_affected[f as usize] = false;
             if s.deg_e[f as usize] != DEAD && s.is_non_maximal(f as usize) {
                 doomed.push(f);
             }
+            if deadline.tick(&mut ticks) {
+                return Err(deadline.exceeded("kcore.probe.edge_phase", s.vertices_peeled));
+            }
+            Ok(())
         };
         if self.all_queued {
             self.all_queued = false;
-            for f in 0..self.csr.num_edges() as u32 {
-                probe(self, f);
-            }
+            (0..self.csr.num_edges() as u32).try_for_each(|f| probe(self, f))?;
         } else {
             let affected = std::mem::take(&mut self.affected);
-            for &f in &affected {
-                probe(self, f);
-            }
+            let probed = affected.iter().try_for_each(|&f| probe(self, f));
             self.affected = affected;
             self.affected.clear();
+            probed?;
         }
         deadline.check("kcore.probe.edge_phase", self.vertices_peeled)?;
         for &f in &doomed {
+            if deadline.tick(&mut ticks) {
+                return Err(deadline.exceeded("kcore.probe.edge_phase", self.vertices_peeled));
+            }
             self.delete_edge(f as usize);
         }
         self.doomed = doomed;
@@ -301,35 +309,47 @@ impl<'h> State<'h> {
     }
 
     /// Collect the candidates below `k`, then delete them. A dead
-    /// vertex's degree is `DEAD`, never below `k`.
+    /// vertex's degree is `DEAD`, never below `k`. An expiry among the
+    /// deletions reports the vertices peeled before the phase.
     fn vertex_phase(&mut self, deadline: &Deadline) -> Result<(), DeadlineExceeded> {
         let mut doomed = std::mem::take(&mut self.doomed);
-        doomed.clear();
-        let mut test = |s: &mut Self, v: u32| {
-            s.in_candidates[v as usize] = false;
-            if s.deg_v[v as usize] < s.k {
-                doomed.push(v);
-            }
-        };
         if self.all_queued {
-            for v in 0..self.csr.num_vertices() as u32 {
-                test(self, v);
-            }
+            self.collect_below_k(0..self.csr.num_vertices() as u32, &mut doomed);
         } else {
             let candidates = std::mem::take(&mut self.candidates);
-            for &v in &candidates {
-                test(self, v);
-            }
+            self.collect_below_k(candidates.iter().copied(), &mut doomed);
             self.candidates = candidates;
             self.candidates.clear();
         }
-        deadline.check("kcore.probe.vertex_phase", self.vertices_peeled)?;
+        let before = self.vertices_peeled;
+        deadline.check("kcore.probe.vertex_phase", before)?;
         hgobs::hist!("kcore.probe.frontier", doomed.len());
+        let mut ticks = 0;
         for &v in &doomed {
+            if deadline.tick(&mut ticks) {
+                return Err(deadline.exceeded("kcore.probe.vertex_phase", before));
+            }
             self.delete_vertex(v as usize);
         }
         self.doomed = doomed;
         Ok(())
+    }
+
+    /// Set `doomed` to the vertices of `ids` whose degree is below `k`,
+    /// in `ids` order, clearing their candidate marks. Every id is
+    /// written and the length advanced by the test's outcome, so no
+    /// branch depends on a degree.
+    fn collect_below_k(&mut self, ids: impl ExactSizeIterator<Item = u32>, doomed: &mut Vec<u32>) {
+        let (deg_v, k, marks) = (&self.deg_v, self.k, &mut self.in_candidates);
+        doomed.clear();
+        doomed.resize(ids.len(), 0);
+        let mut len = 0;
+        for v in ids {
+            marks[v as usize] = false;
+            doomed[len] = v;
+            len += (deg_v[v as usize] < k) as usize;
+        }
+        doomed.truncate(len);
     }
 
     /// Peel to the k-core (trace phase `kcore.probe.peel`, work =
@@ -418,17 +438,25 @@ impl<'h> State<'h> {
     }
 }
 
-/// The ids whose entry in `per_id` passes `keep`, ascending, in a vector
-/// sized for the `count` of them.
-fn ids<T>(count: usize, per_id: &[u32], keep: impl Fn(u32) -> bool, id: fn(u32) -> T) -> Vec<T> {
-    let mut out = Vec::with_capacity(count);
-    out.extend(
-        (0..)
-            .zip(per_id)
-            .filter(|&(_, &x)| keep(x))
-            .map(|(i, _)| id(i)),
-    );
-    debug_assert_eq!(out.len(), count);
+/// The `count` ids whose entry in `per_id` passes `keep`, ascending, in
+/// a vector of that length. Every id is written to the next free slot,
+/// which advances by the test's outcome, so no branch depends on an
+/// entry.
+fn ids<T: Copy>(
+    count: usize,
+    per_id: &[u32],
+    keep: impl Fn(u32) -> bool,
+    id: fn(u32) -> T,
+) -> Vec<T> {
+    let mut out = vec![id(0); count];
+    let mut len = 0;
+    for (i, &x) in (0..).zip(per_id) {
+        if let Some(slot) = out.get_mut(len) {
+            *slot = id(i);
+        }
+        len += keep(x) as usize;
+    }
+    debug_assert_eq!(len, count);
     out
 }
 
@@ -443,12 +471,14 @@ pub fn probe_kcore(h: &Hypergraph, k: u32) -> KCore {
 }
 
 /// [`probe_kcore`] under a cooperative [`Deadline`], ticked through the
-/// state build (phase `kcore.probe.state`) and checked at every phase
-/// boundary: the round top (`kcore.probe.round`), after the edge probes
+/// state build (phase `kcore.probe.state`), once per edge probe and once
+/// per deletion in either phase, and checked at every phase boundary:
+/// the round top (`kcore.probe.round`), after the edge probes
 /// (`kcore.probe.edge_phase`) and after the vertex scan
 /// (`kcore.probe.vertex_phase`), each before the phase's deletions
-/// apply. Overshoot is therefore bounded by one phase. The error's
-/// `work_done` counts vertices peeled by completed phases.
+/// apply. An expiry mid-phase is therefore noticed within
+/// [`CHECK_INTERVAL`](hgobs::CHECK_INTERVAL) items. The error's
+/// `work_done` counts the vertices peeled by completed phases.
 pub fn probe_kcore_with(
     h: &Hypergraph,
     k: u32,
@@ -623,6 +653,29 @@ mod tests {
             assert_eq!(err.phase, "kcore.probe.state");
             assert_eq!(err.work_done, 0, "{err:?}");
         }
+    }
+
+    #[test]
+    fn cancelled_deadline_stops_round_one_probes_within_a_check_interval() {
+        // Over two check intervals of hyperedges, all queued for round
+        // one's edge phase (k = 0 peels no vertex). Each probe ticks, and
+        // the one that reads the cancelled flag is the last.
+        let m = 2 * hgobs::CHECK_INTERVAL as usize + 25;
+        let h = uniform_random_hypergraph(400, m, 3, 13);
+        let mut s = State::new(&h, &Deadline::none()).unwrap();
+        s.vertex_phase(&Deadline::none()).unwrap();
+        let dl = Deadline::cancellable();
+        dl.cancel();
+        let err = s.edge_phase(&dl).unwrap_err();
+        assert_eq!(err.phase, "kcore.probe.edge_phase");
+        assert_eq!(err.work_done, 0, "{err:?}");
+        // A probe clears its queue mark; nothing was deleted.
+        let probed = s.in_affected.iter().filter(|&&queued| !queued).count();
+        assert!(
+            probed > 0 && probed <= hgobs::CHECK_INTERVAL as usize,
+            "{probed} of {m} hyperedges probed"
+        );
+        assert_eq!((s.edges_alive, s.edges_deleted), (m, 0));
     }
 
     #[test]

@@ -313,7 +313,7 @@ proptest! {
     /// The subset-probe k-core == the naive oracle (vertices and edge
     /// contents).
     #[test]
-    fn par_kcore_equivalent((h, k) in arb_hypergraph(12, 12, 6).prop_flat_map(|h| (Just(h), 0u32..5))) {
+    fn par_kcore_equivalent((h, k) in arb_hypergraph(16, 26, 5).prop_flat_map(|h| (Just(h), 0u32..5))) {
         let (nv, ne) = naive_kcore(&h, k);
         let probe = probe_kcore(&h, k);
         prop_assert_eq!(&nv, &probe.vertices, "k = {}", k);
@@ -330,7 +330,7 @@ proptest! {
     /// contents and pin count (inputs with empty and duplicate
     /// hyperedges and isolated vertices).
     #[test]
-    fn probe_decompose_matches_naive_cores(h in arb_hypergraph(12, 12, 6)) {
+    fn probe_decompose_matches_naive_cores(h in arb_hypergraph(16, 26, 5)) {
         let d = probe_decompose(&h);
         let oracle = naive_cores(&h);
         prop_assert_eq!(&d.profile, &oracle.profile);
