@@ -481,6 +481,41 @@ if [ "${AVX2:-0}" != "$WANT_AVX2" ]; then
 fi
 echo "profile smoke OK (u6000: $SOURCES sources, $BATCHES batches, $PULLS pull passes, ${AVX2:-0} AVX2 batches)"
 
+echo "==> hg profile smoke (greedy cover on the same u6000 file)"
+# One greedy loop answers the cover and the multicover. With unit
+# weights it picks u6000's 1,150 cover vertices, meeting all 4,500
+# hyperedges after 5,676 lazy heap refreshes; the counters must repeat
+# exactly, and a change to which vertex is picked moves them.
+# `covers_pin_their_size_ids_and_weight` pins the cover's ids.
+cover_counters() {
+    ./target/release/hg profile target/hgb-cache/hypergen-u6000.hgr --algo cover |
+        sed -n 's/.*"counters":\({[^}]*}\).*/\1/p'
+}
+V1=$(cover_counters)
+V2=$(cover_counters)
+if [ -z "$V1" ] || [ "$V1" != "$V2" ]; then
+    echo "hg profile cover counters missing or differ between two runs:"
+    echo "  run 1: $V1"
+    echo "  run 2: $V2"
+    exit 1
+fi
+for PAIR in picks=1150 edges_covered=4500 heap_refreshes=5676; do
+    GOT=$(printf '%s\n' "$V1" | sed -n "s/.*\"cover.${PAIR%%=*}\":\([0-9]*\).*/\1/p")
+    [ "$GOT" = "${PAIR#*=}" ] || {
+        echo "expected cover.${PAIR%%=*} ${PAIR#*=} on u6000, got '${GOT:-none}': $V1"
+        exit 1
+    }
+done
+# The paper's 2-multicover of the Cellzome complexes (each requirement
+# capped at the complex's size) takes 138 baits.
+./target/release/hg cover data/cellzome-2004.hgr --multicover 2 |
+    grep -q '^cover: 138 vertices,' || {
+    echo "expected a 138-vertex 2-multicover of cellzome:" \
+        "$(./target/release/hg cover data/cellzome-2004.hgr --multicover 2)"
+    exit 1
+}
+echo "cover smoke OK (u6000: 1150 picks, 4500 hyperedges, 5676 refreshes; cellzome 2-multicover 138)"
+
 echo "==> hg kcore smoke (pin signatures on the same u6000 file)"
 # The 3-core's probes: pin signatures reject nearly every non-container
 # before a sorted merge (20 merges; 8,182 without the filter and with a

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use hgobs::json::JsonWriter;
 use hgobs::{Deadline, DeadlineExceeded, TraceCtx};
-use hypergraph::{Hypergraph, PairStop, Relabeling, VertexId};
+use hypergraph::{CoverError, Hypergraph, PairStop, Relabeling, VertexId};
 
 /// A parsed, validated analytics query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -422,8 +422,11 @@ fn run_cover(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), 
     // BFS-relabeled, u6000 1,150 against 1,139); `cover` is the one
     // body that depends on relabeling (ROADMAP item 8). Ids are emitted
     // in selection order, translated back to the client's numbering.
-    let cover = hypergraph::greedy_vertex_cover(h, |_| 1.0)
-        .map_err(|e| QueryError::bad(format!("cover failed: {e}")))?;
+    let cover =
+        hypergraph::greedy_vertex_cover_with(h, |_| 1.0, &opts.deadline).map_err(|e| match e {
+            CoverError::Deadline(e) => QueryError::from(e),
+            e => QueryError::bad(format!("cover failed: {e}")),
+        })?;
     w.key("size").uint(cover.vertices.len() as u64);
     w.key("total_weight").float(cover.total_weight);
     w.key("average_degree").float(cover.average_degree(h));
@@ -562,6 +565,7 @@ mod tests {
             Query::KCore { k: Some(1) },
             Query::KCore { k: None },
             Query::Distance { from: 1, to: 4 },
+            Query::Cover,
         ] {
             let err = q.run_opts(&h, &opts).unwrap_err();
             assert_eq!(err.status, 504, "{q:?}: {}", err.message);
@@ -589,6 +593,21 @@ mod tests {
                 err.message
             );
         }
+    }
+
+    #[test]
+    fn expired_cover_504_names_the_greedy_phase() {
+        let opts = ExecOpts {
+            deadline: hgobs::Deadline::after(std::time::Duration::ZERO),
+            ..ExecOpts::default()
+        };
+        let err = Query::Cover.run_opts(&chain(), &opts).unwrap_err();
+        assert_eq!(err.status, 504, "{}", err.message);
+        assert!(
+            err.message.contains(" in cover.greedy (0 work units done"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! lower bound on the optimal cover weight — so every run reports a
 //! per-instance approximation certificate.
 
-use crate::cover::{CoverError, CoverResult};
-use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
+use hgobs::Deadline;
+
+use crate::cover::{checked_weights, no_empty_edge, CoverError, CoverResult};
+use crate::hypergraph::{Hypergraph, VertexId};
 
 /// Outcome of the primal-dual cover: the cover plus its dual certificate.
 #[derive(Clone, Debug)]
@@ -38,34 +40,22 @@ pub fn pricing_vertex_cover(
     weight: impl Fn(VertexId) -> f64,
 ) -> Result<PricingCover, CoverError> {
     let _phase = hgobs::phase("cover.pricing");
+    let weights = checked_weights(h, weight, &Deadline::none(), "cover.pricing")?;
     let csr = h.csr();
-    let weights: Vec<f64> = h.vertices().map(&weight).collect();
-    for v in h.vertices() {
-        let w = weights[v.index()];
-        if !w.is_finite() || w < 0.0 {
-            return Err(CoverError::BadWeight(v));
-        }
-    }
-    if let Some(f) = csr.edge_degrees().position(|d| d == 0) {
-        return Err(CoverError::EmptyEdge(EdgeId(f as u32)));
-    }
+    no_empty_edge(csr)?;
 
     let mut residual = weights.clone();
     let mut in_cover = vec![false; h.num_vertices()];
     let mut order: Vec<VertexId> = Vec::new();
-    let mut dual_sum = 0.0f64;
-    let mut dual_raises: u64 = 0;
-    let mut pruned: u64 = 0;
+    let (mut dual_sum, mut dual_raises, mut pruned) = (0.0f64, 0u64, 0u64);
 
     for f in 0..csr.num_edges() {
         let pins = csr.pins(f);
         if pins.iter().any(|v| in_cover[v.index()]) {
             continue;
         }
-        let eps = pins
-            .iter()
-            .map(|v| residual[v.index()])
-            .fold(f64::INFINITY, f64::min);
+        let residuals = pins.iter().map(|v| residual[v.index()]);
+        let eps = residuals.fold(f64::INFINITY, f64::min);
         dual_sum += eps;
         dual_raises += 1;
         for &v in pins {
@@ -94,11 +84,8 @@ pub fn pricing_vertex_cover(
         }
     }
 
-    let vertices: Vec<VertexId> = order
-        .iter()
-        .copied()
-        .filter(|v| in_cover[v.index()])
-        .collect();
+    let mut vertices = order;
+    vertices.retain(|v| in_cover[v.index()]);
     hgobs::counter!("cover.dual_raises", dual_raises);
     hgobs::counter!("cover.pruned", pruned);
     hgobs::counter!("cover.pricing_picks", vertices.len());
@@ -110,12 +97,10 @@ pub fn pricing_vertex_cover(
     } else {
         f64::INFINITY
     };
-    let iterations = vertices.len();
     Ok(PricingCover {
         cover: CoverResult {
             vertices,
             total_weight,
-            iterations,
         },
         dual_lower_bound: dual_sum,
         certified_ratio,

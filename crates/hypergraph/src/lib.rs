@@ -26,8 +26,9 @@
 //!   and the engine's cross-check; [`naive`] holds the fixpoint oracle;
 //! * reduced hypergraphs ([`reduce()`](crate::reduce())) and the flat
 //!   CSR pairwise overlap table ([`csr_overlap`]);
-//! * greedy, dual, and primal-dual **vertex covers** and multicovers
-//!   ([`cover`], [`multicover`], [`cover_dual`]) for bait-protein selection;
+//! * greedy, dual, and primal-dual **vertex covers**, and greedy
+//!   multicovers from the same loop ([`cover`], [`cover_dual`]), for
+//!   bait-protein selection;
 //! * the lossy graph projections the paper argues against
 //!   ([`projections`]): clique expansion, star (bait) expansion, and the
 //!   complex intersection graph, with space accounting;
@@ -73,7 +74,6 @@ pub mod hypergraph;
 pub mod io;
 pub mod kcore;
 pub mod msbfs;
-pub mod multicover;
 pub mod naive;
 pub mod pajek;
 pub mod path;
@@ -91,7 +91,10 @@ pub mod validate;
 pub use bipartite::BipartiteView;
 pub use builder::HypergraphBuilder;
 pub use components::{hypergraph_components, ComponentSummary, HyperComponents};
-pub use cover::{greedy_vertex_cover, is_vertex_cover, CoverError, CoverResult};
+pub use cover::{
+    greedy_multicover, greedy_vertex_cover, greedy_vertex_cover_with, is_multicover,
+    is_vertex_cover, CoverError, CoverResult,
+};
 pub use cover_dual::{dual_lower_bound, pricing_vertex_cover};
 pub use csr_overlap::CsrOverlap;
 pub use decompose::{csr_kcore, csr_kcore_with, decompose, decompose_with, Decomposition};
@@ -108,7 +111,6 @@ pub use msbfs::{
     hyper_distance_stats, hyper_distance_stats_with, par_msbfs_distance_stats,
     par_msbfs_distance_stats_with, BATCH,
 };
-pub use multicover::{greedy_multicover, is_multicover};
 pub use path::{
     hyper_distance, hyper_distance_with, hyper_distance_within, hyper_distances,
     hyper_distances_with, scalar_hyper_distance_stats, scalar_hyper_distance_stats_from,

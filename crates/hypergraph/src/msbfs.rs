@@ -147,16 +147,39 @@ struct Side {
     unsat: Vec<u64>,
 }
 
+/// Lanes a fill zeroes between two deadline checks: 1 MiB of them. A
+/// million-vertex side takes 62 such chunks.
+const FILL_LANES: usize = (1 << 20) / std::mem::size_of::<Lane>();
+
+/// Make `lanes` hold `len` zero lanes, written from the start one
+/// [`FILL_LANES`] chunk at a time, with a deadline check between chunks.
+/// `false` when the deadline stopped it, leaving fewer than `len` lanes.
+fn fill_lanes(lanes: &mut Vec<Lane>, len: usize, deadline: &Deadline) -> bool {
+    lanes.clear();
+    while lanes.len() < len {
+        if !lanes.is_empty() && deadline.expired() {
+            return false;
+        }
+        lanes.resize(len.min(lanes.len() + FILL_LANES), Lane::ZERO);
+    }
+    true
+}
+
 impl Side {
-    /// A side of `len` entries in its [`Side::reset`] state.
-    fn new(len: usize) -> Self {
+    /// A side of `len` entries in its [`Side::reset`] state, or `None`
+    /// when the deadline expires while its lanes are zeroed.
+    fn new(len: usize, deadline: &Deadline) -> Option<Self> {
+        let mut lanes = Vec::with_capacity(len);
+        if !fill_lanes(&mut lanes, len, deadline) {
+            return None;
+        }
         let mut unsat = vec![0; bitset::words_for(len)];
         bitset::fill_all(&mut unsat, len);
-        Side {
-            lanes: vec![Lane::ZERO; len],
+        Some(Side {
+            lanes,
             front: vec![0; bitset::words_for(len)],
             unsat,
-        }
+        })
     }
 
     fn bytes(&self) -> usize {
@@ -167,11 +190,17 @@ impl Side {
     /// Ready the side for a fresh batch: nothing seen, an empty
     /// frontier, every entry unsaturated. Zeroing the frontier summary
     /// too (1/512 the size of the lanes) means a batch a deadline
-    /// aborted mid-pass leaves nothing behind.
-    fn reset(&mut self) {
-        self.lanes.fill(Lane::ZERO);
+    /// aborted mid-pass leaves nothing behind. `false` when the deadline
+    /// stopped the lane fill: the side is then short, so its scratch no
+    /// longer fits the hypergraph, and the sweep drops it.
+    fn reset(&mut self, deadline: &Deadline) -> bool {
+        let len = self.lanes.len();
+        if !fill_lanes(&mut self.lanes, len, deadline) {
+            return false;
+        }
         self.front.fill(0);
-        bitset::fill_all(&mut self.unsat, self.lanes.len());
+        bitset::fill_all(&mut self.unsat, len);
+        true
     }
 }
 
@@ -189,14 +218,15 @@ struct MsBfsScratch {
 }
 
 impl MsBfsScratch {
-    /// Allocate scratch sized for `h`, in its reset state.
-    fn new(h: &Hypergraph) -> Self {
-        MsBfsScratch {
-            v: Side::new(h.num_vertices()),
-            e: Side::new(h.num_edges()),
+    /// Allocate scratch sized for `h`, in its reset state, or `None`
+    /// when the deadline expires while it is zeroed.
+    fn new(h: &Hypergraph, deadline: &Deadline) -> Option<Self> {
+        Some(MsBfsScratch {
+            v: Side::new(h.num_vertices(), deadline)?,
+            e: Side::new(h.num_edges(), deadline)?,
             used: false,
             pull_passes: 0,
-        }
+        })
     }
 
     /// Bytes held by the mask buffers (one 64-byte lane per vertex and
@@ -425,9 +455,8 @@ fn msbfs_batch(
     // A used scratch may hold a finished or an aborted batch; a fresh
     // one is already zero, and zeroing it again would write every lane
     // twice before the first deadline tick.
-    if std::mem::replace(used, true) {
-        v.reset();
-        e.reset();
+    if std::mem::replace(used, true) && !(v.reset(deadline) && e.reset(deadline)) {
+        return None;
     }
     for (i, &s) in batch.iter().enumerate() {
         let lane = &mut v.lanes[s.index()];
@@ -652,22 +681,27 @@ fn arena() -> MutexGuard<'static, Vec<MsBfsScratch>> {
 
 /// Lease a scratch sized for `h`: reuse a parked one when the
 /// dimensions match (`msbfs.scratch_reused`), otherwise allocate
-/// (`msbfs.scratch_allocs` / `msbfs.scratch_bytes`).
-fn lease_scratch(h: &Hypergraph) -> MsBfsScratch {
+/// (`msbfs.scratch_allocs` / `msbfs.scratch_bytes`); `None` when the
+/// deadline expires while a new one is zeroed.
+fn lease_scratch(h: &Hypergraph, deadline: &Deadline) -> Option<MsBfsScratch> {
     if let Some(sc) = take_fitting(&mut arena(), h) {
         hgobs::counter!("msbfs.scratch_reused");
-        return sc;
+        return Some(sc);
     }
-    let sc = MsBfsScratch::new(h);
+    let sc = MsBfsScratch::new(h, deadline)?;
     hgobs::counter!("msbfs.scratch_allocs");
     hgobs::counter!("msbfs.scratch_bytes", sc.bytes() as u64);
-    sc
+    Some(sc)
 }
 
-/// Park a worker's scratch for the next sweep. An aborted batch may
-/// leave it dirty; the next batch zeroes it before it starts.
-fn release_scratch(sc: MsBfsScratch) {
-    park(&mut arena(), sc);
+/// Park a worker's scratch for the next sweep over `h`. An aborted
+/// batch may leave it dirty, and the next batch zeroes it before it
+/// starts; a reset the deadline stopped leaves it short, and it is
+/// dropped instead.
+fn release_scratch(sc: MsBfsScratch, h: &Hypergraph) {
+    if sc.fits(h) {
+        park(&mut arena(), sc);
+    }
 }
 
 /// Remove the oldest parked scratch that fits `h`, keeping the rest in
@@ -727,8 +761,11 @@ fn sweep(
             let stats = if deadline.expired() {
                 None
             } else {
-                let sc = scratch.get_or_insert_with(|| lease_scratch(h));
-                build.batch(csr, batches[i], sc, deadline, &mut ticks)
+                if scratch.is_none() {
+                    scratch = lease_scratch(h, deadline);
+                }
+                let sc = scratch.as_mut();
+                sc.and_then(|sc| build.batch(csr, batches[i], sc, deadline, &mut ticks))
             };
             let Some(b) = stats else {
                 expired = true;
@@ -741,7 +778,7 @@ fn sweep(
         }
         if let Some(mut sc) = scratch {
             sc.flush_counters();
-            release_scratch(sc);
+            release_scratch(sc, h);
         }
         (acc, done, swept, expired)
     });
@@ -792,6 +829,11 @@ mod tests {
         b.add_edge([1, 2]);
         b.add_edge([2, 3]);
         b.build()
+    }
+
+    /// A fresh scratch for `h`, in its reset state.
+    fn scratch_for(h: &Hypergraph) -> MsBfsScratch {
+        MsBfsScratch::new(h, &Deadline::none()).expect("an unlimited deadline cannot expire")
     }
 
     /// Ring of `n` size-3 edges {i, i+1, i+7} (mod n) — more sources
@@ -884,7 +926,7 @@ mod tests {
         // A deadline abort mid-pass leaves the masks half-consumed; the
         // next batch must re-zero everything before it starts.
         let h = big_ring(600);
-        let mut scratch = MsBfsScratch::new(&h);
+        let mut scratch = scratch_for(&h);
         let mut ticks = 0u32;
         let sources: Vec<VertexId> = h.vertices().collect();
         let gone = Deadline::after(Duration::ZERO);
@@ -909,7 +951,7 @@ mod tests {
         // state: identical to a fresh-scratch-per-batch run.
         let h = big_ring(600);
         let sources: Vec<VertexId> = h.vertices().collect();
-        let mut shared = MsBfsScratch::new(&h);
+        let mut shared = scratch_for(&h);
         let mut ticks = 0u32;
         let mut with_shared = BatchStats::default();
         let mut with_fresh = BatchStats::default();
@@ -917,7 +959,7 @@ mod tests {
             let b =
                 msbfs_batch(h.csr(), batch, &mut shared, &Deadline::none(), &mut ticks).unwrap();
             with_shared.merge(&b);
-            let mut fresh = MsBfsScratch::new(&h);
+            let mut fresh = scratch_for(&h);
             let b = msbfs_batch(h.csr(), batch, &mut fresh, &Deadline::none(), &mut ticks).unwrap();
             with_fresh.merge(&b);
         }
@@ -932,19 +974,18 @@ mod tests {
         // 600 entries leave a partial last summary word.
         let h = big_ring(600);
         let sources: Vec<VertexId> = h.vertices().take(BATCH).collect();
-        let fresh = MsBfsScratch::new(&h);
+        let fresh = scratch_for(&h);
         assert!(!fresh.used);
         for (budget, aborts) in [
             (Deadline::after(Duration::ZERO), true),
             (Deadline::none(), false),
         ] {
-            let mut reset = MsBfsScratch::new(&h);
+            let mut reset = scratch_for(&h);
             let mut ticks = 0u32;
             let stats = msbfs_batch(h.csr(), &sources, &mut reset, &budget, &mut ticks);
             assert_eq!(stats.is_none(), aborts);
             assert!(reset.used);
-            reset.v.reset();
-            reset.e.reset();
+            assert!(reset.v.reset(&Deadline::none()) && reset.e.reset(&Deadline::none()));
             for (a, b) in [(&fresh.v, &reset.v), (&fresh.e, &reset.e)] {
                 assert_eq!(a.lanes, b.lanes);
                 assert_eq!(a.front, b.front);
@@ -1040,7 +1081,7 @@ mod tests {
         let batch: Vec<VertexId> = (0..BATCH as u32).map(VertexId).collect();
         let isolated = batch.iter().filter(|&&v| h.vertex_degree(v) == 0);
         assert_eq!(isolated.count(), 8);
-        let mut scratch = MsBfsScratch::new(&h);
+        let mut scratch = scratch_for(&h);
         let mut ticks = 0u32;
         let b = msbfs_batch(h.csr(), &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
         assert!(scratch.pull_passes > 0, "pull never engaged");
@@ -1053,7 +1094,7 @@ mod tests {
     /// Pull passes of the batches cut from `sources`, all on one scratch
     /// in `build`.
     fn pull_passes_over(h: &Hypergraph, sources: &[VertexId], build: Build) -> u64 {
-        let mut scratch = MsBfsScratch::new(h);
+        let mut scratch = scratch_for(h);
         let mut ticks = 0u32;
         for batch in sources.chunks(BATCH) {
             build
@@ -1203,7 +1244,7 @@ mod tests {
             (blob(), (0..BATCH as u32).map(VertexId).collect()),
         ];
         for (h, batch) in cases {
-            let mut scratch = MsBfsScratch::new(&h);
+            let mut scratch = scratch_for(&h);
             let mut ticks = 0u32;
             let b =
                 msbfs_batch(h.csr(), &batch, &mut scratch, &Deadline::none(), &mut ticks).unwrap();
@@ -1478,13 +1519,34 @@ mod tests {
     fn scratch_arena_leases_fitting_buffers_only() {
         let h1 = uniform_random_hypergraph(50, 40, 3, 1);
         let h2 = uniform_random_hypergraph(80, 10, 3, 1);
-        let sc = lease_scratch(&h1);
+        let sc = lease_scratch(&h1, &Deadline::none()).unwrap();
         assert!(sc.fits(&h1) && !sc.fits(&h2));
-        release_scratch(sc);
+        release_scratch(sc, &h1);
         // A parked scratch of the right dimensions comes back; asking
         // for different dimensions allocates instead of mis-leasing.
-        assert!(lease_scratch(&h1).fits(&h1));
-        assert!(lease_scratch(&h2).fits(&h2));
+        assert!(lease_scratch(&h1, &Deadline::none()).unwrap().fits(&h1));
+        assert!(lease_scratch(&h2, &Deadline::none()).unwrap().fits(&h2));
+    }
+
+    #[test]
+    fn cancelled_deadline_stops_a_fill_between_chunks() {
+        let dl = Deadline::cancellable();
+        dl.cancel();
+        // One chunk has no check inside; a second one is never written.
+        assert!(Side::new(FILL_LANES, &dl).is_some());
+        assert!(Side::new(FILL_LANES + 1, &dl).is_none());
+        let mut side = Side::new(FILL_LANES + 1, &Deadline::none()).unwrap();
+        assert!(!side.reset(&dl));
+        assert_eq!(side.lanes.len(), FILL_LANES);
+        // A sweep leases no scratch whose fill stopped, and parks none
+        // that a stopped reset left short.
+        let h = HypergraphBuilder::new(FILL_LANES + 1).build();
+        assert!(lease_scratch(&h, &dl).is_none());
+        let mut sc = scratch_for(&h);
+        assert!(!sc.v.reset(&dl) && !sc.fits(&h));
+        let lanes = sc.v.lanes.as_ptr();
+        release_scratch(sc, &h);
+        assert!(!arena().iter().any(|p| p.v.lanes.as_ptr() == lanes));
     }
 
     #[test]
@@ -1496,7 +1558,7 @@ mod tests {
             .collect();
         let mut pool = Vec::new();
         for h in &shapes {
-            park(&mut pool, MsBfsScratch::new(h));
+            park(&mut pool, scratch_for(h));
         }
         assert_eq!(pool.len(), SCRATCH_ARENA_CAP);
         assert!(take_fitting(&mut pool, &shapes[0]).is_none());

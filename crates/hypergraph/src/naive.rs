@@ -197,6 +197,41 @@ pub fn exhaustive_min_cover(
     best.map(|(_, _, m)| m)
 }
 
+/// The greedy rule of Fig. 5 step by step, the oracle of
+/// [`crate::greedy_vertex_cover`] (every requirement 1) and
+/// [`crate::greedy_multicover`]: while some hyperedge `f` has fewer than
+/// `requirement(f)` chosen pins, scan every unchosen vertex and choose
+/// the least `(weight ÷ useful count, id)`, where the useful count is the
+/// number of the vertex's hyperedges still short. Returns the choices in
+/// order. Weights must be finite and non-negative, and no requirement
+/// may exceed its hyperedge's size.
+pub fn naive_greedy_multicover(
+    h: &Hypergraph,
+    weight: impl Fn(VertexId) -> f64,
+    requirement: impl Fn(EdgeId) -> u32,
+) -> Vec<VertexId> {
+    let mut need: Vec<u32> = h.edges().map(requirement).collect();
+    let mut chosen = vec![false; h.num_vertices()];
+    let mut order = Vec::new();
+    while need.iter().any(|&r| r > 0) {
+        let mut best: Option<(f64, VertexId)> = None;
+        for v in h.vertices().filter(|v| !chosen[v.index()]) {
+            let useful = h.edges_of(v).iter().filter(|f| need[f.index()] > 0).count();
+            let cost = weight(v) / useful as f64;
+            if useful > 0 && best.is_none_or(|(least, _)| cost < least) {
+                best = Some((cost, v));
+            }
+        }
+        let (_, v) = best.expect("a requirement exceeds its hyperedge's size");
+        chosen[v.index()] = true;
+        order.push(v);
+        for f in h.edges_of(v) {
+            need[f.index()] = need[f.index()].saturating_sub(1);
+        }
+    }
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

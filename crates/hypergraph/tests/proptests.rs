@@ -6,13 +6,15 @@
 
 use proptest::prelude::*;
 
-use hypergraph::naive::{edge_contents, exhaustive_min_cover, naive_cores, naive_kcore};
+use hypergraph::naive::{
+    edge_contents, exhaustive_min_cover, naive_cores, naive_greedy_multicover, naive_kcore,
+};
 use hypergraph::reduce::{non_maximal_edges, non_maximal_edges_naive};
 use hypergraph::validate::check_structure;
 use hypergraph::{
     csr_kcore, greedy_multicover, greedy_vertex_cover, is_multicover, is_vertex_cover,
-    pricing_vertex_cover, probe_decompose, probe_kcore, BipartiteView, CsrOverlap, Hypergraph,
-    HypergraphBuilder, VertexId,
+    pricing_vertex_cover, probe_decompose, probe_kcore, BipartiteView, CoverError, CsrOverlap,
+    EdgeId, Hypergraph, HypergraphBuilder, VertexId,
 };
 
 /// Random hypergraph: up to `max_v` vertices, up to `max_e` edges of
@@ -188,13 +190,46 @@ proptest! {
         }
     }
 
-    /// Multicover with all requirements 1 equals a plain cover in
-    /// validity (not necessarily the same vertices).
+    /// Multicover with all requirements 1 is the plain cover: the same
+    /// vertices, in the same order.
     #[test]
     fn multicover_r1_is_cover(h in arb_hypergraph(10, 8, 4)) {
         prop_assume!(h.edges().all(|f| h.edge_degree(f) > 0));
         let mc = greedy_multicover(&h, |_| 1.0, |_| 1).unwrap();
         prop_assert!(is_vertex_cover(&h, &mc.vertices));
+        prop_assert_eq!(mc.vertices, greedy_vertex_cover(&h, |_| 1.0).unwrap().vertices);
+    }
+
+    /// Both greedy entry points choose exactly the oracle's vertices, in
+    /// its order, under weights with zeros (-0.0 too) and ties and
+    /// requirements from 0 up to each hyperedge's size. The plain cover
+    /// refuses the first empty hyperedge instead.
+    #[test]
+    fn greedy_covers_match_the_oracle(
+        (h, weights, reqs) in arb_hypergraph(12, 10, 5).prop_flat_map(|h| {
+            let (n, m) = (h.num_vertices(), h.num_edges());
+            (
+                Just(h),
+                proptest::collection::vec(0u32..5, n),
+                proptest::collection::vec(0u32..6, m),
+            )
+        })
+    ) {
+        let w = |v: VertexId| match weights[v.index()] {
+            4 => -0.0,
+            x => x as f64 / 2.0,
+        };
+        let req = |f: EdgeId| reqs[f.index()] % (h.edge_degree(f) as u32 + 1);
+        let mc = greedy_multicover(&h, w, req).unwrap();
+        prop_assert_eq!(mc.vertices, naive_greedy_multicover(&h, w, req));
+        let cover = greedy_vertex_cover(&h, w);
+        match h.edges().find(|&f| h.edge_degree(f) == 0) {
+            Some(f) => prop_assert_eq!(cover.unwrap_err(), CoverError::EmptyEdge(f)),
+            None => prop_assert_eq!(
+                cover.unwrap().vertices,
+                naive_greedy_multicover(&h, w, |_| 1)
+            ),
+        }
     }
 
     /// Hypergraph BFS distances equal half the bipartite BFS distances.
