@@ -331,6 +331,17 @@ if grep -lE '^(parcore *=|\[.*dependencies\.parcore\])' crates/*/Cargo.toml; the
     exit 1
 fi
 
+echo "==> every vendored shim has a user"
+# A shim under vendor/ stands in for an external crate the workspace
+# uses; once no crate depends on it, the shim goes too.
+for MANIFEST in vendor/*/Cargo.toml; do
+    SHIM=$(sed -n 's/^name *= *"\([^"]*\)".*/\1/p' "$MANIFEST" | head -n 1)
+    if ! grep -qE "^($SHIM *=|\[.*dependencies\.$SHIM\])" crates/*/Cargo.toml; then
+        echo "no crates/*/Cargo.toml depends on $SHIM; delete ${MANIFEST%/Cargo.toml}"
+        exit 1
+    fi
+done
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

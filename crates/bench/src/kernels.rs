@@ -6,14 +6,14 @@
 //! k-core query, run from `hg bench --kernels` and gated by
 //! `ci.sh --bench`.
 //!
-//! Unlike the Criterion targets under `benches/`, this harness is a
-//! plain library so the CLI can invoke it and CI can diff its JSON
-//! (schema `hg-kernels/1`) against a checked-in baseline. Per engine we
-//! report best-of-`reps` wall time — the minimum is the standard
-//! low-noise estimator for a deterministic kernel — and every engine's
-//! [`HyperDistanceStats`] must be bit-identical before any timing is
-//! trusted, as must both pair engines' answers and both k-core
-//! decompositions' outputs; a mismatch is an error, not a footnote.
+//! The harness is a plain library so the CLI can invoke it and CI can
+//! diff its JSON (schema `hg-kernels/1`) against a checked-in
+//! baseline. Per engine we report best-of-`reps` wall time — the
+//! minimum is the standard low-noise estimator for a deterministic
+//! kernel — and every engine's [`HyperDistanceStats`] must be
+//! bit-identical before any timing is trusted, as must both pair
+//! engines' answers and both k-core decompositions' outputs; a mismatch
+//! is an error, not a footnote.
 
 use std::time::Instant;
 

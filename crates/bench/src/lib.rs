@@ -1,7 +1,8 @@
-//! Benchmark crate: `benches/` holds one Criterion target per paper
-//! table/figure plus the ablations (DESIGN.md §4); [`kernels`] is the
-//! plain-library kernel benchmark behind `hg bench --kernels` and the
-//! `ci.sh --bench` wall-time gate.
+//! The library behind `hg bench`: [`kernels`] times the kernels
+//! (`--kernels`, the `ci.sh --bench` wall-time gates), [`coldload`]
+//! times a cold `.hgb` open against a text parse (`--coldload`), and
+//! [`delta`] renders a baseline-vs-current table (`--delta`). The
+//! paper's tables and figures are timed by `hg repro` (DESIGN.md §4).
 
 pub mod coldload;
 pub mod delta;

@@ -6,7 +6,3 @@
 
 pub mod repro;
 pub mod table;
-
-// Timing helpers moved into the observability crate so every layer of the
-// workspace shares one implementation; re-exported here for compatibility.
-pub use hgobs::{format_time, timed};

@@ -21,9 +21,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use hgcli::cells;
 use hgcli::repro;
 use hgcli::table::Table;
-use hgcli::{cells, format_time, timed};
+use hgobs::{format_time, timed};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -8,6 +8,8 @@
 //! the output and discusses the deltas.
 
 use graphcore::core_decomposition;
+use hgobs::{format_time, timed};
+use hypergraph::projections::{space_report, SpaceReport};
 use hypergraph::{
     fit_power_law, hyper_distance_stats, hypergraph_components, max_core, vertex_degree_histogram,
 };
@@ -16,8 +18,8 @@ use proteome::annotations::{annotate, core_summary};
 use proteome::cellzome::{cellzome_like, CELLZOME_SEED};
 use proteome::{bait_selection_report, dip_fly_like, dip_yeast_like, fig2_graph};
 
+use crate::cells;
 use crate::table::Table;
-use crate::{cells, format_time, timed};
 
 /// E1 — §2 network statistics of the yeast protein complex hypergraph.
 pub fn e1_section2_stats() -> String {
@@ -425,10 +427,11 @@ pub fn e10_reconstruction() -> String {
     )
 }
 
-/// A1 — ablation: storage cost of the hypergraph vs its projections.
+/// A1 — ablation: storage cost of the hypergraph vs its projections,
+/// on Cellzome and over a sweep of complex sizes.
 pub fn a1_space() -> String {
     let ds = cellzome_like(CELLZOME_SEED);
-    let r = hypergraph::projections::space_report(&ds.hypergraph);
+    let r = space_report(&ds.hypergraph);
     let mut t = Table::new(&["representation", "edges/pins", "bytes"]);
     t.row(cells!["hypergraph (dual CSR)", r.pins, r.hypergraph_bytes]);
     t.row(cells!["clique expansion", r.clique_edges, r.clique_bytes]);
@@ -439,12 +442,48 @@ pub fn a1_space() -> String {
         r.intersection_bytes
     ]);
     let clique = hypergraph::projections::clique_expansion(&ds.hypergraph);
+    let mut sweep = Table::new(&[
+        "complex size",
+        "pins",
+        "hypergraph bytes",
+        "clique edges",
+        "clique bytes",
+        "clique/hypergraph",
+    ]);
+    for (s, r) in a1_size_sweep() {
+        sweep.row(cells![
+            s,
+            r.pins,
+            r.hypergraph_bytes,
+            r.clique_edges,
+            r.clique_bytes,
+            format!("{:.1}x", r.clique_bytes as f64 / r.hypergraph_bytes as f64)
+        ]);
+    }
     format!(
         "A1: space cost of representations (paper §1.2's O(n) vs O(n^2) argument)\n{}\
-         clique expansion mean local clustering: {:.3} (inflated by construction)\n",
+         clique expansion mean local clustering: {:.3} (inflated by construction)\n\
+         complex-size sweep: 64 disjoint complexes of s proteins each \
+         (pins = 64*s, clique edges = 64*s(s-1)/2)\n{}",
         t.render(),
-        graphcore::mean_local_clustering(&clique)
+        graphcore::mean_local_clustering(&clique),
+        sweep.render()
     )
+}
+
+/// A1's size sweep: the space report of 64 disjoint complexes of `s`
+/// proteins each, for s = 8, 16, 32, 64.
+fn a1_size_sweep() -> Vec<(usize, SpaceReport)> {
+    [8usize, 16, 32, 64]
+        .into_iter()
+        .map(|s| {
+            let mut b = hypergraph::HypergraphBuilder::new(64 * s);
+            for i in 0..64 {
+                b.add_edge((0..s as u32).map(|j| (i * s) as u32 + j));
+            }
+            (s, space_report(&b.build()))
+        })
+        .collect()
 }
 
 /// A2 — ablation: overlap-counting vs naive subset-testing maximality.
@@ -659,8 +698,15 @@ mod tests {
 
     #[test]
     fn a1_space_blowup_visible() {
+        for (s, r) in a1_size_sweep() {
+            assert_eq!(r.pins, 64 * s, "s = {s}");
+            assert_eq!(r.clique_edges, 64 * s * (s - 1) / 2, "s = {s}");
+            assert!(r.clique_bytes > r.hypergraph_bytes, "s = {s}");
+        }
         let s = a1_space();
         assert!(s.contains("clique expansion"));
+        // The s = 64 row: 4,096 pins against 129,024 clique edges.
+        assert!(s.contains("129024"), "{s}");
     }
 
     #[test]

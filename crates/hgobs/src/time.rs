@@ -1,5 +1,5 @@
-//! One timing implementation for the whole workspace (moved here from
-//! `hgcli`, which re-exports these for compatibility).
+//! One timing implementation for the whole workspace: `hg`'s commands
+//! and the `hg repro` harness time their kernels with these.
 
 use std::time::Instant;
 

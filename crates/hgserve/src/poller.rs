@@ -7,7 +7,9 @@
 //! surfaces as a clean start-up error. In the style of
 //! `hypergraph::storage`'s mmap shim, the syscalls are declared
 //! directly with `extern "C"` — the workspace stays free of a libc
-//! dependency.
+//! dependency. The two descriptors are owned through std (`OwnedFd`
+//! for the epoll instance, a `File` for the eventfd), which closes
+//! them and does the waker's reads and writes.
 //!
 //! The interface is deliberately small: register a file descriptor
 //! under a caller-chosen token, adjust its interest set, and block in
@@ -16,7 +18,13 @@
 //! return from `wait`, so the caller's loop re-checks its own queues
 //! after every return.
 
+#[cfg(target_os = "linux")]
+use std::fs::File;
 use std::io;
+#[cfg(target_os = "linux")]
+use std::io::{Read, Write};
+#[cfg(target_os = "linux")]
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,48 +72,26 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// Syscalls the poller and its waker share.
-#[cfg(target_os = "linux")]
-mod sys {
-    extern "C" {
-        pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        pub fn close(fd: i32) -> i32;
-    }
-}
-
-/// An owned waker file descriptor, closed on last drop. Shared by the
-/// [`Poller`] and every [`Waker`] clone so a wake can never hit a
-/// recycled descriptor after the loop exits.
-#[cfg(target_os = "linux")]
-struct WakeFd(RawFd);
-
-#[cfg(target_os = "linux")]
-impl Drop for WakeFd {
-    fn drop(&mut self) {
-        // SAFETY: `self.0` is a descriptor this `WakeFd` owns alone, and
-        // drop runs once, so it is closed exactly once.
-        unsafe {
-            sys::close(self.0);
-        }
-    }
-}
-
 /// Handle for interrupting [`Poller::wait`] from another thread.
-/// Cheap to clone; safe to use from worker threads.
+/// Cheap to clone; safe to use from worker threads. The eventfd is
+/// shared by the [`Poller`] and every clone and closed on the last
+/// drop, so a wake can never hit a recycled descriptor after the loop
+/// exits.
 #[derive(Clone)]
 pub struct Waker {
     #[cfg(target_os = "linux")]
-    fd: Arc<WakeFd>,
+    fd: Arc<File>,
     #[cfg(not(target_os = "linux"))]
     _unused: Arc<()>,
 }
 
 impl Waker {
-    /// Make the next (or current) `wait` return promptly.
+    /// Make the next (or current) `wait` return promptly: one 8-byte
+    /// `write(2)`, an eventfd's `u64` of 1, which writes all 8 bytes or
+    /// none. A full counter (`WouldBlock`) already wakes the loop.
     pub fn wake(&self) {
         #[cfg(target_os = "linux")]
-        wake_fd(self.fd.0);
+        let _ = (&*self.fd).write(&1u64.to_ne_bytes());
     }
 
     /// The raw descriptor behind this waker, for contexts that cannot
@@ -114,7 +100,7 @@ impl Waker {
     pub fn raw_fd(&self) -> RawFd {
         #[cfg(target_os = "linux")]
         {
-            self.fd.0
+            self.fd.as_raw_fd()
         }
         #[cfg(not(target_os = "linux"))]
         {
@@ -124,10 +110,14 @@ impl Waker {
 }
 
 /// Wake a raw waker descriptor: one `write(2)`, which is
-/// async-signal-safe — this is the only call a signal handler makes.
+/// async-signal-safe — this is the only call a signal handler makes,
+/// and why it cannot go through [`Waker::wake`]'s `File`.
 /// An eventfd takes exactly eight bytes: a `u64` of 1.
 #[cfg(target_os = "linux")]
 pub fn wake_fd(fd: RawFd) {
+    extern "C" {
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
     if fd < 0 {
         return;
     }
@@ -135,22 +125,19 @@ pub fn wake_fd(fd: RawFd) {
     // SAFETY: the buffer is the 8 bytes of the live local `one`, which
     // write(2) only reads.
     unsafe {
-        sys::write(fd, (&one as *const u64).cast(), 8);
+        write(fd, (&one as *const u64).cast(), 8);
     }
 }
 
 #[cfg(not(target_os = "linux"))]
 pub fn wake_fd(_fd: RawFd) {}
 
-/// Drain a nonblocking waker fd until empty; wakeups coalesce.
+/// Drain a nonblocking waker until empty; wakeups coalesce.
 #[cfg(target_os = "linux")]
-fn drain_fd(fd: RawFd) {
+fn drain(mut file: &File) {
     let mut buf = [0u8; 64];
-    loop {
-        // SAFETY: `buf` is a live local of exactly `buf.len()` writable
-        // bytes, so read(2) stays in bounds.
-        let n = unsafe { sys::read(fd, buf.as_mut_ptr(), buf.len()) };
-        if n < buf.len() as isize {
+    while let Ok(n) = file.read(&mut buf) {
+        if n < buf.len() {
             return;
         }
     }
@@ -207,7 +194,7 @@ mod epoll_sys {
 /// before the next `wait` — a readiness edge is reported once.
 #[cfg(target_os = "linux")]
 pub struct Poller {
-    epfd: RawFd,
+    epfd: OwnedFd,
     waker: Waker,
     buf: Vec<epoll_sys::EpollEvent>,
 }
@@ -216,41 +203,34 @@ pub struct Poller {
 impl Poller {
     pub fn new() -> io::Result<Poller> {
         use epoll_sys::*;
+        // Each descriptor is owned from the moment it exists, so an
+        // error below closes what was made before it.
         // SAFETY: no pointer arguments; the result is checked below.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
+        // SAFETY: `epfd` is a fresh descriptor that nothing else owns.
+        let epfd = unsafe { OwnedFd::from_raw_fd(epfd) };
         // SAFETY: no pointer arguments; the result is checked below.
         let wfd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
         if wfd < 0 {
-            let err = io::Error::last_os_error();
-            // SAFETY: `epfd` was created above, is owned only here, and
-            // is closed once before returning.
-            unsafe { sys::close(epfd) };
-            return Err(err);
+            return Err(io::Error::last_os_error());
         }
+        // SAFETY: `wfd` is a fresh descriptor that nothing else owns.
+        let wake = unsafe { File::from_raw_fd(wfd) };
         let mut ev = EpollEvent {
             events: EPOLLIN | EPOLLET,
             data: WAKER_TOKEN,
         };
         // SAFETY: `ev` is a live `EpollEvent` in the kernel's layout,
         // read by the kernel only for the duration of the call.
-        if unsafe { epoll_ctl(epfd, EPOLL_CTL_ADD, wfd, &mut ev) } != 0 {
-            let err = io::Error::last_os_error();
-            // SAFETY: both descriptors were created above, are owned
-            // only here, and are closed once before returning.
-            unsafe {
-                sys::close(wfd);
-                sys::close(epfd);
-            }
-            return Err(err);
+        if unsafe { epoll_ctl(epfd.as_raw_fd(), EPOLL_CTL_ADD, wfd, &mut ev) } != 0 {
+            return Err(io::Error::last_os_error());
         }
         Ok(Poller {
             epfd,
-            waker: Waker {
-                fd: Arc::new(WakeFd(wfd)),
-            },
+            waker: Waker { fd: Arc::new(wake) },
             buf: vec![EpollEvent { events: 0, data: 0 }; 256],
         })
     }
@@ -278,7 +258,7 @@ impl Poller {
         };
         // SAFETY: `ev` is a live `EpollEvent` in the kernel's layout,
         // read by the kernel only for the duration of the call.
-        if unsafe { epoll_sys::epoll_ctl(self.epfd, op, fd, &mut ev) } != 0 {
+        if unsafe { epoll_sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) } != 0 {
             return Err(io::Error::last_os_error());
         }
         Ok(())
@@ -312,7 +292,7 @@ impl Poller {
         // the kernel writes at most `maxevents = buf.len()` of them.
         let n = unsafe {
             epoll_wait(
-                self.epfd,
+                self.epfd.as_raw_fd(),
                 self.buf.as_mut_ptr(),
                 self.buf.len() as i32,
                 timeout_ms(timeout),
@@ -333,7 +313,7 @@ impl Poller {
                 (e.events, e.data)
             };
             if token == WAKER_TOKEN {
-                drain_fd(self.waker.fd.0);
+                drain(&self.waker.fd);
                 continue;
             }
             events.push(Event {
@@ -350,17 +330,6 @@ impl Poller {
             self.buf.resize(len, EpollEvent { events: 0, data: 0 });
         }
         Ok(())
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for Poller {
-    fn drop(&mut self) {
-        // SAFETY: `epfd` is owned by this poller alone, and drop runs
-        // once, so it is closed exactly once.
-        unsafe {
-            sys::close(self.epfd);
-        }
     }
 }
 

@@ -215,9 +215,9 @@ impl Query {
         w.begin_object();
         w.key("query").string(&self.canonical());
         match self {
-            Query::Stats => run_stats(h, &mut w),
-            Query::Degrees => run_degrees(h, &mut w),
-            Query::Components => run_components(h, &mut w),
+            Query::Stats => run_stats(h, opts, &mut w)?,
+            Query::Degrees => run_degrees(h, opts, &mut w)?,
+            Query::Components => run_components(h, opts, &mut w)?,
             Query::KCore { k } => run_kcore(h, *k, opts, &mut w)?,
             Query::Distance { from, to } => {
                 if !run_distance(h, *from, *to, opts, max_pins, &mut w)? {
@@ -225,12 +225,16 @@ impl Query {
                 }
             }
             Query::Diameter => run_diameter(h, opts, &mut w)?,
-            Query::PowerLaw => run_powerlaw(h, &mut w),
+            Query::PowerLaw => run_powerlaw(h, opts, &mut w)?,
             Query::Cover => run_cover(h, opts, &mut w)?,
         }
         w.end_object();
         let mut body = w.finish();
         body.push('\n');
+        // Id translation, sorting and the JSON itself run after a
+        // kernel's last check: a body finished past the budget answers
+        // 504, never a late 200.
+        opts.deadline.check("query.body", body.len() as u64)?;
         Ok(Some(body))
     }
 }
@@ -254,7 +258,8 @@ fn external_id(v: VertexId, opts: &ExecOpts) -> u64 {
     v.0 as u64 + 1
 }
 
-fn run_stats(h: &Hypergraph, w: &mut JsonWriter) {
+fn run_stats(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
+    opts.deadline.check("stats", 0)?;
     let cc = hypergraph::hypergraph_components(h);
     w.key("vertices").uint(h.num_vertices() as u64);
     w.key("hyperedges").uint(h.num_edges() as u64);
@@ -276,9 +281,11 @@ fn run_stats(h: &Hypergraph, w: &mut JsonWriter) {
         }
     }
     w.key("storage_bytes").uint(h.storage_bytes() as u64);
+    Ok(())
 }
 
-fn run_degrees(h: &Hypergraph, w: &mut JsonWriter) {
+fn run_degrees(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
+    opts.deadline.check("degrees", 0)?;
     w.key("vertex_degree_histogram").begin_array();
     for c in hypergraph::vertex_degree_histogram(h) {
         w.uint(c as u64);
@@ -289,9 +296,11 @@ fn run_degrees(h: &Hypergraph, w: &mut JsonWriter) {
         w.uint(c as u64);
     }
     w.end_array();
+    Ok(())
 }
 
-fn run_components(h: &Hypergraph, w: &mut JsonWriter) {
+fn run_components(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
+    opts.deadline.check("components", 0)?;
     let cc = hypergraph::hypergraph_components(h);
     w.key("count").uint(cc.count() as u64);
     // Largest-first; the hyperedge-count tiebreak keeps the order
@@ -313,6 +322,7 @@ fn run_components(h: &Hypergraph, w: &mut JsonWriter) {
         w.end_object();
     }
     w.end_array();
+    Ok(())
 }
 
 fn run_kcore(
@@ -398,7 +408,8 @@ fn run_diameter(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(
     Ok(())
 }
 
-fn run_powerlaw(h: &Hypergraph, w: &mut JsonWriter) {
+fn run_powerlaw(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
+    opts.deadline.check("powerlaw", 0)?;
     let hist = hypergraph::vertex_degree_histogram(h);
     match hypergraph::fit_power_law(&hist) {
         Some(fit) => {
@@ -413,6 +424,7 @@ fn run_powerlaw(h: &Hypergraph, w: &mut JsonWriter) {
             w.key("fit").raw("null");
         }
     }
+    Ok(())
 }
 
 fn run_cover(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
@@ -555,22 +567,52 @@ mod tests {
 
     #[test]
     fn pre_expired_deadline_maps_to_504() {
+        // Every endpoint, and `kcore?k=` beside the max core: a request
+        // whose budget is gone before it starts never answers 200.
         let h = chain();
         let opts = ExecOpts {
             deadline: hgobs::Deadline::after(std::time::Duration::ZERO),
             ..ExecOpts::default()
         };
-        for q in [
-            Query::Diameter,
-            Query::KCore { k: Some(1) },
-            Query::KCore { k: None },
-            Query::Distance { from: 1, to: 4 },
-            Query::Cover,
-        ] {
+        let param = |name: &str| match name {
+            "from" => Some("1".to_string()),
+            "to" => Some("4".to_string()),
+            _ => None,
+        };
+        let queries = ENDPOINTS
+            .iter()
+            .map(|e| Query::parse(e, param).unwrap())
+            .chain([Query::KCore { k: Some(1) }]);
+        for q in queries {
             let err = q.run_opts(&h, &opts).unwrap_err();
             assert_eq!(err.status, 504, "{q:?}: {}", err.message);
             assert!(err.message.contains("deadline exceeded"), "{}", err.message);
+            // Endpoints without a kernel deadline check at their top,
+            // under their own name.
+            if matches!(
+                q,
+                Query::Stats | Query::Degrees | Query::Components | Query::PowerLaw
+            ) {
+                let phase = format!(" in {} (0 work units done", q.endpoint());
+                assert!(err.message.contains(&phase), "{}", err.message);
+            }
         }
+    }
+
+    #[test]
+    fn components_past_the_budget_answer_504() {
+        // Labelling a 200,000-hyperedge path takes several ms with no
+        // check inside: the body check answers 504, not a late 200.
+        let mut b = HypergraphBuilder::new(200_001);
+        for i in 0..200_000 {
+            b.add_edge([i, i + 1]);
+        }
+        let opts = ExecOpts {
+            deadline: hgobs::Deadline::after(std::time::Duration::from_millis(1)),
+            ..ExecOpts::default()
+        };
+        let err = Query::Components.run_opts(&b.build(), &opts).unwrap_err();
+        assert_eq!(err.status, 504, "{}", err.message);
     }
 
     #[test]
