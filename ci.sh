@@ -566,6 +566,45 @@ for PAIR in rounds=2 vertices_peeled=1694 edges_deleted=6 subset_tests=20; do
 done
 echo "kcore smoke OK (u6000 3-core: 2 rounds, 1694 peeled, 6 deleted, 20 subset tests)"
 
+echo "==> hgserve k-core memo smoke (one cache-off server on the same u6000 file)"
+# A dataset keeps its hyperedges' raw-maximality decisions. The first
+# kcore?k=3 probes the 2,079 hyperedges its first peel touches and
+# decides the 2,421 it leaves untouched; the second skips those, all
+# maximal. Both bodies must be byte-identical, and the /metrics deltas
+# must be the counts `u6000_three_core_needs_few_subset_tests` pins.
+start_server --cache-mb 0 target/hgb-cache/hypergen-u6000.hgr
+probe_counts() {
+    curl -sf "http://$ADDR/metrics" | awk '
+        $1 == "hg_kcore_probe_edge_probes_total" { e = $2 }
+        $1 == "hg_kcore_probe_raw_probes_total" { r = $2 }
+        END { print e + 0, r + 0 }'
+}
+kcore_memo_run() {
+    curl -sf "http://$ADDR/v1/hypergen-u6000/kcore?k=3" -o "target/hgb-cache/kcore-memo-$1.json"
+}
+P0=$(probe_counts)
+kcore_memo_run 1
+P1=$(probe_counts)
+kcore_memo_run 2
+P2=$(probe_counts)
+stop_server
+rm -f smoke.log
+cmp -s target/hgb-cache/kcore-memo-1.json target/hgb-cache/kcore-memo-2.json || {
+    echo "cold and warm kcore?k=3 bodies differ on u6000"
+    exit 1
+}
+# kcore_memo_delta PASS BEFORE AFTER WANT: "edge raw" counts added.
+kcore_memo_delta() {
+    GOT="$((${3% *} - ${2% *})) $((${3#* } - ${2#* }))"
+    [ "$GOT" = "$4" ] || {
+        echo "expected the $1 kcore?k=3 on u6000 to add '$4' edge and raw probes, got '$GOT'"
+        exit 1
+    }
+}
+kcore_memo_delta cold "$P0" "$P1" "2079 2421"
+kcore_memo_delta warm "$P1" "$P2" "2079 0"
+echo "k-core memo smoke OK (u6000 3-core: 2079 probes and 2421 decisions cold, 2079 probes warm)"
+
 echo "==> hgserve smoke (hg serve on an ephemeral port + curl)"
 start_server
 # Robustness surface first, while the cache is cold: a 1ms deadline on

@@ -64,11 +64,23 @@ impl UnionFind {
     /// Dense labelling: returns `(labels, count)` where labels are
     /// `0..count` and equal labels mean same set.
     pub fn labels(&mut self) -> (Vec<u32>, usize) {
+        match self.labels_until(|| false) {
+            Some(labelled) => labelled,
+            None => unreachable!("a labelling that never stops finishes"),
+        }
+    }
+
+    /// [`UnionFind::labels`], calling `stop` before each element and
+    /// giving up with `None` as soon as it returns `true`.
+    pub fn labels_until(&mut self, mut stop: impl FnMut() -> bool) -> Option<(Vec<u32>, usize)> {
         let n = self.len();
         let mut label = vec![u32::MAX; n];
         let mut next = 0u32;
         let mut out = vec![0u32; n];
         for (x, slot) in out.iter_mut().enumerate() {
+            if stop() {
+                return None;
+            }
             let r = self.find(x);
             if label[r] == u32::MAX {
                 label[r] = next;
@@ -76,7 +88,7 @@ impl UnionFind {
             }
             *slot = label[r];
         }
-        (out, next as usize)
+        Some((out, next as usize))
     }
 }
 
@@ -116,6 +128,21 @@ mod tests {
         assert_eq!(labels[1], labels[2]);
         assert_ne!(labels[0], labels[1]);
         assert!(labels.iter().all(|&l| (l as usize) < count));
+    }
+
+    #[test]
+    fn labels_until_stops_when_asked() {
+        let mut uf = UnionFind::new(5);
+        uf.union(0, 4);
+        let mut calls = 0;
+        assert!(uf
+            .labels_until(|| {
+                calls += 1;
+                calls == 3
+            })
+            .is_none());
+        assert_eq!(calls, 3);
+        assert_eq!(uf.labels_until(|| false), Some(uf.labels()));
     }
 
     #[test]

@@ -260,7 +260,7 @@ fn external_id(v: VertexId, opts: &ExecOpts) -> u64 {
 
 fn run_stats(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
     opts.deadline.check("stats", 0)?;
-    let cc = hypergraph::hypergraph_components(h);
+    let cc = hypergraph::hypergraph_components_with(h, &opts.deadline)?;
     w.key("vertices").uint(h.num_vertices() as u64);
     w.key("hyperedges").uint(h.num_edges() as u64);
     w.key("pins").uint(h.num_pins() as u64);
@@ -301,7 +301,7 @@ fn run_degrees(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<()
 
 fn run_components(h: &Hypergraph, opts: &ExecOpts, w: &mut JsonWriter) -> Result<(), QueryError> {
     opts.deadline.check("components", 0)?;
-    let cc = hypergraph::hypergraph_components(h);
+    let cc = hypergraph::hypergraph_components_with(h, &opts.deadline)?;
     w.key("count").uint(cc.count() as u64);
     // Largest-first; the hyperedge-count tiebreak keeps the order
     // label-invariant (components equal in both counts are

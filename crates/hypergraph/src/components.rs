@@ -8,6 +8,7 @@
 //! its node is isolated.
 
 use graphcore::UnionFind;
+use hgobs::{Deadline, DeadlineExceeded};
 
 use crate::hypergraph::{EdgeId, Hypergraph, VertexId};
 
@@ -71,19 +72,41 @@ impl HyperComponents {
 /// Connected components via union–find over `|V| + |F|` elements,
 /// O(|E| α) time.
 pub fn hypergraph_components(h: &Hypergraph) -> HyperComponents {
+    match hypergraph_components_with(h, &Deadline::none()) {
+        Ok(cc) => cc,
+        Err(_) => unreachable!("an unlimited deadline cannot expire"),
+    }
+}
+
+/// [`hypergraph_components`] under a cooperative [`Deadline`] (phase
+/// `components`, work = hyperedges unioned): ticked once per hyperedge
+/// in the union loop and once per element in the labelling pass, and
+/// checked before the summary pass, so an expiry is noticed within
+/// [`CHECK_INTERVAL`](hgobs::CHECK_INTERVAL) items.
+pub fn hypergraph_components_with(
+    h: &Hypergraph,
+    deadline: &Deadline,
+) -> Result<HyperComponents, DeadlineExceeded> {
     let csr = h.csr();
     let (n, m) = (csr.num_vertices(), csr.num_edges());
     let mut uf = UnionFind::new(n + m);
+    let mut ticks = 0;
     for f in 0..m {
+        if deadline.tick(&mut ticks) {
+            return Err(deadline.exceeded("components", f as u64));
+        }
         for &v in csr.pins(f) {
             uf.union(n + f, v.index());
         }
     }
-    let (labels, count) = uf.labels();
+    let expired = || deadline.exceeded("components", m as u64);
+    let (labels, count) = uf
+        .labels_until(|| deadline.tick(&mut ticks))
+        .ok_or_else(expired)?;
+    deadline.check("components", m as u64)?;
 
-    // Labels from the union-find are dense over V+F jointly, but some may
-    // belong only to... every label is used by at least one element, so the
-    // count is the component count directly.
+    // Every label is used by at least one element, so the count is the
+    // component count directly.
     let vertex_label = labels[..n].to_vec();
     let edge_label = labels[n..].to_vec();
     let mut summary = vec![
@@ -99,11 +122,11 @@ pub fn hypergraph_components(h: &Hypergraph) -> HyperComponents {
     for &l in &edge_label {
         summary[l as usize].num_edges += 1;
     }
-    HyperComponents {
+    Ok(HyperComponents {
         vertex_label,
         edge_label,
         summary,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -181,6 +204,25 @@ mod tests {
         let big = cc.largest().unwrap();
         assert_eq!(cc.summary[big].num_vertices, 4);
         assert_eq!(cc.summary[big].num_edges, 3);
+    }
+
+    #[test]
+    fn cancelled_deadline_stops_the_union_loop_within_a_check_interval() {
+        // A path over three check intervals of hyperedges: the tick that
+        // reads the cancelled flag ends the union loop.
+        let m = 3 * hgobs::CHECK_INTERVAL as usize;
+        let mut b = HypergraphBuilder::new(m + 1);
+        for i in 0..m as u32 {
+            b.add_edge([i, i + 1]);
+        }
+        let h = b.build();
+        let dl = Deadline::cancellable();
+        dl.cancel();
+        let err = hypergraph_components_with(&h, &dl).unwrap_err();
+        assert_eq!(err.phase, "components");
+        assert!(err.work_done < hgobs::CHECK_INTERVAL as u64, "{err:?}");
+        let cc = hypergraph_components_with(&h, &Deadline::none()).unwrap();
+        assert_eq!(cc.count(), 1);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Frozen CSR representation of a hypergraph.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
+use crate::probe_kcore::ProbeMemo;
 use crate::storage::{Storage, StorageKind};
 
 /// Identifier of a vertex (a protein in the paper's application), a dense
@@ -82,9 +84,17 @@ impl fmt::Display for EdgeId {
 /// (`Csr`, four plain slices) and reads pins, incidences and degrees
 /// through it. The accessors below delegate to the same view, one
 /// resolution per call.
+///
+/// Beside the CSR, a hypergraph keeps what the probe k-core learns of
+/// it alone: its hyperedges' pin signatures and raw-maximality
+/// decisions ([`mod@crate::probe_kcore`]). That memo is built by the
+/// first k-core on the hypergraph and shared by its clones, and neither
+/// [`Hypergraph::storage_bytes`] nor [`Hypergraph::resident_bytes`]
+/// counts it.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
     storage: Storage,
+    probe_memo: Arc<OnceLock<ProbeMemo>>,
 }
 
 impl Hypergraph {
@@ -97,20 +107,21 @@ impl Hypergraph {
         adj_list: Vec<EdgeId>,
     ) -> Self {
         debug_assert_eq!(pin_list.len(), adj_list.len());
-        Hypergraph {
-            storage: Storage::Owned {
-                edge_offsets,
-                pin_list,
-                vertex_offsets,
-                adj_list,
-            },
-        }
+        Hypergraph::from_storage(Storage::Owned {
+            edge_offsets,
+            pin_list,
+            vertex_offsets,
+            adj_list,
+        })
     }
 
     /// Wrap an already-validated storage backing (crate-internal; used
     /// by the `.hgb` reader for the mmap path).
     pub(crate) fn from_storage(storage: Storage) -> Self {
-        Hypergraph { storage }
+        Hypergraph {
+            storage,
+            probe_memo: Arc::default(),
+        }
     }
 
     /// The CSR view: the backing resolved once, for a kernel to read
@@ -118,6 +129,11 @@ impl Hypergraph {
     #[inline]
     pub(crate) fn csr(&self) -> Csr<'_> {
         self.storage.csr()
+    }
+
+    /// The probe k-core's memo: empty until a k-core builds it.
+    pub(crate) fn probe_memo(&self) -> &OnceLock<ProbeMemo> {
+        &self.probe_memo
     }
 
     /// Which backing the CSR lives in: [`StorageKind::Owned`] heap

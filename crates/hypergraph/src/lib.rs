@@ -90,7 +90,9 @@ pub mod validate;
 
 pub use bipartite::BipartiteView;
 pub use builder::HypergraphBuilder;
-pub use components::{hypergraph_components, ComponentSummary, HyperComponents};
+pub use components::{
+    hypergraph_components, hypergraph_components_with, ComponentSummary, HyperComponents,
+};
 pub use cover::{
     greedy_multicover, greedy_vertex_cover, greedy_vertex_cover_with, is_multicover,
     is_vertex_cover, CoverError, CoverResult,

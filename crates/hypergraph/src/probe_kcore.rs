@@ -15,26 +15,59 @@
 //!    are the next round's candidates.
 //!
 //! Round one starts with every vertex a candidate and every hyperedge
-//! affected, so its edge phase is the reduce: it probes each hyperedge
-//! once, against the smaller state the first peel leaves. The vertex
-//! phase may go first because the reduce only deletes hyperedges: a
-//! vertex whose raw degree is below k also has a reduced degree below k,
-//! so it falls outside the k-core whichever phase runs first, and peeling
-//! is confluent. Later vertex phases test only the vertices whose degree
-//! fell in the edge phase before: no other vertex's degree changed since
-//! it last passed the test. (A new level of the decomposition below
-//! raises `k`, so it tests every survivor.)
+//! affected, so its edge phase is the reduce: it decides each
+//! hyperedge's maximality once, against the smaller state the first peel
+//! leaves. The vertex phase may go first because the reduce only deletes
+//! hyperedges: a vertex whose raw degree is below k also has a reduced
+//! degree below k, so it falls outside the k-core whichever phase runs
+//! first, and peeling is confluent. Later vertex phases test only the
+//! vertices whose degree fell in the edge phase before: no other vertex's
+//! degree changed since it last passed the test. (A new level of the
+//! decomposition below raises `k`, so it tests every survivor.)
 //!
 //! A probe scans the hyperedge's raw pins once. It pivots on the alive
 //! pin in the fewest alive hyperedges, and ORs the alive pins into a
 //! 64-bit signature, one bit per vertex id by a fixed multiplicative
 //! hash. Any container holds every alive pin, so the hyperedges through
 //! the pivot are the only candidates. A candidate whose own signature
-//! (over its raw pins, built once per call) lacks one of those bits
-//! misses an alive pin, and one AND rejects it: the standard pre-test
-//! for set containment (Helmer & Moerkotte, VLDB 1997). Only the
-//! candidates that pass are tested by merging the sorted alive pins
-//! against their raw pin lists, so the filter changes no decision.
+//! (over its raw pins) lacks one of those bits misses an alive pin, and
+//! one AND rejects it: the standard pre-test for set containment (Helmer
+//! & Moerkotte, VLDB 1997). Only the candidates that pass are tested by
+//! merging the sorted alive pins against their raw pin lists, so the
+//! filter changes no decision.
+//!
+//! **The memo.** Whether a hyperedge is contained in another of the raw
+//! hypergraph `H` (maximal or not, by the same tie rule) depends on `H`
+//! alone. So each [`Hypergraph`] keeps, once its first k-core builds
+//! them, every hyperedge's signature and that raw-maximality decision
+//! once made: 8 B and 2 bits per hyperedge, shared by its clones. Round
+//! one reads them, and nothing else does:
+//!
+//! - A hyperedge `f` the first peel left *untouched* (every raw pin
+//!   alive) whose decision reads maximal is not probed: it is still
+//!   maximal. Say an alive `g` holds `f`'s alive pins and wins the tie
+//!   rule now. Those are all of `f`'s pins, so `g` held them in `H` too,
+//!   with at least as many pins then as now. If `g` now has more pins
+//!   than `f`, it had more in `H`; if it now ties with a smaller id, it
+//!   had more in `H` or was `f`'s copy with a smaller id. Either way `f`
+//!   was non-maximal in `H`.
+//! - An untouched hyperedge with no decision yet gets a *raw probe*: the
+//!   probe above with every candidate weighed by its raw size. The
+//!   result is recorded. A raw container that also wins now answers for
+//!   `f`; otherwise `f` is probed against the snapshot as well, since a
+//!   larger container can shrink to a tie with it and lose on id
+//!   (`fold_keeps_the_smaller_id_of_copies_that_end_up_identical`).
+//! - An untouched hyperedge decided non-maximal, and every touched one,
+//!   is probed against the snapshot as before.
+//!
+//! So the first k-core on a hypergraph probes each hyperedge once, as
+//! before, and every later one, at any `k` and for either entry point,
+//! probes only the touched hyperedges and the non-maximal ones. Round
+//! one walks the hyperedges in blocks of 64, queued by two masks with no
+//! branch per hyperedge, and publishes a block's new decisions together
+//! once all its probes are done, so an expiry mid-block records none of
+//! them. Later rounds, and later levels of the decomposition, probe as
+//! before.
 //!
 //! The vertex phase's collection and the core's id lists write every id
 //! and advance by the test's outcome, so no branch depends on a degree.
@@ -62,6 +95,9 @@
 //! only the snapshot it starts from, so its items are independent; it
 //! runs on one thread.
 
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use hgobs::{Deadline, DeadlineExceeded, TraceCtx};
 
 use crate::decompose::Decomposition;
@@ -82,6 +118,64 @@ fn sig_bit(v: VertexId) -> u64 {
 /// asserts.
 const DEAD: u32 = u32::MAX;
 
+/// What the probe k-core knows of a hypergraph `H` alone, kept with it
+/// ([`Hypergraph`]) and built by its first k-core: 8 B of signature and
+/// 2 bits of decision per hyperedge.
+pub(crate) struct ProbeMemo {
+    /// Each hyperedge's raw pins ORed through [`sig_bit`].
+    sig: Vec<u64>,
+    /// Raw-maximality decisions, two bitmaps over hyperedge ids (bit
+    /// `f % 64` of word `f / 64`): `decided` once `f`'s is made, and
+    /// `non_maximal` when `f` is empty or in another hyperedge of `H`
+    /// that wins the tie rule. Round one makes a decision when it first
+    /// needs it, and publishes a block's decisions together: the
+    /// non-maximal bits, then the decided bits with `Release`, which a
+    /// reader's `Acquire` load pairs with. A decision depends on `H`
+    /// alone, so threads that race set the same bits.
+    decided: Vec<AtomicU64>,
+    non_maximal: Vec<AtomicU64>,
+}
+
+impl ProbeMemo {
+    /// `h`'s memo, built by the first call. The build ticks `deadline`
+    /// once per hyperedge (phase `kcore.probe.state`, no work done); an
+    /// expiry stores nothing.
+    fn of<'h>(
+        h: &'h Hypergraph,
+        deadline: &Deadline,
+        ticks: &mut u32,
+    ) -> Result<&'h ProbeMemo, DeadlineExceeded> {
+        if let Some(memo) = h.probe_memo().get() {
+            return Ok(memo);
+        }
+        let csr = h.csr();
+        let mut sig = Vec::with_capacity(csr.num_edges());
+        for f in 0..csr.num_edges() {
+            if deadline.tick(ticks) {
+                return Err(deadline.exceeded("kcore.probe.state", 0));
+            }
+            sig.push(csr.pins(f).iter().fold(0, |sig, &v| sig | sig_bit(v)));
+        }
+        let bitmap = || {
+            (0..sig.len().div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect()
+        };
+        let (decided, non_maximal) = (bitmap(), bitmap());
+        Ok(h.probe_memo().get_or_init(|| ProbeMemo {
+            sig,
+            decided,
+            non_maximal,
+        }))
+    }
+}
+
+impl fmt::Debug for ProbeMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ProbeMemo({} hyperedges)", self.sig.len())
+    }
+}
+
 struct State<'h> {
     /// The raw hypergraph, resolved once for the whole call.
     csr: Csr<'h>,
@@ -91,14 +185,17 @@ struct State<'h> {
     deg_v: Vec<u32>,
     /// Alive pins of each hyperedge, or [`DEAD`].
     deg_e: Vec<u32>,
-    /// Each hyperedge's raw pins ORed through [`sig_bit`].
-    sig: Vec<u64>,
+    /// The memo's signatures and raw-maximality decisions.
+    sig: &'h [u64],
+    decided: &'h [AtomicU64],
+    non_maximal: &'h [AtomicU64],
     vertices_alive: usize,
     edges_alive: usize,
     /// `Σ deg_e` over alive hyperedges.
     pins_alive: usize,
     /// Round one's queue: every vertex a candidate and every hyperedge
-    /// affected, walked in id order instead of listed.
+    /// affected, walked in id order instead of listed (hyperedges in
+    /// blocks of 64, [`Self::round_one_masks`]).
     all_queued: bool,
     /// Hyperedges the next edge phase probes, each listed once.
     affected: Vec<u32>,
@@ -119,19 +216,23 @@ struct State<'h> {
     vertices_peeled: u64,
     edges_deleted: u64,
     subset_tests: u64,
+    /// Probes against a snapshot, and raw-maximality decisions made.
+    edge_probes: u64,
+    raw_probes: u64,
 }
 
 impl<'h> State<'h> {
     /// Round one's state: every vertex a candidate, every hyperedge
     /// affected. Both are marked, so a vertex that is below `k` from the
     /// start is queued once, and so is a hyperedge that loses a pin to
-    /// the first vertex phase. The build ticks `deadline` once per id
-    /// (phase `kcore.probe.state`, no work done).
+    /// the first vertex phase. The build, the memo's included, ticks
+    /// `deadline` once per id (phase `kcore.probe.state`, no work done).
     fn new(h: &'h Hypergraph, deadline: &Deadline) -> Result<Self, DeadlineExceeded> {
         let csr = h.csr();
         let (n, m) = (csr.num_vertices(), csr.num_edges());
         assert!(h.num_pins() < DEAD as usize, "a degree could read as DEAD");
         let mut ticks = 0;
+        let memo = ProbeMemo::of(h, deadline, &mut ticks)?;
         let mut expired = || deadline.tick(&mut ticks);
         let mut deg_v = vec![0; n];
         for (v, d) in deg_v.iter_mut().enumerate() {
@@ -140,21 +241,21 @@ impl<'h> State<'h> {
             }
             *d = csr.vertex_degree(v);
         }
-        let (mut deg_e, mut sig) = (vec![0; m], vec![0; m]);
-        for (f, (d, s)) in deg_e.iter_mut().zip(&mut sig).enumerate() {
+        let mut deg_e = vec![0; m];
+        for (f, d) in deg_e.iter_mut().enumerate() {
             if expired() {
                 return Err(deadline.exceeded("kcore.probe.state", 0));
             }
-            let pins = csr.pins(f);
-            *d = pins.len() as u32;
-            *s = pins.iter().fold(0, |sig, &v| sig | sig_bit(v));
+            *d = csr.edge_degree(f);
         }
         Ok(State {
             csr,
             k: 0,
             deg_v,
             deg_e,
-            sig,
+            sig: &memo.sig,
+            decided: &memo.decided,
+            non_maximal: &memo.non_maximal,
             vertices_alive: n,
             edges_alive: m,
             pins_alive: h.num_pins(),
@@ -171,33 +272,72 @@ impl<'h> State<'h> {
             vertices_peeled: 0,
             edges_deleted: 0,
             subset_tests: 0,
+            edge_probes: 0,
+            raw_probes: 0,
         })
     }
 
     /// `true` iff alive hyperedge `f` is empty or contained in an alive
     /// `g` that wins the tie rule (strictly larger, or identical with a
-    /// smaller id).
+    /// smaller id): a probe against this snapshot.
     fn is_non_maximal(&mut self, f: usize) -> bool {
+        self.edge_probes += 1;
+        self.deg_e[f] == 0 || self.container::<false>(f).is_some()
+    }
+
+    /// Round one's probe of a hyperedge `f` that the first peel left
+    /// untouched and that has no raw decision yet: whether `f` is
+    /// non-maximal in `H`, by a raw probe, and whether it is in this
+    /// snapshot. A raw container that also wins here answers both.
+    fn decide(&mut self, f: usize) -> (bool, bool) {
+        self.raw_probes += 1;
+        // An empty `f` is non-maximal either way; its own id stands in
+        // for the container.
+        let container = match self.deg_e[f] {
+            0 => Some(f),
+            _ => self.container::<true>(f),
+        };
+        let now = container.is_some_and(|g| g == f || self.beats(g, f) || self.is_non_maximal(f));
+        (container.is_some(), now)
+    }
+
+    /// `true` iff alive `g` wins the tie rule against `f` in this
+    /// snapshot.
+    fn beats(&self, g: usize, f: usize) -> bool {
+        let (dg, df) = (self.deg_e[g], self.deg_e[f]);
+        dg != DEAD && (dg > df || (dg == df && g < f))
+    }
+
+    /// The first hyperedge through the pivot of alive, nonempty `f` that
+    /// holds `f`'s alive pins and wins the tie rule against it: by alive
+    /// pin counts, or with `RAW` by raw ones. `RAW` is for round one's
+    /// edge phase on an untouched `f`, where no hyperedge is dead, `f`'s
+    /// pins are all alive and their degrees are raw, so the pin scan is
+    /// the raw hypergraph's.
+    fn container<const RAW: bool>(&mut self, f: usize) -> Option<usize> {
         let df = self.deg_e[f];
-        if df == 0 {
-            return true;
-        }
         // One scan for the pivot and the alive pins' signature: a dead
         // pin's degree is `DEAD`, so it is never the pivot and adds no
         // bit.
+        // Under `RAW` every pin is alive, so the signature is `f`'s own.
         let pins_f = self.csr.pins(f);
         let (mut pivot, mut pivot_deg, mut sig_f) = (0, DEAD, 0u64);
         for &v in pins_f {
             let d = self.deg_v[v.index()];
-            sig_f |= sig_bit(v) & ((d != DEAD) as u64).wrapping_neg();
+            if !RAW {
+                sig_f |= sig_bit(v) & ((d != DEAD) as u64).wrapping_neg();
+            }
             if d < pivot_deg {
                 (pivot, pivot_deg) = (v.index(), d);
             }
         }
+        if RAW {
+            sig_f = self.sig[f];
+        }
         // The pivot's alive hyperedges include `f`: with no other, `f`
         // has no container.
         if pivot_deg < 2 {
-            return false;
+            return None;
         }
         self.pin_buf.clear();
         for &g in self.csr.edges_of(pivot) {
@@ -206,7 +346,11 @@ impl<'h> State<'h> {
             if gi == f || sig_f & !self.sig[gi] != 0 {
                 continue;
             }
-            let dg = self.deg_e[gi];
+            let dg = if RAW {
+                self.csr.edge_degree(gi)
+            } else {
+                self.deg_e[gi]
+            };
             if dg != DEAD && (dg > df || (dg == df && gi < f)) {
                 // The alive pins, gathered for the first candidate that
                 // passes the filter.
@@ -224,11 +368,11 @@ impl<'h> State<'h> {
                     .iter()
                     .all(|&x| rest.by_ref().find(|&y| y >= x) == Some(x))
                 {
-                    return true;
+                    return Some(gi);
                 }
             }
         }
-        false
+        None
     }
 
     fn delete_edge(&mut self, f: usize) {
@@ -271,28 +415,78 @@ impl<'h> State<'h> {
         }
     }
 
+    /// Round one's queue for block `w`, the 64 hyperedges from `64 w`,
+    /// as two masks over their offsets in it: the hyperedges to probe
+    /// against the snapshot, and those to give a raw probe first. A
+    /// hyperedge the first peel left untouched holds all its raw pins, so
+    /// it is non-maximal now only if it is in `H` (module docs): one whose
+    /// memoized decision reads maximal is in neither mask, and one with
+    /// no decision yet is in the second. Every other hyperedge is in the
+    /// first.
+    fn round_one_masks(&self, w: usize) -> (u64, u64) {
+        let (base, end) = (64 * w, (64 * w + 64).min(self.csr.num_edges()));
+        // `State::new` read every size through a checked slice, so each
+        // offset plus its hyperedge's alive pins stays in range.
+        let (start, stop) = (
+            &self.csr.edge_offsets[base..end],
+            &self.csr.edge_offsets[base + 1..=end],
+        );
+        let deg = &self.deg_e[base..end];
+        let mut untouched = 0u64;
+        for i in 0..deg.len() {
+            untouched |= ((start[i] + deg[i] == stop[i]) as u64) << i;
+        }
+        let decided = self.decided[w].load(Ordering::Acquire);
+        let non_maximal = self.non_maximal[w].load(Ordering::Relaxed);
+        let skipped = untouched & decided & !non_maximal;
+        let undecided = untouched & !decided;
+        let block = u64::MAX >> (64 - (end - base));
+        (block & !(skipped | undecided), undecided)
+    }
+
     /// Probe every affected hyperedge against this snapshot, then delete
-    /// the non-maximal ones. Ends round one's walk over every id.
+    /// the non-maximal ones. Round one walks every id in blocks of 64,
+    /// queued by [`Self::round_one_masks`], clears every queue mark, and
+    /// publishes each block's new decisions once the block is probed.
     fn edge_phase(&mut self, deadline: &Deadline) -> Result<(), DeadlineExceeded> {
         let mut doomed = std::mem::take(&mut self.doomed);
         doomed.clear();
-        let mut ticks = 0;
-        let mut probe = |s: &mut Self, f: u32| {
-            s.in_affected[f as usize] = false;
-            if s.deg_e[f as usize] != DEAD && s.is_non_maximal(f as usize) {
-                doomed.push(f);
+        let (mut ticks, peeled) = (0, self.vertices_peeled);
+        let mut settle = |f: usize, non_maximal: bool| {
+            if non_maximal {
+                doomed.push(f as u32);
             }
-            if deadline.tick(&mut ticks) {
-                return Err(deadline.exceeded("kcore.probe.edge_phase", s.vertices_peeled));
+            match deadline.tick(&mut ticks) {
+                true => Err(deadline.exceeded("kcore.probe.edge_phase", peeled)),
+                false => Ok(()),
             }
-            Ok(())
         };
-        if self.all_queued {
-            self.all_queued = false;
-            (0..self.csr.num_edges() as u32).try_for_each(|f| probe(self, f))?;
+        if std::mem::take(&mut self.all_queued) {
+            self.in_affected.fill(false);
+            for w in 0..self.decided.len() {
+                let (snapshot, undecided) = self.round_one_masks(w);
+                bits(snapshot).try_for_each(|i| {
+                    let f = 64 * w + i;
+                    settle(f, self.is_non_maximal(f))
+                })?;
+                if undecided != 0 {
+                    let mut found = 0;
+                    bits(undecided).try_for_each(|i| {
+                        let (raw, now) = self.decide(64 * w + i);
+                        found |= (raw as u64) << i;
+                        settle(64 * w + i, now)
+                    })?;
+                    self.non_maximal[w].fetch_or(found, Ordering::Relaxed);
+                    self.decided[w].fetch_or(undecided, Ordering::Release);
+                }
+            }
         } else {
             let affected = std::mem::take(&mut self.affected);
-            let probed = affected.iter().try_for_each(|&f| probe(self, f));
+            let probed = affected.iter().try_for_each(|&f| {
+                let f = f as usize;
+                self.in_affected[f] = false;
+                settle(f, self.deg_e[f] != DEAD && self.is_non_maximal(f))
+            });
             self.affected = affected;
             self.affected.clear();
             probed?;
@@ -435,7 +629,18 @@ impl<'h> State<'h> {
         hgobs::counter!("kcore.probe.vertices_peeled", self.vertices_peeled);
         hgobs::counter!("kcore.probe.edges_deleted", self.edges_deleted);
         hgobs::counter!("kcore.probe.subset_tests", self.subset_tests);
+        hgobs::counter!("kcore.probe.edge_probes", self.edge_probes);
+        hgobs::counter!("kcore.probe.raw_probes", self.raw_probes);
     }
+}
+
+/// The indices of `mask`'s set bits, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
 }
 
 /// The `count` ids whose entry in `per_id` passes `keep`, ascending, in
@@ -521,6 +726,7 @@ mod tests {
     use crate::naive::{edge_contents, naive_cores, naive_kcore};
     use crate::testgen::{planted_core_hypergraph, uniform_random_hypergraph};
     use crate::HypergraphBuilder;
+    use std::sync::Barrier;
 
     /// Same vertices and edge contents as the naive oracle.
     fn assert_equivalent(h: &Hypergraph, k: u32) {
@@ -653,13 +859,19 @@ mod tests {
             assert_eq!(err.phase, "kcore.probe.state");
             assert_eq!(err.work_done, 0, "{err:?}");
         }
+        // The expiry fell inside the signature build, which stored
+        // nothing; the next call builds the memo and answers.
+        assert!(h.probe_memo().get().is_none());
+        assert_equivalent(&h, 2);
+        assert!(h.probe_memo().get().is_some());
     }
 
     #[test]
     fn cancelled_deadline_stops_round_one_probes_within_a_check_interval() {
         // Over two check intervals of hyperedges, all queued for round
-        // one's edge phase (k = 0 peels no vertex). Each probe ticks, and
-        // the one that reads the cancelled flag is the last.
+        // one's edge phase (k = 0 peels no vertex), none decided yet.
+        // Each probe ticks, and the one that reads the cancelled flag is
+        // the last.
         let m = 2 * hgobs::CHECK_INTERVAL as usize + 25;
         let h = uniform_random_hypergraph(400, m, 3, 13);
         let mut s = State::new(&h, &Deadline::none()).unwrap();
@@ -669,13 +881,34 @@ mod tests {
         let err = s.edge_phase(&dl).unwrap_err();
         assert_eq!(err.phase, "kcore.probe.edge_phase");
         assert_eq!(err.work_done, 0, "{err:?}");
-        // A probe clears its queue mark; nothing was deleted.
-        let probed = s.in_affected.iter().filter(|&&queued| !queued).count();
+        // Nothing peeled, so every probe was a decision; nothing was
+        // deleted.
+        let probed = (s.raw_probes + s.edge_probes) as usize;
         assert!(
             probed > 0 && probed <= hgobs::CHECK_INTERVAL as usize,
             "{probed} of {m} hyperedges probed"
         );
         assert_eq!((s.edges_alive, s.edges_deleted), (m, 0));
+        // The blocks probed whole published their decisions, the one cut
+        // short none, and each decision is right.
+        let memo = h.probe_memo().get().unwrap();
+        let decided = (0..m).filter(|&f| decision(memo, f).is_some()).count();
+        assert_eq!(decided, (probed - 1) / 64 * 64);
+        assert_decisions_match_h(&h);
+        for k in [0, 2, 3] {
+            let (warm, cold) = (probe_kcore(&h, k), probe_kcore(&rebuilt(&h), k));
+            assert_eq!((warm.vertices, warm.edges), (cold.vertices, cold.edges));
+        }
+        assert_decisions_match_h(&h);
+    }
+
+    /// A copy of `h` with the same ids and no memo.
+    fn rebuilt(h: &Hypergraph) -> Hypergraph {
+        let mut b = HypergraphBuilder::new(h.num_vertices());
+        for f in h.edges() {
+            b.add_edge(h.pins(f).iter().map(|v| v.0));
+        }
+        b.build()
     }
 
     #[test]
@@ -744,9 +977,36 @@ mod tests {
         s
     }
 
-    /// `(rounds, vertices_peeled, edges_deleted, subset_tests)`.
-    fn work(s: &State) -> (u64, u64, u64, u64) {
-        (s.rounds, s.vertices_peeled, s.edges_deleted, s.subset_tests)
+    /// `(rounds, vertices_peeled, edges_deleted, subset_tests,
+    /// edge_probes, raw_probes)`.
+    fn work(s: &State) -> (u64, u64, u64, u64, u64, u64) {
+        (
+            s.rounds,
+            s.vertices_peeled,
+            s.edges_deleted,
+            s.subset_tests,
+            s.edge_probes,
+            s.raw_probes,
+        )
+    }
+
+    /// `f`'s raw-maximality decision in `memo`: `Some(true)` for
+    /// non-maximal, `None` while undecided.
+    fn decision(memo: &ProbeMemo, f: usize) -> Option<bool> {
+        let bit = |words: &[AtomicU64]| words[f / 64].load(Ordering::Acquire) >> (f % 64) & 1 == 1;
+        bit(&memo.decided).then(|| bit(&memo.non_maximal))
+    }
+
+    /// Every decision `h`'s memo holds agrees with the raw oracle.
+    fn assert_decisions_match_h(h: &Hypergraph) {
+        let memo = h.probe_memo().get().expect("a k-core ran");
+        let mut non_maximal = vec![false; h.num_edges()];
+        for f in crate::reduce::non_maximal_edges_naive(h) {
+            non_maximal[f.index()] = true;
+        }
+        for (f, &want) in non_maximal.iter().enumerate() {
+            assert!(decision(memo, f).is_none_or(|got| got == want), "e{f}");
+        }
     }
 
     #[test]
@@ -754,50 +1014,76 @@ mod tests {
         // hgperf's u6000, whose 3-core deletes 6 hyperedges. Probing
         // each hyperedge once per round, behind the signature filter,
         // takes 20 sorted merges to find them; without both, 8,182.
+        // The first call decides the 2,421 hyperedges its first peel
+        // leaves untouched, all maximal in H; a later call skips them
+        // and probes only the 2,079 the peel touches, plus round two's.
         // Exact counts: a change to which hyperedges are probed or
         // merged moves them.
         let h = uniform_random_hypergraph(6000, 4500, 5, 41);
-        let s = peeled_state(&h, 3);
-        assert_eq!(work(&s), (2, 1694, 6, 20));
-        let core = s.core();
-        assert_eq!(
-            (core.vertices.len(), core.edges.len(), core.pins),
-            (4306, 4494, 19884)
-        );
-        assert_eq!(core.vertices.capacity(), 4306);
-        assert_eq!(core.edges.capacity(), 4494);
+        for (pass, want) in [
+            ("cold", (2, 1694, 6, 20, 2079, 2421)),
+            ("warm", (2, 1694, 6, 20, 2079, 0)),
+        ] {
+            let s = peeled_state(&h, 3);
+            assert_eq!(work(&s), want, "{pass}");
+            let core = s.core();
+            assert_eq!(
+                (core.vertices.len(), core.edges.len(), core.pins),
+                (4306, 4494, 19884)
+            );
+            assert_eq!(core.vertices.capacity(), 4306);
+            assert_eq!(core.edges.capacity(), 4494);
+        }
+        let dl = Deadline::none();
+        let mut s = State::new(&h, &dl).unwrap();
+        s.k = 3;
+        s.vertex_phase(&dl)
+            .and_then(|()| s.edge_phase(&dl))
+            .unwrap();
+        assert_eq!((s.edge_probes, s.raw_probes), (2079, 0));
+        assert_decisions_match_h(&h);
     }
 
     #[test]
     fn max_cores_pin_their_work_counters() {
         // hgperf's u6000 and the Cellzome golden dataset, decomposed to
-        // the empty core the way `probe_decompose_with` does.
+        // the empty core the way `probe_decompose_with` does, on a fresh
+        // hypergraph and again on the same one. Level 1's first peel
+        // takes only isolated vertices, so the first decomposition
+        // decides every hyperedge, and the second probes only the ones
+        // non-maximal in H at level 1 (none of u6000's, 101 of
+        // Cellzome's). The merges are the same.
         let cellzome = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../data/cellzome-2004.hgr"
         ))
         .expect("golden dataset present");
-        for (h, want_work, want_core) in [
+        for (h, want_cold, want_warm, want_core) in [
             (
                 uniform_random_hypergraph(6000, 4500, 5, 41),
-                (21, 6000, 4500, 4086),
+                (21, 6000, 4500, 4086, 13859, 4500),
+                (21, 6000, 4500, 4086, 13859, 0),
                 (5, 1473, 3190, 8617),
             ),
             (
                 crate::io::read_hgr(&cellzome).unwrap(),
-                (17, 1361, 232, 181),
+                (17, 1361, 232, 181, 443, 232),
+                (17, 1361, 232, 181, 544, 0),
                 (6, 41, 54, 246),
             ),
         ] {
-            let dl = Deadline::none();
-            let mut s = State::new(&h, &dl).unwrap();
-            let d = s.decompose(&dl).unwrap();
-            assert_eq!(work(&s), want_work);
-            let mc = d.max_core.unwrap();
-            let got = (mc.k, mc.vertices.len(), mc.edges.len(), mc.pins);
-            assert_eq!(got, want_core);
-            assert_eq!(mc.vertices.capacity(), mc.vertices.len());
-            assert_eq!(mc.edges.capacity(), mc.edges.len());
+            for want_work in [want_cold, want_warm] {
+                let dl = Deadline::none();
+                let mut s = State::new(&h, &dl).unwrap();
+                let d = s.decompose(&dl).unwrap();
+                assert_eq!(work(&s), want_work);
+                let mc = d.max_core.unwrap();
+                let got = (mc.k, mc.vertices.len(), mc.edges.len(), mc.pins);
+                assert_eq!(got, want_core);
+                assert_eq!(mc.vertices.capacity(), mc.vertices.len());
+                assert_eq!(mc.edges.capacity(), mc.edges.len());
+            }
+            assert_decisions_match_h(&h);
         }
     }
 
@@ -877,6 +1163,76 @@ mod tests {
             [EdgeId(1), EdgeId(2), EdgeId(3)]
         );
         assert_equivalent(&h, 2);
+    }
+
+    #[test]
+    fn memo_keeps_the_tie_rule_at_every_k() {
+        // The fixture above, cold at k = 2, then warm at k = 2, 1, 0 and
+        // 2 again. f0 = {0,1} lies in f1 = {0,1,2}, so its decision reads
+        // non-maximal; at k = 2 it is still probed and kept, since f1
+        // shrinks to a tie with it and loses on id.
+        let mut b = HypergraphBuilder::new(4);
+        b.add_edge([0, 1]);
+        b.add_edge([0, 1, 2]);
+        b.add_edge([0, 3]);
+        b.add_edge([1, 3]);
+        let h = b.build();
+        for k in [2, 2, 1, 0, 2] {
+            assert_equivalent(&h, k);
+            let cold = probe_kcore(&rebuilt(&h), k);
+            let warm = probe_kcore(&h, k);
+            assert_eq!((&warm.vertices, &warm.edges), (&cold.vertices, &cold.edges));
+            if k == 2 {
+                assert_eq!(warm.edges, [EdgeId(0), EdgeId(2), EdgeId(3)]);
+            }
+        }
+        let memo = h.probe_memo().get().unwrap();
+        let got: Vec<_> = (0..4).map(|f| decision(memo, f)).collect();
+        assert_eq!(got, [Some(true), Some(false), Some(false), Some(false)]);
+    }
+
+    #[test]
+    fn threads_racing_on_a_cold_memo_get_the_oracle_answers() {
+        // Uniform hyperedges plus a nested subset of every third and a
+        // copy of every fifth, so decisions of both kinds are made. Two
+        // threads start together on one cold hypergraph at different k.
+        for seed in 0..6 {
+            let base = uniform_random_hypergraph(300, 500, 5, seed);
+            let mut b = HypergraphBuilder::new(base.num_vertices());
+            for f in base.edges() {
+                let pins: Vec<u32> = base.pins(f).iter().map(|v| v.0).collect();
+                b.add_edge(pins.iter().copied());
+                if f.0 % 3 == 0 {
+                    b.add_edge(pins[1..].iter().copied());
+                }
+                if f.0 % 5 == 0 {
+                    b.add_edge(pins.iter().copied());
+                }
+            }
+            let h = b.build();
+            let want: Vec<_> = [2, 3].map(|k| naive_kcore(&h, k)).into();
+            let start = Barrier::new(2);
+            let got: Vec<KCore> = std::thread::scope(|scope| {
+                let runs = [2, 3].map(|k| {
+                    let (h, start) = (&h, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        probe_kcore(h, k)
+                    })
+                });
+                runs.map(|run| run.join().unwrap()).into()
+            });
+            for (core, (nv, ne)) in got.iter().zip(&want) {
+                assert_eq!(&core.vertices, nv, "seed {seed}, k = {}", core.k);
+                assert_eq!(
+                    edge_contents(&h, &core.edges, &core.vertices),
+                    edge_contents(&h, ne, nv),
+                    "seed {seed}, k = {}",
+                    core.k
+                );
+            }
+            assert_decisions_match_h(&h);
+        }
     }
 
     #[test]

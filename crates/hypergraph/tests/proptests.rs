@@ -39,6 +39,47 @@ fn arb_hypergraph(
     })
 }
 
+/// Like [`arb_hypergraph`], plus hyperedges drawn from those: each
+/// keeps the pins whose bit in a random mask is clear, so nested and
+/// duplicate hyperedges are common. The drawn ones come first, so a
+/// subset often has the smaller id, and its container, once a peel
+/// shrinks it to a tie, loses.
+fn arb_nested_hypergraph(
+    max_v: usize,
+    max_e: usize,
+    max_size: usize,
+) -> impl Strategy<Value = Hypergraph> {
+    (1..=max_v).prop_flat_map(move |n| {
+        (
+            proptest::collection::vec(
+                proptest::collection::vec(0..n as u32, 0..=max_size),
+                1..=max_e,
+            ),
+            proptest::collection::vec((0..max_e, 0u32..1 << max_size), 0..=max_e),
+        )
+            .prop_map(move |(edges, picks)| {
+                let mut b = HypergraphBuilder::new(n);
+                for (i, drop) in picks {
+                    let e = edges[i % edges.len()].iter().enumerate();
+                    b.add_edge(e.filter(|&(j, _)| drop >> j & 1 == 0).map(|(_, &v)| v));
+                }
+                for e in &edges {
+                    b.add_edge(e.iter().copied());
+                }
+                b.build()
+            })
+    })
+}
+
+/// `h` rebuilt with the same ids: a hypergraph no k-core has run on.
+fn fresh_copy(h: &Hypergraph) -> Hypergraph {
+    let mut b = HypergraphBuilder::new(h.num_vertices());
+    for f in h.edges() {
+        b.add_edge(h.pins(f).iter().map(|v| v.0));
+    }
+    b.build()
+}
+
 /// Pin-sets of a core rebuilt as a standalone sub-hypergraph of `h`,
 /// translated to original ids.
 fn sub_contents(h: &Hypergraph, core: &hypergraph::KCore) -> Vec<Vec<u32>> {
@@ -377,6 +418,42 @@ proptest! {
             d.max_core.map(|c| (c.k, edge_contents(&h, &c.edges, &c.vertices), c.vertices)),
             oracle.max_core().map(|(k, vs, es)| (k, edge_contents(&h, es, vs), vs.to_vec()))
         );
+    }
+
+    /// The probe k-core at a random sequence of k on one hypergraph,
+    /// with the whole decomposition between, so the raw-maximality memo
+    /// fills in any order: every answer equals the oracle's, and a cold
+    /// run's on a fresh copy down to the hyperedge ids.
+    #[test]
+    fn probe_kcore_memo_fills_in_any_order(
+        (h, ks) in arb_nested_hypergraph(16, 20, 5)
+            .prop_flat_map(|h| (Just(h), proptest::collection::vec(0u32..6, 1..8)))
+    ) {
+        let oracle = naive_cores(&h);
+        for (i, &k) in ks.iter().enumerate() {
+            let (warm, cold) = (probe_kcore(&h, k), probe_kcore(&fresh_copy(&h), k));
+            prop_assert_eq!(
+                (&warm.vertices, &warm.edges, warm.pins),
+                (&cold.vertices, &cold.edges, cold.pins),
+                "k = {}", k
+            );
+            let (nv, ne) = naive_kcore(&h, k);
+            prop_assert_eq!(&warm.vertices, &nv, "k = {}", k);
+            prop_assert_eq!(
+                edge_contents(&h, &warm.edges, &warm.vertices),
+                edge_contents(&h, &ne, &nv),
+                "k = {}", k
+            );
+            if i % 2 == 1 {
+                let (d, cold) = (probe_decompose(&h), probe_decompose(&fresh_copy(&h)));
+                prop_assert_eq!(&d.profile, &oracle.profile);
+                prop_assert_eq!(&d.core_numbers, &oracle.core_numbers);
+                prop_assert_eq!(
+                    d.max_core.map(|c| (c.k, c.vertices, c.edges, c.pins)),
+                    cold.max_core.map(|c| (c.k, c.vertices, c.edges, c.pins))
+                );
+            }
+        }
     }
 
     /// The CSR overlap table == brute-force pin-set intersection.
