@@ -527,13 +527,17 @@ done
 }
 echo "cover smoke OK (u6000: 1150 picks, 4500 hyperedges, 5676 refreshes; cellzome 2-multicover 138)"
 
-echo "==> hg kcore smoke (pin signatures on the same u6000 file)"
-# The 3-core's probes: pin signatures reject nearly every non-container
-# before a sorted merge (20 merges; 8,182 without the filter and with a
-# separate reduce), and the work counters must repeat exactly. Rounds,
-# vertices peeled, hyperedges deleted and merges are pinned, as
-# `u6000_three_core_needs_few_subset_tests` pins them: a change to which
-# hyperedges are probed, merged or deleted moves them.
+echo "==> hg kcore smoke (pin signatures and linear bits on the same u6000 file)"
+# The 3-core's probes: 4,387 of the 4,500 hyperedges share at most one
+# pin with any other, so while two of their pins live they are maximal
+# and never probed (52 snapshot probes and 66 raw ones on a fresh
+# hypergraph), and pin signatures reject nearly every non-container
+# before a sorted merge (6 merges; 8,182 without either and with a
+# separate reduce). The work counters must repeat exactly. Rounds,
+# vertices peeled, hyperedges deleted, merges and both kinds of probe
+# are pinned, as `u6000_three_core_needs_few_subset_tests` pins them: a
+# change to which hyperedges are probed, merged or deleted moves them,
+# and so does a linear bit that is never set.
 kcore_counters() {
     ./target/release/hg --metrics "target/hgb-cache/kcore-$1.json" kcore --k 3 \
         target/hgb-cache/hypergen-u6000.hgr >"target/hgb-cache/kcore-$1.out"
@@ -557,21 +561,24 @@ done
 kcore_counter() {
     printf '%s\n' "$K1" | sed -n "s/.*\"kcore.probe.$1\":\([0-9]*\).*/\1/p"
 }
-for PAIR in rounds=2 vertices_peeled=1694 edges_deleted=6 subset_tests=20; do
+for PAIR in rounds=2 vertices_peeled=1694 edges_deleted=6 subset_tests=6 edge_probes=52 raw_probes=66; do
     GOT=$(kcore_counter "${PAIR%%=*}")
     [ "$GOT" = "${PAIR#*=}" ] || {
         echo "expected kcore.probe.${PAIR%%=*} ${PAIR#*=} at k = 3 on u6000, got '${GOT:-none}': $K1"
         exit 1
     }
 done
-echo "kcore smoke OK (u6000 3-core: 2 rounds, 1694 peeled, 6 deleted, 20 subset tests)"
+echo "kcore smoke OK (u6000 3-core: 2 rounds, 1694 peeled, 6 deleted, 6 subset tests, 52 + 66 probes)"
 
 echo "==> hgserve k-core memo smoke (one cache-off server on the same u6000 file)"
-# A dataset keeps its hyperedges' raw-maximality decisions. The first
-# kcore?k=3 probes the 2,079 hyperedges its first peel touches and
-# decides the 2,421 it leaves untouched; the second skips those, all
-# maximal. Both bodies must be byte-identical, and the /metrics deltas
-# must be the counts `u6000_three_core_needs_few_subset_tests` pins.
+# A dataset keeps its hyperedges' linear bits and raw-maximality
+# decisions, built by its first k-core. The first kcore?k=3 probes the
+# 52 hyperedges its first peel touches that are not linear or kept
+# fewer than two pins, and decides the 66 non-linear ones it leaves
+# untouched; the second skips those, all maximal. Both bodies must be
+# byte-identical, the /metrics deltas must be the counts
+# `u6000_three_core_needs_few_subset_tests` pins, and the memo's bytes
+# must read 0 until the first k-core and more after it.
 start_server --cache-mb 0 target/hgb-cache/hypergen-u6000.hgr
 probe_counts() {
     curl -sf "http://$ADDR/metrics" | awk '
@@ -579,11 +586,17 @@ probe_counts() {
         $1 == "hg_kcore_probe_raw_probes_total" { r = $2 }
         END { print e + 0, r + 0 }'
 }
+memo_bytes() {
+    curl -sf "http://$ADDR/metrics" |
+        sed -n 's/^hgserve_dataset_memo_bytes{dataset="hypergen-u6000"} \([0-9]*\)$/\1/p'
+}
+M0=$(memo_bytes)
 kcore_memo_run() {
     curl -sf "http://$ADDR/v1/hypergen-u6000/kcore?k=3" -o "target/hgb-cache/kcore-memo-$1.json"
 }
 P0=$(probe_counts)
 kcore_memo_run 1
+M1=$(memo_bytes)
 P1=$(probe_counts)
 kcore_memo_run 2
 P2=$(probe_counts)
@@ -591,6 +604,10 @@ stop_server
 rm -f smoke.log
 cmp -s target/hgb-cache/kcore-memo-1.json target/hgb-cache/kcore-memo-2.json || {
     echo "cold and warm kcore?k=3 bodies differ on u6000"
+    exit 1
+}
+[ "$M0" = 0 ] && [ "${M1:-0}" -gt 0 ] || {
+    echo "expected hgserve_dataset_memo_bytes 0 before the first kcore?k=3 on u6000 and more after, got '$M0' and '$M1'"
     exit 1
 }
 # kcore_memo_delta PASS BEFORE AFTER WANT: "edge raw" counts added.
@@ -601,9 +618,9 @@ kcore_memo_delta() {
         exit 1
     }
 }
-kcore_memo_delta cold "$P0" "$P1" "2079 2421"
-kcore_memo_delta warm "$P1" "$P2" "2079 0"
-echo "k-core memo smoke OK (u6000 3-core: 2079 probes and 2421 decisions cold, 2079 probes warm)"
+kcore_memo_delta cold "$P0" "$P1" "52 66"
+kcore_memo_delta warm "$P1" "$P2" "52 0"
+echo "k-core memo smoke OK (u6000 3-core: 52 probes and 66 decisions cold, 52 probes warm; memo 0 -> $M1 B)"
 
 echo "==> hgserve smoke (hg serve on an ephemeral port + curl)"
 start_server

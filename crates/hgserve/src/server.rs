@@ -1467,7 +1467,8 @@ fn metrics(state: &AppState) -> Response {
     ));
     // Per-dataset CSR memory (labelled gauge) plus the fleet total. For
     // mmap-backed datasets the value is the mapped length — an upper
-    // bound on actual resident pages.
+    // bound on actual resident pages. The k-core memo is heap beside the
+    // CSR, reported on its own.
     let mut total_resident = 0u64;
     for name in state.registry.names() {
         if let Some(d) = state.registry.get(&name) {
@@ -1477,6 +1478,11 @@ fn metrics(state: &AppState) -> Response {
                 "hgserve_dataset_resident_bytes{{dataset=\"{}\",storage=\"{}\"}} {bytes}\n",
                 d.name,
                 d.storage.as_str(),
+            ));
+            body.push_str(&format!(
+                "hgserve_dataset_memo_bytes{{dataset=\"{}\"}} {}\n",
+                d.name,
+                d.hypergraph.probe_memo_bytes(),
             ));
             body.push_str(&format!(
                 "hgserve_dataset_load_us{{dataset=\"{}\"}} {}\n",
@@ -1809,6 +1815,24 @@ mod tests {
         assert_eq!(route(&state, &get("/healthz")).status, 200);
         assert_eq!(route(&state, &get("/v1/huge/stats")).status, 404);
         assert_eq!(route(&state, &get("/v1/toy/stats")).status, 200);
+    }
+
+    #[test]
+    fn metrics_report_the_kcore_memo_once_a_kcore_builds_it() {
+        // The toy's 3 hyperedges: 8 B of signature each and one word of
+        // each of the memo's three bitmaps.
+        let state = toy_state();
+        let memo_bytes = || {
+            let r = route(&state, &get("/metrics"));
+            let line = "hgserve_dataset_memo_bytes{dataset=\"toy\"} ";
+            let at = r.body.find(line).expect("memo line") + line.len();
+            r.body[at..].lines().next().unwrap().parse::<u64>().unwrap()
+        };
+        assert_eq!(memo_bytes(), 0);
+        assert_eq!(route(&state, &get("/v1/toy/stats")).status, 200);
+        assert_eq!(memo_bytes(), 0);
+        assert_eq!(route(&state, &get("/v1/toy/kcore?k=2")).status, 200);
+        assert_eq!(memo_bytes(), 3 * 8 + 3 * 8);
     }
 
     #[test]

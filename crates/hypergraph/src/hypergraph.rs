@@ -86,11 +86,12 @@ impl fmt::Display for EdgeId {
 /// resolution per call.
 ///
 /// Beside the CSR, a hypergraph keeps what the probe k-core learns of
-/// it alone: its hyperedges' pin signatures and raw-maximality
-/// decisions ([`mod@crate::probe_kcore`]). That memo is built by the
-/// first k-core on the hypergraph and shared by its clones, and neither
+/// it alone: its hyperedges' pin signatures, which of them share at
+/// most one pin with any other, and their raw-maximality decisions
+/// ([`mod@crate::probe_kcore`]). That memo is built by the first k-core
+/// on the hypergraph and shared by its clones. Neither
 /// [`Hypergraph::storage_bytes`] nor [`Hypergraph::resident_bytes`]
-/// counts it.
+/// counts it; [`Hypergraph::probe_memo_bytes`] does.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
     storage: Storage,
@@ -140,6 +141,12 @@ impl Hypergraph {
     /// `Vec`s or a [`StorageKind::Mapped`] read-only `.hgb` mmap.
     pub fn storage_kind(&self) -> StorageKind {
         self.storage.kind()
+    }
+
+    /// Heap bytes of the probe k-core's memo: 0 until a k-core on this
+    /// hypergraph or a clone builds it.
+    pub fn probe_memo_bytes(&self) -> usize {
+        self.probe_memo.get().map_or(0, ProbeMemo::bytes)
     }
 
     /// Process-resident bytes attributable to this hypergraph: heap

@@ -18,7 +18,9 @@
 //! * the hypergraph **k-core** ([`kcore`]): the maximal *reduced*
 //!   sub-hypergraph in which every vertex lies in at least `k` hyperedges.
 //!   The level-synchronous subset-probe engine answers every k-core query
-//!   without an overlap table: [`probe_kcore()`] for one `k`, and
+//!   without an overlap table (the first on a hypergraph also builds a
+//!   memo, in at most a constant times one round of its probes):
+//!   [`probe_kcore()`] for one `k`, and
 //!   [`probe_decompose()`] for every level, behind `max_core`,
 //!   `core_profile` and `core_numbers`. The paper's Fig. 4 algorithm,
 //!   with its overlap-counting maximality test, is [`csr_kcore`] for one
