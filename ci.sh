@@ -527,20 +527,21 @@ done
 }
 echo "cover smoke OK (u6000: 1150 picks, 4500 hyperedges, 5676 refreshes; cellzome 2-multicover 138)"
 
-echo "==> hg kcore smoke (pin signatures and linear bits on the same u6000 file)"
+echo "==> hg kcore smoke (pin signatures, linear and contained bits on u6000 and stk10648s)"
 # The 3-core's probes: 4,387 of the 4,500 hyperedges share at most one
 # pin with any other, so while two of their pins live they are maximal
-# and never probed (52 snapshot probes and 66 raw ones on a fresh
-# hypergraph), and pin signatures reject nearly every non-container
-# before a sorted merge (6 merges; 8,182 without either and with a
-# separate reduce). The work counters must repeat exactly. Rounds,
-# vertices peeled, hyperedges deleted, merges and both kinds of probe
-# are pinned, as `u6000_three_core_needs_few_subset_tests` pins them: a
-# change to which hyperedges are probed, merged or deleted moves them,
-# and so does a linear bit that is never set.
+# and never probed (52 snapshot probes; the fresh hypergraph's memo
+# build gives the other 113 a raw probe each), and pin signatures
+# reject nearly every non-container before a sorted merge (6 merges;
+# 8,182 without either and with a separate reduce). The work counters
+# must repeat exactly. Rounds, vertices peeled, hyperedges deleted,
+# merges and both kinds of probe are pinned, as
+# `u6000_three_core_needs_few_subset_tests` pins them: a change to which
+# hyperedges are probed, merged or deleted moves them, and so does a
+# linear bit that is never set.
 kcore_counters() {
     ./target/release/hg --metrics "target/hgb-cache/kcore-$1.json" kcore --k 3 \
-        target/hgb-cache/hypergen-u6000.hgr >"target/hgb-cache/kcore-$1.out"
+        "${2:-target/hgb-cache/hypergen-u6000.hgr}" >"target/hgb-cache/kcore-$1.out"
     sed -n 's/.*"counters":\({[^}]*}\).*/\1/p' "target/hgb-cache/kcore-$1.json"
 }
 K1=$(kcore_counters 1)
@@ -558,27 +559,40 @@ for run in 1 2; do
         exit 1
     }
 done
-kcore_counter() {
-    printf '%s\n' "$K1" | sed -n "s/.*\"kcore.probe.$1\":\([0-9]*\).*/\1/p"
+# kcore_pins NAME COUNTERS PAIR...: each PAIR is counter=value.
+kcore_pins() {
+    NAME=$1
+    COUNTERS=$2
+    shift 2
+    for PAIR in "$@"; do
+        GOT=$(printf '%s\n' "$COUNTERS" | sed -n "s/.*\"kcore.probe.${PAIR%%=*}\":\([0-9]*\).*/\1/p")
+        [ "$GOT" = "${PAIR#*=}" ] || {
+            echo "expected kcore.probe.${PAIR%%=*} ${PAIR#*=} at k = 3 on $NAME, got '${GOT:-none}': $COUNTERS"
+            exit 1
+        }
+    done
 }
-for PAIR in rounds=2 vertices_peeled=1694 edges_deleted=6 subset_tests=6 edge_probes=52 raw_probes=66; do
-    GOT=$(kcore_counter "${PAIR%%=*}")
-    [ "$GOT" = "${PAIR#*=}" ] || {
-        echo "expected kcore.probe.${PAIR%%=*} ${PAIR#*=} at k = 3 on u6000, got '${GOT:-none}': $K1"
-        exit 1
-    }
-done
-echo "kcore smoke OK (u6000 3-core: 2 rounds, 1694 peeled, 6 deleted, 6 subset tests, 52 + 66 probes)"
+kcore_pins u6000 "$K1" rounds=2 vertices_peeled=1694 edges_deleted=6 subset_tests=6 \
+    edge_probes=52 raw_probes=113
+# stk10648s, a Table 1 net: no hyperedge is linear, and the first 3-peel
+# (32 vertices) touches none of the 2,648 that lie in another. The memo
+# build's raw probes find those 2,648 (10,648 raw probes, one per
+# hyperedge), and round one probes them again against the snapshot
+# (2,680 probes, 5,328 merges in all).
+./target/release/hg gen table1 stk10648s -o target/hgb-cache/stk10648s.hgr >/dev/null
+kcore_pins stk10648s "$(kcore_counters stk target/hgb-cache/stk10648s.hgr)" rounds=2 \
+    vertices_peeled=32 edges_deleted=2648 subset_tests=5328 edge_probes=2680 raw_probes=10648
+echo "kcore smoke OK (u6000 3-core: 2 rounds, 1694 peeled, 6 deleted, 6 subset tests, 52 + 113 probes; stk10648s: 2648 deleted, 2680 + 10648 probes)"
 
 echo "==> hgserve k-core memo smoke (one cache-off server on the same u6000 file)"
-# A dataset keeps its hyperedges' linear bits and raw-maximality
-# decisions, built by its first k-core. The first kcore?k=3 probes the
-# 52 hyperedges its first peel touches that are not linear or kept
-# fewer than two pins, and decides the 66 non-linear ones it leaves
-# untouched; the second skips those, all maximal. Both bodies must be
+# A dataset keeps its hyperedges' linear and contained bits, built
+# whole by its first k-core: its memo build gives the 113 non-linear
+# hyperedges a raw probe each, and finds them all maximal. Each
+# kcore?k=3 then probes the 52 hyperedges its first peel touches that
+# are not linear or kept fewer than two pins. Both bodies must be
 # byte-identical, the /metrics deltas must be the counts
 # `u6000_three_core_needs_few_subset_tests` pins, and the memo's bytes
-# must read 0 until the first k-core and more after it.
+# must read 0 until the first k-core and 37,136 after it.
 start_server --cache-mb 0 target/hgb-cache/hypergen-u6000.hgr
 probe_counts() {
     curl -sf "http://$ADDR/metrics" | awk '
@@ -606,21 +620,65 @@ cmp -s target/hgb-cache/kcore-memo-1.json target/hgb-cache/kcore-memo-2.json || 
     echo "cold and warm kcore?k=3 bodies differ on u6000"
     exit 1
 }
-[ "$M0" = 0 ] && [ "${M1:-0}" -gt 0 ] || {
-    echo "expected hgserve_dataset_memo_bytes 0 before the first kcore?k=3 on u6000 and more after, got '$M0' and '$M1'"
+[ "$M0" = 0 ] && [ "$M1" = 37136 ] || {
+    echo "expected hgserve_dataset_memo_bytes 0 before the first kcore?k=3 on u6000 and 37136 after, got '$M0' and '$M1'"
     exit 1
 }
 # kcore_memo_delta PASS BEFORE AFTER WANT: "edge raw" counts added.
 kcore_memo_delta() {
     GOT="$((${3% *} - ${2% *})) $((${3#* } - ${2#* }))"
     [ "$GOT" = "$4" ] || {
-        echo "expected the $1 kcore?k=3 on u6000 to add '$4' edge and raw probes, got '$GOT'"
+        echo "expected the $1 kcore?k=3 to add '$4' edge and raw probes, got '$GOT'"
         exit 1
     }
 }
-kcore_memo_delta cold "$P0" "$P1" "52 66"
-kcore_memo_delta warm "$P1" "$P2" "52 0"
-echo "k-core memo smoke OK (u6000 3-core: 52 probes and 66 decisions cold, 52 probes warm; memo 0 -> $M1 B)"
+kcore_memo_delta "cold u6000" "$P0" "$P1" "52 113"
+kcore_memo_delta "warm u6000" "$P1" "$P2" "52 0"
+echo "k-core memo smoke OK (u6000 3-core: 52 probes and 113 raw probes cold, 52 probes warm; memo 0 -> $M1 B)"
+
+echo "==> hgserve u1m deadline smoke (one fresh cache-off server on the u1m .hgb)"
+# On the largest input served, a fresh server answers diameter at a
+# 150 ms budget and cover at 20 ms with 504s, each within 200 ms at the
+# client (one retry on a miss, as the bench gates allow). Then
+# kcore?k=3 at 50 ms: a memo build the deadline cuts is continued by
+# the next request, so one of at most 10 answers 200, and its memo is
+# complete: a request with no budget probes only the 2,467 hyperedges
+# its peel touches that are not linear or kept fewer than two pins, and
+# makes no raw probe. A memo left unfinished would probe about 100,000.
+[ -f target/hgb-cache/u1m.hgb ] ||
+    ./target/release/hg gen uniform 1000000 250000 8 --seed 41 \
+        -o target/hgb-cache/u1m.hgb >/dev/null
+start_server --cache-mb 0 target/hgb-cache/u1m.hgb
+# deadline_504 ENDPOINT BUDGET_MS: a 504 within 200 ms, or exit.
+deadline_504() {
+    for TRY in 1 2; do
+        GOT=$(curl -s -o /dev/null -w '%{http_code} %{time_total}' \
+            -H "X-Deadline-Ms: $2" "http://$ADDR/v1/u1m/$1")
+        if [ "${GOT%% *}" = 504 ] && awk -v t="${GOT#* }" 'BEGIN { exit !(t < 0.2) }'; then
+            return 0
+        fi
+        echo "u1m $1 at a $2 ms budget answered '$GOT' (code, seconds), try $TRY of 2"
+    done
+    exit 1
+}
+deadline_504 diameter 150
+deadline_504 cover 20
+TRY=1
+until [ "$(curl -s -o /dev/null -w '%{http_code}' -H 'X-Deadline-Ms: 50' \
+    "http://$ADDR/v1/u1m/kcore?k=3")" = 200 ]; do
+    [ "$TRY" -lt 10 ] || {
+        echo "no kcore?k=3 on u1m at a 50 ms budget answered 200 in 10 tries"
+        exit 1
+    }
+    TRY=$((TRY + 1))
+done
+P0=$(probe_counts)
+curl -sf "http://$ADDR/v1/u1m/kcore?k=3" -o /dev/null
+P1=$(probe_counts)
+stop_server
+rm -f smoke.log
+kcore_memo_delta "unbudgeted u1m" "$P0" "$P1" "2467 0"
+echo "u1m deadline smoke OK (diameter and cover 504 within 200 ms; kcore?k=3 at 50 ms answered 200 on try $TRY, then 2467 probes and no raw probe)"
 
 echo "==> hgserve smoke (hg serve on an ephemeral port + curl)"
 start_server

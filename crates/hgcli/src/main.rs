@@ -446,6 +446,9 @@ fn cmd_tap_sim(args: &[String]) -> Result<String, String> {
         .map(|s| s.parse().map_err(|e| format!("bad --p: {e}")))
         .transpose()?
         .unwrap_or(0.7);
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("bad --p: {p} is not a probability in [0, 1]"));
+    }
     let seed: u64 = seed_opt
         .map(|s| s.parse().map_err(|e| format!("bad --seed: {e}")))
         .transpose()?
@@ -525,6 +528,11 @@ fn cmd_gen(args: &[String]) -> Result<String, String> {
                     .map_err(|e| format!("bad {name}: {e}"))
             };
             let (n, m, k) = (parse(1, "N")?, parse(2, "M")?, parse(3, "K")?);
+            if k > n {
+                return Err(format!(
+                    "uniform needs K <= N (K = {k} pins, N = {n} vertices)"
+                ));
+            }
             hypergen::uniform_random_hypergraph(n, m, k, seed)
         }
         "table1" => {
@@ -843,6 +851,12 @@ fn cmd_bench(args: &[String]) -> Result<String, String> {
         let mut cfg = bench::ColdloadConfig::default();
         if let Some(s) = scale {
             let n: usize = s.parse().map_err(|e| format!("bad --scale: {e}"))?;
+            if n < cfg.k {
+                return Err(format!(
+                    "--scale must be >= {}, the pins per hyperedge",
+                    cfg.k
+                ));
+            }
             cfg = cfg.with_scale(n);
         }
         if let Some(d) = dir {
@@ -881,6 +895,10 @@ fn cmd_bench(args: &[String]) -> Result<String, String> {
     }
     if let Some(s) = scale {
         cfg.scale = s.parse().map_err(|e| format!("bad --scale: {e}"))?;
+        // The scaled instance's hyperedges have 5 pins.
+        if cfg.scale < 5 {
+            return Err("--scale must be >= 5, the pins per hyperedge".to_string());
+        }
     }
     if let Some(p) = cellzome {
         cfg.cellzome_path = Some(p);

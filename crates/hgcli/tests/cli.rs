@@ -259,6 +259,34 @@ fn bad_file_reports_error() {
 }
 
 #[test]
+fn out_of_range_values_exit_1_without_a_panic() {
+    // One value per argument that reached an assert inside a library.
+    let tmp = tmpdir("out_of_range");
+    let dir = tmp.to_str().unwrap();
+    let cellzome = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/cellzome-2004.hgr");
+    for args in [
+        &["gen", "uniform", "3", "2", "5"][..],
+        &["bench", "--kernels", "--scale", "4"],
+        &["bench", "--coldload", "--scale", "7", "--dir", dir],
+        &["tap-sim", cellzome, "--p", "2.0"],
+        &["tap-sim", cellzome, "--p", "-1"],
+        &["tap-sim", cellzome, "--p", "NaN"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hg"))
+            .args(args)
+            .output()
+            .expect("spawn hg");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with("hg: ") && !err.contains("panicked"),
+            "{args:?}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
 fn flag_with_missing_value_errors() {
     let (ok, _, err) = hg(&["kcore", "whatever.hgr", "--k"]);
     assert!(!ok);

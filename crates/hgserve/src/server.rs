@@ -1820,7 +1820,7 @@ mod tests {
     #[test]
     fn metrics_report_the_kcore_memo_once_a_kcore_builds_it() {
         // The toy's 3 hyperedges: 8 B of signature each and one word of
-        // each of the memo's three bitmaps.
+        // each of the memo's two bitmaps.
         let state = toy_state();
         let memo_bytes = || {
             let r = route(&state, &get("/metrics"));
@@ -1832,7 +1832,7 @@ mod tests {
         assert_eq!(route(&state, &get("/v1/toy/stats")).status, 200);
         assert_eq!(memo_bytes(), 0);
         assert_eq!(route(&state, &get("/v1/toy/kcore?k=2")).status, 200);
-        assert_eq!(memo_bytes(), 3 * 8 + 3 * 8);
+        assert_eq!(memo_bytes(), 3 * 8 + 2 * 8);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Frozen CSR representation of a hypergraph.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::probe_kcore::ProbeMemo;
+use crate::probe_kcore::MemoSlot;
 use crate::storage::{Storage, StorageKind};
 
 /// Identifier of a vertex (a protein in the paper's application), a dense
@@ -87,15 +87,16 @@ impl fmt::Display for EdgeId {
 ///
 /// Beside the CSR, a hypergraph keeps what the probe k-core learns of
 /// it alone: its hyperedges' pin signatures, which of them share at
-/// most one pin with any other, and their raw-maximality decisions
-/// ([`mod@crate::probe_kcore`]). That memo is built by the first k-core
-/// on the hypergraph and shared by its clones. Neither
+/// most one pin with any other, and which of them lie in another
+/// ([`mod@crate::probe_kcore`]). That memo is built whole by the first
+/// k-core on the hypergraph, continued by the next one if a deadline
+/// cut the build, and shared by its clones. Neither
 /// [`Hypergraph::storage_bytes`] nor [`Hypergraph::resident_bytes`]
 /// counts it; [`Hypergraph::probe_memo_bytes`] does.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
     storage: Storage,
-    probe_memo: Arc<OnceLock<ProbeMemo>>,
+    probe_memo: Arc<MemoSlot>,
 }
 
 impl Hypergraph {
@@ -133,7 +134,7 @@ impl Hypergraph {
     }
 
     /// The probe k-core's memo: empty until a k-core builds it.
-    pub(crate) fn probe_memo(&self) -> &OnceLock<ProbeMemo> {
+    pub(crate) fn probe_memo(&self) -> &MemoSlot {
         &self.probe_memo
     }
 
@@ -146,7 +147,7 @@ impl Hypergraph {
     /// Heap bytes of the probe k-core's memo: 0 until a k-core on this
     /// hypergraph or a clone builds it.
     pub fn probe_memo_bytes(&self) -> usize {
-        self.probe_memo.get().map_or(0, ProbeMemo::bytes)
+        self.probe_memo.bytes()
     }
 
     /// Process-resident bytes attributable to this hypergraph: heap

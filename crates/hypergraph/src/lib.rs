@@ -19,7 +19,9 @@
 //!   sub-hypergraph in which every vertex lies in at least `k` hyperedges.
 //!   The level-synchronous subset-probe engine answers every k-core query
 //!   without an overlap table (the first on a hypergraph also builds a
-//!   memo, in at most a constant times one round of its probes):
+//!   memo of what the hypergraph alone decides, in at most a constant
+//!   times one round of its probes, and a build a deadline cut is
+//!   continued by the next call):
 //!   [`probe_kcore()`] for one `k`, and
 //!   [`probe_decompose()`] for every level, behind `max_core`,
 //!   `core_profile` and `core_numbers`. The paper's Fig. 4 algorithm,

@@ -53,56 +53,60 @@
 //! u6000, 4,387 of the 4,500 hyperedges are linear.
 //!
 //! **The memo.** Whether a hyperedge is linear, and whether it is
-//! contained in another of the raw hypergraph `H` (maximal or not, by
-//! the same tie rule), depends on `H` alone. So each [`Hypergraph`]
-//! keeps, once its first k-core builds them, every hyperedge's
-//! signature, whether it is known to be linear, and its raw-maximality
-//! decision once made: 8 B and 3 bits per hyperedge, shared by its
-//! clones. The linear pass scans, for each hyperedge `f` with two or
-//! more pins, the hyperedges through its pins, stamping each, and stops
-//! at the first stamped twice: it shares two pins with `f`, so neither
-//! is linear, and a hyperedge ruled out by an earlier one is not
-//! scanned. A scan walks `Σ_{v∈f} d(v)` incidences at most, so it runs
-//! only while that is at most `SCAN_CAP` (8) times
-//! `|f| + min_{v∈f} d(v)`, what a probe of `f` walks; a hyperedge over
-//! the cap is left unproven, and probed as if it shared two pins. So
-//! the pass costs at most a constant times one round of probes, however
-//! skewed the degrees: a star of two-pin hyperedges through one hub
-//! costs its pins, not their square. The pass reads the clock whenever
-//! the incidences since the last read would pass
-//! [`CHECK_INTERVAL`](hgobs::CHECK_INTERVAL); once the deadline has
-//! expired it stops, leaves the hyperedges it has not reached
-//! unproven, and the memo is kept, so a budget too short for the first
-//! call still leaves the next one its progress. The stamps (4 B per
-//! hyperedge) are freed once the bits are written; the bits never
-//! change. Round one reads the decisions, and nothing else does:
+//! contained in another of the raw hypergraph `H` (non-maximal, by the
+//! same tie rule), depends on `H` alone. So each [`Hypergraph`] keeps,
+//! once its first k-core builds them, every hyperedge's signature and
+//! two bitmaps: 8 B and 2 bits per hyperedge, shared by its clones. One
+//! pass writes both bitmaps before the memo is kept, and nothing writes
+//! them after. For each hyperedge `f` with two or more pins, the pass
+//! scans the hyperedges through its pins, stamping each, and stops at
+//! the first stamped twice: it shares two pins with `f`, so neither is
+//! linear, and a hyperedge ruled out by an earlier one is not scanned.
+//! A scan walks `Σ_{v∈f} d(v)` incidences at most, so it runs only while
+//! that is at most `SCAN_CAP` (8) times `|f| + min_{v∈f} d(v)`, what a
+//! probe of `f` walks; a hyperedge over the cap is left unproven, as if
+//! it shared two pins. A hyperedge proven linear with two or more pins
+//! is maximal in `H`. Every other one gets a *raw probe*, the probe
+//! above on `H` itself (pivot on the first pin of least degree, every
+//! candidate weighed by its raw size), and the second bitmap records
+//! whether it is *contained*. So the pass costs at most a constant times
+//! one round of probes, however skewed the degrees: a star of two-pin
+//! hyperedges through one hub costs its pins, not their square. The
+//! stamps (4 B per hyperedge) are freed once the bits are written.
 //!
-//! - A hyperedge `f` the first peel left *untouched* (every raw pin
-//!   alive) whose decision reads maximal is not probed: it is still
-//!   maximal. Say an alive `g` holds `f`'s alive pins and wins the tie
-//!   rule now. Those are all of `f`'s pins, so `g` held them in `H` too,
-//!   with at least as many pins then as now. If `g` now has more pins
-//!   than `f`, it had more in `H`; if it now ties with a smaller id, it
-//!   had more in `H` or was `f`'s copy with a smaller id. Either way `f`
-//!   was non-maximal in `H`.
-//! - An untouched hyperedge with no decision yet gets a *raw probe*: the
-//!   probe above with every candidate weighed by its raw size. The
-//!   result is recorded. A raw container that also wins now answers for
-//!   `f`; otherwise `f` is probed against the snapshot as well, since a
-//!   larger container can shrink to a tie with it and lose on id
-//!   (`fold_keeps_the_smaller_id_of_copies_that_end_up_identical`).
-//! - An untouched hyperedge decided non-maximal, and every touched one,
-//!   is probed against the snapshot as before.
+//! The pass reads the clock whenever the incidences since the last read
+//! would pass [`CHECK_INTERVAL`](hgobs::CHECK_INTERVAL). Once the
+//! deadline has expired it stops, marks every hyperedge it has not
+//! reached unproven and contained, and the memo is kept with how far it
+//! got, so it answers correctly but probes more. The next call that
+//! finds it unfinished continues the pass on a copy from that point,
+//! under its own deadline, and keeps the further memo in place of the
+//! older one. It clears both bitmaps from that point first: a partner
+//! found before the cut is found again by the continued scan. Each pass
+//! classifies one hyperedge before its first clock read, so even a
+//! budget too short for any work advances the build. A complete memo is
+//! read without a lock; the unfinished one sits behind a mutex.
 //!
-//! So round one of the first k-core on a hypergraph probes once each
-//! hyperedge not known to be linear or left fewer than two alive pins, and
-//! round one of every later one, at any `k` and for either entry point,
-//! probes only the touched ones of those and the non-maximal ones. Round
-//! one walks the hyperedges in blocks of 64, queued by two masks with no
-//! branch per hyperedge, and publishes a block's new decisions together
-//! once all its probes are done, so an expiry mid-block records none of
-//! them. Later rounds, and later levels of the decomposition, probe
-//! every affected hyperedge the gate does not rule out.
+//! Round one reads the contained bits, and nothing else does. A
+//! hyperedge `f` the first peel left *untouched* (every raw pin alive)
+//! that is maximal in `H` is not probed: it is still maximal. Say an
+//! alive `g` holds `f`'s alive pins and wins the tie rule now. Those are
+//! all of `f`'s pins, so `g` held them in `H` too, with at least as many
+//! pins then as now. If `g` now has more pins than `f`, it had more in
+//! `H`; if it now ties with a smaller id, it had more in `H` or was
+//! `f`'s copy with a smaller id. Either way `f` was non-maximal in `H`.
+//! Every other hyperedge is probed against the snapshot as before, the
+//! untouched non-maximal ones too, since a larger container can shrink
+//! to a tie with one and lose on id
+//! (`fold_keeps_the_smaller_id_of_copies_that_end_up_identical`).
+//!
+//! So round one of any k-core, at any `k` and for either entry point,
+//! probes only the touched hyperedges not known to be linear or left
+//! fewer than two alive pins, and the untouched ones non-maximal in `H`.
+//! It walks the hyperedges in blocks of 64, each queued by one mask with
+//! no branch per hyperedge. Later rounds, and later levels of the
+//! decomposition, probe every affected hyperedge the gate does not rule
+//! out.
 //!
 //! The vertex phase's collection and the core's id lists write every id
 //! and advance by the test's outcome, so no branch depends on a degree.
@@ -131,8 +135,9 @@
 //! only the snapshot it starts from, so its items are independent; it
 //! runs on one thread.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use hgobs::{Deadline, DeadlineExceeded, TraceCtx};
 
@@ -154,7 +159,7 @@ fn sig_bit(v: VertexId) -> u64 {
 /// asserts.
 const DEAD: u32 = u32::MAX;
 
-/// The linear pass scans a hyperedge `f` only while `Σ_{v∈f} d(v)` is
+/// The memo's pass scans a hyperedge `f` only while `Σ_{v∈f} d(v)` is
 /// at most this many times `|f| + min_{v∈f} d(v)` (module docs). Every
 /// linear hyperedge of hgperf's uniform inputs and of cellzome is
 /// within it; most hyperedges of the stk and utm nets are not.
@@ -162,44 +167,103 @@ const SCAN_CAP: usize = 8;
 
 /// What the probe k-core knows of a hypergraph `H` alone, kept with it
 /// ([`Hypergraph`]) and built by its first k-core: 8 B of signature and
-/// 3 bits per hyperedge.
+/// 2 bits per hyperedge, written before the memo is kept and never
+/// after.
+#[derive(Clone)]
 pub(crate) struct ProbeMemo {
     /// Each hyperedge's raw pins ORed through [`sig_bit`].
     sig: Vec<u64>,
-    /// Bit `f % 64` of word `f / 64` is clear when the linear pass
-    /// proved that no other hyperedge of `H` shares two of `f`'s pins,
-    /// and set otherwise: a partner was found, or `f` was over the scan
-    /// cap or not reached. Bits past the last hyperedge mean nothing.
-    /// Written before the memo is kept and never changed.
+    /// Bit `f % 64` of word `f / 64` is clear when the pass proved that
+    /// no other hyperedge of `H` shares two of `f`'s pins, and set
+    /// otherwise: a partner was found, or `f` was over the scan cap or
+    /// not reached. Bits past the last hyperedge mean nothing.
     shared: Vec<u64>,
-    /// Raw-maximality decisions, two bitmaps over hyperedge ids laid out
-    /// as `shared`: `decided` once `f`'s is made, and `non_maximal` when
-    /// `f` is empty or in another hyperedge of `H` that wins the tie
-    /// rule. Round one makes a decision when it first needs it, and
-    /// publishes a block's decisions together: the non-maximal bits,
-    /// then the decided bits with `Release`, which a reader's `Acquire`
-    /// load pairs with. A decision depends on `H` alone, so threads that
-    /// race set the same bits.
-    decided: Vec<AtomicU64>,
-    non_maximal: Vec<AtomicU64>,
+    /// Laid out as `shared`; a bit is set when `f` is empty, lies in
+    /// another hyperedge of `H` that wins the tie rule, or was not
+    /// reached. For an uncut build it is
+    /// [`non_maximal_edges`](crate::non_maximal_edges)`(H)`.
+    contained: Vec<u64>,
+    /// How far the build got: every hyperedge below it has its bits, and
+    /// the memo is complete once this is the hyperedge count.
+    reached: usize,
+}
+
+/// Where a [`Hypergraph`] keeps its memo: once complete, in a `OnceLock`
+/// that every later call borrows without a lock; until then, the
+/// furthest unfinished one, which the next call continues.
+#[derive(Debug, Default)]
+pub(crate) struct MemoSlot {
+    complete: OnceLock<ProbeMemo>,
+    unfinished: Mutex<Option<ProbeMemo>>,
+}
+
+impl MemoSlot {
+    /// The heap bytes of the complete memo, else of the unfinished one.
+    pub(crate) fn bytes(&self) -> usize {
+        let unfinished = || self.lock().as_ref().map_or(0, ProbeMemo::bytes);
+        self.complete
+            .get()
+            .map_or_else(unfinished, ProbeMemo::bytes)
+    }
+
+    /// The unfinished memo's slot. Nothing panics while holding it.
+    fn lock(&self) -> MutexGuard<'_, Option<ProbeMemo>> {
+        self.unfinished.lock().expect("no panic holds the slot")
+    }
+}
+
+/// What one build pass did: the incidences it charged to the clock, and
+/// the raw probes and sorted merges that the calling k-core counts.
+#[derive(Default)]
+struct Pass {
+    visited: usize,
+    raw_probes: u64,
+    merges: u64,
 }
 
 impl ProbeMemo {
-    /// `h`'s memo, built by the first call. The signatures tick
-    /// `deadline` once per hyperedge (phase `kcore.probe.state`, no work
-    /// done), and an expiry there stores nothing. The linear pass after
-    /// them cannot fail: an expiry cuts it short ([`shared_pins`]), the
-    /// memo is kept, and the caller reports the expiry at its next tick
-    /// or check.
+    /// `h`'s memo and what this call's pass did: the first call starts
+    /// the build, and a call that finds it unfinished continues a copy.
+    /// A complete memo is borrowed from `h`; an unfinished one, which
+    /// only a call whose deadline has expired holds, is the call's own.
+    /// An expiry among the signatures ([`Self::new`]) stores nothing.
+    /// The pass after them cannot fail: an expiry cuts it short
+    /// ([`Self::build`]), the further memo is kept in place of the older
+    /// one, and the caller reports the expiry at its next tick or check.
     fn of<'h>(
         h: &'h Hypergraph,
         deadline: &Deadline,
         ticks: &mut u32,
-    ) -> Result<&'h ProbeMemo, DeadlineExceeded> {
-        if let Some(memo) = h.probe_memo().get() {
-            return Ok(memo);
+    ) -> Result<(Cow<'h, ProbeMemo>, Pass), DeadlineExceeded> {
+        let slot = h.probe_memo();
+        if let Some(memo) = slot.complete.get() {
+            return Ok((Cow::Borrowed(memo), Pass::default()));
         }
         let csr = h.csr();
+        let older = slot.lock().clone();
+        let mut memo = match older {
+            Some(older) => older,
+            None => ProbeMemo::new(csr, deadline, ticks)?,
+        };
+        let pass = memo.build(csr, deadline);
+        let mut unfinished = slot.lock();
+        if memo.reached == csr.num_edges() {
+            *unfinished = None;
+            return Ok((Cow::Borrowed(slot.complete.get_or_init(|| memo)), pass));
+        }
+        if unfinished
+            .as_ref()
+            .is_none_or(|kept| kept.reached < memo.reached)
+        {
+            *unfinished = Some(memo.clone());
+        }
+        Ok((Cow::Owned(memo), pass))
+    }
+
+    /// `csr`'s signatures and two bitmaps of clear bits, for
+    /// [`Self::build`]. The signatures tick `deadline` once per
+    /// hyperedge (phase `kcore.probe.state`, no work done).
+    fn new(csr: Csr<'_>, deadline: &Deadline, ticks: &mut u32) -> Result<Self, DeadlineExceeded> {
         let mut sig = Vec::with_capacity(csr.num_edges());
         for f in 0..csr.num_edges() {
             if deadline.tick(ticks) {
@@ -207,72 +271,96 @@ impl ProbeMemo {
             }
             sig.push(csr.pins(f).iter().fold(0, |sig, &v| sig | sig_bit(v)));
         }
-        let (shared, _) = shared_pins(csr, deadline);
-        let bitmap = || (0..shared.len()).map(|_| AtomicU64::new(0)).collect();
-        let (decided, non_maximal) = (bitmap(), bitmap());
-        Ok(h.probe_memo().get_or_init(|| ProbeMemo {
+        let words = csr.num_edges().div_ceil(64);
+        Ok(ProbeMemo {
             sig,
-            shared,
-            decided,
-            non_maximal,
-        }))
+            shared: vec![0; words],
+            contained: vec![0; words],
+            reached: 0,
+        })
     }
 
-    /// The memo's heap bytes: the signatures and the three bitmaps.
-    pub(crate) fn bytes(&self) -> usize {
-        let words = self.shared.len() + self.decided.len() + self.non_maximal.len();
-        8 * (self.sig.len() + words)
+    /// The build pass over `csr`, from the first hyperedge not reached
+    /// on. It clears both bitmaps from there first: the bits a cut set,
+    /// and those a partner before the cut set past it, which the
+    /// continued scan finds again. Then it writes every hyperedge `f`'s
+    /// bits: `f` is scanned by [`sharer`] unless a partner found earlier
+    /// already ruled it out or it is over [`SCAN_CAP`], and given a
+    /// [`raw_contained`] probe unless proven linear with two or more
+    /// pins. The clock is read before a hyperedge whose work (its pins'
+    /// degree reads, its scan, and its pivot's hyperedges) would take
+    /// the incidences since the last read past
+    /// [`CHECK_INTERVAL`](hgobs::CHECK_INTERVAL); once the deadline has
+    /// expired, that hyperedge and every later one get both bits set.
+    /// The first hyperedge is classified before any read, so even an
+    /// expired deadline advances the build.
+    fn build(&mut self, csr: Csr<'_>, deadline: &Deadline) -> Pass {
+        let (from, m) = (self.reached, csr.num_edges());
+        for bits in [&mut self.shared, &mut self.contained] {
+            fill_from(bits, from, false);
+        }
+        // Per hyperedge, 1 + the last hyperedge whose pins reached it.
+        let mut stamp = vec![0u32; m];
+        let (mut pass, mut since_read) = (Pass::default(), 0);
+        for f in from..m {
+            let pins = csr.pins(f);
+            // Degrees straight off the offsets: building a slice per pin,
+            // as `Csr::vertex_degree` does, cost the nets' passes up to a
+            // fifth.
+            let offsets = csr.vertex_offsets;
+            let (sum, least) = pins.iter().fold((0, usize::MAX), |(sum, least), v| {
+                let d = (offsets[v.index() + 1] - offsets[v.index()]) as usize;
+                (sum + d, least.min(d))
+            });
+            let wide = pins.len() >= 2;
+            // A partner found earlier already set `f`'s bit, and nothing
+            // shares two pins of a hyperedge with fewer.
+            let scan = wide
+                && self.shared[f / 64] >> (f % 64) & 1 == 0
+                && sum <= SCAN_CAP * (pins.len() + least);
+            // A raw probe walks the hyperedges of a pin of least degree
+            // (none for an empty `f`, whose `sum` is 0).
+            let work = pins.len() + least.min(sum) + if scan { sum } else { 0 };
+            if f > from && since_read + work > hgobs::CHECK_INTERVAL as usize {
+                if deadline.expired() {
+                    for bits in [&mut self.shared, &mut self.contained] {
+                        fill_from(bits, f, true);
+                    }
+                    self.reached = f;
+                    return pass;
+                }
+                since_read = 0;
+            }
+            since_read += work;
+            pass.visited += work;
+            let mut shared = wide && !scan;
+            if let Some(g) = scan.then(|| sharer(csr, f, &mut stamp)).flatten() {
+                self.shared[g / 64] |= 1 << (g % 64);
+                shared = true;
+            }
+            self.shared[f / 64] |= (shared as u64) << (f % 64);
+            if shared || !wide {
+                pass.raw_probes += 1;
+                let contained = raw_contained(csr, &self.sig, f, least, &mut pass.merges);
+                self.contained[f / 64] |= (contained as u64) << (f % 64);
+            }
+        }
+        self.reached = m;
+        pass
+    }
+
+    /// The memo's heap bytes: the signatures and the two bitmaps.
+    fn bytes(&self) -> usize {
+        8 * (self.sig.len() + self.shared.len() + self.contained.len())
     }
 }
 
-/// The linear pass: [`ProbeMemo::shared`] for `csr`, and the incidences
-/// it visited (every pin's degree read, and every scan's `Σ_{v∈f}
-/// d(v)`). A hyperedge `f` is scanned by [`sharer`] unless a partner
-/// found earlier already ruled it out or it is over [`SCAN_CAP`]. The
-/// clock is read before a hyperedge whose work would take the
-/// incidences since the last read past
-/// [`CHECK_INTERVAL`](hgobs::CHECK_INTERVAL); once the deadline has
-/// expired, that hyperedge and every later one are left unproven.
-fn shared_pins(csr: Csr<'_>, deadline: &Deadline) -> (Vec<u64>, usize) {
-    let m = csr.num_edges();
-    let mut shared = vec![0u64; m.div_ceil(64)];
-    // Per hyperedge, 1 + the last hyperedge whose pins reached it.
-    let mut stamp = vec![0u32; m];
-    let (mut visited, mut since_read) = (0, 0);
-    for f in 0..m {
-        let pins = csr.pins(f);
-        // A partner found earlier already set `f`'s bit, and nothing
-        // shares two pins of a hyperedge with fewer.
-        if shared[f / 64] >> (f % 64) & 1 == 1 || pins.len() < 2 {
-            continue;
-        }
-        // Degrees straight off the offsets: building a slice per pin, as
-        // `Csr::vertex_degree` does, cost the nets' passes up to a fifth.
-        let offsets = csr.vertex_offsets;
-        let (sum, least) = pins.iter().fold((0, usize::MAX), |(sum, least), v| {
-            let d = (offsets[v.index() + 1] - offsets[v.index()]) as usize;
-            (sum + d, least.min(d))
-        });
-        let scan = sum <= SCAN_CAP * (pins.len() + least);
-        let work = pins.len() + if scan { sum } else { 0 };
-        if since_read + work > hgobs::CHECK_INTERVAL as usize {
-            if deadline.expired() {
-                shared[f / 64] |= u64::MAX << (f % 64);
-                shared[f / 64 + 1..].fill(u64::MAX);
-                break;
-            }
-            since_read = 0;
-        }
-        since_read += work;
-        visited += work;
-        if !scan {
-            shared[f / 64] |= 1 << (f % 64);
-        } else if let Some(g) = sharer(csr, f, &mut stamp) {
-            shared[f / 64] |= 1 << (f % 64);
-            shared[g / 64] |= 1 << (g % 64);
-        }
+/// Set every bit of `bits` from hyperedge `f`'s on to `to`.
+fn fill_from(bits: &mut [u64], f: usize, to: bool) {
+    for (w, word) in bits.iter_mut().enumerate().skip(f / 64) {
+        let mask = u64::MAX << if w == f / 64 { f % 64 } else { 0 };
+        *word = if to { *word | mask } else { *word & !mask };
     }
-    (shared, visited)
 }
 
 /// A hyperedge other than `f` that holds two of `f`'s pins, if any:
@@ -302,6 +390,42 @@ fn sharer(csr: Csr<'_>, f: usize, stamp: &mut [u32]) -> Option<usize> {
         .find(|&g| stamp[g] == tag && g != f)
 }
 
+/// Whether `f` is empty or lies in another hyperedge of `csr` that wins
+/// the tie rule by raw sizes (strictly larger, or identical with a
+/// smaller id): the probe of the module docs on the raw hypergraph,
+/// through the hyperedges of `f`'s first pin of degree `least`, the
+/// least of its pins'. `merges` counts the sorted merges.
+fn raw_contained(csr: Csr<'_>, sig: &[u64], f: usize, least: usize, merges: &mut u64) -> bool {
+    // A pin in `f` alone rules out a container.
+    if least < 2 {
+        return false;
+    }
+    let (pins_f, df, sig_f) = (csr.pins(f), csr.edge_degree(f), sig[f]);
+    let offsets = csr.vertex_offsets;
+    let degree = |v: &&VertexId| (offsets[v.index() + 1] - offsets[v.index()]) as usize;
+    // An empty `f` has no pin to pivot on.
+    let Some(pivot) = pins_f.iter().find(|v| degree(v) == least) else {
+        return true;
+    };
+    csr.edges_of(pivot.index()).iter().any(|g| {
+        let g = g.index();
+        // A missing bit proves that `g` lacks a pin of `f`.
+        g != f
+            && sig_f & !sig[g] == 0
+            && {
+                let dg = csr.edge_degree(g);
+                dg > df || (dg == df && g < f)
+            }
+            && {
+                *merges += 1;
+                let mut rest = csr.pins(g).iter();
+                pins_f
+                    .iter()
+                    .all(|v| rest.by_ref().find(|&w| w >= v) == Some(v))
+            }
+    })
+}
+
 impl fmt::Debug for ProbeMemo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ProbeMemo({} hyperedges)", self.sig.len())
@@ -317,18 +441,15 @@ struct State<'h> {
     deg_v: Vec<u32>,
     /// Alive pins of each hyperedge, or [`DEAD`].
     deg_e: Vec<u32>,
-    /// The memo's signatures, linear bits and raw-maximality decisions.
-    sig: &'h [u64],
-    shared: &'h [u64],
-    decided: &'h [AtomicU64],
-    non_maximal: &'h [AtomicU64],
+    /// The memo's signatures, linear bits and raw containment bits.
+    memo: Cow<'h, ProbeMemo>,
     vertices_alive: usize,
     edges_alive: usize,
     /// `Σ deg_e` over alive hyperedges.
     pins_alive: usize,
     /// Round one's queue: every vertex a candidate and every hyperedge
     /// affected, walked in id order instead of listed (hyperedges in
-    /// blocks of 64, [`Self::round_one_masks`]).
+    /// blocks of 64, [`Self::round_one_mask`]).
     all_queued: bool,
     /// Hyperedges the next edge phase probes, each listed once.
     affected: Vec<u32>,
@@ -349,7 +470,7 @@ struct State<'h> {
     vertices_peeled: u64,
     edges_deleted: u64,
     subset_tests: u64,
-    /// Probes against a snapshot, and raw-maximality decisions made.
+    /// Probes against a snapshot, and the memo build's raw probes.
     edge_probes: u64,
     raw_probes: u64,
 }
@@ -359,14 +480,15 @@ impl<'h> State<'h> {
     /// affected. Both are marked, so a vertex that is below `k` from the
     /// start is queued once, and so is a hyperedge that loses a pin to
     /// the first vertex phase. The build ticks `deadline` once per id
-    /// (phase `kcore.probe.state`, no work done), and the memo's linear
-    /// pass reads it by incidences ([`ProbeMemo::of`]).
+    /// (phase `kcore.probe.state`, no work done), and the memo's pass
+    /// reads it by incidences ([`ProbeMemo::of`]), whose raw probes and
+    /// merges the counters start from.
     fn new(h: &'h Hypergraph, deadline: &Deadline) -> Result<Self, DeadlineExceeded> {
         let csr = h.csr();
         let (n, m) = (csr.num_vertices(), csr.num_edges());
         assert!(h.num_pins() < DEAD as usize, "a degree could read as DEAD");
         let mut ticks = 0;
-        let memo = ProbeMemo::of(h, deadline, &mut ticks)?;
+        let (memo, pass) = ProbeMemo::of(h, deadline, &mut ticks)?;
         let mut expired = || deadline.tick(&mut ticks);
         let mut deg_v = vec![0; n];
         for (v, d) in deg_v.iter_mut().enumerate() {
@@ -387,10 +509,7 @@ impl<'h> State<'h> {
             k: 0,
             deg_v,
             deg_e,
-            sig: &memo.sig,
-            shared: &memo.shared,
-            decided: &memo.decided,
-            non_maximal: &memo.non_maximal,
+            memo,
             vertices_alive: n,
             edges_alive: m,
             pins_alive: h.num_pins(),
@@ -406,9 +525,9 @@ impl<'h> State<'h> {
             rounds: 0,
             vertices_peeled: 0,
             edges_deleted: 0,
-            subset_tests: 0,
+            subset_tests: pass.merges,
             edge_probes: 0,
-            raw_probes: 0,
+            raw_probes: pass.raw_probes,
         })
     }
 
@@ -417,64 +536,32 @@ impl<'h> State<'h> {
     /// smaller id): a probe against this snapshot.
     fn is_non_maximal(&mut self, f: usize) -> bool {
         self.edge_probes += 1;
-        self.deg_e[f] == 0 || self.container::<false>(f).is_some()
-    }
-
-    /// Round one's probe of a hyperedge `f` that the first peel left
-    /// untouched and that has no raw decision yet: whether `f` is
-    /// non-maximal in `H`, by a raw probe, and whether it is in this
-    /// snapshot. A raw container that also wins here answers both.
-    fn decide(&mut self, f: usize) -> (bool, bool) {
-        self.raw_probes += 1;
-        // An empty `f` is non-maximal either way; its own id stands in
-        // for the container.
-        let container = match self.deg_e[f] {
-            0 => Some(f),
-            _ => self.container::<true>(f),
-        };
-        let now = container.is_some_and(|g| g == f || self.beats(g, f) || self.is_non_maximal(f));
-        (container.is_some(), now)
+        self.deg_e[f] == 0 || self.container(f).is_some()
     }
 
     /// `true` iff no other hyperedge of `H` shares two of alive `f`'s
     /// pins and two of them are alive: then nothing holds its alive
     /// pins, and it is maximal without a probe (module docs).
     fn linear_and_wide(&self, f: usize) -> bool {
-        self.shared[f / 64] >> (f % 64) & 1 == 0 && self.deg_e[f] >= 2
-    }
-
-    /// `true` iff alive `g` wins the tie rule against `f` in this
-    /// snapshot.
-    fn beats(&self, g: usize, f: usize) -> bool {
-        let (dg, df) = (self.deg_e[g], self.deg_e[f]);
-        dg != DEAD && (dg > df || (dg == df && g < f))
+        self.memo.shared[f / 64] >> (f % 64) & 1 == 0 && self.deg_e[f] >= 2
     }
 
     /// The first hyperedge through the pivot of alive, nonempty `f` that
-    /// holds `f`'s alive pins and wins the tie rule against it: by alive
-    /// pin counts, or with `RAW` by raw ones. `RAW` is for round one's
-    /// edge phase on an untouched `f`, where no hyperedge is dead, `f`'s
-    /// pins are all alive and their degrees are raw, so the pin scan is
-    /// the raw hypergraph's.
-    fn container<const RAW: bool>(&mut self, f: usize) -> Option<usize> {
+    /// holds `f`'s alive pins and wins the tie rule against it by alive
+    /// pin counts.
+    fn container(&mut self, f: usize) -> Option<usize> {
         let df = self.deg_e[f];
         // One scan for the pivot and the alive pins' signature: a dead
         // pin's degree is `DEAD`, so it is never the pivot and adds no
         // bit.
-        // Under `RAW` every pin is alive, so the signature is `f`'s own.
         let pins_f = self.csr.pins(f);
         let (mut pivot, mut pivot_deg, mut sig_f) = (0, DEAD, 0u64);
         for &v in pins_f {
             let d = self.deg_v[v.index()];
-            if !RAW {
-                sig_f |= sig_bit(v) & ((d != DEAD) as u64).wrapping_neg();
-            }
+            sig_f |= sig_bit(v) & ((d != DEAD) as u64).wrapping_neg();
             if d < pivot_deg {
                 (pivot, pivot_deg) = (v.index(), d);
             }
-        }
-        if RAW {
-            sig_f = self.sig[f];
         }
         // The pivot's alive hyperedges include `f`: with no other, `f`
         // has no container.
@@ -482,17 +569,15 @@ impl<'h> State<'h> {
             return None;
         }
         self.pin_buf.clear();
+        // Read through the memo once per probe, not once per candidate.
+        let sig: &[u64] = &self.memo.sig;
         for &g in self.csr.edges_of(pivot) {
             let gi = g.index();
             // A missing bit proves that `g` lacks an alive pin of `f`.
-            if gi == f || sig_f & !self.sig[gi] != 0 {
+            if gi == f || sig_f & !sig[gi] != 0 {
                 continue;
             }
-            let dg = if RAW {
-                self.csr.edge_degree(gi)
-            } else {
-                self.deg_e[gi]
-            };
+            let dg = self.deg_e[gi];
             if dg != DEAD && (dg > df || (dg == df && gi < f)) {
                 // The alive pins, gathered for the first candidate that
                 // passes the filter.
@@ -558,15 +643,13 @@ impl<'h> State<'h> {
     }
 
     /// Round one's queue for block `w`, the 64 hyperedges from `64 w`,
-    /// as two masks over their offsets in it: the hyperedges to probe
-    /// against the snapshot, and those to give a raw probe first. A
-    /// hyperedge known to be linear with two alive pins is maximal, and
-    /// in neither mask. A hyperedge the first peel left untouched holds
-    /// all its raw pins, so it is non-maximal now only if it is in `H`
-    /// (module docs): one whose memoized decision reads maximal is in
-    /// neither mask, and one with no decision yet is in the second.
-    /// Every other hyperedge is in the first.
-    fn round_one_masks(&self, w: usize) -> (u64, u64) {
+    /// as a mask over their offsets in it: the hyperedges to probe
+    /// against the snapshot. A hyperedge known to be linear with two
+    /// alive pins is maximal, and left out. A hyperedge the first peel
+    /// left untouched holds all its raw pins, so it is non-maximal now
+    /// only if it is in `H` (module docs): one whose contained bit is
+    /// clear is left out too.
+    fn round_one_mask(&self, w: usize) -> u64 {
         let (base, end) = (64 * w, (64 * w + 64).min(self.csr.num_edges()));
         // `State::new` read every size through a checked slice, so each
         // offset plus its hyperedge's alive pins stays in range.
@@ -582,7 +665,7 @@ impl<'h> State<'h> {
         // The linear ones with two alive pins; `wide` holds only this
         // block's ids. A block with no linear hyperedge, as most of a
         // Table 1 net's are, skips the pass.
-        let mut maximal = !self.shared[w];
+        let mut maximal = !self.memo.shared[w];
         if maximal != 0 {
             let mut wide = 0u64;
             for (i, &d) in deg.iter().enumerate() {
@@ -590,20 +673,15 @@ impl<'h> State<'h> {
             }
             maximal &= wide;
         }
-        let decided = self.decided[w].load(Ordering::Acquire);
-        let non_maximal = self.non_maximal[w].load(Ordering::Relaxed);
-        let skipped = maximal | (untouched & decided & !non_maximal);
-        let undecided = untouched & !decided & !maximal;
         let block = u64::MAX >> (64 - (end - base));
-        (block & !(skipped | undecided), undecided)
+        block & !(maximal | (untouched & !self.memo.contained[w]))
     }
 
     /// Probe every affected hyperedge against this snapshot, except the
     /// linear ones with two alive pins ([`Self::linear_and_wide`]), then
     /// delete the non-maximal ones. Round one walks every id in blocks
-    /// of 64, queued by [`Self::round_one_masks`], clears every queue
-    /// mark, and publishes each block's new decisions once the block is
-    /// probed.
+    /// of 64, queued by [`Self::round_one_mask`], and clears every queue
+    /// mark.
     fn edge_phase(&mut self, deadline: &Deadline) -> Result<(), DeadlineExceeded> {
         let mut doomed = std::mem::take(&mut self.doomed);
         doomed.clear();
@@ -619,22 +697,10 @@ impl<'h> State<'h> {
         };
         if std::mem::take(&mut self.all_queued) {
             self.in_affected.fill(false);
-            for w in 0..self.decided.len() {
-                let (snapshot, undecided) = self.round_one_masks(w);
-                bits(snapshot).try_for_each(|i| {
-                    let f = 64 * w + i;
-                    settle(f, self.is_non_maximal(f))
-                })?;
-                if undecided != 0 {
-                    let mut found = 0;
-                    bits(undecided).try_for_each(|i| {
-                        let (raw, now) = self.decide(64 * w + i);
-                        found |= (raw as u64) << i;
-                        settle(64 * w + i, now)
-                    })?;
-                    self.non_maximal[w].fetch_or(found, Ordering::Relaxed);
-                    self.decided[w].fetch_or(undecided, Ordering::Release);
-                }
+            for w in 0..self.memo.contained.len() {
+                bits(self.round_one_mask(w))
+                    .map(|i| 64 * w + i)
+                    .try_for_each(|f| settle(f, self.is_non_maximal(f)))?;
             }
         } else {
             let affected = std::mem::take(&mut self.affected);
@@ -1023,55 +1089,48 @@ mod tests {
         }
         // The expiry fell inside the signatures, before the linear pass,
         // so nothing was kept; the next call builds the memo and answers.
-        assert!(h.probe_memo().get().is_none());
+        assert!(kept(&h).is_none());
         assert_equivalent(&h, 2);
-        assert!(h.probe_memo().get().is_some());
+        assert!(kept(&h).is_some());
     }
 
     #[test]
     fn cancelled_deadline_stops_round_one_probes_within_a_check_interval() {
-        // Over two check intervals of hyperedges, all queued for round
-        // one's edge phase (k = 0 peels no vertex), none decided yet and
-        // none linear: each random 3-pin hyperedge is followed by one
-        // that shares its first two pins, so every one is probed. Each
-        // probe ticks, and the one that reads the cancelled flag is the
-        // last.
+        // Over a check interval of copies, all queued for round one's
+        // edge phase (k = 0 peels no vertex) and none linear: each random
+        // 3-pin hyperedge is followed by a copy, which is non-maximal in H
+        // and so probed against the snapshot. Each probe ticks, and the
+        // one that reads the cancelled flag is the last.
         let base = uniform_random_hypergraph(400, hgobs::CHECK_INTERVAL as usize + 13, 3, 13);
         let mut b = HypergraphBuilder::new(400);
         for f in base.edges() {
-            let p: Vec<u32> = base.pins(f).iter().map(|v| v.0).collect();
-            b.add_edge(p.iter().copied());
-            b.add_edge([p[0], p[1], (p[2] + 1) % 400]);
+            for _ in 0..2 {
+                b.add_edge(base.pins(f).iter().map(|v| v.0));
+            }
         }
         let h = b.build();
         let m = h.num_edges();
         let mut s = State::new(&h, &Deadline::none()).unwrap();
-        let memo = h.probe_memo().get().unwrap();
-        assert!((0..m).all(|f| !linear(memo, f)));
+        let memo = kept(&h).unwrap();
+        assert!((0..m).all(|f| !linear(&memo, f)));
         s.vertex_phase(&Deadline::none()).unwrap();
         let dl = Deadline::cancellable();
         dl.cancel();
         let err = s.edge_phase(&dl).unwrap_err();
         assert_eq!(err.phase, "kcore.probe.edge_phase");
         assert_eq!(err.work_done, 0, "{err:?}");
-        // Nothing peeled, so every probe was a decision; nothing was
-        // deleted.
-        let probed = (s.raw_probes + s.edge_probes) as usize;
+        // Nothing peeled and nothing deleted; the memo is as built.
+        let probed = s.edge_probes as usize;
         assert!(
             probed > 0 && probed <= hgobs::CHECK_INTERVAL as usize,
             "{probed} of {m} hyperedges probed"
         );
         assert_eq!((s.edges_alive, s.edges_deleted), (m, 0));
-        // The blocks probed whole published their decisions, the one cut
-        // short none, and each decision is right.
-        let decided = (0..m).filter(|&f| decision(memo, f).is_some()).count();
-        assert_eq!(decided, (probed - 1) / 64 * 64);
-        assert_decisions_match_h(&h);
+        assert_contained_match_h(&h);
         for k in [0, 2, 3] {
             let (warm, cold) = (probe_kcore(&h, k), probe_kcore(&rebuilt(&h), k));
             assert_eq!((warm.vertices, warm.edges), (cold.vertices, cold.edges));
         }
-        assert_decisions_match_h(&h);
     }
 
     /// A copy of `h` with the same ids and no memo.
@@ -1162,16 +1221,29 @@ mod tests {
         )
     }
 
-    /// `f`'s raw-maximality decision in `memo`: `Some(true)` for
-    /// non-maximal, `None` while undecided.
-    fn decision(memo: &ProbeMemo, f: usize) -> Option<bool> {
-        let bit = |words: &[AtomicU64]| words[f / 64].load(Ordering::Acquire) >> (f % 64) & 1 == 1;
-        bit(&memo.decided).then(|| bit(&memo.non_maximal))
+    /// Whether hyperedge `f`'s bit is set in one of a memo's bitmaps.
+    fn bit(bits: &[u64], f: usize) -> bool {
+        bits[f / 64] >> (f % 64) & 1 == 1
     }
 
     /// Whether `memo` knows hyperedge `f` to be linear.
     fn linear(memo: &ProbeMemo, f: usize) -> bool {
-        memo.shared[f / 64] >> (f % 64) & 1 == 0
+        !bit(&memo.shared, f)
+    }
+
+    /// A copy of the memo `h` keeps: the complete one, else the
+    /// unfinished one.
+    fn kept(h: &Hypergraph) -> Option<ProbeMemo> {
+        let slot = h.probe_memo();
+        slot.complete.get().cloned().or_else(|| slot.lock().clone())
+    }
+
+    /// The hyperedges whose contained bit is set in `h`'s memo.
+    fn contained(h: &Hypergraph) -> Vec<EdgeId> {
+        let memo = kept(h).expect("a k-core ran");
+        h.edges()
+            .filter(|f| bit(&memo.contained, f.index()))
+            .collect()
     }
 
     /// Whether no other hyperedge of `h` shares two of `f`'s pins, by
@@ -1182,16 +1254,12 @@ mod tests {
         h.edges().filter(|&g| g != f).all(|g| overlap(g) <= 1)
     }
 
-    /// Every decision `h`'s memo holds agrees with the raw oracle.
-    fn assert_decisions_match_h(h: &Hypergraph) {
-        let memo = h.probe_memo().get().expect("a k-core ran");
-        let mut non_maximal = vec![false; h.num_edges()];
-        for f in crate::reduce::non_maximal_edges_naive(h) {
-            non_maximal[f.index()] = true;
-        }
-        for (f, &want) in non_maximal.iter().enumerate() {
-            assert!(decision(memo, f).is_none_or(|got| got == want), "e{f}");
-        }
+    /// `h`'s memo is complete, and its contained bits are the raw
+    /// oracle's non-maximal hyperedges.
+    fn assert_contained_match_h(h: &Hypergraph) {
+        let memo = kept(h).expect("a k-core ran");
+        assert_eq!(memo.reached, h.num_edges());
+        assert_eq!(contained(h), crate::reduce::non_maximal_edges_naive(h));
     }
 
     #[test]
@@ -1201,16 +1269,16 @@ mod tests {
         // takes 6 sorted merges to find them; without both, and without
         // the linear bits, 8,182. 4,387 of the 4,500 hyperedges share
         // at most one pin with any other, so they are probed only once
-        // a peel leaves them one alive pin or none. The first call
-        // decides the 66 non-linear hyperedges its first peel leaves
-        // untouched, all maximal in H; a later call skips them and
-        // probes only the 52 the peel touches that are non-linear or
-        // kept fewer than two pins; round two probes none. Exact
-        // counts: a change to which hyperedges are probed or merged
-        // moves them.
+        // a peel leaves them one alive pin or none. The first call's
+        // memo build gives the 113 others a raw probe each, and finds
+        // them all maximal in H; so round one, cold or warm, skips the
+        // untouched ones and probes only the 52 the peel touches that
+        // are non-linear or kept fewer than two pins; round two probes
+        // none. Exact counts: a change to which hyperedges are probed or
+        // merged moves them.
         let h = uniform_random_hypergraph(6000, 4500, 5, 41);
         for (pass, want) in [
-            ("cold", (2, 1694, 6, 6, 52, 66)),
+            ("cold", (2, 1694, 6, 6, 52, 113)),
             ("warm", (2, 1694, 6, 6, 52, 0)),
         ] {
             let s = peeled_state(&h, 3);
@@ -1230,26 +1298,40 @@ mod tests {
             .and_then(|()| s.edge_phase(&dl))
             .unwrap();
         assert_eq!((s.edge_probes, s.raw_probes), (52, 0));
-        assert_decisions_match_h(&h);
+        assert_contained_match_h(&h);
+    }
+
+    /// The Cellzome golden dataset.
+    fn cellzome() -> Hypergraph {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../data/cellzome-2004.hgr");
+        let text = std::fs::read_to_string(path).expect("golden dataset present");
+        crate::io::read_hgr(&text).unwrap()
+    }
+
+    #[test]
+    fn contained_bits_are_the_non_maximal_hyperedges() {
+        // hgperf's u6000 and the Cellzome golden dataset: a complete
+        // memo's contained bits are the reduce's non-maximal hyperedges,
+        // found by overlap counting.
+        for h in [uniform_random_hypergraph(6000, 4500, 5, 41), cellzome()] {
+            probe_kcore(&h, 3);
+            assert_eq!(contained(&h), crate::non_maximal_edges(&h));
+        }
     }
 
     #[test]
     fn max_cores_pin_their_work_counters() {
         // hgperf's u6000 and the Cellzome golden dataset, decomposed to
         // the empty core the way `probe_decompose_with` does, on a fresh
-        // hypergraph and again on the same one. Level 1's first peel
-        // takes only isolated vertices, so the first decomposition
-        // decides every hyperedge but the linear ones with two or more
-        // pins (113 of u6000's 4,500, 220 of Cellzome's 232), and the
-        // second probes only the ones non-maximal in H at level 1 (none
-        // of u6000's, 101 of Cellzome's). The merges are the same. A
-        // linear hyperedge is probed only once it is left one alive pin
-        // or none.
-        let cellzome = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../data/cellzome-2004.hgr"
-        ))
-        .expect("golden dataset present");
+        // hypergraph and again on the same one. The first builds the
+        // memo, which gives a raw probe to every hyperedge but the linear
+        // ones with two or more pins (113 of u6000's 4,500, 220 of
+        // Cellzome's 232), and counts their merges (101 on Cellzome,
+        // which finds its 101 non-maximal ones). Level 1's first peel
+        // takes only isolated vertices, so both decompositions probe
+        // only the ones non-maximal in H at level 1 (none of u6000's, 101
+        // of Cellzome's). A linear hyperedge is probed only once it is
+        // left one alive pin or none.
         for (h, want_cold, want_warm, want_core) in [
             (
                 uniform_random_hypergraph(6000, 4500, 5, 41),
@@ -1258,8 +1340,8 @@ mod tests {
                 (5, 1473, 3190, 8617),
             ),
             (
-                crate::io::read_hgr(&cellzome).unwrap(),
-                (17, 1361, 232, 180, 427, 220),
+                cellzome(),
+                (17, 1361, 232, 281, 528, 220),
                 (17, 1361, 232, 180, 528, 0),
                 (6, 41, 54, 246),
             ),
@@ -1275,7 +1357,7 @@ mod tests {
                 assert_eq!(mc.vertices.capacity(), mc.vertices.len());
                 assert_eq!(mc.edges.capacity(), mc.edges.len());
             }
-            assert_decisions_match_h(&h);
+            assert_contained_match_h(&h);
         }
     }
 
@@ -1299,11 +1381,12 @@ mod tests {
             hb.add_edge([a, x]);
             hb.add_edge([a, y]);
             let h = hb.build();
-            let memo = ProbeMemo::of(&h, &Deadline::none(), &mut 0).unwrap();
-            let got: Vec<bool> = (0..4).map(|f| linear(memo, f)).collect();
-            assert_eq!(got, [false, false, true, true], "b = {b}");
+            // The memo build makes the probe, and round one none.
             let s = peeled_state(&h, 0);
             assert_eq!((s.subset_tests, s.edges_deleted), (tests, 0), "b = {b}");
+            let memo = kept(&h).unwrap();
+            let got: Vec<bool> = (0..4).map(|f| linear(&memo, f)).collect();
+            assert_eq!(got, [false, false, true, true], "b = {b}");
             assert_matches_naive_cores(&h);
         }
         // Vertex ids from two signature bits: nearly every candidate
@@ -1335,7 +1418,7 @@ mod tests {
         b.add_edge([0, 150]);
         let h = b.build();
         let s = State::new(&h, &Deadline::none()).unwrap();
-        assert!(s.sig[..6].iter().all(|&sig| sig == u64::MAX));
+        assert!(s.memo.sig[..6].iter().all(|&sig| sig == u64::MAX));
         assert_matches_naive_cores(&h);
     }
 
@@ -1345,16 +1428,22 @@ mod tests {
         // walk the hub's m hyperedges, Θ(m²) in all. Each is over the
         // cap (m + 1 > 8 · (2 + 1)), so the pass reads each hyperedge's
         // two degrees and scans none: every hyperedge is left unproven
-        // and probed as before, pivoting on its leaf.
+        // and given a raw probe, which pivots on its leaf and walks the
+        // leaf's one hyperedge.
         let m = 3 * hgobs::CHECK_INTERVAL as usize;
         let mut b = HypergraphBuilder::new(m + 1);
         for i in 1..=m as u32 {
             b.add_edge([0, i]);
         }
         let h = b.build();
-        let (shared, visited) = shared_pins(h.csr(), &Deadline::none());
-        assert_eq!(visited, h.num_pins());
-        assert!((0..m).all(|f| shared[f / 64] >> (f % 64) & 1 == 1));
+        let built = |dl: &Deadline| {
+            let mut memo = ProbeMemo::new(h.csr(), &Deadline::none(), &mut 0).unwrap();
+            let pass = memo.build(h.csr(), dl);
+            (memo, pass.visited)
+        };
+        let (memo, visited) = built(&Deadline::none());
+        assert_eq!(visited, 3 * m);
+        assert!((0..m).all(|f| !linear(&memo, f) && !bit(&memo.contained, f)));
         let s = peeled_state(&h, 1);
         assert_eq!(work(&s), (1, 0, 0, 0, 0, m as u64));
         assert_eq!((s.vertices_alive, s.edges_alive), (m + 1, m));
@@ -1363,9 +1452,9 @@ mod tests {
         // one check interval, and leaves the rest unproven.
         let dl = Deadline::cancellable();
         dl.cancel();
-        let (shared, visited) = shared_pins(h.csr(), &dl);
+        let (memo, visited) = built(&dl);
         assert!(visited <= hgobs::CHECK_INTERVAL as usize, "{visited}");
-        assert!((0..m).all(|f| shared[f / 64] >> (f % 64) & 1 == 1));
+        assert!((0..m).all(|f| !linear(&memo, f)));
     }
 
     #[test]
@@ -1388,30 +1477,104 @@ mod tests {
         let m = h.num_edges();
         let dl = Deadline::cancellable();
         dl.cancel();
-        let (_, visited) = shared_pins(h.csr(), &dl);
+        let mut memo = ProbeMemo::new(h.csr(), &dl, &mut 0).unwrap();
+        let visited = memo.build(h.csr(), &dl).visited;
         assert!(
             visited > 0 && visited <= hgobs::CHECK_INTERVAL as usize,
             "{visited}"
         );
         // Pre-cancelled, the call still fails in the state build, but the
-        // memo is kept with the scanned hyperedges' bits, each right.
+        // memo is kept with the scanned hyperedges' bits, each right:
+        // every linear bit clear is linear by brute force, every
+        // contained bit clear is maximal in H, and both bits are set from
+        // the cut on.
         let err = probe_kcore_with(&h, 2, &dl).unwrap_err();
         assert_eq!(err.phase, "kcore.probe.state");
         assert_eq!(err.work_done, 0, "{err:?}");
-        let memo = h.probe_memo().get().expect("the cut pass keeps the memo");
+        let memo = kept(&h).expect("the cut pass keeps the memo");
         let want: Vec<bool> = h.edges().map(|f| brute_linear(&h, f)).collect();
-        let proven: Vec<usize> = (0..m).filter(|&f| linear(memo, f)).collect();
+        let proven: Vec<usize> = (0..m).filter(|&f| linear(&memo, f)).collect();
         assert!(proven.iter().all(|&f| want[f]), "{proven:?}");
         let linear_ones = want.iter().filter(|&&w| w).count();
         assert!(!proven.is_empty() && proven.len() < linear_ones / 10);
+        let non_maximal = crate::reduce::non_maximal_edges_naive(&h);
+        for f in h.edges() {
+            let i = f.index();
+            if !bit(&memo.contained, i) {
+                assert!(!non_maximal.contains(&f), "{f:?}");
+            }
+            if i >= memo.reached {
+                assert!(bit(&memo.shared, i) && bit(&memo.contained, i), "{f:?}");
+            }
+        }
         // The next call answers, and a fresh build proves every one.
         for k in [2, 31, 32] {
             assert_equivalent(&h, k);
         }
         let fresh = rebuilt(&h);
         assert_equivalent(&fresh, 31);
-        let full = fresh.probe_memo().get().unwrap();
-        assert_eq!((0..m).map(|f| linear(full, f)).collect::<Vec<_>>(), want);
+        let full = kept(&fresh).unwrap();
+        assert_eq!((0..m).map(|f| linear(&full, f)).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn build_cut_by_the_deadline_is_continued_by_the_next_call() {
+        // Uniform hyperedges plus a nested subset of every third and a
+        // copy of every fifth: 307 hyperedges on 100 vertices, so a
+        // call's state build ticks fewer times than a check interval,
+        // while the memo's pass walks many check intervals of
+        // incidences. Each call's deadline is cancelled before it starts.
+        let base = uniform_random_hypergraph(100, 200, 4, 7);
+        let mut b = HypergraphBuilder::new(base.num_vertices());
+        for f in base.edges() {
+            let pins: Vec<u32> = base.pins(f).iter().map(|v| v.0).collect();
+            b.add_edge(pins.iter().copied());
+            if f.0 % 3 == 0 {
+                b.add_edge(pins[1..].iter().copied());
+            }
+            if f.0 % 5 == 0 {
+                b.add_edge(pins.iter().copied());
+            }
+        }
+        let h = b.build();
+        let m = h.num_edges();
+        let fresh = rebuilt(&h);
+        probe_kcore(&fresh, 3);
+        let full = kept(&fresh).unwrap();
+        let (want_v, want_e) = naive_kcore(&h, 3);
+        let dl = Deadline::cancellable();
+        dl.cancel();
+        let (mut reached, mut calls) = (0, 0);
+        while reached < m {
+            // Each call advances the build, and the memo it keeps holds
+            // the fresh build's bits below its cursor, both bits set from
+            // it on.
+            let mut s = State::new(&h, &dl).expect("no tick reads the clock");
+            let memo = kept(&h).unwrap();
+            assert!(memo.reached > reached, "call {calls} stalled at {reached}");
+            reached = memo.reached;
+            calls += 1;
+            for f in 0..m {
+                let got = (bit(&memo.shared, f), bit(&memo.contained, f));
+                let want = (bit(&full.shared, f), bit(&full.contained, f));
+                assert_eq!(got, if f < reached { want } else { (true, true) }, "e{f}");
+            }
+            // The core peeled from that memo is the oracle's.
+            let none = Deadline::none();
+            s.peel(3, &none, none.trace()).unwrap();
+            let core = s.core();
+            assert_eq!(core.vertices, want_v);
+            assert_eq!(
+                edge_contents(&h, &core.edges, &core.vertices),
+                edge_contents(&h, &want_e, &want_v)
+            );
+        }
+        assert!(calls >= 4, "{calls} calls");
+        let memo = kept(&h).unwrap();
+        assert_eq!(
+            (&memo.sig, &memo.shared, &memo.contained),
+            (&full.sig, &full.shared, &full.contained)
+        );
     }
 
     #[test]
@@ -1427,8 +1590,8 @@ mod tests {
         }
         let h = b.build();
         let s = peeled_state(&h, 2);
-        let memo = h.probe_memo().get().unwrap();
-        assert!((0..5).all(|f| linear(memo, f)));
+        let memo = kept(&h).unwrap();
+        assert!((0..5).all(|f| linear(&memo, f)));
         let core = s.core();
         assert_eq!(core.vertices, [0, 2, 3].map(VertexId));
         assert_eq!(core.edges, [1, 2, 3].map(EdgeId));
@@ -1459,10 +1622,10 @@ mod tests {
 
         /// Each linear bit is a brute-force "no other hyperedge shares
         /// two pins" for every hyperedge within the scan cap, and clear
-        /// for every one over it; the gated engine answers as the
-        /// oracle does: `probe_kcore` at random k and `probe_decompose`,
-        /// each on a fresh hypergraph (cold) and again on the same one
-        /// (warm).
+        /// for every one over it; each contained bit is the naive
+        /// reduce's; the gated engine answers as the oracle does:
+        /// `probe_kcore` at random k and `probe_decompose`, each on a
+        /// fresh hypergraph (cold) and again on the same one (warm).
         #[test]
         fn linear_bits_and_gated_cores_match_the_oracle(
             (h, ks) in arb_hypergraph()
@@ -1479,15 +1642,16 @@ mod tests {
             for &k in &ks {
                 assert_equivalent(&fresh, k);
             }
-            let memo = h.probe_memo().get().unwrap();
+            let memo = kept(&h).unwrap();
             for f in h.edges() {
                 let pins = h.pins(f);
                 let degrees = || pins.iter().map(|&v| h.vertex_degree(v));
                 let (sum, least) = (degrees().sum::<usize>(), degrees().min().unwrap_or(0));
                 let scanned = pins.len() < 2 || sum <= SCAN_CAP * (pins.len() + least);
                 let want = scanned && brute_linear(&h, f);
-                prop_assert_eq!(linear(memo, f.index()), want, "{:?}", f);
+                prop_assert_eq!(linear(&memo, f.index()), want, "{:?}", f);
             }
+            prop_assert_eq!(contained(&h), crate::reduce::non_maximal_edges_naive(&h));
         }
     }
 
@@ -1516,9 +1680,9 @@ mod tests {
     #[test]
     fn memo_keeps_the_tie_rule_at_every_k() {
         // The fixture above, cold at k = 2, then warm at k = 2, 1, 0 and
-        // 2 again. f0 = {0,1} lies in f1 = {0,1,2}, so its decision reads
-        // non-maximal; at k = 2 it is still probed and kept, since f1
-        // shrinks to a tie with it and loses on id.
+        // 2 again. f0 = {0,1} lies in f1 = {0,1,2}, so its contained bit
+        // is set; at k = 2 it is still probed and kept, since f1 shrinks
+        // to a tie with it and loses on id.
         let mut b = HypergraphBuilder::new(4);
         b.add_edge([0, 1]);
         b.add_edge([0, 1, 2]);
@@ -1535,16 +1699,17 @@ mod tests {
             }
         }
         // f2 and f3 share one pin with each other hyperedge, so they are
-        // never probed and never decided.
-        let memo = h.probe_memo().get().unwrap();
-        let got: Vec<_> = (0..4).map(|f| decision(memo, f)).collect();
-        assert_eq!(got, [Some(true), Some(false), None, None]);
+        // maximal in H without a raw probe.
+        assert_eq!(contained(&h), [EdgeId(0)]);
+        let memo = kept(&h).unwrap();
+        let got: Vec<_> = (0..4).map(|f| linear(&memo, f)).collect();
+        assert_eq!(got, [false, false, true, true]);
     }
 
     #[test]
     fn threads_racing_on_a_cold_memo_get_the_oracle_answers() {
         // Uniform hyperedges plus a nested subset of every third and a
-        // copy of every fifth, so decisions of both kinds are made. Two
+        // copy of every fifth, so contained bits of both kinds are set. Two
         // threads start together on one cold hypergraph at different k.
         for seed in 0..6 {
             let base = uniform_random_hypergraph(300, 500, 5, seed);
@@ -1581,7 +1746,7 @@ mod tests {
                     core.k
                 );
             }
-            assert_decisions_match_h(&h);
+            assert_contained_match_h(&h);
         }
     }
 
